@@ -143,6 +143,51 @@ void BM_SchedulerIntervalTickFragmented(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerIntervalTickFragmented)->Arg(200);
 
+// Algorithm 2 under load, in the coalescing workload's shape: D = 1000,
+// k = 1, fragmented admission with coalescing.  Short displays resubmit
+// on completion at scattered start disks, keeping ~90% of the virtual
+// disks owned after warm-up, so every interval runs fragmented
+// admissions over a full queue and a coalescing search per fragmented
+// stream, most of which find no free disk in their window.
+void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
+  const int32_t num_streams = static_cast<int32_t>(state.range(0));
+  const SimTime interval = SimTime::Millis(605);
+  int64_t idle_vdisks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    auto disks = DiskArray::Create(1000, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = 1;
+    config.interval = interval;
+    config.policy = AdmissionPolicy::kFragmented;
+    config.coalesce = true;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    IntervalScheduler* s = sched->get();
+    int32_t next_start = 0;
+    std::function<void()> resubmit = [&] {
+      DisplayRequest req;
+      req.object = next_start;
+      req.degree = 5;
+      req.start_disk = next_start;
+      next_start = (next_start + 337) % 1000;
+      req.num_subobjects = 200;
+      req.on_completed = resubmit;
+      (void)s->Submit(std::move(req));
+    };
+    for (int32_t i = 0; i < num_streams; ++i) resubmit();
+    sim.RunUntil(interval * 64);  // warm-up: fill, fragment, churn
+    state.ResumeTiming();
+    sim.RunUntil(interval * (64 + 256));
+    idle_vdisks = s->idle_virtual_disks();
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetLabel("intervals; D=1000 k=1 streams=" +
+                 std::to_string(num_streams) +
+                 " idle_vdisks_end=" + std::to_string(idle_vdisks));
+}
+BENCHMARK(BM_SchedulerIntervalTickCoalesce)->Arg(200);
+
 // Admission/eviction churn: short displays that resubmit on completion,
 // so every measured interval mixes stream retirement (slot free-list
 // recycling, window release) with fresh admissions (window probing).
@@ -252,6 +297,9 @@ int main(int argc, char** argv) {
   report.SetBaseline("BM_EventQueueBatchedPop/1024", 151.0);
   report.SetBaseline("BM_EventQueueBatchedPop/4096", 219.6);
   report.SetBaseline("BM_EventQueueBatchedPop/16384", 237.7);
+  // Bit-probe Algorithm 1-2 searches with the coalescing scan walking
+  // all P candidates (before orbit order), same workload.
+  report.SetBaseline("BM_SchedulerIntervalTickCoalesce/200", 114517.0);
 
   stagger::CapturingReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);

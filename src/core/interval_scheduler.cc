@@ -46,8 +46,8 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
                                      VirtualDiskFrame frame)
     : sim_(sim), disks_(disks), config_(config), frame_(frame),
       buffers_(config.buffer_capacity_fragments), epoch_(sim->Now()),
-      vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream) {
-  vdisk_occupied_.Resize(disks->num_disks());
+      vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream),
+      vdisk_occupied_(frame) {
   scratch_taken_.Resize(disks->num_disks());
   claimed_epoch_.assign(static_cast<size_t>(disks->num_disks()), 0);
   ticker_ = std::make_unique<PeriodicTicker>(
@@ -285,8 +285,8 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   int64_t delta_max = 0;
 
   // scratch_taken_ carries the virtual disks tentatively picked for
-  // earlier lanes of this attempt; set bits are recorded so teardown is
-  // O(m), not O(D).
+  // earlier lanes of this attempt, in orbit order (the search's view);
+  // set bits are recorded so teardown is O(m), not O(D).
   STAGGER_DCHECK(scratch_taken_bits_.empty());
   bool ok = true;
   for (int32_t j = 0; j < m; ++j) {
@@ -303,14 +303,15 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
       ok = false;
       break;
     }
-    scratch_taken_.Set(found->first);
+    const int32_t taken_pos = frame_.OrbitPos(found->first);
+    scratch_taken_.Set(taken_pos);
     // stagger-lint: allow(hot-path-alloc) -- scratch_taken_bits_ keeps its capacity across admissions (clear(), never shrink), so this amortizes to zero allocations in steady state
-    scratch_taken_bits_.push_back(found->first);
+    scratch_taken_bits_.push_back(taken_pos);
     lanes[static_cast<size_t>(j)].vdisk = found->first;
     lanes[static_cast<size_t>(j)].next_read_tau = found->second;
     delta_max = std::max(delta_max, found->second);
   }
-  for (int32_t v : scratch_taken_bits_) scratch_taken_.Clear(v);
+  for (int32_t pos : scratch_taken_bits_) scratch_taken_.Clear(pos);
   scratch_taken_bits_.clear();
   if (!ok) return false;
 
@@ -909,7 +910,7 @@ void IntervalScheduler::RetryPaused() {
   }
 }
 
-void IntervalScheduler::TryCoalesce(Stream* s) {
+STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   // One migration per stream per interval (Algorithm 2 admits a new
   // coalesce request only after the previous one completes).
   const int64_t tau = s->Tau(interval_index_);
@@ -941,8 +942,8 @@ void IntervalScheduler::TryCoalesce(Stream* s) {
   // the new disk takes over (backlog fully drained, no hiccup).
   const int64_t max_resume = lane.reads_done + s->delta_max;
 
-  // The free virtual disk with the largest safe resume, found by probing
-  // the occupancy bitmap in strictly decreasing resume order.
+  // The free virtual disk with the largest safe resume: one masked scan
+  // of the orbit-order occupancy in strictly decreasing resume order.
   const auto found = frame_.FindLatestFreeVdisk(vdisk_occupied_,
                                                 interval_index_, target, tau,
                                                 max_resume);

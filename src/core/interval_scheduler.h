@@ -376,12 +376,12 @@ class IntervalScheduler {
   int64_t interval_index_ = 0;
 
   /// Owner of each virtual disk (kNoStream when free) plus the same set
-  /// as a bitmap.  The bitmap answers the hot-path queries (window test
-  /// at contiguous admission, per-delay probes at fragmented admission
-  /// and coalescing) in O(M/64) words; the owner array backs O(1)
-  /// release and the audit's cross-checks.
+  /// as a two-view bitmap.  The bitmap answers the hot-path queries
+  /// (window test at contiguous admission in vdisk order, the Algorithm
+  /// 1-2 searches in orbit order) in O(M/64) and O(lookahead/64) words;
+  /// the owner array backs O(1) release and the audit's cross-checks.
   std::vector<StreamId> vdisk_owner_;
-  Bitmap vdisk_occupied_;
+  VdiskOccupancy vdisk_occupied_;
   /// Stream storage: stable slots plus a free list, so steady-state
   /// admission/retirement never allocates.  active_ maps stream id ->
   /// slot, sorted by id — the tick loop iterates it directly instead of
@@ -402,8 +402,8 @@ class IntervalScheduler {
 
   // Scratch reused across ticks (no per-tick allocation).
   /// Virtual disks tentatively taken by earlier lanes of one fragmented
-  /// admission; bits listed in scratch_taken_bits_ are cleared after
-  /// each attempt.
+  /// admission, in orbit order; the orbit positions listed in
+  /// scratch_taken_bits_ are cleared after each attempt.
   Bitmap scratch_taken_;
   std::vector<int32_t> scratch_taken_bits_;
   /// Claimed-disk set as interval-stamped epochs: claimed_epoch_[d] ==

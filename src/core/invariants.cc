@@ -9,6 +9,7 @@
 
 #include "core/interval_scheduler.h"
 #include "core/logical_scheduler.h"
+#include "util/bitmap.h"
 #include "util/check.h"
 
 namespace stagger {
@@ -407,15 +408,21 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   }
 
   // Backward ownership: every owned virtual disk belongs to a live
-  // stream (counted above), so counts must match exactly — and the
-  // occupancy bitmap mirrors the owner array bit for bit.
+  // stream (counted above), so counts must match exactly — and both
+  // views of the occupancy bitmap mirror the owner array bit for bit.
+  // OrbitPos is a permutation, so the per-disk check covers every bit.
+  const Bitmap& by_orbit = s.vdisk_occupied_.by_orbit();
   int64_t owned_disks = 0;
   for (size_t v = 0; v < s.vdisk_owner_.size(); ++v) {
     const StreamId owner = s.vdisk_owner_[v];
-    STAGGER_AUDIT_VERIFY(s.vdisk_occupied_.Test(static_cast<int32_t>(v)) ==
-                         (owner != kNoStream))
+    const int32_t vdisk = static_cast<int32_t>(v);
+    STAGGER_AUDIT_VERIFY(s.vdisk_occupied_.Test(vdisk) == (owner != kNoStream))
         << "; virtual disk " << v << " occupancy bit disagrees with owner "
         << owner;
+    STAGGER_AUDIT_VERIFY(by_orbit.Test(s.frame_.OrbitPos(vdisk)) ==
+                         (owner != kNoStream))
+        << "; virtual disk " << v << " orbit-order bit "
+        << s.frame_.OrbitPos(vdisk) << " disagrees with owner " << owner;
     if (owner == kNoStream) continue;
     ++owned_disks;
     STAGGER_AUDIT_VERIFY(s.SlotOf(owner) >= 0)
@@ -424,6 +431,12 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   STAGGER_AUDIT_VERIFY(owned_disks == owned_lanes)
       << "; " << owned_disks << " virtual disks owned but " << owned_lanes
       << " lanes hold disks (orphaned ownership)";
+  // Fragmented admission's tentative picks live only within one attempt.
+  STAGGER_AUDIT_VERIFY(s.scratch_taken_bits_.empty() &&
+                       s.scratch_taken_.CountSet() == 0)
+      << "; orbit-order taken set holds " << s.scratch_taken_.CountSet()
+      << " bits (" << s.scratch_taken_bits_.size()
+      << " listed) between admissions";
 
   STAGGER_AUDIT_VERIFY(total_reserved == s.buffers_.reserved())
       << "; streams reserve " << total_reserved

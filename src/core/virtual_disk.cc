@@ -4,6 +4,8 @@
 #include <numeric>
 #include <string>
 
+#include "util/hot_path.h"
+
 namespace stagger {
 
 int64_t ExtendedGcd(int64_t a, int64_t b, int64_t* x, int64_t* y) {
@@ -54,48 +56,55 @@ std::optional<int64_t> VirtualDiskFrame::AlignmentDelay(int32_t v, int32_t p,
   return PositiveMod((c / gcd_) * stride_inverse_, m);
 }
 
-std::optional<std::pair<int32_t, int64_t>> VirtualDiskFrame::FindEarliestFreeVdisk(
-    const Bitmap& occupied, const Bitmap& taken, int64_t t, int32_t target,
-    int64_t max_delay, bool skip_zero) const {
+STAGGER_HOT_PATH std::optional<std::pair<int32_t, int64_t>>
+VirtualDiskFrame::FindEarliestFreeVdisk(const VdiskOccupancy& occupied,
+                                        const Bitmap& taken, int64_t t,
+                                        int32_t target, int64_t max_delay,
+                                        bool skip_zero) const {
   // Delays beyond the period revisit the same virtual disks.
-  const int64_t limit = std::min<int64_t>(max_delay, period() - 1);
-  int32_t v = VirtualOf(target, t);  // the delta = 0 candidate
-  for (int64_t delta = 0; delta <= limit; ++delta) {
-    if (!(skip_zero && delta == 0) && !occupied.Test(v) && !taken.Test(v)) {
-      return std::make_pair(v, delta);
-    }
-    // v_{delta+1} = v_delta - k (mod D).
-    v -= stride_;
-    if (v < 0) v += num_disks_;
-  }
-  return std::nullopt;
+  const int32_t p = period();
+  const int64_t limit = std::min<int64_t>(max_delay, p - 1);
+  const int64_t first = skip_zero ? 1 : 0;
+  if (limit < first) return std::nullopt;
+  // The delay-delta candidate sits at orbit offset i0 - delta in the
+  // residue block of the delta = 0 candidate, so delays [first, limit]
+  // form the ring range that starts at i0 - limit, and the smallest free
+  // delay is that range's last free offset.
+  const auto [base, i0] = OrbitBlockAndOffset(VirtualOf(target, t));
+  int32_t start = i0 - static_cast<int32_t>(limit);
+  if (start < 0) start += p;
+  const int32_t i = occupied.by_orbit().LastClearInRing(
+      taken, base, p, start, static_cast<int32_t>(limit - first) + 1);
+  if (i < 0) return std::nullopt;
+  int32_t offset = start + i;
+  if (offset >= p) offset -= p;
+  return std::make_pair(VdiskAtOrbit(base + offset), limit - i);
 }
 
-std::optional<std::pair<int32_t, int64_t>> VirtualDiskFrame::FindLatestFreeVdisk(
-    const Bitmap& occupied, int64_t t, int32_t target, int64_t tau,
-    int64_t max_resume) const {
+STAGGER_HOT_PATH std::optional<std::pair<int32_t, int64_t>>
+VirtualDiskFrame::FindLatestFreeVdisk(const VdiskOccupancy& occupied,
+                                      int64_t t, int32_t target, int64_t tau,
+                                      int64_t max_resume) const {
   if (max_resume < tau) return std::nullopt;
   // A candidate at delay delta resumes at tau + delta, boosted by whole
   // periods up to max_resume; the boosted value is max_resume - c with
-  // c = (max_resume - tau - delta) mod P.  Scanning c upward therefore
-  // visits resumes in strictly decreasing order, and within one scan each
-  // candidate virtual disk appears exactly once.
-  const int64_t p = period();
-  int64_t delta = PositiveMod(max_resume - tau, p);  // the c = 0 candidate
-  int32_t v = VirtualOf(target, t + delta);
-  for (int64_t c = 0; c < p; ++c) {
-    // Reject candidates whose smallest alignment already overshoots
-    // (only possible while max_resume - tau < P).
-    if (tau + delta <= max_resume && !occupied.Test(v)) {
-      return std::make_pair(v, max_resume - c);
-    }
-    // delta decreases by one per step (wrapping to P-1), so v advances
-    // by +k mod D: v depends on delta only through delta mod P.
-    delta = delta == 0 ? p - 1 : delta - 1;
-    v += stride_;
-    if (v >= num_disks_) v -= num_disks_;
-  }
-  return std::nullopt;
+  // c = (max_resume - tau - delta) mod P, so scanning c upward visits
+  // resumes in strictly decreasing order.  Only c <= max_resume - tau is
+  // feasible: past it delta wraps to max_resume - tau - c + P and the
+  // smallest alignment already overshoots max_resume.
+  const int32_t p = period();
+  const int64_t slack = max_resume - tau;
+  const int32_t len = static_cast<int32_t>(std::min<int64_t>(p - 1, slack)) + 1;
+  // delta falls by one per step of c, so v advances by +k: +1 in orbit
+  // order from the c = 0 candidate.
+  const int64_t delta0 = slack < p ? slack : slack % p;
+  const auto [base, i0] = OrbitBlockAndOffset(VirtualOf(target, t + delta0));
+  const Bitmap& orbit = occupied.by_orbit();
+  const int32_t c = orbit.FirstClearInRing(orbit, base, p, i0, len);
+  if (c < 0) return std::nullopt;
+  int32_t offset = i0 + c;
+  if (offset >= p) offset -= p;
+  return std::make_pair(VdiskAtOrbit(base + offset), max_resume - c);
 }
 
 }  // namespace stagger

@@ -7,9 +7,10 @@
 // by the same stride k per interval, ownership of a virtual disk is
 // time-invariant — two streams that do not collide at admission never
 // collide later.  This file provides the frame mapping between virtual
-// and physical indices and the modular alignment solver used by
-// admission: the earliest interval at which a virtual disk passes over a
-// given physical disk.
+// and physical indices, the modular alignment solver used by admission
+// (the earliest interval at which a virtual disk passes over a given
+// physical disk), and the occupancy set with its orbit-order mirror, on
+// which the admission and coalescing searches are masked word scans.
 
 #ifndef STAGGER_CORE_VIRTUAL_DISK_H_
 #define STAGGER_CORE_VIRTUAL_DISK_H_
@@ -29,6 +30,8 @@ int64_t ExtendedGcd(int64_t a, int64_t b, int64_t* x, int64_t* y);
 
 /// Modular inverse of a modulo m (m >= 1); NotFound when gcd(a, m) != 1.
 Result<int64_t> ModInverse(int64_t a, int64_t m);
+
+class VdiskOccupancy;
 
 /// \brief The rotating frame relating virtual and physical disk indices
 /// for a system of `D` disks with stride `k`.
@@ -75,30 +78,67 @@ class VirtualDiskFrame {
         PositiveMod(static_cast<int64_t>(stride_) * t, num_disks_));
   }
 
-  // --- occupancy-bitmap searches (O(active work) scheduler tick) --------
+  // --- orbit order ------------------------------------------------------
+  //
+  // Write g = gcd(D, k), P = D/g and v = r + g*q with r = v mod g.  The
+  // orbit position of v is
+  //
+  //   OrbitPos(v) = r*P + (q * (k/g)^-1 mod P),
+  //
+  // a permutation of [0, D) under which a step of +k in virtual-disk
+  // space (v + k mod D) is a step of +1 (mod P) inside v's residue
+  // block [r*P, r*P + P).  For k = 1 it is the identity, and both
+  // directions skip their divisions.
+
+  int32_t OrbitPos(int32_t v) const {
+    const auto [block, offset] = OrbitBlockAndOffset(v);
+    return block + offset;
+  }
+
+  /// {r*P, OrbitPos(v) - r*P}: the first orbit position of v's residue
+  /// block and v's offset inside it.
+  std::pair<int32_t, int32_t> OrbitBlockAndOffset(int32_t v) const {
+    if (stride_ == 1) return {0, v};
+    const int32_t p = period();
+    const int64_t q = v / gcd_;
+    return {v % gcd_ * p, static_cast<int32_t>(q * stride_inverse_ % p)};
+  }
+
+  /// Inverse of OrbitPos.
+  int32_t VdiskAtOrbit(int32_t pos) const {
+    if (stride_ == 1) return pos;
+    const int32_t p = period();
+    const int32_t r = pos / p;
+    const int64_t i = pos - r * p;
+    return r + gcd_ * static_cast<int32_t>(i * (stride_ / gcd_) % p);
+  }
+
+  // --- occupancy searches (O(active work) scheduler tick) ---------------
   //
   // Exactly one virtual disk aligns with a given physical disk at each
   // delay: v_delta = (target - k*(t + delta)) mod D, and v_delta repeats
-  // with period P = D/gcd(D, k).  Searching delays therefore probes ONE
-  // bitmap bit per delay instead of solving AlignmentDelay for all D
-  // virtual disks — the admission/coalesce scans drop from O(D) to
-  // O(min(bound, P)) with an early exit on the first free disk.
+  // with period P.  Successive delays step v by -k, i.e. by -1 in orbit
+  // order, so the candidates for a range of delays are one modular range
+  // of a residue block: each search is a single masked find-first- or
+  // find-last-clear over O(range/64) words of the orbit-order bitmap,
+  // instead of solving AlignmentDelay for all D virtual disks.
 
-  /// Free (not occupied, not taken) virtual disk with the smallest
+  /// Free (not occupied, not in `taken`) virtual disk with the smallest
   /// alignment delay onto physical disk `target` at/after interval `t`,
-  /// considering delays in [skip_zero ? 1 : 0, max_delay].  Returns
-  /// {vdisk, delay} or nullopt.  Equivalent to minimizing AlignmentDelay
-  /// over all free virtual disks (Algorithm-1 fragmented admission).
+  /// considering delays in [skip_zero ? 1 : 0, max_delay].  `taken` is
+  /// in orbit order.  Returns {vdisk, delay} or nullopt.  Equivalent to
+  /// minimizing AlignmentDelay over all free virtual disks (Algorithm-1
+  /// fragmented admission).
   std::optional<std::pair<int32_t, int64_t>> FindEarliestFreeVdisk(
-      const Bitmap& occupied, const Bitmap& taken, int64_t t, int32_t target,
-      int64_t max_delay, bool skip_zero) const;
+      const VdiskOccupancy& occupied, const Bitmap& taken, int64_t t,
+      int32_t target, int64_t max_delay, bool skip_zero) const;
 
   /// Free virtual disk whose latest alignment onto `target` no later
   /// than stream-local interval `max_resume` is largest: resume = tau +
   /// AlignmentDelay + c*period maximized subject to resume <= max_resume.
   /// Returns {vdisk, resume} or nullopt (Algorithm-2 coalescing search).
   std::optional<std::pair<int32_t, int64_t>> FindLatestFreeVdisk(
-      const Bitmap& occupied, int64_t t, int32_t target, int64_t tau,
+      const VdiskOccupancy& occupied, int64_t t, int32_t target, int64_t tau,
       int64_t max_resume) const;
 
  private:
@@ -112,6 +152,41 @@ class VirtualDiskFrame {
   int32_t gcd_;
   /// Inverse of (k / g) modulo (D / g), precomputed.
   int64_t stride_inverse_;
+};
+
+/// \brief The scheduler's set of occupied virtual disks, held in two
+/// views that always agree bit for bit: vdisk order, for contiguous
+/// admission's window test, and orbit order (VirtualDiskFrame::OrbitPos),
+/// for the Algorithm 1-2 searches.
+class VdiskOccupancy {
+ public:
+  explicit VdiskOccupancy(const VirtualDiskFrame& frame)
+      : frame_(frame), by_vdisk_(frame.num_disks()),
+        by_orbit_(frame.num_disks()) {}
+
+  bool Test(int32_t v) const { return by_vdisk_.Test(v); }
+  void Set(int32_t v) {
+    by_vdisk_.Set(v);
+    by_orbit_.Set(frame_.OrbitPos(v));
+  }
+  void Clear(int32_t v) {
+    by_vdisk_.Clear(v);
+    by_orbit_.Clear(frame_.OrbitPos(v));
+  }
+
+  /// True when no virtual disk in [start, start + len) (mod D) is
+  /// occupied.
+  bool WindowClear(int32_t start, int32_t len) const {
+    return by_vdisk_.WindowClear(start, len);
+  }
+  int32_t CountSet() const { return by_vdisk_.CountSet(); }
+
+  const Bitmap& by_orbit() const { return by_orbit_; }
+
+ private:
+  VirtualDiskFrame frame_;
+  Bitmap by_vdisk_;
+  Bitmap by_orbit_;
 };
 
 }  // namespace stagger

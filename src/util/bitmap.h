@@ -3,6 +3,8 @@
 // (modulo D) is entirely free must cost O(M/64), not O(M), and single
 // bit flips must cost O(1).  Wrap-around windows split into at most two
 // linear ranges; each linear range is checked with word-level masks.
+// The same masks drive the first/last-free scans of the virtual-disk
+// searches, over a cyclic sub-block ("ring") of the bitmap.
 
 #ifndef STAGGER_UTIL_BITMAP_H_
 #define STAGGER_UTIL_BITMAP_H_
@@ -134,7 +136,88 @@ class Bitmap {
     return RangeClear(start, size_) && RangeClear(0, len - tail);
   }
 
+  // --- masked ring scans ------------------------------------------------
+  //
+  // The ring is the block of `n` bits [base, base + n) read cyclically;
+  // offset i of the modular range [start, start + len) is bit
+  // base + (start + i) mod n.  A position is free when its bit is clear
+  // in both *this and `other` (same size).  Requires 0 <= start < n,
+  // 0 <= len <= n and base + n <= size.  O(len/64) words.
+
+  /// Smallest offset i in [0, len) whose position is free, or -1.
+  STAGGER_HOT_PATH int32_t FirstClearInRing(const Bitmap& other, int32_t base,
+                                            int32_t n, int32_t start,
+                                            int32_t len) const {
+    STAGGER_DCHECK(other.size_ == size_);
+    STAGGER_DCHECK(base >= 0 && n >= 1 && base + n <= size_);
+    STAGGER_DCHECK(start >= 0 && start < n && len >= 0 && len <= n);
+    const int32_t tail = n - start;
+    const int32_t lo = base + start;
+    const int32_t hit = FirstClearInRange(other, lo, lo + std::min(len, tail));
+    if (hit >= 0) return hit - lo;
+    if (len <= tail) return -1;
+    const int32_t wrapped = FirstClearInRange(other, base, base + len - tail);
+    return wrapped < 0 ? -1 : wrapped - base + tail;
+  }
+
+  /// Largest offset i in [0, len) whose position is free, or -1.
+  STAGGER_HOT_PATH int32_t LastClearInRing(const Bitmap& other, int32_t base,
+                                           int32_t n, int32_t start,
+                                           int32_t len) const {
+    STAGGER_DCHECK(other.size_ == size_);
+    STAGGER_DCHECK(base >= 0 && n >= 1 && base + n <= size_);
+    STAGGER_DCHECK(start >= 0 && start < n && len >= 0 && len <= n);
+    const int32_t tail = n - start;
+    if (len > tail) {
+      const int32_t wrapped = LastClearInRange(other, base, base + len - tail);
+      if (wrapped >= 0) return wrapped - base + tail;
+    }
+    const int32_t lo = base + start;
+    const int32_t hit = LastClearInRange(other, lo, lo + std::min(len, tail));
+    return hit < 0 ? -1 : hit - lo;
+  }
+
  private:
+  static constexpr uint64_t kAllOnes = ~uint64_t{0};
+
+  /// Lowest index in the linear range [begin, end) clear in both *this
+  /// and `other`, or -1.
+  STAGGER_HOT_PATH int32_t FirstClearInRange(const Bitmap& other, int32_t begin,
+                                             int32_t end) const {
+    if (begin >= end) return -1;
+    const int32_t last_word = (end - 1) >> 6;  // inclusive
+    uint64_t mask = kAllOnes << (static_cast<uint32_t>(begin) & 63);
+    for (int32_t w = begin >> 6;; ++w) {
+      const size_t i = static_cast<size_t>(w);
+      uint64_t clear = ~(words_[i] | other.words_[i]) & mask;
+      if (w == last_word) {
+        clear &= kAllOnes >> (63 - (static_cast<uint32_t>(end - 1) & 63));
+        if (clear == 0) return -1;
+      }
+      if (clear != 0) return (w << 6) + std::countr_zero(clear);
+      mask = kAllOnes;
+    }
+  }
+
+  /// Highest index in the linear range [begin, end) clear in both *this
+  /// and `other`, or -1.
+  STAGGER_HOT_PATH int32_t LastClearInRange(const Bitmap& other, int32_t begin,
+                                            int32_t end) const {
+    if (begin >= end) return -1;
+    const int32_t first_word = begin >> 6;
+    uint64_t mask = kAllOnes >> (63 - (static_cast<uint32_t>(end - 1) & 63));
+    for (int32_t w = (end - 1) >> 6;; --w) {
+      const size_t i = static_cast<size_t>(w);
+      uint64_t clear = ~(words_[i] | other.words_[i]) & mask;
+      if (w == first_word) {
+        clear &= kAllOnes << (static_cast<uint32_t>(begin) & 63);
+        if (clear == 0) return -1;
+      }
+      if (clear != 0) return (w << 6) + 63 - std::countl_zero(clear);
+      mask = kAllOnes;
+    }
+  }
+
   /// True when no bit in the linear range [begin, end) is set.
   STAGGER_HOT_PATH bool RangeClear(int32_t begin, int32_t end) const {
     if (begin >= end) return true;

@@ -1,6 +1,7 @@
 // Property tests for the O(active-work) occupancy machinery: the
-// word-masked Bitmap window queries and the single-bit-per-delay
-// virtual-disk searches must agree exactly with brute-force O(D)
+// word-masked Bitmap window queries and ring scans, the orbit-order
+// permutation, and the virtual-disk searches (one masked scan of the
+// orbit-order occupancy each) must agree exactly with brute-force O(D)
 // references, across many seeds and (D, M, k) shapes — including
 // wrap-around windows and non-coprime strides (gcd(D, k) > 1).
 
@@ -210,21 +211,184 @@ TEST(BitmapPropertyTest, WindowClearMatchesNaive) {
   }
 }
 
+// Reference for the ring scans: offsets 0, 1, ..., len - 1 in order,
+// testing both bitmaps bit by bit.
+int32_t FirstClearInRingNaive(const Bitmap& a, const Bitmap& b, int32_t base,
+                              int32_t n, int32_t start, int32_t len) {
+  for (int32_t i = 0; i < len; ++i) {
+    const int32_t bit = base + (start + i) % n;
+    if (!a.Test(bit) && !b.Test(bit)) return i;
+  }
+  return -1;
+}
+
+int32_t LastClearInRingNaive(const Bitmap& a, const Bitmap& b, int32_t base,
+                             int32_t n, int32_t start, int32_t len) {
+  for (int32_t i = len - 1; i >= 0; --i) {
+    const int32_t bit = base + (start + i) % n;
+    if (!a.Test(bit) && !b.Test(bit)) return i;
+  }
+  return -1;
+}
+
+TEST(BitmapTest, RingScanEdgeCases) {
+  Bitmap a(200);
+  Bitmap b(200);
+  // Empty range: nothing to find, even over an all-clear ring.
+  EXPECT_EQ(a.FirstClearInRing(b, 10, 100, 5, 0), -1);
+  EXPECT_EQ(a.LastClearInRing(b, 10, 100, 5, 0), -1);
+  // Ranges inside a ring [50, 150) that straddles words; bits 60..67
+  // are set in `a` and bit 68 in `b`.
+  a.SetRange(60, 68);
+  b.Set(68);
+  EXPECT_EQ(a.FirstClearInRing(b, 50, 100, 10, 20), 9);   // bit 69
+  EXPECT_EQ(a.LastClearInRing(b, 50, 100, 10, 20), 19);   // bit 79
+  EXPECT_EQ(a.FirstClearInRing(b, 50, 100, 14, 5), -1);   // 64..68, one word
+  EXPECT_EQ(a.LastClearInRing(b, 50, 100, 14, 5), -1);
+  EXPECT_EQ(a.LastClearInRing(b, 50, 100, 0, 15), 9);     // bit 59
+  EXPECT_EQ(a.FirstClearInRing(a, 50, 100, 10, 9), 8);    // `a` alone: 68
+  // Wrap-around: start at ring offset 95 of [50, 150), wrapping to 50.
+  a.ClearAll();
+  b.ClearAll();
+  a.SetRange(145, 150);
+  b.SetRange(50, 52);
+  EXPECT_EQ(a.FirstClearInRing(b, 50, 100, 95, 10), 7);  // bit 52
+  EXPECT_EQ(a.LastClearInRing(b, 50, 100, 95, 10), 9);   // bit 54
+  EXPECT_EQ(a.LastClearInRing(b, 50, 100, 95, 7), -1);   // 145..149, 50..51
+  // Full ring of one bit.
+  Bitmap one(1);
+  EXPECT_EQ(one.FirstClearInRing(one, 0, 1, 0, 1), 0);
+  one.Set(0);
+  EXPECT_EQ(one.LastClearInRing(one, 0, 1, 0, 1), -1);
+}
+
+TEST(BitmapPropertyTest, RingScansMatchNaive) {
+  const int32_t sizes[] = {1, 7, 63, 64, 65, 100, 128, 200, 1000};
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed * 31 + 5);
+    for (int32_t size : sizes) {
+      Bitmap a(size);
+      Bitmap b(size);
+      // From empty to nearly full, so both the hit and the -1 paths run.
+      const double density = rng.NextDouble() * 0.99;
+      for (int32_t i = 0; i < size; ++i) {
+        if (rng.NextBool(density)) a.Set(i);
+        if (rng.NextBool(density / 4)) b.Set(i);
+      }
+      for (int32_t probe = 0; probe < 20; ++probe) {
+        // A random ring [base, base + n) inside the bitmap; every fourth
+        // probe is the whole bitmap, and short lengths keep single-word
+        // and empty ranges common.
+        const int32_t n =
+            probe % 4 == 0 ? size
+                           : static_cast<int32_t>(1 + rng.NextBounded(
+                                                          static_cast<uint64_t>(size)));
+        const int32_t base = static_cast<int32_t>(
+            rng.NextBounded(static_cast<uint64_t>(size - n) + 1));
+        const int32_t start =
+            static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(n)));
+        const int32_t len =
+            probe % 2 == 0
+                ? static_cast<int32_t>(rng.NextBounded(
+                      static_cast<uint64_t>(std::min(n, 17)) + 1))
+                : static_cast<int32_t>(
+                      rng.NextBounded(static_cast<uint64_t>(n) + 1));
+        ASSERT_EQ(a.FirstClearInRing(b, base, n, start, len),
+                  FirstClearInRingNaive(a, b, base, n, start, len))
+            << "seed=" << seed << " size=" << size << " base=" << base
+            << " n=" << n << " start=" << start << " len=" << len;
+        ASSERT_EQ(a.LastClearInRing(b, base, n, start, len),
+                  LastClearInRingNaive(a, b, base, n, start, len))
+            << "seed=" << seed << " size=" << size << " base=" << base
+            << " n=" << n << " start=" << start << " len=" << len;
+        ASSERT_EQ(a.FirstClearInRing(a, base, n, start, len),
+                  FirstClearInRingNaive(a, a, base, n, start, len))
+            << "seed=" << seed << " size=" << size << " base=" << base
+            << " n=" << n << " start=" << start << " len=" << len;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
-// Virtual-disk search property tests.  The bitmap searches probe one
-// bit per delay; the references below minimize/maximize over all D
-// virtual disks with AlignmentDelay, the way the pre-optimization
-// scheduler did.
+// Virtual-disk search property tests.  The searches scan the orbit-order
+// occupancy with one masked word scan each; the references below
+// minimize/maximize over all D virtual disks with AlignmentDelay, the
+// way the pre-optimization scheduler did.
 
 struct Shape {
   int32_t d;  ///< disks
   int32_t k;  ///< stride
 };
 
-// Mixes coprime, divisor, and shared-factor strides (P = D/gcd varies).
-constexpr Shape kShapes[] = {{10, 1},  {10, 4},   {12, 8},    {13, 5},
-                             {64, 16}, {100, 7},  {100, 30},  {101, 101},
-                             {128, 6}, {1000, 5}, {1000, 48}, {1000, 999}};
+// Mixes coprime, divisor, and shared-factor strides (P = D/gcd varies);
+// {1000, 1} is the coalescing benchmark's shape, and {720, 84} packs
+// g = 12 residue blocks of P = 60 disks.
+constexpr Shape kShapes[] = {{10, 1},    {10, 4},    {12, 8},     {13, 5},
+                             {64, 16},   {100, 7},   {100, 30},   {101, 101},
+                             {128, 6},   {1000, 5},  {1000, 48},  {1000, 999},
+                             {1000, 1},  {720, 84}};
+
+// The scheduler's view of a vdisk-order set: both occupancy views, or
+// the orbit-order copy fragmented admission keeps for its taken set.
+VdiskOccupancy OccupancyOf(const VirtualDiskFrame& frame, const Bitmap& set) {
+  VdiskOccupancy occupancy(frame);
+  set.ForEachSet([&](int32_t v) { occupancy.Set(v); });
+  return occupancy;
+}
+
+Bitmap OrbitOrderOf(const VirtualDiskFrame& frame, const Bitmap& set) {
+  Bitmap orbit(set.size());
+  set.ForEachSet([&](int32_t v) { orbit.Set(frame.OrbitPos(v)); });
+  return orbit;
+}
+
+TEST(OrbitOrderTest, PermutationTurnsStrideStepsIntoUnitSteps) {
+  for (const Shape& shape : kShapes) {
+    auto frame = VirtualDiskFrame::Create(shape.d, shape.k);
+    ASSERT_TRUE(frame.ok());
+    const int32_t p = frame->period();
+    std::vector<bool> hit(static_cast<size_t>(shape.d), false);
+    for (int32_t v = 0; v < shape.d; ++v) {
+      const int32_t pos = frame->OrbitPos(v);
+      ASSERT_GE(pos, 0);
+      ASSERT_LT(pos, shape.d);
+      ASSERT_FALSE(hit[static_cast<size_t>(pos)])
+          << "D=" << shape.d << " k=" << shape.k << " v=" << v;
+      hit[static_cast<size_t>(pos)] = true;
+      ASSERT_EQ(frame->VdiskAtOrbit(pos), v);
+      // v + k stays in v's residue block, one position further (mod P).
+      const int32_t next = frame->OrbitPos((v + shape.k) % shape.d);
+      ASSERT_EQ(next / p, pos / p);
+      ASSERT_EQ(next % p, (pos % p + 1) % p)
+          << "D=" << shape.d << " k=" << shape.k << " v=" << v;
+    }
+    if (shape.k == 1) {
+      for (int32_t v = 0; v < shape.d; ++v) ASSERT_EQ(frame->OrbitPos(v), v);
+    }
+  }
+}
+
+TEST(VdiskOccupancyTest, ViewsAgreeThroughSetAndClear) {
+  auto frame = VirtualDiskFrame::Create(720, 84);
+  ASSERT_TRUE(frame.ok());
+  VdiskOccupancy occupancy(*frame);
+  Rng rng(3);
+  for (int step = 0; step < 2000; ++step) {
+    const int32_t v = static_cast<int32_t>(rng.NextBounded(720));
+    if (rng.NextBool(0.6)) {
+      occupancy.Set(v);
+    } else {
+      occupancy.Clear(v);
+    }
+  }
+  EXPECT_GT(occupancy.CountSet(), 0);
+  EXPECT_EQ(occupancy.by_orbit().CountSet(), occupancy.CountSet());
+  for (int32_t v = 0; v < 720; ++v) {
+    ASSERT_EQ(occupancy.by_orbit().Test(frame->OrbitPos(v)), occupancy.Test(v));
+  }
+  EXPECT_EQ(occupancy.WindowClear(0, 720), occupancy.CountSet() == 0);
+}
 
 std::optional<std::pair<int32_t, int64_t>> EarliestFreeNaive(
     const VirtualDiskFrame& frame, const Bitmap& occupied, const Bitmap& taken,
@@ -280,8 +444,9 @@ TEST(VirtualDiskSearchPropertyTest, EarliestFreeMatchesNaive) {
       const int64_t max_delay = rng.NextInRange(0, 2 * frame->period());
       const bool skip_zero = rng.NextBool(0.5);
 
-      const auto got = frame->FindEarliestFreeVdisk(occupied, taken, t, target,
-                                                    max_delay, skip_zero);
+      const auto got = frame->FindEarliestFreeVdisk(
+          OccupancyOf(*frame, occupied), OrbitOrderOf(*frame, taken), t,
+          target, max_delay, skip_zero);
       const auto want = EarliestFreeNaive(*frame, occupied, taken, t, target,
                                           max_delay, skip_zero);
       ASSERT_EQ(got.has_value(), want.has_value())
@@ -312,8 +477,8 @@ TEST(VirtualDiskSearchPropertyTest, LatestFreeMatchesNaive) {
       // Below, at, and beyond tau + P, to cover the overshoot-reject arm.
       const int64_t max_resume = tau + rng.NextInRange(-2, 3 * frame->period());
 
-      const auto got =
-          frame->FindLatestFreeVdisk(occupied, t, target, tau, max_resume);
+      const auto got = frame->FindLatestFreeVdisk(
+          OccupancyOf(*frame, occupied), t, target, tau, max_resume);
       const auto want =
           LatestFreeNaive(*frame, occupied, t, target, tau, max_resume);
       ASSERT_EQ(got.has_value(), want.has_value())
@@ -327,21 +492,79 @@ TEST(VirtualDiskSearchPropertyTest, LatestFreeMatchesNaive) {
   }
 }
 
+// The scheduler's regime: occupancy up to 99% and search windows no
+// wider than the 16-interval fragmented lookahead, so most windows hold
+// no free candidate and the searches' exhausted-window nullopt path is
+// checked against the references as often as the hit path.
+TEST(VirtualDiskSearchPropertyTest, DenseLookaheadWindowsMatchNaive) {
+  constexpr int64_t kLookahead = 16;
+  int64_t earliest_misses = 0;
+  int64_t latest_misses = 0;
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed * 613 + 29);
+    for (const Shape& shape : kShapes) {
+      auto frame = VirtualDiskFrame::Create(shape.d, shape.k);
+      ASSERT_TRUE(frame.ok());
+      Bitmap occupied(shape.d);
+      Bitmap taken(shape.d);
+      const double density = 0.8 + rng.NextDouble() * 0.19;
+      for (int32_t v = 0; v < shape.d; ++v) {
+        if (rng.NextBool(density)) occupied.Set(v);
+        if (rng.NextBool(0.05)) taken.Set(v);
+      }
+      const VdiskOccupancy occupancy = OccupancyOf(*frame, occupied);
+      const Bitmap taken_orbit = OrbitOrderOf(*frame, taken);
+      for (int probe = 0; probe < 8; ++probe) {
+        const int64_t t = rng.NextInRange(0, 10000);
+        const int32_t target = static_cast<int32_t>(
+            rng.NextBounded(static_cast<uint64_t>(shape.d)));
+
+        const int64_t max_delay = rng.NextInRange(0, kLookahead);
+        const bool skip_zero = rng.NextBool(0.5);
+        const auto got_e = frame->FindEarliestFreeVdisk(
+            occupancy, taken_orbit, t, target, max_delay, skip_zero);
+        const auto want_e = EarliestFreeNaive(*frame, occupied, taken, t,
+                                              target, max_delay, skip_zero);
+        ASSERT_EQ(got_e, want_e)
+            << "seed=" << seed << " D=" << shape.d << " k=" << shape.k
+            << " t=" << t << " target=" << target
+            << " max_delay=" << max_delay << " skip_zero=" << skip_zero;
+        if (!want_e.has_value()) ++earliest_misses;
+
+        const int64_t tau = rng.NextInRange(0, 500);
+        const int64_t max_resume = tau + rng.NextInRange(-1, kLookahead);
+        const auto got_l =
+            frame->FindLatestFreeVdisk(occupancy, t, target, tau, max_resume);
+        const auto want_l =
+            LatestFreeNaive(*frame, occupied, t, target, tau, max_resume);
+        ASSERT_EQ(got_l, want_l)
+            << "seed=" << seed << " D=" << shape.d << " k=" << shape.k
+            << " t=" << t << " target=" << target << " tau=" << tau
+            << " max_resume=" << max_resume;
+        if (!want_l.has_value()) ++latest_misses;
+      }
+    }
+  }
+  EXPECT_GT(earliest_misses, 100);
+  EXPECT_GT(latest_misses, 100);
+}
+
 // Full-occupancy and empty-occupancy edges for both searches.
 TEST(VirtualDiskSearchTest, DegenerateOccupancies) {
   auto frame = VirtualDiskFrame::Create(100, 7);
   ASSERT_TRUE(frame.ok());
-  Bitmap none(100);
-  Bitmap all(100);
+  const VdiskOccupancy none(*frame);
+  VdiskOccupancy all(*frame);
   for (int32_t v = 0; v < 100; ++v) all.Set(v);
+  const Bitmap no_taken(100);
 
   EXPECT_FALSE(
-      frame->FindEarliestFreeVdisk(all, none, 3, 42, 1000, false).has_value());
+      frame->FindEarliestFreeVdisk(all, no_taken, 3, 42, 1000, false).has_value());
   EXPECT_FALSE(frame->FindLatestFreeVdisk(all, 3, 42, 0, 1000).has_value());
 
   // Empty map, delta 0 allowed: the aligned disk itself wins.
   const auto earliest =
-      frame->FindEarliestFreeVdisk(none, none, 3, 42, 1000, false);
+      frame->FindEarliestFreeVdisk(none, no_taken, 3, 42, 1000, false);
   ASSERT_TRUE(earliest.has_value());
   EXPECT_EQ(earliest->second, 0);
   EXPECT_EQ(frame->PhysicalOf(earliest->first, 3), 42);
