@@ -14,12 +14,10 @@
 //                   scale point so the event-kernel cost is measured at
 //                   ten times the paper's array size
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench_report.h"
@@ -47,17 +45,6 @@ int Run(bool quick, bool csv, bool report_json) {
   int64_t matrix_cells = 0;
   double admission_p50 = 0.0, admission_p95 = 0.0, admission_p99 = 0.0;
 
-  // Striping cells timed on their own so the sharded replay below can
-  // state its speedup against the serial matrix measured in this same
-  // invocation (never against a number from another machine).
-  struct StripingCell {
-    double mean;
-    int32_t stations;
-    double displays_per_hour;
-  };
-  std::vector<StripingCell> striping_cells;
-  double striping_seconds = 0.0;
-
   std::printf("Figure 8: throughput vs display stations "
               "(Table 3 system: D=1000, M=5, B_Display=100 mbps,\n"
               "B_Disk=20 mbps, B_Tertiary=40 mbps, 2000 objects x 3000 "
@@ -76,11 +63,8 @@ int Run(bool quick, bool csv, bool report_json) {
       }
 
       base.scheme = Scheme::kSimpleStriping;
-      const auto striping_start = std::chrono::steady_clock::now();
       auto striping = RunExperiment(base);
-      striping_seconds += SecondsSince(striping_start);
       STAGGER_CHECK(striping.ok()) << striping.status();
-      striping_cells.push_back({means[g], n, striping->displays_per_hour});
       // Keep the 256-station highly-skewed cell's admission-latency
       // percentiles for the report: the most contended point of the
       // matrix, where queueing (not transfer) dominates startup.
@@ -159,16 +143,9 @@ int Run(bool quick, bool csv, bool report_json) {
                 seconds, result->displays_per_hour);
   }
 
-  const int32_t tick_threads = static_cast<int32_t>(std::min(
-      8u, std::max(1u, std::thread::hardware_concurrency())));
-
-  // Scale point for the sharded execution path: D = 100000 disks with
-  // 2000 concurrent stations, run serial and then with --shards 8.
-  // Sharding is a pure execution knob, so the two runs must agree
-  // exactly; the serial time becomes the sharded row's baseline AT
-  // RUNTIME, so speedup_vs_baseline always states this machine's own
-  // plan-phase scaling (~1x on a single-core builder, where only the
-  // journal overhead shows; the fan-out win needs real cores).
+  // Scale point at a hundred times the paper's array: D = 100000 disks
+  // with 2000 concurrent stations, where the contiguous lockstep tick
+  // does nearly all the work.
   {
     ExperimentConfig big;
     big.num_disks = 100000;
@@ -177,78 +154,14 @@ int Run(bool quick, bool csv, bool report_json) {
     big.warmup = SimTime::Hours(1);
     big.measure = SimTime::Hours(5);
     big.scheme = Scheme::kSimpleStriping;
-
-    auto start = std::chrono::steady_clock::now();
-    auto serial = RunExperiment(big);
-    const double serial_seconds = SecondsSince(start);
-    STAGGER_CHECK(serial.ok()) << serial.status();
-    STAGGER_CHECK(serial->hiccups == 0) << "D=100k striping produced hiccups";
-    report.AddWallClock("E2E_Fig8_D100k", /*items=*/1, serial_seconds);
-
-    big.num_shards = 8;
-    big.tick_threads = tick_threads;
-    big.shard_min_active_streams = 0;
-    start = std::chrono::steady_clock::now();
-    auto sharded = RunExperiment(big);
-    const double sharded_seconds = SecondsSince(start);
-    STAGGER_CHECK(sharded.ok()) << sharded.status();
-    STAGGER_CHECK(sharded->hiccups == 0) << "D=100k sharded produced hiccups";
-#ifndef STAGGER_AUDIT  // audit builds compile the parallel path out
-    STAGGER_CHECK(sharded->sharded_ticks > 0)
-        << "D=100k sharded run never took the parallel path";
-#endif
-    STAGGER_CHECK(sharded->displays_per_hour == serial->displays_per_hour)
-        << "sharded execution diverged from serial at D=100k: "
-        << sharded->displays_per_hour << " vs " << serial->displays_per_hour;
-    report.SetBaseline("E2E_Fig8_D100k_Sharded8", serial_seconds * 1e9);
-    report.AddWallClock("E2E_Fig8_D100k_Sharded8", /*items=*/1,
-                        sharded_seconds);
-    std::printf("D=100000 striping cell: serial %.3f s, sharded 8x%d %.3f s "
-                "(%.1f displays/hour, identical)\n",
-                serial_seconds, tick_threads, sharded_seconds,
-                sharded->displays_per_hour);
-  }
-
-  // Sharded replay of the full striping matrix: every cell rerun with
-  // --shards 8 --threads tick_threads, checked bit-identical on
-  // displays/hour, timed as one row whose runtime baseline is the
-  // serial striping matrix measured above.
-  {
     const auto start = std::chrono::steady_clock::now();
-    for (const StripingCell& cell : striping_cells) {
-      ExperimentConfig cfg;
-      cfg.geometric_mean = cell.mean;
-      cfg.stations = cell.stations;
-      if (quick) {
-        cfg.warmup = SimTime::Hours(1);
-        cfg.measure = SimTime::Hours(5);
-      }
-      cfg.scheme = Scheme::kSimpleStriping;
-      cfg.num_shards = 8;
-      cfg.tick_threads = tick_threads;
-      cfg.shard_min_active_streams = 0;
-      auto replay = RunExperiment(cfg);
-      STAGGER_CHECK(replay.ok()) << replay.status();
-#ifndef STAGGER_AUDIT  // audit builds compile the parallel path out
-      STAGGER_CHECK(replay->sharded_ticks > 0)
-          << "sharded replay never took the parallel path (stations="
-          << cell.stations << ")";
-#endif
-      STAGGER_CHECK(replay->displays_per_hour == cell.displays_per_hour)
-          << "sharded replay diverged at mean " << cell.mean << ", stations "
-          << cell.stations << ": " << replay->displays_per_hour << " vs "
-          << cell.displays_per_hour;
-    }
-    const double sharded_seconds = SecondsSince(start);
-    const char* row = quick ? "E2E_Fig8QuickStripingSharded8"
-                            : "E2E_Fig8FullStripingSharded8";
-    const int64_t cells = static_cast<int64_t>(striping_cells.size());
-    report.SetBaseline(row, striping_seconds * 1e9 / cells);
-    report.AddWallClock(row, cells, sharded_seconds);
-    std::printf("striping matrix replay (shards=8 threads=%d): %.3f s vs "
-                "%.3f s serial for %lld cells, all identical\n",
-                tick_threads, sharded_seconds, striping_seconds,
-                static_cast<long long>(cells));
+    auto result = RunExperiment(big);
+    const double seconds = SecondsSince(start);
+    STAGGER_CHECK(result.ok()) << result.status();
+    STAGGER_CHECK(result->hiccups == 0) << "D=100k striping produced hiccups";
+    report.AddWallClock("E2E_Fig8_D100k", /*items=*/1, seconds);
+    std::printf("D=100000 striping cell: %.3f s (%.1f displays/hour)\n",
+                seconds, result->displays_per_hour);
   }
 
   if (!report.WriteJson(report.DefaultPath())) return 1;

@@ -3,16 +3,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <thread>
 
 #include "bench_report.h"
 #include "core/interval_scheduler.h"
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
-#include "node/shard_pool.h"
 #include "sim/simulator.h"
 #include "storage/layout.h"
 #include "util/rng.h"
@@ -223,47 +220,6 @@ void BM_SchedulerAdmissionChurn(benchmark::State& state) {
   state.SetLabel("intervals; streams=" + std::to_string(num_streams));
 }
 BENCHMARK(BM_SchedulerAdmissionChurn)->Arg(100);
-
-// Sharded tick at ten times the paper's array: the plan phase of
-// AdvanceStreams fans out across `shards` slices on a small EpochPool
-// and the journals replay serially.  The pool is pinned to at most 4
-// threads for CI stability; a single-core box measures the journal's
-// constant overhead (the price of the bit-identical split), a
-// multi-core box additionally shows the plan-phase scaling.
-void BM_ShardedTick(benchmark::State& state) {
-  const int32_t shards = static_cast<int32_t>(state.range(0));
-  const int32_t threads = static_cast<int32_t>(std::min(
-      4u, std::max(1u, std::thread::hardware_concurrency())));
-  EpochPool pool(threads);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Simulator sim;
-    auto disks = DiskArray::Create(10000, DiskParameters::Evaluation());
-    SchedulerConfig config;
-    config.stride = 5;
-    config.interval = SimTime::Millis(605);
-    config.num_shards = shards;
-    config.shard_min_active_streams = 0;  // shard every tick
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
-    (*sched)->SetShardExecutor(&pool);
-    for (int32_t i = 0; i < 2000; ++i) {
-      DisplayRequest req;
-      req.object = i;
-      req.degree = 5;
-      req.start_disk = (i * 5) % 10000;
-      req.num_subobjects = 1 << 20;  // effectively endless
-      req.on_completed = [] {};
-      (void)(*sched)->Submit(std::move(req));
-    }
-    state.ResumeTiming();
-    sim.RunUntil(SimTime::Millis(605) * 64);  // 64 intervals
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel("intervals; D=10000 streams=2000 shards=" +
-                 std::to_string(shards) + " threads=" +
-                 std::to_string(threads));
-}
-BENCHMARK(BM_ShardedTick)->Arg(2)->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace stagger

@@ -26,15 +26,6 @@ void BackgroundBudget::Register(BackgroundConsumer* consumer,
   entries_.insert(it, std::move(entry));
 }
 
-void BackgroundBudget::SetShardBoundaries(std::vector<DiskId> shard_starts) {
-  STAGGER_CHECK(!shard_starts.empty() && shard_starts.front() == 0)
-      << "shard boundaries must start at disk 0";
-  STAGGER_CHECK(std::is_sorted(shard_starts.begin(), shard_starts.end()))
-      << "shard boundaries must be ascending";
-  shard_starts_ = std::move(shard_starts);
-  shard_reads_granted_.assign(shard_starts_.size(), 0);
-}
-
 void BackgroundBudget::OnIdleInterval(int64_t interval) {
   if (entries_.empty()) return;
   const int64_t idle_before = disks_->IdleAvailableCount();
@@ -66,9 +57,6 @@ void BackgroundBudget::OnIdleInterval(int64_t interval) {
     Entry& e = entries_[i];
     if (!e.consumer->HasWork()) continue;
     BackgroundGrant grant(disks_, e.config.max_reads_per_interval);
-    if (!shard_starts_.empty()) {
-      grant.SetShardAccounting(&shard_starts_, &shard_reads_granted_);
-    }
     const int64_t ops = e.consumer->RunIdle(interval, &grant);
     ++e.stats.granted_intervals;
     if (ops > 0) {
@@ -111,14 +99,6 @@ Status BackgroundBudget::AuditState() const {
   STAGGER_AUDIT_VERIFY(metrics_.budget_violations == 0)
       << "; background consumers exceeded the idle-bandwidth budget in "
       << metrics_.budget_violations << " intervals";
-  if (!shard_reads_granted_.empty()) {
-    int64_t shard_total = 0;
-    for (const int64_t reads : shard_reads_granted_) shard_total += reads;
-    STAGGER_AUDIT_VERIFY(shard_total == metrics_.reads_granted)
-        << "; per-shard read tallies sum to " << shard_total << " but "
-        << metrics_.reads_granted
-        << " reads were granted globally (double-counted or dropped charge)";
-  }
   return Status::OK();
 }
 

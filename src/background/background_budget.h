@@ -26,7 +26,6 @@
 #ifndef STAGGER_BACKGROUND_BACKGROUND_BUDGET_H_
 #define STAGGER_BACKGROUND_BACKGROUND_BUDGET_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -62,24 +61,6 @@ class BackgroundGrant {
   void ReadSlot(DiskId slot) {
     disks_->ReserveSlot(slot);
     ++reads_;
-    if (shard_starts_ != nullptr) {
-      // Charge the read to the node group owning the slot.  The shard
-      // tallies PARTITION the same reservations the global counter
-      // sees — one bitmap, one charge per read — so per-shard
-      // arbitration can never double-count the global budget (audited:
-      // the tallies must sum to reads_granted).
-      const auto it = std::upper_bound(shard_starts_->begin(),
-                                       shard_starts_->end(), slot);
-      ++(*shard_reads_)[static_cast<size_t>(it - shard_starts_->begin()) - 1];
-    }
-  }
-
-  /// Routes per-shard read accounting (see BackgroundBudget::
-  /// SetShardBoundaries); both pointees must outlive the grant.
-  void SetShardAccounting(const std::vector<DiskId>* shard_starts,
-                          std::vector<int64_t>* shard_reads) {
-    shard_starts_ = shard_starts;
-    shard_reads_ = shard_reads;
   }
 
   bool CanWriteDrive(int32_t drive) const { return !disks_->DriveBusy(drive); }
@@ -99,8 +80,6 @@ class BackgroundGrant {
   int64_t max_reads_;
   int64_t reads_ = 0;
   int64_t spare_writes_ = 0;
-  const std::vector<DiskId>* shard_starts_ = nullptr;  // not owned
-  std::vector<int64_t>* shard_reads_ = nullptr;        // not owned
 };
 
 /// \brief A background subsystem that drains idle bandwidth.
@@ -172,25 +151,7 @@ class BackgroundBudget {
   /// Stats of a registered consumer; CHECK-fails for strangers.
   const BackgroundConsumerStats& stats(const BackgroundConsumer* consumer) const;
 
-  /// Enables per-node-group read accounting for a sharded array:
-  /// `shard_starts` holds each shard's first global disk index,
-  /// ascending, starting at 0 (the contiguous-slice topology of
-  /// node/shard_map.h, passed as plain boundaries because this layer
-  /// sits below node/).  Every grant read is additionally tallied
-  /// against the shard owning the slot — same reservation, same global
-  /// counter, one extra partitioned tally — so the audit can pin
-  /// sum(per-shard reads) == reads_granted.
-  void SetShardBoundaries(std::vector<DiskId> shard_starts);
-
-  /// Cumulative grant reads per shard; empty unless SetShardBoundaries
-  /// was called.
-  const std::vector<int64_t>& shard_reads_granted() const {
-    return shard_reads_granted_;
-  }
-
-  /// Internal-consistency audit: zero budget violations, and (when
-  /// sharded accounting is on) the per-shard tallies partition the
-  /// global read count exactly.
+  /// Internal-consistency audit: zero budget violations.
   Status AuditState() const;
 
  private:
@@ -206,10 +167,6 @@ class BackgroundBudget {
   std::vector<Entry> entries_;
   /// Scratch serve order, rebuilt per interval; index into entries_.
   std::vector<size_t> serve_order_;
-  /// Shard slice starts (ascending, [0] == 0) and cumulative per-shard
-  /// grant reads; both empty unless SetShardBoundaries was called.
-  std::vector<DiskId> shard_starts_;
-  std::vector<int64_t> shard_reads_granted_;
   BackgroundBudgetMetrics metrics_;
 };
 

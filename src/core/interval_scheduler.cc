@@ -26,13 +26,6 @@ Result<std::unique_ptr<IntervalScheduler>> IntervalScheduler::Create(
     return Status::InvalidArgument(
         "max retry backoff must be >= the initial backoff");
   }
-  if (config.num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  if (config.num_shards > disks->num_disks()) {
-    return Status::InvalidArgument(
-        "num_shards must not exceed the number of disks");
-  }
   STAGGER_ASSIGN_OR_RETURN(VirtualDiskFrame frame,
                            VirtualDiskFrame::Create(disks->num_disks(),
                                                     config.stride));
@@ -384,28 +377,6 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // O(1) active() test keeps the no-corruption common case free.
   const LatentErrorMap& latent = disks_->latent_errors();
   const bool latent_active = latent.active();
-#ifndef STAGGER_AUDIT
-  // Sharded fast path (DESIGN.md §11): on a healthy array the advance
-  // of one stream neither reads nor writes any other stream's state, so
-  // the id-sorted active set is split into num_shards contiguous slices
-  // planned in parallel, each journalling its shared-state effects;
-  // replaying the journals in shard order reproduces the serial
-  // mutation sequence exactly.  Degraded ticks (a down disk or a live
-  // latent error) fall back to the serial walk below — cross-stream
-  // reads (claimed set, slack probes) make them order-dependent — as do
-  // coalescing configs, whose lane migrations probe shared occupancy.
-  // The per-tick re-check keeps a faulty run bit-identical too: the
-  // same intervals shard in every (S, threads) combination.  Audit
-  // builds compile the path out so every read crosses the per-lane
-  // alignment audit, mirroring the lockstep fast path's treatment.
-  if (config_.num_shards > 1 && !config_.coalesce && !any_down &&
-      !latent_active && !active_.empty() &&
-      static_cast<int64_t>(active_.size()) >=
-          config_.shard_min_active_streams) {
-    AdvanceStreamsSharded(rot);
-    return;
-  }
-#endif
   if (any_down || (degraded && latent_active)) {
     for (const auto& [id, slot] : active_) {
       const Stream& s = slots_[static_cast<size_t>(slot)];
@@ -618,201 +589,6 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     FinishStream(id, /*completed=*/true);
   }
   scratch_finished_.clear();
-}
-
-void IntervalScheduler::AdvanceStreamsSharded(int32_t rot) {
-  const int32_t num_shards = config_.num_shards;
-  const size_t n = active_.size();
-  if (shard_journals_.size() < static_cast<size_t>(num_shards)) {
-    shard_journals_.resize(static_cast<size_t>(num_shards));
-  }
-  // Contiguous count-balanced slices of the id-sorted active set: slice
-  // boundaries differ by at most one stream, and concatenating the
-  // slices in shard order is exactly ascending stream id.
-  const auto slice_begin = [n, num_shards](int32_t shard) {
-    return n * static_cast<size_t>(shard) / static_cast<size_t>(num_shards);
-  };
-  if (shard_executor_ != nullptr) {
-    shard_executor_->ParallelFor(
-        num_shards, [this, rot, &slice_begin](int32_t shard) {
-          PlanShardAdvance(shard, rot, slice_begin(shard),
-                           slice_begin(shard + 1));
-        });
-  } else {
-    for (int32_t shard = 0; shard < num_shards; ++shard) {
-      PlanShardAdvance(shard, rot, slice_begin(shard), slice_begin(shard + 1));
-    }
-  }
-  ++metrics_.sharded_ticks;
-  ApplyShardJournals();
-}
-
-STAGGER_HOT_PATH void IntervalScheduler::PlanShardAdvance(int32_t shard,
-                                                          int32_t rot,
-                                                          size_t begin,
-                                                          size_t end) {
-  const int32_t d = frame_.num_disks();
-  ShardJournal& journal = shard_journals_[static_cast<size_t>(shard)];
-  journal.Clear();
-  const bool observe = static_cast<bool>(config_.read_observer);
-  // Mirrors the serial walk's healthy path line for line — the gate in
-  // AdvanceStreams guarantees no disk is down, no latent error is live
-  // and coalescing is off, so the degraded ladder and TryCoalesce are
-  // unreachable here.  Everything mutated is stream-local; every shared
-  // effect (reservations, observer calls, lane releases, stat samples)
-  // is journalled instead of executed.
-  for (size_t idx = begin; idx < end; ++idx) {
-    const StreamId id = active_[idx].first;
-    Stream& s = slots_[static_cast<size_t>(active_[idx].second)];
-    if (idx + 1 < end) {
-      const char* next = reinterpret_cast<const char*>(
-          &slots_[static_cast<size_t>(active_[idx + 1].second)]);
-      __builtin_prefetch(next);
-      __builtin_prefetch(next + 64);
-      __builtin_prefetch(next + 128);
-    }
-    const int64_t tau = s.Tau(interval_index_);
-
-    int64_t min_reads = std::numeric_limits<int64_t>::max();
-    bool advanced = false;
-    // Lockstep fast path, journalled: one range-reserve op replaces the
-    // per-lane scatter (same busy bits, folded identically at
-    // EndInterval).  Observer configs take the per-lane path below so
-    // the journal carries one observe op per read, like the serial walk.
-    if (s.lockstep && !observe && s.degree > 0) {
-      FragmentLane* lanes = s.lanes.data();
-      if (!lanes[0].released() && lanes[0].reads_done < s.num_subobjects &&
-          tau >= lanes[0].next_read_tau) {
-        int32_t first = lanes[0].vdisk + rot;
-        if (first >= d) first -= d;
-        // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-        journal.ops.push_back(
-            ShardOp{ShardOp::Kind::kReserveRun, first, s.degree, 0, 0});
-        const int64_t done = lanes[0].reads_done + 1;
-        for (int32_t j = 0; j < s.degree; ++j) {
-          STAGGER_DCHECK(!lanes[j].released() &&
-                         lanes[j].reads_done + 1 == done &&
-                         lanes[j].next_read_tau <= tau &&
-                         lanes[j].vdisk ==
-                             (lanes[0].vdisk + j) % frame_.num_disks())
-              << "contiguous stream " << s.id << " lanes out of lockstep";
-          lanes[j].reads_done = done;
-          lanes[j].next_read_tau = tau + 1;
-        }
-        journal.buffered_delta += s.degree;
-        min_reads = done;
-        if (done >= s.num_subobjects) {
-          for (int32_t j = 0; j < s.degree; ++j) {
-            FragmentLane& lane = lanes[j];
-            STAGGER_DCHECK(!lane.released());
-            // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-            journal.ops.push_back(ShardOp{ShardOp::Kind::kReleaseVdisk,
-                                          lane.vdisk, 0, id, 0});
-            lane.vdisk = FragmentLane::kReleased;
-          }
-        }
-        advanced = true;
-      }
-    }
-    if (!advanced) for (int32_t j = 0; j < s.degree; ++j) {
-      FragmentLane& lane = s.lanes[static_cast<size_t>(j)];
-      if (lane.released()) continue;
-      if (lane.reads_done >= s.num_subobjects || tau < lane.next_read_tau) {
-        min_reads = std::min(min_reads, lane.reads_done);
-        continue;
-      }
-      int32_t physical = lane.vdisk + rot;
-      if (physical >= d) physical -= d;
-      // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-      journal.ops.push_back(
-          ShardOp{ShardOp::Kind::kReserveSlot, physical, 0, 0, 0});
-      if (observe) {
-        // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-        journal.ops.push_back(ShardOp{ShardOp::Kind::kObserve, j, physical,
-                                      lane.reads_done,
-                                      static_cast<int64_t>(s.object)});
-      }
-      ++lane.reads_done;
-      ++journal.buffered_delta;
-      lane.next_read_tau = tau + 1;
-      min_reads = std::min(min_reads, lane.reads_done);
-      if (lane.reads_done >= s.num_subobjects) {
-        // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-        journal.ops.push_back(
-            ShardOp{ShardOp::Kind::kReleaseVdisk, lane.vdisk, 0, id, 0});
-        lane.vdisk = FragmentLane::kReleased;
-      }
-    }
-
-    if (tau >= s.delta_max && s.delivered < s.num_subobjects) {
-      const int64_t due = s.delivered;
-      if (min_reads <= due) {
-        for (int32_t j = 0; j < s.degree; ++j) {
-          if (s.lanes[static_cast<size_t>(j)].reads_done <= due) {
-            ++journal.hiccups;
-          }
-        }
-      }
-      ++s.delivered;
-      journal.buffered_delta -= s.degree;
-      if (s.delivered == 1 && !s.resumed_mid_display) {
-        // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-        journal.ops.push_back(ShardOp{ShardOp::Kind::kStarted,
-                                      active_[idx].second, 0, 0, 0});
-      }
-      if (s.delivered == s.num_subobjects) {
-        // stagger-lint: allow(hot-path-alloc) -- journal vectors keep their capacity across ticks (Clear(), never shrink), so this amortizes to zero allocations in steady state
-        journal.finished.push_back(id);
-      }
-    }
-  }
-}
-
-STAGGER_HOT_PATH void IntervalScheduler::ApplyShardJournals() {
-  int64_t buffered_delta = 0;
-  for (int32_t shard = 0; shard < config_.num_shards; ++shard) {
-    ShardJournal& journal = shard_journals_[static_cast<size_t>(shard)];
-    for (const ShardOp& op : journal.ops) {
-      switch (op.kind) {
-        case ShardOp::Kind::kReserveRun:
-          disks_->ReserveRun(op.a, op.b);
-          break;
-        case ShardOp::Kind::kReserveSlot:
-          disks_->ReserveSlot(op.a);
-          break;
-        case ShardOp::Kind::kObserve:
-          config_.read_observer(interval_index_,
-                                static_cast<ObjectId>(op.d), op.c, op.a,
-                                op.b);
-          break;
-        case ShardOp::Kind::kReleaseVdisk:
-          STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(op.a)] == op.c);
-          vdisk_owner_[static_cast<size_t>(op.a)] = kNoStream;
-          vdisk_occupied_.Clear(op.a);
-          break;
-        case ShardOp::Kind::kStarted: {
-          Stream& s = slots_[static_cast<size_t>(op.a)];
-          const SimTime latency =
-              IntervalStart(interval_index_) - s.arrival_time;
-          metrics_.startup_latency_sec.Add(latency.seconds());
-          if (s.on_started) s.on_started(latency);
-          break;
-        }
-      }
-    }
-    metrics_.hiccups += journal.hiccups;
-    buffered_delta += journal.buffered_delta;
-  }
-  // Same commit point as the serial walk: the delta lands before the
-  // finish fix-ups read the member through TotalBufferedFragments().
-  buffered_fragments_ += buffered_delta;
-  for (int32_t shard = 0; shard < config_.num_shards; ++shard) {
-    for (StreamId id : shard_journals_[static_cast<size_t>(shard)].finished) {
-      if (SlotOf(id) < 0) continue;
-      request_to_stream_.erase(id);
-      FinishStream(id, /*completed=*/true);
-    }
-  }
 }
 
 int32_t IntervalScheduler::FindDegradedSubstitute(const Stream& s,

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/buffer_pool.h"
-#include "core/shard_executor.h"
 #include "core/stream.h"
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
@@ -111,9 +110,6 @@ struct SchedulerMetrics {
   /// Fragment buffers in use (time-weighted) and their peak.
   TimeWeighted buffered_fragments;
   int64_t peak_buffered_fragments = 0;
-  /// Ticks whose advance ran through the sharded plan/apply path (zero
-  /// when sharding is off or every tick fell back to the serial walk).
-  int64_t sharded_ticks = 0;
 };
 
 /// \brief Configuration of the interval scheduler.
@@ -144,19 +140,6 @@ struct SchedulerConfig {
   /// ScheduleTracer to render Figure 3-style schedules.
   std::function<void(int64_t, ObjectId, int64_t, int32_t, int32_t)>
       read_observer;
-  // --- sharded execution (src/node/, DESIGN.md §11) --------------------
-  /// Number of shards the tick's stream walk is decomposed into.  This
-  /// is a pure *execution* knob: shard s plans the advance of the s-th
-  /// contiguous slice of the id-sorted active set, journalling every
-  /// shared-state effect, and the journals are applied in shard order —
-  /// exactly ascending stream id, i.e. the serial mutation sequence —
-  /// so results are bit-identical to num_shards == 1 by construction.
-  int32_t num_shards = 1;
-  /// Below this many active streams a sharded tick falls back to the
-  /// serial walk (fork/join overhead would dominate).  <= 0 shards
-  /// every eligible tick, which the differential tests use to force
-  /// coverage of the parallel path.
-  int64_t shard_min_active_streams = 256;
 };
 
 /// \brief One display request handed to the scheduler.
@@ -224,15 +207,6 @@ class IntervalScheduler {
     return epoch_ + config_.interval * t;
   }
 
-  /// Installs the fork/join executor the sharded tick dispatches plan
-  /// tasks through.  With none installed (the default) a num_shards > 1
-  /// scheduler still runs the plan/apply split, just with the plan
-  /// tasks inlined on the calling thread — same journals, same results,
-  /// no threads.  The executor must outlive the scheduler.
-  void SetShardExecutor(ShardExecutor* executor) {
-    shard_executor_ = executor;
-  }
-
   /// Installs a hook invoked once per interval after display reads are
   /// scheduled but before the interval closes, with the interval index.
   /// Leftover disk slack at that point is genuinely idle bandwidth; the
@@ -286,49 +260,6 @@ class IntervalScheduler {
   void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
                    bool fragmented, bool lockstep, int64_t buffer_frags);
   void AdvanceStreams();
-  // --- sharded tick (plan/apply fork/join, DESIGN.md §11) ---------------
-  /// One shared-state effect recorded by a shard's plan phase, replayed
-  /// verbatim by the serial apply phase.
-  struct ShardOp {
-    enum class Kind : uint8_t {
-      kReserveRun,    ///< a = first physical disk, b = run length
-      kReserveSlot,   ///< a = physical disk
-      kObserve,       ///< a = fragment, b = disk, c = subobject, d = object
-      kReleaseVdisk,  ///< a = virtual disk, c = owning stream id
-      kStarted,       ///< a = slot of the stream whose display started
-    };
-    Kind kind;
-    int32_t a = 0;
-    int32_t b = 0;
-    int64_t c = 0;
-    int64_t d = 0;
-  };
-  /// Per-shard plan output.  Cache-line aligned so two shards' appends
-  /// never share a line (the vectors' inline headers are the hot part).
-  struct alignas(64) ShardJournal {
-    std::vector<ShardOp> ops;
-    std::vector<StreamId> finished;
-    int64_t buffered_delta = 0;
-    int64_t hiccups = 0;
-    void Clear() {
-      ops.clear();        // keeps capacity across ticks
-      finished.clear();
-      buffered_delta = 0;
-      hiccups = 0;
-    }
-  };
-  /// The sharded advance: fork the plan across shards, join at the
-  /// epoch barrier inside ParallelFor, then apply journals in shard
-  /// order (== ascending stream id).  Only called when the tick is
-  /// eligible (healthy array, no coalescing, executor installed).
-  void AdvanceStreamsSharded(int32_t rot);
-  /// Plans the advance of active_[begin, end): mutates only the slice's
-  /// stream-local state and appends shared-state effects to
-  /// shard_journals_[shard].  Runs concurrently with other shards.
-  void PlanShardAdvance(int32_t shard, int32_t rot, size_t begin, size_t end);
-  /// Serial replay of all journals in shard order; byte-for-byte the
-  /// shared-state mutation sequence of the serial walk.
-  void ApplyShardJournals();
   void TryCoalesce(Stream* s);
   void ReleaseLane(Stream* s, int32_t lane_index);
   void FinishStream(StreamId id, bool completed);
@@ -417,10 +348,6 @@ class IntervalScheduler {
 
   SchedulerMetrics metrics_;
   std::function<void(int64_t)> idle_hook_;
-  /// Fork/join executor for the sharded tick; not owned.  See
-  /// SetShardExecutor for the nullptr (inline plan) semantics.
-  ShardExecutor* shard_executor_ = nullptr;
-  std::vector<ShardJournal> shard_journals_;
   std::unique_ptr<PeriodicTicker> ticker_;
 };
 

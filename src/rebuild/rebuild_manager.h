@@ -197,10 +197,12 @@ class RebuildManager : public BackgroundConsumer {
 
   DiskArray* disks_;
   RebuildConfig config_;
-  /// Serializes job mutation: PR-5's sharded deployment drives
-  /// StartRebuild/CancelRebuild from the coordinator thread while the
-  /// storage-node tick calls OnIdleInterval.  mutable so const readers
-  /// can lock.
+  /// Serializes job mutation across the entry points: fault listeners
+  /// call StartRebuild/CancelRebuild and the idle-bandwidth hook calls
+  /// RunIdle.  The simulator drives all of them from one thread,
+  /// so the lock is uncontended; it keeps the class safe to share
+  /// between threads and lets -Wthread-safety check every access to
+  /// jobs_.  mutable so const readers can lock.
   mutable Mutex mu_;
   /// Active jobs keyed by failed slot; std::map for deterministic
   /// per-interval iteration order.

@@ -76,14 +76,6 @@ Status ExperimentConfig::Validate() const {
     return Status::InvalidArgument(
         "stripe scrubbing is a striped-server feature");
   }
-  if ((num_shards > 1 || tick_threads > 1 || ring_placement) &&
-      scheme == Scheme::kVdr) {
-    return Status::InvalidArgument(
-        "sharded execution / ring placement are striped-server features");
-  }
-  if (num_shards > num_disks) {
-    return Status::InvalidArgument("num_shards must be <= num_disks");
-  }
   return Status::OK();
 }
 
@@ -192,13 +184,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     sc.batch = config.batch;
     sc.batch_window = config.batch_window;
     sc.max_batch_fanout = config.max_batch_fanout;
-    sc.num_shards = config.num_shards;
-    sc.tick_threads = config.tick_threads;
-    sc.shard_min_active_streams = config.shard_min_active_streams;
-    sc.ring_placement = config.ring_placement;
-    sc.ring_seed = config.ring_seed;
-    sc.ring_replicas = config.ring_replicas;
-    sc.rpc_latency = config.rpc_latency;
     STAGGER_ASSIGN_OR_RETURN(
         striped,
         StripedServer::Create(&sim, &catalog, &disks, &tertiary, sc));
@@ -346,13 +331,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
       result.background_reads_granted = budget->metrics().reads_granted;
       result.background_budget_violations =
           budget->metrics().budget_violations;
-    }
-    result.sharded_ticks = sm.sharded_ticks;
-    if (const Coordinator* coordinator = striped->coordinator()) {
-      const Coordinator::Metrics& cm = coordinator->metrics();
-      result.ring_placements = cm.placements;
-      result.ring_redirects = cm.redirects;
-      result.rpc_hops = cm.rpc_hops;
     }
     if (const StreamBatcher* batcher = striped->batcher()) {
       const BatcherMetrics& bm = batcher->metrics();

@@ -116,27 +116,6 @@ struct ExperimentConfig {
   SimTime batch_window = SimTime::Zero();
   int32_t max_batch_fanout = 0;
 
-  // Sharded execution (striped schemes only; src/node/).  num_shards and
-  // tick_threads are pure EXECUTION knobs: the per-interval stream walk
-  // is planned in parallel across contiguous disk/stream shards and its
-  // shared-state effects replayed in serial order, so results are
-  // bit-identical to num_shards = tick_threads = 1 by construction.
-  int32_t num_shards = 1;
-  int32_t tick_threads = 1;
-  /// Ticks with fewer active streams than this stay serial (the
-  /// journal's constant overhead isn't worth it); <= 0 shards every
-  /// eligible tick (differential tests).
-  int64_t shard_min_active_streams = 256;
-  // ring_placement / ring_seed / ring_replicas / rpc_latency are MODEL
-  // knobs (coordinator protocol: request -> consistent-hash shard lookup
-  // -> per-shard admission with modeled inter-node RPC hops).  They
-  // change placement and timing, and are therefore off by default and
-  // deliberately NOT coupled to num_shards.
-  bool ring_placement = false;
-  uint64_t ring_seed = 0x517a66e7ull;
-  int32_t ring_replicas = 2;
-  SimTime rpc_latency = SimTime::Zero();
-
   // Run control.
   SimTime warmup = SimTime::Hours(2);
   SimTime measure = SimTime::Hours(10);
@@ -225,11 +204,6 @@ struct ExperimentResult {
   int64_t piggyback_joins = 0;
   double mean_fanout = 0.0;            ///< stations per physical stream
   double max_start_offset_sec = 0.0;   ///< piggyback bound: <= batch window
-  // --- sharded-execution / coordinator outcomes (zero when off) --------
-  int64_t sharded_ticks = 0;           ///< intervals run via the parallel plan
-  int64_t ring_placements = 0;         ///< coordinator-placed objects
-  int64_t ring_redirects = 0;          ///< placements routed past a full shard
-  int64_t rpc_hops = 0;                ///< total modeled coordinator hops
 };
 
 /// Runs one experiment to completion (warmup + measurement).

@@ -82,26 +82,6 @@ Status StripedConfig::Validate() const {
   if (batch && max_batch_fanout < 0) {
     return Status::InvalidArgument("max batch fanout must be >= 0");
   }
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  if (tick_threads < 1) {
-    return Status::InvalidArgument("tick_threads must be >= 1");
-  }
-  if (ring_replicas < 1) {
-    return Status::InvalidArgument("ring_replicas must be >= 1");
-  }
-  if (rpc_latency < SimTime::Zero()) {
-    return Status::InvalidArgument("rpc_latency must be >= 0");
-  }
-  if (rpc_latency > SimTime::Zero() && !ring_placement) {
-    // Without the coordinator there is no route, hence no hop count to
-    // multiply the latency by; reject the half-configured state instead
-    // of silently ignoring the knob.
-    return Status::InvalidArgument(
-        "rpc_latency requires ring_placement (the coordinator supplies "
-        "the hop count)");
-  }
   return Status::OK();
 }
 
@@ -128,29 +108,8 @@ Result<std::unique_ptr<StripedServer>> StripedServer::Create(
   sched.max_retry_backoff_intervals = config.max_retry_backoff_intervals;
   sched.max_pause_intervals = config.max_pause_intervals;
   sched.read_observer = config.read_observer;
-  sched.num_shards = config.num_shards;
-  sched.shard_min_active_streams = config.shard_min_active_streams;
   STAGGER_ASSIGN_OR_RETURN(server->scheduler_,
                            IntervalScheduler::Create(sim, disks, sched));
-  if (config.num_shards > 1 && config.tick_threads > 1) {
-    // Worker threads only pay off when there is more than one shard to
-    // plan in parallel; a single-shard config keeps the serial walk and
-    // spawns nothing.
-    server->tick_pool_ = std::make_unique<EpochPool>(config.tick_threads);
-    server->scheduler_->SetShardExecutor(server->tick_pool_.get());
-  }
-  if (config.ring_placement) {
-    CoordinatorConfig cc;
-    cc.num_shards = config.num_shards;
-    cc.ring_seed = config.ring_seed;
-    cc.ring_replicas = config.ring_replicas;
-    server->coordinator_ =
-        std::make_unique<Coordinator>(cc, disks->num_disks());
-    // Placement rotates independently inside each shard's slice so the
-    // staggered start-disk spread survives the coordinator routing.
-    server->shard_placement_counter_.assign(
-        static_cast<size_t>(config.num_shards), 0);
-  }
   const bool want_rebuild = config.parity && disks->num_spares() > 0;
   if (want_rebuild || config.scrub) {
     // Both idle-bandwidth consumers draw from one shared budget; the
@@ -179,19 +138,6 @@ Result<std::unique_ptr<StripedServer>> StripedServer::Create(
       bcc.max_reads_per_interval = config.scrub_reads_per_interval;
       bcc.starvation_floor_intervals = config.scrub_starvation_floor_intervals;
       server->budget_->Register(server->scrubber_.get(), bcc);
-    }
-    if (config.num_shards > 1) {
-      // Per-node-group accounting: the arbiter tallies every grant read
-      // against the shard slice owning the slot, and its audit pins the
-      // tallies to partition the single global read counter exactly (no
-      // double-charging across shards).
-      ShardMap map(disks->num_disks(), config.num_shards);
-      std::vector<DiskId> starts;
-      starts.reserve(static_cast<size_t>(config.num_shards));
-      for (int32_t s = 0; s < config.num_shards; ++s) {
-        starts.push_back(map.RangeBegin(s));
-      }
-      server->budget_->SetShardBoundaries(std::move(starts));
     }
     BackgroundBudget* budget = server->budget_.get();
     server->scheduler_->SetIdleBandwidthHook(
@@ -322,34 +268,13 @@ void StripedServer::OnDiskUp(DiskId disk, SimTime /*now*/) {
   }
 }
 
-int32_t StripedServer::NextStartDisk(ObjectId object) {
+int32_t StripedServer::NextStartDisk() {
+  // Deterministic rotation; the multiplier spreads consecutive objects
+  // far apart so concurrent displays rarely start on the same disks.
   const int64_t d = disks_->num_disks();
   const int64_t step = config_.align_start_to_stride
                            ? static_cast<int64_t>(config_.stride)
                            : 1;
-  if (coordinator_ != nullptr) {
-    // Ring placement constrains only the START disk to the home shard's
-    // slice; the layout itself still stripes across all D disks, so the
-    // paper's aggregate-bandwidth guarantee is untouched.  Rotation is
-    // per shard so each slice keeps the staggered spread.
-    const Coordinator::Route route = coordinator_->PlaceObject(object);
-    const ShardMap& map = coordinator_->shard_map();
-    const int64_t begin = map.RangeBegin(route.shard);
-    const int64_t size = map.RangeSize(route.shard);
-    const int64_t first_slot = (begin + step - 1) / step;
-    const int64_t last_slot = (begin + size - 1) / step;
-    const int64_t slots = last_slot - first_slot + 1;
-    if (slots >= 1) {
-      const int64_t k = shard_placement_counter_[
-          static_cast<size_t>(route.shard)]++;
-      const int64_t slot = first_slot + (k * 7919) % slots;
-      return static_cast<int32_t>(slot * step);
-    }
-    // A slice narrower than one stride holds no aligned slot; fall
-    // through to the global rotation rather than misalign the start.
-  }
-  // Deterministic rotation; the multiplier spreads consecutive objects
-  // far apart so concurrent displays rarely start on the same disks.
   const int64_t slots = d / step;
   const int64_t slot = (placement_counter_++ * 7919) % slots;
   return static_cast<int32_t>(slot * step);
@@ -362,7 +287,7 @@ StaggeredLayout StripedServer::MakeLayout(ObjectId object) {
   // (M = D) falls back to a parity-less layout.
   const bool parity = config_.parity && degree + 1 <= disks_->num_disks();
   auto layout = StaggeredLayout::Create(disks_->num_disks(),
-                                        NextStartDisk(object),
+                                        NextStartDisk(),
                                         config_.stride, degree, parity);
   STAGGER_CHECK(layout.ok()) << layout.status().ToString();
   return *std::move(layout);
@@ -377,31 +302,6 @@ Status StripedServer::RequestDisplay(ObjectId object, StartedFn on_started,
   }
   ++metrics_.requests;
   objects_->RecordAccess(object);
-
-  if (coordinator_ != nullptr && config_.rpc_latency > SimTime::Zero()) {
-    // Model the coordinator round trip: request -> shard lookup ->
-    // per-shard admission, one latency unit per hop (a redirect to a
-    // replica shard adds a hop).  Zero latency is a proven pass-through
-    // (rejected by Validate), so this branch is the only place the
-    // deferral exists.
-    const Coordinator::Route route = coordinator_->PlaceObject(object);
-    const SimTime delay = config_.rpc_latency * route.hops;
-    auto started = std::make_shared<StartedFn>(std::move(on_started));
-    auto completed = std::make_shared<CompletedFn>(std::move(on_completed));
-    auto interrupted =
-        std::make_shared<InterruptedFn>(std::move(on_interrupted));
-    sim_->ScheduleAfter(delay, [this, object, started, completed,
-                                interrupted] {
-      if (batcher_) {
-        batcher_->Request(object, std::move(*started), std::move(*completed),
-                          std::move(*interrupted));
-        return;
-      }
-      AdmitDisplay(object, std::move(*started), std::move(*completed),
-                   std::move(*interrupted));
-    });
-    return Status::OK();
-  }
 
   if (batcher_) {
     // The batcher merges same-object requests inside the admission

@@ -23,8 +23,6 @@
 #include "background/background_budget.h"
 #include "core/interval_scheduler.h"
 #include "disk/disk_array.h"
-#include "node/coordinator.h"
-#include "node/shard_pool.h"
 #include "rebuild/rebuild_manager.h"
 #include "scrub/scrubber.h"
 #include "storage/catalog.h"
@@ -107,29 +105,6 @@ struct StripedConfig {
   /// Forwarded to SchedulerConfig::read_observer (schedule tracing).
   std::function<void(int64_t, ObjectId, int64_t, int32_t, int32_t)>
       read_observer;
-  // --- sharded multi-node simulation (src/node/, DESIGN.md §11) --------
-  /// Number of storage-node shards the tick is decomposed into.  Pure
-  /// execution knob: any (num_shards, tick_threads) produces results
-  /// bit-identical to (1, 1) — pinned by the sharded differential test.
-  int32_t num_shards = 1;
-  /// Worker threads (including the simulation thread) the sharded tick
-  /// fans its per-shard plan tasks across; 1 keeps planning inline.
-  int32_t tick_threads = 1;
-  /// Forwarded to SchedulerConfig::shard_min_active_streams.
-  int64_t shard_min_active_streams = 256;
-  /// MODEL knob (changes results, unlike num_shards): place each
-  /// landing object's start disk inside the node-group slice its
-  /// consistent-hash ring placement picks, instead of the flat
-  /// round-robin walk over all D disks.  Layouts still stripe globally.
-  bool ring_placement = false;
-  uint64_t ring_seed = 0x517a66e7ull;  ///< ring seed (ring_placement only)
-  /// Replica-chain length for pickMin placement (ring_placement only).
-  int32_t ring_replicas = 2;
-  /// MODEL knob: one-way inter-node RPC latency.  Each display request
-  /// pays hops * rpc_latency (coordinator -> home shard, +1 hop per
-  /// placement redirect) before reaching admission.  Zero is a proven
-  /// pass-through; requires ring_placement.
-  SimTime rpc_latency = SimTime::Zero();
 
   Status Validate() const;
 };
@@ -188,10 +163,6 @@ class StripedServer : public MediaService {
   const BackgroundBudget* background_budget() const { return budget_.get(); }
   /// Effective per-disk bandwidth implied by fragment size and interval.
   Bandwidth EffectiveDiskBandwidth() const;
-  /// Object->shard router, or nullptr when ring placement is off.
-  const Coordinator* coordinator() const { return coordinator_.get(); }
-  /// Shard worker pool, or nullptr when the tick runs single-threaded.
-  const EpochPool* tick_pool() const { return tick_pool_.get(); }
 
  private:
   struct Waiter {
@@ -210,10 +181,8 @@ class StripedServer : public MediaService {
   /// per physical stream; otherwise RequestDisplay calls it directly.
   void AdmitDisplay(ObjectId object, StartedFn on_started,
                     CompletedFn on_completed, InterruptedFn on_interrupted);
-  /// Picks the start disk for a newly landing object: the flat
-  /// round-robin walk, or (ring placement) a stride-aligned slot inside
-  /// the object's coordinator-chosen node-group slice.
-  int32_t NextStartDisk(ObjectId object);
+  /// Picks the start disk for a newly landing object.
+  int32_t NextStartDisk();
   StaggeredLayout MakeLayout(ObjectId object);
   /// The layout a materializing object will land with (planned at
   /// enqueue so the write stream matches the final placement).
@@ -248,13 +217,6 @@ class StripedServer : public MediaService {
   /// is declared after them (destroyed first).
   std::unique_ptr<BackgroundBudget> budget_;
   std::unique_ptr<StreamBatcher> batcher_;
-  /// Object->shard router (ring placement mode only).
-  std::unique_ptr<Coordinator> coordinator_;
-  /// Worker pool behind the scheduler's sharded tick; owned here so it
-  /// outlives the scheduler's use and joins before members it reads.
-  std::unique_ptr<EpochPool> tick_pool_;
-  /// Per-shard placement rotation (ring placement mode only).
-  std::vector<int64_t> shard_placement_counter_;
   std::unordered_map<ObjectId, std::vector<Waiter>> waiters_;
   std::vector<char> materializing_;
   std::unordered_map<ObjectId, StaggeredLayout> planned_layouts_;

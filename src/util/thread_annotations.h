@@ -68,11 +68,6 @@ class STAGGER_CAPABILITY("mutex") Mutex {
   void Unlock() STAGGER_RELEASE() { mu_.unlock(); }
   bool TryLock() STAGGER_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // BasicLockable spelling, so std::condition_variable_any can wait on
-  // a Mutex directly without shedding the capability annotations.
-  void lock() STAGGER_ACQUIRE() { mu_.lock(); }
-  void unlock() STAGGER_RELEASE() { mu_.unlock(); }
-
  private:
   std::mutex mu_;
 };

@@ -42,15 +42,7 @@ Usage: stagger_sim [flags]
   --measure-hours=X   measurement window                [10]
   --seed=N            workload seed                     [20240101]
   --replications=N    independent runs, seeds seed..seed+N-1  [1]
-  --threads=N         concurrent replications; with --shards and a
-                      single run, parallel tick workers [1]
-  --shards=N          storage-node shards (parallel per-shard ticks;
-                      bit-identical to --shards=1)      [1]
-  --shard-min-active  streams below which ticks stay serial  [256]
-  --ring-placement    route placement through the coordinator ring
-  --ring-replicas=N   replica shards per object         [2]
-  --rpc-latency-ms=X  modeled coordinator hop latency (implies
-                      --ring-placement)                 [0]
+  --threads=N         concurrent replications           [1]
   --parity            store per-subobject parity fragments
   --spares=N          hot-spare drives (enables rebuild with --parity)
   --scrub             run the background latent-error scrubber
@@ -172,18 +164,6 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--chaos-domains", &v)) {
       chaos = true;
       chaos_domains = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--shards", &v)) {
-      cfg.num_shards = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--shard-min-active", &v)) {
-      cfg.shard_min_active_streams = std::atoll(v.c_str());
-    } else if (ParseFlag(argv[i], "--ring-placement", &v)) {
-      cfg.ring_placement = true;
-    } else if (ParseFlag(argv[i], "--ring-replicas", &v)) {
-      cfg.ring_replicas = std::atoi(v.c_str());
-    } else if (ParseFlag(argv[i], "--rpc-latency-ms", &v)) {
-      cfg.ring_placement = true;
-      cfg.rpc_latency = SimTime::Micros(
-          static_cast<int64_t>(std::atof(v.c_str()) * 1000.0));
     } else if (ParseFlag(argv[i], "--csv", &v)) {
       csv = true;
     } else {
@@ -212,13 +192,6 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "# chaos plan (seed %llu) — replayable:\n%s",
                  static_cast<unsigned long long>(chaos_seed),
                  cfg.fault_plan.ToString().c_str());
-  }
-
-  if (replications <= 1 && cfg.num_shards > 1) {
-    // Single-run mode: --threads drives the sharded tick pool instead
-    // of the replication sweep.  Results stay bit-identical whatever
-    // the thread or shard count (see src/node/).
-    cfg.tick_threads = threads;
   }
 
   if (replications > 1) {
