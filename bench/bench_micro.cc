@@ -35,30 +35,6 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1024)->Arg(4096)->Arg(16384);
 
-// The interval-synchronous shape: events cluster on a small number of
-// distinct instants (1024 over ~1 s), drained batch-at-a-time the way
-// Simulator::Run does.  Baselines are the old binary-heap kernel's
-// PopNext drain of the identical workload.
-void BM_EventQueueBatchedPop(benchmark::State& state) {
-  const int64_t batch = state.range(0);
-  Rng rng(1);
-  for (auto _ : state) {
-    EventQueue q;
-    for (int64_t i = 0; i < batch; ++i) {
-      q.Schedule(SimTime::Micros(
-                     static_cast<int64_t>(rng.NextBounded(1 << 10)) * 1024),
-                 [] {});
-    }
-    while (!q.empty()) {
-      (void)q.PopInterval();
-      EventQueue::Fired fired;
-      while (q.PopStaged(&fired)) benchmark::DoNotOptimize(fired.time);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventQueueBatchedPop)->Arg(1024)->Arg(4096)->Arg(16384);
-
 void BM_LayoutDiskFor(benchmark::State& state) {
   auto layout = StaggeredLayout::Create(1000, 17, 5, 5);
   int64_t i = 0;
@@ -246,13 +222,11 @@ int main(int argc, char** argv) {
   report.SetBaseline("BM_SchedulerIntervalTick/50", 8250.0);
   report.SetBaseline("BM_SchedulerIntervalTick/200", 22437.0);
   report.SetBaseline("BM_LayoutDiskFor", 3.90);
-  // Binary-heap event kernel (pre-calendar-queue), same workloads.
+  // The std::priority_queue kernel with id-set cancellation that the
+  // earlier calendar queue replaced, same workload.
   report.SetBaseline("BM_EventQueueScheduleAndPop/1024", 196.4);
   report.SetBaseline("BM_EventQueueScheduleAndPop/4096", 257.2);
   report.SetBaseline("BM_EventQueueScheduleAndPop/16384", 279.3);
-  report.SetBaseline("BM_EventQueueBatchedPop/1024", 151.0);
-  report.SetBaseline("BM_EventQueueBatchedPop/4096", 219.6);
-  report.SetBaseline("BM_EventQueueBatchedPop/16384", 237.7);
   // Bit-probe Algorithm 1-2 searches with the coalescing scan walking
   // all P candidates (before orbit order), same workload.
   report.SetBaseline("BM_SchedulerIntervalTickCoalesce/200", 114517.0);

@@ -4,242 +4,23 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/hot_path.h"
 
 namespace stagger {
-namespace {
-
-// A bucket is compacted when at least this many cancelled entries have
-// accumulated AND they make up half the unconsumed region, so compaction
-// cost is amortized against the cancellations that caused it.
-constexpr uint32_t kCompactDeadMin = 64;
-
-}  // namespace
-
-EventQueue::EventQueue() : ring_(kNumDays), ring_occupied_(kNumDays) {}
-
-uint32_t EventQueue::AllocSlot() {
-  if (free_head_ != kNoSlot) {
-    const uint32_t slot = free_head_;
-    free_head_ = SlotAt(slot).next_free;
-    return slot;
-  }
-  if ((num_slots_ & (kSlotsPerChunk - 1)) == 0) {
-    slot_chunks_.emplace_back(new Slot[kSlotsPerChunk]);
-  }
-  return num_slots_++;
-}
-
-void EventQueue::FreeSlot(uint32_t slot) {
-  Slot& s = SlotAt(slot);
-  s.fn = nullptr;  // destroy the closure eagerly (no lazy-deletion leak)
-  s.live = false;
-  // gen 0 is reserved: a (slot 0, gen 0) handle would alias the invalid
-  // default-constructed EventHandle.
-  if (++s.gen == 0) s.gen = 1;
-  s.next_free = free_head_;
-  free_head_ = slot;
-}
-
-EventQueue::Day* EventQueue::ResolveDay(int64_t day, bool create) {
-  if (InRing(day)) {
-    // ring_base_ is a multiple of kNumDays, so day & (kNumDays-1) is the
-    // ring offset even for negative day numbers (two's complement).
-    const int32_t off = static_cast<int32_t>(day & (kNumDays - 1));
-    Day* d = &ring_[static_cast<size_t>(off)];
-    if (!ring_occupied_.Test(off)) {
-      if (!create) return nullptr;
-      ring_occupied_.Set(off);
-    }
-    return d;
-  }
-  if (!create) {
-    auto it = overflow_.find(day);
-    return it == overflow_.end() ? nullptr : &it->second;
-  }
-  return &overflow_[day];
-}
-
-void EventQueue::InsertEntry(const Entry& e) {
-  const int64_t day = DayOf(e.time_us);
-  Day* d;
-  if (InRing(day)) {
-    // Ring fast path: marking an already-occupied day is idempotent, so
-    // skip ResolveDay's test-and-branch.
-    const int32_t off = static_cast<int32_t>(day & (kNumDays - 1));
-    ring_occupied_.Set(off);
-    d = &ring_[static_cast<size_t>(off)];
-  } else {
-    d = ResolveDay(day, /*create=*/true);
-  }
-  if (d->consumed == d->entries.size() && d->consumed != 0) {
-    // Every buffered entry was already popped or staged; restart the
-    // bucket instead of growing behind a fully-consumed prefix.
-    d->entries.clear();
-    d->consumed = 0;
-    d->dead = 0;
-    d->sorted = false;
-  }
-  if (d->sorted) {
-    // The active front bucket stays sorted: place the entry by full
-    // (time, priority, seq) key.  Equal-key entries differ in seq, so
-    // upper_bound yields a unique deterministic position.
-    auto it = std::upper_bound(
-        d->entries.begin() + static_cast<ptrdiff_t>(d->consumed),
-        d->entries.end(), e, KeyLess);
-    d->entries.insert(it, e);
-  } else {
-    d->entries.push_back(e);
-  }
-  if (day < cursor_) cursor_ = day;
-  // An earlier day outranks the memoized front; a same-day insert lands
-  // behind (or, sorted, at) the consumption point, keeping it valid.
-  if (front_day_ != nullptr && day < front_day_num_) front_day_ = nullptr;
-}
-
-void EventQueue::ReleaseDay(int64_t day, Day* d) {
-  if (d == front_day_) front_day_ = nullptr;
-  if (InRing(day)) {
-    // Keep the vector's capacity: the ring slot will host this
-    // allocation again one year from now.
-    d->entries.clear();
-    d->consumed = 0;
-    d->dead = 0;
-    d->sorted = false;
-    ring_occupied_.Clear(static_cast<int32_t>(day & (kNumDays - 1)));
-  } else {
-    overflow_.erase(day);  // invalidates *d
-  }
-}
-
-void EventQueue::RebaseRing(int64_t day) {
-  STAGGER_DCHECK(ring_occupied_.FindNextSet(0) < 0);
-  STAGGER_DCHECK(day >= ring_base_ + kNumDays);
-  front_day_ = nullptr;
-  ring_base_ = day & ~int64_t{kNumDays - 1};
-  cursor_ = ring_base_;
-  // Migrate every overflow day that now falls inside the ring's year.
-  auto it = overflow_.begin();
-  while (it != overflow_.end() && it->first < ring_base_ + kNumDays) {
-    const int32_t off = static_cast<int32_t>(it->first & (kNumDays - 1));
-    ring_[static_cast<size_t>(off)] = std::move(it->second);
-    ring_occupied_.Set(off);
-    it = overflow_.erase(it);
-  }
-}
-
-STAGGER_HOT_PATH EventQueue::Day* EventQueue::EnsureFront(int64_t* day_index) {
-  // Memoized front: the common case is a run of pops from one sorted
-  // bucket, so skip the overflow probe + bitmap walk + sort check.
-  if (front_day_ != nullptr && front_day_->consumed < front_day_->entries.size() &&
-      EntryLive(front_day_->entries[front_day_->consumed])) {
-    if (day_index != nullptr) *day_index = front_day_num_;
-    return front_day_;
-  }
-  for (;;) {
-    int64_t day;
-    Day* d;
-    if (!overflow_.empty() && overflow_.begin()->first < ring_base_) {
-      // Days before the ring's year (events scheduled in the relative
-      // past) are served straight from the ordered map.
-      day = overflow_.begin()->first;
-      d = &overflow_.begin()->second;
-    } else {
-      const int64_t from = cursor_ - ring_base_;
-      const int32_t off =
-          ring_occupied_.FindNextSet(from > 0 ? static_cast<int32_t>(from) : 0);
-      if (off >= 0) {
-        day = ring_base_ + off;
-        d = &ring_[static_cast<size_t>(off)];
-      } else if (!overflow_.empty()) {
-        RebaseRing(overflow_.begin()->first);
-        continue;
-      } else {
-        return nullptr;  // every live event is staged, or none exist
-      }
-    }
-    cursor_ = day;
-    if (!d->sorted) SortBucket(d);
-    while (d->consumed < d->entries.size()) {
-      const Entry& e = d->entries[d->consumed];
-      if (EntryLive(e)) {
-        front_day_ = d;
-        front_day_num_ = day;
-        if (day_index != nullptr) *day_index = day;
-        return d;
-      }
-      ++d->consumed;  // cancelled: its closure is long freed, skip
-      if (d->dead > 0) --d->dead;
-    }
-    ReleaseDay(day, d);
-  }
-}
-
-void EventQueue::SortBucket(Day* d) {
-  auto begin = d->entries.begin() + static_cast<ptrdiff_t>(d->consumed);
-  const size_t n = static_cast<size_t>(d->entries.end() - begin);
-  d->sorted = true;
-  if (n < 2) return;
-  if (n >= (size_t{1} << 19)) {
-    // Packed keys below reserve 19 bits for the position; a larger
-    // range falls back to the direct three-field comparison sort.
-    std::sort(begin, d->entries.end(), KeyLess);
-    return;
-  }
-  // Sort packed 8-byte keys instead of 32-byte entries, then apply the
-  // permutation: the sort's data-dependent swaps move a quarter of the
-  // bytes, and each comparison is one integer compare instead of up to
-  // three.  Key layout, most significant first:
-  //   offset : 13  time within the day (time_us & (kDayMicros-1))
-  //   pri    : 32  priority, biased to preserve order unsigned
-  //   index  : 19  position in the unsorted suffix
-  // The suffix is normally appended in schedule order, so index order
-  // IS seq order and the key sort reproduces (time, priority, seq)
-  // exactly (ties are impossible: index is unique).  UnstageRemainder
-  // can violate that by appending an *older* entry behind newer ones;
-  // the packing pass watches for a seq inversion and falls back to the
-  // direct comparison sort.
-  sort_keys_.clear();
-  uint64_t prev_seq = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const Entry& e = begin[i];
-    if (e.seq < prev_seq) {
-      std::sort(begin, d->entries.end(), KeyLess);
-      return;
-    }
-    prev_seq = e.seq;
-    const uint64_t offset =
-        static_cast<uint64_t>(e.time_us) & (kDayMicros - 1);
-    const uint64_t pri =
-        static_cast<uint32_t>(e.priority) ^ (uint32_t{1} << 31);
-    sort_keys_.push_back((offset << 51) | (pri << 19) | i);
-  }
-  std::sort(sort_keys_.begin(), sort_keys_.end());
-  sort_scratch_.clear();
-  for (const uint64_t key : sort_keys_) {
-    sort_scratch_.push_back(begin[key & ((size_t{1} << 19) - 1)]);
-  }
-  std::copy(sort_scratch_.begin(), sort_scratch_.end(), begin);
-}
 
 EventHandle EventQueue::Schedule(SimTime when, EventFn fn, int priority) {
-  const uint32_t slot = AllocSlot();
-  Slot& s = SlotAt(slot);
-  s.fn = std::move(fn);
-  s.time_us = when.micros();
-  s.priority = priority;
-  s.live = true;
-  const Entry e{s.time_us, next_seq_++, priority, slot, s.gen};
-  if (stage_open_ &&
-      (e.time_us < stage_time_us_ ||
-       (e.time_us == stage_time_us_ && e.priority < stage_priority_))) {
-    // The new event outranks the open batch, so the batch's remaining
-    // events no longer form the queue's minimum; put them back in their
-    // bucket and let the next PopInterval() re-derive the front.  (An
-    // equal-key schedule needs nothing: its seq is larger than every
-    // staged entry's, so bucket insertion already orders it after them.)
-    UnstageRemainder();
+  uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  InsertEntry(e);
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.live = true;
+  heap_.push_back(Entry{when.micros(), next_seq_++, priority, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   ++size_;
   return EventHandle((uint64_t{slot} << 32) | s.gen);
 }
@@ -248,176 +29,78 @@ bool EventQueue::Cancel(EventHandle handle) {
   if (!handle.valid()) return false;
   const uint32_t slot = static_cast<uint32_t>(handle.id_ >> 32);
   const uint32_t gen = static_cast<uint32_t>(handle.id_);
-  // Only live (scheduled, unfired, uncancelled) events can be
-  // cancelled; a stale generation means the event already fired or was
-  // cancelled (and the slot possibly reused), a no-op returning false.
-  if (slot >= num_slots_) return false;
-  Slot& s = SlotAt(slot);
+  // A stale generation means the event already fired or was cancelled
+  // (and the slot possibly reused): a no-op returning false.
+  if (slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
   if (!s.live || s.gen != gen) return false;
-  NoteDead(s);
-  FreeSlot(slot);
+  Retire(s);
   --size_;
+  // The key stays behind; rebuilding once cancelled keys are half the
+  // heap keeps the debt bounded at O(1) amortized per cancel.
+  if (++dead_ * 2 >= heap_.size()) Compact();
   return true;
 }
 
-void EventQueue::NoteDead(const Slot& s) {
-  if (stage_open_ && s.time_us == stage_time_us_ &&
-      s.priority == stage_priority_) {
-    // The entry is (most likely) staged: the stage gen-checks at fire
-    // time and its buffer dies with the batch, so no bucket accounting.
-    // (A same-key entry still in the bucket merely goes uncounted —
-    // `dead` is a compaction heuristic, not an invariant.)
-    return;
+void EventQueue::Retire(Slot& s) {
+  s.fn = nullptr;
+  s.live = false;
+  // gen 0 is reserved: a (slot 0, gen 0) handle would alias the invalid
+  // default-constructed EventHandle.
+  if (++s.gen == 0) s.gen = 1;
+}
+
+void EventQueue::Release(uint32_t slot) {
+  slots_[slot].next_free = free_head_;
+  free_head_ = slot;
+}
+
+STAGGER_HOT_PATH void EventQueue::SkipDead() {
+  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
+    Release(heap_.front().slot);
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
+    STAGGER_DCHECK(dead_ > 0);
+    --dead_;
   }
-  const int64_t day = DayOf(s.time_us);
-  Day* d = ResolveDay(day, /*create=*/false);
-  if (d == nullptr) return;
-  ++d->dead;
-  const size_t remaining = d->entries.size() - d->consumed;
-  if (d->dead >= kCompactDeadMin && d->dead * 2 >= remaining) {
-    // Keep only live entries (order-preserving, so sortedness holds).
-    size_t out = 0;
-    for (size_t i = d->consumed; i < d->entries.size(); ++i) {
-      if (EntryLive(d->entries[i])) d->entries[out++] = d->entries[i];
+}
+
+void EventQueue::Compact() {
+  size_t out = 0;
+  for (const Entry& e : heap_) {
+    if (slots_[e.slot].live) {
+      heap_[out++] = e;
+    } else {
+      Release(e.slot);
     }
-    d->entries.resize(out);
-    d->consumed = 0;
-    d->dead = 0;
-    if (d->entries.empty()) ReleaseDay(day, d);
   }
+  STAGGER_DCHECK(out == size_);
+  heap_.resize(out);
+  std::make_heap(heap_.begin(), heap_.end(), Later);
+  dead_ = 0;
 }
 
 STAGGER_HOT_PATH SimTime EventQueue::NextTime() const {
   if (size_ == 0) return SimTime::Max();
-  // Advancing past dead (cancelled) entries does not change observable
-  // state, so it is safe behind const.
-  auto* self = const_cast<EventQueue*>(this);
-  if (self->stage_open_) {
-    self->SkipDeadStaged();
-    if (self->stage_pos_ < self->stage_.size()) return SimTime(stage_time_us_);
-    self->CloseStage();
-  }
-  Day* d = self->EnsureFront(nullptr);
-  STAGGER_CHECK(d != nullptr);
-  return SimTime(d->entries[d->consumed].time_us);
+  // Dropping cancelled keys does not change observable state, so it is
+  // safe behind const.
+  const_cast<EventQueue*>(this)->SkipDead();
+  return SimTime(heap_.front().time_us);
 }
 
 STAGGER_HOT_PATH EventQueue::Fired EventQueue::PopNext() {
   STAGGER_CHECK(size_ != 0) << "PopNext on empty event queue";
-  Fired fired;
-  if (PopStaged(&fired)) return fired;
-  int64_t day;
-  Day* d = EnsureFront(&day);
-  STAGGER_CHECK(d != nullptr);
-  const Entry e = d->entries[d->consumed];
-  // Slots are visited in key order — random w.r.t. the slot array — so
-  // pull a later entry's slot in now; by the time the pops reach it the
-  // line has arrived (same idiom as the scheduler's stream walk).
-  if (d->consumed + 4 < d->entries.size()) {
-    __builtin_prefetch(&SlotAt(d->entries[d->consumed + 4].slot));
-  }
-  ++d->consumed;
-  if (d->consumed == d->entries.size()) ReleaseDay(day, d);
-  Slot& s = SlotAt(e.slot);
-  fired.time = SimTime(e.time_us);
-  fired.fn = std::move(s.fn);
-  FreeSlot(e.slot);
+  SkipDead();
+  const Entry e = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  heap_.pop_back();
+  Slot& s = slots_[e.slot];
+  STAGGER_DCHECK(s.live);
+  Fired fired{SimTime(e.time_us), e.priority, e.seq, std::move(s.fn)};
+  Retire(s);
+  Release(e.slot);
   --size_;
   return fired;
-}
-
-STAGGER_HOT_PATH EventQueue::Batch EventQueue::PopInterval() {
-  STAGGER_CHECK(size_ != 0) << "PopInterval on empty event queue";
-  if (stage_open_) {
-    SkipDeadStaged();
-    if (stage_pos_ < stage_.size()) {
-      size_t live = 0;
-      for (size_t i = stage_pos_; i < stage_.size(); ++i) {
-        if (EntryLive(stage_[i])) ++live;
-      }
-      return Batch{SimTime(stage_time_us_), stage_priority_, live};
-    }
-    CloseStage();
-  }
-  int64_t day;
-  Day* d = EnsureFront(&day);
-  STAGGER_CHECK(d != nullptr);
-  const Entry& front = d->entries[d->consumed];
-  stage_time_us_ = front.time_us;
-  stage_priority_ = front.priority;
-  // Move the whole same-(time, priority) run — one scheduler interval's
-  // cohort — into the stage in one pass.
-  size_t live = 0;
-  uint32_t i = d->consumed;
-  stage_.clear();
-  for (; i < d->entries.size(); ++i) {
-    const Entry& e = d->entries[i];
-    if (e.time_us != stage_time_us_ || e.priority != stage_priority_) break;
-    // stagger-lint: allow(hot-path-alloc) -- stage buffer reuses retained capacity across batches
-    stage_.push_back(e);
-    if (EntryLive(e)) {
-      ++live;
-    } else if (d->dead > 0) {
-      --d->dead;  // the dead entry leaves the bucket with the stage
-    }
-  }
-  d->consumed = i;
-  if (d->consumed == d->entries.size()) ReleaseDay(day, d);
-  stage_pos_ = 0;
-  stage_open_ = true;
-  return Batch{SimTime(stage_time_us_), stage_priority_, live};
-}
-
-STAGGER_HOT_PATH bool EventQueue::PopStaged(Fired* out) {
-  if (!stage_open_) return false;
-  while (stage_pos_ < stage_.size()) {
-    const Entry e = stage_[stage_pos_];
-    ++stage_pos_;
-    if (stage_pos_ < stage_.size()) {
-      __builtin_prefetch(&SlotAt(stage_[stage_pos_].slot));
-    }
-    Slot& s = SlotAt(e.slot);
-    if (!s.live || s.gen != e.gen) continue;  // cancelled while staged
-    out->time = SimTime(e.time_us);
-    out->fn = std::move(s.fn);
-    FreeSlot(e.slot);
-    --size_;
-    return true;
-  }
-  CloseStage();
-  return false;
-}
-
-void EventQueue::CloseStage() {
-  stage_.clear();
-  stage_pos_ = 0;
-  stage_open_ = false;
-}
-
-void EventQueue::SkipDeadStaged() {
-  while (stage_pos_ < stage_.size() && !EntryLive(stage_[stage_pos_])) {
-    ++stage_pos_;
-  }
-}
-
-void EventQueue::UnstageRemainder() {
-  // The staged remainder holds the smallest keys in the queue, so each
-  // live entry lands at its bucket's consumption point (sorted insert);
-  // dead ones are dropped here instead of being skipped later.
-  for (size_t i = stage_pos_; i < stage_.size(); ++i) {
-    if (EntryLive(stage_[i])) InsertEntry(stage_[i]);
-  }
-  CloseStage();
-}
-
-size_t EventQueue::buffered_entries() const {
-  size_t n = stage_.size() - stage_pos_;
-  for (const Day& d : ring_) n += d.entries.size() - d.consumed;
-  for (const auto& [day, d] : overflow_) {
-    (void)day;
-    n += d.entries.size() - d.consumed;
-  }
-  return n;
 }
 
 }  // namespace stagger

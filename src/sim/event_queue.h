@@ -1,41 +1,26 @@
-// Pending-event set for the discrete-event kernel: a calendar (bucket)
-// queue keyed by time, ordered by (time, priority, sequence number) so
-// simultaneous events fire in a deterministic, FIFO order.
+// Pending-event set for the discrete-event kernel: a binary min-heap
+// ordered by (time, priority, sequence number), so simultaneous events
+// fire in a deterministic, FIFO order.
 //
-// The model is interval-synchronous, so events cluster heavily on a
-// small number of distinct instants.  The calendar exploits that:
-//
-//   * Time is divided into fixed-width "days" of 2^13 us (~8.2 ms); a
-//     ring of 256 days (one "year", ~2.1 s) holds the near future, with
-//     an ordered overflow map for anything beyond the current year.
-//     Scheduling is an O(1) amortized append; each far-future event
-//     migrates from the overflow map into the ring at most once.
-//   * A day is sorted lazily, only when it becomes the earliest
-//     non-empty bucket; a bitmap over the ring finds that bucket with a
-//     handful of word scans instead of a heap sift.
-//   * All events sharing the earliest (time, priority) — one scheduler
-//     interval's worth of work — can be drained as a single batch
-//     (PopInterval / PopStaged) instead of one ordered pop per event.
-//     Staged events remain cancellable until the instant they fire, so
-//     batching is invisible to the model.
+//   * A heap entry is a 24-byte trivially-copyable key; the callback
+//     lives in a slot, so sifts move plain bytes.
 //   * Cancellation is O(1) through generation-checked slots and frees
-//     the callback eagerly; only a 32-byte trivially-copyable entry
-//     stays behind (reclaimed by compaction before it can accumulate).
+//     the callback at once.  The cancelled key stays in the heap until
+//     it reaches the top or is compacted away (when cancelled keys make
+//     up half the heap), and only then is its slot reused — so a key
+//     never needs a generation of its own.
 //
-// See docs/performance.md §9 for the ordering proof sketch and the
-// measured speedups over the binary-heap kernel this replaces.
+// The measured queue depths are small (peak 1 to ~2500 on the benchmark
+// workloads) and same-instant cohorts average ~1 event, so nothing
+// cleverer pays; see docs/performance.md §9.
 
 #ifndef STAGGER_SIM_EVENT_QUEUE_H_
 #define STAGGER_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "util/bitmap.h"
-#include "util/hot_path.h"
 #include "util/units.h"
 
 namespace stagger {
@@ -59,21 +44,12 @@ class EventHandle {
   uint64_t id_ = 0;
 };
 
-/// \brief Time-ordered pending-event set (calendar queue).
+/// \brief Time-ordered pending-event set (binary heap).
 ///
 /// Not thread-safe — the simulation is single-threaded by design
 /// (determinism over parallelism; see DESIGN.md).
 class EventQueue {
  public:
-  /// Calendar geometry: days of 2^kDayShift microseconds, kNumDays days
-  /// per ring year.  Exposed so stress tests can construct pathological
-  /// bucket patterns (one event per day, one event per year, ...).
-  static constexpr int kDayShift = 13;
-  static constexpr int64_t kDayMicros = int64_t{1} << kDayShift;
-  static constexpr int32_t kNumDays = 256;
-
-  EventQueue();
-
   /// Schedules `fn` at absolute time `when`.  Ties fire in ascending
   /// `priority`, then insertion order.
   EventHandle Schedule(SimTime when, EventFn fn, int priority = 0);
@@ -89,169 +65,69 @@ class EventQueue {
   /// Time of the earliest live event; Max() if empty.
   SimTime NextTime() const;
 
-  /// Removes and returns the earliest live event.
+  /// Removes and returns the earliest live event with its full key.
   /// Precondition: !empty().
   struct Fired {
     SimTime time;
+    int priority = 0;
+    uint64_t seq = 0;  ///< insertion order; unique, starts at 1
     EventFn fn;
   };
   Fired PopNext();
 
-  /// \brief One batch of same-(time, priority) events.
-  struct Batch {
-    SimTime time;
-    int priority = 0;
-    /// Live events in the batch when it was opened (events cancelled
-    /// after PopInterval() returns still will not fire).
-    size_t count = 0;
-  };
-
-  /// Opens a batch over every live event sharing the earliest
-  /// (time, priority) — typically one scheduler interval's worth — and
-  /// returns its key.  Drain it with PopStaged(); events in the batch
-  /// stay cancellable until the call that actually pops them, so a
-  /// PopInterval/PopStaged loop is observably identical to a PopNext
-  /// loop.  Calling PopInterval() with a batch already open returns the
-  /// open batch.  Precondition: !empty().
-  Batch PopInterval();
-
-  /// Pops the next live event of the open batch into *out; returns
-  /// false (closing the batch) when it is exhausted.  With no open
-  /// batch, returns false.
-  bool PopStaged(Fired* out);
+  /// The seq the next Schedule() will assign: every pending event has a
+  /// smaller one.
+  uint64_t next_seq() const { return next_seq_; }
 
   // --- introspection (tests) --------------------------------------------
 
-  /// Entries buffered across all days, the overflow map, and the open
-  /// batch, live or cancelled.  Bounds the lazy-deletion debt: a
-  /// cancelled event's callback is freed eagerly, and the 32-byte entry
-  /// left behind is compacted away before it can accumulate.
-  size_t buffered_entries() const;
+  /// Heap entries, live or cancelled.  Bounds the cancellation debt: a
+  /// cancelled event's callback is freed at once, and its 24-byte key is
+  /// compacted away before it can accumulate.
+  size_t buffered_entries() const { return heap_.size(); }
 
-  /// Callback slots currently allocated (live events + free-list).
-  size_t allocated_slots() const { return num_slots_; }
+  /// Callback slots currently allocated (live events, cancelled keys
+  /// still in the heap, and the free list).
+  size_t allocated_slots() const { return slots_.size(); }
 
  private:
-  /// 32-byte trivially-copyable ordering record; the callback itself
-  /// lives in the slot so sorting and compaction move plain bytes and
-  /// cancellation can free the closure without finding the entry.
   struct Entry {
     int64_t time_us;
     uint64_t seq;
     int32_t priority;
     uint32_t slot;
-    uint32_t gen;
   };
 
-  /// 64-byte aligned so every slot occupies exactly one cache line:
-  /// pops visit slots in key order (random w.r.t. allocation order), and
-  /// a straddling slot would cost two misses per visit.
-  struct alignas(64) Slot {
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  struct Slot {
     EventFn fn;
-    int64_t time_us = 0;
-    int32_t priority = 0;
-    uint32_t gen = 1;        ///< bumped on free; stale handles/entries mismatch
+    uint32_t gen = 1;  ///< bumped when the event fires or is cancelled
     uint32_t next_free = kNoSlot;
     bool live = false;
   };
 
-  /// One calendar day: entries append unsorted and are sorted once,
-  /// lazily, when the day becomes the earliest non-empty bucket.
-  struct Day {
-    std::vector<Entry> entries;
-    uint32_t consumed = 0;  ///< sorted prefix already popped/staged
-    uint32_t dead = 0;      ///< cancelled entries still buffered (approximate)
-    bool sorted = false;
-  };
-
-  static constexpr uint32_t kNoSlot = ~uint32_t{0};
-  /// Slots live in fixed 64 KB chunks (1024 slots): growing the table
-  /// never reallocates, so no std::function move-copies the way a flat
-  /// vector's growth would, and slot addresses stay stable.
-  static constexpr uint32_t kSlotChunkShift = 10;
-  static constexpr uint32_t kSlotsPerChunk = 1u << kSlotChunkShift;
-
-  static int64_t DayOf(int64_t time_us) { return time_us >> kDayShift; }
-  static bool KeyLess(const Entry& a, const Entry& b) {
-    if (a.time_us != b.time_us) return a.time_us < b.time_us;
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.seq < b.seq;
+  /// Heap order for the std:: heap algorithms: "a fires after b".
+  static bool Later(const Entry& a, const Entry& b) {
+    if (a.time_us != b.time_us) return a.time_us > b.time_us;
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.seq > b.seq;
   }
 
-  bool InRing(int64_t day) const {
-    return day >= ring_base_ && day < ring_base_ + kNumDays;
-  }
-  Slot& SlotAt(uint32_t slot) {
-    return slot_chunks_[slot >> kSlotChunkShift][slot & (kSlotsPerChunk - 1)];
-  }
-  const Slot& SlotAt(uint32_t slot) const {
-    return slot_chunks_[slot >> kSlotChunkShift][slot & (kSlotsPerChunk - 1)];
-  }
+  /// Ends the slot's event: destroys the callback, invalidates handles.
+  void Retire(Slot& s);
+  /// Returns a slot whose key has left the heap to the free list.
+  void Release(uint32_t slot);
+  /// Pops cancelled keys off the top of the heap.
+  void SkipDead();
+  /// Drops every cancelled key and rebuilds the heap.
+  void Compact();
 
-  bool EntryLive(const Entry& e) const {
-    const Slot& s = SlotAt(e.slot);
-    return s.live && s.gen == e.gen;
-  }
-
-  uint32_t AllocSlot();
-  void FreeSlot(uint32_t slot);
-
-  /// Day `day`'s bucket, creating it on demand (`create`); nullptr when
-  /// absent and !create.
-  Day* ResolveDay(int64_t day, bool create);
-  /// Sorts the unsorted suffix [consumed, end) by (time, priority, seq).
-  void SortBucket(Day* d);
-  void InsertEntry(const Entry& e);
-  /// Releases an exhausted bucket: ring days keep their capacity for
-  /// the next year, overflow days are erased.
-  void ReleaseDay(int64_t day, Day* d);
-  /// Moves the ring onto the year containing `day` and migrates every
-  /// overflow day inside the new year into it.  Precondition: the ring
-  /// is empty and `day` >= ring_base_ + kNumDays.
-  void RebaseRing(int64_t day);
-  /// The earliest bucket holding a live event, sorted with its dead
-  /// prefix skipped; nullptr when every live event is staged (or none).
-  Day* EnsureFront(int64_t* day_index);
-
-  void CloseStage();
-  /// Puts the open batch's remaining live entries back into their
-  /// bucket (used when a schedule preempts the batch with a smaller
-  /// (time, priority) key).
-  void UnstageRemainder();
-  /// Advances stage_pos_ past cancelled entries.
-  void SkipDeadStaged();
-  /// Cancellation bookkeeping: count the dead entry against its bucket
-  /// and compact when cancelled debt dominates the bucket.
-  void NoteDead(const Slot& s);
-
-  std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
-  uint32_t num_slots_ = 0;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
   uint32_t free_head_ = kNoSlot;
-
-  std::vector<Day> ring_;       ///< kNumDays buckets, year-aligned
-  Bitmap ring_occupied_;        ///< one bit per non-empty ring day
-  std::map<int64_t, Day> overflow_;  ///< days outside the ring window
-  int64_t ring_base_ = 0;       ///< first day of the ring year (multiple of kNumDays)
-  int64_t cursor_ = 0;          ///< no day below this holds a live entry
-
-  /// Memoized EnsureFront result: the sorted bucket holding the queue's
-  /// minimum, so consecutive pops skip the bitmap walk.  Invalidated
-  /// when an insert lands on an earlier day (same-day inserts keep the
-  /// sorted front intact), when the bucket is released, and on rebase;
-  /// a dead front entry is detected per-pop and falls back to the walk.
-  Day* front_day_ = nullptr;
-  int64_t front_day_num_ = 0;
-
-  std::vector<uint64_t> sort_keys_;  ///< SortBucket scratch (packed keys)
-  std::vector<Entry> sort_scratch_;  ///< SortBucket scratch (permutation)
-
-  std::vector<Entry> stage_;    ///< the open batch (PopInterval)
-  size_t stage_pos_ = 0;
-  bool stage_open_ = false;
-  int64_t stage_time_us_ = 0;
-  int stage_priority_ = 0;
-
-  size_t size_ = 0;             ///< live events (scheduled or staged, unfired)
+  size_t dead_ = 0;  ///< cancelled keys still in heap_
+  size_t size_ = 0;  ///< live events
   uint64_t next_seq_ = 1;
 };
 

@@ -27,34 +27,32 @@ bool Simulator::Step() {
   return true;
 }
 
-void Simulator::DispatchBatch() {
-  const EventQueue::Batch batch = events_.PopInterval();
-  STAGGER_DCHECK(batch.time >= now_);
-  now_ = batch.time;
-  ++batches_dispatched_;
-  // Staged events stay cancellable until popped, and a schedule that
-  // outranks the batch closes it early, so this loop fires exactly the
-  // events (in exactly the order) a Step() loop would.
-  EventQueue::Fired fired;
-  while (!stop_requested_ && events_.PopStaged(&fired)) {
+void Simulator::DispatchUntil(SimTime deadline) {
+  stop_requested_ = false;
+  batch_seq_end_ = 0;
+  while (!stop_requested_ && !events_.empty() && events_.NextTime() <= deadline) {
+    EventQueue::Fired fired = events_.PopNext();
+    STAGGER_DCHECK(fired.time >= now_);
+    if (fired.seq >= batch_seq_end_ || fired.time != batch_time_ ||
+        fired.priority != batch_priority_) {
+      batch_time_ = fired.time;
+      batch_priority_ = fired.priority;
+      batch_seq_end_ = events_.next_seq();
+      ++batches_dispatched_;
+    }
+    now_ = fired.time;
     ++events_executed_;
     fired.fn();
   }
 }
 
 SimTime Simulator::Run() {
-  stop_requested_ = false;
-  while (!stop_requested_ && !events_.empty()) {
-    DispatchBatch();
-  }
+  DispatchUntil(SimTime::Max());
   return now_;
 }
 
 SimTime Simulator::RunUntil(SimTime deadline) {
-  stop_requested_ = false;
-  while (!stop_requested_ && !events_.empty() && events_.NextTime() <= deadline) {
-    DispatchBatch();
-  }
+  DispatchUntil(deadline);
   // Clock semantics: RunUntil advances to the deadline even if the model
   // went quiet earlier, so utilization denominators are exact.  A
   // RequestStop() leaves the clock where the stopping event fired.

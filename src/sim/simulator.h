@@ -59,24 +59,30 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
   /// Number of same-(time, priority) batches dispatched by Run/RunUntil.
-  /// The interval-synchronous model fires many events per instant, so
-  /// this is typically far below events_executed().
+  /// A batch is the events sharing the earliest key that were already
+  /// pending when it opened; Step() counts none.
   uint64_t batches_dispatched() const { return batches_dispatched_; }
 
   size_t pending_events() const { return events_.size(); }
 
  private:
-  /// Executes one batch of same-(time, priority) events: a single
-  /// ordered front lookup (EventQueue::PopInterval) followed by O(1)
-  /// staged pops, instead of one ordered pop per event.  Firing order
-  /// is identical to a Step() loop; see EventQueue::PopInterval.
-  void DispatchBatch();
+  /// The pop loop behind Run/RunUntil: fires events up to `deadline`
+  /// until the set drains or a stop is requested.  A popped event opens
+  /// a new batch unless it shares the open batch's (time, priority) and
+  /// was scheduled before the batch opened, so anything a callback
+  /// schedules, even at the same key, starts a batch of its own.
+  void DispatchUntil(SimTime deadline);
 
   EventQueue events_;
   SimTime now_ = SimTime::Zero();
   bool stop_requested_ = false;
   uint64_t events_executed_ = 0;
   uint64_t batches_dispatched_ = 0;
+  // The open batch's key; an event joins it only if its seq is below
+  // batch_seq_end_ (0 = no batch open).
+  SimTime batch_time_;
+  int batch_priority_ = 0;
+  uint64_t batch_seq_end_ = 0;
 };
 
 /// \brief Repeats a callback every `period`, starting at `start`.

@@ -1,12 +1,10 @@
-// Differential test of the calendar-queue event kernel against the
-// binary-heap implementation it replaced.  The reference below is the
-// old heap verbatim (modulo naming): (time, priority, seq) heap with
-// lazy cancellation through id sets.  Every observable — firing order,
-// NextTime(), size(), Cancel() return values — must match the calendar
-// queue at every step of a randomized op sequence, across seeds that
-// exercise clustered instants, far-future overflow (multiple ring
-// years), priority ties, cancels of staged events, and schedules that
-// preempt an open batch.
+// Differential test of the event kernel against an independent
+// reference: a std::priority_queue over (time, priority, seq) with lazy
+// cancellation through id sets.  Every observable — firing order,
+// NextTime(), size(), Cancel() return values — must match at every step
+// of a randomized op sequence, across seeds that exercise clustered
+// instants, wide and far-future time spans, priority ties, and cancels
+// of events at the top of the heap.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +21,7 @@
 namespace stagger {
 namespace {
 
-// The pre-calendar binary-heap event queue, kept as an executable
-// specification.  Interface matches EventQueue except that handles are
+// The reference event queue, kept as an executable specification.  Interface matches EventQueue except that handles are
 // plain ids (EventHandle's constructor is private to EventQueue).
 class ReferenceEventQueue {
  public:
@@ -99,16 +96,16 @@ class ReferenceEventQueue {
 
 // One scheduled event mirrored into both queues.
 struct Mirrored {
-  EventHandle cal_handle;
+  EventHandle q_handle;
   uint64_t ref_handle = 0;
 };
 
 // Seed-dependent time distribution.  Cycles through regimes so every
-// seed stresses a different bucket pattern:
+// seed stresses a different key pattern:
 //   0: clustered — a handful of distinct instants (dense ties)
-//   1: uniform within one ring year
-//   2: far future — spans many ring years (overflow + rebase)
-//   3: day-aligned — exact multiples of the calendar day width
+//   1: uniform over ~2 s
+//   2: far future — uniform over ~4.8 h
+//   3: aligned — 512 instants 8192 us apart
 int64_t DrawTime(Rng& rng, uint64_t seed) {
   switch (seed % 4) {
     case 0:
@@ -118,8 +115,7 @@ int64_t DrawTime(Rng& rng, uint64_t seed) {
     case 2:
       return static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 34));
     default:
-      return static_cast<int64_t>(rng.NextBounded(512)) *
-             EventQueue::kDayMicros;
+      return static_cast<int64_t>(rng.NextBounded(512)) * 8192;
   }
 }
 
@@ -128,10 +124,10 @@ int64_t DrawTime(Rng& rng, uint64_t seed) {
 void RunLockstep(uint64_t seed, int rounds) {
   SCOPED_TRACE(testing::Message() << "seed " << seed);
   Rng rng(seed);
-  EventQueue cal;
+  EventQueue q;
   ReferenceEventQueue ref;
   std::vector<Mirrored> events;
-  std::vector<size_t> cal_log;
+  std::vector<size_t> q_log;
   std::vector<size_t> ref_log;
 
   for (int round = 0; round < rounds; ++round) {
@@ -141,127 +137,45 @@ void RunLockstep(uint64_t seed, int rounds) {
       const SimTime when = SimTime::Micros(DrawTime(rng, seed));
       const int priority = static_cast<int>(rng.NextBounded(7)) - 3;
       Mirrored m;
-      m.cal_handle =
-          cal.Schedule(when, [&cal_log, index] { cal_log.push_back(index); },
-                       priority);
+      m.q_handle = q.Schedule(
+          when, [&q_log, index] { q_log.push_back(index); }, priority);
       m.ref_handle =
           ref.Schedule(when, [&ref_log, index] { ref_log.push_back(index); },
                        priority);
-      EXPECT_TRUE(m.cal_handle.valid());
+      EXPECT_TRUE(m.q_handle.valid());
       events.push_back(m);
     } else if (action < 0.75 && !events.empty()) {
       // Cancel a random event: maybe live, maybe fired, maybe already
       // cancelled.  Both queues must agree on the return value.
       Mirrored& m = events[rng.NextBounded(events.size())];
       const bool ref_result = ref.Cancel(m.ref_handle);
-      const bool cal_result = cal.Cancel(m.cal_handle);
-      ASSERT_EQ(cal_result, ref_result);
+      const bool q_result = q.Cancel(m.q_handle);
+      ASSERT_EQ(q_result, ref_result);
     } else if (!ref.empty()) {
-      ASSERT_FALSE(cal.empty());
+      ASSERT_FALSE(q.empty());
       ReferenceEventQueue::Fired rf = ref.PopNext();
-      EventQueue::Fired cf = cal.PopNext();
+      EventQueue::Fired cf = q.PopNext();
       ASSERT_EQ(cf.time, rf.time);
       rf.fn();
       cf.fn();
-      ASSERT_EQ(cal_log, ref_log);
+      ASSERT_EQ(q_log, ref_log);
     }
-    ASSERT_EQ(cal.size(), ref.size());
-    ASSERT_EQ(cal.empty(), ref.empty());
-    ASSERT_EQ(cal.NextTime(), ref.NextTime());
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    ASSERT_EQ(q.NextTime(), ref.NextTime());
   }
 
   // Drain both; identical residue in identical order.
   while (!ref.empty()) {
-    ASSERT_EQ(cal.NextTime(), ref.NextTime());
+    ASSERT_EQ(q.NextTime(), ref.NextTime());
     ReferenceEventQueue::Fired rf = ref.PopNext();
-    EventQueue::Fired cf = cal.PopNext();
+    EventQueue::Fired cf = q.PopNext();
     ASSERT_EQ(cf.time, rf.time);
     rf.fn();
     cf.fn();
   }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal_log, ref_log);
-}
-
-// Drains the calendar queue in batched mode (PopInterval/PopStaged)
-// against the reference popping one event at a time, with adversarial
-// interference while a batch is open: cancels of staged events and
-// schedules that tie with or preempt the open batch key.
-void RunBatchedLockstep(uint64_t seed, int rounds) {
-  SCOPED_TRACE(testing::Message() << "seed " << seed);
-  Rng rng(seed);
-  EventQueue cal;
-  ReferenceEventQueue ref;
-  std::vector<Mirrored> events;
-  std::vector<size_t> cal_log;
-  std::vector<size_t> ref_log;
-
-  auto schedule = [&](SimTime when, int priority) {
-    const size_t index = events.size();
-    Mirrored m;
-    m.cal_handle =
-        cal.Schedule(when, [&cal_log, index] { cal_log.push_back(index); },
-                     priority);
-    m.ref_handle =
-        ref.Schedule(when, [&ref_log, index] { ref_log.push_back(index); },
-                     priority);
-    events.push_back(m);
-  };
-
-  for (int i = 0; i < rounds; ++i) {
-    schedule(SimTime::Micros(DrawTime(rng, seed)),
-             static_cast<int>(rng.NextBounded(5)) - 2);
-  }
-
-  while (!ref.empty()) {
-    ASSERT_FALSE(cal.empty());
-    const EventQueue::Batch batch = cal.PopInterval();
-    ASSERT_EQ(batch.time, ref.NextTime());
-    // Re-requesting the open batch is idempotent.
-    const EventQueue::Batch again = cal.PopInterval();
-    ASSERT_EQ(again.time, batch.time);
-    ASSERT_EQ(again.priority, batch.priority);
-
-    EventQueue::Fired cf;
-    while (cal.PopStaged(&cf)) {
-      ReferenceEventQueue::Fired rf = ref.PopNext();
-      ASSERT_EQ(cf.time, rf.time);
-      ASSERT_EQ(cf.time, batch.time);
-      rf.fn();
-      cf.fn();
-      ASSERT_EQ(cal_log, ref_log);
-      ASSERT_EQ(cal.size(), ref.size());
-
-      const double interfere = rng.NextDouble();
-      if (interfere < 0.15 && !events.empty()) {
-        // Cancel a random event — possibly one staged in the open
-        // batch; it must not fire from either queue.
-        Mirrored& m = events[rng.NextBounded(events.size())];
-        ASSERT_EQ(cal.Cancel(m.cal_handle), ref.Cancel(m.ref_handle));
-      } else if (interfere < 0.3) {
-        // Schedule relative to the open batch: before it (forces the
-        // calendar to put the staged remainder back), tying with it
-        // (fires within the batch, after already-staged events), or
-        // after it.
-        const int64_t base = batch.time.micros();
-        const uint64_t mode = rng.NextBounded(3);
-        int64_t when = base;
-        int priority = batch.priority;
-        if (mode == 0) {
-          when = base - static_cast<int64_t>(rng.NextBounded(
-                            static_cast<uint64_t>(base) + 1));
-          priority = static_cast<int>(rng.NextBounded(5)) - 2;
-        } else if (mode == 2) {
-          when = base + 1 + static_cast<int64_t>(rng.NextBounded(1 << 16));
-          priority = static_cast<int>(rng.NextBounded(5)) - 2;
-        }
-        schedule(SimTime::Micros(when), priority);
-      }
-      ASSERT_EQ(cal.NextTime(), ref.NextTime());
-    }
-  }
-  EXPECT_TRUE(cal.empty());
-  EXPECT_EQ(cal_log, ref_log);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q_log, ref_log);
 }
 
 TEST(EventQueueEquivalenceTest, LockstepMatchesReferenceAcrossSeeds) {
@@ -271,22 +185,15 @@ TEST(EventQueueEquivalenceTest, LockstepMatchesReferenceAcrossSeeds) {
   }
 }
 
-TEST(EventQueueEquivalenceTest, BatchedDrainMatchesReferenceAcrossSeeds) {
-  for (uint64_t seed = 101; seed <= 156; ++seed) {
-    RunBatchedLockstep(seed, 600);
-    if (HasFatalFailure()) return;
-  }
-}
-
 TEST(EventQueueEquivalenceTest, CancelAfterFireAgreesWithReference) {
-  EventQueue cal;
+  EventQueue q;
   ReferenceEventQueue ref;
-  EventHandle ch = cal.Schedule(SimTime::Micros(5), [] {});
+  EventHandle ch = q.Schedule(SimTime::Micros(5), [] {});
   uint64_t rh = ref.Schedule(SimTime::Micros(5), [] {});
-  cal.PopNext();
+  q.PopNext();
   ref.PopNext();
-  EXPECT_EQ(cal.Cancel(ch), ref.Cancel(rh));
-  EXPECT_FALSE(cal.Cancel(ch));
+  EXPECT_EQ(q.Cancel(ch), ref.Cancel(rh));
+  EXPECT_FALSE(q.Cancel(ch));
 }
 
 }  // namespace

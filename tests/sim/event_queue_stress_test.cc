@@ -1,4 +1,4 @@
-// Randomized stress of the event queue's lazy-cancellation machinery:
+// Randomized stress of the event queue's cancellation machinery:
 // interleave schedules, cancels (including double-cancels and cancels
 // of fired events), and pops; verify ordering, counts, and that no
 // cancelled event ever fires.
@@ -72,9 +72,8 @@ TEST(EventQueueStressTest, RandomScheduleCancelPop) {
   }
 }
 
-// Every event on one instant: the whole queue is a single calendar
-// bucket / a single batch.  Insertion order must be preserved exactly,
-// interleaved cancels included.
+// Every event on one instant: ordering rests on seq alone.  Insertion
+// order must be preserved exactly, interleaved cancels included.
 TEST(EventQueueStressTest, SingleIntervalCohort) {
   Rng rng(7);
   EventQueue q;
@@ -100,20 +99,19 @@ TEST(EventQueueStressTest, SingleIntervalCohort) {
   EXPECT_EQ(fired, expected);
 }
 
-// One event per calendar day, spaced exactly one day apart across many
-// ring years: every pop lands on a different bucket and the drain
-// crosses several ring rebases.
+// One event every 8192 us over ~8.5 s, scheduled in reverse: every pop
+// is a distinct instant and every schedule sifts to the top.
 TEST(EventQueueStressTest, OneEventPerCalendarDay) {
   EventQueue q;
-  const int kDays = 4 * EventQueue::kNumDays + 17;
+  const int kDays = 4 * 256 + 17;
   std::vector<int> fired;
   for (int i = kDays - 1; i >= 0; --i) {
-    q.Schedule(SimTime::Micros(i * EventQueue::kDayMicros),
+    q.Schedule(SimTime::Micros(i * int64_t{8192}),
                [&fired, i] { fired.push_back(i); });
   }
   int64_t expect = 0;
   while (!q.empty()) {
-    EXPECT_EQ(q.NextTime(), SimTime::Micros(expect * EventQueue::kDayMicros));
+    EXPECT_EQ(q.NextTime(), SimTime::Micros(expect * 8192));
     auto f = q.PopNext();
     f.fn();
     ++expect;
@@ -122,17 +120,16 @@ TEST(EventQueueStressTest, OneEventPerCalendarDay) {
   for (int i = 0; i < kDays; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-// Monotonically increasing far-future times: each schedule lands in the
-// overflow map far beyond the ring, and each pop forces the ring to
-// rebase onto a new year.  Alternating schedule/pop keeps the queue
-// nearly empty, the worst case for rebase frequency.
+// Monotonically increasing far-future times, each more than 6 s past
+// the last (the final one ~10 h out).  Alternating schedule/pop keeps
+// the queue nearly empty while the clock races ahead.
 TEST(EventQueueStressTest, MonotoneFarFutureOverflow) {
   EventQueue q;
-  const int64_t year = EventQueue::kDayMicros * EventQueue::kNumDays;
+  const int64_t kSpanMicros = 2097152;  // ~2.1 s
   int64_t t = 0;
   int fired = 0;
   for (int i = 0; i < 2000; ++i) {
-    t += year * 3 + 12345 * i;
+    t += kSpanMicros * 3 + 12345 * i;
     q.Schedule(SimTime::Micros(t), [&fired] { ++fired; });
     if (i % 2 == 0) {
       auto f = q.PopNext();
@@ -150,8 +147,8 @@ TEST(EventQueueStressTest, MonotoneFarFutureOverflow) {
 }
 
 // Callbacks scheduling more events while the queue is mid-drain,
-// including same-instant events at a lower priority than the one in
-// flight (which must preempt an open batch rather than be skipped).
+// including a same-instant event at a lower priority number than the
+// one in flight, which must fire next rather than be skipped.
 TEST(EventQueueStressTest, ScheduleFromInsideCallback) {
   EventQueue q;
   std::vector<int> fired;
@@ -167,35 +164,28 @@ TEST(EventQueueStressTest, ScheduleFromInsideCallback) {
     });
   };
 
-  int preempted = 0;
   q.Schedule(SimTime::Micros(10),
              [&] {
                clock = 10;
                fired.push_back(1);
-               // Same time, smaller priority value: outranks the open
-               // (10, priority 0) batch, so the calendar must hand the
-               // staged remainder back and fire this before moving on.
-               q.Schedule(SimTime::Micros(10), [&] { ++preempted; },
-                          /*priority=*/-5);
                spawn(0);
+               q.Schedule(SimTime::Micros(10), [&] { fired.push_back(0); },
+                          /*priority=*/-5);
              },
              /*priority=*/0);
+  q.Schedule(SimTime::Micros(10), [&] { fired.push_back(2); },
+             /*priority=*/0);
 
-  // Drain in batched mode to exercise stage reentrancy.  Events fire in
-  // nondecreasing time even though callbacks keep scheduling.
+  // Events fire in nondecreasing time even though callbacks keep
+  // scheduling.
   int64_t last_us = 0;
   while (!q.empty()) {
-    const EventQueue::Batch batch = q.PopInterval();
-    EXPECT_GE(batch.time.micros(), last_us);
-    last_us = batch.time.micros();
-    EventQueue::Fired f;
-    while (q.PopStaged(&f)) {
-      EXPECT_EQ(f.time.micros(), last_us);
-      f.fn();
-    }
+    auto f = q.PopNext();
+    EXPECT_GE(f.time.micros(), last_us);
+    last_us = f.time.micros();
+    f.fn();
   }
-  EXPECT_EQ(preempted, 1);
-  EXPECT_EQ(fired, (std::vector<int>{1, 100, 101, 102, 103, 104, 105}));
+  EXPECT_EQ(fired, (std::vector<int>{1, 0, 2, 100, 101, 102, 103, 104, 105}));
 }
 
 TEST(EventQueueStressTest, CancelEverythingLeavesCleanQueue) {

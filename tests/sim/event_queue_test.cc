@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "sim/simulator.h"
+
 namespace stagger {
 namespace {
 
@@ -107,6 +109,10 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
   }
 }
 
+// The four tests below check same-instant cohorts: the queue pops them in
+// (priority, seq) order, and Simulator::Run draws the batch boundaries
+// from each popped key and the queue's next_seq().
+
 TEST(EventQueueTest, PopIntervalReturnsWholeCohort) {
   EventQueue q;
   std::vector<int> order;
@@ -115,19 +121,31 @@ TEST(EventQueueTest, PopIntervalReturnsWholeCohort) {
   }
   q.Schedule(SimTime::Seconds(2), [&order] { order.push_back(99); });
 
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.time, SimTime::Seconds(1));
-  EXPECT_EQ(batch.priority, 0);
-  EXPECT_EQ(batch.count, 5u);
-
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) {
+  const uint64_t seq_end = q.next_seq();
+  for (int i = 0; i < 5; ++i) {
+    EventQueue::Fired f = q.PopNext();
     EXPECT_EQ(f.time, SimTime::Seconds(1));
+    EXPECT_EQ(f.priority, 0);
+    EXPECT_LT(f.seq, seq_end);
     f.fn();
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.NextTime(), SimTime::Seconds(2));
+
+  // Run dispatches the whole cohort as one batch.
+  Simulator sim;
+  std::vector<int> sim_order;
+  for (int i = 0; i < 5; ++i) {
+    sim.ScheduleAt(SimTime::Seconds(1),
+                   [&sim_order, i] { sim_order.push_back(i); });
+  }
+  sim.ScheduleAt(SimTime::Seconds(2), [&sim_order] { sim_order.push_back(99); });
+  EXPECT_EQ(sim.RunUntil(SimTime::Seconds(1)), SimTime::Seconds(1));
+  EXPECT_EQ(sim_order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_EQ(sim.batches_dispatched(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(EventQueueTest, PriorityPartitionsBatchesAtOneInstant) {
@@ -136,15 +154,19 @@ TEST(EventQueueTest, PriorityPartitionsBatchesAtOneInstant) {
   q.Schedule(SimTime::Seconds(1), [] {}, /*priority=*/1);
   q.Schedule(SimTime::Seconds(1), [] {}, /*priority=*/1);
 
-  EventQueue::Batch first = q.PopInterval();
-  EXPECT_EQ(first.priority, 1);
-  EXPECT_EQ(first.count, 2u);
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) f.fn();
+  EXPECT_EQ(q.PopNext().priority, 1);
+  EXPECT_EQ(q.PopNext().priority, 1);
+  EXPECT_EQ(q.PopNext().priority, 2);
+  EXPECT_TRUE(q.empty());
 
-  EventQueue::Batch second = q.PopInterval();
-  EXPECT_EQ(second.priority, 2);
-  EXPECT_EQ(second.count, 1u);
+  // One instant, two priorities: two batches of 2 and 1.
+  Simulator sim;
+  sim.ScheduleAt(SimTime::Seconds(1), [] {}, /*priority=*/2);
+  sim.ScheduleAt(SimTime::Seconds(1), [] {}, /*priority=*/1);
+  sim.ScheduleAt(SimTime::Seconds(1), [] {}, /*priority=*/1);
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(sim.batches_dispatched(), 2u);
 }
 
 TEST(EventQueueTest, CancelWhileStagedPreventsFiring) {
@@ -154,41 +176,63 @@ TEST(EventQueueTest, CancelWhileStagedPreventsFiring) {
   EventHandle victim = q.Schedule(SimTime::Seconds(1), [&] { ++fired; });
   q.Schedule(SimTime::Seconds(1), [&] { ++fired; });
 
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.count, 3u);
-  EXPECT_TRUE(q.Cancel(victim));  // staged but not yet popped
+  q.PopNext().fn();
+  EXPECT_TRUE(q.Cancel(victim));  // same instant, not yet popped
   EXPECT_FALSE(q.Cancel(victim));
-
-  EventQueue::Fired f;
-  while (q.PopStaged(&f)) f.fn();
+  while (!q.empty()) q.PopNext().fn();
   EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(q.empty());
+
+  // Cancelled from inside the cohort's first callback: the rest of the
+  // cohort still fires as the same batch.
+  Simulator sim;
+  int sim_fired = 0;
+  EventHandle sim_victim;
+  sim.ScheduleAt(SimTime::Seconds(1), [&] {
+    ++sim_fired;
+    EXPECT_TRUE(sim.Cancel(sim_victim));
+  });
+  sim_victim = sim.ScheduleAt(SimTime::Seconds(1), [&] { ++sim_fired; });
+  sim.ScheduleAt(SimTime::Seconds(1), [&] { ++sim_fired; });
+  sim.Run();
+  EXPECT_EQ(sim_fired, 2);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.batches_dispatched(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(EventQueueTest, EqualKeyScheduleJoinsOpenBatchInstant) {
   EventQueue q;
   std::vector<int> order;
   q.Schedule(SimTime::Seconds(1), [&] { order.push_back(0); });
-  (void)q.PopInterval();
-
-  EventQueue::Fired f;
-  ASSERT_TRUE(q.PopStaged(&f));
-  f.fn();
-  // Same (time, priority) as the open batch: its seq is larger than
-  // every staged entry, so it fires at this instant, after them.
+  const uint64_t seq_end = q.next_seq();
+  q.PopNext().fn();
+  // Same (time, priority) as the event just fired: it fires at this
+  // instant, with a seq past the one its batch opened with.
   q.Schedule(SimTime::Seconds(1), [&] { order.push_back(1); });
-  while (q.PopStaged(&f)) f.fn();
-  // The new event is found by the next PopInterval at the same key.
-  EventQueue::Batch batch = q.PopInterval();
-  EXPECT_EQ(batch.time, SimTime::Seconds(1));
-  while (q.PopStaged(&f)) f.fn();
+  EventQueue::Fired f = q.PopNext();
+  EXPECT_EQ(f.time, SimTime::Seconds(1));
+  EXPECT_GE(f.seq, seq_end);
+  f.fn();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
+
+  // Under Run the same-key event fires at the same instant, as a new
+  // batch.
+  Simulator sim;
+  std::vector<int> sim_order;
+  sim.ScheduleAt(SimTime::Seconds(1), [&] {
+    sim_order.push_back(0);
+    sim.ScheduleAt(sim.Now(), [&] { sim_order.push_back(1); });
+  });
+  EXPECT_EQ(sim.Run(), SimTime::Seconds(1));
+  EXPECT_EQ(sim_order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.batches_dispatched(), 2u);
 }
 
 TEST(EventQueueTest, ScheduleAndCancelChurnKeepsMemoryBounded) {
   EventQueue q;
   // One million schedule/cancel pairs against a small live set.  With
-  // eager slot reclamation and bucket compaction, neither the buffered
+  // eager callback release and heap compaction, neither the buffered
   // entries nor the slot table may grow with the churn count.
   std::vector<EventHandle> live;
   for (int i = 0; i < 64; ++i) {
@@ -212,11 +256,6 @@ TEST(EventQueueTest, ScheduleAndCancelChurnKeepsMemoryBounded) {
 TEST(EventQueueDeathTest, PopOnEmptyAborts) {
   EventQueue q;
   EXPECT_DEATH(q.PopNext(), "PopNext on empty");
-}
-
-TEST(EventQueueDeathTest, PopIntervalOnEmptyAborts) {
-  EventQueue q;
-  EXPECT_DEATH(q.PopInterval(), "PopInterval on empty");
 }
 
 }  // namespace

@@ -191,10 +191,67 @@ TEST(SimulatorTest, BatchedRunMatchesStepLoopOnFaultReplay) {
     EXPECT_EQ(run_scenario.log[i], step_scenario.log[i]) << "at index " << i;
   }
   EXPECT_EQ(run_sim.events_executed(), step_sim.events_executed());
+  EXPECT_EQ(run_sim.events_executed(), 48u);
+  EXPECT_EQ(run_sim.batches_dispatched(), 37u);
 
-  // Batching is real: many same-instant events per dispatched batch.
+  // Same-instant cohorts count once per batch; Step() counts none.
   EXPECT_GT(run_sim.events_executed(), run_sim.batches_dispatched());
   EXPECT_EQ(step_sim.batches_dispatched(), 0u);
+}
+
+// Where Run() draws batch boundaries.  A batch is the run of events
+// sharing the earliest (time, priority) that were already pending when
+// the batch opened, so each instant below scripts one way a callback can
+// end or reshape its cohort.
+TEST(SimulatorTest, BatchBoundariesFollowCallbacks) {
+  Simulator sim;
+  std::vector<int> order;
+  auto log = [&order](int tag) { return [&order, tag] { order.push_back(tag); }; };
+
+  // t = 1 s: a same-key schedule from inside the cohort fires after the
+  // cohort, as a batch of its own.
+  sim.ScheduleAt(SimTime::Seconds(1), [&] {
+    order.push_back(10);
+    sim.ScheduleAt(sim.Now(), log(12));
+  });
+  sim.ScheduleAt(SimTime::Seconds(1), log(11));
+
+  // t = 2 s: a same-instant schedule with a lower priority number
+  // preempts the rest of the cohort, which resumes as a new batch.
+  sim.ScheduleAt(SimTime::Seconds(2), [&] {
+    order.push_back(20);
+    sim.ScheduleAt(sim.Now(), log(22), /*priority=*/-1);
+  });
+  sim.ScheduleAt(SimTime::Seconds(2), log(21));
+
+  // t = 3 s: cancelling a pending member of the cohort keeps it from
+  // firing and leaves the batch whole.
+  EventHandle victim;
+  sim.ScheduleAt(SimTime::Seconds(3), [&] {
+    order.push_back(30);
+    EXPECT_TRUE(sim.Cancel(victim));
+  });
+  victim = sim.ScheduleAt(SimTime::Seconds(3), log(31));
+  sim.ScheduleAt(SimTime::Seconds(3), log(32));
+
+  // t = 4 s: RequestStop in mid-cohort; the next Run opens a new batch.
+  sim.ScheduleAt(SimTime::Seconds(4), log(40));
+  sim.ScheduleAt(SimTime::Seconds(4), [&] {
+    order.push_back(41);
+    sim.RequestStop();
+  });
+  sim.ScheduleAt(SimTime::Seconds(4), log(42));
+
+  EXPECT_EQ(sim.Run(), SimTime::Seconds(4));
+  EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 20, 22, 21, 30, 32, 40, 41}));
+  EXPECT_EQ(sim.events_executed(), 10u);
+  EXPECT_EQ(sim.batches_dispatched(), 7u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  EXPECT_EQ(sim.Run(), SimTime::Seconds(4));
+  EXPECT_EQ(order.back(), 42);
+  EXPECT_EQ(sim.events_executed(), 11u);
+  EXPECT_EQ(sim.batches_dispatched(), 8u);
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
