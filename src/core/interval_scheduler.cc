@@ -42,7 +42,7 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
       vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream),
       vdisk_occupied_(frame) {
   scratch_taken_.Resize(disks->num_disks());
-  claimed_epoch_.assign(static_cast<size_t>(disks->num_disks()), 0);
+  claimed_.Resize(disks->num_disks());
   ticker_ = std::make_unique<PeriodicTicker>(
       sim_, epoch_, config_.interval, [this](int64_t tick) { Tick(tick); });
 }
@@ -182,8 +182,6 @@ void IntervalScheduler::EraseActive(StreamId id) {
 
 STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
   interval_index_ = tick_index;
-  // Entries stamped in earlier intervals go stale without any clearing.
-  claim_stamp_ = tick_index + 1;
   RetryPaused();
   TryAdmissions();
   AdvanceStreams();
@@ -369,7 +367,8 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // coalescing migration either keeps the same read target this
   // interval or postpones the read, so the precomputed set stays sound.)
   // Disk health only changes between ticks (fault events), so when every
-  // disk is up the set is never consulted and its build is skipped.
+  // disk is up and no cell is corrupt the set is never consulted: its
+  // build, and the clearing of last interval's bits, are skipped.
   const bool degraded = config_.degraded_policy != DegradedPolicy::kNone;
   const bool any_down = degraded && disks_->UnavailableCount() > 0;
   // Latent sector errors trip the same degraded ladder: a read whose
@@ -378,6 +377,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   const LatentErrorMap& latent = disks_->latent_errors();
   const bool latent_active = latent.active();
   if (any_down || (degraded && latent_active)) {
+    claimed_.ClearAll();
     for (const auto& [id, slot] : active_) {
       const Stream& s = slots_[static_cast<size_t>(slot)];
       const int64_t tau = s.Tau(interval_index_);
@@ -386,7 +386,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         if (tau < lane.next_read_tau) continue;
         int32_t physical = lane.vdisk + rot;
         if (physical >= d) physical -= d;
-        MarkClaimed(physical);
+        claimed_.Set(physical);
       }
     }
   }
@@ -432,13 +432,25 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     // Lockstep fast path.  A contiguous stream's lanes are admitted
     // together and then read every interval, so they stay identical in
     // reads_done / next_read_tau and occupy M adjacent virtual disks
-    // (a pause mid-stripe retires the stream before divergence can
-    // reach this loop).  One masked range-reserve plus a branchless
-    // lane update replaces the per-lane scatter.  Audit builds keep
-    // the per-lane path so the alignment audit covers every read; the
-    // release-preset golden traces pin both paths to the same history.
-    if (s.lockstep && !any_down && !latent_active && !observe &&
-        s.degree > 0) {
+    // (a degraded read keeps the lanes in step, and a pause mid-stripe
+    // retires the stream before divergence can reach this loop).  One
+    // masked range-reserve plus a branchless lane update replaces the
+    // per-lane scatter.  Under faults a stream whose M disks are all
+    // available and carry no corrupt cell stays on this path: the
+    // per-lane walk would reserve exactly those disks at this point of
+    // the loop and touch nothing else.  Audit builds keep the per-lane
+    // path so the alignment audit covers every read; the release-preset
+    // golden traces and the fast-path differentials pin both paths to
+    // the same history.  The healthy-array test stays whole and first:
+    // folding the clean-stripe test into it measurably slowed the
+    // fault-free loop (fig8_matrix, about 7%).
+    bool lockstep = s.lockstep && !any_down && !latent_active && !observe &&
+                    s.degree > 0;
+    if (!lockstep && s.lockstep && !observe && s.degree > 0 &&
+        (any_down || latent_active)) [[unlikely]] {
+      lockstep = StripeClean(s, rot, any_down, latent_active);
+    }
+    if (lockstep) {
       FragmentLane* lanes = s.lanes.data();
       if (!lanes[0].released() && lanes[0].reads_done < s.num_subobjects &&
           tau >= lanes[0].next_read_tau) {
@@ -512,7 +524,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
                   lane.reads_done * config_.stride + s.degree,
               d));
           if (disks_->IsAvailable(parity_disk) &&
-              !disks_->SlotBusy(parity_disk) && !IsClaimed(parity_disk) &&
+              !disks_->SlotBusy(parity_disk) && !claimed_.Test(parity_disk) &&
               !(latent_active &&
                 latent.IsCorrupt(parity_disk, lane.reads_done))) {
             read_disk = parity_disk;
@@ -532,7 +544,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
           pausing = true;
           break;
         }
-        MarkClaimed(read_disk);
+        claimed_.Set(read_disk);
       }
       disks_->ReserveSlot(read_disk);
       if (observe) {
@@ -591,27 +603,38 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   scratch_finished_.clear();
 }
 
-int32_t IntervalScheduler::FindDegradedSubstitute(const Stream& s,
-                                                  size_t lane_index) const {
+STAGGER_HOT_PATH bool IntervalScheduler::StripeClean(const Stream& s,
+                                                     int32_t rot,
+                                                     bool any_down,
+                                                     bool latent_active) const {
+  // A released lane has no disk; its stream has no reads left.
+  if (s.lanes[0].released()) return false;
+  int32_t first = s.lanes[0].vdisk + rot;
+  if (first >= frame_.num_disks()) first -= frame_.num_disks();
+  return (!any_down ||
+          disks_->unavailable_slots().WindowClear(first, s.degree)) &&
+         (!latent_active ||
+          disks_->latent_errors().corrupt_disks().WindowClear(first, s.degree));
+}
+
+STAGGER_HOT_PATH int32_t IntervalScheduler::FindDegradedSubstitute(
+    const Stream& s, size_t lane_index) const {
   const int32_t d = frame_.num_disks();
   const FragmentLane& lane = s.lanes[lane_index];
-  const auto usable = [&](int32_t disk) {
-    return disks_->IsAvailable(disk) && !disks_->SlotBusy(disk) &&
-           !IsClaimed(disk);
-  };
   // Surviving disks of the subobject's own stripe first — they hold the
   // sibling fragments a stripe-level replica reconstructs from — then
-  // any disk with slack this interval.
+  // the lowest-numbered disk with slack this interval, found by one
+  // word scan of unavailable | busy | claimed.
   const int64_t base = static_cast<int64_t>(s.start_disk) +
                        lane.reads_done * config_.stride;
   for (int32_t j = 0; j < s.degree; ++j) {
     const int32_t cand = static_cast<int32_t>(PositiveMod(base + j, d));
-    if (usable(cand)) return cand;
+    if (disks_->IsAvailable(cand) && !disks_->SlotBusy(cand) &&
+        !claimed_.Test(cand)) {
+      return cand;
+    }
   }
-  for (int32_t cand = 0; cand < d; ++cand) {
-    if (usable(cand)) return cand;
-  }
-  return -1;
+  return disks_->FirstIdleAvailableSlot(claimed_);
 }
 
 void IntervalScheduler::PauseStream(StreamId id) {

@@ -34,6 +34,7 @@
 #include "disk/disk_array.h"
 #include "sim/simulator.h"
 #include "util/bitmap.h"
+#include "util/hot_path.h"
 #include "util/result.h"
 #include "util/stats.h"
 
@@ -285,17 +286,16 @@ class IntervalScheduler {
   void RetryPaused();
   /// Tears down an active stream and parks its undelivered remainder.
   void PauseStream(StreamId id);
-  /// Marks `disk` as due to be read by some active lane this interval.
-  void MarkClaimed(int32_t disk) {
-    claimed_epoch_[static_cast<size_t>(disk)] = claim_stamp_;
-  }
-  bool IsClaimed(int32_t disk) const {
-    return claimed_epoch_[static_cast<size_t>(disk)] == claim_stamp_;
-  }
+  /// True when lockstep stream `s`'s M disks this interval (virtual
+  /// disks shifted by rotation `rot`) include no unavailable disk
+  /// (checked when `any_down`) and no disk carrying a corrupt cell
+  /// (checked when `latent_active`): the stream then reads exactly as
+  /// on a healthy array.  Two window tests.
+  bool StripeClean(const Stream& s, int32_t rot, bool any_down,
+                   bool latent_active) const;
   /// Physical disk with slack to absorb lane `lane_index`'s read this
-  /// interval, or -1.  Consults the claimed-disk stamps of the current
-  /// interval (disks some active lane is due to read, whether or not
-  /// already reserved).
+  /// interval, or -1.  Consults claimed_ (disks some active lane is due
+  /// to read this interval, whether or not already reserved).
   int32_t FindDegradedSubstitute(const Stream& s, size_t lane_index) const;
 
   Simulator* sim_;
@@ -337,12 +337,13 @@ class IntervalScheduler {
   /// scratch_taken_bits_ are cleared after each attempt.
   Bitmap scratch_taken_;
   std::vector<int32_t> scratch_taken_bits_;
-  /// Claimed-disk set as interval-stamped epochs: claimed_epoch_[d] ==
-  /// claim_stamp_ means claimed this interval.  Never cleared; stamping
-  /// makes last interval's entries stale for free.  Built only when some
-  /// disk is actually down.
-  std::vector<int64_t> claimed_epoch_;
-  int64_t claim_stamp_ = 0;
+  /// Claimed-disk set, slot-indexed: bit set == some active lane is due
+  /// to read the disk this interval, or a degraded read took it.
+  /// Rebuilt (cleared, then filled) only on ticks with a down disk or a
+  /// corrupt cell — the only ticks that read it — so fault-free ticks
+  /// pay nothing.  Degraded substitutes scan it word-wise together with
+  /// the array's unavailable and busy sets.
+  Bitmap claimed_;
   std::vector<StreamId> scratch_finished_;
   std::vector<StreamId> scratch_to_pause_;
 

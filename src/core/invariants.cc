@@ -473,7 +473,15 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         << (s.disks_->disk(disk).health() == DiskHealth::kFailed ? "failed"
                                                                  : "stalled")
         << " yet carries load this interval";
+    // The word scans and the lockstep clean-stripe test read health
+    // from the availability bitmap, so it must mirror every disk.
+    STAGGER_AUDIT_VERIFY(s.disks_->unavailable_slots().Test(disk) ==
+                         !s.disks_->IsAvailable(disk))
+        << "; disk " << disk << " availability bit disagrees with its health";
   }
+  // Likewise the latent map's per-disk index, which lets clean disks
+  // skip the cell map.
+  STAGGER_RETURN_NOT_OK(s.disks_->latent_errors().AuditIndex());
 
   // No double-scheduling: each live request handle is in exactly one of
   // the pending queue, the paused set, or the active stream table.

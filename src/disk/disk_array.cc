@@ -1,6 +1,7 @@
 #include "disk/disk_array.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
@@ -27,7 +28,7 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
                      int32_t num_slots, int32_t num_spares)
     : drives_(std::move(drives)), params_(params), num_slots_(num_slots),
       num_spares_(num_spares), clock_(std::make_unique<IntervalClock>()),
-      latent_errors_(std::make_unique<LatentErrorMap>()) {
+      latent_errors_(std::make_unique<LatentErrorMap>(num_slots)) {
   latent_errors_->AttachClock(clock_.get());
   slot_to_drive_.resize(static_cast<size_t>(num_slots));
   for (int32_t i = 0; i < num_slots; ++i) slot_to_drive_[static_cast<size_t>(i)] = i;
@@ -36,6 +37,7 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
   busy_drives_.Resize(static_cast<int32_t>(drives_.size()));
   drive_busy_intervals_.assign(drives_.size(), 0);
   unavailable_slots_.Resize(num_slots);
+  remapped_slots_.Resize(num_slots);
 }
 
 bool DiskArray::RunIsIdle(DiskId start, int32_t len) const {
@@ -60,12 +62,39 @@ int32_t DiskArray::IdleCount() const {
   return idle;
 }
 
-int32_t DiskArray::IdleAvailableCount() const {
+uint64_t DiskArray::BusySlotWordRemapped(int32_t w) const {
+  // A rewired slot's own bit names its retired drive; take its new
+  // drive's bit instead.
+  uint64_t rewired = remapped_slots_.word(w);
+  uint64_t busy = busy_drives_.word(w) & ~rewired;
+  while (rewired != 0) {
+    const int bit = std::countr_zero(rewired);
+    if (SlotBusy((w << 6) + bit)) busy |= uint64_t{1} << bit;
+    rewired &= rewired - 1;
+  }
+  return busy;
+}
+
+STAGGER_HOT_PATH int32_t DiskArray::IdleAvailableCount() const {
   int32_t idle = 0;
-  for (int32_t d = 0; d < num_slots_; ++d) {
-    if (!SlotBusy(d) && !unavailable_slots_.Test(d)) ++idle;
+  for (int32_t w = 0; w < unavailable_slots_.num_words(); ++w) {
+    idle += std::popcount(IdleAvailableWord(w));
   }
   return idle;
+}
+
+STAGGER_HOT_PATH int32_t DiskArray::FirstIdleAvailableSlot(
+    const Bitmap& exclude) const {
+  STAGGER_DCHECK(exclude.size() == num_slots_);
+  for (int32_t w = 0; w < unavailable_slots_.num_words(); ++w) {
+    const uint64_t free = IdleAvailableWord(w) & ~exclude.word(w);
+    if (free == 0) continue;
+    const int32_t slot = (w << 6) + std::countr_zero(free);
+    STAGGER_DCHECK(IsAvailable(slot) && !SlotBusy(slot) && !exclude.Test(slot))
+        << "slot scan returned unusable slot " << slot;
+    return slot;
+  }
+  return -1;
 }
 
 void DiskArray::NoteAvailabilityChange(DiskId slot, bool was) {
@@ -159,8 +188,10 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   claimed_spares_.erase(it);
   slot_to_drive_[static_cast<size_t>(slot)] = drive;
   // Adjacent slots may now straddle non-adjacent drives, so ReserveRun
-  // must fall back to per-slot reservation from here on.
+  // must fall back to per-slot reservation from here on, and the slot
+  // scans must patch the rewired slots' busy bits.
   dense_slots_ = false;
+  remapped_slots_.Set(slot);
   // The slot flips from failed to healthy: its new drive is fresh.
   NoteAvailabilityChange(slot, /*was=*/false);
   // The rebuilt content was reconstructed from verified survivors onto

@@ -17,7 +17,10 @@
 // counters in ascending drive order and clears it word-by-word.  Slot
 // availability is mirrored in a bitmap so AvailableCount()/
 // UnavailableCount() are O(1) — the scheduler's healthy-path test per
-// tick.
+// tick — and the idle-and-available queries (FirstIdleAvailableSlot,
+// IdleAvailableCount) are word scans over unavailable | busy, O(D/64).
+// Until a spare promotion the busy bitmap's first D bits are the slots'
+// busy bits; afterwards the few rewired slots are patched in per word.
 
 #ifndef STAGGER_DISK_DISK_ARRAY_H_
 #define STAGGER_DISK_DISK_ARRAY_H_
@@ -156,7 +159,12 @@ class DiskArray {
   const Bitmap& unavailable_slots() const { return unavailable_slots_; }
   /// Slots currently available AND idle this interval — the measured
   /// idle bandwidth the background budget (src/background/) may grant.
-  int32_t IdleAvailableCount() const;
+  /// One masked popcount per word, O(D/64).
+  STAGGER_HOT_PATH int32_t IdleAvailableCount() const;
+  /// Lowest slot that is available, idle this interval and clear in
+  /// `exclude` (a D-bit slot bitmap), or -1.  The same slot a linear
+  /// scan of 0..D-1 finds, in O(D/64) words.
+  STAGGER_HOT_PATH int32_t FirstIdleAvailableSlot(const Bitmap& exclude) const;
   /// Total slot-intervals spent in the degraded state (serving or not),
   /// across all disks and the whole run.
   int64_t degraded_disk_intervals() const { return degraded_disk_intervals_; }
@@ -239,6 +247,24 @@ class DiskArray {
   /// Removes `slot` from the degraded-slot walk list.
   void DropDegradedSlot(DiskId slot);
 
+  /// Word `w` of the slot-space busy set once slots are rewired: bit i
+  /// set == slot 64w + i's drive is transferring this interval.
+  uint64_t BusySlotWordRemapped(int32_t w) const;
+
+  /// Word `w` of the slots idle AND available this interval, bits at or
+  /// past D cleared.  Until a promotion slot i is drive i, so the busy
+  /// bitmap's word is the slots' busy word (its bits past D belong to
+  /// spares and are masked here).
+  STAGGER_HOT_PATH uint64_t IdleAvailableWord(int32_t w) const {
+    const uint64_t busy =
+        dense_slots_ ? busy_drives_.word(w) : BusySlotWordRemapped(w);
+    uint64_t free = ~(unavailable_slots_.word(w) | busy);
+    if (w == unavailable_slots_.num_words() - 1 && (num_slots_ & 63) != 0) {
+      free &= ~uint64_t{0} >> (64 - (num_slots_ & 63));
+    }
+    return free;
+  }
+
   /// ReserveRun fallback once slot_to_drive_ is no longer the identity:
   /// adjacent slots may sit on arbitrary drives, so reserve one by one.
   void ReserveRunRemapped(DiskId start, int32_t len);
@@ -277,8 +303,12 @@ class DiskArray {
   /// Heap-allocated like clock_ so reader-held pointers survive moves.
   std::unique_ptr<LatentErrorMap> latent_errors_;
   /// True while slot_to_drive_ is the identity (no spare promoted yet):
-  /// ReserveRun may then treat a slot run as a drive-bitmap bit range.
+  /// ReserveRun may then treat a slot run as a drive-bitmap bit range,
+  /// and the slot-space busy set is the busy bitmap's first D bits.
   bool dense_slots_ = true;
+  /// Bit set == slot rewired onto a promoted spare (slot_to_drive_[s] !=
+  /// s); BusySlotWordRemapped patches these in.
+  Bitmap remapped_slots_;
 };
 
 }  // namespace stagger

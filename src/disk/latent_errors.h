@@ -21,6 +21,11 @@
 // region), and are cleared only by an explicit Repair (a verified
 // rewrite) or by DropDiskRebuilt (a spare promotion replaces the whole
 // medium).
+//
+// Per-disk index: a slot bitmap marks the disks that carry at least one
+// cell, so IsCorrupt on a clean disk is one bit test and the scheduler
+// can ask whether a whole stripe's disks are clean with one window
+// test.  Only the few disks with cells reach the cell map.
 
 #ifndef STAGGER_DISK_LATENT_ERRORS_H_
 #define STAGGER_DISK_LATENT_ERRORS_H_
@@ -29,7 +34,10 @@
 #include <map>
 
 #include "disk/disk.h"
+#include "util/bitmap.h"
+#include "util/hot_path.h"
 #include "util/stats.h"
+#include "util/status.h"
 
 namespace stagger {
 
@@ -51,6 +59,9 @@ class LatentErrorMap {
     int64_t detected_interval = -1;  ///< -1 until some reader notices
   };
 
+  /// \param num_disks  D: cells live on disks [0, D).
+  explicit LatentErrorMap(int32_t num_disks) : corrupt_disks_(num_disks) {}
+
   /// Binds the registry to the array's shared interval clock; all
   /// timestamps below are that clock's interval count.
   void AttachClock(const IntervalClock* clock) { clock_ = clock; }
@@ -66,8 +77,13 @@ class LatentErrorMap {
   int64_t ActiveCells() const { return active_cells_; }
 
   /// True when the fragment at row `subobject` of `disk` would read
-  /// back corrupt.
-  bool IsCorrupt(DiskId disk, int64_t subobject) const;
+  /// back corrupt.  O(1) for a disk without cells.
+  STAGGER_HOT_PATH bool IsCorrupt(DiskId disk, int64_t subobject) const {
+    return corrupt_disks_.Test(disk) && CellCorrupt(disk, subobject);
+  }
+
+  /// Slot bitmap: bit set == the disk carries at least one corrupt cell.
+  const Bitmap& corrupt_disks() const { return corrupt_disks_; }
 
   /// Records that a reader noticed the corruption (checksum mismatch).
   /// Returns true when this is the first detection of the cell.
@@ -91,11 +107,19 @@ class LatentErrorMap {
 
   const LatentErrorMetrics& metrics() const { return metrics_; }
 
+  /// Cross-checks the per-disk index and the cell count against the
+  /// cell map (audit builds run it every interval).
+  Status AuditIndex() const;
+
  private:
   int64_t now() const { return clock_ ? clock_->intervals : 0; }
+  /// Cell-map lookup behind IsCorrupt's index test.
+  bool CellCorrupt(DiskId disk, int64_t subobject) const;
 
   const IntervalClock* clock_ = nullptr;
   std::map<DiskId, std::map<int64_t, Cell>> cells_;
+  /// Bit d set == cells_ holds a (non-empty) entry for disk d.
+  Bitmap corrupt_disks_;
   int64_t active_cells_ = 0;
   LatentErrorMetrics metrics_;
 };

@@ -209,16 +209,18 @@ std::vector<LostFragment> StripedServer::LostFragmentsOn(DiskId slot) const {
     if (!objects_->IsResident(id)) continue;
     const StaggeredLayout& layout = objects_->LayoutOf(id);
     const int64_t n = catalog_->Get(id).num_subobjects;
+    const int32_t d = layout.num_disks();
+    const int32_t m = layout.degree();
+    // Row i occupies the M data disks (then the parity disk) from its
+    // first disk on, so `slot` holds at most one of its fragments: the
+    // one at offset (slot - first) mod D, when the row reaches it.
+    const int32_t width = layout.FragmentsPerSubobject();
     for (int64_t i = 0; i < n; ++i) {
-      for (int32_t j = 0; j < layout.degree(); ++j) {
-        if (layout.DiskFor(i, j) != slot) continue;
-        lost.push_back(LostFragment{id, i, j, layout.FirstDiskFor(i),
-                                    layout.degree()});
-      }
-      if (layout.has_parity() && layout.ParityDiskFor(i) == slot) {
-        lost.push_back(LostFragment{id, i, layout.degree(),
-                                    layout.FirstDiskFor(i), layout.degree()});
-      }
+      const int32_t first = layout.FirstDiskFor(i);
+      int32_t j = slot - first;
+      if (j < 0) j += d;
+      if (j >= width) continue;
+      lost.push_back(LostFragment{id, i, j, first, m});
     }
   }
   return lost;
@@ -251,6 +253,11 @@ void StripedServer::OnDiskDown(DiskId disk, SimTime /*now*/) {
   // spare.  A slot already rebuilding keeps its job.
   if (disks_->disk(disk).health() != DiskHealth::kFailed) return;
   if (rebuild_->rebuilding(disk)) return;
+  // With every spare held, StartRebuild would refuse (ResourceExhausted)
+  // before touching any state; skip the lost-fragment walk it would
+  // throw away.  A correlated-domain failure downs many disks at once,
+  // and only the first few can get a spare.
+  if (disks_->FreeSpareCount() == 0) return;
   Status st = rebuild_->StartRebuild(disk, LostFragmentsOn(disk));
   // An exhausted spare pool leaves the slot to the degraded-read path.
   STAGGER_CHECK(st.ok() || st.IsResourceExhausted()) << st.ToString();

@@ -4,7 +4,9 @@
 // bit flips must cost O(1).  Wrap-around windows split into at most two
 // linear ranges; each linear range is checked with word-level masks.
 // The same masks drive the first/last-free scans of the virtual-disk
-// searches, over a cyclic sub-block ("ring") of the bitmap.
+// searches, over a cyclic sub-block ("ring") of the bitmap.  Callers
+// that fold several bitmaps into one scan (the disk array's idle-and-
+// available queries) read the backing words directly.
 
 #ifndef STAGGER_UTIL_BITMAP_H_
 #define STAGGER_UTIL_BITMAP_H_
@@ -35,6 +37,14 @@ class Bitmap {
   }
 
   int32_t size() const { return size_; }
+
+  /// Backing words: word w holds bits [64w, 64w + 64); bits at or past
+  /// size() read 0.  For callers combining several bitmaps word-wise.
+  int32_t num_words() const { return static_cast<int32_t>(words_.size()); }
+  STAGGER_HOT_PATH uint64_t word(int32_t w) const {
+    STAGGER_DCHECK(w >= 0 && w < num_words());
+    return words_[static_cast<size_t>(w)];
+  }
 
   STAGGER_HOT_PATH bool Test(int32_t i) const {
     STAGGER_DCHECK(i >= 0 && i < size_);

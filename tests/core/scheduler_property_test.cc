@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/interval_scheduler.h"
@@ -206,6 +207,152 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
   };
   for (uint64_t seed : {1ull, 7ull, 99ull, 31415ull}) {
     EXPECT_EQ(run(false, seed), run(true, seed)) << "seed=" << seed;
+  }
+}
+
+// The same differential with faults arriving mid-run: failed, stalled
+// and degraded disks, a failed slot rewired onto a spare, and latent
+// cells injected and repaired, under the remap and reconstruct ladders.
+// Lockstep streams whose disks stay clean keep the range-reserve path
+// while other disks are faulty; the no-op read observer forces every
+// stream through the per-lane walk, so the two runs must agree on every
+// degraded-mode counter and on each slot's utilization.
+TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
+  constexpr int32_t kDisks = 70;  // two bitmap words, the second partial
+  const SimTime interval = SimTime::Millis(605);
+  auto run = [&](DegradedPolicy policy, AdmissionPolicy admission,
+                 bool force_per_lane_path, uint64_t seed) {
+    Simulator sim;
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation(),
+                                   /*num_spares=*/2);
+    SchedulerConfig config;
+    config.stride = 3;
+    config.interval = interval;
+    config.policy = admission;
+    config.coalesce = admission == AdmissionPolicy::kFragmented;
+    config.degraded_policy = policy;
+    if (force_per_lane_path) {
+      config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
+                                int32_t) {};
+    }
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    DiskArray* array = &*disks;
+    Rng rng(seed);
+    // Faults land mid-interval, between ticks, as fault events do.
+    const auto at_interval = [&](int64_t t) {
+      return interval * t + SimTime::Millis(300);
+    };
+    SimTime at = SimTime::Zero();
+    // Enough load to fill the array, so some degraded reads find no
+    // slack anywhere and pause.
+    for (int i = 0; i < 200; ++i) {
+      DisplayRequest req;
+      req.object = i;
+      req.degree = static_cast<int32_t>(1 + rng.NextBounded(6));
+      req.start_disk = static_cast<int32_t>(rng.NextBounded(kDisks));
+      req.num_subobjects = static_cast<int64_t>(1 + rng.NextBounded(80));
+      req.parity = policy == DegradedPolicy::kReconstruct;
+      at += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(600000)));
+      sim.ScheduleAt(at, [&sched, req = std::move(req)]() mutable {
+        (void)(*sched)->Submit(std::move(req));
+      });
+    }
+    // Health faults on ten distinct disks, each undone later (the
+    // fourth kind rewires a failed slot onto a spare instead).
+    std::vector<int32_t> order(kDisks);
+    for (int32_t i = 0; i < kDisks; ++i) order[static_cast<size_t>(i)] = i;
+    for (int32_t i = kDisks - 1; i > 0; --i) {
+      std::swap(order[static_cast<size_t>(i)],
+                order[rng.NextBounded(static_cast<uint64_t>(i) + 1)]);
+    }
+    for (int f = 0; f < 10; ++f) {
+      const int32_t disk = order[static_cast<size_t>(f)];
+      const int64_t start = 3 + static_cast<int64_t>(rng.NextBounded(80));
+      const int64_t end = start + 3 + static_cast<int64_t>(rng.NextBounded(40));
+      const int kind = static_cast<int>(rng.NextBounded(4));
+      sim.ScheduleAt(at_interval(start), [array, disk, kind] {
+        if (kind == 0 || kind == 3) array->FailDisk(disk);
+        if (kind == 1) array->StallDisk(disk);
+        if (kind == 2) array->DegradeDisk(disk, 50);
+      });
+      sim.ScheduleAt(at_interval(end), [array, disk, kind] {
+        if (kind == 3) {
+          auto spare = array->AcquireSpare();
+          if (spare.ok()) {
+            array->PromoteSpare(disk, *spare);
+            return;
+          }
+        }
+        array->RecoverDisk(disk);
+      });
+    }
+    // Latent cells on random disks and rows, half of them repaired.
+    for (int e = 0; e < 12; ++e) {
+      const int32_t disk = static_cast<int32_t>(rng.NextBounded(kDisks));
+      const int64_t lo = static_cast<int64_t>(rng.NextBounded(40));
+      const int64_t hi = lo + static_cast<int64_t>(rng.NextBounded(6));
+      const int64_t when = static_cast<int64_t>(rng.NextBounded(100));
+      const int64_t repair_at =
+          e % 2 == 0 ? when + 1 + static_cast<int64_t>(rng.NextBounded(30))
+                     : -1;
+      sim.ScheduleAt(at_interval(when), [array, disk, lo, hi] {
+        array->latent_errors().Inject(disk, lo, hi);
+      });
+      if (repair_at < 0) continue;
+      sim.ScheduleAt(at_interval(repair_at), [array, disk, lo, hi] {
+        LatentErrorMap& latent = array->latent_errors();
+        for (int64_t row = lo; row <= hi; ++row) {
+          if (latent.IsCorrupt(disk, row)) latent.Repair(disk, row);
+        }
+      });
+    }
+    sim.RunUntil(SimTime::Hours(1));
+    const SchedulerMetrics& m = (*sched)->metrics();
+    std::vector<double> fingerprint = {
+        static_cast<double>(m.displays_completed),
+        static_cast<double>(m.fragmented_admissions),
+        static_cast<double>(m.coalesce_migrations),
+        static_cast<double>(m.hiccups),
+        static_cast<double>(m.degraded_reads),
+        static_cast<double>(m.reconstructed_reads),
+        static_cast<double>(m.corrupt_reads_detected),
+        static_cast<double>(m.streams_paused),
+        static_cast<double>(m.streams_resumed),
+        static_cast<double>(m.displays_interrupted),
+        m.buffered_fragments.current(),
+        m.startup_latency_sec.mean(),
+        static_cast<double>(array->degraded_disk_intervals()),
+    };
+    for (int32_t slot = 0; slot < kDisks; ++slot) {
+      fingerprint.push_back(array->SlotUtilization(slot));
+    }
+    return fingerprint;
+  };
+  for (const DegradedPolicy policy :
+       {DegradedPolicy::kRemapOrPause, DegradedPolicy::kReconstruct}) {
+    for (const AdmissionPolicy admission :
+         {AdmissionPolicy::kContiguous, AdmissionPolicy::kFragmented}) {
+      // Indices of degraded_reads .. streams_paused in the fingerprint.
+      double remapped = 0, reconstructed = 0, corrupt = 0, paused = 0;
+      for (uint64_t seed : {3ull, 11ull, 2024ull}) {
+        const std::vector<double> fast = run(policy, admission, false, seed);
+        EXPECT_EQ(fast, run(policy, admission, true, seed))
+            << "policy=" << static_cast<int>(policy)
+            << " admission=" << static_cast<int>(admission)
+            << " seed=" << seed;
+        remapped += fast[4];
+        reconstructed += fast[5];
+        corrupt += fast[6];
+        paused += fast[7];
+      }
+      // The load must actually reach the degraded ladder.
+      EXPECT_GT(remapped, 0);
+      EXPECT_GT(corrupt, 0);
+      EXPECT_GT(paused, 0);
+      if (policy == DegradedPolicy::kReconstruct) {
+        EXPECT_GT(reconstructed, 0);
+      }
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk.h"
+#include "util/bitmap.h"
+#include "util/rng.h"
 
 namespace stagger {
 namespace {
@@ -314,6 +316,174 @@ TEST(DiskArrayLatentTest, SparePromotionDropsTheSlotsCells) {
   EXPECT_TRUE(array.latent_errors().IsCorrupt(3, 9));
   EXPECT_EQ(array.latent_errors().metrics().repaired_by_rebuild, 3);
   EXPECT_EQ(array.latent_errors().ActiveCells(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Word scans: the idle-and-available queries against a per-slot walk.
+// ---------------------------------------------------------------------
+
+int32_t NaiveFirstIdleAvailable(const DiskArray& array, const Bitmap& exclude) {
+  for (int32_t slot = 0; slot < array.num_disks(); ++slot) {
+    if (array.IsAvailable(slot) && !array.SlotBusy(slot) &&
+        !exclude.Test(slot)) {
+      return slot;
+    }
+  }
+  return -1;
+}
+
+int32_t NaiveIdleAvailableCount(const DiskArray& array) {
+  int32_t idle = 0;
+  for (int32_t slot = 0; slot < array.num_disks(); ++slot) {
+    if (array.IsAvailable(slot) && !array.SlotBusy(slot)) ++idle;
+  }
+  return idle;
+}
+
+// Random health, busy and exclusion states over several intervals, on
+// array sizes around the 64-bit word boundaries, with spares written to
+// (their busy bits sit past slot D - 1 in the same words) and failed
+// slots rewired onto promoted spares.
+TEST(DiskArrayScanTest, WordScansMatchPerSlotWalk) {
+  for (const int32_t d : {1, 5, 63, 64, 65, 127, 130, 200}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      DiskArray array = MakeArrayWithSpares(d, 3);
+      Rng rng(seed * 7919 + static_cast<uint64_t>(d));
+      Bitmap exclude(d);
+      if (seed % 2 == 0) {
+        // Start remapped: a failed slot already rewired onto a spare.
+        const DiskId slot = static_cast<DiskId>(seed % static_cast<uint64_t>(d));
+        array.FailDisk(slot);
+        auto drive = array.AcquireSpare();
+        ASSERT_TRUE(drive.ok());
+        array.PromoteSpare(slot, *drive);
+      }
+      for (int round = 0; round < 60; ++round) {
+        const DiskId slot = static_cast<DiskId>(rng.NextBounded(
+            static_cast<uint64_t>(d)));
+        switch (rng.NextBounded(6)) {
+          case 0: {  // a health transition
+            const DiskHealth health = array.disk(slot).health();
+            if (health == DiskHealth::kHealthy) {
+              const uint64_t kind = rng.NextBounded(3);
+              if (kind == 0) array.FailDisk(slot);
+              if (kind == 1) array.StallDisk(slot);
+              if (kind == 2) {
+                array.DegradeDisk(slot,
+                                  static_cast<int32_t>(1 + rng.NextBounded(99)));
+              }
+            } else if (health == DiskHealth::kFailed &&
+                       array.FreeSpareCount() > 0 && rng.NextBool(0.5)) {
+              auto drive = array.AcquireSpare();
+              ASSERT_TRUE(drive.ok());
+              array.PromoteSpare(slot, *drive);
+            } else {
+              array.RecoverDisk(slot);
+            }
+            break;
+          }
+          case 1: {  // a spare write, as a rebuild makes
+            if (array.FreeSpareCount() == 0) break;
+            auto drive = array.AcquireSpare();
+            ASSERT_TRUE(drive.ok());
+            if (!array.DriveBusy(*drive)) array.ReserveDrive(*drive);
+            array.ReturnSpare(*drive);
+            break;
+          }
+          case 2:  // flip exclusion bits
+            for (int i = 0; i < 4; ++i) {
+              const int32_t bit = static_cast<int32_t>(
+                  rng.NextBounded(static_cast<uint64_t>(d)));
+              if (exclude.Test(bit)) {
+                exclude.Clear(bit);
+              } else {
+                exclude.Set(bit);
+              }
+            }
+            break;
+          case 3:
+            array.EndInterval();
+            break;
+          default:  // load: reserve a quarter of the slots at random
+            for (int32_t i = 0; i < d / 4 + 1; ++i) {
+              const DiskId s = static_cast<DiskId>(
+                  rng.NextBounded(static_cast<uint64_t>(d)));
+              if (array.IsAvailable(s) && !array.SlotBusy(s)) {
+                array.ReserveSlot(s);
+              }
+            }
+            break;
+        }
+        ASSERT_EQ(array.FirstIdleAvailableSlot(exclude),
+                  NaiveFirstIdleAvailable(array, exclude))
+            << "D=" << d << " seed=" << seed << " round=" << round;
+        ASSERT_EQ(array.IdleAvailableCount(), NaiveIdleAvailableCount(array))
+            << "D=" << d << " seed=" << seed << " round=" << round;
+      }
+    }
+  }
+}
+
+TEST(DiskArrayScanTest, FullArrayHasNoIdleSlot) {
+  DiskArray array = MakeArrayWithSpares(130, 1);
+  Bitmap exclude(130);
+  array.ReserveRun(0, 130);
+  EXPECT_EQ(array.FirstIdleAvailableSlot(exclude), -1);
+  EXPECT_EQ(array.IdleAvailableCount(), 0);
+  array.EndInterval();
+  exclude.SetRange(0, 129);
+  EXPECT_EQ(array.FirstIdleAvailableSlot(exclude), 129);
+  array.FailDisk(129);
+  EXPECT_EQ(array.FirstIdleAvailableSlot(exclude), -1);
+  EXPECT_EQ(array.IdleAvailableCount(), 129);
+}
+
+// The per-disk index behind IsCorrupt's O(1) clean-disk answer stays in
+// step with the cell map through overlapping injections, repairs and
+// rebuilt-slot drops.
+TEST(DiskArrayLatentTest, PerDiskIndexMatchesCells) {
+  constexpr int32_t kDisks = 70;
+  DiskArray array = MakeArrayWithSpares(kDisks, 2);
+  LatentErrorMap& latent = array.latent_errors();
+  Rng rng(42);
+  for (int step = 0; step < 500; ++step) {
+    const DiskId disk = static_cast<DiskId>(rng.NextBounded(kDisks));
+    const uint64_t op = rng.NextBounded(8);
+    if (op < 4) {
+      const int64_t lo = static_cast<int64_t>(rng.NextBounded(20));
+      latent.Inject(disk, lo, lo + static_cast<int64_t>(rng.NextBounded(4)));
+    } else if (op < 7) {
+      // Repair one cell of a random disk that carries any.
+      auto it = latent.cells().lower_bound(disk);
+      if (it == latent.cells().end()) it = latent.cells().begin();
+      if (it != latent.cells().end()) {
+        latent.Repair(it->first, it->second.begin()->first);
+      }
+    } else {
+      latent.DropDiskRebuilt(disk);
+    }
+    int64_t cells = 0;
+    for (DiskId d = 0; d < kDisks; ++d) {
+      const auto it = latent.cells().find(d);
+      const bool has = it != latent.cells().end();
+      ASSERT_EQ(latent.corrupt_disks().Test(d), has) << "step " << step;
+      if (has) cells += static_cast<int64_t>(it->second.size());
+      for (int64_t row = 0; row < 25; ++row) {
+        ASSERT_EQ(latent.IsCorrupt(d, row), has && it->second.count(row) > 0)
+            << "step " << step << " disk " << d << " row " << row;
+      }
+    }
+    ASSERT_EQ(latent.ActiveCells(), cells);
+    ASSERT_TRUE(latent.AuditIndex().ok()) << latent.AuditIndex();
+  }
+  // A spare promotion drops the rewired slot's cells from the index.
+  latent.Inject(5, 0, 2);
+  array.FailDisk(5);
+  auto drive = array.AcquireSpare();
+  ASSERT_TRUE(drive.ok());
+  array.PromoteSpare(5, *drive);
+  EXPECT_FALSE(latent.corrupt_disks().Test(5));
+  EXPECT_TRUE(latent.AuditIndex().ok());
 }
 
 }  // namespace

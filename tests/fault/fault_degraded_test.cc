@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -115,6 +116,29 @@ TEST_F(DegradedSchedulerTest, RemapKeepsDisplayOnSchedule) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The claimed set is per interval: a disk a lane read in one interval
+// is free to absorb a remapped read in the next.  Disk 0 is claimed at
+// interval 0 (stream 1's only read) and idle at interval 1, when stream
+// 0's read of failed disk 5 needs a substitute.
+TEST_F(DegradedSchedulerTest, ClaimedSetIsRebuiltEveryInterval) {
+  Init(10, 1, DegradedPolicy::kRemapOrPause);
+  FaultPlan plan;
+  plan.FailAt(5, SimTime::Zero());
+  Inject(plan);
+
+  Probe remapped, early;
+  Request(0, 4, 1, 3, &remapped);
+  Request(1, 0, 1, 1, &early);
+  sim_.RunUntil(SimTime::Minutes(1));
+
+  EXPECT_TRUE(remapped.completed);
+  EXPECT_TRUE(early.completed);
+  EXPECT_EQ(sched_->metrics().degraded_reads, 1);
+  const Read want{1, 0, 1, 0, 0};
+  EXPECT_NE(std::find(reads_.begin(), reads_.end(), want), reads_.end())
+      << "stream 0's interval-1 read was not remapped onto disk 0";
 }
 
 // A transient stall is treated exactly like a short outage.

@@ -3,10 +3,46 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace stagger {
+
+/// Reaches StripedServer::LostFragmentsOn, the private rebuild work list.
+class StripedServerTestPeer {
+ public:
+  static std::vector<LostFragment> LostFragmentsOn(const StripedServer& s,
+                                                   DiskId slot) {
+    return s.LostFragmentsOn(slot);
+  }
+
+  /// Reference: probe every fragment of every row with DiskFor /
+  /// ParityDiskFor, as the rebuild work list was first built.
+  static std::vector<LostFragment> ProbeEveryFragment(const StripedServer& s,
+                                                      DiskId slot) {
+    std::vector<LostFragment> lost;
+    for (ObjectId id = 0; id < s.catalog_->size(); ++id) {
+      if (!s.objects_->IsResident(id)) continue;
+      const StaggeredLayout& layout = s.objects_->LayoutOf(id);
+      const int64_t n = s.catalog_->Get(id).num_subobjects;
+      for (int64_t i = 0; i < n; ++i) {
+        for (int32_t j = 0; j < layout.degree(); ++j) {
+          if (layout.DiskFor(i, j) != slot) continue;
+          lost.push_back(LostFragment{id, i, j, layout.FirstDiskFor(i),
+                                      layout.degree()});
+        }
+        if (layout.has_parity() && layout.ParityDiskFor(i) == slot) {
+          lost.push_back(LostFragment{id, i, layout.degree(),
+                                      layout.FirstDiskFor(i), layout.degree()});
+        }
+      }
+    }
+    return lost;
+  }
+};
+
 namespace {
 
 constexpr SimTime kInterval = SimTime::Micros(604800);
@@ -242,6 +278,49 @@ TEST_F(StripedServerTest, AccessCountsDriveLfu) {
   EXPECT_TRUE(miss.completed);
   EXPECT_TRUE(server_->object_manager().IsResident(0));   // accessed: kept
   EXPECT_TRUE(server_->object_manager().IsResident(15));  // newly landed
+}
+
+// The closed-form lost-fragment list (one offset per row) matches the
+// per-fragment probe entry for entry, in order, on random layouts:
+// strides above 1, parity on and off, rows that wrap past disk D - 1.
+TEST(StripedServerLostFragmentsTest, ClosedFormMatchesPerFragmentProbe) {
+  Rng rng(20240101);
+  int64_t compared = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const int32_t d = static_cast<int32_t>(6 + rng.NextBounded(12));
+    const double mbps = 20.0 * static_cast<double>(1 + rng.NextBounded(5));
+    Simulator sim;
+    Catalog catalog = Catalog::Uniform(
+        8, static_cast<int64_t>(5 + rng.NextBounded(60)), Bandwidth::Mbps(mbps));
+    auto disks = DiskArray::Create(d, DiskParameters::Evaluation());
+    ASSERT_TRUE(disks.ok());
+    TertiaryManager tertiary(&sim, TertiaryDevice(TertiaryParameters{}));
+    StripedConfig config;
+    config.stride = static_cast<int32_t>(1 + rng.NextBounded(
+                                                 static_cast<uint64_t>(d)));
+    config.parity = rng.NextBool(0.5);
+    config.align_start_to_stride = rng.NextBool(0.5);
+    config.preload_objects = 8;
+    auto server =
+        StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
+    ASSERT_TRUE(server.ok()) << server.status();
+    for (DiskId slot = 0; slot < d; ++slot) {
+      const std::vector<LostFragment> got =
+          StripedServerTestPeer::LostFragmentsOn(**server, slot);
+      const std::vector<LostFragment> want =
+          StripedServerTestPeer::ProbeEveryFragment(**server, slot);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial << " slot " << slot;
+      for (size_t e = 0; e < got.size(); ++e) {
+        EXPECT_EQ(got[e].object, want[e].object);
+        EXPECT_EQ(got[e].subobject, want[e].subobject);
+        EXPECT_EQ(got[e].fragment, want[e].fragment);
+        EXPECT_EQ(got[e].stripe_first_disk, want[e].stripe_first_disk);
+        EXPECT_EQ(got[e].degree, want[e].degree);
+      }
+      compared += static_cast<int64_t>(got.size());
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 }  // namespace
