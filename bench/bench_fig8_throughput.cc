@@ -144,8 +144,8 @@ int Run(bool quick, bool csv, bool report_json) {
   }
 
   // Scale point at a hundred times the paper's array: D = 100000 disks
-  // with 2000 concurrent stations, where the contiguous lockstep tick
-  // does nearly all the work.
+  // with 2000 concurrent stations, where the range-reserves of
+  // contiguous lanes do nearly all the work.
   {
     ExperimentConfig big;
     big.num_disks = 100000;

@@ -85,9 +85,9 @@ BENCHMARK(BM_SchedulerIntervalTick)->Arg(50)->Arg(200);
 
 // The same load on a faulty array: four failed slots and three disks
 // carrying latent cells over every row the run reads, under
-// kReconstruct with parity.  Streams over clean disks stay lockstep;
-// the rest walk the degraded ladder (parity reads, substitutes, pauses
-// and retries) every interval.
+// kReconstruct with parity.  Lanes over clean disks keep their
+// range-reserve; the rest send each fragment down the degraded ladder
+// (parity reads, substitutes, pauses and retries) every interval.
 void BM_SchedulerIntervalTickDegraded(benchmark::State& state) {
   const int32_t num_streams = static_cast<int32_t>(state.range(0));
   for (auto _ : state) {
@@ -270,7 +270,8 @@ int main(int argc, char** argv) {
   // all P candidates (before orbit order), same workload.
   report.SetBaseline("BM_SchedulerIntervalTickCoalesce/200", 114517.0);
   // Per-disk walks on the fault path (linear substitute scan, nested-map
-  // latent lookups, no lockstep reserve under faults), same workload.
+  // latent lookups, no range-reserve for clean runs under faults), same
+  // workload.
   report.SetBaseline("BM_SchedulerIntervalTickDegraded/200", 23888.9);
 
   stagger::CapturingReporter reporter(&report);

@@ -104,21 +104,32 @@ Result<RequestId> IntervalScheduler::Seek(RequestId id, int32_t new_start_disk,
   if (it == request_to_stream_.end() || it->second == kNoStream) {
     return Status::FailedPrecondition("Seek requires an active stream");
   }
+  if (new_start_disk < 0 || new_start_disk >= frame_.num_disks() ||
+      new_num_subobjects < 1) {
+    return Status::InvalidArgument("seek target out of range");
+  }
   Stream* s = FindStream(it->second);
   STAGGER_CHECK(s != nullptr);
-  DisplayRequest req;
-  req.object = s->object;
-  req.degree = s->degree;
-  req.start_disk = new_start_disk;
-  req.num_subobjects = new_num_subobjects;
-  req.parity = s->parity;
-  req.on_started = s->on_started;
-  req.on_completed = s->on_completed;
-  req.on_interrupted = s->on_interrupted;
+  // The remainder re-enters the queue as the same display, the way
+  // RetryPaused re-admits a paused stream: it was requested and admitted
+  // once, and its startup sample fired if it had started.
+  Pending p{next_request_id_++, DisplayRequest{}, s->arrival_time,
+            /*resumed=*/true,
+            /*started=*/s->delivered > 0 || s->resumed_mid_display};
+  p.req.object = s->object;
+  p.req.degree = s->degree;
+  p.req.start_disk = new_start_disk;
+  p.req.num_subobjects = new_num_subobjects;
+  p.req.parity = s->parity;
+  p.req.on_started = std::move(s->on_started);
+  p.req.on_completed = std::move(s->on_completed);
+  p.req.on_interrupted = std::move(s->on_interrupted);
 
   FinishStream(it->second, /*completed=*/false);
   request_to_stream_.erase(it);
-  return Submit(std::move(req));
+  request_to_stream_[p.id] = kNoStream;
+  queue_.push_back(std::move(p));
+  return queue_.back().id;
 }
 
 int32_t IntervalScheduler::idle_virtual_disks() const {
@@ -241,34 +252,29 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
     // stand in for it.
     int32_t down = 0;
     for (int32_t j = 0; j < m; ++j) {
-      const int32_t physical = static_cast<int32_t>(PositiveMod(
-          static_cast<int64_t>(p.req.start_disk) + j, frame_.num_disks()));
+      const int32_t physical = RowDisk(p.req.start_disk, /*row=*/0, j);
       if (!disks_->IsAvailable(physical)) ++down;
     }
     if (down > 0) {
-      const int32_t parity_disk = static_cast<int32_t>(PositiveMod(
-          static_cast<int64_t>(p.req.start_disk) + m, frame_.num_disks()));
       const bool reconstructable =
           config_.degraded_policy == DegradedPolicy::kReconstruct &&
-          p.req.parity && down == 1 && disks_->IsAvailable(parity_disk);
+          p.req.parity && down == 1 &&
+          disks_->IsAvailable(ParityDisk(p.req.start_disk, m, /*row=*/0));
       if (!reconstructable) return false;
     }
   }
+  // One lane: the M fragments read together from M adjacent disks.
   LaneArray lanes;
-  lanes.Assign(m);
-  for (int32_t j = 0; j < m; ++j) {
-    lanes[static_cast<size_t>(j)].vdisk = static_cast<int32_t>(
-        PositiveMod(static_cast<int64_t>(v0) + j, frame_.num_disks()));
-    lanes[static_cast<size_t>(j)].next_read_tau = 0;
-  }
+  lanes.Assign(1);
+  lanes[0].vdisk = v0;
+  lanes[0].width = m;
   AdmitStream(p, std::move(lanes), /*delta_max=*/0, /*fragmented=*/false,
-              /*lockstep=*/true, /*buffer_frags=*/0);
+              /*buffer_frags=*/0);
   return true;
 }
 
 STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   const int32_t m = p.req.degree;
-  const int32_t d = frame_.num_disks();
   const bool check_health = config_.degraded_policy != DegradedPolicy::kNone &&
                             disks_->UnavailableCount() > 0;
   LaneArray lanes;
@@ -281,8 +287,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   STAGGER_DCHECK(scratch_taken_bits_.empty());
   bool ok = true;
   for (int32_t j = 0; j < m; ++j) {
-    const int32_t target = static_cast<int32_t>(
-        PositiveMod(static_cast<int64_t>(p.req.start_disk) + j, d));
+    const int32_t target = RowDisk(p.req.start_disk, /*row=*/0, j);
     // A lane with alignment delay zero reads `target` this interval;
     // skip such candidates while the disk is down (later-aligned lanes
     // are still fine — health at their read time is unknowable).
@@ -313,14 +318,13 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   if (!buffers_.TryReserve(buffer_frags)) return false;
 
   AdmitStream(p, std::move(lanes), delta_max, /*fragmented=*/buffer_frags > 0,
-              /*lockstep=*/false,
               buffer_frags);
   return true;
 }
 
 void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
                                     int64_t delta_max, bool fragmented,
-                                    bool lockstep, int64_t buffer_frags) {
+                                    int64_t buffer_frags) {
   const int32_t slot = AllocSlot();
   Stream& s = slots_[static_cast<size_t>(slot)];
   s.id = p.id;
@@ -334,7 +338,6 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.lanes = std::move(lanes);
   s.delivered = 0;
   s.fragmented = fragmented;
-  s.lockstep = lockstep;
   s.parity = p.req.parity;
   s.buffer_reserved = buffer_frags;
   s.resumed_mid_display = p.started;
@@ -343,9 +346,12 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.on_interrupted = p.req.on_interrupted;
 
   for (const FragmentLane& lane : s.lanes) {
-    STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(lane.vdisk)] == kNoStream);
-    vdisk_owner_[static_cast<size_t>(lane.vdisk)] = s.id;
-    vdisk_occupied_.Set(lane.vdisk);
+    for (int32_t f = 0, v = lane.vdisk; f < lane.width;
+         ++f, v = v + 1 == frame_.num_disks() ? 0 : v + 1) {
+      STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(v)] == kNoStream);
+      vdisk_owner_[static_cast<size_t>(v)] = s.id;
+      vdisk_occupied_.Set(v);
+    }
   }
   // A resumed stream continues a display counted at first admission.
   if (!p.resumed) ++metrics_.displays_admitted;
@@ -384,9 +390,9 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       for (const FragmentLane& lane : s.lanes) {
         if (lane.released() || lane.reads_done >= s.num_subobjects) continue;
         if (tau < lane.next_read_tau) continue;
-        int32_t physical = lane.vdisk + rot;
-        if (physical >= d) physical -= d;
-        claimed_.Set(physical);
+        int32_t first = lane.vdisk + rot;
+        if (first >= d) first -= d;
+        claimed_.SetWindow(first, lane.width);
       }
     }
   }
@@ -398,6 +404,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // local delta is committed right after the loop, before the pause /
   // finish fix-ups below read the member.
   const bool observe = static_cast<bool>(config_.read_observer);
+  const bool faulty = any_down || latent_active;
   int64_t buffered_delta = 0;
   // active_ is sorted by id, giving the deterministic ascending-id
   // processing order directly.  No admissions run inside this loop, so
@@ -420,148 +427,73 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
 
     if (config_.coalesce && s.fragmented) TryCoalesce(&s);
 
-    // Reads: each lane reads the next fragment when its disk is aligned.
-    // min_reads tracks the least-advanced unreleased lane so the
-    // delivery step below can skip its per-lane hiccup scan on the
+    // Reads: each lane reads its run of fragments when its disks are
+    // aligned.  min_reads tracks the least-advanced unreleased lane so
+    // the delivery step below can skip its per-lane hiccup scan on the
     // (overwhelmingly common) on-schedule path.  Released lanes are
     // excluded: they finished all their reads, so they never hiccup.
     bool pausing = false;
     int64_t min_reads = std::numeric_limits<int64_t>::max();
-    bool advanced = false;
-#ifndef STAGGER_AUDIT
-    // Lockstep fast path.  A contiguous stream's lanes are admitted
-    // together and then read every interval, so they stay identical in
-    // reads_done / next_read_tau and occupy M adjacent virtual disks
-    // (a degraded read keeps the lanes in step, and a pause mid-stripe
-    // retires the stream before divergence can reach this loop).  One
-    // masked range-reserve plus a branchless lane update replaces the
-    // per-lane scatter.  Under faults a stream whose M disks are all
-    // available and carry no corrupt cell stays on this path: the
-    // per-lane walk would reserve exactly those disks at this point of
-    // the loop and touch nothing else.  Audit builds keep the per-lane
-    // path so the alignment audit covers every read; the release-preset
-    // golden traces and the fast-path differentials pin both paths to
-    // the same history.  The healthy-array test stays whole and first:
-    // folding the clean-stripe test into it measurably slowed the
-    // fault-free loop (fig8_matrix, about 7%).
-    bool lockstep = s.lockstep && !any_down && !latent_active && !observe &&
-                    s.degree > 0;
-    if (!lockstep && s.lockstep && !observe && s.degree > 0 &&
-        (any_down || latent_active)) [[unlikely]] {
-      lockstep = StripeClean(s, rot, any_down, latent_active);
-    }
-    if (lockstep) {
-      FragmentLane* lanes = s.lanes.data();
-      if (!lanes[0].released() && lanes[0].reads_done < s.num_subobjects &&
-          tau >= lanes[0].next_read_tau) {
-        int32_t first = lanes[0].vdisk + rot;
-        if (first >= d) first -= d;
-        disks_->ReserveRun(first, s.degree);
-        const int64_t done = lanes[0].reads_done + 1;
-        for (int32_t j = 0; j < s.degree; ++j) {
-          STAGGER_DCHECK(!lanes[j].released() &&
-                         lanes[j].reads_done + 1 == done &&
-                         lanes[j].next_read_tau <= tau &&
-                         lanes[j].vdisk ==
-                             (lanes[0].vdisk + j) % frame_.num_disks())
-              << "contiguous stream " << s.id << " lanes out of lockstep";
-          lanes[j].reads_done = done;
-          lanes[j].next_read_tau = tau + 1;
-        }
-        buffered_delta += s.degree;
-        min_reads = done;
-        if (done >= s.num_subobjects) {
-          for (int32_t j = 0; j < s.degree; ++j) ReleaseLane(&s, j);
-        }
-        advanced = true;
-      }
-    }
-#endif
-    if (!advanced) for (int32_t j = 0; j < s.degree; ++j) {
-      FragmentLane& lane = s.lanes[static_cast<size_t>(j)];
-      if (lane.released()) continue;
-      if (lane.reads_done >= s.num_subobjects || tau < lane.next_read_tau) {
-        min_reads = std::min(min_reads, lane.reads_done);
+    FragmentLane* lane = s.lanes.data();
+    FragmentLane* const lanes_end = lane + s.lanes.size();
+    // Fragment index of the lane's first disk within the stripe.
+    int32_t fragment = 0;
+    for (; lane != lanes_end; fragment += lane->width, ++lane) {
+      if (lane->released()) continue;
+      if (lane->reads_done >= s.num_subobjects || tau < lane->next_read_tau) {
+        min_reads = std::min(min_reads, lane->reads_done);
         continue;
       }
-      int32_t physical = lane.vdisk + rot;
-      if (physical >= d) physical -= d;
+      const int32_t width = lane->width;
+      int32_t first = lane->vdisk + rot;
+      if (first >= d) first -= d;
 #ifdef STAGGER_AUDIT
-      const int32_t expected = static_cast<int32_t>(PositiveMod(
-          static_cast<int64_t>(s.start_disk) +
-              lane.reads_done * config_.stride + j,
-          d));
-      STAGGER_CHECK(physical == expected)
-          << "lane misalignment: stream " << s.id << " fragment " << j;
+      STAGGER_CHECK(first == RowDisk(s.start_disk, lane->reads_done, fragment))
+          << "lane misalignment: stream " << s.id << " fragment " << fragment;
 #endif
-      int32_t read_disk = physical;
-      const bool down = any_down && !disks_->IsAvailable(physical);
-      const bool corrupt = !down && latent_active &&
-                           latent.IsCorrupt(physical, lane.reads_done);
-      if (corrupt && !degraded) {
-        // DegradedPolicy::kNone verifies nothing: the corrupt fragment
-        // ships to the viewer.  Counted so fault-aware configurations
-        // can pin this to zero.
-        ++metrics_.corrupt_frames_delivered;
-      }
-      if (degraded && (down || corrupt)) {
-        if (corrupt) {
-          // The checksum rejects the transfer before it completes, so
-          // the corrupt read is not charged against the disk's slack;
-          // the fragment is served through the ladder below instead.
-          disks_->latent_errors().MarkDetected(physical, lane.reads_done);
-          ++metrics_.corrupt_reads_detected;
-        }
-        read_disk = -1;
-        if (config_.degraded_policy == DegradedPolicy::kReconstruct &&
-            s.parity) {
-          // Read the stripe's parity fragment in place of the lost one:
-          // the M-1 surviving lanes plus parity reconstruct it in
-          // buffer.  The extra read is charged against the parity
-          // disk's slack this interval.
-          const int32_t parity_disk = static_cast<int32_t>(PositiveMod(
-              static_cast<int64_t>(s.start_disk) +
-                  lane.reads_done * config_.stride + s.degree,
-              d));
-          if (disks_->IsAvailable(parity_disk) &&
-              !disks_->SlotBusy(parity_disk) && !claimed_.Test(parity_disk) &&
-              !(latent_active &&
-                latent.IsCorrupt(parity_disk, lane.reads_done))) {
-            read_disk = parity_disk;
-            ++metrics_.reconstructed_reads;
+      // A run whose disks are all up and carry no corrupt cell reads
+      // exactly as on a healthy array: one masked range-reserve.  A run
+      // touching a fault sends each fragment through the degraded
+      // ladder on its own, in fragment order.
+      const bool clean =
+          !faulty ||
+          ((!any_down ||
+            disks_->unavailable_slots().WindowClear(first, width)) &&
+           (!latent_active ||
+            latent.corrupt_disks().WindowClear(first, width)));
+      if (clean) disks_->ReserveRun(first, width);
+      if (!clean || observe) {
+        int32_t f = 0;
+        for (int32_t disk = first; f < width;
+             ++f, disk = disk + 1 == d ? 0 : disk + 1) {
+          const int32_t read_disk =
+              clean ? disk : DegradedRead(s, lane->reads_done, disk);
+          if (read_disk < 0) break;
+          if (observe) {
+            config_.read_observer(interval_index_, s.object, lane->reads_done,
+                                  fragment + f, read_disk);
           }
         }
-        if (read_disk < 0 &&
-            config_.degraded_policy != DegradedPolicy::kPause) {
-          // kRemapOrPause, or kReconstruct falling down its ladder when
-          // parity offers no slack (or the stream carries none).  The
-          // substitute models a replica read off another disk's copy,
-          // so the original cell's corruption does not follow it.
-          read_disk = FindDegradedSubstitute(s, static_cast<size_t>(j));
-          if (read_disk >= 0) ++metrics_.degraded_reads;
-        }
-        if (read_disk < 0) {
+        if (f < width) {
+          // The stream cannot read its due fragment: park it before the
+          // output clock would record a hiccup.  Reads already issued
+          // this interval are wasted bandwidth, which is the honest cost
+          // of the mid-stripe failure.  Fragments read on the stream's
+          // last row are done with their disks, which go back now.
+          if (f > 0 && lane->reads_done + 1 >= s.num_subobjects) {
+            ReleaseLane(s, lane, f);
+          }
           pausing = true;
           break;
         }
-        claimed_.Set(read_disk);
       }
-      disks_->ReserveSlot(read_disk);
-      if (observe) {
-        config_.read_observer(interval_index_, s.object, lane.reads_done, j,
-                              read_disk);
-      }
-      ++lane.reads_done;
-      ++buffered_delta;
-      lane.next_read_tau = tau + 1;
-      min_reads = std::min(min_reads, lane.reads_done);
-      if (lane.reads_done >= s.num_subobjects) ReleaseLane(&s, j);
+      ++lane->reads_done;
+      buffered_delta += width;
+      lane->next_read_tau = tau + 1;
+      min_reads = std::min(min_reads, lane->reads_done);
+      if (lane->reads_done >= s.num_subobjects) ReleaseLane(s, lane, width);
     }
     if (pausing) {
-      // The stream cannot read its due fragment: park it before the
-      // output clock would record a hiccup.  Reads already issued this
-      // interval are wasted bandwidth, which is the honest cost of the
-      // mid-stripe failure.
       // stagger-lint: allow(hot-path-alloc) -- scratch_to_pause_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
       scratch_to_pause_.push_back(id);
       continue;
@@ -573,11 +505,9 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       const int64_t due = s.delivered;
       if (min_reads <= due) {
         // Some lane fell behind the output clock: charge one hiccup per
-        // late lane, exactly as the full scan would.
-        for (int32_t j = 0; j < s.degree; ++j) {
-          if (s.lanes[static_cast<size_t>(j)].reads_done <= due) {
-            ++metrics_.hiccups;
-          }
+        // late fragment, exactly as the full scan would.
+        for (const FragmentLane& l : s.lanes) {
+          if (l.reads_done <= due) metrics_.hiccups += l.width;
         }
       }
       ++s.delivered;
@@ -603,38 +533,84 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   scratch_finished_.clear();
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::StripeClean(const Stream& s,
-                                                     int32_t rot,
-                                                     bool any_down,
-                                                     bool latent_active) const {
-  // A released lane has no disk; its stream has no reads left.
-  if (s.lanes[0].released()) return false;
-  int32_t first = s.lanes[0].vdisk + rot;
-  if (first >= frame_.num_disks()) first -= frame_.num_disks();
-  return (!any_down ||
-          disks_->unavailable_slots().WindowClear(first, s.degree)) &&
-         (!latent_active ||
-          disks_->latent_errors().corrupt_disks().WindowClear(first, s.degree));
+STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
+                                                         int64_t row,
+                                                         int32_t physical) {
+  const bool degraded = config_.degraded_policy != DegradedPolicy::kNone;
+  const LatentErrorMap& latent = disks_->latent_errors();
+  const bool down = degraded && !disks_->IsAvailable(physical);
+  const bool corrupt =
+      !down && latent.active() && latent.IsCorrupt(physical, row);
+  if (!down && !(corrupt && degraded)) {
+    // DegradedPolicy::kNone verifies nothing: the corrupt fragment ships
+    // to the viewer.  Counted so fault-aware configurations can pin this
+    // to zero.
+    if (corrupt) ++metrics_.corrupt_frames_delivered;
+    disks_->ReserveSlot(physical);
+    return physical;
+  }
+  if (corrupt) {
+    // The checksum rejects the transfer before it completes, so the
+    // corrupt read is not charged against the disk's slack; the fragment
+    // is served through the ladder below instead.
+    disks_->latent_errors().MarkDetected(physical, row);
+    ++metrics_.corrupt_reads_detected;
+  }
+  int32_t read_disk = -1;
+  if (config_.degraded_policy == DegradedPolicy::kReconstruct && s.parity) {
+    // Read the stripe's parity fragment in place of the lost one: the
+    // M-1 surviving fragments plus parity reconstruct it in buffer.  The
+    // extra read is charged against the parity disk's slack this
+    // interval.
+    const int32_t parity_disk = ParityDisk(s.start_disk, s.degree, row);
+    if (disks_->IsAvailable(parity_disk) && !disks_->SlotBusy(parity_disk) &&
+        !claimed_.Test(parity_disk) &&
+        !(latent.active() && latent.IsCorrupt(parity_disk, row))) {
+      read_disk = parity_disk;
+      ++metrics_.reconstructed_reads;
+    }
+  }
+  if (read_disk < 0 && config_.degraded_policy != DegradedPolicy::kPause) {
+    // kRemapOrPause, or kReconstruct falling down its ladder when parity
+    // offers no slack (or the stream carries none).  The substitute
+    // models a replica read off another disk's copy, so the original
+    // cell's corruption does not follow it.
+    read_disk = FindDegradedSubstitute(s, row);
+    if (read_disk >= 0) ++metrics_.degraded_reads;
+  }
+  if (read_disk < 0) return -1;
+  claimed_.Set(read_disk);
+  disks_->ReserveSlot(read_disk);
+  return read_disk;
 }
 
 STAGGER_HOT_PATH int32_t IntervalScheduler::FindDegradedSubstitute(
-    const Stream& s, size_t lane_index) const {
-  const int32_t d = frame_.num_disks();
-  const FragmentLane& lane = s.lanes[lane_index];
+    const Stream& s, int64_t row) const {
   // Surviving disks of the subobject's own stripe first — they hold the
   // sibling fragments a stripe-level replica reconstructs from — then
   // the lowest-numbered disk with slack this interval, found by one
   // word scan of unavailable | busy | claimed.
-  const int64_t base = static_cast<int64_t>(s.start_disk) +
-                       lane.reads_done * config_.stride;
   for (int32_t j = 0; j < s.degree; ++j) {
-    const int32_t cand = static_cast<int32_t>(PositiveMod(base + j, d));
+    const int32_t cand = RowDisk(s.start_disk, row, j);
     if (disks_->IsAvailable(cand) && !disks_->SlotBusy(cand) &&
         !claimed_.Test(cand)) {
       return cand;
     }
   }
   return disks_->FirstIdleAvailableSlot(claimed_);
+}
+
+int32_t IntervalScheduler::ParityDisk(int32_t start_disk, int32_t degree,
+                                      int64_t row) const {
+  return RowDisk(start_disk, row, degree);
+}
+
+int32_t IntervalScheduler::RowDisk(int32_t start_disk, int64_t row,
+                                   int32_t fragment) const {
+  return static_cast<int32_t>(
+      PositiveMod(static_cast<int64_t>(start_disk) + row * config_.stride +
+                      fragment,
+                  frame_.num_disks()));
 }
 
 void IntervalScheduler::PauseStream(StreamId id) {
@@ -649,9 +625,7 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.remainder.degree = s.degree;
   // Resume from the first undelivered subobject; buffered read-ahead is
   // dropped (those fragments will be re-read after recovery).
-  p.remainder.start_disk = static_cast<int32_t>(PositiveMod(
-      static_cast<int64_t>(s.start_disk) + s.delivered * config_.stride,
-      frame_.num_disks()));
+  p.remainder.start_disk = RowDisk(s.start_disk, s.delivered, 0);
   p.remainder.num_subobjects = s.num_subobjects - s.delivered;
   p.remainder.parity = s.parity;
   p.remainder.on_started = std::move(s.on_started);
@@ -713,13 +687,15 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   // One migration per stream per interval (Algorithm 2 admits a new
   // coalesce request only after the previous one completes).
   const int64_t tau = s->Tau(interval_index_);
-  const int32_t d = frame_.num_disks();
 
-  // Pick the lane with the largest lead (biggest buffer backlog).
+  // Pick the lane with the largest lead (biggest buffer backlog).  A
+  // fragmented stream's lanes are one fragment wide, so lane j carries
+  // fragment j.
   int32_t pick = -1;
   int64_t pick_lead = 0;
   for (int32_t j = 0; j < s->degree; ++j) {
     const FragmentLane& lane = s->lanes[static_cast<size_t>(j)];
+    STAGGER_DCHECK(lane.width == 1);
     if (lane.released() || lane.reads_done >= s->num_subobjects) continue;
     if (lane.next_read_tau > tau) continue;  // mid-gap from prior migration
     const int64_t effective_delta = lane.next_read_tau - lane.reads_done;
@@ -732,10 +708,7 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   if (pick < 0) return;
 
   FragmentLane& lane = s->lanes[static_cast<size_t>(pick)];
-  const int32_t target = static_cast<int32_t>(PositiveMod(
-      static_cast<int64_t>(s->start_disk) + lane.reads_done * config_.stride +
-          pick,
-      d));
+  const int32_t target = RowDisk(s->start_disk, lane.reads_done, pick);
   const int64_t cur_effective = lane.next_read_tau - lane.reads_done;
   // Latest safe resume: outputs reach subobject reads_done exactly when
   // the new disk takes over (backlog fully drained, no hiccup).
@@ -761,37 +734,46 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   lane.next_read_tau = best_resume;
   ++metrics_.coalesce_migrations;
 
-  // Shrink the buffer reservation to the new steady-state backlog.
+  // Shrink the buffer reservation to the new steady-state backlog; the
+  // stream stays fragmented while any lane leads.
   int64_t new_reserved = 0;
-  for (int32_t j = 0; j < s->degree; ++j) {
-    const FragmentLane& l = s->lanes[static_cast<size_t>(j)];
+  s->fragmented = false;
+  for (const FragmentLane& l : s->lanes) {
     if (l.reads_done >= s->num_subobjects) continue;
-    const int64_t eff = l.next_read_tau - l.reads_done;
-    new_reserved += std::max<int64_t>(0, s->delta_max - eff);
+    const int64_t lead = s->delta_max - (l.next_read_tau - l.reads_done);
+    if (lead <= 0) continue;
+    new_reserved += lead;
+    s->fragmented = true;
   }
   if (new_reserved < s->buffer_reserved) {
     buffers_.Release(s->buffer_reserved - new_reserved);
     s->buffer_reserved = new_reserved;
   }
-  // Still fragmented while any lane leads.
-  s->fragmented = false;
-  for (int32_t j = 0; j < s->degree; ++j) {
-    const FragmentLane& l = s->lanes[static_cast<size_t>(j)];
-    if (l.reads_done >= s->num_subobjects) continue;
-    if (l.next_read_tau - l.reads_done < s->delta_max) {
-      s->fragmented = true;
-      break;
-    }
-  }
 }
 
-void IntervalScheduler::ReleaseLane(Stream* s, int32_t lane_index) {
-  FragmentLane& lane = s->lanes[static_cast<size_t>(lane_index)];
-  if (lane.released()) return;
-  STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(lane.vdisk)] == s->id);
-  vdisk_owner_[static_cast<size_t>(lane.vdisk)] = kNoStream;
-  vdisk_occupied_.Clear(lane.vdisk);
-  lane.vdisk = FragmentLane::kReleased;
+void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
+                                    int32_t count) {
+  if (lane->released()) return;
+  // Only a contiguous lane is wider than one fragment, and it buffers
+  // nothing between intervals, so shrinking it keeps the buffer count.
+  STAGGER_DCHECK(count > 0 && count <= lane->width &&
+                 (count == lane->width || lane->reads_done == s.delivered));
+  const int32_t d = frame_.num_disks();
+  int32_t v = lane->vdisk;
+  for (int32_t f = 0; f < count; ++f, v = v + 1 == d ? 0 : v + 1) {
+    STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(v)] == s.id);
+    vdisk_owner_[static_cast<size_t>(v)] = kNoStream;
+    vdisk_occupied_.Clear(v);
+  }
+  if (count == lane->width) {
+    // Released lanes keep their width: it still sizes their buffered
+    // read-ahead, and the advance loop and the audit count fragments
+    // by it.
+    lane->vdisk = FragmentLane::kReleased;
+  } else {
+    lane->vdisk = v;
+    lane->width -= count;
+  }
 }
 
 void IntervalScheduler::FinishStream(StreamId id, bool completed) {
@@ -799,9 +781,7 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
   STAGGER_CHECK(slot >= 0) << "unknown stream " << id;
   Stream& s = slots_[static_cast<size_t>(slot)];
   buffered_fragments_ -= s.TotalBufferedFragments();
-  for (int32_t j = 0; j < s.degree; ++j) {
-    ReleaseLane(&s, j);
-  }
+  for (FragmentLane& lane : s.lanes) ReleaseLane(s, &lane, lane.width);
   if (s.buffer_reserved > 0) {
     buffers_.Release(s.buffer_reserved);
     s.buffer_reserved = 0;

@@ -256,13 +256,14 @@ class IntervalScheduler {
   bool TryAdmit(const Pending& p);
   bool TryAdmitContiguous(const Pending& p);
   bool TryAdmitFragmented(const Pending& p);
-  /// `lockstep` marks a contiguous admission: adjacent lanes advancing
-  /// in unison, eligible for the tick's range-reserve fast path.
   void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
-                   bool fragmented, bool lockstep, int64_t buffer_frags);
+                   bool fragmented, int64_t buffer_frags);
   void AdvanceStreams();
   void TryCoalesce(Stream* s);
-  void ReleaseLane(Stream* s, int32_t lane_index);
+  /// Gives back the first `count` virtual disks of `lane`, a lane of
+  /// `s`; the lane keeps the rest of its run, or is released when
+  /// `count` covers its whole width.
+  void ReleaseLane(const Stream& s, FragmentLane* lane, int32_t count);
   void FinishStream(StreamId id, bool completed);
   void UpdateIntervalStats();
   // --- stream storage ---------------------------------------------------
@@ -286,17 +287,25 @@ class IntervalScheduler {
   void RetryPaused();
   /// Tears down an active stream and parks its undelivered remainder.
   void PauseStream(StreamId id);
-  /// True when lockstep stream `s`'s M disks this interval (virtual
-  /// disks shifted by rotation `rot`) include no unavailable disk
-  /// (checked when `any_down`) and no disk carrying a corrupt cell
-  /// (checked when `latent_active`): the stream then reads exactly as
-  /// on a healthy array.  Two window tests.
-  bool StripeClean(const Stream& s, int32_t rot, bool any_down,
-                   bool latent_active) const;
-  /// Physical disk with slack to absorb lane `lane_index`'s read this
+  /// Reads stream `s`'s fragment of row `row` due on physical disk
+  /// `physical` on a faulty array: the disk itself when it is up and the
+  /// cell clean, else the degraded ladder (parity reconstruction, then a
+  /// substitute disk).  Reserves the disk read and returns it, or
+  /// returns -1 when the stream must pause.
+  int32_t DegradedRead(const Stream& s, int64_t row, int32_t physical);
+  /// Physical disk with slack to absorb a read of `s`'s row `row` this
   /// interval, or -1.  Consults claimed_ (disks some active lane is due
   /// to read this interval, whether or not already reserved).
-  int32_t FindDegradedSubstitute(const Stream& s, size_t lane_index) const;
+  int32_t FindDegradedSubstitute(const Stream& s, int64_t row) const;
+  /// Physical disk of fragment `fragment` of row `row` of a display
+  /// whose row 0 starts on `start_disk`: start + row * k + fragment
+  /// (mod D).
+  int32_t RowDisk(int32_t start_disk, int64_t row, int32_t fragment) const;
+  /// Physical disk holding the parity fragment of row `row` of a
+  /// display of `degree` fragments whose row 0 starts on `start_disk`:
+  /// the disk after the stripe's last data fragment.  Mirrors
+  /// StaggeredLayout::ParityDiskFor.
+  int32_t ParityDisk(int32_t start_disk, int32_t degree, int64_t row) const;
 
   Simulator* sim_;
   DiskArray* disks_;
@@ -327,8 +336,8 @@ class IntervalScheduler {
   std::unordered_map<RequestId, StreamId> request_to_stream_;
 
   /// Sum over active streams of TotalBufferedFragments(), maintained
-  /// incrementally (+1 per read, -degree per delivery, -contribution at
-  /// retirement) so per-interval stats cost O(1).
+  /// incrementally (+width per lane read, -degree per delivery,
+  /// -contribution at retirement) so per-interval stats cost O(1).
   int64_t buffered_fragments_ = 0;
 
   // Scratch reused across ticks (no per-tick allocation).

@@ -322,9 +322,9 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         << "; free slot " << slot << " holds a live stream";
   }
 
-  // Forward ownership: every active lane owns exactly the virtual disk
-  // it claims, and buffer accounting balances against the pool.
-  int64_t owned_lanes = 0;
+  // Forward ownership: every active lane owns exactly the virtual disks
+  // of its run, and buffer accounting balances against the pool.
+  int64_t owned_vdisks = 0;
   int64_t total_reserved = 0;
   int64_t total_buffered = 0;
   for (const auto& [id, slot] : s.active_) {
@@ -335,10 +335,6 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(stream.id == id)
         << "; stream table slot " << slot << " holds stream " << stream.id
         << ", active index says " << id;
-    STAGGER_AUDIT_VERIFY(static_cast<int32_t>(stream.lanes.size()) ==
-                         stream.degree)
-        << "; stream " << id << " has " << stream.lanes.size()
-        << " lanes for degree " << stream.degree;
     STAGGER_AUDIT_VERIFY(stream.delivered >= 0 &&
                          stream.delivered <= stream.num_subobjects)
         << "; stream " << id << " delivered " << stream.delivered << " of "
@@ -358,8 +354,17 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         << " subobjects at tau " << tau << ", Algorithm 1 requires " << due;
 
     bool any_lane_leads = false;
+    // Lanes partition the stripe: their widths sum to the degree, and
+    // only a single-lane (contiguous) stream has a lane wider than one
+    // fragment.
+    int64_t width_sum = 0;
     for (size_t j = 0; j < stream.lanes.size(); ++j) {
       const FragmentLane& lane = stream.lanes[j];
+      STAGGER_AUDIT_VERIFY(lane.width == 1 ||
+                           (lane.width > 1 && stream.lanes.size() == 1))
+          << "; stream " << id << " lane " << j << " has width "
+          << lane.width << " among " << stream.lanes.size() << " lanes";
+      width_sum += lane.width;
       STAGGER_AUDIT_VERIFY(lane.reads_done >= 0 &&
                            lane.reads_done <= stream.num_subobjects)
           << "; stream " << id << " lane " << j << " read "
@@ -379,12 +384,13 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       STAGGER_AUDIT_VERIFY(lane.vdisk >= 0 && lane.vdisk < d)
           << "; stream " << id << " lane " << j << " on nonexistent virtual"
           << " disk " << lane.vdisk;
-      STAGGER_AUDIT_VERIFY(
-          s.vdisk_owner_[static_cast<size_t>(lane.vdisk)] == id)
-          << "; stream " << id << " lane " << j << " claims virtual disk "
-          << lane.vdisk << " owned by "
-          << s.vdisk_owner_[static_cast<size_t>(lane.vdisk)];
-      ++owned_lanes;
+      for (int32_t f = 0; f < lane.width; ++f) {
+        const size_t v = static_cast<size_t>((lane.vdisk + f) % d);
+        STAGGER_AUDIT_VERIFY(s.vdisk_owner_[v] == id)
+            << "; stream " << id << " lane " << j << " claims virtual disk "
+            << v << " owned by " << s.vdisk_owner_[v];
+      }
+      owned_vdisks += lane.width;
       // A lane's effective alignment delay never exceeds delta_max —
       // otherwise its reads arrive after the output clock needs them.
       const int64_t effective = lane.next_read_tau - lane.reads_done;
@@ -396,6 +402,9 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         any_lane_leads = true;
       }
     }
+    STAGGER_AUDIT_VERIFY(width_sum == stream.degree)
+        << "; stream " << id << "'s lanes cover " << width_sum
+        << " fragments for degree " << stream.degree;
     // Coalescing bookkeeping: a lane reading ahead of the output clock
     // requires Algorithm-1 buffering to be flagged on the stream.
     STAGGER_AUDIT_VERIFY(!any_lane_leads || stream.fragmented)
@@ -428,9 +437,9 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(s.SlotOf(owner) >= 0)
         << "; virtual disk " << v << " owned by dead stream " << owner;
   }
-  STAGGER_AUDIT_VERIFY(owned_disks == owned_lanes)
-      << "; " << owned_disks << " virtual disks owned but " << owned_lanes
-      << " lanes hold disks (orphaned ownership)";
+  STAGGER_AUDIT_VERIFY(owned_disks == owned_vdisks)
+      << "; " << owned_disks << " virtual disks owned but lanes hold "
+      << owned_vdisks << " (orphaned ownership)";
   // Fragmented admission's tentative picks live only within one attempt.
   STAGGER_AUDIT_VERIFY(s.scratch_taken_bits_.empty() &&
                        s.scratch_taken_.CountSet() == 0)
@@ -473,7 +482,7 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         << (s.disks_->disk(disk).health() == DiskHealth::kFailed ? "failed"
                                                                  : "stalled")
         << " yet carries load this interval";
-    // The word scans and the lockstep clean-stripe test read health
+    // The word scans and the advance loop's clean-run test read health
     // from the availability bitmap, so it must mirror every disk.
     STAGGER_AUDIT_VERIFY(s.disks_->unavailable_slots().Test(disk) ==
                          !s.disks_->IsAvailable(disk))

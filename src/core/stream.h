@@ -1,7 +1,8 @@
 // Active delivery streams.  A stream is one in-progress display (or one
 // materialization pass): `degree` virtual disks each reading one
-// fragment of every subobject, outputs synchronized to the latest-
-// aligned fragment (Algorithm 1 of Section 3.2.1).
+// fragment of every subobject, grouped into lanes of adjacent disks,
+// outputs synchronized to the latest-aligned lane (Algorithm 1 of
+// Section 3.2.1).
 
 #ifndef STAGGER_CORE_STREAM_H_
 #define STAGGER_CORE_STREAM_H_
@@ -20,10 +21,16 @@ using StreamId = int64_t;
 using RequestId = int64_t;
 constexpr StreamId kNoStream = -1;
 
-/// \brief Dynamic state of one fragment lane (one virtual disk) of a
-/// stream.
+/// \brief Dynamic state of one lane of a stream: a run of `width`
+/// adjacent fragments read from `width` adjacent virtual disks.
+///
+/// The paper's unit of reading is such a run.  A contiguous admission
+/// reads a subobject's M fragments from M consecutive disks in one
+/// interval, so it is one lane of width M.  Algorithm 1 splits a display
+/// over non-adjacent disks, one fragment per disk: M lanes of width 1,
+/// the only lanes Algorithm 2 migrates.
 struct FragmentLane {
-  /// Sentinel for vdisk: the lane finished all reads and gave its disk
+  /// Sentinel for vdisk: the lane finished all reads and gave its disks
   /// back.
   static constexpr int32_t kReleased = -1;
 
@@ -33,16 +40,20 @@ struct FragmentLane {
   /// proceed every interval; a coalescing migration re-introduces a gap
   /// (the Algorithm 2 "quiet period").
   int64_t next_read_tau = 0;
-  /// Virtual disk currently assigned to this fragment index, or
-  /// kReleased.  The released flag lives in the sign bit rather than a
-  /// separate bool so the lane packs into 24 bytes: the advance loop
-  /// streams every active lane every interval, making lane size a
-  /// direct factor in tick cost.
+  /// First virtual disk of the run, or kReleased.  The released flag
+  /// lives in the sign bit rather than a separate bool so the lane packs
+  /// into 24 bytes: the advance loop streams every active lane every
+  /// interval, making lane size a direct factor in tick cost.
   int32_t vdisk = kReleased;
+  /// Fragments in the run; the lane owns virtual disks
+  /// [vdisk, vdisk + width) (mod D).
+  int32_t width = 1;
 
-  /// True once the lane finished all reads and released its disk.
+  /// True once the lane finished all reads and released its disks.
   bool released() const { return vdisk < 0; }
 };
+static_assert(sizeof(FragmentLane) == 24,
+              "the lane's width must fit in the padding after vdisk");
 
 /// \brief Lane storage with inline capacity for the common degrees.
 ///
@@ -60,11 +71,8 @@ class LaneArray {
   LaneArray() = default;
   LaneArray(LaneArray&&) = default;
   LaneArray& operator=(LaneArray&&) = default;
-  LaneArray(const LaneArray& other) { CopyFrom(other); }
-  LaneArray& operator=(const LaneArray& other) {
-    if (this != &other) CopyFrom(other);
-    return *this;
-  }
+  LaneArray(const LaneArray&) = delete;
+  LaneArray& operator=(const LaneArray&) = delete;
 
   /// Resizes to `n` default-initialized lanes (previous content lost).
   void Assign(int32_t n) {
@@ -104,13 +112,6 @@ class LaneArray {
   const FragmentLane* end() const { return data() + size_; }
 
  private:
-  void CopyFrom(const LaneArray& other) {
-    Assign(other.size_);
-    const FragmentLane* src = other.data();
-    FragmentLane* dst = data();
-    for (int32_t i = 0; i < size_; ++i) dst[i] = src[i];
-  }
-
   FragmentLane inline_[kInlineLanes];
   /// Engaged only when size_ > kInlineLanes.
   std::unique_ptr<FragmentLane[]> heap_;
@@ -127,13 +128,6 @@ struct Stream {
   int32_t degree = 0;          ///< M_X
   /// True when admitted over non-adjacent disks (buffers in use).
   bool fragmented = false;
-  /// True only for streams admitted contiguously: lanes sit on M
-  /// adjacent virtual disks and advance in lockstep (identical
-  /// reads_done / next_read_tau), so the tick can reserve the whole
-  /// stripe as one bitmap range.  Never set on fragmented admissions —
-  /// even fully coalesced ones, whose lanes stay staggered in
-  /// reads_done for the life of the stream.
-  bool lockstep = false;
   /// True when the object's layout carries a per-subobject parity
   /// fragment on the disk after the stripe; enables kReconstruct
   /// degraded reads for this stream.
@@ -150,8 +144,10 @@ struct Stream {
   int64_t delta_max = 0;
   /// Subobjects fully delivered to the display station.
   int64_t delivered = 0;
-  /// Inline for the common degrees: the advance loop reads them in the
-  /// lines right behind the header it just fetched.
+  /// One lane of width M for a contiguous admission, M lanes of width 1
+  /// for a fragmented one.  Inline for the common degrees: the advance
+  /// loop reads them in the lines right behind the header it just
+  /// fetched.
   LaneArray lanes;
 
   // --- warm: admission, degraded reads, retirement ---------------------
@@ -169,16 +165,14 @@ struct Stream {
   /// Local time for global interval `t`.
   int64_t Tau(int64_t t) const { return t - admit_interval; }
 
-  /// Fragments currently held in memory by lane `j`:
-  /// reads completed minus subobjects already delivered.
-  int64_t BufferedFragments(int32_t j) const {
-    const int64_t lead = lanes[static_cast<size_t>(j)].reads_done - delivered;
-    return lead > 0 ? lead : 0;
-  }
-
+  /// Fragments currently held in memory: per lane, reads completed
+  /// minus subobjects already delivered, times the lane's width.
   int64_t TotalBufferedFragments() const {
     int64_t total = 0;
-    for (int32_t j = 0; j < degree; ++j) total += BufferedFragments(j);
+    for (const FragmentLane& lane : lanes) {
+      const int64_t lead = lane.reads_done - delivered;
+      if (lead > 0) total += lead * lane.width;
+    }
     return total;
   }
 };

@@ -106,8 +106,8 @@ class DiskArray {
   ///
   /// Until a spare promotion rewires a slot, slot i maps to drive i, so
   /// the run is a contiguous bit range in the busy bitmap and the whole
-  /// reservation is a couple of masked word-ORs — the scheduler's
-  /// lockstep fast path reserves a stream's M adjacent disks this way.
+  /// reservation is a couple of masked word-ORs — the scheduler reserves
+  /// each lane's run of adjacent disks this way.
   STAGGER_HOT_PATH void ReserveRun(DiskId start, int32_t len) {
     STAGGER_DCHECK(start >= 0 && start < num_slots_);
     STAGGER_DCHECK(len >= 0 && len <= num_slots_);
@@ -125,9 +125,12 @@ class DiskArray {
     }
 #endif
     // The busy bitmap covers drives [0, D + S); slot runs wrap at D,
-    // so split the wrap here instead of using Bitmap::SetWindow.
+    // so split the wrap here instead of using Bitmap::SetWindow.  A
+    // one-slot run (a fragmented stream's lane) is a single bit set.
     const int32_t tail = num_slots_ - start;
-    if (len <= tail) {
+    if (len == 1) {
+      busy_drives_.Set(start);
+    } else if (len <= tail) {
       busy_drives_.SetRange(start, start + len);
     } else {
       busy_drives_.SetRange(start, num_slots_);

@@ -280,6 +280,17 @@ TEST_F(SchedulerTest, SeekRestartsAtNewPosition) {
   EXPECT_TRUE(x.completed);  // callbacks carried over
   EXPECT_EQ(sched_->metrics().hiccups, 0);
   EXPECT_EQ(sched_->active_streams(), 0u);
+  // A seek continues the same display: one request, accounted once,
+  // with one startup sample.
+  const SchedulerMetrics& m = sched_->metrics();
+  EXPECT_EQ(m.displays_requested,
+            m.displays_completed + m.displays_cancelled +
+                static_cast<int64_t>(sched_->active_streams() +
+                                     sched_->pending_requests() +
+                                     sched_->paused_streams()));
+  EXPECT_EQ(m.displays_requested, 1);
+  EXPECT_EQ(m.displays_admitted, 1);
+  EXPECT_EQ(m.startup_latency_sec.count(), 1);
 }
 
 TEST_F(SchedulerTest, SeekRequiresActiveStream) {
@@ -287,6 +298,20 @@ TEST_F(SchedulerTest, SeekRequiresActiveStream) {
   Probe x;
   Request(0, 0, 2, 100, &x);
   EXPECT_TRUE(sched_->Seek(9999, 0, 10).status().IsFailedPrecondition());
+}
+
+TEST_F(SchedulerTest, SeekOutOfRangeKeepsTheStream) {
+  Init(10, 1);
+  Probe x;
+  RequestId id = Request(0, 0, 2, 100, &x);
+  sim_.RunUntil(kInterval * 3);
+  EXPECT_TRUE(sched_->Seek(id, /*new_start_disk=*/10, 20).status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(sched_->Seek(id, 0, /*new_num_subobjects=*/0).status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(sched_->active_streams(), 1u);
+  sim_.RunUntil(SimTime::Minutes(2));
+  EXPECT_TRUE(x.completed);
 }
 
 TEST_F(SchedulerTest, StartupLatencyMetricMatchesCallback) {

@@ -155,13 +155,15 @@ TEST(SchedulerDeterminismTest, SameSeedSameOutcome) {
   EXPECT_NE(run(424242), run(424243));
 }
 
-// The lockstep fast path (contiguous streams advanced with one
-// range-reserve) is disabled whenever a read observer is installed, so
-// running the same load with and without a no-op observer pits the fast
-// path against the per-lane reference path.  Every externally visible
-// outcome must match exactly.
+#include "scheduler_fingerprints.inc"
+
+// Every stream advances through one lane loop: a contiguous stream's
+// run of M fragments is one range-reserve, a fragmented stream's lanes
+// reserve one disk each.  The load's outcomes must equal the pinned
+// fingerprints recorded from the per-fragment reference walk that this
+// loop replaced, and installing a read observer must not change them.
 TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
-  auto run = [](bool force_per_lane_path, uint64_t seed) {
+  auto run = [](bool observe, uint64_t seed) {
     Simulator sim;
     auto disks = DiskArray::Create(16, DiskParameters::Evaluation());
     SchedulerConfig config;
@@ -170,7 +172,7 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     config.policy = AdmissionPolicy::kFragmented;
     config.coalesce = true;
     int64_t observed_reads = 0;
-    if (force_per_lane_path) {
+    if (observe) {
       config.read_observer = [&observed_reads](int64_t, ObjectId, int64_t,
                                                int32_t, int32_t) {
         ++observed_reads;
@@ -205,23 +207,26 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     };
     return fingerprint;
   };
-  for (uint64_t seed : {1ull, 7ull, 99ull, 31415ull}) {
-    EXPECT_EQ(run(false, seed), run(true, seed)) << "seed=" << seed;
+  for (const HealthyFingerprint& pinned : kHealthyFingerprints) {
+    const std::vector<double> plain = run(false, pinned.seed);
+    EXPECT_EQ(plain, pinned.values) << "seed=" << pinned.seed;
+    EXPECT_EQ(plain, run(true, pinned.seed)) << "seed=" << pinned.seed;
   }
 }
 
-// The same differential with faults arriving mid-run: failed, stalled
-// and degraded disks, a failed slot rewired onto a spare, and latent
-// cells injected and repaired, under the remap and reconstruct ladders.
-// Lockstep streams whose disks stay clean keep the range-reserve path
-// while other disks are faulty; the no-op read observer forces every
-// stream through the per-lane walk, so the two runs must agree on every
-// degraded-mode counter and on each slot's utilization.
+// The same check with faults arriving mid-run: failed, stalled and
+// degraded disks, a failed slot rewired onto a spare, and latent cells
+// injected and repaired, under the remap and reconstruct ladders.  A
+// lane whose disks stay clean keeps its range-reserve while other disks
+// are faulty; a lane touching a fault sends each fragment through the
+// degraded ladder.  Every degraded-mode counter and each slot's
+// utilization must equal the pinned per-fragment walk, with and
+// without a read observer.
 TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
   constexpr int32_t kDisks = 70;  // two bitmap words, the second partial
   const SimTime interval = SimTime::Millis(605);
   auto run = [&](DegradedPolicy policy, AdmissionPolicy admission,
-                 bool force_per_lane_path, uint64_t seed) {
+                 bool observe, uint64_t seed) {
     Simulator sim;
     auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation(),
                                    /*num_spares=*/2);
@@ -231,7 +236,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
     config.policy = admission;
     config.coalesce = admission == AdmissionPolicy::kFragmented;
     config.degraded_policy = policy;
-    if (force_per_lane_path) {
+    if (observe) {
       config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
                                 int32_t) {};
     }
@@ -328,6 +333,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
     }
     return fingerprint;
   };
+  const FaultFingerprint* pinned = kFaultFingerprints;
   for (const DegradedPolicy policy :
        {DegradedPolicy::kRemapOrPause, DegradedPolicy::kReconstruct}) {
     for (const AdmissionPolicy admission :
@@ -335,11 +341,18 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
       // Indices of degraded_reads .. streams_paused in the fingerprint.
       double remapped = 0, reconstructed = 0, corrupt = 0, paused = 0;
       for (uint64_t seed : {3ull, 11ull, 2024ull}) {
+        ASSERT_TRUE(pinned->policy == policy &&
+                    pinned->admission == admission && pinned->seed == seed);
         const std::vector<double> fast = run(policy, admission, false, seed);
+        EXPECT_EQ(fast, pinned->values)
+            << "policy=" << static_cast<int>(policy)
+            << " admission=" << static_cast<int>(admission)
+            << " seed=" << seed;
         EXPECT_EQ(fast, run(policy, admission, true, seed))
             << "policy=" << static_cast<int>(policy)
             << " admission=" << static_cast<int>(admission)
             << " seed=" << seed;
+        ++pinned;
         remapped += fast[4];
         reconstructed += fast[5];
         corrupt += fast[6];
