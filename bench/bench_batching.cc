@@ -12,29 +12,20 @@
 //
 // Flags:  --quick   shorter warmup/measure and fewer windows
 //         --csv     machine-readable output
-//         --report  append admission-latency percentile and wall-clock
-//                   rows to the scheduler bench report
-//                   (BENCH_scheduler.json or $STAGGER_BENCH_REPORT),
-//                   merging with any existing entries
+//
+// tests/server/model_pins_test.cc pins the --quick admission-latency
+// percentiles of the unbatched and widest-window rows.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <vector>
 
-#include "bench_report.h"
 #include "server/experiment.h"
 #include "util/table.h"
 
 namespace stagger {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 ExperimentConfig CrowdConfig(bool quick) {
   ExperimentConfig config;
@@ -57,7 +48,7 @@ ExperimentConfig CrowdConfig(bool quick) {
   return config;
 }
 
-int Run(bool quick, bool csv, bool report_json) {
+int Run(bool quick, bool csv) {
   const std::vector<double> windows_sec =
       quick ? std::vector<double>{0.0, 120.0, 300.0}
             : std::vector<double>{0.0, 30.0, 120.0, 300.0};
@@ -71,14 +62,10 @@ int Run(bool quick, bool csv, bool report_json) {
                "win_joins", "piggyback", "max_offset_s", "adm_p50_s",
                "adm_p95_s", "adm_p99_s", "hiccups"});
 
-  const auto sweep_start = std::chrono::steady_clock::now();
-  int64_t cells = 0;
-
   // Unbatched control first: the ceiling the merge has to beat.
   ExperimentConfig control = CrowdConfig(quick);
   auto unbatched = RunExperiment(control);
   STAGGER_CHECK(unbatched.ok()) << unbatched.status();
-  ++cells;
   table.AddRowValues(-1, unbatched->displays_per_hour,
                      unbatched->requests_issued, 1.0, 0, 0, 0.0,
                      unbatched->admission_latency_p50_sec,
@@ -97,7 +84,6 @@ int Run(bool quick, bool csv, bool report_json) {
         << "batched schedule produced hiccups — merge broke the stripe";
     STAGGER_CHECK(result->max_start_offset_sec <= window + 1e-9)
         << "piggyback start offset exceeded the admission window";
-    ++cells;
     table.AddRowValues(window, result->displays_per_hour,
                        result->physical_streams, result->mean_fanout,
                        result->window_joins, result->piggyback_joins,
@@ -107,7 +93,6 @@ int Run(bool quick, bool csv, bool report_json) {
                        result->admission_latency_p99_sec, result->hiccups);
     widest = *result;
   }
-  const double sweep_seconds = SecondsSince(sweep_start);
 
   // The widest window must lift effective throughput past both the
   // unbatched run and the physical one-stream-per-station ceiling.
@@ -124,27 +109,6 @@ int Run(bool quick, bool csv, bool report_json) {
   std::printf("\n(window_s -1 = batching off; eff_dph counts logical "
               "displays completed per hour)\n");
 
-  if (!report_json) return 0;
-
-  // Percentile rows land in the same report the perf gate diffs: the
-  // simulation is deterministic, so these reproduce exactly.  Encoded
-  // as one "item" taking the percentile's latency of wall time, i.e.
-  // ns_per_item == latency in nanoseconds.
-  BenchReport report("scheduler");
-  report.MergeFromJsonFile(report.DefaultPath());
-  report.AddWallClock("E14_AdmissionP50_Unbatched", 1,
-                      unbatched->admission_latency_p50_sec);
-  report.AddWallClock("E14_AdmissionP99_Unbatched", 1,
-                      unbatched->admission_latency_p99_sec);
-  report.AddWallClock("E14_AdmissionP50_WidestWindow", 1,
-                      widest.admission_latency_p50_sec);
-  report.AddWallClock("E14_AdmissionP99_WidestWindow", 1,
-                      widest.admission_latency_p99_sec);
-  report.AddWallClock("E2E_BatchingSweep", cells, sweep_seconds);
-  std::printf("sweep wall clock: %.3f s for %lld experiments\n",
-              sweep_seconds, static_cast<long long>(cells));
-  if (!report.WriteJson(report.DefaultPath())) return 1;
-  std::printf("wrote %s\n", report.DefaultPath().c_str());
   return 0;
 }
 
@@ -152,11 +116,10 @@ int Run(bool quick, bool csv, bool report_json) {
 }  // namespace stagger
 
 int main(int argc, char** argv) {
-  bool quick = false, csv = false, report_json = false;
+  bool quick = false, csv = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--report") == 0) report_json = true;
   }
-  return stagger::Run(quick, csv, report_json);
+  return stagger::Run(quick, csv);
 }

@@ -26,28 +26,20 @@
 // throughput is statistically unchanged — scrubbing rides the shared
 // background budget below rebuild priority, never display bandwidth.
 //
-// Flags:  --quick   shorter warmup/measure windows
+// Flags:  --quick   only E15, with shorter warmup/measure windows
 //         --csv     machine-readable tables
-//         --report  append E15 wall-clock rows to the scheduler bench
-//                   report (the perf-smoke regression gate)
+//
+// tests/server/model_pins_test.cc pins E15's --quick scrub-on MTTR.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
-#include "bench_report.h"
 #include "server/experiment.h"
 #include "util/table.h"
 
 namespace stagger {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 ExperimentConfig Base(Scheme scheme, bool quick) {
   ExperimentConfig cfg;
@@ -98,7 +90,7 @@ FaultPlan LatentBurst() {
 
 // E15: the same saturated system with latent sector errors, scrub off
 // vs. on (plus a verification-off ablation that ships corrupt frames).
-int RunLatentScenario(bool quick, bool csv, bool report_json) {
+int RunLatentScenario(bool quick, bool csv) {
   int failures = 0;
   auto expect = [&](bool ok, const char* what) {
     std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
@@ -124,8 +116,6 @@ int RunLatentScenario(bool quick, bool csv, bool report_json) {
     return cfg;
   };
 
-  const auto sweep_start = std::chrono::steady_clock::now();
-
   ExperimentConfig cfg = base();
   auto scrub_off = RunExperiment(cfg);
   STAGGER_CHECK(scrub_off.ok()) << scrub_off.status();
@@ -142,8 +132,6 @@ int RunLatentScenario(bool quick, bool csv, bool report_json) {
   cfg.degraded_policy = DegradedPolicy::kNone;
   auto unverified = RunExperiment(cfg);
   STAGGER_CHECK(unverified.ok()) << unverified.status();
-
-  const double sweep_seconds = SecondsSince(sweep_start);
 
   Table table({"row", "displays_per_hour", "injected", "detected", "repaired",
                "unrepaired", "mttr_s", "corrupt_caught", "corrupt_delivered",
@@ -191,28 +179,15 @@ int RunLatentScenario(bool quick, bool csv, bool report_json) {
   expect(scrub_on->displays_per_hour >= scrub_off->displays_per_hour * 0.97,
          "scrubbing costs at most 3% throughput (idle bandwidth only)");
 
-  if (report_json) {
-    BenchReport report("scheduler");
-    report.MergeFromJsonFile(report.DefaultPath());
-    // MTTR as a latency row (1 item, seconds of wall time) plus the
-    // sweep's wall clock; both land in the perf-smoke regression gate.
-    report.AddWallClock("E15_LatentMTTR_ScrubOn", 1,
-                        scrub_on->mean_time_to_repair_sec);
-    report.AddWallClock("E15_LatentSweep", 3, sweep_seconds);
-    std::printf("sweep wall clock: %.3f s for 3 experiments\n",
-                sweep_seconds);
-    if (!report.WriteJson(report.DefaultPath())) return 1;
-    std::printf("wrote %s\n", report.DefaultPath().c_str());
-  }
   return failures;
 }
 
-int Run(bool quick, bool csv, bool report_json) {
+int Run(bool quick, bool csv) {
   // --quick runs only the E15 latent-error scenario (with shortened
-  // windows) — the part the perf-smoke gate exercises.  The full E13
+  // windows), the part CI's release job runs.  The full E13
   // degradation matrix needs the 2 h windows its fault plans assume.
   if (quick) {
-    const int failures = RunLatentScenario(quick, csv, report_json);
+    const int failures = RunLatentScenario(quick, csv);
     std::printf("\n%s\n", failures == 0 ? "All degradation checks passed."
                                         : "Some degradation checks FAILED.");
     return failures == 0 ? 0 : 1;
@@ -333,7 +308,7 @@ int Run(bool quick, bool csv, bool report_json) {
   expect(vdr_storm.displays_completed > 0,
          "VDR keeps completing displays through the storm");
 
-  failures += RunLatentScenario(quick, csv, report_json);
+  failures += RunLatentScenario(quick, csv);
 
   std::printf("\n%s\n", failures == 0 ? "All degradation checks passed."
                                       : "Some degradation checks FAILED.");
@@ -344,11 +319,10 @@ int Run(bool quick, bool csv, bool report_json) {
 }  // namespace stagger
 
 int main(int argc, char** argv) {
-  bool quick = false, csv = false, report_json = false;
+  bool quick = false, csv = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--report") == 0) report_json = true;
   }
-  return stagger::Run(quick, csv, report_json);
+  return stagger::Run(quick, csv);
 }

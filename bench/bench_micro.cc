@@ -3,10 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <functional>
 
-#include "bench_report.h"
 #include "core/interval_scheduler.h"
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
@@ -239,47 +237,25 @@ BENCHMARK(BM_SchedulerAdmissionChurn)->Arg(100);
 }  // namespace
 }  // namespace stagger
 
-// Custom main instead of BENCHMARK_MAIN(): every run also writes
-// BENCH_scheduler.json (override with STAGGER_BENCH_REPORT) for CI's
-// regression gate.  The baselines below are the measured pre-change
-// costs on the reference box — kept so the report states the speedup of
-// the O(active-work) tick rework next to each fresh number.
+// BENCHMARK_MAIN() plus two context keys, so a report says whether
+// invariant audits or assertions were compiled in.  Either puts checks
+// inside the measured loops; tools/check_bench_regression.py rejects
+// such a report.  Reports come from google-benchmark's own flags:
+//   bench_micro --benchmark_out=FILE --benchmark_out_format=json
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-
 #ifdef STAGGER_AUDIT
-  // Audit hooks run inside the tick loop; such a build measures the
-  // wrong thing.  The JSON report marks it and the CI regression gate
-  // (tools/check_bench_regression.py) rejects it outright.
-  std::fprintf(stderr,
-               "bench_micro: WARNING: STAGGER_AUDIT compiled in; timings "
-               "include per-interval invariant audits\n");
+  benchmark::AddCustomContext("stagger_audit", "on");
+#else
+  benchmark::AddCustomContext("stagger_audit", "off");
 #endif
-
-  stagger::BenchReport report("scheduler");
-  report.SetBaseline("BM_SchedulerIntervalTick/50", 8250.0);
-  report.SetBaseline("BM_SchedulerIntervalTick/200", 22437.0);
-  report.SetBaseline("BM_LayoutDiskFor", 3.90);
-  // The std::priority_queue kernel with id-set cancellation that the
-  // earlier calendar queue replaced, same workload.
-  report.SetBaseline("BM_EventQueueScheduleAndPop/1024", 196.4);
-  report.SetBaseline("BM_EventQueueScheduleAndPop/4096", 257.2);
-  report.SetBaseline("BM_EventQueueScheduleAndPop/16384", 279.3);
-  // Bit-probe Algorithm 1-2 searches with the coalescing scan walking
-  // all P candidates (before orbit order), same workload.
-  report.SetBaseline("BM_SchedulerIntervalTickCoalesce/200", 114517.0);
-  // Per-disk walks on the fault path (linear substitute scan, nested-map
-  // latent lookups, no range-reserve for clean runs under faults), same
-  // workload.
-  report.SetBaseline("BM_SchedulerIntervalTickDegraded/200", 23888.9);
-
-  stagger::CapturingReporter reporter(&report);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+#ifdef NDEBUG
+  benchmark::AddCustomContext("stagger_assertions", "off");
+#else
+  benchmark::AddCustomContext("stagger_assertions", "on");
+#endif
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  if (!report.entries().empty() && !report.WriteJson(report.DefaultPath())) {
-    return 1;
-  }
   return 0;
 }

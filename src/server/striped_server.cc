@@ -179,7 +179,9 @@ Status StripedServer::Preload() {
   const int32_t count =
       std::min(config_.preload_objects, catalog_->size());
   for (ObjectId id = 0; id < count; ++id) {
-    Status st = objects_->MakeResident(id, MakeLayout(id));
+    // Never evict here: every access count is still 0, so LFU would
+    // pick the lowest id, the most popular title.
+    Status st = objects_->TryMakeResident(id, MakeLayout(id));
     if (st.IsResourceExhausted()) break;  // disk farm is full
     STAGGER_RETURN_NOT_OK(st);
   }

@@ -53,7 +53,8 @@ void ObjectManager::Release(const std::vector<int64_t>& fragments_per_disk) {
   }
 }
 
-Status ObjectManager::MakeResident(ObjectId id, const StaggeredLayout& layout) {
+Status ObjectManager::TryMakeResident(ObjectId id,
+                                      const StaggeredLayout& layout) {
   if (!catalog_->Contains(id)) {
     return Status::NotFound("object " + std::to_string(id) + " not in catalog");
   }
@@ -64,11 +65,17 @@ Status ObjectManager::MakeResident(ObjectId id, const StaggeredLayout& layout) {
   }
   const MediaObject& obj = catalog_->Get(id);
   std::vector<int64_t> per_disk = layout.FragmentsPerDisk(obj.num_subobjects);
+  STAGGER_RETURN_NOT_OK(TryAllocate(per_disk));
+  e.residency = Residency{layout, std::move(per_disk)};
+  ++resident_count_;
+  return Status::OK();
+}
 
+Status ObjectManager::MakeResident(ObjectId id, const StaggeredLayout& layout) {
   // Evict LFU victims until the allocation fits.
   while (true) {
-    Status st = TryAllocate(per_disk);
-    if (st.ok()) break;
+    Status st = TryMakeResident(id, layout);
+    if (!st.IsResourceExhausted()) return st;
     Result<ObjectId> victim = PickVictim();
     if (!victim.ok()) {
       return Status::ResourceExhausted(
@@ -77,10 +84,6 @@ Status ObjectManager::MakeResident(ObjectId id, const StaggeredLayout& layout) {
     }
     STAGGER_RETURN_NOT_OK(Evict(*victim));
   }
-
-  e.residency = Residency{layout, std::move(per_disk)};
-  ++resident_count_;
-  return Status::OK();
 }
 
 Status ObjectManager::Evict(ObjectId id) {

@@ -57,6 +57,11 @@ class ObjectManager {
     return entries_[static_cast<size_t>(id)].pins;
   }
 
+  /// Allocates storage for `id` under `layout` without evicting
+  /// anything.  Fails with ResourceExhausted when the free space does
+  /// not suffice, leaving every disk as it was.
+  Status TryMakeResident(ObjectId id, const StaggeredLayout& layout);
+
   /// Allocates storage for `id` under `layout`, evicting LFU victims as
   /// needed.  Fails with ResourceExhausted when even after evicting all
   /// unpinned objects the space does not suffice.

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/analysis.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -168,6 +169,28 @@ TEST_F(StripedServerTest, PreloadFillsFarm) {
   MakeServer();
   EXPECT_EQ(server_->object_manager().ResidentCount(), 10);
   EXPECT_EQ(disks_->FreeCylinders(), 0);
+}
+
+// Asking for more objects than the farm holds must stop at the first
+// one that does not fit.  Evicting to make room would drop the lowest
+// ids, the most popular titles, since no access has been counted yet.
+TEST_F(StripedServerTest, PreloadPastCapacityEvictsNothing) {
+  MakeServer(/*num_objects=*/20, /*preload=*/15);
+  SystemModel model;
+  model.num_disks = 10;
+  model.disk = DiskParameters::Evaluation();
+  model.display_bandwidth = Bandwidth::Mbps(100);
+  model.subobjects_per_object = 600;
+  model.transfer_rate_is_effective = true;
+  const int32_t capacity = model.MaxResidentObjects();
+  ASSERT_EQ(capacity, 10);
+
+  const ObjectManager& objects = server_->object_manager();
+  EXPECT_EQ(objects.evictions(), 0);
+  EXPECT_EQ(objects.ResidentCount(), capacity);
+  for (ObjectId id = 0; id < capacity; ++id) {
+    EXPECT_TRUE(objects.IsResident(id)) << "object " << id;
+  }
 }
 
 TEST_F(StripedServerTest, UnknownObjectRejected) {

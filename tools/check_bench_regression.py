@@ -1,90 +1,100 @@
 #!/usr/bin/env python3
-"""Gate benchmark reports against a checked-in baseline.
+"""Gate a change's microbenchmarks against its base, measured on one box.
 
 Usage:
-  check_bench_regression.py BASELINE.json CURRENT.json [--max-regression 0.25]
-                            [--update]
+  check_bench_regression.py --base BASE.json... --change CHANGE.json...
 
-Both files are stagger-bench-report-v1 JSON (bench/bench_report.h).  The
-check fails when
+Every file is a google-benchmark JSON report
+(bench_micro --benchmark_out=FILE --benchmark_out_format=json), one per
+run; tools/perf_gate.sh produces them by alternating base and change
+builds.  Per side and per benchmark the statistic is the minimum
+ns/item over all iteration rows of all that side's files: on a shared
+box contention only ever adds time, so the minimum is the least
+contended and most reproducible sample.  Aggregate rows (mean, median,
+stddev) are ignored.  ns/item is 1e9 / items_per_second when the
+benchmark counts items, its CPU time per iteration otherwise.
 
-  * any benchmark present in the baseline regresses by more than
-    --max-regression (default 25%) in ns_per_item, or
-  * the current report was produced with invariant audits compiled in
-    (audit_enabled true) or assertions enabled — those runs measure the
-    wrong binary and must never refresh or pass the perf gate.
+The check fails when
 
-Benchmarks only present in the current report are listed but do not
-fail the check (new benchmarks need a baseline refresh, not a red CI).
-With --update, the baseline file is rewritten from the current report
-after the sanity checks, preserving nothing but the measured entries.
+  * a benchmark of the base is missing from the change, or is slower
+    than base x (1 + BOUND), or
+  * a report's context says invariant audits (stagger_audit) or
+    assertions (stagger_assertions) were compiled in: such a build
+    measures the wrong binary.  A report without those keys, from a
+    base that predates them, is accepted.
+
+Benchmarks new in the change are listed but do not fail the check.
+The combined verdict (base, change and ratio per row) is written to
+BENCH_scheduler.json in the working directory.
 """
 
 import argparse
 import json
 import sys
 
-
-def load(path):
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    if report.get("schema") != "stagger-bench-report-v1":
-        sys.exit(f"{path}: not a stagger-bench-report-v1 file")
-    return report
+BOUND = 0.25  # allowed fractional ns/item increase over the base
+REPORT = "BENCH_scheduler.json"
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def entries(report):
-    return {b["name"]: b for b in report.get("benchmarks", [])}
+def ns_per_item(row):
+    items = row.get("items_per_second", 0)
+    if items > 0:
+        return 1e9 / items
+    return row["cpu_time"] * NS_PER_UNIT[row.get("time_unit", "ns")]
+
+
+def side_minimum(paths):
+    """Per-benchmark minimum ns/item over the iteration rows of `paths`."""
+    best = {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as f:
+            report = json.load(f)
+        context = report.get("context", {})
+        for key in ("stagger_audit", "stagger_assertions"):
+            if context.get(key, "off") != "off":
+                sys.exit(f"FAIL: {path} was measured with {key} on; "
+                         "rebuild with the release preset")
+        for row in report.get("benchmarks", []):
+            if row.get("run_type") != "iteration" or row.get("error_occurred"):
+                continue
+            cost = ns_per_item(row)
+            name = row["name"]
+            best[name] = min(cost, best.get(name, cost))
+    return best
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional ns_per_item increase")
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from the current report")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--base", nargs="+", required=True)
+    parser.add_argument("--change", nargs="+", required=True)
     args = parser.parse_args()
 
-    current = load(args.current)
-    if current.get("audit_enabled"):
-        sys.exit("FAIL: current report measured with STAGGER_AUDIT compiled "
-                 "in; rebuild with the release preset")
-    if current.get("assertions_enabled"):
-        sys.exit("FAIL: current report measured with assertions enabled; "
-                 "rebuild with the release preset")
+    base, change = side_minimum(args.base), side_minimum(args.change)
 
-    if args.update:
-        with open(args.baseline, "w", encoding="utf-8") as f:
-            json.dump(current, f, indent=2)
-            f.write("\n")
-        print(f"baseline {args.baseline} updated from {args.current}")
-        return
+    rows, failures = [], []
+    for name in sorted(set(base) | set(change)):
+        b, c = base.get(name), change.get(name)
+        ratio = c / b if b is not None and c is not None else None
+        rows.append({"name": name, "base_ns_per_item": b,
+                     "change_ns_per_item": c, "ratio": ratio})
+        if b is None:
+            print(f"new  {name}: {c:.1f} ns/item (not in the base)")
+        elif c is None:
+            print(f"FAIL {name}: missing from the change")
+            failures.append(f"{name}: missing from the change")
+        else:
+            verdict = "FAIL" if c > b * (1.0 + BOUND) else "ok"
+            print(f"{verdict:4} {name}: {c:.1f} ns/item vs base {b:.1f} "
+                  f"({ratio:.2f}x)")
+            if verdict == "FAIL":
+                failures.append(f"{name}: {c:.1f} ns/item exceeds base "
+                                f"{b:.1f} +{BOUND:.0%}")
 
-    baseline = load(args.baseline)
-    base, cur = entries(baseline), entries(current)
-
-    failures = []
-    for name, b in sorted(base.items()):
-        c = cur.get(name)
-        if c is None:
-            failures.append(f"{name}: missing from current report")
-            continue
-        allowed = b["ns_per_item"] * (1.0 + args.max_regression)
-        ratio = c["ns_per_item"] / b["ns_per_item"] if b["ns_per_item"] else 0
-        verdict = "FAIL" if c["ns_per_item"] > allowed else "ok"
-        print(f"{verdict:4} {name}: {c['ns_per_item']:.1f} ns/item vs "
-              f"baseline {b['ns_per_item']:.1f} ({ratio:+.1%} of baseline)")
-        if verdict == "FAIL":
-            failures.append(
-                f"{name}: {c['ns_per_item']:.1f} ns/item exceeds "
-                f"{allowed:.1f} (baseline {b['ns_per_item']:.1f} "
-                f"+{args.max_regression:.0%})")
-
-    for name in sorted(set(cur) - set(base)):
-        print(f"new  {name}: {cur[name]['ns_per_item']:.1f} ns/item "
-              "(no baseline; refresh with --update)")
+    with open(REPORT, "w", encoding="utf-8") as f:
+        json.dump({"bound": BOUND, "benchmarks": rows}, f, indent=2)
+        f.write("\n")
 
     if failures:
         print("\nPerformance regression gate failed:", file=sys.stderr)

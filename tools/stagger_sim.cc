@@ -7,11 +7,14 @@
 // Every knob of ExperimentConfig is exposed; defaults reproduce the
 // paper's Table 3 system.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "server/experiment.h"
 #include "util/rng.h"
@@ -72,6 +75,23 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// Parses the whole of `v` as a T; false when any of it is not part of
+// the number, the number does not fit T, or a real is not finite (the
+// SimTime and Bandwidth conversions would overflow).  `*out` is set
+// only on success.
+template <typename T>
+bool ParseNumber(const std::string& v, T* out) {
+  T parsed{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 int Run(int argc, char** argv) {
   ExperimentConfig cfg;
   bool csv = false;
@@ -84,6 +104,11 @@ int Run(int argc, char** argv) {
   int32_t chaos_domains = 0;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool valid = true;
+    auto number = [&v, &valid](auto* out) {
+      valid = ParseNumber(v, out);
+    };
+    double real = 0.0;  // for flags whose field takes a unit
     if (ParseFlag(argv[i], "--help", &v)) {
       PrintUsage();
       return 0;
@@ -99,21 +124,23 @@ int Run(int argc, char** argv) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--stations", &v)) {
-      cfg.stations = std::atoi(v.c_str());
+      number(&cfg.stations);
     } else if (ParseFlag(argv[i], "--mean", &v)) {
-      cfg.geometric_mean = std::atof(v.c_str());
+      number(&cfg.geometric_mean);
     } else if (ParseFlag(argv[i], "--disks", &v)) {
-      cfg.num_disks = std::atoi(v.c_str());
+      number(&cfg.num_disks);
     } else if (ParseFlag(argv[i], "--objects", &v)) {
-      cfg.num_objects = std::atoi(v.c_str());
+      number(&cfg.num_objects);
     } else if (ParseFlag(argv[i], "--subobjects", &v)) {
-      cfg.subobjects_per_object = std::atoll(v.c_str());
+      number(&cfg.subobjects_per_object);
     } else if (ParseFlag(argv[i], "--display-mbps", &v)) {
-      cfg.display_bandwidth = Bandwidth::Mbps(std::atof(v.c_str()));
+      number(&real);
+      cfg.display_bandwidth = Bandwidth::Mbps(real);
     } else if (ParseFlag(argv[i], "--tertiary-mbps", &v)) {
-      cfg.tertiary.bandwidth = Bandwidth::Mbps(std::atof(v.c_str()));
+      number(&real);
+      cfg.tertiary.bandwidth = Bandwidth::Mbps(real);
     } else if (ParseFlag(argv[i], "--stride", &v)) {
-      cfg.stride = std::atoi(v.c_str());
+      number(&cfg.stride);
     } else if (ParseFlag(argv[i], "--fragmented", &v)) {
       cfg.policy = AdmissionPolicy::kFragmented;
     } else if (ParseFlag(argv[i], "--coalesce", &v)) {
@@ -122,21 +149,23 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--no-replication", &v)) {
       cfg.enable_replication = false;
     } else if (ParseFlag(argv[i], "--preload", &v)) {
-      cfg.preload_objects = std::atoi(v.c_str());
+      number(&cfg.preload_objects);
     } else if (ParseFlag(argv[i], "--warmup-hours", &v)) {
-      cfg.warmup = SimTime::Hours(std::atof(v.c_str()));
+      number(&real);
+      cfg.warmup = SimTime::Hours(real);
     } else if (ParseFlag(argv[i], "--measure-hours", &v)) {
-      cfg.measure = SimTime::Hours(std::atof(v.c_str()));
+      number(&real);
+      cfg.measure = SimTime::Hours(real);
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      cfg.seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      number(&cfg.seed);
     } else if (ParseFlag(argv[i], "--replications", &v)) {
-      replications = std::atoi(v.c_str());
+      number(&replications);
     } else if (ParseFlag(argv[i], "--threads", &v)) {
-      threads = std::atoi(v.c_str());
+      number(&threads);
     } else if (ParseFlag(argv[i], "--parity", &v)) {
       cfg.parity = true;
     } else if (ParseFlag(argv[i], "--spares", &v)) {
-      cfg.num_spares = std::atoi(v.c_str());
+      number(&cfg.num_spares);
     } else if (ParseFlag(argv[i], "--scrub", &v)) {
       cfg.scrub = true;
     } else if (ParseFlag(argv[i], "--degraded", &v)) {
@@ -154,20 +183,24 @@ int Run(int argc, char** argv) {
       }
     } else if (ParseFlag(argv[i], "--chaos-seed", &v)) {
       chaos = true;
-      chaos_seed = static_cast<uint64_t>(std::atoll(v.c_str()));
+      number(&chaos_seed);
     } else if (ParseFlag(argv[i], "--chaos-mtbf-hours", &v)) {
       chaos = true;
-      chaos_mtbf_hours = std::atof(v.c_str());
+      number(&chaos_mtbf_hours);
     } else if (ParseFlag(argv[i], "--chaos-mttr-hours", &v)) {
       chaos = true;
-      chaos_mttr_hours = std::atof(v.c_str());
+      number(&chaos_mttr_hours);
     } else if (ParseFlag(argv[i], "--chaos-domains", &v)) {
       chaos = true;
-      chaos_domains = std::atoi(v.c_str());
+      number(&chaos_domains);
     } else if (ParseFlag(argv[i], "--csv", &v)) {
       csv = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", argv[i]);
+      return 2;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid number in '%s' (try --help)\n", argv[i]);
       return 2;
     }
   }
