@@ -1,13 +1,16 @@
 // E9: engine microbenchmarks — event-queue throughput, placement math,
-// and a full scheduler tick — using google-benchmark.
+// a full scheduler tick and the rebuild pick — using google-benchmark.
 
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "core/interval_scheduler.h"
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
+#include "rebuild/rebuild_manager.h"
 #include "sim/simulator.h"
 #include "storage/layout.h"
 #include "util/rng.h"
@@ -233,6 +236,49 @@ void BM_SchedulerAdmissionChurn(benchmark::State& state) {
   state.SetLabel("intervals; streams=" + std::to_string(num_streams));
 }
 BENCHMARK(BM_SchedulerAdmissionChurn)->Arg(100);
+
+// The rebuild pick under display traffic: D = 1000, one failed slot
+// whose 2000 lost fragments of degree-5 parity stripes fall into the
+// slot's six source windows (fragment offsets 0-4 and parity), listed
+// one window after another.  Each interval, display reservations pin
+// ten disks of a window sliding over the slot's neighborhood, so about
+// half the intervals block every pending stripe and most of the rest
+// free only a window late in the list.  The job rebuilds at most one
+// fragment per interval and never drains within a run.
+void BM_RebuildIdleInterval(benchmark::State& state) {
+  constexpr int32_t kDisks = 1000;
+  constexpr DiskId kSlot = 500;
+  constexpr int32_t kDegree = 5;
+  constexpr int32_t kLost = 2000;
+  std::vector<LostFragment> lost;
+  for (int32_t i = 0; i < kLost; ++i) {
+    const int32_t fragment = i * (kDegree + 1) / kLost;  // kDegree: parity
+    lost.push_back(LostFragment{i / 16, i, fragment, kSlot - fragment, kDegree});
+  }
+  int64_t rebuilt = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation(),
+                                   /*num_spares=*/1);
+    disks->FailDisk(kSlot);
+    auto rebuild = RebuildManager::Create(&*disks, RebuildConfig{});
+    (void)(*rebuild)->StartRebuild(kSlot, lost);
+    state.ResumeTiming();
+    for (int64_t t = 0; t < 256; ++t) {
+      const int32_t pin = kSlot - 10 + static_cast<int32_t>(t % 20);
+      for (int32_t d = pin; d < pin + 10; ++d) {
+        if (d != kSlot) disks->ReserveSlot(d);
+      }
+      (*rebuild)->OnIdleInterval(t);
+      disks->EndInterval();
+    }
+    rebuilt = (*rebuild)->metrics().fragments_rebuilt;
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetLabel("intervals; D=1000 lost=2000 rebuilt=" +
+                 std::to_string(rebuilt));
+}
+BENCHMARK(BM_RebuildIdleInterval);
 
 }  // namespace
 }  // namespace stagger

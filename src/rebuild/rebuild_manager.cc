@@ -1,9 +1,13 @@
 #include "rebuild/rebuild_manager.h"
 
+#include <algorithm>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "util/check.h"
+#include "util/hot_path.h"
 
 namespace stagger {
 
@@ -54,10 +58,35 @@ Status RebuildManager::StartRebuild(DiskId slot, std::vector<LostFragment> lost)
       return Status::InvalidArgument("lost fragment index outside [0, M]");
     }
   }
+  if (lost.size() > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::InvalidArgument("lost list too long to index");
+  }
   STAGGER_ASSIGN_OR_RETURN(int32_t spare, disks_->AcquireSpare());
   Job job;
   job.spare = spare;
   job.lost = std::move(lost);
+  // Index the list by source window, in order of first appearance.
+  const auto size = static_cast<int32_t>(job.lost.size());
+  std::map<std::tuple<int32_t, int32_t, int32_t>, int32_t> window_index;
+  job.window_of.resize(job.lost.size());
+  for (int32_t i = 0; i < size; ++i) {
+    const LostFragment& f = job.lost[static_cast<size_t>(i)];
+    const auto [it, added] = window_index.try_emplace(
+        {f.stripe_first_disk, f.degree, f.fragment},
+        static_cast<int32_t>(job.windows.size()));
+    if (added) {
+      Window w;
+      w.stripe_first_disk = f.stripe_first_disk;
+      w.degree = f.degree;
+      w.fragment = f.fragment;
+      w.pending.Resize(size);
+      job.windows.push_back(std::move(w));
+    }
+    Window& w = job.windows[static_cast<size_t>(it->second)];
+    w.pending.Set(i);
+    ++w.pending_count;
+    job.window_of[static_cast<size_t>(i)] = it->second;
+  }
   ++metrics_.rebuilds_started;
   if (job.lost.empty()) {
     // Nothing stored on the slot: the blank spare already matches.
@@ -129,50 +158,71 @@ void RebuildManager::OnSourceUp(DiskId disk) {
 }
 
 bool RebuildManager::JobReadsFrom(const Job& job, DiskId disk) const {
-  const int32_t d = disks_->num_disks();
-  for (size_t idx = job.next; idx < job.lost.size(); ++idx) {
-    const LostFragment& f = job.lost[idx];
-    for (int32_t j = 0; j <= f.degree; ++j) {
-      if (j == f.fragment) continue;
-      const DiskId src = static_cast<DiskId>(
-          PositiveMod(static_cast<int64_t>(f.stripe_first_disk) + j, d));
+  for (const Window& w : job.windows) {
+    if (w.pending_count == 0) continue;
+    for (int32_t j = 0; j <= w.degree; ++j) {
+      if (j == w.fragment) continue;
+      const DiskId src =
+          disks_->Wrap(static_cast<int64_t>(w.stripe_first_disk) + j);
       if (src == disk) return true;
     }
   }
   return false;
 }
 
-bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
-                                   BackgroundGrant* grant) {
+STAGGER_HOT_PATH bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
+                                                    BackgroundGrant* grant) {
   STAGGER_CHECK(job->next < job->lost.size());
-  const int32_t d = disks_->num_disks();
   if (!grant->CanWriteDrive(job->spare)) return false;
   const bool latent_active = disks_->latent_errors().active();
+  const auto next = static_cast<int32_t>(job->next);
 
-  // Scan the remaining list for the first fragment whose whole source
-  // set has slack this interval.  Display traffic pins a moving window
-  // of disks, and a second outage can make individual stripes
-  // temporarily (or, for doubly-lost stripes, indefinitely)
-  // unreadable — skipping past them keeps the idle bandwidth working
-  // instead of serializing behind one blocked stripe.
-  for (size_t idx = job->next; idx < job->lost.size(); ++idx) {
-    const LostFragment& f = job->lost[idx];
-    // The whole stripe reads in one interval, all or nothing; a cap
-    // with less than a stripe's headroom left ends this consumer's
-    // interval.
-    if (grant->reads_remaining() < f.degree) return false;
+  // The pick is the lowest pending list position whose whole source set
+  // has slack this interval.  Display traffic pins a moving window of
+  // disks, and a second outage can make individual stripes temporarily
+  // (or, for doubly-lost stripes, indefinitely) unreadable — skipping
+  // past them keeps the idle bandwidth working instead of serializing
+  // behind one blocked stripe.  Every entry of a window reads the same
+  // sources, and nothing is reserved before the pick, so each window's
+  // sources are tested once.
+  //
+  // The whole stripe reads in one interval, all or nothing: the first
+  // pending position whose stripe needs more reads than the cap has
+  // left ends this consumer's interval, so the pick must lie below it.
+  const int64_t reads_left = grant->reads_remaining();
+  int32_t stop = static_cast<int32_t>(job->lost.size());
+  for (Window& w : job->windows) {
+    w.head = w.pending_count == 0 ? -1 : w.pending.NextSet(next);
+    if (w.head < 0) continue;
+    if (reads_left < w.degree) {
+      stop = std::min(stop, w.head);
+      w.head = -1;
+      continue;
+    }
     // Source set: every fragment of the stripe except the lost one —
     // the surviving data disks plus (for a lost data fragment) the
     // parity disk.  Stripe disks are consecutive mod D starting at the
     // stripe's first data disk, parity on the (M+1)-th.
-    bool sources_free = true;
-    for (int32_t j = 0; j <= f.degree && sources_free; ++j) {
-      if (j == f.fragment) continue;
-      const DiskId src = static_cast<DiskId>(
-          PositiveMod(static_cast<int64_t>(f.stripe_first_disk) + j, d));
-      sources_free = grant->CanRead(src);
+    for (int32_t j = 0; j <= w.degree; ++j) {
+      if (j == w.fragment) continue;
+      const DiskId src =
+          disks_->Wrap(static_cast<int64_t>(w.stripe_first_disk) + j);
+      if (!grant->CanRead(src)) {
+        w.head = -1;
+        break;
+      }
     }
-    if (!sources_free) continue;
+  }
+
+  // Visit the free windows' entries in list order below `stop`.
+  while (true) {
+    Window* best = nullptr;
+    for (Window& w : job->windows) {
+      if (w.head >= 0 && w.head < (best ? best->head : stop)) best = &w;
+    }
+    if (best == nullptr) return false;
+    const int32_t idx = best->head;
+    const LostFragment& f = job->lost[static_cast<size_t>(idx)];
 
     if (latent_active) {
       // A corrupt source word would XOR garbage onto the spare.  The
@@ -181,8 +231,8 @@ bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
       bool corrupt = false;
       for (int32_t j = 0; j <= f.degree; ++j) {
         if (j == f.fragment) continue;
-        const DiskId src = static_cast<DiskId>(
-            PositiveMod(static_cast<int64_t>(f.stripe_first_disk) + j, d));
+        const DiskId src =
+            disks_->Wrap(static_cast<int64_t>(f.stripe_first_disk) + j);
         if (disks_->latent_errors().IsCorrupt(src, f.subobject)) {
           disks_->latent_errors().MarkDetected(src, f.subobject);
           corrupt = true;
@@ -190,6 +240,7 @@ bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
       }
       if (corrupt) {
         ++metrics_.corrupt_source_skips;
+        best->head = best->pending.NextSet(idx + 1);
         continue;
       }
     }
@@ -198,8 +249,8 @@ bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
     uint64_t word = 0;
     for (int32_t j = 0; j <= f.degree; ++j) {
       if (j == f.fragment) continue;
-      const DiskId src = static_cast<DiskId>(
-          PositiveMod(static_cast<int64_t>(f.stripe_first_disk) + j, d));
+      const DiskId src =
+          disks_->Wrap(static_cast<int64_t>(f.stripe_first_disk) + j);
       grant->ReadSlot(src);
       ++metrics_.source_reads;
       word ^= j == f.degree ? ParityWord(f.object, f.subobject, f.degree)
@@ -213,13 +264,26 @@ bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
             : FragmentWord(f.object, f.subobject, f.fragment);
     if (word != expected) ++metrics_.mismatches;
 
-    std::swap(job->lost[job->next], job->lost[idx]);
+    // Swap the picked entry to the cursor; the entry that sat at the
+    // cursor takes over position idx in its own window.
+    const auto at = static_cast<size_t>(idx);
+    const size_t cursor = job->next;
+    best->pending.Clear(idx);
+    --best->pending_count;
+    if (at != cursor) {
+      const int32_t moved = job->window_of[cursor];
+      Window& mw = job->windows[static_cast<size_t>(moved)];
+      mw.pending.Clear(next);
+      mw.pending.Set(idx);
+      job->window_of[cursor] = job->window_of[at];
+      job->window_of[at] = moved;
+      std::swap(job->lost[cursor], job->lost[at]);
+    }
     ++job->next;
     ++metrics_.fragments_rebuilt;
     job->last_rebuild_interval = interval;
     return true;
   }
-  return false;
 }
 
 void RebuildManager::Promote(DiskId slot) {
@@ -262,6 +326,13 @@ bool RebuildManager::paused(DiskId slot) const {
   return !it->second.paused_on.empty();
 }
 
+std::vector<LostFragment> RebuildManager::LostList(DiskId slot) const {
+  MutexLock lock(&mu_);
+  auto it = jobs_.find(slot);
+  STAGGER_CHECK(it != jobs_.end()) << "slot " << slot << " is not rebuilding";
+  return it->second.lost;
+}
+
 Status RebuildManager::AuditState() const {
   MutexLock lock(&mu_);
   for (const auto& [slot, job] : jobs_) {
@@ -272,6 +343,43 @@ Status RebuildManager::AuditState() const {
     STAGGER_AUDIT_VERIFY(job.next < job.lost.size() || job.lost.empty())
         << "; rebuild job on slot " << slot
         << " is complete but was not promoted";
+    // Source-window index: each pending position sits in exactly the
+    // window of its fragment's key, nothing below the cursor is set,
+    // and the window counts add up to the pending count.
+    STAGGER_AUDIT_VERIFY(job.window_of.size() == job.lost.size())
+        << "; rebuild job on slot " << slot << " indexes "
+        << job.window_of.size() << " of " << job.lost.size() << " positions";
+    const auto size = static_cast<int32_t>(job.lost.size());
+    int64_t counted = 0;
+    for (size_t w = 0; w < job.windows.size(); ++w) {
+      const Window& win = job.windows[w];
+      STAGGER_AUDIT_VERIFY(win.pending.CountSet() == win.pending_count)
+          << "; rebuild window " << w << " of slot " << slot << " counts "
+          << win.pending_count << " but holds " << win.pending.CountSet();
+      const int32_t below = win.pending.NextSet(0);
+      STAGGER_AUDIT_VERIFY(below < 0 || below >= static_cast<int32_t>(job.next))
+          << "; rebuild window " << w << " of slot " << slot
+          << " holds rebuilt position " << below;
+      counted += win.pending_count;
+    }
+    STAGGER_AUDIT_VERIFY(counted ==
+                         static_cast<int64_t>(job.lost.size() - job.next))
+        << "; rebuild windows of slot " << slot << " hold " << counted
+        << " positions, " << job.lost.size() - job.next << " pending";
+    for (int32_t i = static_cast<int32_t>(job.next); i < size; ++i) {
+      const auto pos = static_cast<size_t>(i);
+      const int32_t w = job.window_of[pos];
+      STAGGER_AUDIT_VERIFY(w >= 0 && static_cast<size_t>(w) < job.windows.size())
+          << "; rebuild position " << i << " of slot " << slot
+          << " maps to no window";
+      const Window& win = job.windows[static_cast<size_t>(w)];
+      const LostFragment& f = job.lost[pos];
+      STAGGER_AUDIT_VERIFY(win.pending.Test(i) &&
+                           win.stripe_first_disk == f.stripe_first_disk &&
+                           win.degree == f.degree && win.fragment == f.fragment)
+          << "; rebuild position " << i << " of slot " << slot
+          << " is not pending in the window of its source key";
+    }
   }
   STAGGER_AUDIT_VERIFY(metrics_.mismatches == 0)
       << "; " << metrics_.mismatches

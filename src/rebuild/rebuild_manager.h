@@ -3,12 +3,13 @@
 // When a disk fails for good, every fragment it held is re-derivable
 // from its stripe: the M-1 surviving data fragments XORed with the
 // stripe's parity fragment reproduce the lost data word (and the M data
-// words reproduce a lost parity word).  The rebuild manager walks the
-// failed slot's lost-fragment list, re-derives each fragment onto a
-// claimed hot-spare drive using only *idle* disk bandwidth — it runs
-// from the interval scheduler's idle-bandwidth hook, after display
-// reads have taken their reservations — and, once the list is
-// exhausted, promotes the spare into the slot (DiskArray::PromoteSpare).
+// words reproduce a lost parity word).  The rebuild manager works
+// through the failed slot's lost-fragment list, re-deriving each
+// fragment onto a claimed hot-spare drive using only *idle* disk
+// bandwidth — it runs from the interval scheduler's idle-bandwidth
+// hook, after display reads have taken their reservations — and, once
+// the list is exhausted, promotes the spare into the slot
+// (DiskArray::PromoteSpare).
 // Because layouts address slots, the promoted array is bit-identical to
 // the pre-failure placement; tests verify this through the layout
 // audits and the FragmentWord content model below.
@@ -31,6 +32,7 @@
 #include "background/background_budget.h"
 #include "disk/disk_array.h"
 #include "storage/media_object.h"
+#include "util/bitmap.h"
 #include "util/result.h"
 #include "util/thread_annotations.h"
 
@@ -55,6 +57,8 @@ struct LostFragment {
   int32_t stripe_first_disk = 0;
   /// M_X of the owning object.
   int32_t degree = 0;
+
+  bool operator==(const LostFragment&) const = default;
 };
 
 /// \brief Rebuild pacing.
@@ -72,11 +76,13 @@ struct RebuildMetrics {
   int64_t fragments_rebuilt = 0;
   /// Survivor + parity reads issued on behalf of rebuilds.
   int64_t source_reads = 0;
-  /// Intervals where a job was due to rebuild but some source disk (or
-  /// the throttle) had no slack.
+  /// Intervals where a job was due to rebuild (not paused, not
+  /// throttled) but rebuilt nothing: no pending stripe had every source
+  /// free, the spare was busy, or the grant's read cap left less than a
+  /// stripe's reads.
   int64_t stalled_intervals = 0;
   /// Job-intervals spent paused because a source disk was stalled
-  /// (OnSourceDown); the cursor holds still instead of re-scanning.
+  /// (OnSourceDown); the cursor holds still instead of re-picking.
   int64_t paused_intervals = 0;
   /// Stripes skipped because a source fragment's media cell is corrupt
   /// (latent error): rebuilding through it would write garbage onto the
@@ -87,8 +93,8 @@ struct RebuildMetrics {
   int64_t mismatches = 0;
 };
 
-/// \brief Walks lost fragments of failed slots and re-derives them onto
-/// hot spares from parity, on idle bandwidth only.
+/// \brief Re-derives the lost fragments of failed slots onto hot spares
+/// from parity, on idle bandwidth only.
 ///
 /// As a BackgroundConsumer the manager draws its source reads and
 /// spare writes from a BackgroundGrant handed out by the shared
@@ -117,8 +123,9 @@ class RebuildManager : public BackgroundConsumer {
   /// Consumes leftover slack of one interval: for each active job whose
   /// throttle allows it, picks the first pending fragment whose whole
   /// source set is idle (display traffic and other outages can block
-  /// individual stripes — they are skipped, not waited on), reads the
-  /// stripe's surviving fragments plus parity (reserving those disks),
+  /// individual stripes — they are skipped, not waited on; the pick
+  /// tests each source window once, see Window), reads the stripe's
+  /// surviving fragments plus parity (reserving those disks),
   /// XOR-reconstructs the lost word onto the spare, and promotes the
   /// spare when the job's list is exhausted.  A stripe that lost two
   /// fragments is unrecoverable from single parity: its job holds the
@@ -134,18 +141,19 @@ class RebuildManager : public BackgroundConsumer {
     MutexLock lock(&mu_);
     return !jobs_.empty();
   }
-  /// One interval's rebuild work within `grant`; returns fragments
-  /// rebuilt.
+  /// One interval's rebuild work within `grant`: at most one fragment
+  /// per due job, picked by source window (see OnIdleInterval); returns
+  /// fragments rebuilt.
   int64_t RunIdle(int64_t interval, BackgroundGrant* grant) override
       STAGGER_EXCLUDES(mu_);
 
   /// A stall on a rebuild *source* disk: every job whose pending
   /// fragments read from `disk` pauses — the stripe cursor holds still
-  /// until OnSourceUp — instead of fruitlessly re-scanning (and
+  /// until OnSourceUp — instead of fruitlessly re-picking (and
   /// re-ordering) its remaining list each interval.  Only stalls pause:
   /// they always end, while pausing on a *failure* could deadlock two
   /// jobs whose source sets cross (each waiting on the other's lost
-  /// disk); failures keep the scan-and-skip behavior.
+  /// disk); failures keep the pick-and-skip behavior.
   void OnSourceDown(DiskId disk, DiskHealth health) STAGGER_EXCLUDES(mu_);
   /// Clears `disk` from every job's paused set.
   void OnSourceUp(DiskId disk) STAGGER_EXCLUDES(mu_);
@@ -167,15 +175,36 @@ class RebuildManager : public BackgroundConsumer {
   size_t NextFragmentIndex(DiskId slot) const STAGGER_EXCLUDES(mu_);
   /// True when `slot`'s job is paused on a stalled source disk.
   bool paused(DiskId slot) const STAGGER_EXCLUDES(mu_);
+  /// `slot`'s lost list in its current order: positions below
+  /// NextFragmentIndex are rebuilt, the rest pending.
+  std::vector<LostFragment> LostList(DiskId slot) const STAGGER_EXCLUDES(mu_);
 
   const RebuildMetrics& metrics() const { return metrics_; }
   const RebuildConfig& config() const { return config_; }
 
   /// Internal-consistency audit: job cursors within bounds, one job per
-  /// slot, and zero reconstruction mismatches.
+  /// slot, the source-window index in step with the pending list, and
+  /// zero reconstruction mismatches.
   Status AuditState() const STAGGER_EXCLUDES(mu_);
 
  private:
+  /// The pending fragments of one job that read the same source disks:
+  /// same stripe first disk, degree and lost fragment index.  A failed
+  /// slot's fragments fall into at most Σ(degree + 1) windows, one per
+  /// offset of the slot inside a stripe of each degree, so the pick
+  /// tests sources once per window instead of once per list entry.
+  struct Window {
+    int32_t stripe_first_disk = 0;
+    int32_t degree = 0;
+    int32_t fragment = 0;
+    /// Bit i set == list position i (>= the job's next) is pending here.
+    Bitmap pending;
+    int32_t pending_count = 0;
+    /// TryRebuildOne scratch: this window's next candidate position, or
+    /// -1 when it has none this call.
+    int32_t head = -1;
+  };
+
   struct Job {
     int32_t spare = -1;  ///< claimed spare drive index
     std::vector<LostFragment> lost;
@@ -184,6 +213,11 @@ class RebuildManager : public BackgroundConsumer {
     /// Stalled disks some pending fragment reads from; non-empty
     /// freezes the job (see OnSourceDown).
     std::set<DiskId> paused_on;
+    /// Source-window index over `lost`, built by StartRebuild and sized
+    /// there, so the per-interval pick never allocates.
+    std::vector<Window> windows;
+    /// windows[window_of[i]] holds list position i.
+    std::vector<int32_t> window_of;
   };
 
   RebuildManager(DiskArray* disks, RebuildConfig config);
@@ -191,7 +225,8 @@ class RebuildManager : public BackgroundConsumer {
   /// Attempts one fragment of `job` this interval; true on progress.
   bool TryRebuildOne(Job* job, int64_t interval, BackgroundGrant* grant)
       STAGGER_REQUIRES(mu_);
-  /// True when some pending fragment of `job` reads from `disk`.
+  /// True when some pending fragment of `job` reads from `disk`: one
+  /// test per non-empty source window.
   bool JobReadsFrom(const Job& job, DiskId disk) const STAGGER_REQUIRES(mu_);
   void Promote(DiskId slot) STAGGER_REQUIRES(mu_);
 

@@ -121,6 +121,21 @@ class Bitmap {
     }
   }
 
+  /// Lowest set bit at or after `from`, or -1.  from in [0, size].
+  /// O((size - from)/64) words.
+  STAGGER_HOT_PATH int32_t NextSet(int32_t from) const {
+    STAGGER_DCHECK(from >= 0 && from <= size_);
+    if (from >= size_) return -1;
+    size_t w = static_cast<size_t>(from >> 6);
+    uint64_t bits = words_[w] & (kAllOnes << (static_cast<uint32_t>(from) & 63));
+    while (bits == 0) {
+      if (++w == words_.size()) return -1;
+      bits = words_[w];
+    }
+    return static_cast<int32_t>((w << 6) +
+                                static_cast<size_t>(std::countr_zero(bits)));
+  }
+
   /// True when none of the bits in the modular window
   /// [start, start + len) (mod size) is set.  len in [0, size].
   STAGGER_HOT_PATH bool WindowClear(int32_t start, int32_t len) const {

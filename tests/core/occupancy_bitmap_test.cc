@@ -131,6 +131,28 @@ bool WindowClearNaive(const Bitmap& b, int32_t start, int32_t len) {
   return true;
 }
 
+TEST(BitmapPropertyTest, NextSetMatchesNaive) {
+  const int32_t sizes[] = {0, 1, 7, 63, 64, 65, 128, 200, 1000};
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed + 1);
+    for (int32_t size : sizes) {
+      Bitmap b(size);
+      const double density = rng.NextDouble() * 0.1;
+      for (int32_t i = 0; i < size; ++i) {
+        if (rng.NextBool(density)) b.Set(i);
+      }
+      for (int32_t from = 0; from <= size; ++from) {
+        int32_t naive = -1;
+        for (int32_t i = from; i < size && naive < 0; ++i) {
+          if (b.Test(i)) naive = i;
+        }
+        EXPECT_EQ(b.NextSet(from), naive)
+            << "seed=" << seed << " size=" << size << " from=" << from;
+      }
+    }
+  }
+}
+
 TEST(BitmapPropertyTest, WindowClearMatchesNaive) {
   const int32_t sizes[] = {1, 7, 63, 64, 65, 100, 128, 200, 1000};
   for (uint64_t seed = 0; seed < 50; ++seed) {

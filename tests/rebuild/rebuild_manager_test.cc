@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "background/background_budget.h"
 #include "disk/disk_array.h"
 #include "storage/layout.h"
 
@@ -307,6 +308,73 @@ TEST_F(RebuildManagerTest, CorruptSourceIsSurfacedAndSkipped) {
   RunIdleIntervals(4, /*start=*/3);
   EXPECT_FALSE(rebuild_->rebuilding(2));
   EXPECT_EQ(rebuild_->metrics().mismatches, 0);
+}
+
+TEST_F(RebuildManagerTest, CapBelowFirstStripeDegreeEndsTheInterval) {
+  // Slot 2 lost a degree-5 stripe (sources 3..7) ahead of a degree-3
+  // stripe (sources 3..5).  A grant with 4 reads left cannot take the
+  // first stripe whole, and the pick never reaches past it, free or
+  // not: the interval ends with nothing rebuilt.
+  Init(12, 1);
+  disks_->FailDisk(2);
+  const std::vector<LostFragment> lost = {
+      {/*object=*/0, /*subobject=*/0, /*fragment=*/0, /*first=*/2, /*degree=*/5},
+      {/*object=*/1, /*subobject=*/0, /*fragment=*/0, /*first=*/2, /*degree=*/3}};
+  ASSERT_TRUE(rebuild_->StartRebuild(2, lost).ok());
+
+  BackgroundGrant grant(disks_.get(), /*max_reads=*/4);
+  EXPECT_EQ(rebuild_->RunIdle(0, &grant), 0);
+  EXPECT_EQ(grant.reads(), 0);
+  disks_->EndInterval();
+
+  // Still false with the first stripe's window blocked by traffic.
+  disks_->ReserveSlot(7);
+  BackgroundGrant blocked(disks_.get(), /*max_reads=*/4);
+  EXPECT_EQ(rebuild_->RunIdle(1, &blocked), 0);
+  disks_->EndInterval();
+  EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 0);
+  EXPECT_EQ(rebuild_->metrics().stalled_intervals, 2);
+  EXPECT_EQ(rebuild_->NextFragmentIndex(2), 0u);
+  EXPECT_TRUE(rebuild_->LostList(2) == lost);
+
+  // A grant with the stripe's 5 reads takes the first stripe.
+  BackgroundGrant enough(disks_.get(), /*max_reads=*/5);
+  EXPECT_EQ(rebuild_->RunIdle(2, &enough), 1);
+  EXPECT_EQ(enough.reads(), 5);
+  EXPECT_EQ(rebuild_->NextFragmentIndex(2), 1u);
+  EXPECT_TRUE(rebuild_->AuditState().ok()) << rebuild_->AuditState();
+}
+
+TEST_F(RebuildManagerTest, CorruptSkipHandsThePickToAnotherWindow) {
+  // Slot 2's list: X and Z read sources 3, 4, 5 (fragment 0 of stripes
+  // starting at 2); Y reads 1, 3, 4 (fragment 1 of a stripe starting at
+  // 1).  X's source cell on disk 5 is corrupt.  The pick skips X,
+  // surfacing the cell, and takes Y — the lowest clean position, in
+  // another window — ahead of Z in X's own window.
+  Init(12, 1);
+  disks_->FailDisk(2);
+  const LostFragment x{/*object=*/0, /*subobject=*/0, 0, /*first=*/2, 3};
+  const LostFragment y{/*object=*/0, /*subobject=*/1, 1, /*first=*/1, 3};
+  const LostFragment z{/*object=*/0, /*subobject=*/2, 0, /*first=*/2, 3};
+  disks_->latent_errors().Inject(5, 0, 0);
+  ASSERT_TRUE(rebuild_->StartRebuild(2, {x, y, z}).ok());
+
+  RunIdleIntervals(1);
+  EXPECT_EQ(rebuild_->metrics().corrupt_source_skips, 1);
+  EXPECT_EQ(disks_->latent_errors().metrics().detected, 1);
+  EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 1);
+  EXPECT_EQ(rebuild_->NextFragmentIndex(2), 1u);
+  EXPECT_TRUE(rebuild_->LostList(2) == (std::vector<LostFragment>{y, x, z}));
+  EXPECT_TRUE(rebuild_->AuditState().ok()) << rebuild_->AuditState();
+
+  // Next interval X is skipped again and the pick moves on to Z, in
+  // X's window.
+  RunIdleIntervals(1, /*start=*/1);
+  EXPECT_EQ(rebuild_->metrics().corrupt_source_skips, 2);
+  EXPECT_EQ(disks_->latent_errors().metrics().detected, 1);
+  EXPECT_EQ(rebuild_->NextFragmentIndex(2), 2u);
+  EXPECT_TRUE(rebuild_->LostList(2) == (std::vector<LostFragment>{y, z, x}));
+  EXPECT_TRUE(rebuild_->AuditState().ok()) << rebuild_->AuditState();
 }
 
 }  // namespace
