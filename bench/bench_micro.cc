@@ -253,7 +253,9 @@ void BM_RebuildIdleInterval(benchmark::State& state) {
   std::vector<LostFragment> lost;
   for (int32_t i = 0; i < kLost; ++i) {
     const int32_t fragment = i * (kDegree + 1) / kLost;  // kDegree: parity
-    lost.push_back(LostFragment{i / 16, i, fragment, kSlot - fragment, kDegree});
+    lost.push_back(LostFragment{
+        i / 16, i, fragment,
+        Stripe::At(kDisks, kSlot - fragment, kDegree, /*has_parity=*/true)});
   }
   int64_t rebuilt = 0;
   for (auto _ : state) {
@@ -269,7 +271,8 @@ void BM_RebuildIdleInterval(benchmark::State& state) {
       for (int32_t d = pin; d < pin + 10; ++d) {
         if (d != kSlot) disks->ReserveSlot(d);
       }
-      (*rebuild)->OnIdleInterval(t);
+      BackgroundGrant grant(&*disks, /*max_reads=*/0);
+      (*rebuild)->RunIdle(t, &grant);
       disks->EndInterval();
     }
     rebuilt = (*rebuild)->metrics().fragments_rebuilt;

@@ -51,7 +51,7 @@ int main() {
   DisplayRequest play;
   play.object = 0;
   play.degree = 5;
-  play.start_disk = layout->FirstDiskFor(0);
+  play.start_disk = layout->start_disk();
   play.num_subobjects = movie.num_subobjects;
   play.on_started = [&sim](SimTime latency) {
     std::printf("[%8.1fs] playback started (waited %.2fs)\n",
@@ -79,7 +79,7 @@ int main() {
     DisplayRequest scan;
     scan.object = 1;
     scan.degree = 5;
-    scan.start_disk = replica_layout->FirstDiskFor(from);
+    scan.start_disk = replica_layout->StripeOf(from).first;
     scan.num_subobjects = scan_len;
     scan.on_started = [&sim](SimTime latency) {
       std::printf("[%8.1fs] stream started (switch delay %.2fs)\n",
@@ -103,7 +103,7 @@ int main() {
         replica->FromReplica(replica->ToReplica(99) + 16);
     std::printf("[%8.1fs] resume normal playback at subobject %lld\n",
                 sim.Now().seconds(), static_cast<long long>(resume_at));
-    auto resumed = (*scheduler)->Seek(live, layout->FirstDiskFor(resume_at),
+    auto resumed = (*scheduler)->Seek(live, layout->StripeOf(resume_at).first,
                                       movie.num_subobjects - resume_at);
     STAGGER_CHECK(resumed.ok()) << resumed.status();
   }

@@ -59,6 +59,9 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
   if (request.start_disk < 0 || request.start_disk >= frame_.num_disks()) {
     return Status::InvalidArgument("start disk out of range");
   }
+  if (request.parity && request.degree + 1 > frame_.num_disks()) {
+    return Status::InvalidArgument("parity needs degree + 1 <= D");
+  }
   const RequestId id = next_request_id_++;
   queue_.push_back(Pending{id, std::move(request), sim_->Now()});
   request_to_stream_[id] = kNoStream;
@@ -250,16 +253,16 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
     // pause on its very first interval).  Under kReconstruct a single
     // lost fragment is tolerable when the stripe's parity disk can
     // stand in for it.
+    const Stripe stripe =
+        Stripe::At(frame_.num_disks(), p.req.start_disk, m, p.req.parity);
     int32_t down = 0;
     for (int32_t j = 0; j < m; ++j) {
-      const int32_t physical = RowDisk(p.req.start_disk, /*row=*/0, j);
-      if (!disks_->IsAvailable(physical)) ++down;
+      if (!disks_->IsAvailable(stripe.Slot(j))) ++down;
     }
     if (down > 0) {
       const bool reconstructable =
           config_.degraded_policy == DegradedPolicy::kReconstruct &&
-          p.req.parity && down == 1 &&
-          disks_->IsAvailable(ParityDisk(p.req.start_disk, m, /*row=*/0));
+          p.req.parity && down == 1 && disks_->IsAvailable(stripe.parity);
       if (!reconstructable) return false;
     }
   }
@@ -277,6 +280,8 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   const int32_t m = p.req.degree;
   const bool check_health = config_.degraded_policy != DegradedPolicy::kNone &&
                             disks_->UnavailableCount() > 0;
+  const Stripe stripe =
+      Stripe::At(frame_.num_disks(), p.req.start_disk, m, p.req.parity);
   LaneArray lanes;
   lanes.Assign(m);
   int64_t delta_max = 0;
@@ -287,7 +292,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   STAGGER_DCHECK(scratch_taken_bits_.empty());
   bool ok = true;
   for (int32_t j = 0; j < m; ++j) {
-    const int32_t target = RowDisk(p.req.start_disk, /*row=*/0, j);
+    const int32_t target = stripe.Slot(j);
     // A lane with alignment delay zero reads `target` this interval;
     // skip such candidates while the disk is down (later-aligned lanes
     // are still fine — health at their read time is unknowable).
@@ -448,7 +453,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       int32_t first = lane->vdisk + rot;
       if (first >= d) first -= d;
 #ifdef STAGGER_AUDIT
-      STAGGER_CHECK(first == RowDisk(s.start_disk, lane->reads_done, fragment))
+      STAGGER_CHECK(first == RowStripe(s, lane->reads_done).Slot(fragment))
           << "lane misalignment: stream " << s.id << " fragment " << fragment;
 #endif
       // A run whose disks are all up and carry no corrupt cell reads
@@ -556,13 +561,14 @@ STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
     disks_->latent_errors().MarkDetected(physical, row);
     ++metrics_.corrupt_reads_detected;
   }
+  const Stripe stripe = RowStripe(s, row);
   int32_t read_disk = -1;
   if (config_.degraded_policy == DegradedPolicy::kReconstruct && s.parity) {
     // Read the stripe's parity fragment in place of the lost one: the
     // M-1 surviving fragments plus parity reconstruct it in buffer.  The
     // extra read is charged against the parity disk's slack this
     // interval.
-    const int32_t parity_disk = ParityDisk(s.start_disk, s.degree, row);
+    const int32_t parity_disk = stripe.parity;
     if (disks_->IsAvailable(parity_disk) && !disks_->SlotBusy(parity_disk) &&
         !claimed_.Test(parity_disk) &&
         !(latent.active() && latent.IsCorrupt(parity_disk, row))) {
@@ -575,7 +581,7 @@ STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
     // offers no slack (or the stream carries none).  The substitute
     // models a replica read off another disk's copy, so the original
     // cell's corruption does not follow it.
-    read_disk = FindDegradedSubstitute(s, row);
+    read_disk = FindDegradedSubstitute(stripe);
     if (read_disk >= 0) ++metrics_.degraded_reads;
   }
   if (read_disk < 0) return -1;
@@ -585,13 +591,13 @@ STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
 }
 
 STAGGER_HOT_PATH int32_t IntervalScheduler::FindDegradedSubstitute(
-    const Stream& s, int64_t row) const {
+    const Stripe& stripe) const {
   // Surviving disks of the subobject's own stripe first — they hold the
   // sibling fragments a stripe-level replica reconstructs from — then
   // the lowest-numbered disk with slack this interval, found by one
   // word scan of unavailable | busy | claimed.
-  for (int32_t j = 0; j < s.degree; ++j) {
-    const int32_t cand = RowDisk(s.start_disk, row, j);
+  for (int32_t j = 0; j < stripe.degree; ++j) {
+    const int32_t cand = stripe.Slot(j);
     if (disks_->IsAvailable(cand) && !disks_->SlotBusy(cand) &&
         !claimed_.Test(cand)) {
       return cand;
@@ -600,17 +606,11 @@ STAGGER_HOT_PATH int32_t IntervalScheduler::FindDegradedSubstitute(
   return disks_->FirstIdleAvailableSlot(claimed_);
 }
 
-int32_t IntervalScheduler::ParityDisk(int32_t start_disk, int32_t degree,
-                                      int64_t row) const {
-  return RowDisk(start_disk, row, degree);
-}
-
-int32_t IntervalScheduler::RowDisk(int32_t start_disk, int64_t row,
-                                   int32_t fragment) const {
-  return static_cast<int32_t>(
-      PositiveMod(static_cast<int64_t>(start_disk) + row * config_.stride +
-                      fragment,
-                  frame_.num_disks()));
+Stripe IntervalScheduler::RowStripe(const Stream& s, int64_t row) const {
+  const auto first = static_cast<int32_t>(PositiveMod(
+      static_cast<int64_t>(s.start_disk) + row * config_.stride,
+      frame_.num_disks()));
+  return Stripe::At(frame_.num_disks(), first, s.degree, s.parity);
 }
 
 void IntervalScheduler::PauseStream(StreamId id) {
@@ -625,7 +625,7 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.remainder.degree = s.degree;
   // Resume from the first undelivered subobject; buffered read-ahead is
   // dropped (those fragments will be re-read after recovery).
-  p.remainder.start_disk = RowDisk(s.start_disk, s.delivered, 0);
+  p.remainder.start_disk = RowStripe(s, s.delivered).first;
   p.remainder.num_subobjects = s.num_subobjects - s.delivered;
   p.remainder.parity = s.parity;
   p.remainder.on_started = std::move(s.on_started);
@@ -708,7 +708,7 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   if (pick < 0) return;
 
   FragmentLane& lane = s->lanes[static_cast<size_t>(pick)];
-  const int32_t target = RowDisk(s->start_disk, lane.reads_done, pick);
+  const int32_t target = RowStripe(*s, lane.reads_done).Slot(pick);
   const int64_t cur_effective = lane.next_read_tau - lane.reads_done;
   // Latest safe resume: outputs reach subobject reads_done exactly when
   // the new disk takes over (backlog fully drained, no hiccup).

@@ -33,6 +33,7 @@
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
 #include "sim/simulator.h"
+#include "storage/layout.h"
 #include "util/bitmap.h"
 #include "util/hot_path.h"
 #include "util/result.h"
@@ -293,19 +294,14 @@ class IntervalScheduler {
   /// substitute disk).  Reserves the disk read and returns it, or
   /// returns -1 when the stream must pause.
   int32_t DegradedRead(const Stream& s, int64_t row, int32_t physical);
-  /// Physical disk with slack to absorb a read of `s`'s row `row` this
-  /// interval, or -1.  Consults claimed_ (disks some active lane is due
-  /// to read this interval, whether or not already reserved).
-  int32_t FindDegradedSubstitute(const Stream& s, int64_t row) const;
-  /// Physical disk of fragment `fragment` of row `row` of a display
-  /// whose row 0 starts on `start_disk`: start + row * k + fragment
-  /// (mod D).
-  int32_t RowDisk(int32_t start_disk, int64_t row, int32_t fragment) const;
-  /// Physical disk holding the parity fragment of row `row` of a
-  /// display of `degree` fragments whose row 0 starts on `start_disk`:
-  /// the disk after the stripe's last data fragment.  Mirrors
-  /// StaggeredLayout::ParityDiskFor.
-  int32_t ParityDisk(int32_t start_disk, int32_t degree, int64_t row) const;
+  /// Physical disk with slack to absorb a read of a fragment of
+  /// `stripe` this interval, or -1.  Consults claimed_ (disks some
+  /// active lane is due to read this interval, whether or not already
+  /// reserved).
+  int32_t FindDegradedSubstitute(const Stripe& stripe) const;
+  /// Stripe of row `row` of stream `s`: Stripe::At from the row's first
+  /// slot, start + row * k (mod D), the stride walk of the frame.
+  Stripe RowStripe(const Stream& s, int64_t row) const;
 
   Simulator* sim_;
   DiskArray* disks_;

@@ -21,13 +21,13 @@ PlacementTable MaterializePlacement(const StaggeredLayout& layout,
   STAGGER_CHECK(!include_parity || layout.has_parity());
   PlacementTable table(static_cast<size_t>(num_subobjects));
   for (int64_t i = 0; i < num_subobjects; ++i) {
+    const Stripe stripe = layout.StripeOf(i);
     auto& row = table[static_cast<size_t>(i)];
-    row.reserve(static_cast<size_t>(layout.degree()) + (include_parity ? 1 : 0));
-    row.resize(static_cast<size_t>(layout.degree()));
-    for (int32_t j = 0; j < layout.degree(); ++j) {
-      row[static_cast<size_t>(j)] = layout.DiskFor(i, j);
+    row.resize(static_cast<size_t>(include_parity ? stripe.width()
+                                                  : stripe.degree));
+    for (int32_t j = 0; j < static_cast<int32_t>(row.size()); ++j) {
+      row[static_cast<size_t>(j)] = stripe.Slot(j);
     }
-    if (include_parity) row.push_back(layout.ParityDiskFor(i));
   }
   return table;
 }

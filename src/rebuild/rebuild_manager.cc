@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "util/check.h"
@@ -54,8 +53,11 @@ Status RebuildManager::StartRebuild(DiskId slot, std::vector<LostFragment> lost)
                                       " is already rebuilding");
   }
   for (const LostFragment& f : lost) {
-    if (f.degree < 1 || f.fragment < 0 || f.fragment > f.degree) {
-      return Status::InvalidArgument("lost fragment index outside [0, M]");
+    // A stripe without parity has nothing to rebuild a fragment from.
+    if (f.stripe.num_disks != disks_->num_disks() || f.stripe.parity < 0 ||
+        f.fragment < 0 || f.fragment >= f.stripe.width()) {
+      return Status::InvalidArgument(
+          "lost fragment is not a member of a parity stripe on this array");
     }
   }
   if (lost.size() > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
@@ -67,17 +69,15 @@ Status RebuildManager::StartRebuild(DiskId slot, std::vector<LostFragment> lost)
   job.lost = std::move(lost);
   // Index the list by source window, in order of first appearance.
   const auto size = static_cast<int32_t>(job.lost.size());
-  std::map<std::tuple<int32_t, int32_t, int32_t>, int32_t> window_index;
+  std::map<std::pair<Stripe, int32_t>, int32_t> window_index;
   job.window_of.resize(job.lost.size());
   for (int32_t i = 0; i < size; ++i) {
     const LostFragment& f = job.lost[static_cast<size_t>(i)];
     const auto [it, added] = window_index.try_emplace(
-        {f.stripe_first_disk, f.degree, f.fragment},
-        static_cast<int32_t>(job.windows.size()));
+        {f.stripe, f.fragment}, static_cast<int32_t>(job.windows.size()));
     if (added) {
       Window w;
-      w.stripe_first_disk = f.stripe_first_disk;
-      w.degree = f.degree;
+      w.stripe = f.stripe;
       w.fragment = f.fragment;
       w.pending.Resize(size);
       job.windows.push_back(std::move(w));
@@ -109,11 +109,6 @@ Status RebuildManager::CancelRebuild(DiskId slot) {
   jobs_.erase(it);
   ++metrics_.rebuilds_cancelled;
   return Status::OK();
-}
-
-void RebuildManager::OnIdleInterval(int64_t interval) {
-  BackgroundGrant grant(disks_, /*max_reads=*/0);
-  RunIdle(interval, &grant);
 }
 
 int64_t RebuildManager::RunIdle(int64_t interval, BackgroundGrant* grant) {
@@ -160,12 +155,8 @@ void RebuildManager::OnSourceUp(DiskId disk) {
 bool RebuildManager::JobReadsFrom(const Job& job, DiskId disk) const {
   for (const Window& w : job.windows) {
     if (w.pending_count == 0) continue;
-    for (int32_t j = 0; j <= w.degree; ++j) {
-      if (j == w.fragment) continue;
-      const DiskId src =
-          disks_->Wrap(static_cast<int64_t>(w.stripe_first_disk) + j);
-      if (src == disk) return true;
-    }
+    const int32_t j = w.stripe.FragmentOn(disk);
+    if (j >= 0 && j != w.fragment) return true;
   }
   return false;
 }
@@ -194,20 +185,17 @@ STAGGER_HOT_PATH bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
   for (Window& w : job->windows) {
     w.head = w.pending_count == 0 ? -1 : w.pending.NextSet(next);
     if (w.head < 0) continue;
-    if (reads_left < w.degree) {
+    if (reads_left < w.stripe.degree) {
       stop = std::min(stop, w.head);
       w.head = -1;
       continue;
     }
-    // Source set: every fragment of the stripe except the lost one —
+    // Source set: every member of the stripe except the lost fragment —
     // the surviving data disks plus (for a lost data fragment) the
-    // parity disk.  Stripe disks are consecutive mod D starting at the
-    // stripe's first data disk, parity on the (M+1)-th.
-    for (int32_t j = 0; j <= w.degree; ++j) {
+    // parity disk.
+    for (int32_t j = 0; j < w.stripe.width(); ++j) {
       if (j == w.fragment) continue;
-      const DiskId src =
-          disks_->Wrap(static_cast<int64_t>(w.stripe_first_disk) + j);
-      if (!grant->CanRead(src)) {
+      if (!grant->CanRead(w.stripe.Slot(j))) {
         w.head = -1;
         break;
       }
@@ -223,16 +211,16 @@ STAGGER_HOT_PATH bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
     if (best == nullptr) return false;
     const int32_t idx = best->head;
     const LostFragment& f = job->lost[static_cast<size_t>(idx)];
+    const Stripe& stripe = best->stripe;
 
     if (latent_active) {
       // A corrupt source word would XOR garbage onto the spare.  The
       // checksum on the source read catches it; surface the cell and
       // leave the stripe for the scrubber to repair first.
       bool corrupt = false;
-      for (int32_t j = 0; j <= f.degree; ++j) {
+      for (int32_t j = 0; j < stripe.width(); ++j) {
         if (j == f.fragment) continue;
-        const DiskId src =
-            disks_->Wrap(static_cast<int64_t>(f.stripe_first_disk) + j);
+        const DiskId src = stripe.Slot(j);
         if (disks_->latent_errors().IsCorrupt(src, f.subobject)) {
           disks_->latent_errors().MarkDetected(src, f.subobject);
           corrupt = true;
@@ -246,22 +234,20 @@ STAGGER_HOT_PATH bool RebuildManager::TryRebuildOne(Job* job, int64_t interval,
     }
 
     // All sources have slack: take the reservations and reconstruct.
+    const int32_t m = stripe.degree;
     uint64_t word = 0;
-    for (int32_t j = 0; j <= f.degree; ++j) {
+    for (int32_t j = 0; j < stripe.width(); ++j) {
       if (j == f.fragment) continue;
-      const DiskId src =
-          disks_->Wrap(static_cast<int64_t>(f.stripe_first_disk) + j);
-      grant->ReadSlot(src);
+      grant->ReadSlot(stripe.Slot(j));
       ++metrics_.source_reads;
-      word ^= j == f.degree ? ParityWord(f.object, f.subobject, f.degree)
-                            : FragmentWord(f.object, f.subobject, j);
+      word ^= j == m ? ParityWord(f.object, f.subobject, m)
+                     : FragmentWord(f.object, f.subobject, j);
     }
     grant->WriteDrive(job->spare);  // the rebuilt fragment's write transfer
 
     const uint64_t expected =
-        f.fragment == f.degree
-            ? ParityWord(f.object, f.subobject, f.degree)
-            : FragmentWord(f.object, f.subobject, f.fragment);
+        f.fragment == m ? ParityWord(f.object, f.subobject, m)
+                        : FragmentWord(f.object, f.subobject, f.fragment);
     if (word != expected) ++metrics_.mismatches;
 
     // Swap the picked entry to the cursor; the entry that sat at the
@@ -374,9 +360,8 @@ Status RebuildManager::AuditState() const {
           << " maps to no window";
       const Window& win = job.windows[static_cast<size_t>(w)];
       const LostFragment& f = job.lost[pos];
-      STAGGER_AUDIT_VERIFY(win.pending.Test(i) &&
-                           win.stripe_first_disk == f.stripe_first_disk &&
-                           win.degree == f.degree && win.fragment == f.fragment)
+      STAGGER_AUDIT_VERIFY(win.pending.Test(i) && win.stripe == f.stripe &&
+                           win.fragment == f.fragment)
           << "; rebuild position " << i << " of slot " << slot
           << " is not pending in the window of its source key";
     }

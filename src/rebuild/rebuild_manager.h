@@ -31,6 +31,7 @@
 
 #include "background/background_budget.h"
 #include "disk/disk_array.h"
+#include "storage/layout.h"
 #include "storage/media_object.h"
 #include "util/bitmap.h"
 #include "util/result.h"
@@ -50,13 +51,12 @@ uint64_t ParityWord(ObjectId object, int64_t subobject, int32_t degree);
 struct LostFragment {
   ObjectId object = kInvalidObject;
   int64_t subobject = 0;
-  /// Fragment index within the stripe; `degree` denotes the stripe's
-  /// parity fragment.
+  /// Fragment index within the stripe; `stripe.degree` denotes the
+  /// stripe's parity fragment.
   int32_t fragment = 0;
-  /// Physical slot of the stripe's first data fragment X_{subobject.0}.
-  int32_t stripe_first_disk = 0;
-  /// M_X of the owning object.
-  int32_t degree = 0;
+  /// The stripe the fragment belongs to; its other members are the
+  /// rebuild's sources.
+  Stripe stripe;
 
   bool operator==(const LostFragment&) const = default;
 };
@@ -99,9 +99,7 @@ struct RebuildMetrics {
 /// As a BackgroundConsumer the manager draws its source reads and
 /// spare writes from a BackgroundGrant handed out by the shared
 /// BackgroundBudget arbiter (src/background/), which caps its
-/// per-interval rate and arbitrates against the scrubber.  The legacy
-/// OnIdleInterval entry point remains for single-consumer setups and
-/// self-issues an uncapped grant.
+/// per-interval rate and arbitrates against the scrubber.
 class RebuildManager : public BackgroundConsumer {
  public:
   /// \param disks  disk farm with a hot-spare pool; must outlive the
@@ -111,8 +109,10 @@ class RebuildManager : public BackgroundConsumer {
 
   /// Claims a spare and starts rebuilding `lost` (the fragments that
   /// lived on `slot`) onto it.  An empty list promotes immediately.
-  /// Fails with ResourceExhausted when no spare is free, or
-  /// FailedPrecondition when the slot is already rebuilding.
+  /// Fails with ResourceExhausted when no spare is free,
+  /// FailedPrecondition when the slot is already rebuilding, or
+  /// InvalidArgument (claiming no spare) when an entry's stripe stores
+  /// no parity to rebuild from or its fragment is not a member.
   Status StartRebuild(DiskId slot, std::vector<LostFragment> lost)
       STAGGER_EXCLUDES(mu_);
 
@@ -120,29 +120,22 @@ class RebuildManager : public BackgroundConsumer {
   /// returns the spare to the pool.
   Status CancelRebuild(DiskId slot) STAGGER_EXCLUDES(mu_);
 
-  /// Consumes leftover slack of one interval: for each active job whose
-  /// throttle allows it, picks the first pending fragment whose whole
-  /// source set is idle (display traffic and other outages can block
-  /// individual stripes — they are skipped, not waited on; the pick
-  /// tests each source window once, see Window), reads the stripe's
-  /// surviving fragments plus parity (reserving those disks),
-  /// XOR-reconstructs the lost word onto the spare, and promotes the
-  /// spare when the job's list is exhausted.  A stripe that lost two
-  /// fragments is unrecoverable from single parity: its job holds the
-  /// spare and keeps stalling until the other slot comes back.  Install
-  /// via IntervalScheduler::SetIdleBandwidthHook (single consumer) or
-  /// register with a BackgroundBudget; this wrapper self-issues an
-  /// uncapped grant and forwards to RunIdle.
-  void OnIdleInterval(int64_t interval) STAGGER_EXCLUDES(mu_);
-
   // BackgroundConsumer:
   const char* name() const override { return "rebuild"; }
   bool HasWork() const override STAGGER_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return !jobs_.empty();
   }
-  /// One interval's rebuild work within `grant`: at most one fragment
-  /// per due job, picked by source window (see OnIdleInterval); returns
+  /// Consumes leftover slack of one interval within `grant`: for each
+  /// active job whose throttle allows it, picks the first pending
+  /// fragment whose whole source set is idle (display traffic and other
+  /// outages can block individual stripes — they are skipped, not
+  /// waited on; the pick tests each source window once, see Window),
+  /// reads the stripe's other members (reserving those disks),
+  /// XOR-reconstructs the lost word onto the spare, and promotes the
+  /// spare when the job's list is exhausted.  A stripe that lost two
+  /// fragments is unrecoverable from single parity: its job holds the
+  /// spare and keeps stalling until the other slot comes back.  Returns
   /// fragments rebuilt.
   int64_t RunIdle(int64_t interval, BackgroundGrant* grant) override
       STAGGER_EXCLUDES(mu_);
@@ -189,13 +182,12 @@ class RebuildManager : public BackgroundConsumer {
 
  private:
   /// The pending fragments of one job that read the same source disks:
-  /// same stripe first disk, degree and lost fragment index.  A failed
-  /// slot's fragments fall into at most Σ(degree + 1) windows, one per
-  /// offset of the slot inside a stripe of each degree, so the pick
-  /// tests sources once per window instead of once per list entry.
+  /// same stripe and lost fragment index.  A failed slot's fragments
+  /// fall into at most Σ(degree + 1) windows, one per offset of the slot
+  /// inside a stripe of each degree, so the pick tests sources once per
+  /// window instead of once per list entry.
   struct Window {
-    int32_t stripe_first_disk = 0;
-    int32_t degree = 0;
+    Stripe stripe;
     int32_t fragment = 0;
     /// Bit i set == list position i (>= the job's next) is pending here.
     Bitmap pending;

@@ -43,7 +43,7 @@ void Scrubber::Refresh() {
   // cursor's invariants trivial.
   targets_.erase(std::remove_if(targets_.begin(), targets_.end(),
                                 [](const ScrubTarget& t) {
-                                  return t.num_subobjects <= 0 || t.degree < 1;
+                                  return t.num_subobjects <= 0;
                                 }),
                  targets_.end());
   pass_stripes_ = 0;
@@ -138,15 +138,9 @@ Scrubber::StripeOutcome Scrubber::ScrubStripeAtCursor(BackgroundGrant* grant) {
 }
 
 const ScrubTarget* Scrubber::FindCover(DiskId disk, int64_t sub) const {
-  const int32_t d = disks_->num_disks();
   for (const ScrubTarget& t : targets_) {
     if (sub >= t.num_subobjects) continue;
-    const int64_t base = static_cast<int64_t>(t.first_disk) +
-                         sub * static_cast<int64_t>(t.stride);
-    const int32_t members = t.degree + (t.parity ? 1 : 0);
-    for (int32_t j = 0; j < members; ++j) {
-      if (static_cast<DiskId>(PositiveMod(base + j, d)) == disk) return &t;
-    }
+    if (t.layout.StripeOf(sub).FragmentOn(disk) >= 0) return &t;
   }
   return nullptr;
 }
@@ -197,16 +191,13 @@ int64_t Scrubber::TargetedRepairs(BackgroundGrant* grant, bool* stop) {
 Scrubber::StripeOutcome Scrubber::ScrubStripe(const ScrubTarget& t,
                                               int64_t sub,
                                               BackgroundGrant* grant) {
-  const int32_t d = disks_->num_disks();
-  const int32_t members = t.degree + (t.parity ? 1 : 0);
-  const int64_t base =
-      static_cast<int64_t>(t.first_disk) + sub * static_cast<int64_t>(t.stride);
+  const Stripe stripe = t.layout.StripeOf(sub);
+  const int32_t members = stripe.width();
 
   // An unavailable member defers the stripe to the next pass — the
   // scrubber must not serialize a whole pass behind one outage.
   for (int32_t j = 0; j < members; ++j) {
-    const DiskId slot = static_cast<DiskId>(PositiveMod(base + j, d));
-    if (!disks_->IsAvailable(slot)) {
+    if (!disks_->IsAvailable(stripe.Slot(j))) {
       ++metrics_.skipped_unavailable;
       return StripeOutcome::kSkippedUnavailable;
     }
@@ -214,8 +205,7 @@ Scrubber::StripeOutcome Scrubber::ScrubStripe(const ScrubTarget& t,
   // Verification is all-or-nothing: a half-read stripe proves nothing.
   if (grant->reads_remaining() < members) return StripeOutcome::kBlocked;
   for (int32_t j = 0; j < members; ++j) {
-    const DiskId slot = static_cast<DiskId>(PositiveMod(base + j, d));
-    if (!grant->CanRead(slot)) return StripeOutcome::kBlocked;
+    if (!grant->CanRead(stripe.Slot(j))) return StripeOutcome::kBlocked;
   }
 
   LatentErrorMap& latent = disks_->latent_errors();
@@ -223,7 +213,7 @@ Scrubber::StripeOutcome Scrubber::ScrubStripe(const ScrubTarget& t,
   // Corrupt members, by stripe slot.  Bounded by members; typically 0.
   std::vector<DiskId> corrupt;
   for (int32_t j = 0; j < members; ++j) {
-    const DiskId slot = static_cast<DiskId>(PositiveMod(base + j, d));
+    const DiskId slot = stripe.Slot(j);
     grant->ReadSlot(slot);
     ++metrics_.verify_reads;
     if (latent_active && latent.IsCorrupt(slot, sub)) {
@@ -234,20 +224,20 @@ Scrubber::StripeOutcome Scrubber::ScrubStripe(const ScrubTarget& t,
   ++metrics_.stripes_scrubbed;
 
   if (corrupt.empty()) {
-    if (t.parity) {
+    if (stripe.parity >= 0) {
       // Content-model cross-check on the clean stripe: the data words
       // must XOR to the parity word.  A miss is a placement or content
       // bug, never expected.
       uint64_t x = 0;
-      for (int32_t j = 0; j < t.degree; ++j) {
+      for (int32_t j = 0; j < stripe.degree; ++j) {
         x ^= FragmentWord(t.object, sub, j);
       }
-      if (x != ParityWord(t.object, sub, t.degree)) ++metrics_.mismatches;
+      if (x != ParityWord(t.object, sub, stripe.degree)) ++metrics_.mismatches;
     }
     return StripeOutcome::kScrubbed;
   }
 
-  if (corrupt.size() == 1 && t.parity) {
+  if (corrupt.size() == 1 && stripe.parity >= 0) {
     // Same-interval parity reconstruction (the PR 3 degraded-read
     // path): the surviving members were just read, and the corrupt
     // member's read reservation doubles as its rewrite.

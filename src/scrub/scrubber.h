@@ -42,25 +42,19 @@
 
 #include "background/background_budget.h"
 #include "disk/disk_array.h"
+#include "storage/layout.h"
 #include "storage/media_object.h"
 #include "util/result.h"
 
 namespace stagger {
 
-/// \brief One resident object's stripes, as the scrubber walks them.
-///
-/// Row s of the object maps data fragment j to slot
-/// (first_disk + s*stride + j) mod D and parity to
-/// (first_disk + s*stride + degree) mod D — the staggered layout's
-/// placement function, flattened so the scrubber needs no layout
-/// objects.
+/// \brief One resident object's stripes, as the scrubber walks them:
+/// row s is `layout.StripeOf(s)`.  Copies are cheap (the layout's row
+/// table is shared).
 struct ScrubTarget {
   ObjectId object = kInvalidObject;
   int64_t num_subobjects = 0;
-  int32_t degree = 0;      ///< M_X: data fragments per stripe
-  int32_t first_disk = 0;  ///< slot of X_{0.0}
-  int32_t stride = 0;      ///< k: row-to-row rotation
-  bool parity = false;     ///< stripe carries a parity fragment
+  StaggeredLayout layout;
 };
 
 /// \brief Scrub pacing.

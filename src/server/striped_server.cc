@@ -211,18 +211,11 @@ std::vector<LostFragment> StripedServer::LostFragmentsOn(DiskId slot) const {
     if (!objects_->IsResident(id)) continue;
     const StaggeredLayout& layout = objects_->LayoutOf(id);
     const int64_t n = catalog_->Get(id).num_subobjects;
-    const int32_t d = layout.num_disks();
-    const int32_t m = layout.degree();
-    // Row i occupies the M data disks (then the parity disk) from its
-    // first disk on, so `slot` holds at most one of its fragments: the
-    // one at offset (slot - first) mod D, when the row reaches it.
-    const int32_t width = layout.FragmentsPerSubobject();
+    // `slot` holds at most one fragment of each row.
     for (int64_t i = 0; i < n; ++i) {
-      const int32_t first = layout.FirstDiskFor(i);
-      int32_t j = slot - first;
-      if (j < 0) j += d;
-      if (j >= width) continue;
-      lost.push_back(LostFragment{id, i, j, first, m});
+      const Stripe stripe = layout.StripeOf(i);
+      const int32_t j = stripe.FragmentOn(slot);
+      if (j >= 0) lost.push_back(LostFragment{id, i, j, stripe});
     }
   }
   return lost;
@@ -232,15 +225,8 @@ std::vector<ScrubTarget> StripedServer::ScrubTargets() const {
   std::vector<ScrubTarget> targets;
   for (ObjectId id = 0; id < catalog_->size(); ++id) {
     if (!objects_->IsResident(id)) continue;
-    const StaggeredLayout& layout = objects_->LayoutOf(id);
-    ScrubTarget t;
-    t.object = id;
-    t.num_subobjects = catalog_->Get(id).num_subobjects;
-    t.degree = layout.degree();
-    t.first_disk = layout.FirstDiskFor(0);
-    t.stride = layout.stride();
-    t.parity = layout.has_parity();
-    targets.push_back(t);
+    targets.push_back(ScrubTarget{id, catalog_->Get(id).num_subobjects,
+                                  objects_->LayoutOf(id)});
   }
   return targets;
 }
@@ -261,8 +247,11 @@ void StripedServer::OnDiskDown(DiskId disk, SimTime /*now*/) {
   // and only the first few can get a spare.
   if (disks_->FreeSpareCount() == 0) return;
   Status st = rebuild_->StartRebuild(disk, LostFragmentsOn(disk));
-  // An exhausted spare pool leaves the slot to the degraded-read path.
-  STAGGER_CHECK(st.ok() || st.IsResourceExhausted()) << st.ToString();
+  // An exhausted spare pool, or a fragment of a parity-less fallback
+  // layout (M + 1 > D) that nothing can rebuild (InvalidArgument, no
+  // spare claimed), leaves the slot to the degraded-read path.
+  STAGGER_CHECK(st.ok() || st.IsResourceExhausted() || st.IsInvalidArgument())
+      << st.ToString();
 }
 
 void StripedServer::OnDiskUp(DiskId disk, SimTime /*now*/) {
@@ -395,7 +384,7 @@ void StripedServer::SubmitDisplay(ObjectId object, StartedFn on_started,
 
   DisplayRequest req;
   req.object = object;
-  req.start_disk = layout.FirstDiskFor(0);
+  req.start_disk = layout.start_disk();
   req.degree = layout.degree();
   req.num_subobjects = obj.num_subobjects;
   req.parity = layout.has_parity();

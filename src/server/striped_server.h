@@ -199,8 +199,8 @@ class StripedServer : public MediaService {
   /// Every fragment resident objects store on `slot`, parity included —
   /// the rebuild work list for a failed slot.
   std::vector<LostFragment> LostFragmentsOn(DiskId slot) const;
-  /// Flattened stripe geometry of every resident object — the
-  /// scrubber's work source, re-queried at each pass boundary.
+  /// Layout of every resident object — the scrubber's work source,
+  /// re-queried at each pass boundary.
   std::vector<ScrubTarget> ScrubTargets() const;
 
   Simulator* sim_;

@@ -57,10 +57,10 @@ StaggeredLayout::StaggeredLayout(int32_t num_disks, int32_t start_disk,
 int32_t StaggeredLayout::UniqueDisksUsed(int64_t num_subobjects) const {
   std::vector<char> used(static_cast<size_t>(num_disks_), 0);
   for (int64_t i = 0; i < num_subobjects; ++i) {
-    for (int32_t j = 0; j < degree_; ++j) {
-      used[static_cast<size_t>(DiskFor(i, j))] = 1;
+    const Stripe stripe = StripeOf(i);
+    for (int32_t j = 0; j < stripe.width(); ++j) {
+      used[static_cast<size_t>(stripe.Slot(j))] = 1;
     }
-    if (parity_) used[static_cast<size_t>(ParityDiskFor(i))] = 1;
     // Once every disk is touched further subobjects change nothing; the
     // walk revisits after at most D/gcd(D,k) steps.
     if (i >= num_disks_) break;
@@ -79,10 +79,10 @@ std::vector<int64_t> StaggeredLayout::FragmentsPerDisk(int64_t num_subobjects) c
   const int64_t rest = num_subobjects % period;
 
   auto add_subobject = [&](int64_t i, int64_t times) {
-    for (int32_t j = 0; j < degree_; ++j) {
-      counts[static_cast<size_t>(DiskFor(i, j))] += times;
+    const Stripe stripe = StripeOf(i);
+    for (int32_t j = 0; j < stripe.width(); ++j) {
+      counts[static_cast<size_t>(stripe.Slot(j))] += times;
     }
-    if (parity_) counts[static_cast<size_t>(ParityDiskFor(i))] += times;
   };
   if (full > 0) {
     for (int64_t i = 0; i < period; ++i) add_subobject(i, full);

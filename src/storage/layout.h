@@ -13,7 +13,10 @@
 //
 // Parity extension (fault-tolerance layer, src/rebuild/): each
 // subobject stripe may carry one parity fragment on the next
-// consecutive disk after its data fragments, (p + i*k + M) mod D.  The
+// consecutive disk after its data fragments, (p + i*k + M) mod D.
+// Stripe::At is the only code that places it (the reference audits in
+// core/invariants.cc restate the rule to check it); the scheduler,
+// rebuild, scrubber and server ask a Stripe for member slots.  The
 // parity disk is disjoint from the stripe whenever M + 1 <= D, and the
 // augmented placement is exactly a staggered layout of window M + 1 —
 // so mod-D contiguity, stride progression, and the gcd skew bounds all
@@ -22,6 +25,7 @@
 #ifndef STAGGER_STORAGE_LAYOUT_H_
 #define STAGGER_STORAGE_LAYOUT_H_
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <numeric>
@@ -33,6 +37,53 @@
 #include "util/units.h"
 
 namespace stagger {
+
+/// \brief The slots of one subobject's stripe: `degree` data fragments
+/// on consecutive slots (mod D) from `first`, plus an optional parity
+/// fragment.  Fragment index `degree` denotes parity.
+struct Stripe {
+  int32_t num_disks = 0;  ///< D
+  int32_t first = 0;      ///< slot of data fragment 0
+  int32_t degree = 0;     ///< M: data fragments
+  int32_t parity = -1;    ///< parity slot, or -1 when the stripe stores none
+
+  /// The stripe of `degree` data fragments from slot `first`, with its
+  /// parity on the slot after the last one when `has_parity` (which
+  /// requires degree + 1 <= D).
+  STAGGER_HOT_PATH static Stripe At(int32_t num_disks, int32_t first,
+                                    int32_t degree, bool has_parity) {
+    STAGGER_DCHECK(first >= 0 && first < num_disks);
+    STAGGER_DCHECK(degree >= 1 && degree + (has_parity ? 1 : 0) <= num_disks);
+    int32_t parity = -1;
+    if (has_parity) {
+      parity = first + degree;
+      if (parity >= num_disks) parity -= num_disks;
+    }
+    return Stripe{num_disks, first, degree, parity};
+  }
+
+  /// Fragments stored: M data plus the optional parity.
+  int32_t width() const { return degree + (parity >= 0 ? 1 : 0); }
+
+  /// Slot of fragment `j` in [0, width()); j == degree is parity.
+  STAGGER_HOT_PATH int32_t Slot(int32_t j) const {
+    STAGGER_DCHECK(j >= 0 && j < width());
+    if (j == degree) return parity;
+    const int32_t slot = first + j;
+    return slot >= num_disks ? slot - num_disks : slot;
+  }
+
+  /// Inverse of Slot: the fragment stored on `slot`, or -1 when the slot
+  /// is not a member.
+  int32_t FragmentOn(int32_t slot) const {
+    int32_t j = slot - first;
+    if (j < 0) j += num_disks;
+    if (j < degree) return j;
+    return slot == parity ? degree : -1;
+  }
+
+  auto operator<=>(const Stripe&) const = default;
+};
 
 /// \brief Placement of one object under staggered striping.
 class StaggeredLayout {
@@ -53,34 +104,27 @@ class StaggeredLayout {
   int32_t stride() const { return stride_; }
   int32_t degree() const { return degree_; }
   bool has_parity() const { return parity_; }
-  /// Fragments stored per subobject: M_X data plus the optional parity.
-  int32_t FragmentsPerSubobject() const {
-    return degree_ + (parity_ ? 1 : 0);
+
+  /// Stripe of subobject i: its data slots from (p + i*k) mod D on,
+  /// plus parity when the layout carries it.  The stride walk repeats
+  /// with period P = D/gcd(D, k), so the first slot of every subobject
+  /// comes from a precomputed P-entry table; the residue i mod P is
+  /// taken with a Lemire multiply-shift instead of hardware division.
+  STAGGER_HOT_PATH Stripe StripeOf(int64_t subobject) const {
+    return Stripe::At(num_disks_, RowStart(subobject), degree_, parity_);
   }
 
-  /// Physical disk holding fragment X_{i.j}.  The stride walk repeats
-  /// with period P = D/gcd(D, k), so the start disk of every subobject
-  /// comes from a precomputed P-entry table; the residue i mod P is
-  /// taken with a Lemire multiply-shift instead of hardware division —
-  /// this sits in the scheduler's and the audits' hottest loops.
+  /// Physical disk holding fragment X_{i.j}.
   STAGGER_HOT_PATH int32_t DiskFor(int64_t subobject, int32_t fragment) const {
     STAGGER_DCHECK(fragment >= 0 && fragment < degree_);
-    const int32_t disk = RowStart(subobject) + fragment;
-    return disk >= num_disks_ ? disk - num_disks_ : disk;
+    return StripeOf(subobject).Slot(fragment);
   }
 
-  /// First disk of subobject i (X_{i.0}).
-  STAGGER_HOT_PATH int32_t FirstDiskFor(int64_t subobject) const {
-    return RowStart(subobject);
-  }
-
-  /// Physical disk holding subobject i's parity fragment: the disk
-  /// after the stripe's last data fragment, (p + i*k + M) mod D.
+  /// Physical disk holding subobject i's parity fragment.
   /// Precondition: has_parity().
   STAGGER_HOT_PATH int32_t ParityDiskFor(int64_t subobject) const {
     STAGGER_DCHECK(parity_);
-    const int32_t disk = RowStart(subobject) + degree_;
-    return disk >= num_disks_ ? disk - num_disks_ : disk;
+    return StripeOf(subobject).parity;
   }
 
   /// Number of distinct disks touched by an object of `num_subobjects`

@@ -373,9 +373,9 @@ TEST(GoldenTraceTest, StripedScrubRepairsLatentError) {
   const StaggeredLayout& l0 = srv->object_manager().LayoutOf(0);
   const StaggeredLayout& l1 = srv->object_manager().LayoutOf(1);
   const auto cell_a = static_cast<DiskId>(
-      (l0.FirstDiskFor(0) + 5 * l0.stride() + 0) % kDisks);
+      (l0.start_disk() + 5 * l0.stride() + 0) % kDisks);
   const auto cell_b = static_cast<DiskId>(
-      (l1.FirstDiskFor(0) + 17 * l1.stride() + 1) % kDisks);
+      (l1.start_disk() + 17 * l1.stride() + 1) % kDisks);
   FaultPlan plan;
   plan.LatentAt(cell_a, kInterval * 8 + SimTime::Millis(1), 5, 5)
       .LatentAt(cell_b, kInterval * 8 + SimTime::Millis(1), 17, 17)

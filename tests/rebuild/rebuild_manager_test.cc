@@ -60,24 +60,34 @@ class RebuildManagerTest : public ::testing::Test {
     for (int64_t i = 0; i < n; ++i) {
       for (int32_t j = 0; j < layout.degree(); ++j) {
         if (layout.DiskFor(i, j) == slot) {
-          lost.push_back(LostFragment{object, i, j, layout.FirstDiskFor(i),
-                                      layout.degree()});
+          lost.push_back(LostFragment{object, i, j, layout.StripeOf(i)});
         }
       }
       if (layout.has_parity() && layout.ParityDiskFor(i) == slot) {
-        lost.push_back(LostFragment{object, i, layout.degree(),
-                                    layout.FirstDiskFor(i), layout.degree()});
+        lost.push_back(
+            LostFragment{object, i, layout.degree(), layout.StripeOf(i)});
       }
     }
     return lost;
   }
 
+  /// One idle interval with an uncapped grant.
+  void RunIdle(int64_t t) {
+    BackgroundGrant grant(disks_.get(), /*max_reads=*/0);
+    rebuild_->RunIdle(t, &grant);
+  }
+
   /// Runs `n` idle intervals, closing each like the scheduler would.
   void RunIdleIntervals(int64_t n, int64_t start = 0) {
     for (int64_t t = start; t < start + n; ++t) {
-      rebuild_->OnIdleInterval(t);
+      RunIdle(t);
       disks_->EndInterval();
     }
+  }
+
+  /// Parity stripe of `degree` data slots from `first` on the test array.
+  Stripe StripeFrom(int32_t first, int32_t degree) const {
+    return Stripe::At(disks_->num_disks(), first, degree, /*has_parity=*/true);
   }
 
   std::unique_ptr<DiskArray> disks_;
@@ -175,7 +185,7 @@ TEST_F(RebuildManagerTest, BusySourcesStallOrSkipWithoutStealing) {
   for (DiskId d = 0; d < 6; ++d) {
     if (d != slot) disks_->ReserveSlot(d);
   }
-  rebuild_->OnIdleInterval(0);
+  RunIdle(0);
   EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 0);
   EXPECT_EQ(rebuild_->metrics().stalled_intervals, 1);
   disks_->EndInterval();
@@ -183,16 +193,15 @@ TEST_F(RebuildManagerTest, BusySourcesStallOrSkipWithoutStealing) {
   // Traffic pinning only a source disk of the *first* lost stripe makes
   // the rebuild skip past it and spend the slack on a later stripe.
   const auto& f = lost.front();
-  const DiskId busy = disks_->Wrap(f.stripe_first_disk +
-                                   (f.fragment == 0 ? 1 : 0));
+  const DiskId busy = f.stripe.Slot(f.fragment == 0 ? 1 : 0);
   disks_->ReserveSlot(busy);
-  rebuild_->OnIdleInterval(1);
+  RunIdle(1);
   EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 1);
   EXPECT_EQ(rebuild_->metrics().stalled_intervals, 1);
   disks_->EndInterval();
 
   // With all disks released, the skipped stripe rebuilds next.
-  rebuild_->OnIdleInterval(2);
+  RunIdle(2);
   EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 2);
   disks_->EndInterval();
 }
@@ -318,8 +327,8 @@ TEST_F(RebuildManagerTest, CapBelowFirstStripeDegreeEndsTheInterval) {
   Init(12, 1);
   disks_->FailDisk(2);
   const std::vector<LostFragment> lost = {
-      {/*object=*/0, /*subobject=*/0, /*fragment=*/0, /*first=*/2, /*degree=*/5},
-      {/*object=*/1, /*subobject=*/0, /*fragment=*/0, /*first=*/2, /*degree=*/3}};
+      {/*object=*/0, /*subobject=*/0, /*fragment=*/0, StripeFrom(2, 5)},
+      {/*object=*/1, /*subobject=*/0, /*fragment=*/0, StripeFrom(2, 3)}};
   ASSERT_TRUE(rebuild_->StartRebuild(2, lost).ok());
 
   BackgroundGrant grant(disks_.get(), /*max_reads=*/4);
@@ -353,9 +362,9 @@ TEST_F(RebuildManagerTest, CorruptSkipHandsThePickToAnotherWindow) {
   // another window — ahead of Z in X's own window.
   Init(12, 1);
   disks_->FailDisk(2);
-  const LostFragment x{/*object=*/0, /*subobject=*/0, 0, /*first=*/2, 3};
-  const LostFragment y{/*object=*/0, /*subobject=*/1, 1, /*first=*/1, 3};
-  const LostFragment z{/*object=*/0, /*subobject=*/2, 0, /*first=*/2, 3};
+  const LostFragment x{/*object=*/0, /*subobject=*/0, 0, StripeFrom(2, 3)};
+  const LostFragment y{/*object=*/0, /*subobject=*/1, 1, StripeFrom(1, 3)};
+  const LostFragment z{/*object=*/0, /*subobject=*/2, 0, StripeFrom(2, 3)};
   disks_->latent_errors().Inject(5, 0, 0);
   ASSERT_TRUE(rebuild_->StartRebuild(2, {x, y, z}).ok());
 
@@ -375,6 +384,63 @@ TEST_F(RebuildManagerTest, CorruptSkipHandsThePickToAnotherWindow) {
   EXPECT_EQ(rebuild_->NextFragmentIndex(2), 2u);
   EXPECT_TRUE(rebuild_->LostList(2) == (std::vector<LostFragment>{y, z, x}));
   EXPECT_TRUE(rebuild_->AuditState().ok()) << rebuild_->AuditState();
+}
+
+TEST_F(RebuildManagerTest, StartRejectsStripesWithoutParity) {
+  // A parity-less stripe has nothing to rebuild from; a fragment index
+  // past the stripe's width names no member.  Both are refused before
+  // a spare is claimed.
+  Init(6, 1);
+  disks_->FailDisk(2);
+  const Stripe bare = Stripe::At(6, 0, 3, /*has_parity=*/false);
+  EXPECT_TRUE(rebuild_->StartRebuild(2, {LostFragment{0, 0, 2, bare}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      rebuild_->StartRebuild(2, {LostFragment{0, 0, 4, StripeFrom(0, 3)}})
+          .IsInvalidArgument());
+  EXPECT_EQ(disks_->FreeSpareCount(), 1);
+  EXPECT_FALSE(rebuild_->rebuilding(2));
+  EXPECT_EQ(rebuild_->metrics().rebuilds_started, 0);
+}
+
+TEST_F(RebuildManagerTest, SourcesFollowTheStripesParitySlot) {
+  // Stripes whose parity is not on first + M: data on 0, 1, 2, parity
+  // on 7.  Rebuilding a data fragment on slot 1 reads exactly the
+  // stripe's other members 0, 2 and 7 — not slot 3, where a re-derived
+  // "first + M" would look.
+  Init(10, 1);
+  disks_->FailDisk(1);
+  const Stripe skewed{/*num_disks=*/10, /*first=*/0, /*degree=*/3,
+                      /*parity=*/7};
+  ASSERT_TRUE(rebuild_
+                  ->StartRebuild(1, {LostFragment{0, 0, 1, skewed},
+                                     LostFragment{0, 1, 1, skewed}})
+                  .ok());
+
+  // A stall on slot 3 does not touch the job; one on slot 7 pauses it.
+  disks_->StallDisk(3);
+  rebuild_->OnSourceDown(3, disks_->disk(3).health());
+  EXPECT_FALSE(rebuild_->paused(1));
+  disks_->RecoverDisk(3);
+  rebuild_->OnSourceUp(3);
+  disks_->StallDisk(7);
+  rebuild_->OnSourceDown(7, disks_->disk(7).health());
+  EXPECT_TRUE(rebuild_->paused(1));
+  disks_->RecoverDisk(7);
+  rebuild_->OnSourceUp(7);
+
+  RunIdle(0);
+  for (DiskId d = 0; d < 10; ++d) {
+    EXPECT_EQ(disks_->SlotBusy(d), d == 0 || d == 2 || d == 7) << "slot " << d;
+  }
+  disks_->EndInterval();
+  EXPECT_EQ(rebuild_->metrics().fragments_rebuilt, 1);
+  EXPECT_EQ(rebuild_->metrics().source_reads, 3);
+
+  RunIdleIntervals(1, /*start=*/1);
+  EXPECT_FALSE(rebuild_->rebuilding(1));
+  EXPECT_TRUE(disks_->IsAvailable(1));
+  EXPECT_EQ(rebuild_->metrics().mismatches, 0);
 }
 
 }  // namespace

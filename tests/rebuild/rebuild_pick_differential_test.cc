@@ -102,14 +102,16 @@ class ReferenceRebuild {
   const RebuildMetrics& metrics() const { return metrics_; }
 
  private:
+  // Stripe members consecutive mod D from the first slot, parity on the
+  // (M+1)-th: the placement rule restated here, not asked of Stripe.
   DiskId Source(const LostFragment& f, int32_t j) const {
-    return disks_->Wrap(static_cast<int64_t>(f.stripe_first_disk) + j);
+    return disks_->Wrap(static_cast<int64_t>(f.stripe.first) + j);
   }
 
   bool JobReadsFrom(const Job& job, DiskId disk) const {
     for (size_t idx = job.next; idx < job.lost.size(); ++idx) {
       const LostFragment& f = job.lost[idx];
-      for (int32_t j = 0; j <= f.degree; ++j) {
+      for (int32_t j = 0; j <= f.stripe.degree; ++j) {
         if (j != f.fragment && Source(f, j) == disk) return true;
       }
     }
@@ -121,15 +123,16 @@ class ReferenceRebuild {
     const bool latent_active = disks_->latent_errors().active();
     for (size_t idx = job->next; idx < job->lost.size(); ++idx) {
       const LostFragment& f = job->lost[idx];
-      if (grant->reads_remaining() < f.degree) return false;
+      const int32_t m = f.stripe.degree;
+      if (grant->reads_remaining() < m) return false;
       bool sources_free = true;
-      for (int32_t j = 0; j <= f.degree && sources_free; ++j) {
+      for (int32_t j = 0; j <= m && sources_free; ++j) {
         if (j != f.fragment) sources_free = grant->CanRead(Source(f, j));
       }
       if (!sources_free) continue;
       if (latent_active) {
         bool corrupt = false;
-        for (int32_t j = 0; j <= f.degree; ++j) {
+        for (int32_t j = 0; j <= m; ++j) {
           if (j == f.fragment) continue;
           if (disks_->latent_errors().IsCorrupt(Source(f, j), f.subobject)) {
             disks_->latent_errors().MarkDetected(Source(f, j), f.subobject);
@@ -142,18 +145,17 @@ class ReferenceRebuild {
         }
       }
       uint64_t word = 0;
-      for (int32_t j = 0; j <= f.degree; ++j) {
+      for (int32_t j = 0; j <= m; ++j) {
         if (j == f.fragment) continue;
         grant->ReadSlot(Source(f, j));
         ++metrics_.source_reads;
-        word ^= j == f.degree ? ParityWord(f.object, f.subobject, f.degree)
-                              : FragmentWord(f.object, f.subobject, j);
+        word ^= j == m ? ParityWord(f.object, f.subobject, m)
+                       : FragmentWord(f.object, f.subobject, j);
       }
       grant->WriteDrive(job->spare);
       const uint64_t expected =
-          f.fragment == f.degree
-              ? ParityWord(f.object, f.subobject, f.degree)
-              : FragmentWord(f.object, f.subobject, f.fragment);
+          f.fragment == m ? ParityWord(f.object, f.subobject, m)
+                          : FragmentWord(f.object, f.subobject, f.fragment);
       if (word != expected) ++metrics_.mismatches;
       std::swap(job->lost[job->next], job->lost[idx]);
       ++job->next;
@@ -274,13 +276,12 @@ TEST_P(RebuildPickDifferentialTest, IndexedPickMatchesLinearScan) {
       for (int64_t i = 0; i < rows[o]; ++i) {
         for (int32_t j = 0; j < l.degree(); ++j) {
           if (l.DiskFor(i, j) == slot) {
-            lost.push_back({static_cast<ObjectId>(o), i, j, l.FirstDiskFor(i),
-                            l.degree()});
+            lost.push_back({static_cast<ObjectId>(o), i, j, l.StripeOf(i)});
           }
         }
         if (l.ParityDiskFor(i) == slot) {
           lost.push_back({static_cast<ObjectId>(o), i, l.degree(),
-                          l.FirstDiskFor(i), l.degree()});
+                          l.StripeOf(i)});
         }
       }
     }

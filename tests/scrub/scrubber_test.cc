@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "disk/disk_array.h"
+#include "storage/layout.h"
+#include "util/check.h"
 
 namespace stagger {
 namespace {
@@ -27,18 +29,14 @@ class ScrubberTest : public ::testing::Test {
     scrubber_ = *std::move(scrubber);
   }
 
-  /// One resident object striped over all disks: row s's data fragment
-  /// j on (s + j) mod D, parity on (s + degree) mod D.
+  /// One resident object striped over all 6 disks of the test arrays:
+  /// row s's data fragment j on (s + j) mod 6, parity on
+  /// (s + degree) mod 6.
   static ScrubTarget Target(ObjectId object, int64_t n, int32_t degree,
                             bool parity) {
-    ScrubTarget t;
-    t.object = object;
-    t.num_subobjects = n;
-    t.degree = degree;
-    t.first_disk = 0;
-    t.stride = 1;
-    t.parity = parity;
-    return t;
+    auto layout = StaggeredLayout::Create(6, 0, 1, degree, parity);
+    STAGGER_CHECK(layout.ok()) << layout.status();
+    return ScrubTarget{object, n, *std::move(layout)};
   }
 
   /// Runs `n` idle intervals with an uncapped grant, closing each like

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 namespace stagger {
 namespace {
@@ -66,8 +67,8 @@ TEST(StaggeredLayoutTest, StrideShiftsFirstFragment) {
     auto layout = StaggeredLayout::Create(10, 3, k, 2);
     ASSERT_TRUE(layout.ok());
     for (int64_t i = 0; i < 20; ++i) {
-      EXPECT_EQ(layout->FirstDiskFor(i + 1),
-                (layout->FirstDiskFor(i) + k) % 10);
+      EXPECT_EQ(layout->StripeOf(i + 1).first,
+                (layout->StripeOf(i).first + k) % 10);
     }
   }
 }
@@ -88,7 +89,7 @@ TEST(StaggeredLayoutTest, StrideDPinsObjectToMDisks) {
   ASSERT_TRUE(layout.ok());
   EXPECT_EQ(layout->UniqueDisksUsed(500), 4);
   for (int64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(layout->FirstDiskFor(i), 2);
+    EXPECT_EQ(layout->StripeOf(i).first, 2);
   }
 }
 
@@ -158,7 +159,7 @@ TEST(StaggeredLayoutTest, ParityDiskFollowsStripe) {
   auto layout = StaggeredLayout::Create(12, 4, 1, 3, /*parity=*/true);
   ASSERT_TRUE(layout.ok());
   EXPECT_TRUE(layout->has_parity());
-  EXPECT_EQ(layout->FragmentsPerSubobject(), 4);
+  EXPECT_EQ(layout->StripeOf(0).width(), 4);
   for (int64_t i = 0; i < 30; ++i) {
     // (p + i*k + M) mod D: the disk right after the last data fragment.
     EXPECT_EQ(layout->ParityDiskFor(i),
@@ -169,6 +170,77 @@ TEST(StaggeredLayoutTest, ParityDiskFollowsStripe) {
           << "stripe " << i << " fragment " << j;
     }
   }
+}
+
+// StripeOf(i) is the one answer to "where does row i live": its slots
+// match DiskFor / ParityDiskFor and the placement formula, FragmentOn
+// inverts Slot on every slot, across (D, k, M, parity) and start disks
+// whose rows wrap past slot D - 1.
+TEST(StaggeredLayoutTest, StripeOfMatchesDiskForAndInvertsOnEverySlot) {
+  int64_t wrapped_rows = 0;
+  for (int32_t d = 1; d <= 11; ++d) {
+    for (int32_t k = 1; k <= d; ++k) {
+      for (int32_t m = 1; m <= d; ++m) {
+        for (const bool parity : {false, true}) {
+          if (parity && m + 1 > d) continue;
+          for (const int32_t p : {0, d / 2, d - 1}) {
+            auto layout = StaggeredLayout::Create(d, p, k, m, parity);
+            ASSERT_TRUE(layout.ok()) << layout.status();
+            for (int64_t i = 0; i < 2 * d + 1; ++i) {
+              SCOPED_TRACE("D=" + std::to_string(d) + " k=" +
+                           std::to_string(k) + " M=" + std::to_string(m) +
+                           " parity=" + std::to_string(parity) + " p=" +
+                           std::to_string(p) + " row=" + std::to_string(i));
+              const Stripe s = layout->StripeOf(i);
+              const int64_t first = (p + i * k) % d;
+              ASSERT_EQ(s.num_disks, d);
+              ASSERT_EQ(s.first, first);
+              ASSERT_EQ(s.degree, m);
+              ASSERT_EQ(s.width(), m + (parity ? 1 : 0));
+              if (first + s.width() > d) ++wrapped_rows;
+              for (int32_t j = 0; j < m; ++j) {
+                ASSERT_EQ(s.Slot(j), layout->DiskFor(i, j));
+                ASSERT_EQ(s.Slot(j), (first + j) % d);
+              }
+              if (parity) {
+                ASSERT_EQ(s.parity, layout->ParityDiskFor(i));
+                ASSERT_EQ(s.Slot(m), (first + m) % d);
+              } else {
+                ASSERT_EQ(s.parity, -1);
+              }
+              int32_t members = 0;
+              for (int32_t slot = 0; slot < d; ++slot) {
+                const int32_t j = s.FragmentOn(slot);
+                if (j < 0) continue;
+                ++members;
+                ASSERT_LT(j, s.width());
+                ASSERT_EQ(s.Slot(j), slot);
+              }
+              ASSERT_EQ(members, s.width());
+              for (int32_t j = 0; j < s.width(); ++j) {
+                ASSERT_EQ(s.FragmentOn(s.Slot(j)), j);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(wrapped_rows, 0);
+}
+
+TEST(StaggeredLayoutTest, StripeKeepsAnExplicitParitySlot) {
+  // A stripe built with parity elsewhere than first + M answers with
+  // that slot; the slot right after the data is then not a member.
+  const Stripe s{/*num_disks=*/10, /*first=*/8, /*degree=*/3, /*parity=*/4};
+  EXPECT_EQ(s.width(), 4);
+  EXPECT_EQ(s.Slot(0), 8);
+  EXPECT_EQ(s.Slot(2), 0);
+  EXPECT_EQ(s.Slot(3), 4);
+  EXPECT_EQ(s.FragmentOn(4), 3);
+  EXPECT_EQ(s.FragmentOn(1), -1);
+  EXPECT_EQ(Stripe::At(10, 8, 3, /*has_parity=*/true).parity, 1);
+  EXPECT_EQ(Stripe::At(10, 8, 3, /*has_parity=*/false).width(), 3);
 }
 
 TEST(StaggeredLayoutTest, ParityCountsInStorageAccounting) {
