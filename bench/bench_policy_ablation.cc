@@ -3,7 +3,6 @@
 // displays, 40 stations, skewed access):
 //
 //   * admission policy: contiguous vs Algorithm 1 vs Algorithms 1+2;
-//   * queue discipline: FIFO with vs without backfill;
 //   * VDR dynamic replication: on vs off;
 //   * warm start: preloaded residency vs cold disks.
 //
@@ -61,9 +60,6 @@ int Run() {
   cfg.coalesce = true;
   auto coalesced = run("admission", "algorithms-1+2", cfg);
 
-  // Backfill.  (Strict FIFO is exposed through the scheduler config;
-  // the experiment runner always uses the server default, so ablate via
-  // staggered stride-1 where head-of-line blocking actually bites.)
   // Replication (VDR).
   cfg = Base();
   cfg.scheme = Scheme::kVdr;

@@ -38,22 +38,6 @@ Status VdrConfig::Validate() const {
   if (fragment_size.bytes() <= 0) {
     return Status::InvalidArgument("fragment size must be positive");
   }
-  if (materialization_timeout < SimTime::Zero()) {
-    return Status::InvalidArgument("materialization timeout must be >= 0");
-  }
-  if (materialization_timeout > SimTime::Zero()) {
-    if (max_materialization_retries < 0) {
-      return Status::InvalidArgument("materialization retries must be >= 0");
-    }
-    if (materialization_retry_backoff <= SimTime::Zero()) {
-      return Status::InvalidArgument(
-          "materialization retry backoff must be positive");
-    }
-    if (max_materialization_backoff < materialization_retry_backoff) {
-      return Status::InvalidArgument(
-          "backoff cap must be >= the base backoff");
-    }
-  }
   return Status::OK();
 }
 
@@ -115,11 +99,10 @@ DataSize VdrServer::ObjectSize(ObjectId object) const {
 
 Status VdrServer::RequestDisplay(ObjectId object, StartedFn on_started,
                                  CompletedFn on_completed,
-                                 InterruptedFn on_interrupted) {
-  // A cluster outage re-queues an accepted display for a surviving
-  // replica (or rematerialization); the only terminal give-up is a
-  // materialization that exhausts its timeout/retry budget (see
-  // AbandonMaterialization), which fires on_interrupted.
+                                 InterruptedFn /*on_interrupted*/) {
+  // VDR never gives up on an accepted display: a cluster outage
+  // re-queues it for a surviving replica (or rematerialization), and a
+  // tertiary read always lands.  So on_interrupted never fires.
   if (!catalog_->Contains(object)) {
     return Status::NotFound("object " + std::to_string(object) +
                             " not in catalog");
@@ -129,8 +112,7 @@ Status VdrServer::RequestDisplay(ObjectId object, StartedFn on_started,
   os.last_access = sim_->Now();
   ++os.waiting;
   queue_.push_back(Pending{object, sim_->Now(), std::move(on_started),
-                           std::move(on_completed),
-                           std::move(on_interrupted)});
+                           std::move(on_completed)});
   metrics_.queue_length.Set(sim_->Now(), static_cast<double>(queue_.size()));
   Dispatch();
   return Status::OK();
@@ -381,7 +363,6 @@ void VdrServer::StartDisplay(size_t queue_index, int32_t cluster) {
   ad.object = p.object;
   ad.copy_dst = copy_dst;
   ad.on_completed = std::move(p.on_completed);
-  ad.on_interrupted = std::move(p.on_interrupted);
   ad.completion = sim_->ScheduleAfter(DisplayTime(p.object),
                                       [this, cluster] {
                                         CompleteDisplay(cluster);
@@ -408,27 +389,14 @@ void VdrServer::StartMaterialization(ObjectId object, int32_t dst) {
   SetActivity(dst, ClusterActivity::kMaterializing);
   ObjectState& os = objects_[static_cast<size_t>(object)];
   os.materializing = true;
-  ++os.mat_attempts;
-  // Identifies this attempt: the landing and the timeout guard race, and
-  // whichever fires first bumps the token to void the other.
-  const int64_t token = ++os.mat_token;
   ++metrics_.materializations;
   // An outage bumps the destination's epoch, voiding this landing: the
   // transfer's bits went to a dead cluster and the object must re-queue.
   const int64_t epoch = clusters_[static_cast<size_t>(dst)].epoch;
   tertiary_->Enqueue(
       object, ObjectSize(object),
-      [this, dst, epoch, token](ObjectId done) {
-        ObjectState& obj = objects_[static_cast<size_t>(done)];
-        if (obj.mat_token != token) {
-          // The timeout guard gave up on this attempt already; the bits
-          // are discarded (the retry machinery owns the object now).
-          Dispatch();
-          return;
-        }
-        obj.mat_token = token + 1;  // void the pending timeout guard
-        obj.materializing = false;
-        obj.mat_attempts = 0;
+      [this, dst, epoch](ObjectId done) {
+        objects_[static_cast<size_t>(done)].materializing = false;
         ClusterState& cs = clusters_[static_cast<size_t>(dst)];
         if (cs.epoch == epoch) {
           STAGGER_CHECK(cs.activity == ClusterActivity::kMaterializing);
@@ -438,74 +406,6 @@ void VdrServer::StartMaterialization(ObjectId object, int32_t dst) {
         Dispatch();
       },
       /*on_start=*/nullptr);
-  if (config_.materialization_timeout > SimTime::Zero()) {
-    sim_->ScheduleAfter(config_.materialization_timeout,
-                        [this, object, dst, token, epoch] {
-                          OnMaterializationTimeout(object, dst, token, epoch);
-                        });
-  }
-}
-
-void VdrServer::OnMaterializationTimeout(ObjectId object, int32_t dst,
-                                         int64_t token, int64_t epoch) {
-  ObjectState& os = objects_[static_cast<size_t>(object)];
-  if (os.mat_token != token) return;  // the landing beat the guard
-  ++metrics_.materialization_timeouts;
-  // Void the eventual landing and release the destination so other work
-  // can claim it during the backoff cooldown.  An outage may already
-  // have re-purposed dst (epoch mismatch) — leave it alone then.
-  ++os.mat_token;
-  ClusterState& cs = clusters_[static_cast<size_t>(dst)];
-  if (cs.epoch == epoch &&
-      cs.activity == ClusterActivity::kMaterializing) {
-    SetActivity(dst, ClusterActivity::kIdle);
-  }
-  if (os.mat_attempts > config_.max_materialization_retries) {
-    // Retry budget exhausted: give up on the object terminally.
-    os.materializing = false;
-    os.mat_attempts = 0;
-    ++metrics_.materializations_abandoned;
-    AbandonMaterialization(object);
-    Dispatch();
-    return;
-  }
-  // Capped exponential backoff: materializing stays true as a cooldown
-  // latch (DispatchOnce will not re-issue), then the retry event clears
-  // it and the normal dispatch path restarts the fetch.
-  SimTime backoff = config_.materialization_retry_backoff;
-  for (int32_t i = 1; i < os.mat_attempts &&
-                      backoff < config_.max_materialization_backoff;
-       ++i) {
-    backoff = backoff + backoff;
-  }
-  backoff = std::min(backoff, config_.max_materialization_backoff);
-  const int64_t retry_token = os.mat_token;
-  sim_->ScheduleAfter(backoff, [this, object, retry_token] {
-    ObjectState& obj = objects_[static_cast<size_t>(object)];
-    if (obj.mat_token != retry_token) return;
-    obj.materializing = false;
-    ++metrics_.materialization_retries;
-    Dispatch();
-  });
-}
-
-void VdrServer::AbandonMaterialization(ObjectId object) {
-  // Fail every queued display of the object; each receives its terminal
-  // interruption (the give-up is the one case VDR abandons a request).
-  std::vector<InterruptedFn> interrupted;
-  ObjectState& os = objects_[static_cast<size_t>(object)];
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->object == object) {
-      STAGGER_CHECK(os.waiting > 0);
-      --os.waiting;
-      if (it->on_interrupted) interrupted.push_back(std::move(it->on_interrupted));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  metrics_.queue_length.Set(sim_->Now(), static_cast<double>(queue_.size()));
-  for (InterruptedFn& fn : interrupted) fn();
 }
 
 void VdrServer::OnDiskDown(int32_t disk, bool media_lost) {
@@ -556,7 +456,6 @@ void VdrServer::OnClusterDown(int32_t cluster, bool media_lost) {
       retry.object = ad.object;
       retry.arrival = sim_->Now();
       retry.on_completed = std::move(ad.on_completed);
-      retry.on_interrupted = std::move(ad.on_interrupted);
       retry.resumed = true;
       ++objects_[static_cast<size_t>(ad.object)].waiting;
       queue_.push_front(std::move(retry));

@@ -48,19 +48,6 @@ struct VdrConfig {
   /// only while waiting >= threshold * current-replica-count, so replica
   /// sets stop growing once supply matches queued demand.
   int32_t replication_wait_threshold = 1;
-  /// Guard against a hung tertiary read: a materialization that has not
-  /// landed after this long is abandoned and retried with exponential
-  /// backoff.  Zero (the default) disables the guard — the read is
-  /// trusted to complete eventually.
-  SimTime materialization_timeout = SimTime::Zero();
-  /// Retries after the first timed-out attempt.  When the budget is
-  /// exhausted, every queued display of the object receives a terminal
-  /// interruption instead of waiting forever.
-  int32_t max_materialization_retries = 3;
-  /// The first retry waits this long; the wait doubles per retry,
-  /// capped at `max_materialization_backoff`.
-  SimTime materialization_retry_backoff = SimTime::Seconds(30);
-  SimTime max_materialization_backoff = SimTime::Minutes(8);
   /// Objects (by id, ascending) installed one-per-cluster-slot before
   /// the run starts, skipping the cold-start transient.
   int32_t preload_objects = 0;
@@ -97,14 +84,6 @@ struct VdrMetrics {
   int64_t replicas_lost = 0;
   /// Piggyback copies aborted by a destination-cluster outage.
   int64_t replications_aborted = 0;
-  // --- tertiary timeout/retry (materialization_timeout > 0) ------------
-  /// Materializations abandoned because they outran the timeout.
-  int64_t materialization_timeouts = 0;
-  /// Re-issued materializations (each after a backoff cooldown).
-  int64_t materialization_retries = 0;
-  /// Objects given up on after the retry budget; their queued displays
-  /// received a terminal interruption.
-  int64_t materializations_abandoned = 0;
   StreamingStats startup_latency_sec;
   TimeWeighted queue_length;
 };
@@ -181,22 +160,12 @@ class VdrServer : public MediaService {
     SimTime last_access;
     int32_t waiting = 0;
     bool materializing = false;
-    /// Bumped whenever the in-flight materialization changes identity
-    /// (issue, landing, timeout); voids stale timeout and completion
-    /// callbacks the same way ClusterState::epoch voids landings.
-    int64_t mat_token = 0;
-    /// Attempts burned on the current materialization effort; reset on
-    /// success or terminal abandonment.
-    int32_t mat_attempts = 0;
   };
   struct Pending {
     ObjectId object;
     SimTime arrival;
     StartedFn on_started;
     CompletedFn on_completed;
-    /// Terminal give-up notification: fired only when the object's
-    /// materialization exhausts its retry budget.
-    InterruptedFn on_interrupted;
     /// True when this entry re-queues a display interrupted by a
     /// cluster outage; on_started and the startup-latency sample fired
     /// at the original start and must not repeat.
@@ -207,9 +176,6 @@ class VdrServer : public MediaService {
     ObjectId object = kInvalidObject;
     int32_t copy_dst = -1;  ///< piggyback destination, or -1
     CompletedFn on_completed;
-    /// Carried through failover re-queues so a display whose
-    /// rematerialization later gives up can still be interrupted.
-    InterruptedFn on_interrupted;
     EventHandle completion;
   };
 
@@ -233,14 +199,6 @@ class VdrServer : public MediaService {
   void StartDisplay(size_t queue_index, int32_t cluster);
   void CompleteDisplay(int32_t cluster);
   void StartMaterialization(ObjectId object, int32_t dst);
-  /// Timeout guard for one materialization attempt; `token` identifies
-  /// the attempt and voids the guard when the landing beat it, `epoch`
-  /// tells a still-pending destination from one re-claimed after an
-  /// outage.
-  void OnMaterializationTimeout(ObjectId object, int32_t dst, int64_t token,
-                                int64_t epoch);
-  /// Terminal give-up: fail every queued display of `object`.
-  void AbandonMaterialization(ObjectId object);
   void OnClusterDown(int32_t cluster, bool media_lost);
   void SetActivity(int32_t cluster, ClusterActivity activity);
   void InstallReplica(ObjectId object, int32_t cluster);

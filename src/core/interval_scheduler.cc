@@ -11,6 +11,16 @@
 
 namespace stagger {
 
+namespace {
+
+// A paused stream's first re-admission attempt comes this many
+// intervals after the pause; each failed attempt doubles the wait, up
+// to the cap.
+constexpr int64_t kRetryBackoffIntervals = 1;
+constexpr int64_t kMaxRetryBackoffIntervals = 64;
+
+}  // namespace
+
 Result<std::unique_ptr<IntervalScheduler>> IntervalScheduler::Create(
     Simulator* sim, DiskArray* disks, const SchedulerConfig& config) {
   if (config.interval <= SimTime::Zero()) {
@@ -18,13 +28,6 @@ Result<std::unique_ptr<IntervalScheduler>> IntervalScheduler::Create(
   }
   if (config.fragmented_lookahead < 0) {
     return Status::InvalidArgument("fragmented lookahead must be >= 0");
-  }
-  if (config.retry_backoff_intervals < 1) {
-    return Status::InvalidArgument("retry backoff must be >= 1 interval");
-  }
-  if (config.max_retry_backoff_intervals < config.retry_backoff_intervals) {
-    return Status::InvalidArgument(
-        "max retry backoff must be >= the initial backoff");
   }
   STAGGER_ASSIGN_OR_RETURN(VirtualDiskFrame frame,
                            VirtualDiskFrame::Create(disks->num_disks(),
@@ -217,15 +220,14 @@ STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
-  // Scan FIFO; with backfill, requests behind a blocked head may be
-  // admitted (the paper's Figure 3 idle slots serving a new request).
+  // Scan FIFO; requests behind a blocked head may be admitted (the
+  // paper's Figure 3: "idle time intervals would be used to service the
+  // new request").
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (TryAdmit(*it)) {
       it = queue_.erase(it);
-    } else if (config_.allow_backfill) {
-      ++it;
     } else {
-      break;
+      ++it;
     }
   }
 }
@@ -634,7 +636,7 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.arrival = s.arrival_time;
   p.paused_at = sim_->Now();
   p.paused_at_interval = interval_index_;
-  p.backoff = config_.retry_backoff_intervals;
+  p.backoff = kRetryBackoffIntervals;
   p.retry_at_interval = interval_index_ + p.backoff;
   p.resumed_mid_display = s.delivered > 0 || s.resumed_mid_display;
 
@@ -675,8 +677,7 @@ void IntervalScheduler::RetryPaused() {
       metrics_.resume_latency_sec.Add((sim_->Now() - p.paused_at).seconds());
       it = paused_.erase(it);
     } else {
-      p.backoff =
-          std::min(p.backoff * 2, config_.max_retry_backoff_intervals);
+      p.backoff = std::min(p.backoff * 2, kMaxRetryBackoffIntervals);
       p.retry_at_interval = interval_index_ + p.backoff;
       ++it;
     }

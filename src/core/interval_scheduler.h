@@ -54,8 +54,9 @@ enum class DegradedPolicy {
   /// a read on an unavailable disk is a fatal contract violation.
   kNone,
   /// Pause the affected stream and re-admit it with bounded exponential
-  /// backoff; a stream paused longer than `max_pause_intervals` is
-  /// cancelled as an interrupted display.
+  /// backoff (first retry after 1 interval, doubling to 64); a stream
+  /// paused longer than `max_pause_intervals` is cancelled as an
+  /// interrupted display.
   kPause,
   /// First try to remap the lost fragment's bandwidth onto a surviving
   /// disk with slack this interval — the subobject's own stripe disks
@@ -125,15 +126,8 @@ struct SchedulerConfig {
   int64_t fragmented_lookahead = 16;
   /// Buffer budget in fragments; <= 0 means unlimited.
   int64_t buffer_capacity_fragments = 0;
-  /// Requests behind a blocked head may be admitted (Figure 3's "idle
-  /// time intervals would be used to service the new request").
-  bool allow_backfill = true;
   /// Reaction to reads landing on failed/stalled disks (src/fault/).
   DegradedPolicy degraded_policy = DegradedPolicy::kRemapOrPause;
-  /// First re-admission attempt this many intervals after a pause.
-  int64_t retry_backoff_intervals = 1;
-  /// Backoff doubles after each failed retry, capped here.
-  int64_t max_retry_backoff_intervals = 64;
   /// A stream paused longer than this is cancelled as an interrupted
   /// display; <= 0 means never (retry forever).
   int64_t max_pause_intervals = 4096;

@@ -487,7 +487,7 @@ namespace {
 
 /// True when [start, end] touches no committed window.  Closed-interval
 /// comparison: a recover and the next fault *may* legally share an
-/// instant (the recover applies first), but Random keeps windows fully
+/// instant (the recover applies first), but Generate keeps windows fully
 /// disjoint so every generated plan is unambiguous to read.
 bool WindowIsFree(const std::vector<std::pair<SimTime, SimTime>>& windows,
                   SimTime start, SimTime end) {
@@ -499,44 +499,36 @@ bool WindowIsFree(const std::vector<std::pair<SimTime, SimTime>>& windows,
 
 }  // namespace
 
-FaultPlan FaultPlan::Random(Rng* rng, int32_t num_disks, SimTime horizon,
-                            int32_t num_failures, int32_t num_stalls,
-                            SimTime mean_outage, SimTime mean_stall) {
-  STAGGER_CHECK(num_disks >= 1);
-  STAGGER_CHECK(horizon > SimTime::Zero());
-  STAGGER_CHECK(num_failures >= 0 && num_stalls >= 0);
-  FaultPlan plan;
-  // Per-disk unavailability windows already committed, to keep the plan
-  // consistent (Validate-clean) by construction.
-  std::map<DiskId, std::vector<std::pair<SimTime, SimTime>>> windows;
-
-  auto draw = [&](SimTime mean_duration, bool is_failure) {
-    // Bounded re-draws keep generation deterministic and total even on
-    // small, crowded arrays; a draw that cannot be placed is dropped.
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      const auto disk =
-          static_cast<DiskId>(rng->NextBounded(static_cast<uint64_t>(num_disks)));
-      const SimTime start = SimTime::Micros(
-          rng->NextInRange(0, horizon.micros() - 1));
-      const SimTime duration = SimTime::Micros(std::max<int64_t>(
-          1, static_cast<int64_t>(
-                 rng->NextExponential(static_cast<double>(mean_duration.micros())))));
-      const SimTime end = start + duration;
-      if (!WindowIsFree(windows[disk], start, end)) continue;
-      windows[disk].emplace_back(start, end);
-      if (is_failure) {
-        plan.FailAt(disk, start);
-        plan.RecoverAt(disk, end);
-      } else {
-        plan.StallAt(disk, start, duration);
-      }
-      return;
-    }
-  };
-
-  for (int32_t i = 0; i < num_failures; ++i) draw(mean_outage, true);
-  for (int32_t i = 0; i < num_stalls; ++i) draw(mean_stall, false);
-  return plan;
+Status ChaosParams::Validate(int32_t num_disks) const {
+  if (horizon <= SimTime::Zero()) {
+    return Status::InvalidArgument("chaos horizon must be positive");
+  }
+  if (mtbf < SimTime::Zero() || stall_mtbf < SimTime::Zero() ||
+      degrade_mtbf < SimTime::Zero() || latent_mtbf < SimTime::Zero()) {
+    return Status::InvalidArgument("chaos mtbf must be >= 0 (0 = off)");
+  }
+  if ((mtbf > SimTime::Zero() && mttr <= SimTime::Zero()) ||
+      (stall_mtbf > SimTime::Zero() && mean_stall <= SimTime::Zero()) ||
+      (degrade_mtbf > SimTime::Zero() && mean_degrade <= SimTime::Zero())) {
+    return Status::InvalidArgument(
+        "every enabled chaos fault kind needs a positive mean duration");
+  }
+  if (num_domains < 0 || num_domains > num_disks) {
+    return Status::InvalidArgument("chaos domains must be in [0, " +
+                                   std::to_string(num_disks) + "]");
+  }
+  if (!(domain_event_fraction >= 0.0 && domain_event_fraction <= 1.0)) {
+    return Status::InvalidArgument("domain event fraction must be in [0, 1]");
+  }
+  if (min_degrade_percent < 1 || min_degrade_percent > max_degrade_percent ||
+      max_degrade_percent > 99) {
+    return Status::InvalidArgument(
+        "degrade percents need 1 <= min <= max <= 99");
+  }
+  if (max_latent_run < 1) {
+    return Status::InvalidArgument("max latent run must be >= 1");
+  }
+  return Status::OK();
 }
 
 FaultPlan FaultPlan::Generate(Rng* rng, int32_t num_disks,

@@ -106,6 +106,13 @@ struct ChaosParams {
   /// whole enclosure with probability `domain_event_fraction`.
   int32_t num_domains = 0;
   double domain_event_fraction = 0.25;
+
+  /// Checks the parameters against an array of `num_disks` drives:
+  /// positive horizon, no negative mtbf, a positive mean duration for
+  /// every enabled window kind, domains in [0, num_disks], the domain
+  /// fraction in [0, 1], degrade percents with 1 <= min <= max <= 99,
+  /// and max_latent_run >= 1.
+  Status Validate(int32_t num_disks) const;
 };
 
 /// \brief A validated, replayable schedule of disk faults.
@@ -175,21 +182,13 @@ class FaultPlan {
   /// Inverse of ToString(); blank lines and '#' comments are skipped.
   static Result<FaultPlan> Parse(const std::string& text);
 
-  /// Deterministic random plan: `num_failures` fail/recover pairs and
-  /// `num_stalls` stalls, uniformly placed over [0, horizon), with
-  /// exponential outage / stall durations.  Events that would violate
-  /// per-disk consistency (e.g. a second failure inside an open outage)
-  /// are re-drawn, so the result always passes Validate().
-  static FaultPlan Random(Rng* rng, int32_t num_disks, SimTime horizon,
-                          int32_t num_failures, int32_t num_stalls,
-                          SimTime mean_outage, SimTime mean_stall);
-
   /// Seeded chaos generator: draws fail/recover pairs, stalls,
   /// degrades, and latent errors at the MTBF-driven rates of `params`
   /// over `params.horizon`, optionally correlated across contiguous
   /// failure domains.  Unavailability windows are kept disjoint per
   /// disk, so the result always passes Validate(); serialize it with
   /// ToString() to replay any chaos run from its plan text.
+  /// Precondition: params.Validate(num_disks) is OK.
   static FaultPlan Generate(Rng* rng, int32_t num_disks,
                             const ChaosParams& params);
 

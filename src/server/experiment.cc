@@ -51,6 +51,9 @@ Status ExperimentConfig::Validate() const {
   if (geometric_mean <= 0) {
     return Status::InvalidArgument("geometric mean must be positive");
   }
+  if (warmup < SimTime::Zero()) {
+    return Status::InvalidArgument("warmup must be >= 0");
+  }
   if (measure <= SimTime::Zero()) {
     return Status::InvalidArgument("measurement window must be positive");
   }

@@ -45,13 +45,6 @@ Status StripedConfig::Validate() const {
           "worth of fragments (or an unlimited pool)");
     }
   }
-  if (retry_backoff_intervals < 1) {
-    return Status::InvalidArgument("retry backoff must be >= 1 interval");
-  }
-  if (max_retry_backoff_intervals < retry_backoff_intervals) {
-    return Status::InvalidArgument(
-        "max retry backoff must be >= the initial backoff");
-  }
   if (rebuild_intervals_per_fragment < 1) {
     return Status::InvalidArgument(
         "rebuild rate cap must be >= 1 interval per fragment");
@@ -102,10 +95,7 @@ Result<std::unique_ptr<StripedServer>> StripedServer::Create(
   sched.coalesce = config.coalesce;
   sched.fragmented_lookahead = config.fragmented_lookahead;
   sched.buffer_capacity_fragments = config.buffer_capacity_fragments;
-  sched.allow_backfill = config.allow_backfill;
   sched.degraded_policy = config.degraded_policy;
-  sched.retry_backoff_intervals = config.retry_backoff_intervals;
-  sched.max_retry_backoff_intervals = config.max_retry_backoff_intervals;
   sched.max_pause_intervals = config.max_pause_intervals;
   sched.read_observer = config.read_observer;
   STAGGER_ASSIGN_OR_RETURN(server->scheduler_,
@@ -267,13 +257,12 @@ void StripedServer::OnDiskUp(DiskId disk, SimTime /*now*/) {
 }
 
 int32_t StripedServer::NextStartDisk() {
-  // Deterministic rotation; the multiplier spreads consecutive objects
-  // far apart so concurrent displays rarely start on the same disks.
-  const int64_t d = disks_->num_disks();
-  const int64_t step = config_.align_start_to_stride
-                           ? static_cast<int64_t>(config_.stride)
-                           : 1;
-  const int64_t slots = d / step;
+  // Deterministic rotation over multiples of the stride, which makes
+  // the k = M configuration behave exactly like physically clustered
+  // simple striping; the multiplier spreads consecutive objects far
+  // apart so concurrent displays rarely start on the same disks.
+  const int64_t step = config_.stride;
+  const int64_t slots = disks_->num_disks() / step;
   const int64_t slot = (placement_counter_++ * 7919) % slots;
   return static_cast<int32_t>(slot * step);
 }

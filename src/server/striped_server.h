@@ -44,11 +44,6 @@ struct StripedConfig {
   bool coalesce = false;
   int64_t fragmented_lookahead = 16;
   int64_t buffer_capacity_fragments = 0;
-  bool allow_backfill = true;
-  /// Start new objects on multiples of the stride, which makes the
-  /// k = M configuration behave exactly like physically clustered
-  /// simple striping.
-  bool align_start_to_stride = true;
   /// Objects (by id, ascending) made resident before the run starts —
   /// skips the cold-start transient.
   int32_t preload_objects = 0;
@@ -61,10 +56,8 @@ struct StripedConfig {
   /// B_Tertiary, used to size the write stream when charging.
   Bandwidth tertiary_bandwidth = Bandwidth::Mbps(40);
   /// Reaction to reads landing on failed or stalled disks (src/fault/);
-  /// forwarded to the scheduler together with the backoff knobs below.
+  /// forwarded to the scheduler together with the pause cap below.
   DegradedPolicy degraded_policy = DegradedPolicy::kRemapOrPause;
-  int64_t retry_backoff_intervals = 1;
-  int64_t max_retry_backoff_intervals = 64;
   int64_t max_pause_intervals = 4096;
   /// Store a per-subobject parity fragment on the disk after each
   /// stripe (fault-tolerance layer): enables kReconstruct degraded

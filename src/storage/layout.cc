@@ -1,7 +1,6 @@
 #include "storage/layout.h"
 
 #include <algorithm>
-#include <string>
 
 namespace stagger {
 
@@ -97,25 +96,6 @@ bool StaggeredLayout::IsSkewFree(int64_t num_subobjects) const {
   // A perfectly balanced object differs by at most one fragment across
   // disks (exact equality is impossible unless D divides the total).
   return *hi - *lo <= 1;
-}
-
-Result<ClusterLayout> ClusterLayout::Create(int32_t num_disks, int32_t cluster,
-                                            int32_t degree) {
-  if (num_disks < 1) {
-    return Status::InvalidArgument("cluster layout: need at least one disk");
-  }
-  if (degree < 1 || degree > num_disks) {
-    return Status::InvalidArgument("cluster layout: degree must be in [1, D]");
-  }
-  const int32_t num_clusters = num_disks / degree;
-  if (num_clusters < 1) {
-    return Status::InvalidArgument("cluster layout: no full cluster fits");
-  }
-  if (cluster < 0 || cluster >= num_clusters) {
-    return Status::InvalidArgument("cluster layout: cluster index out of range [0, " +
-                                   std::to_string(num_clusters) + ")");
-  }
-  return ClusterLayout(num_disks, cluster, degree);
 }
 
 }  // namespace stagger

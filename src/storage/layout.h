@@ -5,7 +5,7 @@
 // where k is the system-wide stride.  Setting k = M_X yields simple
 // striping (Section 3.1); assigning whole objects to one physical
 // cluster yields the virtual-data-replication layout of [GS93]
-// (equivalently k = D).
+// (equivalently k = D), which VdrServer addresses by cluster index.
 //
 // This header also carries the Section 3.2.2 skew analysis: the number
 // of distinct disks an object touches and the per-disk fragment-count
@@ -185,33 +185,6 @@ class StaggeredLayout {
   /// row_first_[r] == (p + r*k) mod D for r in [0, period_).  Shared so
   /// layout copies (catalog entries, audit tables) stay cheap.
   std::shared_ptr<const std::vector<int32_t>> row_first_;
-};
-
-/// \brief Placement of one object under virtual data replication: the
-/// whole object lives in one physical cluster of `degree` disks, with
-/// fragment j of every subobject on the cluster's j-th disk.
-class ClusterLayout {
- public:
-  /// \param num_disks    D.
-  /// \param cluster      cluster index in [0, D/degree).
-  /// \param degree       disks per cluster (M).
-  static Result<ClusterLayout> Create(int32_t num_disks, int32_t cluster,
-                                      int32_t degree);
-
-  int32_t cluster() const { return cluster_; }
-  int32_t degree() const { return degree_; }
-
-  int32_t DiskFor(int64_t /*subobject*/, int32_t fragment) const {
-    STAGGER_DCHECK(fragment >= 0 && fragment < degree_);
-    return cluster_ * degree_ + fragment;
-  }
-
- private:
-  ClusterLayout(int32_t num_disks, int32_t cluster, int32_t degree)
-      : num_disks_(num_disks), cluster_(cluster), degree_(degree) {}
-  int32_t num_disks_;
-  int32_t cluster_;
-  int32_t degree_;
 };
 
 }  // namespace stagger

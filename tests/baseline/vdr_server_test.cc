@@ -205,133 +205,6 @@ TEST_F(VdrServerTest, DemandProportionalPreload) {
   EXPECT_EQ((*server)->ResidentObjectCount(), 3);
 }
 
-// ---------------------------------------------------------------------
-// Materialization timeout / retry / terminal-interrupt machinery.
-// Object size: 10 subobjects x 5 frags x 1.512 MB = 75.6 MB, which the
-// 40 mbps tertiary moves in ~15.1 s.
-// ---------------------------------------------------------------------
-
-class VdrTimeoutTest : public VdrServerTest {
- protected:
-  void MakeTimeoutServer(SimTime timeout, int32_t retries,
-                         SimTime backoff = SimTime::Seconds(2),
-                         SimTime cap = SimTime::Seconds(8),
-                         int32_t preload = 3) {
-    catalog_ = Catalog::Uniform(10, 10, Bandwidth::Mbps(100));
-    TertiaryParameters tp;
-    tp.bandwidth = Bandwidth::Mbps(40);
-    tp.reposition = SimTime::Zero();
-    tertiary_ = std::make_unique<TertiaryManager>(&sim_, TertiaryDevice(tp));
-    VdrConfig config;
-    config.num_clusters = 4;
-    config.cluster_degree = 5;
-    config.interval = kInterval;
-    config.fragment_size = DataSize::MB(1.512);
-    config.preload_objects = preload;
-    config.materialization_timeout = timeout;
-    config.max_materialization_retries = retries;
-    config.materialization_retry_backoff = backoff;
-    config.max_materialization_backoff = cap;
-    auto server = VdrServer::Create(&sim_, &catalog_, tertiary_.get(), config);
-    ASSERT_TRUE(server.ok()) << server.status();
-    server_ = *std::move(server);
-  }
-};
-
-TEST_F(VdrTimeoutTest, TimeoutConfigValidates) {
-  VdrConfig config;
-  config.num_clusters = 4;
-  config.cluster_degree = 5;
-  config.interval = kInterval;
-  ASSERT_TRUE(config.Validate().ok());
-  config.materialization_timeout = SimTime::Micros(-1);
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.materialization_timeout = SimTime::Seconds(5);
-  config.max_materialization_retries = -1;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.max_materialization_retries = 2;
-  config.materialization_retry_backoff = SimTime::Zero();
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.materialization_retry_backoff = SimTime::Seconds(4);
-  config.max_materialization_backoff = SimTime::Seconds(2);
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.max_materialization_backoff = SimTime::Seconds(16);
-  EXPECT_TRUE(config.Validate().ok());
-  // Disabled timeout ignores the other knobs entirely.
-  config.materialization_timeout = SimTime::Zero();
-  config.max_materialization_retries = -7;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST_F(VdrTimeoutTest, GenerousTimeoutLandsNormally) {
-  MakeTimeoutServer(SimTime::Seconds(20), /*retries=*/3);
-  Probe p;
-  Request(5, &p);
-  sim_.RunUntil(SimTime::Seconds(16));
-  EXPECT_TRUE(p.started);  // landing at ~15.1 s beat the 20 s guard
-  sim_.RunUntil(SimTime::Seconds(16) + DisplayTime());
-  EXPECT_TRUE(p.completed);
-  EXPECT_FALSE(p.interrupted);
-  EXPECT_EQ(server_->metrics().materialization_timeouts, 0);
-  EXPECT_EQ(server_->metrics().materialization_retries, 0);
-  EXPECT_EQ(server_->metrics().materializations_abandoned, 0);
-}
-
-TEST_F(VdrTimeoutTest, SlowTertiaryExhaustsRetriesAndInterrupts) {
-  // 5 s guard against a ~15.1 s transfer: attempt 1 times out at 5,
-  // retries after the 2 s backoff at 7, attempt 2 times out at 12 and
-  // exhausts the budget — the waiter gets its terminal interruption.
-  MakeTimeoutServer(SimTime::Seconds(5), /*retries=*/1);
-  Probe p;
-  Request(5, &p);
-  // Run past the stale landings (15.1 s, 30.2 s) to exercise the
-  // token-void path as well.
-  sim_.RunUntil(SimTime::Seconds(60));
-  EXPECT_FALSE(p.started);
-  EXPECT_FALSE(p.completed);
-  EXPECT_TRUE(p.interrupted);
-  EXPECT_EQ(server_->metrics().materializations, 2);
-  EXPECT_EQ(server_->metrics().materialization_timeouts, 2);
-  EXPECT_EQ(server_->metrics().materialization_retries, 1);
-  EXPECT_EQ(server_->metrics().materializations_abandoned, 1);
-  EXPECT_EQ(server_->metrics().displays_completed, 0);
-  EXPECT_EQ(server_->ReplicaCount(5), 0);
-}
-
-TEST_F(VdrTimeoutTest, ZeroRetriesAbandonsAfterFirstTimeout) {
-  MakeTimeoutServer(SimTime::Seconds(5), /*retries=*/0);
-  Probe p;
-  Request(5, &p);
-  sim_.RunUntil(SimTime::Seconds(6));
-  EXPECT_TRUE(p.interrupted);
-  EXPECT_EQ(server_->metrics().materialization_timeouts, 1);
-  EXPECT_EQ(server_->metrics().materialization_retries, 0);
-  EXPECT_EQ(server_->metrics().materializations_abandoned, 1);
-}
-
-TEST_F(VdrTimeoutTest, BusyTertiaryTimeoutThenRetrySucceeds) {
-  // Two misses share the tertiary: the second object's transfer sits in
-  // the device queue (~15.1 s wait + 15.1 s transfer) and its 25 s
-  // guard fires mid-queue.  The backoff retry re-enqueues it behind the
-  // stale transfer and the second attempt lands inside its own window.
-  MakeTimeoutServer(SimTime::Seconds(25), /*retries=*/3,
-                    SimTime::Seconds(2), SimTime::Seconds(8),
-                    /*preload=*/2);
-  Probe a, b;
-  Request(5, &a);
-  Request(6, &b);
-  sim_.RunUntil(SimTime::Seconds(60));
-  EXPECT_TRUE(a.completed);
-  EXPECT_TRUE(b.completed);
-  EXPECT_FALSE(b.interrupted);
-  EXPECT_EQ(server_->metrics().materializations, 3);  // 5, 6, and 6 again
-  EXPECT_EQ(server_->metrics().materialization_timeouts, 1);
-  EXPECT_EQ(server_->metrics().materialization_retries, 1);
-  EXPECT_EQ(server_->metrics().materializations_abandoned, 0);
-  EXPECT_EQ(server_->ReplicaCount(5), 1);
-  EXPECT_EQ(server_->ReplicaCount(6), 1);
-}
-
 TEST_F(VdrServerTest, ClusterUtilizationAccounts) {
   MakeServer();
   Probe p;

@@ -17,8 +17,7 @@ class SchedulerTest : public ::testing::Test {
  protected:
   void Init(int32_t num_disks, int32_t stride,
             AdmissionPolicy policy = AdmissionPolicy::kContiguous,
-            bool coalesce = false, int64_t buffer_cap = 0,
-            bool backfill = true) {
+            bool coalesce = false, int64_t buffer_cap = 0) {
     auto disks = DiskArray::Create(num_disks, DiskParameters::Evaluation());
     ASSERT_TRUE(disks.ok());
     disks_ = std::make_unique<DiskArray>(*std::move(disks));
@@ -28,7 +27,6 @@ class SchedulerTest : public ::testing::Test {
     config.policy = policy;
     config.coalesce = coalesce;
     config.buffer_capacity_fragments = buffer_cap;
-    config.allow_backfill = backfill;
     auto sched = IntervalScheduler::Create(&sim_, disks_.get(), config);
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
@@ -171,19 +169,6 @@ TEST_F(SchedulerTest, BackfillServesLaterRequests) {
   sim_.RunUntil(kInterval * 30);
   EXPECT_FALSE(blocked.started);
   EXPECT_TRUE(later.completed);
-}
-
-TEST_F(SchedulerTest, NoBackfillPreservesStrictFifo) {
-  Init(9, 1, AdmissionPolicy::kContiguous, false, 0, /*backfill=*/false);
-  Probe a, b, blocked, later;
-  Request(0, 0, 3, 50, &a);
-  Request(1, 3, 3, 50, &b);
-  sim_.RunUntil(kInterval);
-  Request(2, 0, 4, 10, &blocked);
-  Request(3, 0, 3, 10, &later);
-  sim_.RunUntil(kInterval * 30);
-  EXPECT_FALSE(blocked.started);
-  EXPECT_FALSE(later.started);  // strict FIFO: held behind the head
 }
 
 TEST_F(SchedulerTest, FragmentedAdmissionStartsEarlier) {

@@ -40,23 +40,32 @@ TEST(DiskDeathTest, OverFreeingAborts) {
   EXPECT_DEATH(d.FreeStorage(1), "freed more storage");
 }
 
+// A disk's utilization is its busy intervals over all elapsed ones;
+// the array keeps both counts.
 TEST(DiskTest, UtilizationCountsBusyIntervals) {
-  Disk d(0, DiskParameters::Evaluation());
-  d.Reserve();
-  d.EndInterval();  // busy
-  d.EndInterval();  // idle
-  d.Reserve();
-  d.EndInterval();  // busy
-  d.EndInterval();  // idle
-  EXPECT_EQ(d.busy_intervals(), 2);
-  EXPECT_EQ(d.total_intervals(), 4);
-  EXPECT_DOUBLE_EQ(d.Utilization(), 0.5);
+  DiskArray array = MakeArray(2);
+  array.ReserveSlot(0);
+  array.EndInterval();  // busy
+  array.EndInterval();  // idle
+  array.ReserveSlot(0);
+  array.EndInterval();  // busy
+  array.EndInterval();  // idle
+  EXPECT_EQ(array.intervals(), 4);
+  EXPECT_DOUBLE_EQ(array.SlotUtilization(0), 0.5);
+  EXPECT_DOUBLE_EQ(array.SlotUtilization(1), 0.0);
 }
 
-TEST(DiskDeathTest, DoubleReserveAborts) {
-  Disk d(0, DiskParameters::Evaluation());
-  d.Reserve();
-  EXPECT_DEATH(d.Reserve(), "reserved twice");
+// A slot or drive reserved twice in one interval is a scheduler bug;
+// debug builds abort on it (the check is compiled out of release).
+TEST(DiskArrayDeathTest, DoubleReserveAborts) {
+  auto created = DiskArray::Create(4, DiskParameters::Evaluation(),
+                                   /*num_spares=*/1);
+  ASSERT_TRUE(created.ok());
+  DiskArray array = *std::move(created);
+  array.ReserveSlot(1);
+  EXPECT_DEBUG_DEATH(array.ReserveSlot(1), "reserved twice");
+  array.ReserveDrive(4);  // the spare
+  EXPECT_DEBUG_DEATH(array.ReserveDrive(4), "reserved twice");
 }
 
 TEST(DiskArrayTest, CreateValidates) {

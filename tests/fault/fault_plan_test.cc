@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace stagger {
@@ -125,17 +128,31 @@ TEST(FaultPlanTest, SortedOrdersByTime) {
   EXPECT_LE(sorted[1].at, sorted[2].at);
 }
 
+// Failures and stalls only, at fixed per-disk rates: the plan shape the
+// fault property test drives the scheduler with.
+ChaosParams FailStallParams() {
+  ChaosParams params;
+  params.horizon = SimTime::Hours(1);
+  params.mtbf = SimTime::Hours(4);
+  params.mttr = SimTime::Minutes(5);
+  params.stall_mtbf = SimTime::Hours(4);
+  params.mean_stall = SimTime::Seconds(30);
+  return params;
+}
+
 TEST(FaultPlanTest, RandomPlansAlwaysValidate) {
+  const ChaosParams params = FailStallParams();
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
-    FaultPlan plan = FaultPlan::Random(&rng, /*num_disks=*/12,
-                                       /*horizon=*/SimTime::Hours(1),
-                                       /*num_failures=*/3, /*num_stalls=*/3,
-                                       /*mean_outage=*/SimTime::Minutes(5),
-                                       /*mean_stall=*/SimTime::Seconds(30));
+    FaultPlan plan = FaultPlan::Generate(&rng, /*num_disks=*/12, params);
     EXPECT_TRUE(plan.Validate(12).ok())
         << "seed " << seed << ": " << plan.Validate(12) << "\n"
         << plan.ToString();
+    for (const FaultEvent& e : plan.events()) {
+      EXPECT_TRUE(e.kind == FaultKind::kFail || e.kind == FaultKind::kStall ||
+                  e.kind == FaultKind::kRecover)
+          << "seed " << seed << ": " << plan.ToString();
+    }
   }
 }
 
@@ -379,13 +396,110 @@ TEST(FaultPlanTest, GenerateIsDeterministicPerSeed) {
 TEST(FaultPlanTest, RandomIsDeterministicPerSeed) {
   Rng a(42);
   Rng b(42);
-  const FaultPlan pa =
-      FaultPlan::Random(&a, 8, SimTime::Hours(1), 2, 2,
-                        SimTime::Minutes(3), SimTime::Seconds(10));
-  const FaultPlan pb =
-      FaultPlan::Random(&b, 8, SimTime::Hours(1), 2, 2,
-                        SimTime::Minutes(3), SimTime::Seconds(10));
+  const FaultPlan pa = FaultPlan::Generate(&a, 8, FailStallParams());
+  const FaultPlan pb = FaultPlan::Generate(&b, 8, FailStallParams());
   EXPECT_EQ(pa.ToString(), pb.ToString());
+}
+
+// Each ChaosParams::Validate rule rejects its own violation, starting
+// from a valid base; every base-valid plan still generates.
+TEST(FaultPlanTest, ChaosParamsValidateRejectsEachBadField) {
+  ChaosParams base;
+  base.horizon = SimTime::Hours(1);
+  base.mtbf = SimTime::Hours(10);
+  base.mttr = SimTime::Minutes(15);
+  base.stall_mtbf = SimTime::Hours(10);
+  base.mean_stall = SimTime::Seconds(30);
+  base.degrade_mtbf = SimTime::Hours(10);
+  base.mean_degrade = SimTime::Minutes(5);
+  base.latent_mtbf = SimTime::Hours(5);
+  base.subobject_space = 100;
+  base.num_domains = 2;
+  constexpr int32_t kDisks = 10;
+  ASSERT_TRUE(base.Validate(kDisks).ok()) << base.Validate(kDisks);
+
+  const std::vector<std::pair<const char*, void (*)(ChaosParams*)>> bad = {
+      {"zero horizon", [](ChaosParams* p) { p->horizon = SimTime::Zero(); }},
+      {"negative horizon",
+       [](ChaosParams* p) { p->horizon = SimTime::Hours(-1); }},
+      {"negative mtbf", [](ChaosParams* p) { p->mtbf = SimTime::Hours(-3); }},
+      {"negative stall mtbf",
+       [](ChaosParams* p) { p->stall_mtbf = SimTime::Hours(-3); }},
+      {"negative degrade mtbf",
+       [](ChaosParams* p) { p->degrade_mtbf = SimTime::Hours(-3); }},
+      {"negative latent mtbf",
+       [](ChaosParams* p) { p->latent_mtbf = SimTime::Hours(-3); }},
+      {"zero mttr", [](ChaosParams* p) { p->mttr = SimTime::Zero(); }},
+      {"negative mttr", [](ChaosParams* p) { p->mttr = SimTime::Hours(-1); }},
+      {"zero mean stall",
+       [](ChaosParams* p) { p->mean_stall = SimTime::Zero(); }},
+      {"zero mean degrade",
+       [](ChaosParams* p) { p->mean_degrade = SimTime::Zero(); }},
+      {"negative domains", [](ChaosParams* p) { p->num_domains = -1; }},
+      {"more domains than disks",
+       [](ChaosParams* p) { p->num_domains = kDisks + 1; }},
+      {"negative domain fraction",
+       [](ChaosParams* p) { p->domain_event_fraction = -0.1; }},
+      {"domain fraction above 1",
+       [](ChaosParams* p) { p->domain_event_fraction = 1.1; }},
+      {"min degrade percent 0",
+       [](ChaosParams* p) { p->min_degrade_percent = 0; }},
+      {"min above max degrade percent",
+       [](ChaosParams* p) {
+         p->min_degrade_percent = 60;
+         p->max_degrade_percent = 50;
+       }},
+      {"max degrade percent 100",
+       [](ChaosParams* p) { p->max_degrade_percent = 100; }},
+      {"zero latent run", [](ChaosParams* p) { p->max_latent_run = 0; }},
+  };
+  for (const auto& [name, mutate] : bad) {
+    ChaosParams p = base;
+    mutate(&p);
+    EXPECT_TRUE(p.Validate(kDisks).IsInvalidArgument()) << name;
+  }
+
+  // Boundaries that stay legal: a disabled kind needs no duration, one
+  // domain per disk, fractions 0 and 1, equal percents at 1 and 99.
+  const std::vector<std::pair<const char*, void (*)(ChaosParams*)>> good = {
+      {"fail kind off without mttr",
+       [](ChaosParams* p) {
+         p->mtbf = SimTime::Zero();
+         p->mttr = SimTime::Zero();
+       }},
+      {"stall kind off without duration",
+       [](ChaosParams* p) {
+         p->stall_mtbf = SimTime::Zero();
+         p->mean_stall = SimTime::Zero();
+       }},
+      {"degrade kind off without duration",
+       [](ChaosParams* p) {
+         p->degrade_mtbf = SimTime::Zero();
+         p->mean_degrade = SimTime::Zero();
+       }},
+      {"no domains", [](ChaosParams* p) { p->num_domains = 0; }},
+      {"one domain per disk", [](ChaosParams* p) { p->num_domains = kDisks; }},
+      {"fraction 0", [](ChaosParams* p) { p->domain_event_fraction = 0.0; }},
+      {"fraction 1", [](ChaosParams* p) { p->domain_event_fraction = 1.0; }},
+      {"percents 1..1",
+       [](ChaosParams* p) {
+         p->min_degrade_percent = 1;
+         p->max_degrade_percent = 1;
+       }},
+      {"percents 99..99",
+       [](ChaosParams* p) {
+         p->min_degrade_percent = 99;
+         p->max_degrade_percent = 99;
+       }},
+  };
+  for (const auto& [name, mutate] : good) {
+    ChaosParams p = base;
+    mutate(&p);
+    ASSERT_TRUE(p.Validate(kDisks).ok()) << name << ": " << p.Validate(kDisks);
+    Rng rng(3);
+    EXPECT_TRUE(FaultPlan::Generate(&rng, kDisks, p).Validate(kDisks).ok())
+        << name;
+  }
 }
 
 }  // namespace

@@ -81,12 +81,18 @@ TEST_P(FaultPropertyTest, RandomFaultsKeepInvariantsEveryInterval) {
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   ASSERT_TRUE(sched.ok()) << sched.status();
 
-  // All faults start (and stalls end) inside the first 200 intervals;
-  // failures recover within the plan by construction.
-  const FaultPlan plan = FaultPlan::Random(
-      &rng, kDisks, /*horizon=*/kInterval * 200, /*num_failures=*/3,
-      /*num_stalls=*/3, /*mean_outage=*/kInterval * 20,
-      /*mean_stall=*/kInterval * 5);
+  // All faults start inside the first 200 intervals; failures recover
+  // within the plan by construction.  At a per-disk MTBF of 800
+  // intervals, 12 disks draw 3 failures and 3 stalls over the horizon;
+  // no degrades, latent errors or failure domains.
+  ChaosParams params;
+  params.horizon = kInterval * 200;
+  params.mtbf = kInterval * 800;
+  params.mttr = kInterval * 20;
+  params.stall_mtbf = kInterval * 800;
+  params.mean_stall = kInterval * 5;
+  ASSERT_TRUE(params.Validate(kDisks).ok());
+  const FaultPlan plan = FaultPlan::Generate(&rng, kDisks, params);
   ASSERT_TRUE(plan.Validate(kDisks).ok());
   auto injector = FaultInjector::Create(&sim, &*disks, plan);
   ASSERT_TRUE(injector.ok()) << injector.status();

@@ -54,6 +54,18 @@ TEST(ExperimentConfigTest, ValidationCatchesBadSettings) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+// With a negative warmup the run (warmup + measure) is shorter than
+// the window displays/h divides by, so the rate is wrong; it is
+// rejected, and zero warmup stays legal.
+TEST(ExperimentTest, RejectsNegativeWarmup) {
+  ExperimentConfig cfg = SmallConfig(Scheme::kStaggered);
+  cfg.warmup = SimTime::Hours(-1);
+  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
+  EXPECT_TRUE(RunExperiment(cfg).status().IsInvalidArgument());
+  cfg.warmup = SimTime::Zero();
+  EXPECT_TRUE(cfg.Validate().ok());
+}
+
 TEST(ExperimentTest, SchemeNames) {
   EXPECT_EQ(SchemeName(Scheme::kSimpleStriping), "simple-striping");
   EXPECT_EQ(SchemeName(Scheme::kStaggered), "staggered-striping");

@@ -149,18 +149,6 @@ TEST_F(StripedServerTest, ConfigValidationFragmentedAndCoalesce) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST_F(StripedServerTest, ConfigValidationDegradedBackoff) {
-  StripedConfig config;
-  config.retry_backoff_intervals = 0;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config = StripedConfig{};
-  config.retry_backoff_intervals = 8;
-  config.max_retry_backoff_intervals = 4;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.max_retry_backoff_intervals = 8;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST_F(StripedServerTest, EffectiveDiskBandwidthFromFragmentAndInterval) {
   MakeServer();
   EXPECT_NEAR(server_->EffectiveDiskBandwidth().mbps(), 20.0, 0.01);
@@ -323,7 +311,6 @@ TEST(StripedServerLostFragmentsTest, ClosedFormMatchesPerFragmentProbe) {
     config.stride = static_cast<int32_t>(1 + rng.NextBounded(
                                                  static_cast<uint64_t>(d)));
     config.parity = rng.NextBool(0.5);
-    config.align_start_to_stride = rng.NextBool(0.5);
     config.preload_objects = 8;
     auto server =
         StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);

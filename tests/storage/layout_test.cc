@@ -275,23 +275,5 @@ TEST(StaggeredLayoutTest, ParityWidensUniqueDiskFootprint) {
   EXPECT_GE(parity->UniqueDisksUsed(5), plain->UniqueDisksUsed(5));
 }
 
-TEST(ClusterLayoutTest, CreateValidates) {
-  EXPECT_FALSE(ClusterLayout::Create(0, 0, 1).ok());
-  EXPECT_FALSE(ClusterLayout::Create(10, 0, 0).ok());
-  EXPECT_FALSE(ClusterLayout::Create(10, 2, 5).ok());  // only 2 clusters
-  EXPECT_FALSE(ClusterLayout::Create(10, -1, 5).ok());
-  EXPECT_TRUE(ClusterLayout::Create(10, 1, 5).ok());
-}
-
-TEST(ClusterLayoutTest, AllSubobjectsInOneCluster) {
-  auto layout = ClusterLayout::Create(15, 2, 5);
-  ASSERT_TRUE(layout.ok());
-  for (int64_t i = 0; i < 50; ++i) {
-    for (int32_t j = 0; j < 5; ++j) {
-      EXPECT_EQ(layout->DiskFor(i, j), 10 + j);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace stagger

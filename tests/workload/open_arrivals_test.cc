@@ -126,7 +126,6 @@ TEST(CatalogMixedTest, ServerHandlesMixedDegrees) {
   config.stride = 1;
   config.interval = SimTime::Micros(604800);
   config.preload_objects = 6;
-  config.align_start_to_stride = true;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   ASSERT_TRUE(server.ok()) << server.status();

@@ -205,6 +205,10 @@ int Run(int argc, char** argv) {
     }
   }
 
+  if (Status st = cfg.Validate(); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
+  }
   if (chaos) {
     // Seeded chaos plan over the whole run; the serialized form is
     // printed so any run can be replayed exactly by pasting the plan
@@ -220,6 +224,10 @@ int Run(int argc, char** argv) {
     cp.latent_mtbf = SimTime::Hours(chaos_mtbf_hours / 2.0);
     cp.subobject_space = cfg.subobjects_per_object;
     cp.num_domains = chaos_domains;
+    if (Status st = cp.Validate(cfg.num_disks); !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      return 1;
+    }
     Rng rng(chaos_seed);
     cfg.fault_plan = FaultPlan::Generate(&rng, cfg.num_disks, cp);
     std::fprintf(stderr, "# chaos plan (seed %llu) — replayable:\n%s",
