@@ -201,6 +201,49 @@ void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerIntervalTickCoalesce)->Arg(200);
 
+// The scale_d100k shape: D = 100 000 with 2000 contiguous displays of
+// 64-127 subobjects that resubmit on completion at a shifted start
+// disk.  After the warm-up about 20 displays finish and 20 start in
+// every timed interval, so each tick pays both the O(D/64) word passes
+// (rotated reservation, busy fold) and the calendar's events.
+void BM_SchedulerIntervalTickD100k(benchmark::State& state) {
+  const int32_t num_streams = static_cast<int32_t>(state.range(0));
+  constexpr int32_t kDisks = 100000;
+  const SimTime interval = SimTime::Millis(605);
+  int64_t completed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = 5;
+    config.interval = interval;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    IntervalScheduler* s = sched->get();
+    int32_t next = 0;
+    std::function<void()> resubmit = [&] {
+      DisplayRequest req;
+      req.object = next;
+      req.degree = 5;
+      req.start_disk = static_cast<int32_t>((int64_t{next} * 50) % kDisks);
+      req.num_subobjects = 64 + next % 64;
+      ++next;
+      req.on_completed = resubmit;
+      (void)s->Submit(std::move(req));
+    };
+    for (int32_t i = 0; i < num_streams; ++i) resubmit();
+    sim.RunUntil(interval * 128);  // warm-up: every display started
+    const int64_t completed_before = s->metrics().displays_completed;
+    state.ResumeTiming();
+    sim.RunUntil(interval * (128 + 256));
+    completed = s->metrics().displays_completed - completed_before;
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetLabel("intervals; D=100000 streams=" + std::to_string(num_streams) +
+                 " completed_per_run=" + std::to_string(completed));
+}
+BENCHMARK(BM_SchedulerIntervalTickD100k)->Arg(2000);
+
 // Admission/eviction churn: short displays that resubmit on completion,
 // so every measured interval mixes stream retirement (slot free-list
 // recycling, window release) with fresh admissions (window probing).

@@ -19,6 +19,35 @@ namespace {
 constexpr int64_t kRetryBackoffIntervals = 1;
 constexpr int64_t kMaxRetryBackoffIntervals = 64;
 
+using IdSlots = std::vector<std::pair<StreamId, int32_t>>;
+
+IdSlots::iterator LowerBound(IdSlots* v, StreamId id) {
+  return std::lower_bound(
+      v->begin(), v->end(), id,
+      [](const std::pair<StreamId, int32_t>& e, StreamId x) {
+        return e.first < x;
+      });
+}
+
+// Inserts (id, slot) keeping `v` sorted by id.  Ids are usually
+// monotonic (fresh requests), so push_back is the fast path; a resumed
+// paused stream re-enters with its original smaller id.
+void InsertSorted(IdSlots* v, StreamId id, int32_t slot) {
+  if (v->empty() || v->back().first < id) {
+    v->emplace_back(id, slot);
+    return;
+  }
+  auto it = LowerBound(v, id);
+  STAGGER_DCHECK(it == v->end() || it->first != id);
+  v->insert(it, {id, slot});
+}
+
+// Erases `id` from `v` when it is listed.
+void EraseSorted(IdSlots* v, StreamId id) {
+  auto it = LowerBound(v, id);
+  if (it != v->end() && it->first == id) v->erase(it);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<IntervalScheduler>> IntervalScheduler::Create(
@@ -46,6 +75,7 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
       vdisk_occupied_(frame) {
   scratch_taken_.Resize(disks->num_disks());
   claimed_.Resize(disks->num_disks());
+  reading_.Resize(disks->num_disks());
   ticker_ = std::make_unique<PeriodicTicker>(
       sim_, epoch_, config_.interval, [this](int64_t tick) { Tick(tick); });
 }
@@ -121,7 +151,8 @@ Result<RequestId> IntervalScheduler::Seek(RequestId id, int32_t new_start_disk,
   // once, and its startup sample fired if it had started.
   Pending p{next_request_id_++, DisplayRequest{}, s->arrival_time,
             /*resumed=*/true,
-            /*started=*/s->delivered > 0 || s->resumed_mid_display};
+            /*started=*/s->DeliveredBy(interval_index_) > 0 ||
+                s->resumed_mid_display};
   p.req.object = s->object;
   p.req.degree = s->degree;
   p.req.start_disk = new_start_disk;
@@ -170,31 +201,6 @@ int32_t IntervalScheduler::AllocSlot() {
   }
   slots_.emplace_back();
   return static_cast<int32_t>(slots_.size()) - 1;
-}
-
-void IntervalScheduler::InsertActive(StreamId id, int32_t slot) {
-  if (active_.empty() || active_.back().first < id) {
-    active_.emplace_back(id, slot);
-    return;
-  }
-  auto it = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [](const std::pair<StreamId, int32_t>& e, StreamId v) {
-        return e.first < v;
-      });
-  STAGGER_DCHECK(it == active_.end() || it->first != id);
-  active_.insert(it, {id, slot});
-}
-
-void IntervalScheduler::EraseActive(StreamId id) {
-  auto it = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [](const std::pair<StreamId, int32_t>& e, StreamId v) {
-        return e.first < v;
-      });
-  STAGGER_CHECK(it != active_.end() && it->first == id)
-      << "unknown stream " << id;
-  active_.erase(it);
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
@@ -345,6 +351,8 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.lanes = std::move(lanes);
   s.delivered = 0;
   s.fragmented = fragmented;
+  s.steady = buffer_frags == 0;
+  s.admission = next_admission_++;
   s.parity = p.req.parity;
   s.buffer_reserved = buffer_frags;
   s.resumed_mid_display = p.started;
@@ -364,7 +372,51 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   if (!p.resumed) ++metrics_.displays_admitted;
   if (fragmented) ++metrics_.fragmented_admissions;
   request_to_stream_[p.id] = s.id;
-  InsertActive(s.id, slot);
+  InsertSorted(&active_, s.id, slot);
+  if (!s.steady) {
+    InsertSorted(&unsteady_, s.id, slot);
+    return;
+  }
+  // A steady stream is visited only on its events: its first read and
+  // delivery, and its last read.  Reads that start now join this tick's
+  // rotated reservation directly.
+  const int64_t first = interval_index_ + delta_max;
+  const int64_t last = first + s.num_subobjects - 1;
+  PushEvent(s, slot, first);
+  if (last != first) PushEvent(s, slot, last);
+  if (delta_max == 0) MarkReading(s, true);
+}
+
+void IntervalScheduler::PushEvent(const Stream& s, int32_t slot, int64_t tick) {
+  calendar_.push_back(CalendarEvent{tick, s.id, s.admission, slot});
+  std::push_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
+  // Entries of a cancelled, sought or paused admission linger until
+  // their tick.  Once they could outnumber the live ones (at most two
+  // per steady stream), drop them, so the calendar stays proportional
+  // to the active streams rather than to the interruptions of the run.
+  const size_t steady = active_.size() - unsteady_.size();
+  if (calendar_.size() <= 2 * steady + 64) return;
+  std::erase_if(calendar_, [this](const CalendarEvent& e) {
+    const Stream& holder = slots_[static_cast<size_t>(e.slot)];
+    return holder.id != e.id || holder.admission != e.admission;
+  });
+  std::make_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
+}
+
+STAGGER_HOT_PATH void IntervalScheduler::MarkReading(const Stream& s,
+                                                     bool reading) {
+  const int32_t d = frame_.num_disks();
+  for (const FragmentLane& lane : s.lanes) {
+    if (lane.released()) continue;
+    for (int32_t f = 0, v = lane.vdisk; f < lane.width;
+         ++f, v = v + 1 == d ? 0 : v + 1) {
+      if (reading) {
+        reading_.Set(v);
+      } else {
+        reading_.Clear(v);
+      }
+    }
+  }
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
@@ -373,6 +425,18 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // hoisting the rotation turns the per-lane mapping into an add and a
   // conditional subtract.
   const int32_t rot = frame_.RotationAt(interval_index_);
+  const bool degraded = config_.degraded_policy != DegradedPolicy::kNone;
+  const bool any_down = degraded && disks_->UnavailableCount() > 0;
+  // Latent sector errors trip the same degraded ladder: a read whose
+  // checksum fails is as unusable as a read off a failed disk.  The
+  // O(1) active() test keeps the no-corruption common case free.
+  const LatentErrorMap& latent = disks_->latent_errors();
+  const bool latent_active = latent.active();
+  const bool faulty = any_down || latent_active;
+  // Hoisted out of the lane loop: testing a std::function loads its
+  // target pointer every time.
+  const bool observe = static_cast<bool>(config_.read_observer);
+  CollectDueStreams(rot, observe, any_down, latent_active);
 
   // Physical disks some active lane is due to read this interval.  A
   // degraded remap may only borrow a disk no stream is about to use, or
@@ -381,17 +445,13 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // interval or postpones the read, so the precomputed set stays sound.)
   // Disk health only changes between ticks (fault events), so when every
   // disk is up and no cell is corrupt the set is never consulted: its
-  // build, and the clearing of last interval's bits, are skipped.
-  const bool degraded = config_.degraded_policy != DegradedPolicy::kNone;
-  const bool any_down = degraded && disks_->UnavailableCount() > 0;
-  // Latent sector errors trip the same degraded ladder: a read whose
-  // checksum fails is as unusable as a read off a failed disk.  The
-  // O(1) active() test keeps the no-corruption common case free.
-  const LatentErrorMap& latent = disks_->latent_errors();
-  const bool latent_active = latent.active();
+  // build, and the clearing of last interval's bits, are skipped.  The
+  // due steady lanes are exactly reading_; the rest are the non-steady
+  // streams' lanes whose read time has come.
   if (any_down || (degraded && latent_active)) {
     claimed_.ClearAll();
-    for (const auto& [id, slot] : active_) {
+    claimed_.OrRotated(reading_, rot);
+    for (const auto& [id, slot] : unsteady_) {
       const Stream& s = slots_[static_cast<size_t>(slot)];
       const int64_t tau = s.Tau(interval_index_);
       for (const FragmentLane& lane : s.lanes) {
@@ -404,31 +464,46 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     }
   }
 
+  // Every steady lane reads every interval from its first read to its
+  // release, so all of them are reserved at once: reading_ rotated onto
+  // the physical disks.  Lanes over a faulty slot are left out for this
+  // pass; their streams read through the per-lane path below.
+  const auto mark_excluded = [&](bool reading) {
+    if (!faulty) return;
+    for (const DueStream& due : scratch_due_) {
+      if (due.excluded) {
+        MarkReading(slots_[static_cast<size_t>(due.slot)], reading);
+      }
+    }
+  };
+  mark_excluded(false);
+  disks_->ReserveRotated(reading_, rot);
+  mark_excluded(true);
+
   STAGGER_DCHECK(scratch_finished_.empty() && scratch_to_pause_.empty());
-  // Hoisted out of the lane loop: testing a std::function loads its
-  // target pointer every time, and the buffered-fragments counter is a
-  // member the compiler cannot keep in a register across calls.  The
-  // local delta is committed right after the loop, before the pause /
-  // finish fix-ups below read the member.
-  const bool observe = static_cast<bool>(config_.read_observer);
-  const bool faulty = any_down || latent_active;
+  // The buffered-fragments counter is a member the compiler cannot keep
+  // in a register across calls.  The local delta is committed right
+  // after the loop, before the pause / finish fix-ups below read the
+  // member.
   int64_t buffered_delta = 0;
-  // active_ is sorted by id, giving the deterministic ascending-id
+  // scratch_due_ is sorted by id, giving the deterministic ascending-id
   // processing order directly.  No admissions run inside this loop, so
   // slots_ is stable and index-based iteration is safe.
-  for (size_t idx = 0; idx < active_.size(); ++idx) {
-    const StreamId id = active_[idx].first;
-    Stream& s = slots_[static_cast<size_t>(active_[idx].second)];
-    // The slot walk jumps around slots_, whose active region is too
-    // large to stay L1-resident at scale; fetching the next stream's
-    // header + inline-lane lines while this one advances hides most of
-    // that latency.
-    if (idx + 1 < active_.size()) {
-      const char* next = reinterpret_cast<const char*>(
-          &slots_[static_cast<size_t>(active_[idx + 1].second)]);
-      __builtin_prefetch(next);
-      __builtin_prefetch(next + 64);
-      __builtin_prefetch(next + 128);
+  for (const DueStream& due : scratch_due_) {
+    const StreamId id = due.id;
+    Stream& s = slots_[static_cast<size_t>(due.slot)];
+    STAGGER_DCHECK(s.id == id);
+    // The rotated pass already reserved a steady stream's clean lanes.
+    const bool covered = s.steady && !due.excluded;
+    if (s.steady) {
+      // Bring the closed-form cursors into the stored fields the body
+      // below advances: the state after the previous interval.
+      const int64_t progress = s.SteadyProgress(interval_index_ - 1);
+      s.delivered = progress;
+      for (FragmentLane& l : s.lanes) {
+        l.reads_done = progress;
+        l.next_read_tau = s.delta_max + progress;
+      }
     }
     const int64_t tau = s.Tau(interval_index_);
 
@@ -463,12 +538,12 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       // touching a fault sends each fragment through the degraded
       // ladder on its own, in fragment order.
       const bool clean =
-          !faulty ||
+          covered || !faulty ||
           ((!any_down ||
             disks_->unavailable_slots().WindowClear(first, width)) &&
            (!latent_active ||
             latent.corrupt_disks().WindowClear(first, width)));
-      if (clean) disks_->ReserveRun(first, width);
+      if (clean && !covered) disks_->ReserveRun(first, width);
       if (!clean || observe) {
         int32_t f = 0;
         for (int32_t disk = first; f < width;
@@ -490,6 +565,9 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
           if (f > 0 && lane->reads_done + 1 >= s.num_subobjects) {
             ReleaseLane(s, lane, f);
           }
+          // A steady stream that misses a read leaves the closed form:
+          // its stored cursors, current since this visit, now stand.
+          s.steady = false;
           pausing = true;
           break;
         }
@@ -538,6 +616,86 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     FinishStream(id, /*completed=*/true);
   }
   scratch_finished_.clear();
+}
+
+STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams(
+    int32_t rot, bool observe, bool any_down, bool latent_active) {
+  // This tick's calendar events pop in ascending id.  An entry whose
+  // slot now holds another admission is stale: the stream was
+  // cancelled, sought or paused (a resumed stream keeps its id).
+  scratch_events_.clear();
+  while (!calendar_.empty() && calendar_.front().tick <= interval_index_) {
+    const CalendarEvent ev = calendar_.front();
+    std::pop_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
+    calendar_.pop_back();
+    STAGGER_DCHECK(ev.tick == interval_index_);
+    const Stream& s = slots_[static_cast<size_t>(ev.slot)];
+    if (s.id != ev.id || s.admission != ev.admission) continue;
+    // Reads that start after admission join the rotated reservation now.
+    if (s.delta_max > 0 && s.Tau(interval_index_) == s.delta_max) {
+      MarkReading(s, true);
+    }
+    // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+    scratch_events_.push_back(DueStream{ev.id, ev.slot, false});
+  }
+
+  // Steady streams reading over a down slot or a disk with corrupt
+  // cells: found from the faulty slots through the owner of the virtual
+  // disk over each, so the cost follows the faults.
+  if (any_down || latent_active) {
+    const size_t calendar_events = scratch_events_.size();
+    const int32_t d = frame_.num_disks();
+    // Slots come in ascending order, so the faulty slots under one lane
+    // arrive together: noting an owner once per run keeps the list to
+    // about one entry per stream.
+    StreamId last_owner = kNoStream;
+    const auto note = [&](int32_t slot) {
+      const int32_t v = slot >= rot ? slot - rot : slot - rot + d;
+      if (!reading_.Test(v)) return;
+      const StreamId owner = vdisk_owner_[static_cast<size_t>(v)];
+      if (owner == last_owner) return;
+      last_owner = owner;
+      // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+      scratch_events_.push_back(DueStream{owner, SlotOf(owner), true});
+    };
+    if (any_down) disks_->unavailable_slots().ForEachSet(note);
+    if (latent_active) disks_->latent_errors().corrupt_disks().ForEachSet(note);
+    if (scratch_events_.size() > calendar_events) {
+      // One entry per stream, the excluded one when there are two.
+      std::sort(scratch_events_.begin(), scratch_events_.end(),
+                [](const DueStream& a, const DueStream& b) {
+                  return a.id != b.id ? a.id < b.id : a.excluded > b.excluded;
+                });
+      scratch_events_.erase(
+          std::unique(scratch_events_.begin(), scratch_events_.end(),
+                      [](const DueStream& a, const DueStream& b) {
+                        return a.id == b.id;
+                      }),
+          scratch_events_.end());
+    }
+  }
+
+  // Merge with the streams due every tick: the non-steady ones, or all
+  // of them while an observer wants every read.
+  const IdSlots& every = observe ? active_ : unsteady_;
+  scratch_due_.clear();
+  size_t e = 0;
+  for (const auto& [id, slot] : every) {
+    while (e < scratch_events_.size() && scratch_events_[e].id < id) {
+      // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+      scratch_due_.push_back(scratch_events_[e++]);
+    }
+    if (e < scratch_events_.size() && scratch_events_[e].id == id) {
+      // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+      scratch_due_.push_back(scratch_events_[e++]);
+    } else {
+      // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+      scratch_due_.push_back(DueStream{id, slot, false});
+    }
+  }
+  // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+  scratch_due_.insert(scratch_due_.end(), scratch_events_.begin() + e,
+                      scratch_events_.end());
 }
 
 STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
@@ -619,7 +777,8 @@ void IntervalScheduler::PauseStream(StreamId id) {
   Stream* sp = FindStream(id);
   STAGGER_CHECK(sp != nullptr) << "unknown stream " << id;
   Stream& s = *sp;
-  STAGGER_DCHECK(s.delivered < s.num_subobjects);
+  const int64_t delivered = s.DeliveredBy(interval_index_);
+  STAGGER_DCHECK(delivered < s.num_subobjects);
 
   PausedStream p;
   p.id = s.id;
@@ -627,8 +786,8 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.remainder.degree = s.degree;
   // Resume from the first undelivered subobject; buffered read-ahead is
   // dropped (those fragments will be re-read after recovery).
-  p.remainder.start_disk = RowStripe(s, s.delivered).first;
-  p.remainder.num_subobjects = s.num_subobjects - s.delivered;
+  p.remainder.start_disk = RowStripe(s, delivered).first;
+  p.remainder.num_subobjects = s.num_subobjects - delivered;
   p.remainder.parity = s.parity;
   p.remainder.on_started = std::move(s.on_started);
   p.remainder.on_completed = std::move(s.on_completed);
@@ -638,7 +797,7 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.paused_at_interval = interval_index_;
   p.backoff = kRetryBackoffIntervals;
   p.retry_at_interval = interval_index_ + p.backoff;
-  p.resumed_mid_display = s.delivered > 0 || s.resumed_mid_display;
+  p.resumed_mid_display = delivered > 0 || s.resumed_mid_display;
 
   request_to_stream_[id] = kNoStream;
   ++metrics_.streams_paused;
@@ -765,6 +924,7 @@ void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
     STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(v)] == s.id);
     vdisk_owner_[static_cast<size_t>(v)] = kNoStream;
     vdisk_occupied_.Clear(v);
+    reading_.Clear(v);
   }
   if (count == lane->width) {
     // Released lanes keep their width: it still sizes their buffered
@@ -795,7 +955,8 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
   s.on_completed = nullptr;
   s.on_started = nullptr;
   s.on_interrupted = nullptr;
-  EraseActive(id);
+  EraseSorted(&active_, id);
+  EraseSorted(&unsteady_, id);
   free_slots_.push_back(slot);
   if (completed) {
     ++metrics_.displays_completed;

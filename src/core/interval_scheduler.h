@@ -242,6 +242,31 @@ class IntervalScheduler {
     bool resumed_mid_display = false;
   };
 
+  /// A calendar entry: a steady stream's first read (and delivery) or
+  /// last read falls on interval `tick`.  `admission` names the
+  /// admission that scheduled it; once the slot holds another, the entry
+  /// is stale and dropped.
+  struct CalendarEvent {
+    int64_t tick;
+    StreamId id;
+    int64_t admission;
+    int32_t slot;
+
+    /// Heap order: the earliest tick, then the smallest id, on top.
+    static bool Later(const CalendarEvent& a, const CalendarEvent& b) {
+      return a.tick != b.tick ? a.tick > b.tick : a.id > b.id;
+    }
+  };
+
+  /// A stream the tick visits.  `excluded` marks a steady stream reading
+  /// over a faulty slot: its lanes are left out of the rotated
+  /// reservation and read through the per-lane path.
+  struct DueStream {
+    StreamId id;
+    int32_t slot;
+    bool excluded;
+  };
+
   IntervalScheduler(Simulator* sim, DiskArray* disks, SchedulerConfig config,
                     VirtualDiskFrame frame);
 
@@ -254,6 +279,17 @@ class IntervalScheduler {
   void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
                    bool fragmented, int64_t buffer_frags);
   void AdvanceStreams();
+  /// Fills scratch_due_, in ascending id, with this tick's calendar
+  /// events, the steady streams reading over a faulty slot, and every
+  /// non-steady stream (every stream when `observe`).  Steady streams
+  /// whose reads start now join reading_.
+  void CollectDueStreams(int32_t rot, bool observe, bool any_down,
+                         bool latent_active);
+  /// Sets (or clears) the virtual disks of `s`'s unreleased lanes in
+  /// reading_.
+  void MarkReading(const Stream& s, bool reading);
+  /// Queues a calendar event of steady stream `s` (in `slot`) at `tick`.
+  void PushEvent(const Stream& s, int32_t slot, int64_t tick);
   void TryCoalesce(Stream* s);
   /// Gives back the first `count` virtual disks of `lane`, a lane of
   /// `s`; the lane keeps the rest of its run, or is released when
@@ -270,11 +306,6 @@ class IntervalScheduler {
   const Stream* FindStream(StreamId id) const;
   /// Pops a free slot, growing slots_ when the free list is empty.
   int32_t AllocSlot();
-  /// Inserts (id, slot) into active_ keeping it sorted by id.  Ids are
-  /// usually monotonic (fresh requests), so push_back is the fast path;
-  /// a resumed paused stream re-enters with its original smaller id.
-  void InsertActive(StreamId id, int32_t slot);
-  void EraseActive(StreamId id);
   // --- degraded mode ---------------------------------------------------
   /// Re-admits paused streams whose backoff expired; cancels those past
   /// `max_pause_intervals`.  Runs before fresh admissions so resumed
@@ -314,11 +345,23 @@ class IntervalScheduler {
   VdiskOccupancy vdisk_occupied_;
   /// Stream storage: stable slots plus a free list, so steady-state
   /// admission/retirement never allocates.  active_ maps stream id ->
-  /// slot, sorted by id — the tick loop iterates it directly instead of
-  /// rebuilding and sorting an id vector every interval.
+  /// slot, sorted by id; unsteady_ is the same map restricted to the
+  /// streams admitted non-steady, the ones the tick visits every
+  /// interval.
   std::vector<Stream> slots_;
   std::vector<int32_t> free_slots_;
   std::vector<std::pair<StreamId, int32_t>> active_;
+  std::vector<std::pair<StreamId, int32_t>> unsteady_;
+  /// Virtual disks of steady streams' lanes, from their first read to
+  /// their release.  Every such lane reads every interval, so each tick
+  /// reserves them all at once: reading_ rotated by the frame rotation,
+  /// one word pass into the busy bitmap.
+  Bitmap reading_;
+  /// Steady streams' first- and last-read events: a binary min-heap on
+  /// (tick, id), at most two live entries per steady stream.  Popping a
+  /// tick's entries yields its events in ascending id.
+  std::vector<CalendarEvent> calendar_;
+  int64_t next_admission_ = 0;
   std::deque<Pending> queue_;
   std::deque<PausedStream> paused_;
   RequestId next_request_id_ = 1;
@@ -338,11 +381,15 @@ class IntervalScheduler {
   std::vector<int32_t> scratch_taken_bits_;
   /// Claimed-disk set, slot-indexed: bit set == some active lane is due
   /// to read the disk this interval, or a degraded read took it.
-  /// Rebuilt (cleared, then filled) only on ticks with a down disk or a
-  /// corrupt cell — the only ticks that read it — so fault-free ticks
-  /// pay nothing.  Degraded substitutes scan it word-wise together with
-  /// the array's unavailable and busy sets.
+  /// Rebuilt only on ticks with a down disk or a corrupt cell — the only
+  /// ticks that read it — from the rotated reading_ plus the due lanes
+  /// of the non-steady streams.  Degraded substitutes scan it word-wise
+  /// together with the array's unavailable and busy sets.
   Bitmap claimed_;
+  /// The tick's visit list, and its calendar and fault entries before
+  /// they are merged into it.
+  std::vector<DueStream> scratch_due_;
+  std::vector<DueStream> scratch_events_;
   std::vector<StreamId> scratch_finished_;
   std::vector<StreamId> scratch_to_pause_;
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "core/interval_scheduler.h"
@@ -322,9 +323,25 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
         << "; free slot " << slot << " holds a live stream";
   }
 
+  // unsteady_ lists exactly the active streams the tick visits every
+  // interval, in the same order as active_.
+  std::vector<std::pair<StreamId, int32_t>> unsteady;
+  for (const auto& entry : s.active_) {
+    if (!s.slots_[static_cast<size_t>(entry.second)].steady) {
+      unsteady.push_back(entry);
+    }
+  }
+  STAGGER_AUDIT_VERIFY(unsteady == s.unsteady_)
+      << "; " << s.unsteady_.size() << " streams listed non-steady but "
+      << unsteady.size() << " active streams are";
+
   // Forward ownership: every active lane owns exactly the virtual disks
-  // of its run, and buffer accounting balances against the pool.
+  // of its run, and buffer accounting balances against the pool.  A
+  // steady stream's cursors are read through its closed form; the tick
+  // stores them only when it visits the stream.
+  const int32_t rot = s.frame_.RotationAt(s.interval_index_);
   int64_t owned_vdisks = 0;
+  int64_t reading_vdisks = 0;
   int64_t total_reserved = 0;
   int64_t total_buffered = 0;
   for (const auto& [id, slot] : s.active_) {
@@ -335,9 +352,9 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(stream.id == id)
         << "; stream table slot " << slot << " holds stream " << stream.id
         << ", active index says " << id;
-    STAGGER_AUDIT_VERIFY(stream.delivered >= 0 &&
-                         stream.delivered <= stream.num_subobjects)
-        << "; stream " << id << " delivered " << stream.delivered << " of "
+    const int64_t delivered = stream.DeliveredBy(s.interval_index_);
+    STAGGER_AUDIT_VERIFY(delivered >= 0 && delivered <= stream.num_subobjects)
+        << "; stream " << id << " delivered " << delivered << " of "
         << stream.num_subobjects;
     STAGGER_AUDIT_VERIFY(stream.delta_max >= 0)
         << "; stream " << id << " has negative delta_max "
@@ -349,17 +366,26 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     // (one per interval starting at tau == delta_max).
     const int64_t due = std::min(stream.num_subobjects,
                                  std::max<int64_t>(0, tau - stream.delta_max + 1));
-    STAGGER_AUDIT_VERIFY(stream.delivered == due)
-        << "; stream " << id << " delivered " << stream.delivered
+    STAGGER_AUDIT_VERIFY(delivered == due)
+        << "; stream " << id << " delivered " << delivered
         << " subobjects at tau " << tau << ", Algorithm 1 requires " << due;
+    STAGGER_AUDIT_VERIFY(!stream.steady || stream.buffer_reserved == 0)
+        << "; steady stream " << id << " reserves "
+        << stream.buffer_reserved << " buffer fragments";
 
     bool any_lane_leads = false;
     // Lanes partition the stripe: their widths sum to the degree, and
     // only a single-lane (contiguous) stream has a lane wider than one
     // fragment.
     int64_t width_sum = 0;
-    for (size_t j = 0; j < stream.lanes.size(); ++j) {
-      const FragmentLane& lane = stream.lanes[j];
+    int32_t fragment = 0;
+    for (size_t j = 0; j < stream.lanes.size();
+         fragment += stream.lanes[j].width, ++j) {
+      FragmentLane lane = stream.lanes[j];
+      if (stream.steady) {
+        lane.reads_done = delivered;
+        lane.next_read_tau = stream.delta_max + delivered;
+      }
       STAGGER_AUDIT_VERIFY(lane.width == 1 ||
                            (lane.width > 1 && stream.lanes.size() == 1))
           << "; stream " << id << " lane " << j << " has width "
@@ -371,10 +397,9 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
           << lane.reads_done << " of " << stream.num_subobjects;
       // Buffer non-underflow: no delivered subobject can be missing a
       // fragment on any lane.
-      STAGGER_AUDIT_VERIFY(lane.reads_done >= stream.delivered)
+      STAGGER_AUDIT_VERIFY(lane.reads_done >= delivered)
           << "; stream " << id << " lane " << j << " underflow: delivered "
-          << stream.delivered << " subobjects but read only "
-          << lane.reads_done;
+          << delivered << " subobjects but read only " << lane.reads_done;
       if (lane.released()) {
         STAGGER_AUDIT_VERIFY(lane.reads_done == stream.num_subobjects)
             << "; stream " << id << " lane " << j
@@ -384,11 +409,29 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       STAGGER_AUDIT_VERIFY(lane.vdisk >= 0 && lane.vdisk < d)
           << "; stream " << id << " lane " << j << " on nonexistent virtual"
           << " disk " << lane.vdisk;
+      // A steady lane is in reading_ from its first read on; every
+      // interval since, including this one, it read row reads_done - 1
+      // from the disks under it — which the tick checks only for the
+      // streams it visits, so the audit checks the rest here.
+      const bool reading = stream.steady && lane.reads_done > 0;
       for (int32_t f = 0; f < lane.width; ++f) {
         const size_t v = static_cast<size_t>((lane.vdisk + f) % d);
         STAGGER_AUDIT_VERIFY(s.vdisk_owner_[v] == id)
             << "; stream " << id << " lane " << j << " claims virtual disk "
             << v << " owned by " << s.vdisk_owner_[v];
+        STAGGER_AUDIT_VERIFY(s.reading_.Test(static_cast<int32_t>(v)) ==
+                             reading)
+            << "; stream " << id << " lane " << j << " virtual disk " << v
+            << (reading ? " missing from" : " wrongly in")
+            << " the steady reading set";
+      }
+      if (reading) {
+        reading_vdisks += lane.width;
+        const int32_t first = (lane.vdisk + rot) % d;
+        STAGGER_AUDIT_VERIFY(
+            first == s.RowStripe(stream, lane.reads_done - 1).Slot(fragment))
+            << "; lane misalignment: steady stream " << id << " fragment "
+            << fragment << " read disk " << first;
       }
       owned_vdisks += lane.width;
       // A lane's effective alignment delay never exceeds delta_max —
@@ -440,6 +483,29 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   STAGGER_AUDIT_VERIFY(owned_disks == owned_vdisks)
       << "; " << owned_disks << " virtual disks owned but lanes hold "
       << owned_vdisks << " (orphaned ownership)";
+  // A steady stream is visited only on its calendar events, so each
+  // one still ahead of it must be queued: its first read while that is
+  // in the future, and always its last read (the stream finishes there).
+  std::set<std::tuple<StreamId, int64_t, int64_t>> queued;
+  for (const auto& e : s.calendar_) queued.emplace(e.id, e.admission, e.tick);
+  for (const auto& [id, slot] : s.active_) {
+    const Stream& stream = s.slots_[static_cast<size_t>(slot)];
+    if (!stream.steady) continue;
+    const int64_t first = stream.admit_interval + stream.delta_max;
+    const int64_t last = first + stream.num_subobjects - 1;
+    STAGGER_AUDIT_VERIFY(last > s.interval_index_ &&
+                         queued.count({id, stream.admission, last}) == 1)
+        << "; steady stream " << id << " has no queued last read at interval "
+        << last;
+    STAGGER_AUDIT_VERIFY(first <= s.interval_index_ ||
+                         queued.count({id, stream.admission, first}) == 1)
+        << "; steady stream " << id
+        << " has no queued first read at interval " << first;
+  }
+  // Every reading_ bit was matched to a reading steady lane above.
+  STAGGER_AUDIT_VERIFY(s.reading_.CountSet() == reading_vdisks)
+      << "; the steady reading set holds " << s.reading_.CountSet()
+      << " virtual disks but steady lanes read " << reading_vdisks;
   // Fragmented admission's tentative picks live only within one attempt.
   STAGGER_AUDIT_VERIFY(s.scratch_taken_bits_.empty() &&
                        s.scratch_taken_.CountSet() == 0)

@@ -7,6 +7,7 @@
 #ifndef STAGGER_CORE_STREAM_H_
 #define STAGGER_CORE_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,10 +41,7 @@ struct FragmentLane {
   /// proceed every interval; a coalescing migration re-introduces a gap
   /// (the Algorithm 2 "quiet period").
   int64_t next_read_tau = 0;
-  /// First virtual disk of the run, or kReleased.  The released flag
-  /// lives in the sign bit rather than a separate bool so the lane packs
-  /// into 24 bytes: the advance loop streams every active lane every
-  /// interval, making lane size a direct factor in tick cost.
+  /// First virtual disk of the run, or kReleased.
   int32_t vdisk = kReleased;
   /// Fragments in the run; the lane owns virtual disks
   /// [vdisk, vdisk + width) (mod D).
@@ -52,17 +50,12 @@ struct FragmentLane {
   /// True once the lane finished all reads and released its disks.
   bool released() const { return vdisk < 0; }
 };
-static_assert(sizeof(FragmentLane) == 24,
-              "the lane's width must fit in the padding after vdisk");
 
 /// \brief Lane storage with inline capacity for the common degrees.
 ///
-/// The advance loop walks every active stream's lanes every interval;
-/// a heap-allocated vector puts them one dependent pointer chase (and
-/// usually one cache miss) away from the stream header.  Degrees in
-/// practice are tiny (Table 3: M = 5), so lanes live inline in the
-/// Stream — contiguous with the header the loop just loaded — and only
-/// unusually wide streams (degree > kInlineLanes) spill to the heap.
+/// Degrees in practice are tiny (Table 3: M = 5), so lanes live inline
+/// in the Stream and admitting one allocates nothing; only unusually
+/// wide fragmented streams (degree > kInlineLanes) spill to the heap.
 class LaneArray {
  public:
   /// Inline capacity: covers every evaluation degree with slack.
@@ -119,15 +112,18 @@ class LaneArray {
 };
 
 /// \brief One active display.
-///
-/// Field order is deliberate: everything the per-tick advance loop
-/// touches on the healthy path sits in the first cache line, ahead of
-/// the admission-time and completion-time fields and the (cold, fat)
-/// callbacks.
 struct Stream {
   int32_t degree = 0;          ///< M_X
   /// True when admitted over non-adjacent disks (buffers in use).
   bool fragmented = false;
+  /// True when the stream buffers nothing and cannot migrate — every
+  /// contiguous admission, and every Algorithm-1 admission that reserved
+  /// no buffer.  All its lanes then read every interval from tau ==
+  /// delta_max until the last row, so its cursors are a closed form of
+  /// tau (SteadyProgress) and the stored ones are current only right
+  /// after the tick visits it.  Cleared when such a stream pauses: it
+  /// missed a read.
+  bool steady = false;
   /// True when the object's layout carries a per-subobject parity
   /// fragment on the disk after the stripe; enables kReconstruct
   /// degraded reads for this stream.
@@ -139,18 +135,19 @@ struct Stream {
   bool resumed_mid_display = false;
   int64_t num_subobjects = 0;  ///< subobjects still to deliver (n)
   int64_t admit_interval = 0;  ///< global interval index at admission
+  /// Sequence number of the admission that filled this slot, unique per
+  /// admission: a resumed stream keeps its id but not this, so calendar
+  /// events of an earlier admission are recognized as stale.
+  int64_t admission = 0;
   /// Stream-local interval at which output (display) begins: the largest
   /// initial alignment delay among lanes (Algorithm 1's w_offset).
   int64_t delta_max = 0;
-  /// Subobjects fully delivered to the display station.
+  /// Subobjects fully delivered to the display station.  Read through
+  /// DeliveredBy() outside the tick's visit of this stream.
   int64_t delivered = 0;
   /// One lane of width M for a contiguous admission, M lanes of width 1
-  /// for a fragmented one.  Inline for the common degrees: the advance
-  /// loop reads them in the lines right behind the header it just
-  /// fetched.
+  /// for a fragmented one.
   LaneArray lanes;
-
-  // --- warm: admission, degraded reads, retirement ---------------------
   StreamId id = kNoStream;
   ObjectId object = kInvalidObject;
   int32_t start_disk = 0;      ///< physical disk of the first fragment read
@@ -165,9 +162,24 @@ struct Stream {
   /// Local time for global interval `t`.
   int64_t Tau(int64_t t) const { return t - admit_interval; }
 
+  /// A steady stream's cursor: subobjects delivered — and read on every
+  /// lane — by the end of global interval `t`.
+  int64_t SteadyProgress(int64_t t) const {
+    STAGGER_DCHECK(steady);
+    return std::clamp<int64_t>(Tau(t) - delta_max + 1, 0, num_subobjects);
+  }
+
+  /// Subobjects delivered by the end of global interval `t`, the one
+  /// way to read the delivery cursor between the tick's visits.
+  int64_t DeliveredBy(int64_t t) const {
+    return steady ? SteadyProgress(t) : delivered;
+  }
+
   /// Fragments currently held in memory: per lane, reads completed
-  /// minus subobjects already delivered, times the lane's width.
+  /// minus subobjects already delivered, times the lane's width.  A
+  /// steady stream reads and delivers in lockstep, so holds none.
   int64_t TotalBufferedFragments() const {
+    if (steady) return 0;
     int64_t total = 0;
     for (const FragmentLane& lane : lanes) {
       const int64_t lead = lane.reads_done - delivered;

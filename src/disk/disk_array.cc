@@ -35,7 +35,8 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
   for (int32_t s = 0; s < num_spares; ++s) free_spares_.push_back(num_slots + s);
   for (Disk& d : drives_) d.AttachClock(clock_.get());
   busy_drives_.Resize(static_cast<int32_t>(drives_.size()));
-  drive_busy_intervals_.assign(drives_.size(), 0);
+  busy_planes_.assign(
+      kCountPlanes * static_cast<size_t>(busy_drives_.num_words()), 0);
   unavailable_slots_.Resize(num_slots);
   remapped_slots_.Resize(num_slots);
 }
@@ -46,6 +47,29 @@ bool DiskArray::RunIsIdle(DiskId start, int32_t len) const {
     if (SlotBusy(Wrap(static_cast<int64_t>(start) + i))) return false;
   }
   return true;
+}
+
+STAGGER_HOT_PATH void DiskArray::ReserveRotated(const Bitmap& vdisks,
+                                                int32_t rot) {
+  STAGGER_DCHECK(vdisks.size() == num_slots_ && rot >= 0 && rot < num_slots_);
+  const auto slot_of = [&](int32_t v) {
+    const int32_t slot = v + rot;
+    return slot >= num_slots_ ? slot - num_slots_ : slot;
+  };
+  if (!dense_slots_) {
+    vdisks.ForEachSet([&](int32_t v) { ReserveSlot(slot_of(v)); });
+    return;
+  }
+#ifndef NDEBUG
+  vdisks.ForEachSet([&](int32_t v) {
+    const int32_t slot = slot_of(v);
+    STAGGER_DCHECK(!busy_drives_.Test(slot))
+        << "slot " << slot << " reserved twice in one interval";
+    STAGGER_DCHECK(drives_[static_cast<size_t>(slot)].available())
+        << "slot " << slot << " reserved while failed or stalled";
+  });
+#endif
+  busy_drives_.OrRotated(vdisks, rot);
 }
 
 void DiskArray::ReserveRunRemapped(DiskId start, int32_t len) {
@@ -202,14 +226,34 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   // returns to the spare pool.
 }
 
+int64_t DiskArray::BusyIntervals(size_t drive) const {
+  const size_t words = static_cast<size_t>(busy_drives_.num_words());
+  const size_t w = drive >> 6;
+  const uint32_t bit = static_cast<uint32_t>(drive) & 63;
+  uint64_t count = 0;
+  for (size_t b = 0; b < kCountPlanes; ++b) {
+    count |= ((busy_planes_[b * words + w] >> bit) & 1) << b;
+  }
+  return static_cast<int64_t>(count);
+}
+
 STAGGER_HOT_PATH void DiskArray::EndInterval() {
-  // Fold this interval's reservations into the per-drive busy counts
-  // here rather than in ReserveDrive: the bitmap walk visits drives in
-  // ascending order, so the counter array fills sequentially
-  // (prefetch-friendly) instead of being hit in placement order from
-  // the scheduler's read loop.
-  busy_drives_.ForEachSet(
-      [this](int32_t drive) { ++drive_busy_intervals_[static_cast<size_t>(drive)]; });
+  // Add this interval's busy word into the bit-sliced counters, 64
+  // drives per step: each plane takes the carry XOR, and the carry out
+  // is the bits that were already set.  The chain stops at the first
+  // plane no drive of the word carries into; a drive carries into plane
+  // b once per 2^b of its busy intervals, so a word costs a few planes
+  // and an idle word none.
+  const size_t words = static_cast<size_t>(busy_drives_.num_words());
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t carry = busy_drives_.word(static_cast<int32_t>(w));
+    for (size_t i = w; carry != 0; i += words) {
+      STAGGER_DCHECK(i < busy_planes_.size()) << "busy counter overflow";
+      const uint64_t plane = busy_planes_[i];
+      busy_planes_[i] = plane ^ carry;
+      carry &= plane;
+    }
+  }
   busy_drives_.ClearAll();
   ++clock_->intervals;
   if (!degraded_slots_.empty()) {

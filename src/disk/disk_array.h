@@ -10,11 +10,14 @@
 // rebuilt array is bit-identical to the pre-failure placement in slot
 // space — the invariant the rebuild subsystem audits.
 //
-// Per-interval cost: busy state is a drive-indexed bitmap plus a dense
-// vector of busy-interval counters, both owned by the array.  Reserving
+// Per-interval cost: busy state is a drive-indexed bitmap plus
+// bit-sliced busy-interval counters, both owned by the array.  Reserving
 // a slot is one L1-resident bitmap store with no division
-// (ReserveSlot); closing an interval folds the bitmap into the
-// counters in ascending drive order and clears it word-by-word.  Slot
+// (ReserveSlot), and a whole rotated set of virtual disks is one word
+// pass (ReserveRotated).  Closing an interval adds the bitmap into the
+// counters a word at a time — a carry-propagating XOR/AND down the bit
+// planes, 64 drives per step — and clears it word-by-word, so its cost
+// follows the words, not the busy drives.  Slot
 // availability is mirrored in a bitmap so AvailableCount()/
 // UnavailableCount() are O(1) — the scheduler's healthy-path test per
 // tick — and the idle-and-available queries (FirstIdleAvailableSlot,
@@ -107,7 +110,7 @@ class DiskArray {
   /// Until a spare promotion rewires a slot, slot i maps to drive i, so
   /// the run is a contiguous bit range in the busy bitmap and the whole
   /// reservation is a couple of masked word-ORs — the scheduler reserves
-  /// each lane's run of adjacent disks this way.
+  /// the run of adjacent disks of each lane it visits this way.
   STAGGER_HOT_PATH void ReserveRun(DiskId start, int32_t len) {
     STAGGER_DCHECK(start >= 0 && start < num_slots_);
     STAGGER_DCHECK(len >= 0 && len <= num_slots_);
@@ -137,6 +140,13 @@ class DiskArray {
       busy_drives_.SetRange(0, len - tail);
     }
   }
+
+  /// Reserves, for every virtual disk v set in `vdisks` (a D-bit
+  /// bitmap), slot (v + rot) mod D.  Same preconditions per slot as
+  /// ReserveSlot; rot in [0, D).  Until a spare promotion that is one
+  /// rotated word-OR into the busy bitmap, O(D/64); afterwards the set
+  /// bits are reserved one slot at a time.
+  STAGGER_HOT_PATH void ReserveRotated(const Bitmap& vdisks, int32_t rot);
 
   /// Number of idle disks this interval.
   int32_t IdleCount() const;
@@ -201,9 +211,11 @@ class DiskArray {
   /// returned by AcquireSpare and not yet promoted or returned.
   void PromoteSpare(DiskId slot, int32_t drive);
 
-  /// Ends the current interval: clears the busy bitmap (slots and
-  /// spares alike — rebuild writes reserve through the same bitmap) and
-  /// advances the shared interval counter.  O((D + S)/64) word stores.
+  /// Ends the current interval: adds the busy bitmap (slots and spares
+  /// alike — rebuild writes reserve through the same bitmap) into the
+  /// busy-interval counters, clears it, and advances the shared interval
+  /// counter.  O((D + S)/64) words; a word's carry chain stops at the
+  /// first plane none of its drives carries into.
   STAGGER_HOT_PATH void EndInterval();
 
   // --- aggregate storage ------------------------------------------------
@@ -219,10 +231,9 @@ class DiskArray {
   /// the current open interval is not yet counted.
   double SlotUtilization(DiskId slot) const {
     const int64_t total = clock_->intervals;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(drive_busy_intervals_[DriveOf(slot)]) /
-                     static_cast<double>(total);
+    return total == 0 ? 0.0
+                      : static_cast<double>(BusyIntervals(DriveOf(slot))) /
+                            static_cast<double>(total);
   }
 
   /// Mean per-disk utilization over all elapsed intervals.
@@ -268,6 +279,9 @@ class DiskArray {
     return free;
   }
 
+  /// Intervals `drive` spent transferring, read back from the bit planes.
+  int64_t BusyIntervals(size_t drive) const;
+
   /// ReserveRun fallback once slot_to_drive_ is no longer the identity:
   /// adjacent slots may sit on arbitrary drives, so reserve one by one.
   void ReserveRunRemapped(DiskId start, int32_t len);
@@ -290,10 +304,14 @@ class DiskArray {
   /// by drive (construction index), so the bits stay valid across slot
   /// rewiring by PromoteSpare.
   Bitmap busy_drives_;
-  /// Per-drive count of intervals spent transferring; drive-indexed
-  /// like busy_drives_.  Dense so the reservation hot path and the
-  /// utilization reports never touch the Disk objects.
-  std::vector<int64_t> drive_busy_intervals_;
+  /// Per-drive count of intervals spent transferring, bit-sliced:
+  /// bit i of busy_planes_[b * W + w] (W = busy_drives_.num_words()) is
+  /// bit b of drive 64w + i's count.  Plane-major, so the fold's common
+  /// case — plane 0 of every word — is one sequential sweep.  64 planes
+  /// hold any count up to 2^64 - 1, and a count never exceeds
+  /// intervals(), an int64, so the fold cannot overflow.
+  static constexpr size_t kCountPlanes = 64;
+  std::vector<uint64_t> busy_planes_;
   /// Bit set == slot's drive is failed, stalled, or degraded-and-not-
   /// serving this interval.
   Bitmap unavailable_slots_;

@@ -4,9 +4,11 @@
 // bit flips must cost O(1).  Wrap-around windows split into at most two
 // linear ranges; each linear range is checked with word-level masks.
 // The same masks drive the first/last-free scans of the virtual-disk
-// searches, over a cyclic sub-block ("ring") of the bitmap.  Callers
-// that fold several bitmaps into one scan (the disk array's idle-and-
-// available queries) read the backing words directly.
+// searches, over a cyclic sub-block ("ring") of the bitmap.  A rotated
+// OR (OrRotated) maps the scheduler's virtual-disk sets onto physical
+// disks a word at a time.  Callers that fold several bitmaps into one
+// scan (the disk array's idle-and-available queries) read the backing
+// words directly.
 
 #ifndef STAGGER_UTIL_BITMAP_H_
 #define STAGGER_UTIL_BITMAP_H_
@@ -101,6 +103,18 @@ class Bitmap {
     SetRange(0, len - tail);
   }
 
+  /// ORs `src` rotated by `shift` into the first n = src.size() bits:
+  /// bit (i + shift) mod n is set for every set bit i of `src`.
+  /// Requires n <= size() and shift in [0, n).  One pass over the
+  /// O(n/64) destination words: the rotation splits into two linear
+  /// runs, each a funnel shift of source word pairs.
+  STAGGER_HOT_PATH void OrRotated(const Bitmap& src, int32_t shift) {
+    const int32_t n = src.size_;
+    STAGGER_DCHECK(n <= size_ && shift >= 0 && (shift < n || n == 0));
+    OrShifted(src, 0, shift, n - shift);
+    OrShifted(src, n - shift, 0, shift);
+  }
+
   /// Number of set bits.
   int32_t CountSet() const {
     int32_t count = 0;
@@ -189,6 +203,51 @@ class Bitmap {
 
  private:
   static constexpr uint64_t kAllOnes = ~uint64_t{0};
+
+  /// The 64 bits [pos, pos + 64), pos > -64; bits outside the backing
+  /// words read 0.
+  STAGGER_HOT_PATH uint64_t BitsFrom(int32_t pos) const {
+    const int32_t w = pos >> 6;  // floor division, also for pos < 0
+    const uint32_t shift = static_cast<uint32_t>(pos) & 63;
+    const uint64_t lo = w >= 0 && w < num_words() ? word(w) : 0;
+    if (shift == 0) return lo;
+    const uint64_t hi = w + 1 < num_words() ? word(w + 1) : 0;
+    return (lo >> shift) | (hi << (64 - shift));
+  }
+
+  /// ORs bits [from, from + len) of `src` into bits [to, to + len).
+  STAGGER_HOT_PATH void OrShifted(const Bitmap& src, int32_t from, int32_t to,
+                                  int32_t len) {
+    if (len <= 0) return;
+    const int32_t first_word = to >> 6;
+    const int32_t last_word = (to + len - 1) >> 6;  // inclusive
+    const uint64_t head_mask = kAllOnes << (static_cast<uint32_t>(to) & 63);
+    const uint64_t tail_mask =
+        kAllOnes >> (63 - (static_cast<uint32_t>(to + len - 1) & 63));
+    // Destination bit p takes source bit p + (from - to), so word w
+    // takes the 64 source bits from 64w + (from - to).  For every word
+    // but the first and last those bits lie inside [from, from + len),
+    // so only the two edge words need the bounds-checked read.
+    const int32_t delta = from - to;
+    if (first_word == last_word) {
+      words_[static_cast<size_t>(first_word)] |=
+          src.BitsFrom((first_word << 6) + delta) & head_mask & tail_mask;
+      return;
+    }
+    words_[static_cast<size_t>(first_word)] |=
+        src.BitsFrom((first_word << 6) + delta) & head_mask;
+    const int32_t word_delta = delta >> 6;  // floor division
+    const uint32_t shift = static_cast<uint32_t>(delta) & 63;
+    for (int32_t w = first_word + 1; w < last_word; ++w) {
+      const size_t i = static_cast<size_t>(w + word_delta);
+      words_[static_cast<size_t>(w)] |=
+          shift == 0 ? src.words_[i]
+                     : (src.words_[i] >> shift) |
+                           (src.words_[i + 1] << (64 - shift));
+    }
+    words_[static_cast<size_t>(last_word)] |=
+        src.BitsFrom((last_word << 6) + delta) & tail_mask;
+  }
 
   /// Lowest index in the linear range [begin, end) clear in both *this
   /// and `other`, or -1.

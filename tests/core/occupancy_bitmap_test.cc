@@ -123,6 +123,39 @@ TEST(BitmapPropertyTest, SetWindowMatchesNaive) {
   }
 }
 
+// OrRotated against a bit-by-bit rotation, into a destination as large
+// as the source or larger (the disk array's busy bitmap also covers its
+// spares), over a destination that already holds bits.
+TEST(BitmapPropertyTest, OrRotatedMatchesNaive) {
+  const int32_t sizes[] = {1, 7, 63, 64, 65, 100, 128, 200, 1000};
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    Rng rng(seed + 1);
+    for (int32_t size : sizes) {
+      const auto shift =
+          static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(size)));
+      const auto extra = static_cast<int32_t>(rng.NextBounded(70));
+      Bitmap src(size);
+      Bitmap fast(size + extra);
+      for (int32_t i = 0; i < size; ++i) {
+        if (rng.NextBool(0.3)) src.Set(i);
+      }
+      for (int32_t i = 0; i < size + extra; ++i) {
+        if (rng.NextBool(0.1)) fast.Set(i);
+      }
+      Bitmap naive = fast;
+      fast.OrRotated(src, shift);
+      for (int32_t i = 0; i < size; ++i) {
+        if (src.Test(i)) naive.Set((i + shift) % size);
+      }
+      for (int32_t i = 0; i < size + extra; ++i) {
+        ASSERT_EQ(fast.Test(i), naive.Test(i))
+            << "seed=" << seed << " size=" << size << " shift=" << shift
+            << " bit=" << i;
+      }
+    }
+  }
+}
+
 // Reference for WindowClear: test bits one by one.
 bool WindowClearNaive(const Bitmap& b, int32_t start, int32_t len) {
   for (int32_t i = 0; i < len; ++i) {

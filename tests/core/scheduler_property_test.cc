@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/interval_scheduler.h"
+#include "core/invariants.h"
 #include "disk/disk_array.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -367,6 +368,177 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
       }
     }
   }
+}
+
+// Steady streams — contiguous ones, and Algorithm-1 admissions that
+// reserved no buffer (degree-1 requests whose aligned disk is taken
+// start later on another) — are visited only on their calendar events,
+// and their cursors are a closed form in between.  A read observer makes
+// every stream due every interval, so the two runs below take different
+// due sets; seeks and cancels between ticks read those closed-form
+// cursors and leave stale calendar entries behind.  Both runs must
+// agree on every outcome, and the audit (cursors, the reading set,
+// alignment of the lanes the tick did not visit) must hold after every
+// interval.
+TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
+  constexpr int32_t kDisks = 24;
+  const SimTime interval = SimTime::Millis(605);
+  auto run = [&](bool observe, uint64_t seed) {
+    Simulator sim;
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = 5;
+    config.interval = interval;
+    config.policy = AdmissionPolicy::kFragmented;
+    config.coalesce = true;
+    if (observe) {
+      config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
+                                int32_t) {};
+    }
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    IntervalScheduler* s = sched->get();
+    int64_t audit_failures = 0;
+    s->SetIdleBandwidthHook([s, &audit_failures](int64_t t) {
+      const Status st = InvariantAuditor::AuditScheduler(*s);
+      if (!st.ok()) {
+        ADD_FAILURE() << "interval " << t << ": " << st;
+        ++audit_failures;
+      }
+    });
+    // Outcome log: (request index, interval) of every start and finish.
+    std::vector<double> log;
+    std::vector<RequestId> handles;
+    Rng rng(seed);
+    SimTime at = SimTime::Zero();
+    for (int i = 0; i < 120; ++i) {
+      DisplayRequest req;
+      req.object = i;
+      req.degree = static_cast<int32_t>(1 + rng.NextBounded(4));
+      req.start_disk = static_cast<int32_t>(rng.NextBounded(kDisks));
+      req.num_subobjects = static_cast<int64_t>(1 + rng.NextBounded(40));
+      req.on_started = [&log, s, i](SimTime latency) {
+        log.insert(log.end(), {1.0 * i, 1.0 * s->current_interval(),
+                               latency.seconds()});
+      };
+      req.on_completed = [&log, s, i] {
+        log.insert(log.end(), {-1.0 * i, 1.0 * s->current_interval()});
+      };
+      at += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(900000)));
+      sim.ScheduleAt(at, [s, &handles, req = std::move(req)]() mutable {
+        auto id = s->Submit(std::move(req));
+        ASSERT_TRUE(id.ok());
+        handles.push_back(*id);
+      });
+    }
+    // Seeks and cancels land mid-interval, between ticks, on a random
+    // handle issued so far (finished and replaced ones included).
+    int64_t seeks = 0;
+    int64_t cancels = 0;
+    for (int e = 0; e < 60; ++e) {
+      const int64_t t = 2 + static_cast<int64_t>(rng.NextBounded(150));
+      const uint64_t pick = rng.NextBounded(1u << 20);
+      const bool seek = rng.NextBool(0.5);
+      const auto start = static_cast<int32_t>(rng.NextBounded(kDisks));
+      const auto length = static_cast<int64_t>(1 + rng.NextBounded(30));
+      sim.ScheduleAt(interval * t + SimTime::Millis(300), [&, pick, seek,
+                                                           start, length] {
+        if (handles.empty()) return;
+        const RequestId id = handles[pick % handles.size()];
+        if (seek) {
+          auto moved = s->Seek(id, start, length);
+          if (!moved.ok()) return;
+          handles.push_back(*moved);
+          ++seeks;
+        } else if (s->Cancel(id).ok()) {
+          ++cancels;
+        }
+      });
+    }
+    sim.RunUntil(interval * 400);
+    const SchedulerMetrics& m = s->metrics();
+    std::vector<double> fingerprint = {
+        static_cast<double>(m.displays_completed),
+        static_cast<double>(m.displays_cancelled),
+        static_cast<double>(m.fragmented_admissions),
+        static_cast<double>(m.coalesce_migrations),
+        static_cast<double>(m.hiccups),
+        m.buffered_fragments.current(),
+        static_cast<double>(m.startup_latency_sec.count()),
+        m.startup_latency_sec.mean(),
+        static_cast<double>(seeks),
+        static_cast<double>(cancels),
+        static_cast<double>(audit_failures),
+        static_cast<double>(s->active_streams()),
+    };
+    for (int32_t slot = 0; slot < kDisks; ++slot) {
+      fingerprint.push_back(disks->SlotUtilization(slot));
+    }
+    fingerprint.insert(fingerprint.end(), log.begin(), log.end());
+    return fingerprint;
+  };
+  for (uint64_t seed : {5ull, 77ull, 2026ull}) {
+    const std::vector<double> plain = run(false, seed);
+    EXPECT_EQ(plain, run(true, seed)) << "seed=" << seed;
+    EXPECT_EQ(plain[10], 0) << "audit failures, seed=" << seed;
+    // The load must reach both kinds of interruption.
+    EXPECT_GT(plain[8], 0) << "no seek hit an active stream, seed=" << seed;
+    EXPECT_GT(plain[9], 0) << "no cancel hit a live request, seed=" << seed;
+  }
+}
+
+// A stream paused by a failed disk resumes under the same id, while the
+// last-read event of its first admission is still queued.  That event is
+// stale: the resumed stream must run to the end of its own remainder and
+// complete exactly once, there.
+TEST(SchedulerFastPathTest, StaleCalendarEntryDoesNotFinishResumedStream) {
+  const SimTime interval = SimTime::Millis(605);
+  constexpr int64_t kRows = 20;
+  Simulator sim;
+  auto disks = DiskArray::Create(8, DiskParameters::Evaluation());
+  SchedulerConfig config;
+  config.stride = 1;
+  config.interval = interval;
+  config.degraded_policy = DegradedPolicy::kPause;
+  auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+  IntervalScheduler* s = sched->get();
+  std::vector<int64_t> completed_at;
+  int64_t paused_at = -1;
+  int64_t resumed_at = -1;
+  std::vector<int64_t> active_at;
+  s->SetIdleBandwidthHook([&](int64_t t) {
+    const Status st = InvariantAuditor::AuditScheduler(*s);
+    EXPECT_TRUE(st.ok()) << "interval " << t << ": " << st;
+    if (paused_at < 0 && s->metrics().streams_paused == 1) paused_at = t;
+    if (resumed_at < 0 && s->metrics().streams_resumed == 1) resumed_at = t;
+    active_at.push_back(static_cast<int64_t>(s->active_streams()));
+  });
+  DisplayRequest req;
+  req.degree = 2;
+  req.start_disk = 0;
+  req.num_subobjects = kRows;
+  req.on_completed = [&] { completed_at.push_back(s->current_interval()); };
+  ASSERT_TRUE(s->Submit(std::move(req)).ok());
+  // Row t is read from disks t and t + 1 at interval t: failing disk 6
+  // during interval 5 pauses the stream at interval 6 with six rows
+  // delivered; it resumes once the disk is back.
+  DiskArray* array = &*disks;
+  sim.ScheduleAt(interval * 5 + SimTime::Millis(300),
+                 [array] { array->FailDisk(6); });
+  sim.ScheduleAt(interval * 8 + SimTime::Millis(300),
+                 [array] { array->RecoverDisk(6); });
+  sim.RunUntil(interval * 60);
+
+  ASSERT_EQ(paused_at, 6);
+  ASSERT_GT(resumed_at, paused_at);
+  const int64_t remainder = kRows - paused_at;
+  // The first admission's last read would have fallen on kRows - 1; the
+  // resumed stream must still be active then.
+  ASSERT_LT(kRows - 1, resumed_at + remainder - 1);
+  EXPECT_EQ(active_at[static_cast<size_t>(kRows - 1)], 1);
+  ASSERT_EQ(completed_at.size(), 1u);
+  EXPECT_EQ(completed_at[0], resumed_at + remainder - 1);
+  EXPECT_EQ(s->metrics().displays_completed, 1);
+  EXPECT_EQ(s->metrics().hiccups, 0);
 }
 
 }  // namespace

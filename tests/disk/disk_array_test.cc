@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "disk/disk.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
@@ -429,6 +432,104 @@ TEST(DiskArrayScanTest, WordScansMatchPerSlotWalk) {
         ASSERT_EQ(array.IdleAvailableCount(), NaiveIdleAvailableCount(array))
             << "D=" << d << " seed=" << seed << " round=" << round;
       }
+    }
+  }
+}
+
+// The busy-interval counters are bit-sliced and folded a word at a
+// time; every utilization read must still equal a plain per-drive count.
+// Each interval reserves through every path — single slots, runs that
+// wrap at D, a rotated set of virtual disks, and writes on a spare —
+// and halfway through a failed slot is rewired onto that spare, so the
+// slot reports the spare's count (writes before the promotion included)
+// and the reservations fall back to per-slot.
+TEST(DiskArrayTest, BitSlicedBusyCountsMatchNaiveCounts) {
+  constexpr int kIntervals = 5000;
+  for (const int32_t d : {70, 1000}) {
+    DiskArray array = MakeArrayWithSpares(d, 1);
+    const int32_t spare = d;  // the spare's drive index
+    const DiskId promoted = d / 3;
+    std::vector<int32_t> slot_to_drive(static_cast<size_t>(d));
+    for (int32_t i = 0; i < d; ++i) slot_to_drive[static_cast<size_t>(i)] = i;
+    std::vector<int64_t> naive(static_cast<size_t>(d + 1), 0);
+    std::vector<bool> busy(static_cast<size_t>(d + 1), false);
+    Rng rng(static_cast<uint64_t>(d) * 7919);
+    const auto idle = [&](DiskId slot) {
+      return !busy[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])];
+    };
+    const auto mark = [&](DiskId slot) {
+      busy[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])] = true;
+    };
+    const auto random_slot = [&] {
+      return static_cast<DiskId>(rng.NextBounded(static_cast<uint64_t>(d)));
+    };
+    Bitmap vdisks(d);
+    for (int t = 1; t <= kIntervals; ++t) {
+      if (t == kIntervals / 2) {
+        array.FailDisk(promoted);
+        auto drive = array.AcquireSpare();
+        ASSERT_TRUE(drive.ok());
+        ASSERT_EQ(*drive, spare);
+        array.PromoteSpare(promoted, spare);
+        slot_to_drive[static_cast<size_t>(promoted)] = spare;
+      }
+      // A rebuild write on the spare before it is promoted.
+      if (t < kIntervals / 2 && rng.NextBool(0.3)) {
+        array.ReserveDrive(spare);
+        busy[static_cast<size_t>(spare)] = true;
+      }
+      // Single slots.
+      for (uint64_t i = rng.NextBounded(static_cast<uint64_t>(d / 8 + 1)); i > 0;
+           --i) {
+        const DiskId slot = random_slot();
+        if (!idle(slot)) continue;
+        array.ReserveSlot(slot);
+        mark(slot);
+      }
+      // Runs, some of them wrapping at D.
+      for (int i = 0; i < 3; ++i) {
+        const DiskId start = random_slot();
+        const auto len = static_cast<int32_t>(1 + rng.NextBounded(12));
+        bool run_idle = true;
+        for (int32_t f = 0; f < len; ++f) run_idle &= idle((start + f) % d);
+        if (!run_idle) continue;
+        array.ReserveRun(start, len);
+        for (int32_t f = 0; f < len; ++f) mark((start + f) % d);
+      }
+      // A rotated set of virtual disks.
+      const auto rot = static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(d)));
+      vdisks.ClearAll();
+      for (int32_t v = 0; v < d; ++v) {
+        const DiskId slot = (v + rot) % d;
+        if (idle(slot) && rng.NextBool(0.25)) {
+          vdisks.Set(v);
+          mark(slot);
+        }
+      }
+      array.ReserveRotated(vdisks, rot);
+      for (int32_t drive = 0; drive <= d; ++drive) {
+        ASSERT_EQ(array.DriveBusy(drive), busy[static_cast<size_t>(drive)])
+            << "D=" << d << " interval " << t << " drive " << drive;
+        if (busy[static_cast<size_t>(drive)]) ++naive[static_cast<size_t>(drive)];
+      }
+      std::fill(busy.begin(), busy.end(), false);
+      array.EndInterval();
+      if (d > 100 && t % 50 != 0) continue;  // D = 1000: every 50th interval
+      double sum = 0.0, hi = 0.0, lo = 1.0;
+      for (DiskId slot = 0; slot < d; ++slot) {
+        const double expected =
+            static_cast<double>(
+                naive[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])]) /
+            static_cast<double>(t);
+        ASSERT_EQ(array.SlotUtilization(slot), expected)
+            << "D=" << d << " interval " << t << " slot " << slot;
+        sum += expected;
+        hi = std::max(hi, expected);
+        lo = std::min(lo, expected);
+      }
+      ASSERT_EQ(array.MeanUtilization(), sum / static_cast<double>(d));
+      ASSERT_EQ(array.MaxUtilization(), hi);
+      ASSERT_EQ(array.MinUtilization(), lo);
     }
   }
 }

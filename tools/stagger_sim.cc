@@ -209,6 +209,14 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
+  // Checked here, not left to the run: a count below one would silently
+  // fall through to a single unreplicated run.
+  if (replications < 1 || threads < 1) {
+    const Status st = Status::InvalidArgument(
+        replications < 1 ? "replications must be >= 1" : "threads must be >= 1");
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
+  }
   if (chaos) {
     // Seeded chaos plan over the whole run; the serialized form is
     // printed so any run can be replayed exactly by pasting the plan
