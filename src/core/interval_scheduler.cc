@@ -97,55 +97,39 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
   }
   const RequestId id = next_request_id_++;
   queue_.push_back(Pending{id, std::move(request), sim_->Now()});
-  request_to_stream_[id] = kNoStream;
   ++metrics_.displays_requested;
   return id;
 }
 
 Status IntervalScheduler::Cancel(RequestId id) {
-  auto it = request_to_stream_.find(id);
-  if (it == request_to_stream_.end()) {
+  // A live handle is its stream's id and sits in exactly one of the
+  // active set, the queue, or the streams parked by the degraded policy.
+  const auto has_id = [id](const auto& entry) { return entry.id == id; };
+  if (SlotOf(id) >= 0) {
+    FinishStream(id, /*completed=*/false);
+  } else if (auto q = std::find_if(queue_.begin(), queue_.end(), has_id);
+             q != queue_.end()) {
+    queue_.erase(q);
+  } else if (auto p = std::find_if(paused_.begin(), paused_.end(), has_id);
+             p != paused_.end()) {
+    paused_.erase(p);
+  } else {
     return Status::NotFound("unknown request " + std::to_string(id));
   }
-  if (it->second == kNoStream) {
-    bool dequeued = false;
-    for (auto qit = queue_.begin(); qit != queue_.end(); ++qit) {
-      if (qit->id == id) {
-        queue_.erase(qit);
-        dequeued = true;
-        break;
-      }
-    }
-    if (!dequeued) {
-      // A handle mapped to kNoStream but absent from the queue is a
-      // stream parked by the degraded policy.
-      for (auto pit = paused_.begin(); pit != paused_.end(); ++pit) {
-        if (pit->id == id) {
-          paused_.erase(pit);
-          break;
-        }
-      }
-    }
-  } else {
-    FinishStream(it->second, /*completed=*/false);
-  }
-  request_to_stream_.erase(id);
   ++metrics_.displays_cancelled;
   return Status::OK();
 }
 
 Result<RequestId> IntervalScheduler::Seek(RequestId id, int32_t new_start_disk,
                                           int64_t new_num_subobjects) {
-  auto it = request_to_stream_.find(id);
-  if (it == request_to_stream_.end() || it->second == kNoStream) {
+  Stream* s = FindStream(id);
+  if (s == nullptr) {
     return Status::FailedPrecondition("Seek requires an active stream");
   }
   if (new_start_disk < 0 || new_start_disk >= frame_.num_disks() ||
       new_num_subobjects < 1) {
     return Status::InvalidArgument("seek target out of range");
   }
-  Stream* s = FindStream(it->second);
-  STAGGER_CHECK(s != nullptr);
   // The remainder re-enters the queue as the same display, the way
   // RetryPaused re-admits a paused stream: it was requested and admitted
   // once, and its startup sample fired if it had started.
@@ -162,9 +146,7 @@ Result<RequestId> IntervalScheduler::Seek(RequestId id, int32_t new_start_disk,
   p.req.on_completed = std::move(s->on_completed);
   p.req.on_interrupted = std::move(s->on_interrupted);
 
-  FinishStream(it->second, /*completed=*/false);
-  request_to_stream_.erase(it);
-  request_to_stream_[p.id] = kNoStream;
+  FinishStream(id, /*completed=*/false);
   queue_.push_back(std::move(p));
   return queue_.back().id;
 }
@@ -371,7 +353,6 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   // A resumed stream continues a display counted at first admission.
   if (!p.resumed) ++metrics_.displays_admitted;
   if (fragmented) ++metrics_.fragmented_admissions;
-  request_to_stream_[p.id] = s.id;
   InsertSorted(&active_, s.id, slot);
   if (!s.steady) {
     InsertSorted(&unsteady_, s.id, slot);
@@ -612,7 +593,6 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   scratch_to_pause_.clear();
   for (StreamId id : scratch_finished_) {
     if (SlotOf(id) < 0) continue;
-    request_to_stream_.erase(id);
     FinishStream(id, /*completed=*/true);
   }
   scratch_finished_.clear();
@@ -799,7 +779,6 @@ void IntervalScheduler::PauseStream(StreamId id) {
   p.retry_at_interval = interval_index_ + p.backoff;
   p.resumed_mid_display = delivered > 0 || s.resumed_mid_display;
 
-  request_to_stream_[id] = kNoStream;
   ++metrics_.streams_paused;
   FinishStream(id, /*completed=*/false);
   paused_.push_back(std::move(p));
@@ -817,7 +796,6 @@ void IntervalScheduler::RetryPaused() {
       // Give up: the viewer's display is interrupted for good.  The
       // owner is told so it can release per-display state (pins) and a
       // closed-loop station is not left waiting forever.
-      request_to_stream_.erase(p.id);
       ++metrics_.displays_interrupted;
       ++metrics_.displays_cancelled;
       auto on_interrupted = std::move(p.remainder.on_interrupted);

@@ -24,7 +24,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -176,8 +175,10 @@ class IntervalScheduler {
   /// policy.  Returns a handle usable with Cancel().
   Result<RequestId> Submit(DisplayRequest request);
 
-  /// Cancels a pending or active request.  Active streams release their
-  /// disks immediately; no completion callback fires.
+  /// Cancels a queued, active or paused request.  Active streams release
+  /// their disks immediately; no completion or interruption callback
+  /// fires.  NotFound once the handle is dead: completed, cancelled,
+  /// sought away or given up.
   Status Cancel(RequestId id);
 
   /// Repositions an *active* display (rewind / fast-forward without
@@ -364,9 +365,10 @@ class IntervalScheduler {
   int64_t next_admission_ = 0;
   std::deque<Pending> queue_;
   std::deque<PausedStream> paused_;
+  /// Next request handle.  An admitted request's stream takes the
+  /// handle as its id, so a live handle is found in active_, queue_ or
+  /// paused_ without a table of its own.
   RequestId next_request_id_ = 1;
-  /// Maps live request handles to their stream (or kNoStream if queued).
-  std::unordered_map<RequestId, StreamId> request_to_stream_;
 
   /// Sum over active streams of TotalBufferedFragments(), maintained
   /// incrementally (+width per lane read, -degree per delivery,

@@ -26,26 +26,19 @@ Status LogicalSchedulerConfig::Validate() const {
 }
 
 Result<std::unique_ptr<LogicalDiskScheduler>> LogicalDiskScheduler::Create(
-    Simulator* sim, const LogicalSchedulerConfig& config,
-    const DiskArray* disks) {
+    Simulator* sim, const LogicalSchedulerConfig& config) {
   STAGGER_RETURN_NOT_OK(config.Validate());
-  if (disks != nullptr && disks->num_disks() < config.num_disks) {
-    return Status::InvalidArgument(
-        "health source covers fewer disks than the scheduler drives");
-  }
   STAGGER_ASSIGN_OR_RETURN(
       VirtualDiskFrame frame,
       VirtualDiskFrame::Create(config.num_disks, config.stride));
   return std::unique_ptr<LogicalDiskScheduler>(
-      new LogicalDiskScheduler(sim, config, frame, disks));
+      new LogicalDiskScheduler(sim, config, frame));
 }
 
 LogicalDiskScheduler::LogicalDiskScheduler(Simulator* sim,
                                            LogicalSchedulerConfig config,
-                                           VirtualDiskFrame frame,
-                                           const DiskArray* disks)
-    : sim_(sim), config_(config), frame_(frame), disks_(disks),
-      epoch_(sim->Now()),
+                                           VirtualDiskFrame frame)
+    : sim_(sim), config_(config), frame_(frame), epoch_(sim->Now()),
       used_units_(static_cast<size_t>(config.num_disks), 0) {
   ticker_ = std::make_unique<PeriodicTicker>(
       sim_, epoch_, config_.interval, [this](int64_t tick) { Tick(tick); });
@@ -98,19 +91,6 @@ void LogicalDiskScheduler::Reserve(int32_t first_vdisk, int64_t units,
   }
 }
 
-bool LogicalDiskScheduler::StreamHealthy(const ActiveStream& s) const {
-  if (disks_ == nullptr) return true;
-  const int32_t width = WidthOf(s.req.units);
-  for (int32_t lane = 0; lane < width; ++lane) {
-    const int32_t v = static_cast<int32_t>(PositiveMod(
-        static_cast<int64_t>(s.first_vdisk) + lane, config_.num_disks));
-    if (!disks_->IsAvailable(frame_.PhysicalOf(v, interval_index_))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool LogicalDiskScheduler::TryAdmit(const Pending& p) {
   const int32_t v0 = frame_.VirtualOf(p.req.start_disk, interval_index_);
   const int32_t width = WidthOf(p.req.units);
@@ -120,12 +100,6 @@ bool LogicalDiskScheduler::TryAdmit(const Pending& p) {
         PositiveMod(static_cast<int64_t>(v0) + lane, config_.num_disks));
     if (FreeUnits(v) <
         UnitsOnLane(p.req.units, lane, p.req.partial_lane_first)) {
-      return false;
-    }
-    // Health-aware mode: no lane may start over a down spindle — the
-    // physical disk takes all L of its logical units down with it.
-    if (disks_ != nullptr &&
-        !disks_->IsAvailable(frame_.PhysicalOf(v, interval_index_))) {
       return false;
     }
   }
@@ -165,14 +139,6 @@ void LogicalDiskScheduler::Tick(int64_t tick_index) {
   double buffered = 0.0;
   for (RequestId id : ids) {
     ActiveStream& s = streams_.at(id);
-    // A stream over a down physical disk stalls in place: its logical
-    // units stay reserved (resuming must not re-fight admission) but no
-    // subobject is delivered this interval.  Both halves of a split
-    // disk stall and recover together.
-    if (!StreamHealthy(s)) {
-      ++metrics_.stalled_stream_intervals;
-      continue;
-    }
     metrics_.unit_intervals_used += s.req.units;
     // A lane holding u < L units reads at full rate for u/L of the
     // interval but transmits throughout: it buffers (1 - u/L) of its

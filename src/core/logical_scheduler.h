@@ -21,7 +21,6 @@
 
 #include "core/stream.h"
 #include "core/virtual_disk.h"
-#include "disk/disk_array.h"
 #include "sim/simulator.h"
 #include "storage/media_object.h"
 #include "util/result.h"
@@ -63,10 +62,6 @@ struct LogicalSchedulerMetrics {
   /// Unit-intervals actually reserved (for utilization).
   int64_t unit_intervals_used = 0;
   int64_t intervals_elapsed = 0;
-  /// Stream-intervals stalled because a lane's physical disk was down
-  /// (health-aware mode only).  All logical units of a down disk stall
-  /// together — a half-disk cannot outlive its spindle.
-  int64_t stalled_stream_intervals = 0;
   /// Fraction-of-interval buffer load contributed by partial lanes,
   /// time-averaged in fragments.
   TimeWeighted buffered_fraction;
@@ -75,15 +70,8 @@ struct LogicalSchedulerMetrics {
 /// \brief Interval-synchronous scheduler with L logical units per disk.
 class LogicalDiskScheduler {
  public:
-  /// \param disks optional health source covering the scheduler's D
-  ///        physical disks.  When present, admission refuses lanes whose
-  ///        physical disk is unavailable this interval, and active
-  ///        streams over a down disk stall delivery (every logical unit
-  ///        of the disk together) until it recovers.  Null preserves the
-  ///        always-healthy behavior.
   static Result<std::unique_ptr<LogicalDiskScheduler>> Create(
-      Simulator* sim, const LogicalSchedulerConfig& config,
-      const DiskArray* disks = nullptr);
+      Simulator* sim, const LogicalSchedulerConfig& config);
 
   ~LogicalDiskScheduler();
   LogicalDiskScheduler(const LogicalDiskScheduler&) = delete;
@@ -120,11 +108,7 @@ class LogicalDiskScheduler {
   };
 
   LogicalDiskScheduler(Simulator* sim, LogicalSchedulerConfig config,
-                       VirtualDiskFrame frame, const DiskArray* disks);
-
-  /// True when every physical disk under the stream's lanes is
-  /// available this interval (vacuously true without a health source).
-  bool StreamHealthy(const ActiveStream& s) const;
+                       VirtualDiskFrame frame);
 
   /// Units the stream places on lane index `lane` (full L except one
   /// possibly-partial lane — last by default, first when
@@ -141,7 +125,6 @@ class LogicalDiskScheduler {
   Simulator* sim_;
   LogicalSchedulerConfig config_;
   VirtualDiskFrame frame_;
-  const DiskArray* disks_ = nullptr;  ///< optional health source
   SimTime epoch_;
   int64_t interval_index_ = 0;
   std::vector<int32_t> used_units_;

@@ -10,7 +10,7 @@ Status Disk::AllocateStorage(int64_t cylinders) {
   STAGGER_CHECK(cylinders >= 0);
   if (cylinders > free_cylinders_) {
     return Status::ResourceExhausted(
-        "disk " + std::to_string(id_) + " has " + std::to_string(free_cylinders_) +
+        "drive has " + std::to_string(free_cylinders_) +
         " free cylinders, need " + std::to_string(cylinders));
   }
   free_cylinders_ -= cylinders;
@@ -21,7 +21,7 @@ void Disk::FreeStorage(int64_t cylinders) {
   STAGGER_CHECK(cylinders >= 0);
   free_cylinders_ += cylinders;
   STAGGER_CHECK(free_cylinders_ <= total_cylinders_)
-      << "disk " << id_ << ": freed more storage than allocated";
+      << "drive freed more storage than allocated";
 }
 
 void Disk::Fail() {
@@ -41,9 +41,9 @@ void Disk::Stall() {
 
 void Disk::Degrade(int32_t percent) {
   STAGGER_CHECK(health_ == DiskHealth::kHealthy)
-      << "disk " << id_ << " degraded while not healthy";
+      << "drive degraded while not healthy";
   STAGGER_CHECK(percent >= 1 && percent <= 99)
-      << "disk " << id_ << ": degrade percent " << percent
+      << "drive degrade percent " << percent
       << " outside [1, 99]";
   health_ = DiskHealth::kDegraded;
   degraded_percent_ = percent;

@@ -55,11 +55,9 @@ struct IntervalClock {
 /// objects.
 class Disk {
  public:
-  Disk(DiskId id, const DiskParameters& params)
-      : id_(id), free_cylinders_(params.num_cylinders),
+  explicit Disk(const DiskParameters& params)
+      : free_cylinders_(params.num_cylinders),
         total_cylinders_(params.num_cylinders) {}
-
-  DiskId id() const { return id_; }
 
   /// Binds the drive to its array's shared interval clock, which
   /// supplies the interval count for down-time accounting.  An
@@ -125,7 +123,6 @@ class Disk {
     return clock_ ? clock_->intervals : 0;
   }
 
-  DiskId id_;
   int64_t free_cylinders_;
   int64_t total_cylinders_;
   DiskHealth health_ = DiskHealth::kHealthy;

@@ -7,6 +7,18 @@
 
 namespace stagger {
 
+namespace {
+
+/// Exchanges bits i and j of the word array `words`.
+void SwapBits(uint64_t* words, uint32_t i, uint32_t j) {
+  const uint64_t differ =
+      ((words[i >> 6] >> (i & 63)) ^ (words[j >> 6] >> (j & 63))) & 1;
+  words[i >> 6] ^= differ << (i & 63);
+  words[j >> 6] ^= differ << (j & 63);
+}
+
+}  // namespace
+
 Result<DiskArray> DiskArray::Create(int32_t num_disks, const DiskParameters& params,
                                     int32_t num_spares) {
   if (num_disks < 1) {
@@ -19,7 +31,7 @@ Result<DiskArray> DiskArray::Create(int32_t num_disks, const DiskParameters& par
   std::vector<Disk> drives;
   drives.reserve(static_cast<size_t>(num_disks + num_spares));
   for (int32_t i = 0; i < num_disks + num_spares; ++i) {
-    drives.emplace_back(i, params);
+    drives.emplace_back(params);
   }
   return DiskArray(std::move(drives), params, num_disks, num_spares);
 }
@@ -30,39 +42,20 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
       num_spares_(num_spares), clock_(std::make_unique<IntervalClock>()),
       latent_errors_(std::make_unique<LatentErrorMap>(num_slots)) {
   latent_errors_->AttachClock(clock_.get());
-  slot_to_drive_.resize(static_cast<size_t>(num_slots));
-  for (int32_t i = 0; i < num_slots; ++i) slot_to_drive_[static_cast<size_t>(i)] = i;
   for (int32_t s = 0; s < num_spares; ++s) free_spares_.push_back(num_slots + s);
   for (Disk& d : drives_) d.AttachClock(clock_.get());
   busy_drives_.Resize(static_cast<int32_t>(drives_.size()));
   busy_planes_.assign(
       kCountPlanes * static_cast<size_t>(busy_drives_.num_words()), 0);
   unavailable_slots_.Resize(num_slots);
-  remapped_slots_.Resize(num_slots);
-}
-
-bool DiskArray::RunIsIdle(DiskId start, int32_t len) const {
-  STAGGER_CHECK(len >= 0 && len <= num_disks());
-  for (int32_t i = 0; i < len; ++i) {
-    if (SlotBusy(Wrap(static_cast<int64_t>(start) + i))) return false;
-  }
-  return true;
 }
 
 STAGGER_HOT_PATH void DiskArray::ReserveRotated(const Bitmap& vdisks,
                                                 int32_t rot) {
   STAGGER_DCHECK(vdisks.size() == num_slots_ && rot >= 0 && rot < num_slots_);
-  const auto slot_of = [&](int32_t v) {
-    const int32_t slot = v + rot;
-    return slot >= num_slots_ ? slot - num_slots_ : slot;
-  };
-  if (!dense_slots_) {
-    vdisks.ForEachSet([&](int32_t v) { ReserveSlot(slot_of(v)); });
-    return;
-  }
 #ifndef NDEBUG
   vdisks.ForEachSet([&](int32_t v) {
-    const int32_t slot = slot_of(v);
+    const int32_t slot = v + rot >= num_slots_ ? v + rot - num_slots_ : v + rot;
     STAGGER_DCHECK(!busy_drives_.Test(slot))
         << "slot " << slot << " reserved twice in one interval";
     STAGGER_DCHECK(drives_[static_cast<size_t>(slot)].available())
@@ -70,33 +63,6 @@ STAGGER_HOT_PATH void DiskArray::ReserveRotated(const Bitmap& vdisks,
   });
 #endif
   busy_drives_.OrRotated(vdisks, rot);
-}
-
-void DiskArray::ReserveRunRemapped(DiskId start, int32_t len) {
-  for (int32_t i = 0; i < len; ++i) {
-    ReserveSlot(Wrap(static_cast<int64_t>(start) + i));
-  }
-}
-
-int32_t DiskArray::IdleCount() const {
-  int32_t idle = 0;
-  for (int32_t d = 0; d < num_slots_; ++d) {
-    if (!SlotBusy(d)) ++idle;
-  }
-  return idle;
-}
-
-uint64_t DiskArray::BusySlotWordRemapped(int32_t w) const {
-  // A rewired slot's own bit names its retired drive; take its new
-  // drive's bit instead.
-  uint64_t rewired = remapped_slots_.word(w);
-  uint64_t busy = busy_drives_.word(w) & ~rewired;
-  while (rewired != 0) {
-    const int bit = std::countr_zero(rewired);
-    if (SlotBusy((w << 6) + bit)) busy |= uint64_t{1} << bit;
-    rewired &= rewired - 1;
-  }
-  return busy;
 }
 
 STAGGER_HOT_PATH int32_t DiskArray::IdleAvailableCount() const {
@@ -189,19 +155,12 @@ void DiskArray::ReturnSpare(int32_t drive) {
   free_spares_.push_back(drive);
 }
 
-Disk& DiskArray::spare_drive(int32_t drive) {
-  STAGGER_CHECK(std::find(claimed_spares_.begin(), claimed_spares_.end(),
-                          drive) != claimed_spares_.end())
-      << "drive " << drive << " is not a claimed spare";
-  return drives_[static_cast<size_t>(drive)];
-}
-
 void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   STAGGER_CHECK(slot >= 0 && slot < num_slots_) << "bad slot " << slot;
   auto it = std::find(claimed_spares_.begin(), claimed_spares_.end(), drive);
   STAGGER_CHECK(it != claimed_spares_.end())
       << "drive " << drive << " is not a claimed spare";
-  Disk& old = drives_[DriveOf(slot)];
+  Disk& old = drives_[static_cast<size_t>(slot)];
   STAGGER_CHECK(old.health() == DiskHealth::kFailed)
       << "slot " << slot << " promoted while its drive is not failed";
   Disk& fresh = drives_[static_cast<size_t>(drive)];
@@ -210,20 +169,27 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   STAGGER_CHECK_OK(fresh.AllocateStorage(used));
   old.FreeStorage(used);
   claimed_spares_.erase(it);
-  slot_to_drive_[static_cast<size_t>(slot)] = drive;
-  // Adjacent slots may now straddle non-adjacent drives, so ReserveRun
-  // must fall back to per-slot reservation from here on, and the slot
-  // scans must patch the rewired slots' busy bits.
-  dense_slots_ = false;
-  remapped_slots_.Set(slot);
+  // Swap the spare into the slot's index: the drive, its busy bit (a
+  // rebuild write may have reserved it this interval) and its count in
+  // every plane.  The dead drive stays retired at the spare's index: it
+  // is reachable by no slot and never returns to the spare pool.
+  std::swap(old, fresh);
+  const bool slot_busy = busy_drives_.Test(slot);
+  if (busy_drives_.Test(drive) != slot_busy) {
+    busy_drives_.Set(slot_busy ? drive : slot);
+    busy_drives_.Clear(slot_busy ? slot : drive);
+  }
+  const size_t words = static_cast<size_t>(busy_drives_.num_words());
+  for (size_t b = 0; b < kCountPlanes; ++b) {
+    SwapBits(&busy_planes_[b * words], static_cast<uint32_t>(slot),
+             static_cast<uint32_t>(drive));
+  }
   // The slot flips from failed to healthy: its new drive is fresh.
   NoteAvailabilityChange(slot, /*was=*/false);
   // The rebuilt content was reconstructed from verified survivors onto
   // fresh media, so whatever latent errors the dead drive carried are
   // gone with it.
   latent_errors_->DropDiskRebuilt(slot);
-  // The dead drive stays retired: it is reachable by no slot and never
-  // returns to the spare pool.
 }
 
 int64_t DiskArray::BusyIntervals(size_t drive) const {

@@ -4,26 +4,27 @@
 //
 // Hot spares (fault-tolerance layer, src/rebuild/): the array may be
 // created with S spare drives beyond the D addressable slots.  Layouts
-// and schedulers address *slots*; a slot resolves to a physical drive
-// through an indirection table.  Promoting a spare rewires a failed
-// slot onto a healthy drive without renaming any fragment, so a
-// rebuilt array is bit-identical to the pre-failure placement in slot
-// space — the invariant the rebuild subsystem audits.
+// and schedulers address *slots*, and slot i is always drive index i.
+// Promoting a spare swaps it into the failed slot's index — the drive
+// object, its busy bit and its busy-interval count — so the dead drive
+// moves to the spare's index, which no slot reaches.  No fragment is
+// renamed, so a rebuilt array is bit-identical to the pre-failure
+// placement in slot space — the invariant the rebuild subsystem audits.
 //
 // Per-interval cost: busy state is a drive-indexed bitmap plus
-// bit-sliced busy-interval counters, both owned by the array.  Reserving
-// a slot is one L1-resident bitmap store with no division
-// (ReserveSlot), and a whole rotated set of virtual disks is one word
-// pass (ReserveRotated).  Closing an interval adds the bitmap into the
-// counters a word at a time — a carry-propagating XOR/AND down the bit
-// planes, 64 drives per step — and clears it word-by-word, so its cost
-// follows the words, not the busy drives.  Slot
-// availability is mirrored in a bitmap so AvailableCount()/
-// UnavailableCount() are O(1) — the scheduler's healthy-path test per
-// tick — and the idle-and-available queries (FirstIdleAvailableSlot,
-// IdleAvailableCount) are word scans over unavailable | busy, O(D/64).
-// Until a spare promotion the busy bitmap's first D bits are the slots'
-// busy bits; afterwards the few rewired slots are patched in per word.
+// bit-sliced busy-interval counters, both owned by the array.  Its first
+// D bits are the slots' busy bits, so reserving a slot is one
+// L1-resident bitmap store with no division (ReserveSlot), a run of
+// adjacent slots a couple of masked word-ORs (ReserveRun), and a whole
+// rotated set of virtual disks one word pass (ReserveRotated).  Closing
+// an interval adds the bitmap into the counters a word at a time — a
+// carry-propagating XOR/AND down the bit planes, 64 drives per step —
+// and clears it word-by-word, so its cost follows the words, not the
+// busy drives.  Slot availability is mirrored in a bitmap so
+// AvailableCount()/UnavailableCount() are O(1) — the scheduler's
+// healthy-path test per tick — and the idle-and-available queries
+// (FirstIdleAvailableSlot, IdleAvailableCount) are word scans over
+// unavailable | busy, O(D/64).
 
 #ifndef STAGGER_DISK_DISK_ARRAY_H_
 #define STAGGER_DISK_DISK_ARRAY_H_
@@ -54,8 +55,10 @@ class DiskArray {
   int32_t num_disks() const { return num_slots_; }
   const DiskParameters& params() const { return params_; }
 
-  Disk& disk(DiskId id) { return drives_[DriveOf(Wrap(id))]; }
-  const Disk& disk(DiskId id) const { return drives_[DriveOf(Wrap(id))]; }
+  Disk& disk(DiskId id) { return drives_[static_cast<size_t>(Wrap(id))]; }
+  const Disk& disk(DiskId id) const {
+    return drives_[static_cast<size_t>(Wrap(id))];
+  }
 
   /// Maps any integer onto a valid disk id (modulo D).
   DiskId Wrap(int64_t id) const {
@@ -67,12 +70,13 @@ class DiskArray {
   // Slot-addressed: `slot` must already be in [0, D) — the scheduler
   // computes physical disks with a conditional subtract, so no modulo
   // runs here.  Drive-addressed variants serve the spare pool (rebuild
-  // writes), whose drive indices come from AcquireSpare.
+  // writes), whose drive indices come from AcquireSpare; a slot's drive
+  // index is the slot itself.
 
   /// True when `slot`'s drive is transferring this interval.
   STAGGER_HOT_PATH bool SlotBusy(DiskId slot) const {
     STAGGER_DCHECK(slot >= 0 && slot < num_slots_);
-    return busy_drives_.Test(slot_to_drive_[static_cast<size_t>(slot)]);
+    return busy_drives_.Test(slot);
   }
 
   /// Marks `slot`'s drive busy for the current interval.
@@ -80,7 +84,7 @@ class DiskArray {
   /// scheduler must never place load on a failed or stalled disk.
   STAGGER_HOT_PATH void ReserveSlot(DiskId slot) {
     STAGGER_DCHECK(slot >= 0 && slot < num_slots_);
-    ReserveDrive(slot_to_drive_[static_cast<size_t>(slot)]);
+    ReserveDrive(slot);
   }
 
   /// True when physical drive `drive` is transferring this interval.
@@ -100,24 +104,16 @@ class DiskArray {
   /// Intervals closed so far.
   int64_t intervals() const { return clock_->intervals; }
 
-  /// True when all of disks start, start+1, ..., start+len-1 (mod D) are
-  /// idle this interval.
-  bool RunIsIdle(DiskId start, int32_t len) const;
-
   /// Reserves the adjacent run [start, start+len) (mod D).
-  /// Precondition: RunIsIdle(start, len), every slot available.
+  /// Precondition: every slot of the run idle and available.
   ///
-  /// Until a spare promotion rewires a slot, slot i maps to drive i, so
-  /// the run is a contiguous bit range in the busy bitmap and the whole
-  /// reservation is a couple of masked word-ORs — the scheduler reserves
-  /// the run of adjacent disks of each lane it visits this way.
+  /// The run is a contiguous bit range in the busy bitmap (split at the
+  /// wrap), so the whole reservation is a couple of masked word-ORs —
+  /// the scheduler reserves the run of adjacent disks of each lane it
+  /// visits this way.
   STAGGER_HOT_PATH void ReserveRun(DiskId start, int32_t len) {
     STAGGER_DCHECK(start >= 0 && start < num_slots_);
     STAGGER_DCHECK(len >= 0 && len <= num_slots_);
-    if (!dense_slots_) {
-      ReserveRunRemapped(start, len);
-      return;
-    }
 #ifndef NDEBUG
     for (int32_t i = 0; i < len; ++i) {
       const DiskId slot = Wrap(static_cast<int64_t>(start) + i);
@@ -143,13 +139,9 @@ class DiskArray {
 
   /// Reserves, for every virtual disk v set in `vdisks` (a D-bit
   /// bitmap), slot (v + rot) mod D.  Same preconditions per slot as
-  /// ReserveSlot; rot in [0, D).  Until a spare promotion that is one
-  /// rotated word-OR into the busy bitmap, O(D/64); afterwards the set
-  /// bits are reserved one slot at a time.
+  /// ReserveSlot; rot in [0, D).  One rotated word-OR into the busy
+  /// bitmap, O(D/64).
   STAGGER_HOT_PATH void ReserveRotated(const Bitmap& vdisks, int32_t rot);
-
-  /// Number of idle disks this interval.
-  int32_t IdleCount() const;
 
   // --- health (fault injection, src/fault/) -----------------------------
   //
@@ -196,17 +188,18 @@ class DiskArray {
     return static_cast<int32_t>(free_spares_.size());
   }
   /// Claims a spare drive for a rebuild; returns its drive index (only
-  /// meaningful to spare_drive / ReturnSpare / PromoteSpare).  Fails
+  /// meaningful to ReserveDrive / ReturnSpare / PromoteSpare).  Fails
   /// with ResourceExhausted when the pool is empty.
   Result<int32_t> AcquireSpare();
   /// Returns an unused spare to the pool (rebuild cancelled because the
   /// original drive recovered naturally).
   void ReturnSpare(int32_t drive);
-  /// Direct access to a claimed spare drive, for rebuild writes.
-  Disk& spare_drive(int32_t drive);
-  /// Rewires `slot` onto the claimed spare `drive` and marks the slot
+  /// Swaps the claimed spare `drive` into `slot` and marks the slot
   /// healthy.  The failed drive's storage accounting transfers to the
-  /// spare so later frees balance; the dead drive is retired.
+  /// spare so later frees balance.  The spare's busy bit and
+  /// busy-interval count move with it (a rebuild write may already have
+  /// reserved it this interval); the dead drive is retired at index
+  /// `drive`, which no slot reaches.
   /// Preconditions: the slot's current drive is failed; `drive` was
   /// returned by AcquireSpare and not yet promoted or returned.
   void PromoteSpare(DiskId slot, int32_t drive);
@@ -226,14 +219,16 @@ class DiskArray {
   }
 
   /// Fraction of elapsed intervals `slot`'s current drive spent
-  /// transferring (after a promotion the slot reports its new drive).
-  /// Reservations are folded into the counters at interval close, so
-  /// the current open interval is not yet counted.
+  /// transferring (after a promotion the slot reports its new drive,
+  /// writes before the promotion included).  Reservations are folded
+  /// into the counters at interval close, so the current open interval
+  /// is not yet counted.
   double SlotUtilization(DiskId slot) const {
     const int64_t total = clock_->intervals;
-    return total == 0 ? 0.0
-                      : static_cast<double>(BusyIntervals(DriveOf(slot))) /
-                            static_cast<double>(total);
+    return total == 0
+               ? 0.0
+               : static_cast<double>(BusyIntervals(static_cast<size_t>(slot))) /
+                     static_cast<double>(total);
   }
 
   /// Mean per-disk utilization over all elapsed intervals.
@@ -250,10 +245,6 @@ class DiskArray {
   DiskArray(std::vector<Disk> drives, DiskParameters params, int32_t num_slots,
             int32_t num_spares);
 
-  size_t DriveOf(DiskId slot) const {
-    return static_cast<size_t>(slot_to_drive_[static_cast<size_t>(slot)]);
-  }
-
   /// Records an availability flip of `slot` in the bitmap; `was` is the
   /// slot's availability before the health transition.
   void NoteAvailabilityChange(DiskId slot, bool was);
@@ -261,18 +252,12 @@ class DiskArray {
   /// Removes `slot` from the degraded-slot walk list.
   void DropDegradedSlot(DiskId slot);
 
-  /// Word `w` of the slot-space busy set once slots are rewired: bit i
-  /// set == slot 64w + i's drive is transferring this interval.
-  uint64_t BusySlotWordRemapped(int32_t w) const;
-
   /// Word `w` of the slots idle AND available this interval, bits at or
-  /// past D cleared.  Until a promotion slot i is drive i, so the busy
-  /// bitmap's word is the slots' busy word (its bits past D belong to
-  /// spares and are masked here).
+  /// past D cleared.  Slot i is drive i, so the busy bitmap's word is
+  /// the slots' busy word (its bits past D belong to spares and are
+  /// masked here).
   STAGGER_HOT_PATH uint64_t IdleAvailableWord(int32_t w) const {
-    const uint64_t busy =
-        dense_slots_ ? busy_drives_.word(w) : BusySlotWordRemapped(w);
-    uint64_t free = ~(unavailable_slots_.word(w) | busy);
+    uint64_t free = ~(unavailable_slots_.word(w) | busy_drives_.word(w));
     if (w == unavailable_slots_.num_words() - 1 && (num_slots_ & 63) != 0) {
       free &= ~uint64_t{0} >> (64 - (num_slots_ & 63));
     }
@@ -282,17 +267,12 @@ class DiskArray {
   /// Intervals `drive` spent transferring, read back from the bit planes.
   int64_t BusyIntervals(size_t drive) const;
 
-  /// ReserveRun fallback once slot_to_drive_ is no longer the identity:
-  /// adjacent slots may sit on arbitrary drives, so reserve one by one.
-  void ReserveRunRemapped(DiskId start, int32_t len);
-
-  /// All physical drives: indices [0, D) start as the slots' drives,
-  /// [D, D + S) as spares.  Promotion rewires slot_to_drive_.
+  /// All physical drives: index i < D is slot i's drive, [D, D + S)
+  /// the spares.  Promotion swaps a spare into its slot's index.
   std::vector<Disk> drives_;
   DiskParameters params_;
   int32_t num_slots_;
   int32_t num_spares_;
-  std::vector<int32_t> slot_to_drive_;
   /// Spare drive indices not yet claimed.
   std::vector<int32_t> free_spares_;
   /// Spare drive indices claimed by AcquireSpare, pending promotion.
@@ -300,9 +280,8 @@ class DiskArray {
   /// Shared interval clock; heap-allocated so the drives' back-pointers
   /// (used for lazy down-time accounting) survive moves of the array.
   std::unique_ptr<IntervalClock> clock_;
-  /// Bit set == physical drive is transferring this interval.  Indexed
-  /// by drive (construction index), so the bits stay valid across slot
-  /// rewiring by PromoteSpare.
+  /// Bit set == drive is transferring this interval, indexed like
+  /// drives_ (PromoteSpare swaps the bits along with the drives).
   Bitmap busy_drives_;
   /// Per-drive count of intervals spent transferring, bit-sliced:
   /// bit i of busy_planes_[b * W + w] (W = busy_drives_.num_words()) is
@@ -323,13 +302,6 @@ class DiskArray {
   int64_t degraded_disk_intervals_ = 0;
   /// Heap-allocated like clock_ so reader-held pointers survive moves.
   std::unique_ptr<LatentErrorMap> latent_errors_;
-  /// True while slot_to_drive_ is the identity (no spare promoted yet):
-  /// ReserveRun may then treat a slot run as a drive-bitmap bit range,
-  /// and the slot-space busy set is the busy bitmap's first D bits.
-  bool dense_slots_ = true;
-  /// Bit set == slot rewired onto a promoted spare (slot_to_drive_[s] !=
-  /// s); BusySlotWordRemapped patches these in.
-  Bitmap remapped_slots_;
 };
 
 }  // namespace stagger

@@ -94,8 +94,8 @@ class LatentErrorMap {
   /// Precondition: IsCorrupt(disk, subobject).
   void Repair(DiskId disk, int64_t subobject);
 
-  /// Drops every cell of `disk`: its slot was rewired onto a freshly
-  /// rebuilt spare, so the corrupt medium is gone.  Returns the number
+  /// Drops every cell of `disk`: a freshly rebuilt spare was promoted
+  /// into its slot, so the corrupt medium is gone.  Returns the number
   /// of cells dropped (counted as repaired_by_rebuild).
   int64_t DropDiskRebuilt(DiskId disk);
 

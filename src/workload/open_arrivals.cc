@@ -49,24 +49,13 @@ Status OpenArrivalsConfig::Validate() const {
 
 OpenArrivals::OpenArrivals(Simulator* sim, MediaService* service,
                            const DiscreteDistribution* distribution,
-                           SimTime mean_interarrival, uint64_t seed)
-    : OpenArrivals(sim, service, distribution, [&] {
-        OpenArrivalsConfig config;
-        config.mean_interarrival = mean_interarrival;
-        config.seed = seed;
-        return config;
-      }()) {}
-
-OpenArrivals::OpenArrivals(Simulator* sim, MediaService* service,
-                           const DiscreteDistribution* distribution,
                            OpenArrivalsConfig config)
     : sim_(sim), service_(service), distribution_(distribution),
       config_(std::move(config)), rng_(config_.seed) {
   STAGGER_CHECK_OK(config_.Validate());
   // Thinning envelope: an upper bound on the instantaneous multiplier.
   // The product over crowds bounds any overlap; exactly 1.0 when every
-  // extension is off, which disables the thinning draw so legacy seeds
-  // reproduce the original plain-Poisson stream bit-identically.
+  // extension is off, which skips the thinning draw.
   peak_multiplier_ = 1.0 + config_.diurnal_amplitude;
   for (const FlashCrowd& crowd : config_.flash_crowds) {
     peak_multiplier_ *= crowd.rate_multiplier;

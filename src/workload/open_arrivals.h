@@ -18,9 +18,9 @@
 //     the same object after an exponential pause, which creates the
 //     repeat same-object traffic batching merges.
 //
-// When every extension is disabled the generator draws exactly the same
-// random stream as the original plain-Poisson implementation, so legacy
-// seeds reproduce bit-identically.
+// With every extension disabled the thinning draw is skipped, so the
+// generator draws a plain Poisson stream: one exponential gap and one
+// popularity draw per arrival.
 
 #ifndef STAGGER_WORKLOAD_OPEN_ARRIVALS_H_
 #define STAGGER_WORKLOAD_OPEN_ARRIVALS_H_
@@ -83,18 +83,11 @@ struct OpenArrivalsConfig {
 /// \brief Poisson request generator over a MediaService.
 class OpenArrivals {
  public:
-  /// Plain Poisson stream (legacy shape; equivalent to a default
-  /// config with just the gap and seed filled in).
-  /// \param sim              kernel; outlives the generator.
-  /// \param service          server under test; outlives it.
-  /// \param distribution     object popularity; outlives it.
-  /// \param mean_interarrival  mean time between requests (> 0).
-  /// \param seed             arrival/popularity RNG seed.
-  OpenArrivals(Simulator* sim, MediaService* service,
-               const DiscreteDistribution* distribution,
-               SimTime mean_interarrival, uint64_t seed);
-
-  /// Full workload-shape control.
+  /// \param sim          kernel; outlives the generator.
+  /// \param service      server under test; outlives it.
+  /// \param distribution object popularity; outlives it.
+  /// \param config       arrival rate, seed and workload shape;
+  ///                     validated here.
   OpenArrivals(Simulator* sim, MediaService* service,
                const DiscreteDistribution* distribution,
                OpenArrivalsConfig config);

@@ -252,6 +252,94 @@ TEST_F(SchedulerTest, CancelActiveStreamFreesDisks) {
   EXPECT_TRUE(sched_->Cancel(id).IsNotFound());
 }
 
+// A live handle is its stream's id wherever the request sits: Cancel
+// finds it queued, active or paused by a failed disk.  A dead handle —
+// cancelled, sought away, completed or given up — is NotFound.
+TEST_F(SchedulerTest, CancelByHandleInEveryState) {
+  auto disks = DiskArray::Create(4, DiskParameters::Evaluation());
+  ASSERT_TRUE(disks.ok());
+  disks_ = std::make_unique<DiskArray>(*std::move(disks));
+  SchedulerConfig config;
+  config.interval = kInterval;
+  config.degraded_policy = DegradedPolicy::kPause;
+  config.max_pause_intervals = 8;
+  auto sched = IntervalScheduler::Create(&sim_, disks_.get(), config);
+  ASSERT_TRUE(sched.ok()) << sched.status();
+  sched_ = *std::move(sched);
+  // A display over the whole array, counting its interruptions.
+  int interrupted = 0;
+  const auto whole_array = [&](ObjectId object, Probe* probe) {
+    DisplayRequest req;
+    req.object = object;
+    req.degree = 4;
+    req.num_subobjects = 1000;
+    req.on_completed = [probe] { probe->completed = true; };
+    req.on_interrupted = [&interrupted] { ++interrupted; };
+    auto id = sched_->Submit(std::move(req));
+    STAGGER_CHECK(id.ok()) << id.status();
+    return *id;
+  };
+
+  // Active, then a queued request behind it.
+  Probe paused, queued;
+  const RequestId paused_id = whole_array(0, &paused);
+  sim_.RunUntil(kInterval * 2);
+  ASSERT_EQ(sched_->active_streams(), 1u);
+  const RequestId queued_id = Request(1, 0, 2, 10, &queued);
+  EXPECT_EQ(sched_->pending_requests(), 1u);
+  EXPECT_TRUE(sched_->Cancel(queued_id).ok());
+  EXPECT_EQ(sched_->pending_requests(), 0u);
+  EXPECT_TRUE(sched_->Cancel(queued_id).IsNotFound());
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 1);
+
+  // A failed disk pauses the active display; cancel it while paused.
+  disks_->FailDisk(2);
+  sim_.RunUntil(kInterval * 3);
+  ASSERT_EQ(sched_->paused_streams(), 1u);
+  EXPECT_EQ(sched_->active_streams(), 0u);
+  EXPECT_TRUE(sched_->Cancel(paused_id).ok());
+  EXPECT_EQ(sched_->paused_streams(), 0u);
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 2);
+  EXPECT_TRUE(sched_->Cancel(paused_id).IsNotFound());
+  // Past the pause limit nothing is left to give up on.
+  sim_.RunUntil(kInterval * 40);
+  EXPECT_EQ(interrupted, 0);
+  EXPECT_EQ(sched_->metrics().displays_interrupted, 0);
+  disks_->RecoverDisk(2);
+
+  // Sought away: the old handle dies, the new one is live.
+  Probe sought;
+  const RequestId sought_id = Request(2, 0, 2, 100, &sought);
+  sim_.RunUntil(kInterval * 42);
+  ASSERT_EQ(sched_->active_streams(), 1u);
+  auto new_id = sched_->Seek(sought_id, 1, 10);
+  ASSERT_TRUE(new_id.ok()) << new_id.status();
+  EXPECT_TRUE(sched_->Cancel(sought_id).IsNotFound());
+  EXPECT_TRUE(sched_->Seek(sought_id, 1, 10).status().IsFailedPrecondition());
+  EXPECT_TRUE(sched_->Cancel(*new_id).ok());
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 3);
+
+  // Completed.
+  Probe done;
+  const RequestId done_id = Request(3, 0, 2, 3, &done);
+  sim_.RunUntil(kInterval * 50);
+  ASSERT_TRUE(done.completed);
+  EXPECT_TRUE(sched_->Cancel(done_id).IsNotFound());
+
+  // Given up: paused past max_pause_intervals.
+  Probe given_up;
+  const RequestId given_up_id = whole_array(4, &given_up);
+  sim_.RunUntil(kInterval * 52);
+  ASSERT_EQ(sched_->active_streams(), 1u);
+  disks_->FailDisk(0);
+  sim_.RunUntil(kInterval * 80);
+  EXPECT_EQ(interrupted, 1);
+  EXPECT_EQ(sched_->paused_streams(), 0u);
+  EXPECT_TRUE(sched_->Cancel(given_up_id).IsNotFound());
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 4);
+  EXPECT_FALSE(paused.completed || given_up.completed);
+}
+
 TEST_F(SchedulerTest, SeekRestartsAtNewPosition) {
   Init(10, 1);
   Probe x;

@@ -4,8 +4,6 @@
 
 #include <memory>
 
-#include "disk/disk_array.h"
-
 namespace stagger {
 namespace {
 
@@ -20,23 +18,6 @@ class LogicalSchedulerTest : public ::testing::Test {
     config.stride = stride;
     config.interval = kInterval;
     auto sched = LogicalDiskScheduler::Create(&sim_, config);
-    ASSERT_TRUE(sched.ok()) << sched.status();
-    sched_ = *std::move(sched);
-  }
-
-  /// Health-aware variant: wires a DiskArray of `num_disks` as the
-  /// physical-health source.
-  void InitWithDisks(int32_t num_disks, int32_t logical_per_disk,
-                     int32_t stride = 1) {
-    auto disks = DiskArray::Create(num_disks, DiskParameters::Evaluation());
-    ASSERT_TRUE(disks.ok());
-    disks_ = std::make_unique<DiskArray>(*std::move(disks));
-    LogicalSchedulerConfig config;
-    config.num_disks = num_disks;
-    config.logical_per_disk = logical_per_disk;
-    config.stride = stride;
-    config.interval = kInterval;
-    auto sched = LogicalDiskScheduler::Create(&sim_, config, disks_.get());
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
   }
@@ -66,7 +47,6 @@ class LogicalSchedulerTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  std::unique_ptr<DiskArray> disks_;
   std::unique_ptr<LogicalDiskScheduler> sched_;
 };
 
@@ -192,87 +172,6 @@ TEST_F(LogicalSchedulerTest, StrideShiftsLanes) {
   Request(3, 2, 15, &b);
   sim_.RunUntil(kInterval * 20);
   EXPECT_TRUE(a.completed && b.completed);
-}
-
-// ---------------------------------------------------------------------
-// Disk-health awareness: a physical disk takes every logical unit it
-// hosts down with it (a half-disk cannot outlive its spindle).
-// ---------------------------------------------------------------------
-
-// Figure 7's pairing under a failure: both half-rate streams sharing
-// the failed spindle stall together and recover together.
-TEST_F(LogicalSchedulerTest, BothLogicalHalvesFailAndRecoverTogether) {
-  InitWithDisks(1, 2);
-  Probe a, b;
-  Request(1, 0, 10, &a);
-  Request(1, 0, 10, &b);
-
-  // Healthy through tick 3 (4 subobjects each), then 3 failed ticks.
-  sim_.RunUntil(kInterval * 3 + SimTime::Millis(1));
-  disks_->FailDisk(0);
-  sim_.RunUntil(kInterval * 6 + SimTime::Millis(1));
-  disks_->RecoverDisk(0);
-
-  // A healthy run would have completed both at tick 9; the shared
-  // spindle's outage held *both* halves back.
-  sim_.RunUntil(kInterval * 9 + SimTime::Millis(1));
-  EXPECT_FALSE(a.completed);
-  EXPECT_FALSE(b.completed);
-  EXPECT_EQ(sched_->metrics().stalled_stream_intervals, 6);  // 3 ticks x 2
-
-  // Both resume in lockstep and finish 3 intervals late.
-  sim_.RunUntil(kInterval * 12 + SimTime::Millis(1));
-  EXPECT_TRUE(a.completed);
-  EXPECT_TRUE(b.completed);
-  EXPECT_EQ(sched_->metrics().displays_completed, 2);
-}
-
-// Admission refuses lanes over a down spindle; the queued requests (all
-// logical units of the disk) start together after recovery.
-TEST_F(LogicalSchedulerTest, AdmissionWaitsOutDownSpindle) {
-  InitWithDisks(1, 2);
-  disks_->FailDisk(0);
-  Probe a, b;
-  Request(1, 0, 5, &a);
-  Request(1, 0, 5, &b);
-
-  sim_.RunUntil(kInterval * 2 + SimTime::Millis(1));
-  EXPECT_FALSE(a.started);
-  EXPECT_FALSE(b.started);
-  EXPECT_EQ(sched_->pending_requests(), 2u);
-
-  disks_->RecoverDisk(0);
-  sim_.RunUntil(kInterval * 10);
-  EXPECT_TRUE(a.started);
-  EXPECT_TRUE(b.started);
-  EXPECT_TRUE(a.completed && b.completed);
-  EXPECT_EQ(a.latency, b.latency);  // both halves came back at once
-}
-
-// A multi-lane stream stalls when *any* of its lanes' physical disks is
-// down, even though the other lane's disk is healthy.
-TEST_F(LogicalSchedulerTest, OneDownLaneStallsTheWholeStream) {
-  InitWithDisks(2, 2);
-  Probe a;
-  Request(3, 0, 10, &a);  // full lane on disk 0, half lane on disk 1
-  sim_.RunUntil(kInterval * 2 + SimTime::Millis(1));
-  disks_->FailDisk(1);
-  sim_.RunUntil(kInterval * 4 + SimTime::Millis(1));
-  disks_->RecoverDisk(1);
-  sim_.RunUntil(kInterval * 20);
-  EXPECT_TRUE(a.completed);
-  EXPECT_EQ(sched_->metrics().stalled_stream_intervals, 2);
-}
-
-TEST_F(LogicalSchedulerTest, HealthSourceMustCoverAllDisks) {
-  auto disks = DiskArray::Create(2, DiskParameters::Evaluation());
-  ASSERT_TRUE(disks.ok());
-  LogicalSchedulerConfig config;
-  config.num_disks = 4;
-  config.interval = kInterval;
-  EXPECT_TRUE(LogicalDiskScheduler::Create(&sim_, config, &*disks)
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST_F(LogicalSchedulerTest, MetricsCountRequests) {

@@ -216,7 +216,7 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
 }
 
 // The same check with faults arriving mid-run: failed, stalled and
-// degraded disks, a failed slot rewired onto a spare, and latent cells
+// degraded disks, a spare promoted into a failed slot, and latent cells
 // injected and repaired, under the remap and reconstruct ladders.  A
 // lane whose disks stay clean keeps its range-reserve while other disks
 // are faulty; a lane touching a fault sends each fragment through the
@@ -264,7 +264,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
       });
     }
     // Health faults on ten distinct disks, each undone later (the
-    // fourth kind rewires a failed slot onto a spare instead).
+    // fourth kind promotes a spare into a failed slot instead).
     std::vector<int32_t> order(kDisks);
     for (int32_t i = 0; i < kDisks; ++i) order[static_cast<size_t>(i)] = i;
     for (int32_t i = kDisks - 1; i > 0; --i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "disk/disk.h"
@@ -19,7 +20,7 @@ DiskArray MakeArray(int32_t n) {
 }
 
 TEST(DiskTest, StorageAllocation) {
-  Disk d(0, DiskParameters::Evaluation());
+  Disk d(DiskParameters::Evaluation());
   EXPECT_EQ(d.total_cylinders(), 3000);
   EXPECT_EQ(d.free_cylinders(), 3000);
   EXPECT_TRUE(d.AllocateStorage(1000).ok());
@@ -30,7 +31,7 @@ TEST(DiskTest, StorageAllocation) {
 }
 
 TEST(DiskTest, AllocationFailsWhenFull) {
-  Disk d(0, DiskParameters::Evaluation());
+  Disk d(DiskParameters::Evaluation());
   EXPECT_TRUE(d.AllocateStorage(3000).ok());
   Status st = d.AllocateStorage(1);
   EXPECT_TRUE(st.IsResourceExhausted());
@@ -39,7 +40,7 @@ TEST(DiskTest, AllocationFailsWhenFull) {
 }
 
 TEST(DiskDeathTest, OverFreeingAborts) {
-  Disk d(0, DiskParameters::Evaluation());
+  Disk d(DiskParameters::Evaluation());
   EXPECT_DEATH(d.FreeStorage(1), "freed more storage");
 }
 
@@ -86,16 +87,15 @@ TEST(DiskArrayTest, WrapIsModular) {
   EXPECT_EQ(array.Wrap(10), 0);
 }
 
-TEST(DiskArrayTest, RunIsIdleAndReserve) {
+TEST(DiskArrayTest, ReserveRunMarksWrappedSlotsBusy) {
   DiskArray array = MakeArray(8);
-  EXPECT_TRUE(array.RunIsIdle(6, 4));  // wraps over 6,7,0,1
-  array.ReserveRun(6, 4);
-  EXPECT_FALSE(array.RunIsIdle(0, 1));
-  EXPECT_FALSE(array.RunIsIdle(5, 2));
-  EXPECT_TRUE(array.RunIsIdle(2, 4));
-  EXPECT_EQ(array.IdleCount(), 4);
+  EXPECT_EQ(array.IdleAvailableCount(), 8);
+  array.ReserveRun(6, 4);  // wraps over 6,7,0,1
+  for (const DiskId slot : {6, 7, 0, 1}) EXPECT_TRUE(array.SlotBusy(slot));
+  for (const DiskId slot : {2, 3, 4, 5}) EXPECT_FALSE(array.SlotBusy(slot));
+  EXPECT_EQ(array.IdleAvailableCount(), 4);
   array.EndInterval();
-  EXPECT_EQ(array.IdleCount(), 8);
+  EXPECT_EQ(array.IdleAvailableCount(), 8);
 }
 
 TEST(DiskArrayTest, AggregateCapacity) {
@@ -142,7 +142,8 @@ TEST(DiskArraySpareTest, SparesAreInvisibleToSlotQueries) {
   EXPECT_EQ(array.num_spares(), 2);
   EXPECT_EQ(array.FreeSpareCount(), 2);
   // Slot-space accounting ignores spares entirely.
-  EXPECT_EQ(array.IdleCount(), 4);
+  array.ReserveDrive(4);  // a spare write
+  EXPECT_EQ(array.IdleAvailableCount(), 4);
   EXPECT_EQ(array.AvailableCount(), 4);
   EXPECT_EQ(array.TotalCylinders(), MakeArray(4).TotalCylinders());
 }
@@ -181,11 +182,49 @@ TEST(DiskArraySpareTest, PromotedSlotServesReads) {
   auto drive = array.AcquireSpare();
   ASSERT_TRUE(drive.ok());
   array.PromoteSpare(1, *drive);
-  EXPECT_TRUE(array.RunIsIdle(0, 3));
+  EXPECT_EQ(array.IdleAvailableCount(), 3);
   array.ReserveRun(0, 3);
-  EXPECT_EQ(array.IdleCount(), 0);
+  for (const DiskId slot : {0, 1, 2}) EXPECT_TRUE(array.SlotBusy(slot));
+  EXPECT_EQ(array.IdleAvailableCount(), 0);
   array.EndInterval();
-  EXPECT_EQ(array.IdleCount(), 3);
+  EXPECT_EQ(array.IdleAvailableCount(), 3);
+}
+
+// A rebuild writes its last fragment to the spare in the same idle pass
+// that promotes it: the write's busy bit follows the spare into the
+// slot, so the slot is busy for the rest of the interval and the write
+// counts toward the slot's utilization.  From the next interval on the
+// word-wide reservations cover the slot like any other.
+TEST(DiskArrayTest, SpareWrittenInItsPromotionIntervalStaysBusy) {
+  DiskArray array = MakeArrayWithSpares(8, 1);
+  array.EndInterval();
+  array.FailDisk(3);
+  auto drive = array.AcquireSpare();
+  ASSERT_TRUE(drive.ok());
+  array.ReserveDrive(*drive);
+  array.PromoteSpare(3, *drive);
+  EXPECT_TRUE(array.IsAvailable(3));
+  EXPECT_TRUE(array.SlotBusy(3));
+  Bitmap exclude(8);
+  exclude.SetRange(0, 3);
+  EXPECT_EQ(array.FirstIdleAvailableSlot(exclude), 4);
+  EXPECT_EQ(array.IdleAvailableCount(), 7);
+  array.EndInterval();
+  EXPECT_DOUBLE_EQ(array.SlotUtilization(3), 1.0 / 2.0);
+
+  Bitmap vdisks(8);
+  vdisks.Set(7);
+  vdisks.Set(0);
+  array.ReserveRotated(vdisks, 3);  // virtual disks 7 and 0 -> slots 2, 3
+  EXPECT_TRUE(array.SlotBusy(2));
+  EXPECT_TRUE(array.SlotBusy(3));
+  EXPECT_EQ(array.IdleAvailableCount(), 6);
+  array.EndInterval();
+  array.ReserveRun(1, 4);  // slots 1..4
+  EXPECT_TRUE(array.SlotBusy(3));
+  EXPECT_EQ(array.FirstIdleAvailableSlot(exclude), 5);
+  array.EndInterval();
+  EXPECT_DOUBLE_EQ(array.SlotUtilization(3), 3.0 / 4.0);
 }
 
 TEST(DiskArraySpareDeathTest, PromoteRequiresFailedSlot) {
@@ -354,8 +393,8 @@ int32_t NaiveIdleAvailableCount(const DiskArray& array) {
 
 // Random health, busy and exclusion states over several intervals, on
 // array sizes around the 64-bit word boundaries, with spares written to
-// (their busy bits sit past slot D - 1 in the same words) and failed
-// slots rewired onto promoted spares.
+// (their busy bits sit past slot D - 1 in the same words) and spares
+// promoted into failed slots.
 TEST(DiskArrayScanTest, WordScansMatchPerSlotWalk) {
   for (const int32_t d : {1, 5, 63, 64, 65, 127, 130, 200}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -363,7 +402,7 @@ TEST(DiskArrayScanTest, WordScansMatchPerSlotWalk) {
       Rng rng(seed * 7919 + static_cast<uint64_t>(d));
       Bitmap exclude(d);
       if (seed % 2 == 0) {
-        // Start remapped: a failed slot already rewired onto a spare.
+        // Start with a spare already promoted into a failed slot.
         const DiskId slot = static_cast<DiskId>(seed % static_cast<uint64_t>(d));
         array.FailDisk(slot);
         auto drive = array.AcquireSpare();
@@ -440,26 +479,20 @@ TEST(DiskArrayScanTest, WordScansMatchPerSlotWalk) {
 // time; every utilization read must still equal a plain per-drive count.
 // Each interval reserves through every path — single slots, runs that
 // wrap at D, a rotated set of virtual disks, and writes on a spare —
-// and halfway through a failed slot is rewired onto that spare, so the
+// and halfway through the spare is swapped into a failed slot, so the
 // slot reports the spare's count (writes before the promotion included)
-// and the reservations fall back to per-slot.
+// and the dead drive's count moves to the spare's index.
 TEST(DiskArrayTest, BitSlicedBusyCountsMatchNaiveCounts) {
   constexpr int kIntervals = 5000;
   for (const int32_t d : {70, 1000}) {
     DiskArray array = MakeArrayWithSpares(d, 1);
     const int32_t spare = d;  // the spare's drive index
     const DiskId promoted = d / 3;
-    std::vector<int32_t> slot_to_drive(static_cast<size_t>(d));
-    for (int32_t i = 0; i < d; ++i) slot_to_drive[static_cast<size_t>(i)] = i;
     std::vector<int64_t> naive(static_cast<size_t>(d + 1), 0);
     std::vector<bool> busy(static_cast<size_t>(d + 1), false);
     Rng rng(static_cast<uint64_t>(d) * 7919);
-    const auto idle = [&](DiskId slot) {
-      return !busy[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])];
-    };
-    const auto mark = [&](DiskId slot) {
-      busy[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])] = true;
-    };
+    const auto idle = [&](DiskId slot) { return !busy[static_cast<size_t>(slot)]; };
+    const auto mark = [&](DiskId slot) { busy[static_cast<size_t>(slot)] = true; };
     const auto random_slot = [&] {
       return static_cast<DiskId>(rng.NextBounded(static_cast<uint64_t>(d)));
     };
@@ -471,7 +504,8 @@ TEST(DiskArrayTest, BitSlicedBusyCountsMatchNaiveCounts) {
         ASSERT_TRUE(drive.ok());
         ASSERT_EQ(*drive, spare);
         array.PromoteSpare(promoted, spare);
-        slot_to_drive[static_cast<size_t>(promoted)] = spare;
+        std::swap(naive[static_cast<size_t>(promoted)],
+                  naive[static_cast<size_t>(spare)]);
       }
       // A rebuild write on the spare before it is promoted.
       if (t < kIntervals / 2 && rng.NextBool(0.3)) {
@@ -518,8 +552,7 @@ TEST(DiskArrayTest, BitSlicedBusyCountsMatchNaiveCounts) {
       double sum = 0.0, hi = 0.0, lo = 1.0;
       for (DiskId slot = 0; slot < d; ++slot) {
         const double expected =
-            static_cast<double>(
-                naive[static_cast<size_t>(slot_to_drive[static_cast<size_t>(slot)])]) /
+            static_cast<double>(naive[static_cast<size_t>(slot)]) /
             static_cast<double>(t);
         ASSERT_EQ(array.SlotUtilization(slot), expected)
             << "D=" << d << " interval " << t << " slot " << slot;
@@ -586,7 +619,7 @@ TEST(DiskArrayLatentTest, PerDiskIndexMatchesCells) {
     ASSERT_EQ(latent.ActiveCells(), cells);
     ASSERT_TRUE(latent.AuditIndex().ok()) << latent.AuditIndex();
   }
-  // A spare promotion drops the rewired slot's cells from the index.
+  // A spare promotion drops the rebuilt slot's cells from the index.
   latent.Inject(5, 0, 2);
   array.FailDisk(5);
   auto drive = array.AcquireSpare();

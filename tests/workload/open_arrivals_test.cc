@@ -29,12 +29,21 @@ class DelayService : public MediaService {
   SimTime duration_;
 };
 
+/// A plain Poisson stream: every workload-shape extension off.
+OpenArrivalsConfig PlainPoisson(SimTime mean_interarrival, uint64_t seed) {
+  OpenArrivalsConfig config;
+  config.mean_interarrival = mean_interarrival;
+  config.seed = seed;
+  return config;
+}
+
 TEST(OpenArrivalsTest, PoissonRateApproximatelyLambda) {
   Simulator sim;
   DelayService service(&sim, SimTime::Seconds(1));
   auto dist = UniformDistribution::Create(50);
   ASSERT_TRUE(dist.ok());
-  OpenArrivals arrivals(&sim, &service, &*dist, SimTime::Seconds(10), 3);
+  OpenArrivals arrivals(&sim, &service, &*dist,
+                        PlainPoisson(SimTime::Seconds(10), 3));
   arrivals.Start();
   sim.RunUntil(SimTime::Hours(10));
   // Expected 3600 arrivals over 10 h; Poisson sigma = 60.
@@ -47,7 +56,8 @@ TEST(OpenArrivalsTest, CompletionsTrailArrivals) {
   DelayService service(&sim, SimTime::Minutes(5));
   auto dist = UniformDistribution::Create(50);
   ASSERT_TRUE(dist.ok());
-  OpenArrivals arrivals(&sim, &service, &*dist, SimTime::Seconds(30), 4);
+  OpenArrivals arrivals(&sim, &service, &*dist,
+                        PlainPoisson(SimTime::Seconds(30), 4));
   arrivals.Start();
   sim.RunUntil(SimTime::Hours(1));
   EXPECT_GT(arrivals.requests_issued(), arrivals.displays_completed());
@@ -61,7 +71,8 @@ TEST(OpenArrivalsTest, StopHaltsTheStream) {
   DelayService service(&sim, SimTime::Seconds(1));
   auto dist = UniformDistribution::Create(10);
   ASSERT_TRUE(dist.ok());
-  OpenArrivals arrivals(&sim, &service, &*dist, SimTime::Seconds(5), 5);
+  OpenArrivals arrivals(&sim, &service, &*dist,
+                        PlainPoisson(SimTime::Seconds(5), 5));
   arrivals.Start();
   sim.RunUntil(SimTime::Minutes(5));
   const int64_t at_stop = arrivals.requests_issued();
@@ -87,7 +98,8 @@ TEST(OpenArrivalsTest, DrivesTheRealServerHiccupFree) {
 
   auto dist = TruncatedGeometric::FromMean(30, 5);
   ASSERT_TRUE(dist.ok());
-  OpenArrivals arrivals(&sim, server->get(), &*dist, SimTime::Seconds(20), 6);
+  OpenArrivals arrivals(&sim, server->get(), &*dist,
+                        PlainPoisson(SimTime::Seconds(20), 6));
   arrivals.Start();
   sim.RunUntil(SimTime::Hours(2));
   EXPECT_GT(arrivals.displays_completed(), 0);

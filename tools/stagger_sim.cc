@@ -356,6 +356,11 @@ int Run(int argc, char** argv) {
     std::printf("mean time to repair   %.1f s\n",
                 result->mean_time_to_repair_sec);
   }
+  if (cfg.num_spares > 0) {
+    std::printf("rebuilds              %lld completed, %lld fragments rebuilt\n",
+                static_cast<long long>(result->rebuilds_completed),
+                static_cast<long long>(result->fragments_rebuilt));
+  }
   if (cfg.scrub) {
     std::printf("scrub                 %lld stripes verified, %lld passes\n",
                 static_cast<long long>(result->scrub_stripes_verified),
