@@ -2,11 +2,9 @@
 //
 // The interval scheduler exposes one idle-bandwidth hook per interval:
 // whatever disks display traffic left idle may be used for maintenance
-// work.  Historically the rebuild manager was the only taker and did
-// its own availability checks; with scrubbing (src/scrub/) joining —
-// and GC/replication expected later (ROADMAP item 3) — the accounting
-// moves here so consumers cannot fight over the same idle disk or
-// starve one another.
+// work.  Two consumers take it, the rebuild manager (src/rebuild/) and
+// the scrubber (src/scrub/); the accounting lives here so they cannot
+// fight over the same idle disk or starve one another.
 //
 // Per interval the arbiter measures the idle bandwidth
 // (DiskArray::IdleAvailableCount), then offers each registered consumer

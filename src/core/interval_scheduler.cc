@@ -70,7 +70,7 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
                                      SchedulerConfig config,
                                      VirtualDiskFrame frame)
     : sim_(sim), disks_(disks), config_(config), frame_(frame),
-      buffers_(config.buffer_capacity_fragments), epoch_(sim->Now()),
+      epoch_(sim->Now()),
       vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream),
       vdisk_occupied_(frame) {
   scratch_taken_.Resize(disks->num_disks());
@@ -261,8 +261,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
   lanes.Assign(1);
   lanes[0].vdisk = v0;
   lanes[0].width = m;
-  AdmitStream(p, std::move(lanes), /*delta_max=*/0, /*fragmented=*/false,
-              /*buffer_frags=*/0);
+  AdmitStream(p, std::move(lanes), /*delta_max=*/0, /*fragmented=*/false);
   return true;
 }
 
@@ -306,20 +305,18 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   scratch_taken_bits_.clear();
   if (!ok) return false;
 
-  int64_t buffer_frags = 0;
+  // A lane aligned before delta_max reads ahead into buffer, which
+  // makes the stream fragmented (Algorithm 1).
+  bool fragmented = false;
   for (int32_t j = 0; j < m; ++j) {
-    buffer_frags += delta_max - lanes[static_cast<size_t>(j)].next_read_tau;
+    fragmented |= lanes[static_cast<size_t>(j)].next_read_tau < delta_max;
   }
-  if (!buffers_.TryReserve(buffer_frags)) return false;
-
-  AdmitStream(p, std::move(lanes), delta_max, /*fragmented=*/buffer_frags > 0,
-              buffer_frags);
+  AdmitStream(p, std::move(lanes), delta_max, fragmented);
   return true;
 }
 
 void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
-                                    int64_t delta_max, bool fragmented,
-                                    int64_t buffer_frags) {
+                                    int64_t delta_max, bool fragmented) {
   const int32_t slot = AllocSlot();
   Stream& s = slots_[static_cast<size_t>(slot)];
   s.id = p.id;
@@ -333,10 +330,9 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.lanes = std::move(lanes);
   s.delivered = 0;
   s.fragmented = fragmented;
-  s.steady = buffer_frags == 0;
+  s.steady = !fragmented;
   s.admission = next_admission_++;
   s.parity = p.req.parity;
-  s.buffer_reserved = buffer_frags;
   s.resumed_mid_display = p.started;
   s.on_completed = p.req.on_completed;
   s.on_started = p.req.on_started;
@@ -872,20 +868,14 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   lane.next_read_tau = best_resume;
   ++metrics_.coalesce_migrations;
 
-  // Shrink the buffer reservation to the new steady-state backlog; the
-  // stream stays fragmented while any lane leads.
-  int64_t new_reserved = 0;
+  // The stream stays fragmented while any unfinished lane leads.
   s->fragmented = false;
   for (const FragmentLane& l : s->lanes) {
-    if (l.reads_done >= s->num_subobjects) continue;
-    const int64_t lead = s->delta_max - (l.next_read_tau - l.reads_done);
-    if (lead <= 0) continue;
-    new_reserved += lead;
-    s->fragmented = true;
-  }
-  if (new_reserved < s->buffer_reserved) {
-    buffers_.Release(s->buffer_reserved - new_reserved);
-    s->buffer_reserved = new_reserved;
+    if (l.reads_done < s->num_subobjects &&
+        s->delta_max > l.next_read_tau - l.reads_done) {
+      s->fragmented = true;
+      break;
+    }
   }
 }
 
@@ -921,10 +911,6 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
   Stream& s = slots_[static_cast<size_t>(slot)];
   buffered_fragments_ -= s.TotalBufferedFragments();
   for (FragmentLane& lane : s.lanes) ReleaseLane(s, &lane, lane.width);
-  if (s.buffer_reserved > 0) {
-    buffers_.Release(s.buffer_reserved);
-    s.buffer_reserved = 0;
-  }
   auto on_completed = std::move(s.on_completed);
   // Reset the slot for reuse; lanes keep their capacity, callbacks drop
   // their captures.

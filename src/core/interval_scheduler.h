@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/buffer_pool.h"
 #include "core/stream.h"
 #include "core/virtual_disk.h"
 #include "disk/disk_array.h"
@@ -123,8 +122,6 @@ struct SchedulerConfig {
   bool coalesce = false;
   /// Max alignment delay (intervals) accepted for a fragmented lane.
   int64_t fragmented_lookahead = 16;
-  /// Buffer budget in fragments; <= 0 means unlimited.
-  int64_t buffer_capacity_fragments = 0;
   /// Reaction to reads landing on failed/stalled disks (src/fault/).
   DegradedPolicy degraded_policy = DegradedPolicy::kRemapOrPause;
   /// A stream paused longer than this is cancelled as an interrupted
@@ -278,7 +275,7 @@ class IntervalScheduler {
   bool TryAdmitContiguous(const Pending& p);
   bool TryAdmitFragmented(const Pending& p);
   void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
-                   bool fragmented, int64_t buffer_frags);
+                   bool fragmented);
   void AdvanceStreams();
   /// Fills scratch_due_, in ascending id, with this tick's calendar
   /// events, the steady streams reading over a faulty slot, and every
@@ -333,7 +330,6 @@ class IntervalScheduler {
   DiskArray* disks_;
   SchedulerConfig config_;
   VirtualDiskFrame frame_;
-  BufferPool buffers_;
   SimTime epoch_;
   int64_t interval_index_ = 0;
 

@@ -336,13 +336,12 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       << unsteady.size() << " active streams are";
 
   // Forward ownership: every active lane owns exactly the virtual disks
-  // of its run, and buffer accounting balances against the pool.  A
+  // of its run, and the buffered-fragment count balances.  A
   // steady stream's cursors are read through its closed form; the tick
   // stores them only when it visits the stream.
   const int32_t rot = s.frame_.RotationAt(s.interval_index_);
   int64_t owned_vdisks = 0;
   int64_t reading_vdisks = 0;
-  int64_t total_reserved = 0;
   int64_t total_buffered = 0;
   for (const auto& [id, slot] : s.active_) {
     STAGGER_AUDIT_VERIFY(slot >= 0 &&
@@ -369,9 +368,8 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(delivered == due)
         << "; stream " << id << " delivered " << delivered
         << " subobjects at tau " << tau << ", Algorithm 1 requires " << due;
-    STAGGER_AUDIT_VERIFY(!stream.steady || stream.buffer_reserved == 0)
-        << "; steady stream " << id << " reserves "
-        << stream.buffer_reserved << " buffer fragments";
+    STAGGER_AUDIT_VERIFY(!stream.steady || !stream.fragmented)
+        << "; steady stream " << id << " is marked fragmented";
 
     bool any_lane_leads = false;
     // Lanes partition the stripe: their widths sum to the degree, and
@@ -453,9 +451,6 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(!any_lane_leads || stream.fragmented)
         << "; stream " << id
         << " reads ahead on some lane but is not marked fragmented";
-    STAGGER_AUDIT_VERIFY(stream.buffer_reserved >= 0)
-        << "; stream " << id << " has negative buffer reservation";
-    total_reserved += stream.buffer_reserved;
     total_buffered += stream.TotalBufferedFragments();
   }
 
@@ -513,9 +508,6 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       << " bits (" << s.scratch_taken_bits_.size()
       << " listed) between admissions";
 
-  STAGGER_AUDIT_VERIFY(total_reserved == s.buffers_.reserved())
-      << "; streams reserve " << total_reserved
-      << " buffer fragments but the pool records " << s.buffers_.reserved();
   // The incremental buffered-fragments counter must equal a full
   // recomputation over the active streams.
   STAGGER_AUDIT_VERIFY(total_buffered == s.buffered_fragments_)

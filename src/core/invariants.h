@@ -129,8 +129,9 @@ class InvariantAuditor {
   /// Walks the interval scheduler's occupancy and stream state:
   /// virtual-disk ownership is consistent both ways, every active lane
   /// is within delta_max of the output clock (buffer non-underflow),
-  /// delivery progress matches the interval arithmetic exactly, buffer
-  /// accounting balances against the pool, and zero hiccups occurred.
+  /// delivery progress matches the interval arithmetic exactly, the
+  /// buffered-fragment count matches its recomputation, and zero
+  /// hiccups occurred.
   static Status AuditScheduler(const IntervalScheduler& scheduler);
 
   /// Walks the logical-disk scheduler: per-virtual-disk unit usage is

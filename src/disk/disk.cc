@@ -25,7 +25,6 @@ void Disk::FreeStorage(int64_t cylinders) {
 }
 
 void Disk::Fail() {
-  if (available()) down_since_ = now_intervals();
   health_ = DiskHealth::kFailed;
   degraded_percent_ = 0;
   degraded_credit_ = 0;
@@ -33,10 +32,7 @@ void Disk::Fail() {
 }
 
 void Disk::Stall() {
-  if (health_ == DiskHealth::kHealthy) {
-    down_since_ = now_intervals();
-    health_ = DiskHealth::kStalled;
-  }
+  if (health_ == DiskHealth::kHealthy) health_ = DiskHealth::kStalled;
 }
 
 void Disk::Degrade(int32_t percent) {
@@ -49,24 +45,16 @@ void Disk::Degrade(int32_t percent) {
   degraded_percent_ = percent;
   degraded_credit_ = 0;
   degraded_serving_ = false;
-  down_since_ = now_intervals();
 }
 
 void Disk::AdvanceDegradedInterval() {
   STAGGER_CHECK(health_ == DiskHealth::kDegraded);
-  const bool was = degraded_serving_;
   degraded_credit_ += degraded_percent_;
   degraded_serving_ = degraded_credit_ >= 100;
   if (degraded_serving_) degraded_credit_ -= 100;
-  if (was && !degraded_serving_) {
-    down_since_ = now_intervals();
-  } else if (!was && degraded_serving_) {
-    down_accumulated_ += now_intervals() - down_since_;
-  }
 }
 
 void Disk::Recover() {
-  if (!available()) down_accumulated_ += now_intervals() - down_since_;
   health_ = DiskHealth::kHealthy;
   degraded_percent_ = 0;
   degraded_credit_ = 0;

@@ -33,13 +33,12 @@ enum class DiskHealth {
   kDegraded,
 };
 
-/// \brief Interval clock shared by every drive of one DiskArray.
+/// \brief Interval clock of one DiskArray.
 ///
-/// The array advances this single counter at interval close; drives
-/// read it lazily for down-time accounting, so health transitions and
-/// interval close never walk the drive list.  The struct lives on the
-/// heap (owned by the array through a unique_ptr) so drive-held
-/// pointers survive moves of the DiskArray itself.
+/// The array advances this single counter at interval close; the
+/// array's latent-error map reads it to stamp detection and repair
+/// intervals.  The struct lives on the heap (owned by the array through
+/// a unique_ptr) so the map's pointer survives moves of the DiskArray.
 struct IntervalClock {
   /// Intervals closed so far.
   int64_t intervals = 0;
@@ -49,20 +48,15 @@ struct IntervalClock {
 ///
 /// Storage is allocated in whole cylinders (the fragment granularity of
 /// the paper).  A drive keeps no busy state: per-interval busy/idle
-/// bookkeeping lives in its DiskArray's dense bitmap and counters
+/// bookkeeping lives in its DiskArray's dense bitmap
 /// (DiskArray::ReserveSlot et al.), so the scheduler's reservation hot
-/// path touches two cache-resident arrays instead of D scattered
+/// path touches one cache-resident array instead of D scattered
 /// objects.
 class Disk {
  public:
   explicit Disk(const DiskParameters& params)
       : free_cylinders_(params.num_cylinders),
         total_cylinders_(params.num_cylinders) {}
-
-  /// Binds the drive to its array's shared interval clock, which
-  /// supplies the interval count for down-time accounting.  An
-  /// unattached drive reads interval 0.
-  void AttachClock(IntervalClock* clock) { clock_ = clock; }
 
   // --- storage ---------------------------------------------------------
   int64_t total_cylinders() const { return total_cylinders_; }
@@ -102,7 +96,7 @@ class Disk {
   /// `percent` must be in [1, 99].
   void Degrade(int32_t percent);
   /// Advances the duty cycle of a degraded drive by one interval;
-  /// called by DiskArray::EndInterval after the shared clock ticks.
+  /// called by DiskArray::EndInterval at interval close.
   /// Precondition: health() == kDegraded.
   void AdvanceDegradedInterval();
   /// True when a degraded drive serves reads this interval.
@@ -112,25 +106,11 @@ class Disk {
   int32_t degraded_percent() const { return degraded_percent_; }
   /// Restores the drive to healthy from any degraded state.
   void Recover();
-  /// Intervals elapsed while the disk was failed or stalled.
-  int64_t down_intervals() const {
-    return down_accumulated_ +
-           (available() ? 0 : now_intervals() - down_since_);
-  }
 
  private:
-  int64_t now_intervals() const {
-    return clock_ ? clock_->intervals : 0;
-  }
-
   int64_t free_cylinders_;
   int64_t total_cylinders_;
   DiskHealth health_ = DiskHealth::kHealthy;
-  IntervalClock* clock_ = nullptr;
-  /// Down-time bookkeeping is lazy: transitions record the clock, the
-  /// getter adds the open span — interval close stays O(reserved).
-  int64_t down_accumulated_ = 0;
-  int64_t down_since_ = 0;
   /// Degrade duty cycle (health_ == kDegraded only): serving intervals
   /// are paced by an integer error accumulator, Bresenham-style.
   int32_t degraded_percent_ = 0;

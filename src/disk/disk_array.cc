@@ -7,18 +7,6 @@
 
 namespace stagger {
 
-namespace {
-
-/// Exchanges bits i and j of the word array `words`.
-void SwapBits(uint64_t* words, uint32_t i, uint32_t j) {
-  const uint64_t differ =
-      ((words[i >> 6] >> (i & 63)) ^ (words[j >> 6] >> (j & 63))) & 1;
-  words[i >> 6] ^= differ << (i & 63);
-  words[j >> 6] ^= differ << (j & 63);
-}
-
-}  // namespace
-
 Result<DiskArray> DiskArray::Create(int32_t num_disks, const DiskParameters& params,
                                     int32_t num_spares) {
   if (num_disks < 1) {
@@ -43,10 +31,7 @@ DiskArray::DiskArray(std::vector<Disk> drives, DiskParameters params,
       latent_errors_(std::make_unique<LatentErrorMap>(num_slots)) {
   latent_errors_->AttachClock(clock_.get());
   for (int32_t s = 0; s < num_spares; ++s) free_spares_.push_back(num_slots + s);
-  for (Disk& d : drives_) d.AttachClock(clock_.get());
   busy_drives_.Resize(static_cast<int32_t>(drives_.size()));
-  busy_planes_.assign(
-      kCountPlanes * static_cast<size_t>(busy_drives_.num_words()), 0);
   unavailable_slots_.Resize(num_slots);
 }
 
@@ -169,20 +154,15 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   STAGGER_CHECK_OK(fresh.AllocateStorage(used));
   old.FreeStorage(used);
   claimed_spares_.erase(it);
-  // Swap the spare into the slot's index: the drive, its busy bit (a
-  // rebuild write may have reserved it this interval) and its count in
-  // every plane.  The dead drive stays retired at the spare's index: it
-  // is reachable by no slot and never returns to the spare pool.
+  // Swap the spare into the slot's index: the drive and its busy bit (a
+  // rebuild write may have reserved it this interval).  The dead drive
+  // stays retired at the spare's index: it is reachable by no slot and
+  // never returns to the spare pool.
   std::swap(old, fresh);
   const bool slot_busy = busy_drives_.Test(slot);
   if (busy_drives_.Test(drive) != slot_busy) {
     busy_drives_.Set(slot_busy ? drive : slot);
     busy_drives_.Clear(slot_busy ? slot : drive);
-  }
-  const size_t words = static_cast<size_t>(busy_drives_.num_words());
-  for (size_t b = 0; b < kCountPlanes; ++b) {
-    SwapBits(&busy_planes_[b * words], static_cast<uint32_t>(slot),
-             static_cast<uint32_t>(drive));
   }
   // The slot flips from failed to healthy: its new drive is fresh.
   NoteAvailabilityChange(slot, /*was=*/false);
@@ -192,34 +172,16 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   latent_errors_->DropDiskRebuilt(slot);
 }
 
-int64_t DiskArray::BusyIntervals(size_t drive) const {
-  const size_t words = static_cast<size_t>(busy_drives_.num_words());
-  const size_t w = drive >> 6;
-  const uint32_t bit = static_cast<uint32_t>(drive) & 63;
-  uint64_t count = 0;
-  for (size_t b = 0; b < kCountPlanes; ++b) {
-    count |= ((busy_planes_[b * words + w] >> bit) & 1) << b;
-  }
-  return static_cast<int64_t>(count);
-}
-
 STAGGER_HOT_PATH void DiskArray::EndInterval() {
-  // Add this interval's busy word into the bit-sliced counters, 64
-  // drives per step: each plane takes the carry XOR, and the carry out
-  // is the bits that were already set.  The chain stops at the first
-  // plane no drive of the word carries into; a drive carries into plane
-  // b once per 2^b of its busy intervals, so a word costs a few planes
-  // and an idle word none.
-  const size_t words = static_cast<size_t>(busy_drives_.num_words());
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t carry = busy_drives_.word(static_cast<int32_t>(w));
-    for (size_t i = w; carry != 0; i += words) {
-      STAGGER_DCHECK(i < busy_planes_.size()) << "busy counter overflow";
-      const uint64_t plane = busy_planes_[i];
-      busy_planes_[i] = plane ^ carry;
-      carry &= plane;
-    }
+  // Count the busy slots; the spares' bits are masked out.  Idle words
+  // are common (a light load leaves most of the array idle) and skip the
+  // count.
+  int64_t busy = 0;
+  for (int32_t w = 0; w < unavailable_slots_.num_words(); ++w) {
+    const uint64_t word = busy_drives_.word(w) & SlotMask(w);
+    if (word != 0) busy += std::popcount(word);
   }
+  busy_slot_intervals_ += busy;
   busy_drives_.ClearAll();
   ++clock_->intervals;
   if (!degraded_slots_.empty()) {
@@ -248,25 +210,10 @@ int64_t DiskArray::FreeCylinders() const {
 }
 
 double DiskArray::MeanUtilization() const {
-  double sum = 0.0;
-  for (int32_t d = 0; d < num_slots_; ++d) sum += SlotUtilization(d);
-  return sum / static_cast<double>(num_slots_);
-}
-
-double DiskArray::MaxUtilization() const {
-  double best = 0.0;
-  for (int32_t d = 0; d < num_slots_; ++d) {
-    best = std::max(best, SlotUtilization(d));
-  }
-  return best;
-}
-
-double DiskArray::MinUtilization() const {
-  double best = 1.0;
-  for (int32_t d = 0; d < num_slots_; ++d) {
-    best = std::min(best, SlotUtilization(d));
-  }
-  return best;
+  const int64_t slot_intervals = int64_t{num_slots_} * clock_->intervals;
+  return slot_intervals == 0 ? 0.0
+                             : static_cast<double>(busy_slot_intervals_) /
+                                   static_cast<double>(slot_intervals);
 }
 
 int64_t DiskArray::MaxUsedCylinders() const {

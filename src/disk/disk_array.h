@@ -6,25 +6,29 @@
 // created with S spare drives beyond the D addressable slots.  Layouts
 // and schedulers address *slots*, and slot i is always drive index i.
 // Promoting a spare swaps it into the failed slot's index — the drive
-// object, its busy bit and its busy-interval count — so the dead drive
-// moves to the spare's index, which no slot reaches.  No fragment is
-// renamed, so a rebuilt array is bit-identical to the pre-failure
-// placement in slot space — the invariant the rebuild subsystem audits.
+// object and its busy bit — so the dead drive moves to the spare's
+// index, which no slot reaches.  No fragment is renamed, so a rebuilt
+// array is bit-identical to the pre-failure placement in slot space —
+// the invariant the rebuild subsystem audits.
 //
-// Per-interval cost: busy state is a drive-indexed bitmap plus
-// bit-sliced busy-interval counters, both owned by the array.  Its first
-// D bits are the slots' busy bits, so reserving a slot is one
-// L1-resident bitmap store with no division (ReserveSlot), a run of
-// adjacent slots a couple of masked word-ORs (ReserveRun), and a whole
-// rotated set of virtual disks one word pass (ReserveRotated).  Closing
-// an interval adds the bitmap into the counters a word at a time — a
-// carry-propagating XOR/AND down the bit planes, 64 drives per step —
-// and clears it word-by-word, so its cost follows the words, not the
-// busy drives.  Slot availability is mirrored in a bitmap so
+// Per-interval cost: busy state is a drive-indexed bitmap owned by the
+// array.  Its first D bits are the slots' busy bits, so reserving a
+// slot is one L1-resident bitmap store with no division (ReserveSlot),
+// a run of adjacent slots a couple of masked word-ORs (ReserveRun), and
+// a whole rotated set of virtual disks one word pass (ReserveRotated).
+// Closing an interval adds the popcount of the slot words to one running
+// count of busy slot-intervals and clears the bitmap, O((D + S)/64)
+// words.  Slot availability is mirrored in a bitmap so
 // AvailableCount()/UnavailableCount() are O(1) — the scheduler's
 // healthy-path test per tick — and the idle-and-available queries
 // (FirstIdleAvailableSlot, IdleAvailableCount) are word scans over
 // unavailable | busy, O(D/64).
+//
+// Utilization is one figure, the mean over the D slots
+// (MeanUtilization): the running count of busy slot-intervals over
+// D x intervals().  Spare bits (index >= D) are never counted, so a
+// spare's writes before its promotion leave the count alone; a write
+// made in the promoting interval counts once, as the slot's.
 
 #ifndef STAGGER_DISK_DISK_ARRAY_H_
 #define STAGGER_DISK_DISK_ARRAY_H_
@@ -91,8 +95,8 @@ class DiskArray {
   STAGGER_HOT_PATH bool DriveBusy(int32_t drive) const { return busy_drives_.Test(drive); }
 
   /// Marks physical drive `drive` busy for the current interval; same
-  /// preconditions as ReserveSlot.  Busy-interval counters are folded
-  /// in at EndInterval, so the hot path is a single bitmap store.
+  /// preconditions as ReserveSlot.  The busy count is taken at
+  /// EndInterval, so the hot path is a single bitmap store.
   STAGGER_HOT_PATH void ReserveDrive(int32_t drive) {
     STAGGER_DCHECK(!busy_drives_.Test(drive))
         << "drive " << drive << " reserved twice in one interval";
@@ -196,19 +200,18 @@ class DiskArray {
   void ReturnSpare(int32_t drive);
   /// Swaps the claimed spare `drive` into `slot` and marks the slot
   /// healthy.  The failed drive's storage accounting transfers to the
-  /// spare so later frees balance.  The spare's busy bit and
-  /// busy-interval count move with it (a rebuild write may already have
-  /// reserved it this interval); the dead drive is retired at index
-  /// `drive`, which no slot reaches.
+  /// spare so later frees balance.  The spare's busy bit moves with it
+  /// (a rebuild write may already have reserved it this interval, and
+  /// SlotBusy must see it); the dead drive is retired at index `drive`,
+  /// which no slot reaches.
   /// Preconditions: the slot's current drive is failed; `drive` was
   /// returned by AcquireSpare and not yet promoted or returned.
   void PromoteSpare(DiskId slot, int32_t drive);
 
-  /// Ends the current interval: adds the busy bitmap (slots and spares
-  /// alike — rebuild writes reserve through the same bitmap) into the
-  /// busy-interval counters, clears it, and advances the shared interval
-  /// counter.  O((D + S)/64) words; a word's carry chain stops at the
-  /// first plane none of its drives carries into.
+  /// Ends the current interval: adds the busy slots (bits at or past D,
+  /// the spares, are masked out) to the running busy count, clears the
+  /// busy bitmap, and advances the shared interval counter.
+  /// O((D + S)/64) words.
   STAGGER_HOT_PATH void EndInterval();
 
   // --- aggregate storage ------------------------------------------------
@@ -218,24 +221,10 @@ class DiskArray {
     return params_.cylinder_capacity * TotalCylinders();
   }
 
-  /// Fraction of elapsed intervals `slot`'s current drive spent
-  /// transferring (after a promotion the slot reports its new drive,
-  /// writes before the promotion included).  Reservations are folded
-  /// into the counters at interval close, so the current open interval
-  /// is not yet counted.
-  double SlotUtilization(DiskId slot) const {
-    const int64_t total = clock_->intervals;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(BusyIntervals(static_cast<size_t>(slot))) /
-                     static_cast<double>(total);
-  }
-
-  /// Mean per-disk utilization over all elapsed intervals.
+  /// Mean per-slot utilization over all elapsed intervals: busy
+  /// slot-intervals over D x intervals().  Reservations are counted at
+  /// interval close, so the current open interval is not yet included.
   double MeanUtilization() const;
-  /// Max/min per-disk utilization — data-skew indicators (Section 3.2.2).
-  double MaxUtilization() const;
-  double MinUtilization() const;
 
   /// Largest and smallest per-disk used storage, for skew analysis.
   int64_t MaxUsedCylinders() const;
@@ -252,20 +241,20 @@ class DiskArray {
   /// Removes `slot` from the degraded-slot walk list.
   void DropDegradedSlot(DiskId slot);
 
-  /// Word `w` of the slots idle AND available this interval, bits at or
-  /// past D cleared.  Slot i is drive i, so the busy bitmap's word is
-  /// the slots' busy word (its bits past D belong to spares and are
-  /// masked here).
-  STAGGER_HOT_PATH uint64_t IdleAvailableWord(int32_t w) const {
-    uint64_t free = ~(unavailable_slots_.word(w) | busy_drives_.word(w));
-    if (w == unavailable_slots_.num_words() - 1 && (num_slots_ & 63) != 0) {
-      free &= ~uint64_t{0} >> (64 - (num_slots_ & 63));
-    }
-    return free;
+  /// The slot bits of word `w`: all ones, except that the last slot
+  /// word clears its bits at or past D (in the busy bitmap those belong
+  /// to spares).
+  STAGGER_HOT_PATH uint64_t SlotMask(int32_t w) const {
+    return w == unavailable_slots_.num_words() - 1 && (num_slots_ & 63) != 0
+               ? ~uint64_t{0} >> (64 - (num_slots_ & 63))
+               : ~uint64_t{0};
   }
 
-  /// Intervals `drive` spent transferring, read back from the bit planes.
-  int64_t BusyIntervals(size_t drive) const;
+  /// Word `w` of the slots idle AND available this interval.  Slot i is
+  /// drive i, so the busy bitmap's word is the slots' busy word.
+  STAGGER_HOT_PATH uint64_t IdleAvailableWord(int32_t w) const {
+    return ~(unavailable_slots_.word(w) | busy_drives_.word(w)) & SlotMask(w);
+  }
 
   /// All physical drives: index i < D is slot i's drive, [D, D + S)
   /// the spares.  Promotion swaps a spare into its slot's index.
@@ -277,20 +266,16 @@ class DiskArray {
   std::vector<int32_t> free_spares_;
   /// Spare drive indices claimed by AcquireSpare, pending promotion.
   std::vector<int32_t> claimed_spares_;
-  /// Shared interval clock; heap-allocated so the drives' back-pointers
-  /// (used for lazy down-time accounting) survive moves of the array.
+  /// Shared interval clock; heap-allocated so the latent-error map's
+  /// back-pointer (it stamps detection and repair intervals) survives
+  /// moves of the array.
   std::unique_ptr<IntervalClock> clock_;
   /// Bit set == drive is transferring this interval, indexed like
   /// drives_ (PromoteSpare swaps the bits along with the drives).
   Bitmap busy_drives_;
-  /// Per-drive count of intervals spent transferring, bit-sliced:
-  /// bit i of busy_planes_[b * W + w] (W = busy_drives_.num_words()) is
-  /// bit b of drive 64w + i's count.  Plane-major, so the fold's common
-  /// case — plane 0 of every word — is one sequential sweep.  64 planes
-  /// hold any count up to 2^64 - 1, and a count never exceeds
-  /// intervals(), an int64, so the fold cannot overflow.
-  static constexpr size_t kCountPlanes = 64;
-  std::vector<uint64_t> busy_planes_;
+  /// Slot-intervals spent transferring, summed over the D slots and every
+  /// closed interval.
+  int64_t busy_slot_intervals_ = 0;
   /// Bit set == slot's drive is failed, stalled, or degraded-and-not-
   /// serving this interval.
   Bitmap unavailable_slots_;

@@ -57,6 +57,10 @@ Status ExperimentConfig::Validate() const {
   if (measure <= SimTime::Zero()) {
     return Status::InvalidArgument("measurement window must be positive");
   }
+  if (Degree() < 1) {
+    return Status::InvalidArgument(
+        "display bandwidth gives a degree of declustering below 1");
+  }
   if (Degree() > num_disks) {
     return Status::InvalidArgument("degree of declustering exceeds D");
   }

@@ -90,9 +90,9 @@ struct ExperimentConfig {
   SimTime mean_think_time = SimTime::Zero();
   uint64_t seed = 20240101;
 
-  // Open-arrivals workload (ROADMAP item 5): replaces the closed
-  // station pool with a Poisson stream whose rate and popularity vary
-  // over time.  See workload/open_arrivals.h for the shape knobs.
+  // Open-arrivals workload: replaces the closed station pool with a
+  // Poisson stream whose rate and popularity vary over time.  See
+  // workload/open_arrivals.h for the shape knobs.
   bool open_arrivals = false;
   SimTime mean_interarrival = SimTime::Seconds(30);
   /// Zipf skew for open-arrivals popularity; 0 keeps the paper's

@@ -30,20 +30,9 @@ Status StripedConfig::Validate() const {
     return Status::InvalidArgument(
         "fragmented admission requires a positive lookahead");
   }
-  if (coalesce) {
-    if (policy != AdmissionPolicy::kFragmented) {
-      return Status::InvalidArgument(
-          "coalescing (Algorithm 2) requires the fragmented policy");
-    }
-    // A coalescing lane buffers up to delta_max <= lookahead fragments
-    // while it drains; a bounded pool smaller than that can never hold
-    // one migrated lane's lead, so migrations would never be admitted.
-    if (buffer_capacity_fragments > 0 &&
-        buffer_capacity_fragments < fragmented_lookahead) {
-      return Status::InvalidArgument(
-          "coalescing needs a buffer pool of at least one lookahead's "
-          "worth of fragments (or an unlimited pool)");
-    }
+  if (coalesce && policy != AdmissionPolicy::kFragmented) {
+    return Status::InvalidArgument(
+        "coalescing (Algorithm 2) requires the fragmented policy");
   }
   if (rebuild_intervals_per_fragment < 1) {
     return Status::InvalidArgument(
@@ -94,7 +83,6 @@ Result<std::unique_ptr<StripedServer>> StripedServer::Create(
   sched.policy = config.policy;
   sched.coalesce = config.coalesce;
   sched.fragmented_lookahead = config.fragmented_lookahead;
-  sched.buffer_capacity_fragments = config.buffer_capacity_fragments;
   sched.degraded_policy = config.degraded_policy;
   sched.max_pause_intervals = config.max_pause_intervals;
   sched.read_observer = config.read_observer;

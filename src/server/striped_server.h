@@ -43,7 +43,6 @@ struct StripedConfig {
   AdmissionPolicy policy = AdmissionPolicy::kContiguous;
   bool coalesce = false;
   int64_t fragmented_lookahead = 16;
-  int64_t buffer_capacity_fragments = 0;
   /// Objects (by id, ascending) made resident before the run starts —
   /// skips the cold-start transient.
   int32_t preload_objects = 0;

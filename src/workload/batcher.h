@@ -1,7 +1,7 @@
-// Stream batching/merging (ROADMAP item 5; cf. Viennot et al.,
-// arXiv:0804.0743): N requests for the same object within an admission
-// window share ONE physical stream, multiplying effective throughput
-// past the D/M ceiling for hot objects (flash crowds).
+// Stream batching/merging (cf. Viennot et al., arXiv:0804.0743): N
+// requests for the same object within an admission window share ONE
+// physical stream, multiplying effective throughput past the D/M
+// ceiling for hot objects (flash crowds).
 //
 // Two merge modes, both bounded by the same window W:
 //   window join  — the first request for an object opens a "gathering"

@@ -3,8 +3,8 @@
 // station model, used for latency-vs-load studies where the offered
 // load must not throttle itself.
 //
-// Beyond the plain Poisson stream, the generator models the
-// millions-of-users workload shapes of ROADMAP item 5:
+// Beyond the plain Poisson stream, the generator models three workload
+// shapes:
 //   - a diurnal cycle: lambda(t) = lambda0 * (1 + A sin(2 pi t / P)),
 //     realized by thinning a Poisson stream at the peak rate, so runs
 //     stay deterministic per seed;

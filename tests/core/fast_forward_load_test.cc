@@ -1,9 +1,9 @@
-// Fast-forward replicas under load (closes the "untested under load"
-// note in ROADMAP item 5): scan replicas built by AddFastForwardReplicas
-// join the catalog and are displayed through a real StripedServer by an
-// open-arrivals VCR workload — scan-then-play sessions (replica first,
-// original after) interleaved with pause/resume re-requests and a flash
-// crowd — with the per-interval scheduler audit on throughout.  The
+// Fast-forward replicas under load: scan replicas built by
+// AddFastForwardReplicas join the catalog and are displayed through a
+// real StripedServer by an open-arrivals VCR workload — scan-then-play
+// sessions (replica first, original after) interleaved with
+// pause/resume re-requests and a flash crowd — with the per-interval
+// scheduler audit on throughout.  The
 // mixed-degree schedule (7-subobject replicas next to 100-subobject
 // originals on the same stripes) must stay hiccup-free with every
 // invariant intact.

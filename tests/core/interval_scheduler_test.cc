@@ -17,7 +17,7 @@ class SchedulerTest : public ::testing::Test {
  protected:
   void Init(int32_t num_disks, int32_t stride,
             AdmissionPolicy policy = AdmissionPolicy::kContiguous,
-            bool coalesce = false, int64_t buffer_cap = 0) {
+            bool coalesce = false) {
     auto disks = DiskArray::Create(num_disks, DiskParameters::Evaluation());
     ASSERT_TRUE(disks.ok());
     disks_ = std::make_unique<DiskArray>(*std::move(disks));
@@ -26,7 +26,6 @@ class SchedulerTest : public ::testing::Test {
     config.interval = kInterval;
     config.policy = policy;
     config.coalesce = coalesce;
-    config.buffer_capacity_fragments = buffer_cap;
     auto sched = IntervalScheduler::Create(&sim_, disks_.get(), config);
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
@@ -189,23 +188,6 @@ TEST_F(SchedulerTest, FragmentedAdmissionStartsEarlier) {
   EXPECT_EQ(sched_->metrics().hiccups, 0);
 }
 
-TEST_F(SchedulerTest, BufferCapacityGatesFragmentedAdmission) {
-  // Same scenario but the buffer pool holds a single lead fragment
-  // (capacity 0 would mean unlimited): multi-fragment leads are
-  // rejected and the request degrades toward waiting for adjacency.
-  Init(8, 1, AdmissionPolicy::kFragmented, false, /*buffer_cap=*/1);
-  std::vector<Probe> blockers(4);
-  for (int b = 0; b < 4; ++b) {
-    Request(b, 2 * b, 1, 12, &blockers[static_cast<size_t>(b)]);
-  }
-  Probe x;
-  Request(9, 0, 3, 12, &x);  // needs >= 2 lead fragments when fragmented
-  sim_.RunUntil(kInterval * 60);
-  EXPECT_TRUE(x.completed);
-  EXPECT_LE(sched_->metrics().peak_buffered_fragments, 1);
-  EXPECT_EQ(sched_->metrics().hiccups, 0);
-}
-
 TEST_F(SchedulerTest, CoalescingMigratesAndDrainsBuffers) {
   Init(16, 1, AdmissionPolicy::kFragmented, /*coalesce=*/true);
   std::vector<Probe> blockers(8);
@@ -218,7 +200,7 @@ TEST_F(SchedulerTest, CoalescingMigratesAndDrainsBuffers) {
   EXPECT_TRUE(x.completed);
   EXPECT_GT(sched_->metrics().coalesce_migrations, 0);
   EXPECT_EQ(sched_->metrics().hiccups, 0);
-  // After everything drains, no buffers remain reserved.
+  // After everything drains, no stream holds a virtual disk.
   EXPECT_EQ(sched_->active_streams(), 0u);
   EXPECT_EQ(sched_->idle_virtual_disks(), 16);
 }

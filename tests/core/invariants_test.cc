@@ -200,7 +200,7 @@ class LiveSchedulerAuditTest : public ::testing::Test {
  protected:
   void Init(int32_t num_disks, int32_t stride,
             AdmissionPolicy policy = AdmissionPolicy::kContiguous,
-            bool coalesce = false, int64_t buffer_cap = 0) {
+            bool coalesce = false) {
     auto disks = DiskArray::Create(num_disks, DiskParameters::Evaluation());
     ASSERT_TRUE(disks.ok());
     disks_ = std::make_unique<DiskArray>(*std::move(disks));
@@ -209,7 +209,6 @@ class LiveSchedulerAuditTest : public ::testing::Test {
     config.interval = kInterval;
     config.policy = policy;
     config.coalesce = coalesce;
-    config.buffer_capacity_fragments = buffer_cap;
     auto sched = IntervalScheduler::Create(&sim_, disks_.get(), config);
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
@@ -243,8 +242,7 @@ TEST_F(LiveSchedulerAuditTest, ContiguousRunStaysInvariant) {
 }
 
 TEST_F(LiveSchedulerAuditTest, FragmentedCoalescingRunStaysInvariant) {
-  Init(10, 2, AdmissionPolicy::kFragmented, /*coalesce=*/true,
-       /*buffer_cap=*/64);
+  Init(10, 2, AdmissionPolicy::kFragmented, /*coalesce=*/true);
   Submit(0, 0, 3, 16);
   Submit(1, 5, 3, 16);
   Submit(2, 2, 2, 10);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -158,6 +159,44 @@ TEST(SchedulerDeterminismTest, SameSeedSameOutcome) {
 
 #include "scheduler_fingerprints.inc"
 
+// Per-slot busy-interval counts, sampled through SlotBusy from the idle
+// hook, which runs after the tick's reservations and right before
+// DiskArray::EndInterval clears them.  The pinned fingerprints hold
+// per-slot utilizations in the arithmetic they were recorded with: each
+// slot's count over the elapsed intervals, and the mean, max and min of
+// those ratios.
+struct SlotBusyTally {
+  explicit SlotBusyTally(int32_t num_disks)
+      : per_slot(static_cast<size_t>(num_disks), 0) {}
+
+  void Sample(const DiskArray& disks) {
+    for (DiskId slot = 0; slot < disks.num_disks(); ++slot) {
+      if (!disks.SlotBusy(slot)) continue;
+      ++per_slot[static_cast<size_t>(slot)];
+      ++total;
+    }
+  }
+
+  double Utilization(DiskId slot, int64_t intervals) const {
+    return intervals == 0
+               ? 0.0
+               : static_cast<double>(per_slot[static_cast<size_t>(slot)]) /
+                     static_cast<double>(intervals);
+  }
+
+  /// The array's running count is exactly the sampled total.
+  void ExpectMeanMatches(const DiskArray& disks) const {
+    const int64_t slot_intervals =
+        int64_t{disks.num_disks()} * disks.intervals();
+    EXPECT_EQ(disks.MeanUtilization(),
+              static_cast<double>(total) / static_cast<double>(slot_intervals));
+  }
+
+  std::vector<int64_t> per_slot;
+  /// Every busy slot sampled, over the whole run.
+  int64_t total = 0;
+};
+
 // Every stream advances through one lane loop: a contiguous stream's
 // run of M fragments is one range-reserve, a fragmented stream's lanes
 // reserve one disk each.  The load's outcomes must equal the pinned
@@ -180,6 +219,9 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
       };
     }
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    SlotBusyTally tally(disks->num_disks());
+    (*sched)->SetIdleBandwidthHook(
+        [&tally, array = &*disks](int64_t) { tally.Sample(*array); });
     Rng rng(seed);
     SimTime at = SimTime::Zero();
     for (int i = 0; i < 30; ++i) {
@@ -194,6 +236,14 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
       });
     }
     sim.RunUntil(SimTime::Hours(1));
+    tally.ExpectMeanMatches(*disks);
+    double sum = 0.0, hi = 0.0, lo = 1.0;
+    for (DiskId slot = 0; slot < disks->num_disks(); ++slot) {
+      const double u = tally.Utilization(slot, disks->intervals());
+      sum += u;
+      hi = std::max(hi, u);
+      lo = std::min(lo, u);
+    }
     const SchedulerMetrics& m = (*sched)->metrics();
     std::vector<double> fingerprint = {
         static_cast<double>(m.displays_completed),
@@ -202,9 +252,9 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
         static_cast<double>(m.hiccups),
         m.buffered_fragments.current(),
         m.startup_latency_sec.mean(),
-        disks->MeanUtilization(),
-        disks->MaxUtilization(),
-        disks->MinUtilization(),
+        sum / static_cast<double>(disks->num_disks()),
+        hi,
+        lo,
     };
     return fingerprint;
   };
@@ -222,7 +272,9 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
 // are faulty; a lane touching a fault sends each fragment through the
 // degraded ladder.  Every degraded-mode counter and each slot's
 // utilization must equal the pinned per-fragment walk, with and
-// without a read observer.
+// without a read observer.  The pins were recorded from per-drive
+// counts that a promotion replaced with the (unwritten) spare's, so the
+// tally restarts a slot's count where the spare is promoted into it.
 TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
   constexpr int32_t kDisks = 70;  // two bitmap words, the second partial
   const SimTime interval = SimTime::Millis(605);
@@ -243,6 +295,9 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
     }
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
     DiskArray* array = &*disks;
+    SlotBusyTally tally(kDisks);
+    (*sched)->SetIdleBandwidthHook(
+        [&tally, array](int64_t) { tally.Sample(*array); });
     Rng rng(seed);
     // Faults land mid-interval, between ticks, as fault events do.
     const auto at_interval = [&](int64_t t) {
@@ -281,11 +336,12 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
         if (kind == 1) array->StallDisk(disk);
         if (kind == 2) array->DegradeDisk(disk, 50);
       });
-      sim.ScheduleAt(at_interval(end), [array, disk, kind] {
+      sim.ScheduleAt(at_interval(end), [array, &tally, disk, kind] {
         if (kind == 3) {
           auto spare = array->AcquireSpare();
           if (spare.ok()) {
             array->PromoteSpare(disk, *spare);
+            tally.per_slot[static_cast<size_t>(disk)] = 0;
             return;
           }
         }
@@ -313,6 +369,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
       });
     }
     sim.RunUntil(SimTime::Hours(1));
+    tally.ExpectMeanMatches(*array);
     const SchedulerMetrics& m = (*sched)->metrics();
     std::vector<double> fingerprint = {
         static_cast<double>(m.displays_completed),
@@ -330,7 +387,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
         static_cast<double>(array->degraded_disk_intervals()),
     };
     for (int32_t slot = 0; slot < kDisks; ++slot) {
-      fingerprint.push_back(array->SlotUtilization(slot));
+      fingerprint.push_back(tally.Utilization(slot, array->intervals()));
     }
     return fingerprint;
   };
@@ -398,7 +455,10 @@ TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
     IntervalScheduler* s = sched->get();
     int64_t audit_failures = 0;
-    s->SetIdleBandwidthHook([s, &audit_failures](int64_t t) {
+    SlotBusyTally tally(kDisks);
+    s->SetIdleBandwidthHook([s, &audit_failures, &tally,
+                             array = &*disks](int64_t t) {
+      tally.Sample(*array);
       const Status st = InvariantAuditor::AuditScheduler(*s);
       if (!st.ok()) {
         ADD_FAILURE() << "interval " << t << ": " << st;
@@ -470,8 +530,9 @@ TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
         static_cast<double>(audit_failures),
         static_cast<double>(s->active_streams()),
     };
+    tally.ExpectMeanMatches(*disks);
     for (int32_t slot = 0; slot < kDisks; ++slot) {
-      fingerprint.push_back(disks->SlotUtilization(slot));
+      fingerprint.push_back(tally.Utilization(slot, disks->intervals()));
     }
     fingerprint.insert(fingerprint.end(), log.begin(), log.end());
     return fingerprint;

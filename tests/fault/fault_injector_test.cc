@@ -89,22 +89,5 @@ TEST_F(FaultInjectorTest, RejectsEventsInThePast) {
   EXPECT_TRUE(injector.status().IsFailedPrecondition());
 }
 
-TEST_F(FaultInjectorTest, DownIntervalAccountingAccrues) {
-  FaultPlan plan;
-  plan.FailAt(0, SimTime::Zero()).RecoverAt(0, SimTime::Seconds(3));
-  auto injector = FaultInjector::Create(&sim_, disks_.get(), plan);
-  ASSERT_TRUE(injector.ok()) << injector.status();
-
-  // Drive interval close-outs by hand: one per simulated second.
-  for (int t = 0; t <= 4; ++t) {
-    sim_.ScheduleAt(SimTime::Seconds(t), [this] { disks_->EndInterval(); },
-                    /*priority=*/10);
-  }
-  sim_.Run();
-  // Down at the close-outs of t = 0, 1, 2; recovered by t = 3.
-  EXPECT_EQ(disks_->disk(0).down_intervals(), 3);
-  EXPECT_EQ(disks_->disk(1).down_intervals(), 0);
-}
-
 }  // namespace
 }  // namespace stagger

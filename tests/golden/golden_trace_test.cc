@@ -69,7 +69,6 @@ struct StripedScenario {
   int32_t stride = 1;
   AdmissionPolicy policy = AdmissionPolicy::kContiguous;
   bool coalesce = false;
-  int64_t buffer_cap = 0;
   FaultPlan faults;
   uint64_t seed = 7;
   int64_t run_intervals = 48;
@@ -86,7 +85,6 @@ std::string TraceStriped(const StripedScenario& sc) {
   config.interval = kInterval;
   config.policy = sc.policy;
   config.coalesce = sc.coalesce;
-  config.buffer_capacity_fragments = sc.buffer_cap;
   config.read_observer = [&tracer](int64_t interval, ObjectId object,
                                    int64_t subobject, int32_t fragment,
                                    int32_t disk) {
@@ -153,7 +151,6 @@ TEST(GoldenTraceTest, StripedFragmentedCoalesce) {
   sc.stride = 2;
   sc.policy = AdmissionPolicy::kFragmented;
   sc.coalesce = true;
-  sc.buffer_cap = 64;
   CompareOrUpdate("striped_fragmented_coalesce", TraceStriped(sc));
 }
 

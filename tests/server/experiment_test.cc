@@ -66,6 +66,24 @@ TEST(ExperimentTest, RejectsNegativeWarmup) {
   EXPECT_TRUE(cfg.Validate().ok());
 }
 
+// A display bandwidth far below one disk's rounds to a degree of zero,
+// which no scheme can lay out (VDR would divide D by it); it is
+// rejected on every scheme, and one fragment per subobject stays legal.
+TEST(ExperimentTest, RejectsZeroDegree) {
+  for (const Scheme scheme :
+       {Scheme::kSimpleStriping, Scheme::kStaggered, Scheme::kVdr}) {
+    ExperimentConfig cfg = SmallConfig(scheme);
+    cfg.display_bandwidth = Bandwidth::Mbps(1e-9);
+    EXPECT_EQ(cfg.Degree(), 0);
+    EXPECT_TRUE(cfg.Validate().IsInvalidArgument()) << SchemeName(scheme);
+    EXPECT_TRUE(RunExperiment(cfg).status().IsInvalidArgument())
+        << SchemeName(scheme);
+    cfg.display_bandwidth = cfg.EffectiveDiskBandwidth();
+    EXPECT_EQ(cfg.Degree(), 1);
+    EXPECT_TRUE(cfg.Validate().ok()) << SchemeName(scheme);
+  }
+}
+
 TEST(ExperimentTest, SchemeNames) {
   EXPECT_EQ(SchemeName(Scheme::kSimpleStriping), "simple-striping");
   EXPECT_EQ(SchemeName(Scheme::kStaggered), "staggered-striping");

@@ -132,20 +132,12 @@ TEST_F(StripedServerTest, ConfigValidationFragmentedAndCoalesce) {
   config.fragmented_lookahead = 0;
   EXPECT_TRUE(config.Validate().ok());
 
-  // Coalescing requires the fragmented policy ...
+  // Coalescing requires the fragmented policy.
   config = StripedConfig{};
   config.coalesce = true;
   config.policy = AdmissionPolicy::kContiguous;
   EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  // ... and a buffer pool that can hold at least one lookahead's worth
-  // of fragments (unlimited pools are fine).
   config.policy = AdmissionPolicy::kFragmented;
-  config.fragmented_lookahead = 16;
-  config.buffer_capacity_fragments = 8;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.buffer_capacity_fragments = 16;
-  EXPECT_TRUE(config.Validate().ok());
-  config.buffer_capacity_fragments = 0;  // unlimited
   EXPECT_TRUE(config.Validate().ok());
 }
 
