@@ -158,14 +158,20 @@ BENCHMARK(BM_SchedulerIntervalTickFragmented)->Arg(200);
 
 // Algorithm 2 under load, in the coalescing workload's shape: D = 1000,
 // k = 1, fragmented admission with coalescing.  Short displays resubmit
-// on completion at scattered start disks, keeping ~90% of the virtual
-// disks owned after warm-up, so every interval runs fragmented
-// admissions over a full queue and a coalescing search per fragmented
-// stream, most of which find no free disk in their window.
-void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
+// on completion, keeping ~90% of the virtual disks owned after warm-up,
+// so every interval runs fragmented admissions over a full queue and
+// Algorithm 2 over the fragmented streams.  Most coalescing searches
+// find no free disk in their window, and a stream's failed search is
+// not repeated until some virtual disk is freed.  With `hot_starts` =
+// 0 the resubmits walk scattered start disks, so queued requests rarely
+// share a start disk; otherwise they cycle over that many hot start
+// disks, as requests for a few popular titles do, and most queued
+// requests repeat a (start disk, degree) that already failed this tick.
+void RunCoalesceTicks(benchmark::State& state, int32_t hot_starts) {
   const int32_t num_streams = static_cast<int32_t>(state.range(0));
   const SimTime interval = SimTime::Millis(605);
   int64_t idle_vdisks = 0;
+  size_t queued = 0;
   for (auto _ : state) {
     state.PauseTiming();
     Simulator sim;
@@ -182,8 +188,13 @@ void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
       DisplayRequest req;
       req.object = next_start;
       req.degree = 5;
-      req.start_disk = next_start;
-      next_start = (next_start + 337) % 1000;
+      if (hot_starts > 0) {
+        req.start_disk = next_start * (1000 / hot_starts);
+        next_start = (next_start + 1) % hot_starts;
+      } else {
+        req.start_disk = next_start;
+        next_start = (next_start + 337) % 1000;
+      }
       req.num_subobjects = 200;
       req.on_completed = resubmit;
       (void)s->Submit(std::move(req));
@@ -193,13 +204,28 @@ void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
     state.ResumeTiming();
     sim.RunUntil(interval * (64 + 256));
     idle_vdisks = s->idle_virtual_disks();
+    queued = s->pending_requests();
   }
   state.SetItemsProcessed(state.iterations() * 256);
-  state.SetLabel("intervals; D=1000 k=1 streams=" +
-                 std::to_string(num_streams) +
-                 " idle_vdisks_end=" + std::to_string(idle_vdisks));
+  std::string label = "intervals; D=1000 k=1 streams=" +
+                      std::to_string(num_streams) +
+                      " idle_vdisks_end=" + std::to_string(idle_vdisks);
+  if (hot_starts > 0) {
+    label += " hot_starts=" + std::to_string(hot_starts) +
+             " queued_end=" + std::to_string(queued);
+  }
+  state.SetLabel(label);
+}
+
+void BM_SchedulerIntervalTickCoalesce(benchmark::State& state) {
+  RunCoalesceTicks(state, /*hot_starts=*/0);
 }
 BENCHMARK(BM_SchedulerIntervalTickCoalesce)->Arg(200);
+
+void BM_SchedulerIntervalTickCoalesceHot(benchmark::State& state) {
+  RunCoalesceTicks(state, /*hot_starts=*/20);
+}
+BENCHMARK(BM_SchedulerIntervalTickCoalesceHot)->Arg(280);
 
 // The scale_d100k shape: D = 100 000 with 2000 contiguous displays of
 // 64-127 subobjects that resubmit on completion at a shifted start

@@ -72,7 +72,8 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
     : sim_(sim), disks_(disks), config_(config), frame_(frame),
       epoch_(sim->Now()),
       vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream),
-      vdisk_occupied_(frame) {
+      vdisk_occupied_(frame),
+      failed_admissions_(kFailedAdmissionSlots) {
   scratch_taken_.Resize(disks->num_disks());
   claimed_.Resize(disks->num_disks());
   reading_.Resize(disks->num_disks());
@@ -182,6 +183,7 @@ int32_t IntervalScheduler::AllocSlot() {
     return slot;
   }
   slots_.emplace_back();
+  coalesce_misses_.push_back(-1);
   return static_cast<int32_t>(slots_.size()) - 1;
 }
 
@@ -211,31 +213,63 @@ STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
   // Scan FIFO; requests behind a blocked head may be admitted (the
   // paper's Figure 3: "idle time intervals would be used to service the
   // new request").
+  //
+  // Within a tick a plan depends on the request only through its (start
+  // disk, degree, parity), and on scheduler state only a successful
+  // admission changes: disk health changes between ticks, and the
+  // fragmented plan's scratch is clear after every attempt.  So a key
+  // that failed fails again until the next admission, which starts a
+  // new pass; queued requests sharing a failed key are skipped.
+  ++admission_pass_;
   for (auto it = queue_.begin(); it != queue_.end();) {
-    if (TryAdmit(*it)) {
+    const DisplayRequest& req = it->req;
+    const int32_t shape = req.degree * 2 + (req.parity ? 1 : 0);
+    const uint32_t hash =
+        static_cast<uint32_t>(req.start_disk) * 0x9E3779B1u ^
+        static_cast<uint32_t>(shape) * 0x85EBCA77u;
+    static_assert(kFailedAdmissionSlots == 256);
+    FailedAdmission& failed = failed_admissions_[hash >> 24];
+    if (failed.pass == admission_pass_ &&
+        failed.start_disk == req.start_disk && failed.shape == shape) {
+#ifdef STAGGER_AUDIT
+      STAGGER_CHECK(!PlanAdmission(req).has_value())
+          << "request " << it->id << " skipped as a failed key would start";
+#endif
+      ++it;
+    } else if (TryAdmit(*it)) {
       it = queue_.erase(it);
+      ++admission_pass_;
     } else {
+      failed = FailedAdmission{admission_pass_, req.start_disk, shape};
       ++it;
     }
   }
 }
 
 STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(const Pending& p) {
-  if (TryAdmitContiguous(p)) return true;
-  if (config_.policy == AdmissionPolicy::kFragmented &&
-      TryAdmitFragmented(p)) {
-    return true;
-  }
-  return false;
+  std::optional<AdmitPlan> plan = PlanAdmission(p.req);
+  if (!plan.has_value()) return false;
+  AdmitStream(p, std::move(*plan));
+  return true;
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
+STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
+IntervalScheduler::PlanAdmission(const DisplayRequest& req) {
+  std::optional<AdmitPlan> plan = PlanContiguous(req);
+  if (!plan.has_value() && config_.policy == AdmissionPolicy::kFragmented) {
+    plan = PlanFragmented(req);
+  }
+  return plan;
+}
+
+STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
+IntervalScheduler::PlanContiguous(const DisplayRequest& req) const {
   // The request starts only when the virtual disks *currently over* its
   // first fragments are all idle (alignment delay zero): one modular
   // window test over the occupancy bitmap.
-  const int32_t v0 = frame_.VirtualOf(p.req.start_disk, interval_index_);
-  const int32_t m = p.req.degree;
-  if (!vdisk_occupied_.WindowClear(v0, m)) return false;
+  const int32_t v0 = frame_.VirtualOf(req.start_disk, interval_index_);
+  const int32_t m = req.degree;
+  if (!vdisk_occupied_.WindowClear(v0, m)) return std::nullopt;
   if (config_.degraded_policy != DegradedPolicy::kNone &&
       disks_->UnavailableCount() > 0) {
     // The stream reads its first stripe immediately — refuse to start a
@@ -244,7 +278,7 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
     // lost fragment is tolerable when the stripe's parity disk can
     // stand in for it.
     const Stripe stripe =
-        Stripe::At(frame_.num_disks(), p.req.start_disk, m, p.req.parity);
+        Stripe::At(frame_.num_disks(), req.start_disk, m, req.parity);
     int32_t down = 0;
     for (int32_t j = 0; j < m; ++j) {
       if (!disks_->IsAvailable(stripe.Slot(j))) ++down;
@@ -252,26 +286,27 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitContiguous(const Pending& p) {
     if (down > 0) {
       const bool reconstructable =
           config_.degraded_policy == DegradedPolicy::kReconstruct &&
-          p.req.parity && down == 1 && disks_->IsAvailable(stripe.parity);
-      if (!reconstructable) return false;
+          req.parity && down == 1 && disks_->IsAvailable(stripe.parity);
+      if (!reconstructable) return std::nullopt;
     }
   }
   // One lane: the M fragments read together from M adjacent disks.
-  LaneArray lanes;
-  lanes.Assign(1);
-  lanes[0].vdisk = v0;
-  lanes[0].width = m;
-  AdmitStream(p, std::move(lanes), /*delta_max=*/0, /*fragmented=*/false);
-  return true;
+  std::optional<AdmitPlan> plan(std::in_place);
+  plan->lanes.Assign(1);
+  plan->lanes[0].vdisk = v0;
+  plan->lanes[0].width = m;
+  return plan;
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
-  const int32_t m = p.req.degree;
+STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
+IntervalScheduler::PlanFragmented(const DisplayRequest& req) {
+  const int32_t m = req.degree;
   const bool check_health = config_.degraded_policy != DegradedPolicy::kNone &&
                             disks_->UnavailableCount() > 0;
   const Stripe stripe =
-      Stripe::At(frame_.num_disks(), p.req.start_disk, m, p.req.parity);
-  LaneArray lanes;
+      Stripe::At(frame_.num_disks(), req.start_disk, m, req.parity);
+  std::optional<AdmitPlan> plan(std::in_place);
+  LaneArray& lanes = plan->lanes;
   lanes.Assign(m);
   int64_t delta_max = 0;
 
@@ -303,20 +338,20 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryAdmitFragmented(const Pending& p) {
   }
   for (int32_t pos : scratch_taken_bits_) scratch_taken_.Clear(pos);
   scratch_taken_bits_.clear();
-  if (!ok) return false;
+  if (!ok) return std::nullopt;
 
   // A lane aligned before delta_max reads ahead into buffer, which
   // makes the stream fragmented (Algorithm 1).
-  bool fragmented = false;
+  plan->delta_max = delta_max;
   for (int32_t j = 0; j < m; ++j) {
-    fragmented |= lanes[static_cast<size_t>(j)].next_read_tau < delta_max;
+    plan->fragmented |= lanes[static_cast<size_t>(j)].next_read_tau < delta_max;
   }
-  AdmitStream(p, std::move(lanes), delta_max, fragmented);
-  return true;
+  return plan;
 }
 
-void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
-                                    int64_t delta_max, bool fragmented) {
+void IntervalScheduler::AdmitStream(const Pending& p, AdmitPlan&& plan) {
+  const bool fragmented = plan.fragmented;
+  const int64_t delta_max = plan.delta_max;
   const int32_t slot = AllocSlot();
   Stream& s = slots_[static_cast<size_t>(slot)];
   s.id = p.id;
@@ -327,7 +362,7 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.admit_interval = interval_index_;
   s.delta_max = delta_max;
   s.arrival_time = p.arrival;
-  s.lanes = std::move(lanes);
+  s.lanes = std::move(plan.lanes);
   s.delivered = 0;
   s.fragmented = fragmented;
   s.steady = !fragmented;
@@ -337,6 +372,7 @@ void IntervalScheduler::AdmitStream(const Pending& p, LaneArray lanes,
   s.on_completed = p.req.on_completed;
   s.on_started = p.req.on_started;
   s.on_interrupted = p.req.on_interrupted;
+  coalesce_misses_[static_cast<size_t>(slot)] = -1;
 
   for (const FragmentLane& lane : s.lanes) {
     for (int32_t f = 0, v = lane.vdisk; f < lane.width;
@@ -484,7 +520,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     }
     const int64_t tau = s.Tau(interval_index_);
 
-    if (config_.coalesce && s.fragmented) TryCoalesce(&s);
+    if (config_.coalesce && s.fragmented) TryCoalesce(&s, due.slot);
 
     // Reads: each lane reads its run of fragments when its disks are
     // aligned.  min_reads tracks the least-advanced unreleased lane so
@@ -581,6 +617,18 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       }
       // stagger-lint: allow(hot-path-alloc) -- scratch_finished_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
       if (s.delivered == s.num_subobjects) scratch_finished_.push_back(id);
+    }
+
+    // A stream Algorithm 2 has fully drained reads and delivers in
+    // lockstep on every lane: from here on it is steady.
+    if (!s.steady && !s.fragmented && tau >= s.delta_max &&
+        s.delivered < s.num_subobjects &&
+        std::all_of(s.lanes.begin(), s.lanes.end(),
+                    [&](const FragmentLane& l) {
+                      return !l.released() && l.reads_done == s.delivered &&
+                             l.next_read_tau == tau + 1;
+                    })) {
+      MakeSteady(&s, due.slot);
     }
   }
   buffered_fragments_ += buffered_delta;
@@ -817,21 +865,39 @@ void IntervalScheduler::RetryPaused() {
   }
 }
 
-STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
+STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s,
+                                                     int32_t slot) {
   // One migration per stream per interval (Algorithm 2 admits a new
   // coalesce request only after the previous one completes).
   const int64_t tau = s->Tau(interval_index_);
+  // While every unfinished lane reads each interval, each lane's lead is
+  // fixed, so the same lane is picked, and its search asks the same
+  // question: the target and its virtual disk both advance by k, and
+  // the resume window and the delay to beat stay put.  A lane stops
+  // reading only by finishing or migrating, both of which free a disk,
+  // and taking a disk only removes candidates.  So a search that failed
+  // with every lane reading fails again until a virtual disk is freed.
+  int64_t& miss = coalesce_misses_[static_cast<size_t>(slot)];
+  const bool known_to_fail = miss == vdisk_frees_;
+#ifndef STAGGER_AUDIT
+  if (known_to_fail) return;
+#endif
 
   // Pick the lane with the largest lead (biggest buffer backlog).  A
   // fragmented stream's lanes are one fragment wide, so lane j carries
   // fragment j.
   int32_t pick = -1;
   int64_t pick_lead = 0;
+  bool all_reading = true;
   for (int32_t j = 0; j < s->degree; ++j) {
     const FragmentLane& lane = s->lanes[static_cast<size_t>(j)];
     STAGGER_DCHECK(lane.width == 1);
     if (lane.released() || lane.reads_done >= s->num_subobjects) continue;
-    if (lane.next_read_tau > tau) continue;  // mid-gap from prior migration
+    // Not aligned yet, or mid-gap from a prior migration.
+    if (lane.next_read_tau > tau) {
+      all_reading = false;
+      continue;
+    }
     const int64_t effective_delta = lane.next_read_tau - lane.reads_done;
     const int64_t lead = s->delta_max - effective_delta;
     if (lead > pick_lead) {
@@ -853,13 +919,22 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   const auto found = frame_.FindLatestFreeVdisk(vdisk_occupied_,
                                                 interval_index_, target, tau,
                                                 max_resume);
-  if (!found.has_value()) return;
+  // No free disk, or none that shrinks the buffer.
+  if (!found.has_value() || found->second - lane.reads_done <= cur_effective) {
+    if (all_reading) miss = vdisk_frees_;
+    return;
+  }
+#ifdef STAGGER_AUDIT
+  STAGGER_CHECK(!known_to_fail)
+      << "stream " << s->id << " lane " << pick
+      << ": a coalescing search skipped as failing finds virtual disk "
+      << found->first;
+#endif
   const int32_t best_v = found->first;
   const int64_t best_resume = found->second;
-  const int64_t new_effective = best_resume - lane.reads_done;
-  if (new_effective <= cur_effective) return;  // no buffer improvement
 
   // Migrate: release the old disk now; reads resume on the new one.
+  ++vdisk_frees_;
   vdisk_owner_[static_cast<size_t>(lane.vdisk)] = kNoStream;
   vdisk_occupied_.Clear(lane.vdisk);
   vdisk_owner_[static_cast<size_t>(best_v)] = s->id;
@@ -879,6 +954,14 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s) {
   }
 }
 
+void IntervalScheduler::MakeSteady(Stream* s, int32_t slot) {
+  // Its first read is past; the last read is its only event ahead.
+  s->steady = true;
+  EraseSorted(&unsteady_, s->id);
+  MarkReading(*s, true);
+  PushEvent(*s, slot, s->admit_interval + s->delta_max + s->num_subobjects - 1);
+}
+
 void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
                                     int32_t count) {
   if (lane->released()) return;
@@ -886,6 +969,7 @@ void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
   // nothing between intervals, so shrinking it keeps the buffer count.
   STAGGER_DCHECK(count > 0 && count <= lane->width &&
                  (count == lane->width || lane->reads_done == s.delivered));
+  ++vdisk_frees_;
   const int32_t d = frame_.num_disks();
   int32_t v = lane->vdisk;
   for (int32_t f = 0; f < count; ++f, v = v + 1 == d ? 0 : v + 1) {

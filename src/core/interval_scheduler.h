@@ -16,7 +16,9 @@
 //    disks within an alignment lookahead, buffering early reads
 //    (Algorithm 1).  With `coalesce` set, fragmented streams migrate
 //    lanes onto later-aligned free disks as they appear, draining
-//    buffers (Algorithm 2).
+//    buffers (Algorithm 2).  A stream whose lanes have all drained reads
+//    in lockstep from then on and joins the steady streams that the
+//    tick reserves in one word pass without visiting them.
 
 #ifndef STAGGER_CORE_INTERVAL_SCHEDULER_H_
 #define STAGGER_CORE_INTERVAL_SCHEDULER_H_
@@ -24,6 +26,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -268,14 +271,36 @@ class IntervalScheduler {
   IntervalScheduler(Simulator* sim, DiskArray* disks, SchedulerConfig config,
                     VirtualDiskFrame frame);
 
+  /// The lanes a request would take if admitted now.
+  struct AdmitPlan {
+    LaneArray lanes;
+    int64_t delta_max = 0;
+    bool fragmented = false;
+  };
+
+  /// A request key whose admission failed in pass `pass` of
+  /// TryAdmissions (a pass ends at each successful admission).
+  struct FailedAdmission {
+    int64_t pass = 0;
+    int32_t start_disk = 0;
+    int32_t shape = 0;  ///< degree * 2 + parity
+  };
+  /// Direct-mapped: a collision only evicts a key, which is then
+  /// planned again.
+  static constexpr size_t kFailedAdmissionSlots = 256;
+
   void Tick(int64_t tick_index);
   void TryAdmissions();
   /// Attempts to admit `p` at the current interval; true on success.
   bool TryAdmit(const Pending& p);
-  bool TryAdmitContiguous(const Pending& p);
-  bool TryAdmitFragmented(const Pending& p);
-  void AdmitStream(const Pending& p, LaneArray lanes, int64_t delta_max,
-                   bool fragmented);
+  /// Plans `req` for the current interval under the configured policy
+  /// without changing the scheduler's state; nullopt when it cannot
+  /// start now.  The outcome depends only on the request's start disk,
+  /// degree and parity, the occupancy, the interval and disk health.
+  std::optional<AdmitPlan> PlanAdmission(const DisplayRequest& req);
+  std::optional<AdmitPlan> PlanContiguous(const DisplayRequest& req) const;
+  std::optional<AdmitPlan> PlanFragmented(const DisplayRequest& req);
+  void AdmitStream(const Pending& p, AdmitPlan&& plan);
   void AdvanceStreams();
   /// Fills scratch_due_, in ascending id, with this tick's calendar
   /// events, the steady streams reading over a faulty slot, and every
@@ -288,7 +313,12 @@ class IntervalScheduler {
   void MarkReading(const Stream& s, bool reading);
   /// Queues a calendar event of steady stream `s` (in `slot`) at `tick`.
   void PushEvent(const Stream& s, int32_t slot, int64_t tick);
-  void TryCoalesce(Stream* s);
+  /// Algorithm 2 for stream `s`, held in `slot`: at most one lane
+  /// migration.
+  void TryCoalesce(Stream* s, int32_t slot);
+  /// Moves non-steady stream `s` (in `slot`), whose lanes now read in
+  /// lockstep with its output, onto the steady path.
+  void MakeSteady(Stream* s, int32_t slot);
   /// Gives back the first `count` virtual disks of `lane`, a lane of
   /// `s`; the lane keeps the rest of its run, or is released when
   /// `count` covers its whole width.
@@ -346,6 +376,11 @@ class IntervalScheduler {
   /// streams admitted non-steady, the ones the tick visits every
   /// interval.
   std::vector<Stream> slots_;
+  /// Per slot: vdisk_frees_ at its stream's last coalescing search that
+  /// found no better disk while every lane was reading, or -1.  Kept
+  /// beside slots_ rather than in Stream, whose size the admission and
+  /// teardown costs follow.
+  std::vector<int64_t> coalesce_misses_;
   std::vector<int32_t> free_slots_;
   std::vector<std::pair<StreamId, int32_t>> active_;
   std::vector<std::pair<StreamId, int32_t>> unsteady_;
@@ -359,6 +394,12 @@ class IntervalScheduler {
   /// tick's entries yields its events in ascending id.
   std::vector<CalendarEvent> calendar_;
   int64_t next_admission_ = 0;
+  /// Virtual-disk frees so far (lane releases and migrations): a
+  /// coalescing search that failed can succeed only after one.
+  int64_t vdisk_frees_ = 0;
+  /// TryAdmissions' pass number and the keys that failed in it.
+  int64_t admission_pass_ = 0;
+  std::vector<FailedAdmission> failed_admissions_;
   std::deque<Pending> queue_;
   std::deque<PausedStream> paused_;
   /// Next request handle.  An admitted request's stream takes the

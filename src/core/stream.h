@@ -117,12 +117,12 @@ struct Stream {
   /// True when admitted over non-adjacent disks (buffers in use).
   bool fragmented = false;
   /// True when the stream buffers nothing and cannot migrate — every
-  /// contiguous admission, and every Algorithm-1 admission whose lanes
-  /// all align at delta_max.  All its lanes then read every interval
-  /// from tau == delta_max until the last row, so its cursors are a
-  /// closed form of tau (SteadyProgress) and the stored ones are current
-  /// only right after the tick visits it.  Cleared when such a stream
-  /// pauses: it missed a read.
+  /// contiguous admission, every Algorithm-1 admission whose lanes all
+  /// align at delta_max, and every stream whose lanes Algorithm 2 has
+  /// fully drained.  All its lanes then read every interval until the
+  /// last row, so its cursors are a closed form of tau (SteadyProgress)
+  /// and the stored ones are current only right after the tick visits
+  /// it.  Cleared when such a stream pauses: it missed a read.
   bool steady = false;
   /// True when the object's layout carries a per-subobject parity
   /// fragment on the disk after the stripe; enables kReconstruct

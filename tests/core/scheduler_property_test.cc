@@ -18,6 +18,8 @@
 #include "core/interval_scheduler.h"
 #include "core/invariants.h"
 #include "disk/disk_array.h"
+#include "fault/fault_injector.h"
+#include "fault/fault_plan.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -600,6 +602,130 @@ TEST(SchedulerFastPathTest, StaleCalendarEntryDoesNotFinishResumedStream) {
   EXPECT_EQ(completed_at[0], resumed_at + remainder - 1);
   EXPECT_EQ(s->metrics().displays_completed, 1);
   EXPECT_EQ(s->metrics().hiccups, 0);
+}
+
+// A queue-heavy Algorithm 1-2 load: popular titles start on a few hot
+// disks, so many queued requests share a (start disk, degree, parity)
+// and fail admission together, and most displays are admitted
+// fragmented and run Algorithm 2 every interval until drained.  The
+// outcomes must equal the pins, the audit must hold after every
+// interval, and a read observer (which makes every stream due every
+// interval) must not change them.  One case adds disk faults under the
+// parity-reconstruction ladder.
+TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
+  constexpr int32_t kDisks = 32;
+  constexpr int32_t kHot[] = {0, 5, 17, 26};
+  const SimTime interval = SimTime::Millis(605);
+  auto run = [&](const QueueHeavyFingerprint& c, bool observe) {
+    Simulator sim;
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = c.stride;
+    config.interval = interval;
+    config.policy = AdmissionPolicy::kFragmented;
+    config.coalesce = true;
+    config.degraded_policy =
+        c.faults ? DegradedPolicy::kReconstruct : DegradedPolicy::kNone;
+    if (observe) {
+      config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
+                                int32_t) {};
+    }
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    IntervalScheduler* s = sched->get();
+    std::unique_ptr<FaultInjector> injector;
+    if (c.faults) {
+      // A failure and a stall on disks under the hot stripes, a slow
+      // disk, and corrupt cells, all inside the busy stretch of the run.
+      FaultPlan plan;
+      plan.FailAt(6, interval * 40 + SimTime::Millis(300))
+          .RecoverAt(6, interval * 90 + SimTime::Millis(300))
+          .StallAt(18, interval * 120 + SimTime::Millis(300), interval * 25)
+          .DegradeAt(27, interval * 60, interval * 30, 50)
+          .LatentAt(2, interval * 30, 3, 9)
+          .LatentAt(20, interval * 150, 0, 40);
+      auto created = FaultInjector::Create(&sim, &*disks, plan);
+      STAGGER_CHECK(created.ok()) << created.status();
+      injector = *std::move(created);
+    }
+    int64_t audit_failures = 0;
+    SlotBusyTally tally(kDisks);
+    s->SetIdleBandwidthHook([s, &audit_failures, &tally,
+                             array = &*disks](int64_t t) {
+      tally.Sample(*array);
+      const Status st = InvariantAuditor::AuditScheduler(*s);
+      if (!st.ok()) {
+        ADD_FAILURE() << "interval " << t << ": " << st;
+        ++audit_failures;
+      }
+    });
+    Rng rng(c.seed);
+    // Checksum of every display's completion interval, weighted by its
+    // request index.
+    double finish_sum = 0.0;
+    int64_t completed = 0;
+    SimTime at = SimTime::Zero();
+    for (int i = 0; i < 240; ++i) {
+      DisplayRequest req;
+      req.object = i;
+      req.degree = static_cast<int32_t>(1 + rng.NextBounded(4));
+      req.start_disk = kHot[rng.NextBounded(4)];
+      req.num_subobjects = static_cast<int64_t>(10 + rng.NextBounded(40));
+      req.parity = c.parity;
+      req.on_completed = [&finish_sum, &completed, s, i] {
+        finish_sum += (i + 1.0) * static_cast<double>(s->current_interval());
+        ++completed;
+      };
+      at += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(1200000)));
+      sim.ScheduleAt(at, [s, req = std::move(req)]() mutable {
+        STAGGER_CHECK(s->Submit(std::move(req)).ok());
+      });
+    }
+    sim.RunUntil(interval * 1500);
+    tally.ExpectMeanMatches(*disks);
+    const SchedulerMetrics& m = s->metrics();
+    std::vector<double> fingerprint = {
+        static_cast<double>(completed),
+        static_cast<double>(m.displays_completed),
+        static_cast<double>(m.fragmented_admissions),
+        static_cast<double>(m.coalesce_migrations),
+        static_cast<double>(m.hiccups),
+        static_cast<double>(m.degraded_reads),
+        static_cast<double>(m.reconstructed_reads),
+        static_cast<double>(m.corrupt_reads_detected),
+        static_cast<double>(m.streams_paused),
+        static_cast<double>(m.streams_resumed),
+        static_cast<double>(m.peak_buffered_fragments),
+        m.startup_latency_sec.mean(),
+        m.queue_length.Average(sim.Now()),
+        finish_sum,
+        static_cast<double>(audit_failures),
+    };
+    for (const int64_t busy : tally.per_slot) {
+      fingerprint.push_back(static_cast<double>(busy));
+    }
+    return fingerprint;
+  };
+  for (const QueueHeavyFingerprint& pinned : kQueueHeavyFingerprints) {
+    const std::vector<double> plain = run(pinned, false);
+    EXPECT_EQ(plain, pinned.values)
+        << "stride=" << pinned.stride << " parity=" << pinned.parity
+        << " faults=" << pinned.faults;
+    // Every display completes, with no hiccup and no audit failure.
+    EXPECT_EQ(plain[0], 240);
+    EXPECT_EQ(plain[4], 0);
+    EXPECT_EQ(plain[14], 0);
+    // The queue stays long and Algorithm 2 migrates lanes.
+    EXPECT_GT(plain[12], 20);
+    EXPECT_GT(plain[3], 0);
+    if (pinned.faults) {
+      EXPECT_GT(plain[6], 0) << "no read reconstructed from parity";
+    }
+    if (pinned.observe) {
+      EXPECT_EQ(plain, run(pinned, true))
+          << "stride=" << pinned.stride << " parity=" << pinned.parity
+          << " faults=" << pinned.faults;
+    }
+  }
 }
 
 }  // namespace
