@@ -1,6 +1,7 @@
 #include "core/interval_scheduler.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <string>
 #include <utility>
@@ -71,17 +72,23 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
                                      VirtualDiskFrame frame)
     : sim_(sim), disks_(disks), config_(config), frame_(frame),
       epoch_(sim->Now()),
-      vdisk_owner_(static_cast<size_t>(disks->num_disks()), kNoStream),
+      vdisk_slot_(static_cast<size_t>(disks->num_disks()), kNoSlot),
       vdisk_occupied_(frame),
       failed_admissions_(kFailedAdmissionSlots) {
   scratch_taken_.Resize(disks->num_disks());
   claimed_.Resize(disks->num_disks());
   reading_.Resize(disks->num_disks());
   ticker_ = std::make_unique<PeriodicTicker>(
-      sim_, epoch_, config_.interval, [this](int64_t tick) { Tick(tick); });
+      sim_, epoch_, config_.interval, [this](int64_t tick) { Tick(tick); },
+      [this](int64_t n) { SkipQuietIntervals(n); });
+  // Without the listener a health change could not wake the ticker, so
+  // a scheduler sharing its array with another never sleeps.
+  holds_health_listener_ = disks_->SetHealthListener([this] { Wake(); });
 }
 
-IntervalScheduler::~IntervalScheduler() = default;
+IntervalScheduler::~IntervalScheduler() {
+  if (holds_health_listener_) disks_->SetHealthListener(nullptr);
+}
 
 Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
   if (request.degree < 1 || request.degree > frame_.num_disks()) {
@@ -99,6 +106,7 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
   const RequestId id = next_request_id_++;
   queue_.push_back(Pending{id, std::move(request), sim_->Now()});
   ++metrics_.displays_requested;
+  Wake();
   return id;
 }
 
@@ -118,6 +126,7 @@ Status IntervalScheduler::Cancel(RequestId id) {
     return Status::NotFound("unknown request " + std::to_string(id));
   }
   ++metrics_.displays_cancelled;
+  Wake();
   return Status::OK();
 }
 
@@ -149,6 +158,7 @@ Result<RequestId> IntervalScheduler::Seek(RequestId id, int32_t new_start_disk,
 
   FinishStream(id, /*completed=*/false);
   queue_.push_back(std::move(p));
+  Wake();
   return queue_.back().id;
 }
 
@@ -207,6 +217,34 @@ STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
   // can inspect this interval's busy flags (a failed disk carries zero
   // load).
   disks_->EndInterval();
+  if (Quiet()) {
+    ticker_->SleepUntil(calendar_.empty() ? PeriodicTicker::kNever
+                                          : calendar_.front().tick);
+  }
+}
+
+bool IntervalScheduler::Quiet() const {
+  // Nothing to admit or resume, no stream the tick visits, and nothing
+  // between ticks that a health check or a hook would see: the coming
+  // ticks reserve exactly reading_ until a calendar event falls due.
+  return holds_health_listener_ && queue_.empty() && paused_.empty() &&
+         unsteady_.empty() && buffered_fragments_ == 0 && !idle_hook_ &&
+         !config_.read_observer && disks_->Healthy();
+}
+
+void IntervalScheduler::SkipQuietIntervals(int64_t n) {
+  // Each skipped tick would have reserved reading_ rotated onto the
+  // array and closed the interval.  The queue-length and buffer signals
+  // stay at zero, whose time-weighted sums a Set would not move.
+  interval_index_ += n;
+  disks_->SkipIntervals(n, reading_.CountSet());
+#ifdef STAGGER_AUDIT
+  STAGGER_CHECK_OK(InvariantAuditor::AuditScheduler(*this));
+#endif
+}
+
+void IntervalScheduler::Wake() {
+  if (ticker_->sleeping()) ticker_->Wake();
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
@@ -221,8 +259,11 @@ STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
   // that failed fails again until the next admission, which starts a
   // new pass; queued requests sharing a failed key are skipped.
   ++admission_pass_;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    const DisplayRequest& req = it->req;
+  STAGGER_DCHECK(scratch_admitted_.empty());
+  size_t i = 0;
+  for (auto it = queue_.begin(); it != queue_.end(); ++it, ++i) {
+    const Pending& p = *it;
+    const DisplayRequest& req = p.req;
     const int32_t shape = req.degree * 2 + (req.parity ? 1 : 0);
     const uint32_t hash =
         static_cast<uint32_t>(req.start_disk) * 0x9E3779B1u ^
@@ -233,17 +274,66 @@ STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
         failed.start_disk == req.start_disk && failed.shape == shape) {
 #ifdef STAGGER_AUDIT
       STAGGER_CHECK(!PlanAdmission(req).has_value())
-          << "request " << it->id << " skipped as a failed key would start";
+          << "request " << p.id << " skipped as a failed key would start";
 #endif
-      ++it;
-    } else if (TryAdmit(*it)) {
-      it = queue_.erase(it);
+    } else if (TryAdmit(p)) {
       ++admission_pass_;
+      // stagger-lint: allow(hot-path-alloc) -- scratch_admitted_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
+      scratch_admitted_.push_back(i);
     } else {
       failed = FailedAdmission{admission_pass_, req.start_disk, shape};
-      ++it;
     }
   }
+  if (!scratch_admitted_.empty()) RemoveAdmitted();
+}
+
+void IntervalScheduler::RemoveAdmitted() {
+  // Erasing each admitted entry on its own moves the shorter side of the
+  // deque every time, so an entry can move once per admission.  Instead
+  // the survivors before a split slide toward the back over the admitted
+  // entries there, and those after it toward the front, each at most
+  // once; the split moves the fewest.  Sliding only toward the front
+  // moved more entries than the erases on three of the four benchmark
+  // workloads (docs/performance.md §17).
+  const std::vector<size_t>& admitted = scratch_admitted_;
+  const size_t k = admitted.size();
+  const size_t n = queue_.size();
+  // Entries moved with the first j admitted entries taken out at the
+  // front and the rest at the back.
+  const auto moves = [&](size_t j) {
+    const size_t front = j == 0 ? 0 : admitted[j - 1] + 1 - j;
+    const size_t back = j == k ? 0 : n - admitted[j] - (k - j);
+    return front + back;
+  };
+  size_t split = 0;
+  for (size_t j = 1; j <= k; ++j) {
+    if (moves(j) < moves(split)) split = j;
+  }
+  if (split < k) {
+    size_t out = admitted[split];
+    for (size_t i = out + 1, next = split + 1; i < n; ++i) {
+      if (next < k && admitted[next] == i) {
+        ++next;
+        continue;
+      }
+      queue_[out++] = std::move(queue_[i]);
+    }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(out),
+                 queue_.end());
+  }
+  if (split > 0) {
+    size_t out = admitted[split - 1];
+    for (size_t i = out, next = split - 1; i-- > 0;) {
+      if (next > 0 && admitted[next - 1] == i) {
+        --next;
+        continue;
+      }
+      queue_[out--] = std::move(queue_[i]);
+    }
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(split));
+  }
+  scratch_admitted_.clear();
 }
 
 STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(const Pending& p) {
@@ -377,8 +467,8 @@ void IntervalScheduler::AdmitStream(const Pending& p, AdmitPlan&& plan) {
   for (const FragmentLane& lane : s.lanes) {
     for (int32_t f = 0, v = lane.vdisk; f < lane.width;
          ++f, v = v + 1 == frame_.num_disks() ? 0 : v + 1) {
-      STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(v)] == kNoStream);
-      vdisk_owner_[static_cast<size_t>(v)] = s.id;
+      STAGGER_DCHECK(vdisk_slot_[static_cast<size_t>(v)] == kNoSlot);
+      vdisk_slot_[static_cast<size_t>(v)] = slot;
       vdisk_occupied_.Set(v);
     }
   }
@@ -672,15 +762,16 @@ STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams(
     // Slots come in ascending order, so the faulty slots under one lane
     // arrive together: noting an owner once per run keeps the list to
     // about one entry per stream.
-    StreamId last_owner = kNoStream;
+    int32_t last_owner = kNoSlot;
     const auto note = [&](int32_t slot) {
       const int32_t v = slot >= rot ? slot - rot : slot - rot + d;
       if (!reading_.Test(v)) return;
-      const StreamId owner = vdisk_owner_[static_cast<size_t>(v)];
+      const int32_t owner = vdisk_slot_[static_cast<size_t>(v)];
       if (owner == last_owner) return;
       last_owner = owner;
       // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
-      scratch_events_.push_back(DueStream{owner, SlotOf(owner), true});
+      scratch_events_.push_back(
+          DueStream{slots_[static_cast<size_t>(owner)].id, owner, true});
     };
     if (any_down) disks_->unavailable_slots().ForEachSet(note);
     if (latent_active) disks_->latent_errors().corrupt_disks().ForEachSet(note);
@@ -935,9 +1026,9 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s,
 
   // Migrate: release the old disk now; reads resume on the new one.
   ++vdisk_frees_;
-  vdisk_owner_[static_cast<size_t>(lane.vdisk)] = kNoStream;
+  vdisk_slot_[static_cast<size_t>(lane.vdisk)] = kNoSlot;
   vdisk_occupied_.Clear(lane.vdisk);
-  vdisk_owner_[static_cast<size_t>(best_v)] = s->id;
+  vdisk_slot_[static_cast<size_t>(best_v)] = slot;
   vdisk_occupied_.Set(best_v);
   lane.vdisk = best_v;
   lane.next_read_tau = best_resume;
@@ -973,8 +1064,10 @@ void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
   const int32_t d = frame_.num_disks();
   int32_t v = lane->vdisk;
   for (int32_t f = 0; f < count; ++f, v = v + 1 == d ? 0 : v + 1) {
-    STAGGER_DCHECK(vdisk_owner_[static_cast<size_t>(v)] == s.id);
-    vdisk_owner_[static_cast<size_t>(v)] = kNoStream;
+    STAGGER_DCHECK(vdisk_slot_[static_cast<size_t>(v)] != kNoSlot &&
+                   slots_[static_cast<size_t>(
+                       vdisk_slot_[static_cast<size_t>(v)])].id == s.id);
+    vdisk_slot_[static_cast<size_t>(v)] = kNoSlot;
     vdisk_occupied_.Clear(v);
     reading_.Clear(v);
   }

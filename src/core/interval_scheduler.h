@@ -19,6 +19,15 @@
 //    buffers (Algorithm 2).  A stream whose lanes have all drained reads
 //    in lockstep from then on and joins the steady streams that the
 //    tick reserves in one word pass without visiting them.
+//
+// Quiet runs.  While nothing is queued or paused, every stream is steady,
+// no fragment is buffered, the array is healthy, and neither an idle
+// hook nor a read observer is installed, a tick only advances the
+// interval count and the array's busy count, both closed forms until
+// the calendar's next event.  The scheduler then lets its ticker sleep
+// until that event (see PeriodicTicker::SleepUntil); Submit, Cancel,
+// Seek, SetIdleBandwidthHook and every health change of the array wake
+// it at the next interval.
 
 #ifndef STAGGER_CORE_INTERVAL_SCHEDULER_H_
 #define STAGGER_CORE_INTERVAL_SCHEDULER_H_
@@ -210,6 +219,7 @@ class IntervalScheduler {
   /// rebuild subsystem (src/rebuild/) consumes it for spare rebuilding.
   void SetIdleBandwidthHook(std::function<void(int64_t)> hook) {
     idle_hook_ = std::move(hook);
+    Wake();
   }
 
  private:
@@ -290,7 +300,17 @@ class IntervalScheduler {
   static constexpr size_t kFailedAdmissionSlots = 256;
 
   void Tick(int64_t tick_index);
+  /// True when the coming ticks, until the calendar's next event, would
+  /// change nothing but the interval count and the array's busy count.
+  bool Quiet() const;
+  /// Accounts `n` quiet intervals the ticker slept through.
+  void SkipQuietIntervals(int64_t n);
+  /// Ends the ticker's sleep, if any, at the next interval.
+  void Wake();
   void TryAdmissions();
+  /// Removes the queue entries listed in scratch_admitted_, keeping the
+  /// others in FIFO order.
+  void RemoveAdmitted();
   /// Attempts to admit `p` at the current interval; true on success.
   bool TryAdmit(const Pending& p);
   /// Plans `req` for the current interval under the configured policy
@@ -363,12 +383,15 @@ class IntervalScheduler {
   SimTime epoch_;
   int64_t interval_index_ = 0;
 
-  /// Owner of each virtual disk (kNoStream when free) plus the same set
-  /// as a two-view bitmap.  The bitmap answers the hot-path queries
+  static constexpr int32_t kNoSlot = -1;
+
+  /// Slot of each virtual disk's owner (kNoSlot when free) plus the same
+  /// set as a two-view bitmap.  The bitmap answers the hot-path queries
   /// (window test at contiguous admission in vdisk order, the Algorithm
   /// 1-2 searches in orbit order) in O(M/64) and O(lookahead/64) words;
-  /// the owner array backs O(1) release and the audit's cross-checks.
-  std::vector<StreamId> vdisk_owner_;
+  /// the owner array backs O(1) release, the faulty tick's owner lookup
+  /// and the audit's cross-checks.
+  std::vector<int32_t> vdisk_slot_;
   VdiskOccupancy vdisk_occupied_;
   /// Stream storage: stable slots plus a free list, so steady-state
   /// admission/retirement never allocates.  active_ maps stream id ->
@@ -430,10 +453,15 @@ class IntervalScheduler {
   std::vector<DueStream> scratch_due_;
   std::vector<DueStream> scratch_events_;
   std::vector<StreamId> scratch_finished_;
+  /// Queue positions admitted by this tick's TryAdmissions, ascending.
+  std::vector<size_t> scratch_admitted_;
   std::vector<StreamId> scratch_to_pause_;
 
   SchedulerMetrics metrics_;
   std::function<void(int64_t)> idle_hook_;
+  /// True while this scheduler holds the array's health listener, which
+  /// it needs to sleep.
+  bool holds_health_listener_ = false;
   std::unique_ptr<PeriodicTicker> ticker_;
 };
 

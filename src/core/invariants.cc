@@ -301,8 +301,8 @@ Status InvariantAuditor::AuditTrace(
 
 Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   const int32_t d = s.frame_.num_disks();
-  STAGGER_AUDIT_VERIFY(static_cast<int32_t>(s.vdisk_owner_.size()) == d)
-      << "; occupancy vector has " << s.vdisk_owner_.size()
+  STAGGER_AUDIT_VERIFY(static_cast<int32_t>(s.vdisk_slot_.size()) == d)
+      << "; occupancy vector has " << s.vdisk_slot_.size()
       << " entries for D=" << d;
 
   // Slot storage consistency: active_ maps each live stream id to its
@@ -414,9 +414,10 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       const bool reading = stream.steady && lane.reads_done > 0;
       for (int32_t f = 0; f < lane.width; ++f) {
         const size_t v = static_cast<size_t>((lane.vdisk + f) % d);
-        STAGGER_AUDIT_VERIFY(s.vdisk_owner_[v] == id)
+        STAGGER_AUDIT_VERIFY(s.vdisk_slot_[v] == slot)
             << "; stream " << id << " lane " << j << " claims virtual disk "
-            << v << " owned by " << s.vdisk_owner_[v];
+            << v << " owned by slot " << s.vdisk_slot_[v] << ", not "
+            << slot;
         STAGGER_AUDIT_VERIFY(s.reading_.Test(static_cast<int32_t>(v)) ==
                              reading)
             << "; stream " << id << " lane " << j << " virtual disk " << v
@@ -460,20 +461,22 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   // OrbitPos is a permutation, so the per-disk check covers every bit.
   const Bitmap& by_orbit = s.vdisk_occupied_.by_orbit();
   int64_t owned_disks = 0;
-  for (size_t v = 0; v < s.vdisk_owner_.size(); ++v) {
-    const StreamId owner = s.vdisk_owner_[v];
+  for (size_t v = 0; v < s.vdisk_slot_.size(); ++v) {
+    const int32_t owner = s.vdisk_slot_[v];
+    const bool owned = owner != IntervalScheduler::kNoSlot;
     const int32_t vdisk = static_cast<int32_t>(v);
-    STAGGER_AUDIT_VERIFY(s.vdisk_occupied_.Test(vdisk) == (owner != kNoStream))
+    STAGGER_AUDIT_VERIFY(s.vdisk_occupied_.Test(vdisk) == owned)
         << "; virtual disk " << v << " occupancy bit disagrees with owner "
-        << owner;
-    STAGGER_AUDIT_VERIFY(by_orbit.Test(s.frame_.OrbitPos(vdisk)) ==
-                         (owner != kNoStream))
+        << "slot " << owner;
+    STAGGER_AUDIT_VERIFY(by_orbit.Test(s.frame_.OrbitPos(vdisk)) == owned)
         << "; virtual disk " << v << " orbit-order bit "
-        << s.frame_.OrbitPos(vdisk) << " disagrees with owner " << owner;
-    if (owner == kNoStream) continue;
+        << s.frame_.OrbitPos(vdisk) << " disagrees with owner slot " << owner;
+    if (!owned) continue;
     ++owned_disks;
-    STAGGER_AUDIT_VERIFY(s.SlotOf(owner) >= 0)
-        << "; virtual disk " << v << " owned by dead stream " << owner;
+    STAGGER_AUDIT_VERIFY(owner >= 0 &&
+                         owner < static_cast<int32_t>(s.slots_.size()) &&
+                         s.slots_[static_cast<size_t>(owner)].id != kNoStream)
+        << "; virtual disk " << v << " owned by free slot " << owner;
   }
   STAGGER_AUDIT_VERIFY(owned_disks == owned_vdisks)
       << "; " << owned_disks << " virtual disks owned but lanes hold "

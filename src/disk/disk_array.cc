@@ -95,6 +95,7 @@ void DiskArray::FailDisk(DiskId id) {
   if (disk(slot).health() == DiskHealth::kDegraded) DropDegradedSlot(slot);
   disk(slot).Fail();
   NoteAvailabilityChange(slot, was);
+  NotifyHealthChange();
 }
 
 void DiskArray::StallDisk(DiskId id) {
@@ -102,6 +103,7 @@ void DiskArray::StallDisk(DiskId id) {
   const bool was = disk(slot).available();
   disk(slot).Stall();
   NoteAvailabilityChange(slot, was);
+  NotifyHealthChange();
 }
 
 void DiskArray::DegradeDisk(DiskId id, int32_t percent) {
@@ -112,6 +114,7 @@ void DiskArray::DegradeDisk(DiskId id, int32_t percent) {
   STAGGER_CHECK(it == degraded_slots_.end() || *it != slot);
   degraded_slots_.insert(it, slot);
   NoteAvailabilityChange(slot, was);
+  NotifyHealthChange();
 }
 
 void DiskArray::RecoverDisk(DiskId id) {
@@ -120,6 +123,7 @@ void DiskArray::RecoverDisk(DiskId id) {
   if (disk(slot).health() == DiskHealth::kDegraded) DropDegradedSlot(slot);
   disk(slot).Recover();
   NoteAvailabilityChange(slot, was);
+  NotifyHealthChange();
 }
 
 Result<int32_t> DiskArray::AcquireSpare() {
@@ -170,6 +174,14 @@ void DiskArray::PromoteSpare(DiskId slot, int32_t drive) {
   // fresh media, so whatever latent errors the dead drive carried are
   // gone with it.
   latent_errors_->DropDiskRebuilt(slot);
+  NotifyHealthChange();
+}
+
+bool DiskArray::SetHealthListener(std::function<void()> fn) {
+  if (fn && health_listener_) return false;
+  health_listener_ = fn;
+  latent_errors_->SetInjectListener(std::move(fn));
+  return true;
 }
 
 STAGGER_HOT_PATH void DiskArray::EndInterval() {
@@ -195,6 +207,19 @@ STAGGER_HOT_PATH void DiskArray::EndInterval() {
     }
     degraded_disk_intervals_ += static_cast<int64_t>(degraded_slots_.size());
   }
+}
+
+void DiskArray::SkipIntervals(int64_t n, int64_t busy) {
+  STAGGER_DCHECK(n >= 0 && busy >= 0 && busy <= num_slots_);
+  STAGGER_DCHECK(degraded_slots_.empty());
+#ifndef NDEBUG
+  for (int32_t w = 0; w < busy_drives_.num_words(); ++w) {
+    STAGGER_DCHECK(busy_drives_.word(w) == 0)
+        << "intervals skipped with reservations open";
+  }
+#endif
+  busy_slot_intervals_ += n * busy;
+  clock_->intervals += n;
 }
 
 int64_t DiskArray::TotalCylinders() const {

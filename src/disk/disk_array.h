@@ -33,6 +33,7 @@
 #ifndef STAGGER_DISK_DISK_ARRAY_H_
 #define STAGGER_DISK_DISK_ARRAY_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -177,6 +178,17 @@ class DiskArray {
   /// Total slot-intervals spent in the degraded state (serving or not),
   /// across all disks and the whole run.
   int64_t degraded_disk_intervals() const { return degraded_disk_intervals_; }
+  /// True when every slot is available and no drive is degraded or
+  /// carries a corrupt cell: an interval close then only counts.
+  bool Healthy() const {
+    return unavailable_count_ == 0 && degraded_slots_.empty() &&
+           !latent_errors_->active();
+  }
+  /// Installs the one listener told of every health change: fail, stall,
+  /// degrade, recover, spare promotion, and latent-error injection.
+  /// Returns false, installing nothing, while another is installed; a
+  /// null `fn` uninstalls.
+  bool SetHealthListener(std::function<void()> fn);
 
   /// Registry of latent sector errors on this array's media, shared by
   /// the fault injector (writes), the scrubber, the rebuild, and the
@@ -214,6 +226,12 @@ class DiskArray {
   /// O((D + S)/64) words.
   STAGGER_HOT_PATH void EndInterval();
 
+  /// Closes `n` intervals in which exactly `busy` slots were reserved,
+  /// without reserving them: what `n` rounds of reservations and
+  /// EndInterval() would count.  Preconditions: nothing reserved in the
+  /// open interval, and no degraded drive (its duty cycle would move).
+  void SkipIntervals(int64_t n, int64_t busy);
+
   // --- aggregate storage ------------------------------------------------
   int64_t TotalCylinders() const;
   int64_t FreeCylinders() const;
@@ -240,6 +258,10 @@ class DiskArray {
 
   /// Removes `slot` from the degraded-slot walk list.
   void DropDegradedSlot(DiskId slot);
+
+  void NotifyHealthChange() {
+    if (health_listener_) health_listener_();
+  }
 
   /// The slot bits of word `w`: all ones, except that the last slot
   /// word clears its bits at or past D (in the busy bitmap those belong
@@ -287,6 +309,7 @@ class DiskArray {
   int64_t degraded_disk_intervals_ = 0;
   /// Heap-allocated like clock_ so reader-held pointers survive moves.
   std::unique_ptr<LatentErrorMap> latent_errors_;
+  std::function<void()> health_listener_;
 };
 
 }  // namespace stagger

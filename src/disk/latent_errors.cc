@@ -20,6 +20,7 @@ int64_t LatentErrorMap::Inject(DiskId disk, int64_t sub_lo, int64_t sub_hi) {
   }
   active_cells_ += fresh;
   metrics_.injected += fresh;
+  if (inject_listener_) inject_listener_();
   return fresh;
 }
 

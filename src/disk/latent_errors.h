@@ -31,7 +31,9 @@
 #define STAGGER_DISK_LATENT_ERRORS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 
 #include "disk/disk.h"
 #include "util/bitmap.h"
@@ -65,6 +67,11 @@ class LatentErrorMap {
   /// Binds the registry to the array's shared interval clock; all
   /// timestamps below are that clock's interval count.
   void AttachClock(const IntervalClock* clock) { clock_ = clock; }
+
+  /// Invoked after every Inject (the owning array's health listener).
+  void SetInjectListener(std::function<void()> fn) {
+    inject_listener_ = std::move(fn);
+  }
 
   /// Marks cells [sub_lo, sub_hi] of `disk` corrupt; already-corrupt
   /// cells are left as they are (their original injection stands).
@@ -122,6 +129,7 @@ class LatentErrorMap {
   Bitmap corrupt_disks_;
   int64_t active_cells_ = 0;
   LatentErrorMetrics metrics_;
+  std::function<void()> inject_listener_;
 };
 
 }  // namespace stagger

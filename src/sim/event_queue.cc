@@ -9,6 +9,17 @@
 namespace stagger {
 
 EventHandle EventQueue::Schedule(SimTime when, EventFn fn, int priority) {
+  return Push(when, std::move(fn), priority, next_seq_++);
+}
+
+EventHandle EventQueue::ScheduleTaken(SimTime when, EventFn fn, int priority,
+                                      uint64_t seq) {
+  STAGGER_DCHECK(seq != 0 && seq < next_seq_) << "seq " << seq << " not taken";
+  return Push(when, std::move(fn), priority, seq);
+}
+
+EventHandle EventQueue::Push(SimTime when, EventFn&& fn, int priority,
+                             uint64_t seq) {
   uint32_t slot = free_head_;
   if (slot != kNoSlot) {
     free_head_ = slots_[slot].next_free;
@@ -19,7 +30,7 @@ EventHandle EventQueue::Schedule(SimTime when, EventFn fn, int priority) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.live = true;
-  heap_.push_back(Entry{when.micros(), next_seq_++, priority, slot});
+  heap_.push_back(Entry{when.micros(), seq, priority, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later);
   ++size_;
   return EventHandle((uint64_t{slot} << 32) | s.gen);
@@ -86,6 +97,13 @@ STAGGER_HOT_PATH SimTime EventQueue::NextTime() const {
   // safe behind const.
   const_cast<EventQueue*>(this)->SkipDead();
   return SimTime(heap_.front().time_us);
+}
+
+STAGGER_HOT_PATH EventQueue::Key EventQueue::NextKey() const {
+  STAGGER_DCHECK(size_ != 0);
+  const_cast<EventQueue*>(this)->SkipDead();
+  const Entry& e = heap_.front();
+  return Key{SimTime(e.time_us), e.priority, e.seq};
 }
 
 STAGGER_HOT_PATH EventQueue::Fired EventQueue::PopNext() {

@@ -65,6 +65,15 @@ class EventQueue {
   /// Time of the earliest live event; Max() if empty.
   SimTime NextTime() const;
 
+  /// The firing-order key of an event: time, then priority, then seq.
+  struct Key {
+    SimTime time;
+    int priority = 0;
+    uint64_t seq = 0;
+  };
+  /// Key of the earliest live event.  Precondition: !empty().
+  Key NextKey() const;
+
   /// Removes and returns the earliest live event with its full key.
   /// Precondition: !empty().
   struct Fired {
@@ -78,6 +87,20 @@ class EventQueue {
   /// The seq the next Schedule() will assign: every pending event has a
   /// smaller one.
   uint64_t next_seq() const { return next_seq_; }
+
+  /// Consumes `n` seqs without scheduling anything, as `n` Schedule()
+  /// calls whose events never enter the set; returns the first.
+  uint64_t TakeSeqs(uint64_t n) {
+    const uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `fn` under a seq taken earlier with TakeSeqs (never used
+  /// by another event), so it fires where an event scheduled back then
+  /// would have.
+  EventHandle ScheduleTaken(SimTime when, EventFn fn, int priority,
+                            uint64_t seq);
 
   // --- introspection (tests) --------------------------------------------
 
@@ -106,6 +129,8 @@ class EventQueue {
     uint32_t next_free = kNoSlot;
     bool live = false;
   };
+
+  EventHandle Push(SimTime when, EventFn&& fn, int priority, uint64_t seq);
 
   /// Heap order for the std:: heap algorithms: "a fires after b".
   static bool Later(const Entry& a, const Entry& b) {

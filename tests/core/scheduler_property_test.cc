@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "disk/disk_array.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "scheduler_outcome.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -199,13 +202,33 @@ struct SlotBusyTally {
   int64_t total = 0;
 };
 
+// Runs a load twice without the idle hook: bare, when the scheduler
+// sleeps through its quiet runs, and with a read observer, which keeps
+// it awake.  Every outcome must be identical, and the bare run must
+// have slept, unless `sleeps` is false.
+void ExpectSleepLeavesOutcome(
+    const std::function<void(bool observe, BareRun* bare)>& run,
+    const std::string& label, bool sleeps = true) {
+  BareRun slept;
+  BareRun awake;
+  run(false, &slept);
+  run(true, &awake);
+  EXPECT_EQ(slept.outcome, awake.outcome) << label;
+  if (sleeps) {
+    EXPECT_GT(slept.ticks_skipped, 0u) << label;
+  }
+  EXPECT_EQ(awake.ticks_skipped, 0u) << label;
+}
+
 // Every stream advances through one lane loop: a contiguous stream's
 // run of M fragments is one range-reserve, a fragmented stream's lanes
 // reserve one disk each.  The load's outcomes must equal the pinned
 // fingerprints recorded from the per-fragment reference walk that this
 // loop replaced, and installing a read observer must not change them.
 TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
-  auto run = [](bool observe, uint64_t seed) {
+  // With `bare`, no idle hook: the scheduler may sleep, and `bare` gets
+  // the outcome.
+  auto run = [](bool observe, uint64_t seed, BareRun* bare = nullptr) {
     Simulator sim;
     auto disks = DiskArray::Create(16, DiskParameters::Evaluation());
     SchedulerConfig config;
@@ -222,8 +245,10 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     }
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
     SlotBusyTally tally(disks->num_disks());
-    (*sched)->SetIdleBandwidthHook(
-        [&tally, array = &*disks](int64_t) { tally.Sample(*array); });
+    if (bare == nullptr) {
+      (*sched)->SetIdleBandwidthHook(
+          [&tally, array = &*disks](int64_t) { tally.Sample(*array); });
+    }
     Rng rng(seed);
     SimTime at = SimTime::Zero();
     for (int i = 0; i < 30; ++i) {
@@ -238,6 +263,11 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
       });
     }
     sim.RunUntil(SimTime::Hours(1));
+    if (bare != nullptr) {
+      *bare = BareRun{SchedulerOutcome(**sched, *disks, sim),
+                      sim.ticks_skipped()};
+      return std::vector<double>{};
+    }
     tally.ExpectMeanMatches(*disks);
     double sum = 0.0, hi = 0.0, lo = 1.0;
     for (DiskId slot = 0; slot < disks->num_disks(); ++slot) {
@@ -264,6 +294,9 @@ TEST(SchedulerFastPathTest, MatchesPerLanePathExactly) {
     const std::vector<double> plain = run(false, pinned.seed);
     EXPECT_EQ(plain, pinned.values) << "seed=" << pinned.seed;
     EXPECT_EQ(plain, run(true, pinned.seed)) << "seed=" << pinned.seed;
+    ExpectSleepLeavesOutcome(
+        [&](bool observe, BareRun* bare) { run(observe, pinned.seed, bare); },
+        "seed=" + std::to_string(pinned.seed));
   }
 }
 
@@ -281,7 +314,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
   constexpr int32_t kDisks = 70;  // two bitmap words, the second partial
   const SimTime interval = SimTime::Millis(605);
   auto run = [&](DegradedPolicy policy, AdmissionPolicy admission,
-                 bool observe, uint64_t seed) {
+                 bool observe, uint64_t seed, BareRun* bare = nullptr) {
     Simulator sim;
     auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation(),
                                    /*num_spares=*/2);
@@ -298,8 +331,10 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
     auto sched = IntervalScheduler::Create(&sim, &*disks, config);
     DiskArray* array = &*disks;
     SlotBusyTally tally(kDisks);
-    (*sched)->SetIdleBandwidthHook(
-        [&tally, array](int64_t) { tally.Sample(*array); });
+    if (bare == nullptr) {
+      (*sched)->SetIdleBandwidthHook(
+          [&tally, array](int64_t) { tally.Sample(*array); });
+    }
     Rng rng(seed);
     // Faults land mid-interval, between ticks, as fault events do.
     const auto at_interval = [&](int64_t t) {
@@ -371,6 +406,11 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
       });
     }
     sim.RunUntil(SimTime::Hours(1));
+    if (bare != nullptr) {
+      *bare = BareRun{SchedulerOutcome(**sched, *array, sim),
+                      sim.ticks_skipped()};
+      return std::vector<double>{};
+    }
     tally.ExpectMeanMatches(*array);
     const SchedulerMetrics& m = (*sched)->metrics();
     std::vector<double> fingerprint = {
@@ -412,6 +452,16 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
             << "policy=" << static_cast<int>(policy)
             << " admission=" << static_cast<int>(admission)
             << " seed=" << seed;
+        // Half the latent cells stay unrepaired, so the array never
+        // turns healthy again and the scheduler stays awake.
+        ExpectSleepLeavesOutcome(
+            [&](bool observe, BareRun* bare) {
+              run(policy, admission, observe, seed, bare);
+            },
+            "policy=" + std::to_string(static_cast<int>(policy)) +
+                " admission=" + std::to_string(static_cast<int>(admission)) +
+                " seed=" + std::to_string(seed),
+            /*sleeps=*/false);
         ++pinned;
         remapped += fast[4];
         reconstructed += fast[5];
@@ -442,7 +492,7 @@ TEST(SchedulerFastPathTest, FaultModeMatchesPerLanePathExactly) {
 TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
   constexpr int32_t kDisks = 24;
   const SimTime interval = SimTime::Millis(605);
-  auto run = [&](bool observe, uint64_t seed) {
+  auto run = [&](bool observe, uint64_t seed, BareRun* bare = nullptr) {
     Simulator sim;
     auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
     SchedulerConfig config;
@@ -458,15 +508,17 @@ TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
     IntervalScheduler* s = sched->get();
     int64_t audit_failures = 0;
     SlotBusyTally tally(kDisks);
-    s->SetIdleBandwidthHook([s, &audit_failures, &tally,
-                             array = &*disks](int64_t t) {
-      tally.Sample(*array);
-      const Status st = InvariantAuditor::AuditScheduler(*s);
-      if (!st.ok()) {
-        ADD_FAILURE() << "interval " << t << ": " << st;
-        ++audit_failures;
-      }
-    });
+    if (bare == nullptr) {
+      s->SetIdleBandwidthHook([s, &audit_failures, &tally,
+                               array = &*disks](int64_t t) {
+        tally.Sample(*array);
+        const Status st = InvariantAuditor::AuditScheduler(*s);
+        if (!st.ok()) {
+          ADD_FAILURE() << "interval " << t << ": " << st;
+          ++audit_failures;
+        }
+      });
+    }
     // Outcome log: (request index, interval) of every start and finish.
     std::vector<double> log;
     std::vector<RequestId> handles;
@@ -517,6 +569,14 @@ TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
       });
     }
     sim.RunUntil(interval * 400);
+    if (bare != nullptr) {
+      std::ostringstream os;
+      os << std::hexfloat;
+      for (const double v : log) os << v << " ";
+      *bare = BareRun{SchedulerOutcome(*s, *disks, sim) + os.str(),
+                      sim.ticks_skipped()};
+      return std::vector<double>{};
+    }
     const SchedulerMetrics& m = s->metrics();
     std::vector<double> fingerprint = {
         static_cast<double>(m.displays_completed),
@@ -546,6 +606,9 @@ TEST(SchedulerFastPathTest, SeeksAndCancelsMatchAcrossDueSets) {
     // The load must reach both kinds of interruption.
     EXPECT_GT(plain[8], 0) << "no seek hit an active stream, seed=" << seed;
     EXPECT_GT(plain[9], 0) << "no cancel hit a live request, seed=" << seed;
+    ExpectSleepLeavesOutcome(
+        [&](bool observe, BareRun* bare) { run(observe, seed, bare); },
+        "seed=" + std::to_string(seed));
   }
 }
 
@@ -616,7 +679,8 @@ TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
   constexpr int32_t kDisks = 32;
   constexpr int32_t kHot[] = {0, 5, 17, 26};
   const SimTime interval = SimTime::Millis(605);
-  auto run = [&](const QueueHeavyFingerprint& c, bool observe) {
+  auto run = [&](const QueueHeavyFingerprint& c, bool observe,
+                 BareRun* bare = nullptr) {
     Simulator sim;
     auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
     SchedulerConfig config;
@@ -649,15 +713,17 @@ TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
     }
     int64_t audit_failures = 0;
     SlotBusyTally tally(kDisks);
-    s->SetIdleBandwidthHook([s, &audit_failures, &tally,
-                             array = &*disks](int64_t t) {
-      tally.Sample(*array);
-      const Status st = InvariantAuditor::AuditScheduler(*s);
-      if (!st.ok()) {
-        ADD_FAILURE() << "interval " << t << ": " << st;
-        ++audit_failures;
-      }
-    });
+    if (bare == nullptr) {
+      s->SetIdleBandwidthHook([s, &audit_failures, &tally,
+                               array = &*disks](int64_t t) {
+        tally.Sample(*array);
+        const Status st = InvariantAuditor::AuditScheduler(*s);
+        if (!st.ok()) {
+          ADD_FAILURE() << "interval " << t << ": " << st;
+          ++audit_failures;
+        }
+      });
+    }
     Rng rng(c.seed);
     // Checksum of every display's completion interval, weighted by its
     // request index.
@@ -681,6 +747,13 @@ TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
       });
     }
     sim.RunUntil(interval * 1500);
+    if (bare != nullptr) {
+      std::ostringstream os;
+      os << std::hexfloat << "finish_sum=" << finish_sum;
+      *bare = BareRun{SchedulerOutcome(*s, *disks, sim) + os.str(),
+                      sim.ticks_skipped()};
+      return std::vector<double>{};
+    }
     tally.ExpectMeanMatches(*disks);
     const SchedulerMetrics& m = s->metrics();
     std::vector<double> fingerprint = {
@@ -725,6 +798,82 @@ TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
           << "stride=" << pinned.stride << " parity=" << pinned.parity
           << " faults=" << pinned.faults;
     }
+    ExpectSleepLeavesOutcome(
+        [&](bool observe, BareRun* bare) { run(pinned, observe, bare); },
+        "stride=" + std::to_string(pinned.stride) +
+            " parity=" + std::to_string(pinned.parity) +
+            " faults=" + std::to_string(pinned.faults));
+  }
+}
+
+// Faults from outside events land while the scheduler sleeps: two long
+// steady streams leave nothing due between their first and last reads,
+// a disk fails and recovers mid-interval, and corrupt cells appear under
+// a stream.  Each health change must wake the scheduler at the next
+// interval, so the remapped, paused and checksum-caught reads, and every
+// other outcome, equal those of a run a read observer keeps awake.
+TEST(SchedulerSleepTest, FaultsMidSleepWakeTheScheduler) {
+  constexpr int32_t kDisks = 8;
+  const SimTime interval = SimTime::Millis(605);
+  for (const DegradedPolicy policy :
+       {DegradedPolicy::kPause, DegradedPolicy::kRemapOrPause,
+        DegradedPolicy::kReconstruct}) {
+    const auto run = [&](bool observe, BareRun* bare) {
+      Simulator sim;
+      auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation(),
+                                     /*num_spares=*/1);
+      SchedulerConfig config;
+      config.stride = 1;
+      config.interval = interval;
+      config.degraded_policy = policy;
+      if (observe) {
+        config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
+                                  int32_t) {};
+      }
+      auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+      IntervalScheduler* s = sched->get();
+      std::ostringstream log;
+      const auto submit = [&](int32_t start, int32_t degree, int64_t rows) {
+        DisplayRequest req;
+        req.object = start;
+        req.start_disk = start;
+        req.degree = degree;
+        req.num_subobjects = rows;
+        req.on_completed = [&log, s, start] {
+          log << "done " << start << " at " << s->current_interval() << "\n";
+        };
+        STAGGER_CHECK(s->Submit(std::move(req)).ok());
+      };
+      submit(0, 2, 400);
+      submit(4, 3, 300);
+      DiskArray* array = &*disks;
+      const auto mid = [&](int64_t t) {
+        return interval * t + SimTime::Millis(300);
+      };
+      sim.ScheduleAt(mid(50), [array] { array->FailDisk(1); });
+      sim.ScheduleAt(mid(80), [array] { array->RecoverDisk(1); });
+      sim.ScheduleAt(mid(150),
+                     [array] { array->latent_errors().Inject(5, 100, 160); });
+      sim.ScheduleAt(mid(200), [array] { array->FailDisk(3); });
+      sim.ScheduleAt(mid(210), [array] {
+        auto spare = array->AcquireSpare();
+        STAGGER_CHECK(spare.ok());
+        array->PromoteSpare(3, *spare);
+      });
+      sim.ScheduleAt(mid(260), [array] { array->StallDisk(6); });
+      sim.ScheduleAt(mid(263), [array] { array->RecoverDisk(6); });
+      sim.RunUntil(interval * 600);
+      *bare = BareRun{SchedulerOutcome(*s, *disks, sim) + log.str(),
+                      sim.ticks_skipped()};
+      const SchedulerMetrics& m = s->metrics();
+      EXPECT_EQ(m.displays_completed, 2);
+      EXPECT_EQ(m.hiccups, 0);
+      // The faults reached the streams.
+      EXPECT_GT(m.streams_paused + m.degraded_reads, 0);
+      EXPECT_GT(m.corrupt_reads_detected, 0);
+    };
+    ExpectSleepLeavesOutcome(run,
+                             "policy=" + std::to_string(static_cast<int>(policy)));
   }
 }
 

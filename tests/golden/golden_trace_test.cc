@@ -21,6 +21,7 @@
 #include "core/interval_scheduler.h"
 #include "core/invariants.h"
 #include "core/schedule_trace.h"
+#include "../core/scheduler_outcome.h"
 #include "disk/disk_array.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -74,7 +75,11 @@ struct StripedScenario {
   int64_t run_intervals = 48;
 };
 
-std::string TraceStriped(const StripedScenario& sc) {
+// With `observe` false no read observer is installed, so the scheduler
+// sleeps through quiet runs (and the rendered schedule is empty).
+// `outcome`, when given, receives every scheduler outcome.
+std::string TraceStriped(const StripedScenario& sc, bool observe = true,
+                         BareRun* outcome = nullptr) {
   Simulator sim;
   auto disks = DiskArray::Create(sc.num_disks, DiskParameters::Evaluation());
   STAGGER_CHECK(disks.ok());
@@ -85,11 +90,13 @@ std::string TraceStriped(const StripedScenario& sc) {
   config.interval = kInterval;
   config.policy = sc.policy;
   config.coalesce = sc.coalesce;
-  config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                   int64_t subobject, int32_t fragment,
-                                   int32_t disk) {
-    tracer.Record(interval, object, subobject, fragment, disk);
-  };
+  if (observe) {
+    config.read_observer = [&tracer](int64_t interval, ObjectId object,
+                                     int64_t subobject, int32_t fragment,
+                                     int32_t disk) {
+      tracer.Record(interval, object, subobject, fragment, disk);
+    };
+  }
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   STAGGER_CHECK(sched.ok());
 
@@ -116,6 +123,10 @@ std::string TraceStriped(const StripedScenario& sc) {
     });
   }
   sim.RunUntil(kInterval * sc.run_intervals);
+  if (outcome != nullptr) {
+    *outcome = BareRun{SchedulerOutcome(**sched, *disks, sim),
+                       sim.ticks_skipped()};
+  }
 
   std::ostringstream os;
   os << "# D=" << sc.num_disks << " k=" << sc.stride << " policy="
@@ -164,6 +175,30 @@ TEST(GoldenTraceTest, StripedSingleDiskFailure) {
       .StallAt(8, kInterval * 30, kInterval * 2);
   sc.run_intervals = 64;
   CompareOrUpdate("striped_single_disk_failure", TraceStriped(sc));
+}
+
+// The loads above, run without the read observer: the scheduler then
+// sleeps through their quiet stretches, and every outcome must equal
+// the traced run's.
+TEST(GoldenTraceTest, StripedLoadsMatchWithoutObserver) {
+  StripedScenario coalesce;
+  coalesce.stride = 2;
+  coalesce.policy = AdmissionPolicy::kFragmented;
+  coalesce.coalesce = true;
+  StripedScenario failure;
+  failure.faults.FailAt(4, kInterval * 12)
+      .RecoverAt(4, kInterval * 24)
+      .StallAt(8, kInterval * 30, kInterval * 2);
+  failure.run_intervals = 64;
+  for (const StripedScenario& sc : {StripedScenario{}, coalesce, failure}) {
+    BareRun traced;
+    BareRun slept;
+    TraceStriped(sc, /*observe=*/true, &traced);
+    TraceStriped(sc, /*observe=*/false, &slept);
+    EXPECT_EQ(slept.outcome, traced.outcome) << "k=" << sc.stride;
+    EXPECT_GT(slept.ticks_skipped, 0u) << "k=" << sc.stride;
+    EXPECT_EQ(traced.ticks_skipped, 0u) << "k=" << sc.stride;
+  }
 }
 
 // --- reconstruct + rebuild acceptance trace ---------------------------
@@ -458,8 +493,10 @@ TEST(GoldenTraceTest, StripedScrubRepairsLatentError) {
 // fifth joins piggyback — while an unrelated object streams alongside.
 // The trace records every request/start/complete with its latency plus
 // the per-disk schedule, so any change to a merge decision (who joins
-// which stream, and when) shows up as a readable diff.
-TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
+// which stream, and when) shows up as a readable diff.  With `observe`
+// false no read observer is installed, so the scheduler sleeps through
+// quiet runs; `outcome`, when given, receives every scheduler outcome.
+std::string TraceFlashCrowd(bool observe, BareRun* outcome) {
   constexpr int32_t kDisks = 10;
   constexpr int32_t kObjects = 3;
   constexpr int64_t kSubobjects = 24;
@@ -484,14 +521,16 @@ TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
   config.preload_objects = kObjects;
   config.batch = true;
   config.batch_window = window;
-  config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                   int64_t subobject, int32_t fragment,
-                                   int32_t disk) {
-    tracer.Record(interval, object, subobject, fragment, disk);
-  };
+  if (observe) {
+    config.read_observer = [&tracer](int64_t interval, ObjectId object,
+                                     int64_t subobject, int32_t fragment,
+                                     int32_t disk) {
+      tracer.Record(interval, object, subobject, fragment, disk);
+    };
+  }
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
-  ASSERT_TRUE(server.ok()) << server.status();
+  STAGGER_CHECK(server.ok()) << server.status();
   StripedServer* srv = server->get();
 
   std::ostringstream log;
@@ -529,12 +568,17 @@ TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
 
   for (int64_t step = 1; step <= kRunIntervals; ++step) {
     sim.RunUntil(kInterval * step);
-    ASSERT_TRUE(srv->AuditInvariants().ok())
+    EXPECT_TRUE(srv->AuditInvariants().ok())
         << srv->AuditInvariants() << " after interval " << step;
+  }
+  if (outcome != nullptr) {
+    *outcome = BareRun{SchedulerOutcome(*srv->scheduler(), *disks, sim) +
+                           log.str(),
+                       sim.ticks_skipped()};
   }
 
   const StreamBatcher* batcher = srv->batcher();
-  ASSERT_NE(batcher, nullptr);
+  STAGGER_CHECK(batcher != nullptr);
   const BatcherMetrics& bm = batcher->metrics();
   const SchedulerMetrics& m = srv->scheduler_metrics();
   EXPECT_EQ(bm.requests, 6);
@@ -560,7 +604,25 @@ TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
      << "fanout_max=" << bm.fanout.max()
      << " start_offset_max_us="
      << static_cast<int64_t>(bm.start_offset_sec.max() * 1e6) << "\n";
-  CompareOrUpdate("striped_flash_crowd_batching", os.str());
+  return os.str();
+}
+
+TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
+  CompareOrUpdate("striped_flash_crowd_batching",
+                  TraceFlashCrowd(/*observe=*/true, /*outcome=*/nullptr));
+}
+
+// The flash crowd again without the read observer: every scheduler
+// outcome, and the request/start/complete log, must equal the traced
+// run's.
+TEST(GoldenTraceTest, FlashCrowdMatchesWithoutObserver) {
+  BareRun traced;
+  BareRun slept;
+  TraceFlashCrowd(/*observe=*/true, &traced);
+  TraceFlashCrowd(/*observe=*/false, &slept);
+  EXPECT_EQ(slept.outcome, traced.outcome);
+  EXPECT_GT(slept.ticks_skipped, 0u);
+  EXPECT_EQ(traced.ticks_skipped, 0u);
 }
 
 // --- VDR event log ----------------------------------------------------

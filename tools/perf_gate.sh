@@ -5,10 +5,15 @@
 #
 #   tools/perf_gate.sh BASE_REF
 #
-# Both sides build with the release preset: BASE_REF in a temporary git
-# worktree, the working tree in build/.  The runs then alternate, one
-# per side per round, and the order flips every round so that drift in
-# the host's load falls on both sides alike.  Each run is pinned to one
+# Both sides build in Release with -falign-functions=64 -falign-loops=32,
+# each into a temporary build directory: BASE_REF from a temporary git
+# worktree, the change from the working tree.  Default Release builds
+# move rows by 3-20% with where the linker happens to place functions
+# (and with member offsets, which change instruction lengths); the
+# alignment puts every function and loop on a fixed boundary, so both
+# sides time their work rather than their layout.  The runs then
+# alternate, one per side per round, and the order flips every round so
+# that drift in the host's load falls on both sides alike.  Each run is pinned to one
 # CPU when taskset is available.  The reports land in build/perf-gate/:
 # base-N.json and change-N.json (google-benchmark's JSON, one per run,
 # with its console output in the matching .log) and the combined
@@ -36,15 +41,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
-build() {
-  (cd "$1" && cmake --preset release > /dev/null &&
-    cmake --build build --target bench_micro -j "$(nproc)" > /dev/null)
+readonly ALIGN_FLAGS="-falign-functions=64 -falign-loops=32"
+build() {  # build SOURCE_DIR BUILD_DIR
+  cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="$ALIGN_FLAGS" > /dev/null
+  cmake --build "$2" --target bench_micro -j "$(nproc)" > /dev/null
 }
 
 git -C "$repo" worktree add --detach "$tmp/base" "$base_sha" > /dev/null
 echo "building bench_micro at ${base_sha:0:12} and in the working tree"
-build "$tmp/base"
-build "$repo"
+build "$tmp/base" "$tmp/base-build"
+build "$repo" "$tmp/change-build"
 
 # Pin to the highest CPU this shell may use, as bench/e2e/run.py does.
 pin=()
@@ -65,11 +72,11 @@ run() {  # run SIDE BINARY ROUND
 }
 for round in $(seq 1 "$ROUNDS"); do
   if (( round % 2 )); then
-    run base "$tmp/base/build/bench/bench_micro" "$round"
-    run change "$repo/build/bench/bench_micro" "$round"
+    run base "$tmp/base-build/bench/bench_micro" "$round"
+    run change "$tmp/change-build/bench/bench_micro" "$round"
   else
-    run change "$repo/build/bench/bench_micro" "$round"
-    run base "$tmp/base/build/bench/bench_micro" "$round"
+    run change "$tmp/change-build/bench/bench_micro" "$round"
+    run base "$tmp/base-build/bench/bench_micro" "$round"
   fi
 done
 
