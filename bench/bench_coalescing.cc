@@ -44,10 +44,20 @@ RunResult RunScenario(AdmissionPolicy policy, bool coalesce) {
   config.policy = policy;
   config.coalesce = coalesce;
   config.fragmented_lookahead = 16;
-  auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+  RunResult result;
+  // X's startup latency, and every completion.
+  struct Outcome : DisplayListener {
+    explicit Outcome(RunResult* r) : result(r) {}
+    RunResult* result;
+    RequestId x = 0;
+    void OnStarted(RequestId id, SimTime latency) override {
+      if (id == x) result->x_latency_sec = latency.seconds();
+    }
+    void OnCompleted(RequestId /*id*/) override { ++result->completed; }
+  } outcome(&result);
+  auto sched = IntervalScheduler::Create(&sim, &*disks, config, &outcome);
   STAGGER_CHECK(sched.ok());
 
-  RunResult result;
   // Eight degree-1 blockers on even disks.
   for (int32_t b = 0; b < 8; ++b) {
     DisplayRequest req;
@@ -55,7 +65,6 @@ RunResult RunScenario(AdmissionPolicy policy, bool coalesce) {
     req.degree = 1;
     req.start_disk = 2 * b;
     req.num_subobjects = kBlockerLen;
-    req.on_completed = [&result] { ++result.completed; };
     STAGGER_CHECK((*sched)->Submit(std::move(req)).ok());
   }
   // The degree-4 request X.
@@ -64,11 +73,9 @@ RunResult RunScenario(AdmissionPolicy policy, bool coalesce) {
   x.degree = 4;
   x.start_disk = 0;
   x.num_subobjects = kXLen;
-  x.on_started = [&result](SimTime latency) {
-    result.x_latency_sec = latency.seconds();
-  };
-  x.on_completed = [&result] { ++result.completed; };
-  STAGGER_CHECK((*sched)->Submit(std::move(x)).ok());
+  auto x_id = (*sched)->Submit(x);
+  STAGGER_CHECK(x_id.ok());
+  outcome.x = *x_id;
 
   sim.RunUntil(SimTime::Minutes(5));
   const SchedulerMetrics& m = (*sched)->metrics();

@@ -18,6 +18,14 @@
 namespace stagger {
 namespace {
 
+// Runs `then` after every completed display: the closed loop of the
+// churn rows, whose displays resubmit as they finish.
+class CompletionLoop : public DisplayListener {
+ public:
+  std::function<void()> then;
+  void OnCompleted(RequestId /*id*/) override { then(); }
+};
+
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const int64_t batch = state.range(0);
   Rng rng(1);
@@ -81,7 +89,6 @@ void RunSteadyTicks(benchmark::State& state, bool quiet) {
       req.degree = 5;
       req.start_disk = (i * 5) % 1000;
       req.num_subobjects = 1 << 20;  // effectively endless
-      req.on_completed = [] {};
       (void)(*sched)->Submit(std::move(req));
     }
     state.ResumeTiming();
@@ -130,7 +137,6 @@ void BM_SchedulerIntervalTickDegraded(benchmark::State& state) {
       req.start_disk = (i * 5) % 1000;
       req.num_subobjects = 1 << 20;  // effectively endless
       req.parity = true;
-      req.on_completed = [] {};
       (void)(*sched)->Submit(std::move(req));
     }
     state.ResumeTiming();
@@ -164,7 +170,6 @@ void BM_SchedulerIntervalTickFragmented(benchmark::State& state) {
       // admission scatters lanes across non-adjacent virtual disks.
       req.start_disk = (i * 3) % 1000;
       req.num_subobjects = 1 << 20;
-      req.on_completed = [] {};
       (void)(*sched)->Submit(std::move(req));
     }
     state.ResumeTiming();
@@ -200,7 +205,8 @@ void RunCoalesceTicks(benchmark::State& state, int32_t hot_starts) {
     config.interval = interval;
     config.policy = AdmissionPolicy::kFragmented;
     config.coalesce = true;
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    CompletionLoop loop;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config, &loop);
     IntervalScheduler* s = sched->get();
     int32_t next_start = 0;
     std::function<void()> resubmit = [&] {
@@ -215,9 +221,9 @@ void RunCoalesceTicks(benchmark::State& state, int32_t hot_starts) {
         next_start = (next_start + 337) % 1000;
       }
       req.num_subobjects = 200;
-      req.on_completed = resubmit;
       (void)s->Submit(std::move(req));
     };
+    loop.then = resubmit;
     for (int32_t i = 0; i < num_streams; ++i) resubmit();
     sim.RunUntil(interval * 64);  // warm-up: fill, fragment, churn
     state.ResumeTiming();
@@ -263,7 +269,8 @@ void BM_SchedulerIntervalTickD100k(benchmark::State& state) {
     SchedulerConfig config;
     config.stride = 5;
     config.interval = interval;
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    CompletionLoop loop;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config, &loop);
     IntervalScheduler* s = sched->get();
     int32_t next = 0;
     std::function<void()> resubmit = [&] {
@@ -273,9 +280,9 @@ void BM_SchedulerIntervalTickD100k(benchmark::State& state) {
       req.start_disk = static_cast<int32_t>((int64_t{next} * 50) % kDisks);
       req.num_subobjects = 64 + next % 64;
       ++next;
-      req.on_completed = resubmit;
       (void)s->Submit(std::move(req));
     };
+    loop.then = resubmit;
     for (int32_t i = 0; i < num_streams; ++i) resubmit();
     sim.RunUntil(interval * 128);  // warm-up: every display started
     const int64_t completed_before = s->metrics().displays_completed;
@@ -301,7 +308,8 @@ void BM_SchedulerAdmissionChurn(benchmark::State& state) {
     SchedulerConfig config;
     config.stride = 5;
     config.interval = SimTime::Millis(605);
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    CompletionLoop loop;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config, &loop);
     IntervalScheduler* s = sched->get();
     int32_t next_start = 0;
     // Self-perpetuating short displays: each completion immediately
@@ -313,9 +321,9 @@ void BM_SchedulerAdmissionChurn(benchmark::State& state) {
       req.start_disk = next_start;
       next_start = (next_start + 7) % 1000;
       req.num_subobjects = 16;  // ~16-interval displays: constant churn
-      req.on_completed = resubmit;
       (void)s->Submit(std::move(req));
     };
+    loop.then = resubmit;
     for (int32_t i = 0; i < num_streams; ++i) resubmit();
     state.ResumeTiming();
     sim.RunUntil(SimTime::Millis(605) * 256);

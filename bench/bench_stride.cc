@@ -44,7 +44,15 @@ CollisionResult MeasureCollision(int32_t stride, AdmissionPolicy policy) {
   config.stride = stride;
   config.interval = SimTime::Millis(605);
   config.policy = policy;
-  auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+  // Y's startup latency: the wait behind X.
+  struct YLatency : DisplayListener {
+    RequestId y = 0;
+    double seconds = -1.0;  // never started
+    void OnStarted(RequestId id, SimTime latency) override {
+      if (id == y) seconds = latency.seconds();
+    }
+  } y_latency;
+  auto sched = IntervalScheduler::Create(&sim, &*disks, config, &y_latency);
   STAGGER_CHECK(sched.ok());
 
   CollisionResult result;
@@ -55,16 +63,12 @@ CollisionResult MeasureCollision(int32_t stride, AdmissionPolicy policy) {
     req.degree = kDegree;
     req.start_disk = 0;
     req.num_subobjects = kSubobjects;
-    if (i == 1) {
-      req.on_started = [&result](SimTime latency) {
-        result.y_latency_sec = latency.seconds();
-      };
-    }
-    req.on_completed = [] {};
-    auto id = (*sched)->Submit(std::move(req));
+    auto id = (*sched)->Submit(req);
     STAGGER_CHECK(id.ok());
+    if (i == 1) y_latency.y = *id;
   }
   sim.RunUntil(SimTime::Hours(1));
+  result.y_latency_sec = y_latency.seconds;
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <map>
 
 #include "core/logical_scheduler.h"
 #include "core/low_bandwidth.h"
@@ -37,30 +38,38 @@ int main() {
     config.stride = 1;
     config.logical_per_disk = l;
     config.interval = SimTime::Millis(605);
-    auto sched = LogicalDiskScheduler::Create(&sim, config);
+    // Closed loop: a listener asks for the next track as one completes.
+    struct Listeners : DisplayListener {
+      std::map<RequestId, int32_t> listener_of;
+      std::function<void(int32_t)> listen;
+      int64_t completed = 0;
+      void OnCompleted(RequestId id) override {
+        const int32_t listener = listener_of.extract(id).mapped();
+        ++completed;
+        listen(listener);
+      }
+    } tracks;
+    auto sched = LogicalDiskScheduler::Create(&sim, config, &tracks);
     STAGGER_CHECK(sched.ok()) << sched.status();
 
-    int64_t completed = 0;
-    std::function<void(int32_t)> listen = [&](int32_t listener) {
+    tracks.listen = [&](int32_t listener) {
       LogicalRequest req;
       req.object = listener;
       req.units = alloc->units;
       req.start_disk = listener % config.num_disks;
       req.num_subobjects = 300;  // ~3 min track
-      req.on_completed = [&, listener] {
-        ++completed;
-        listen(listener);
-      };
-      STAGGER_CHECK((*sched)->Submit(std::move(req)).ok());
+      auto id = (*sched)->Submit(req);
+      STAGGER_CHECK(id.ok());
+      tracks.listener_of[*id] = listener;
     };
-    for (int32_t s = 0; s < 40; ++s) listen(s);
+    for (int32_t s = 0; s < 40; ++s) tracks.listen(s);
     sim.RunUntil(SimTime::Hours(1));
 
     table.AddRowValues(
         static_cast<int64_t>(l), alloc->units, 100.0 * alloc->wasted_fraction,
-        static_cast<double>(completed),
+        static_cast<double>(tracks.completed),
         (*sched)->metrics().buffered_fraction.Average(sim.Now()));
-    prev_throughput = static_cast<double>(completed);
+    prev_throughput = static_cast<double>(tracks.completed);
   }
   table.Print(std::cout);
 

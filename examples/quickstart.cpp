@@ -6,6 +6,7 @@
 //   $ ./quickstart
 
 #include <cstdio>
+#include <map>
 
 #include "core/interval_scheduler.h"
 #include "disk/disk_array.h"
@@ -26,7 +27,20 @@ int main() {
   SchedulerConfig config;
   config.stride = 1;
   config.interval = DiskParameters::Evaluation().CylinderReadTime();
-  auto scheduler = IntervalScheduler::Create(&sim, &*disks, config);
+  // The scheduler reports each display's start and end by request id.
+  struct Station : DisplayListener {
+    std::map<RequestId, const char*> names;
+    int completed = 0;
+    void OnStarted(RequestId id, SimTime latency) override {
+      std::printf("%-20s started after %7.3f s\n", names[id],
+                  latency.seconds());
+    }
+    void OnCompleted(RequestId id) override {
+      ++completed;
+      std::printf("%-20s completed\n", names[id]);
+    }
+  } station;
+  auto scheduler = IntervalScheduler::Create(&sim, &*disks, config, &station);
   STAGGER_CHECK(scheduler.ok()) << scheduler.status();
 
   // Three objects: Z (40 mbps -> 2 disks), X (60 -> 3), Y (80 -> 4),
@@ -43,23 +57,15 @@ int main() {
       {"Z (40 mbps, M=2)", 2, 7, 12},
   };
 
-  int completed = 0;
   for (const Spec& spec : specs) {
     DisplayRequest req;
     req.object = 0;
     req.degree = spec.degree;
     req.start_disk = spec.start_disk;
     req.num_subobjects = spec.subobjects;
-    req.on_started = [&spec](SimTime latency) {
-      std::printf("%-20s started after %7.3f s\n", spec.name,
-                  latency.seconds());
-    };
-    req.on_completed = [&spec, &completed] {
-      ++completed;
-      std::printf("%-20s completed\n", spec.name);
-    };
-    auto id = (*scheduler)->Submit(std::move(req));
+    auto id = (*scheduler)->Submit(req);
     STAGGER_CHECK(id.ok()) << id.status();
+    station.names[*id] = spec.name;
   }
 
   // The scheduler ticks forever; run long enough for all displays.
@@ -67,8 +73,8 @@ int main() {
 
   std::printf("\n%d displays delivered, %lld hiccups, "
               "mean disk utilization %.1f%%\n",
-              completed,
+              station.completed,
               static_cast<long long>((*scheduler)->metrics().hiccups),
               100.0 * disks->MeanUtilization());
-  return completed == 3 ? 0 : 1;
+  return station.completed == 3 ? 0 : 1;
 }

@@ -51,7 +51,6 @@ int main() {
     req.degree = 3;
     req.start_disk = s.start_disk;
     req.num_subobjects = s.subobjects;
-    req.on_completed = [] {};
     STAGGER_CHECK((*scheduler)->Submit(std::move(req)).ok());
   }
   // W arrives while X is still running; it waits for X's cluster slot.
@@ -61,7 +60,6 @@ int main() {
   w.degree = 3;
   w.start_disk = 0;
   w.num_subobjects = 8;
-  w.on_completed = [] {};
   STAGGER_CHECK((*scheduler)->Submit(std::move(w)).ok());
 
   sim.RunUntil(SimTime::Minutes(1));

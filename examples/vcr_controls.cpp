@@ -7,6 +7,7 @@
 //   $ ./vcr_controls
 
 #include <cstdio>
+#include <map>
 
 #include "core/fast_forward.h"
 #include "core/interval_scheduler.h"
@@ -24,7 +25,26 @@ int main() {
   SchedulerConfig config;
   config.stride = 5;
   config.interval = SimTime::Millis(605);
-  auto scheduler = IntervalScheduler::Create(&sim, &*disks, config);
+  // The viewer's screen: what each request id shows.  A Seek moves the
+  // live stream to a new id, which keeps its label.
+  struct Show {
+    const char* name;
+    const char* wait;  ///< what the startup latency means to the viewer
+  };
+  struct Viewer : DisplayListener {
+    explicit Viewer(const Simulator* s) : sim(s) {}
+    const Simulator* sim;
+    std::map<RequestId, Show> shows;
+    void OnStarted(RequestId id, SimTime latency) override {
+      std::printf("[%8.1fs] %s started (%s %.2fs)\n", sim->Now().seconds(),
+                  shows[id].name, shows[id].wait, latency.seconds());
+    }
+    void OnCompleted(RequestId id) override {
+      std::printf("[%8.1fs] %s finished\n", sim->Now().seconds(),
+                  shows[id].name);
+    }
+  } viewer(&sim);
+  auto scheduler = IntervalScheduler::Create(&sim, &*disks, config, &viewer);
   STAGGER_CHECK(scheduler.ok()) << scheduler.status();
 
   // The feature presentation: 600 subobjects (~6 minutes), M = 5.
@@ -53,15 +73,9 @@ int main() {
   play.degree = 5;
   play.start_disk = layout->start_disk();
   play.num_subobjects = movie.num_subobjects;
-  play.on_started = [&sim](SimTime latency) {
-    std::printf("[%8.1fs] playback started (waited %.2fs)\n",
-                sim.Now().seconds(), latency.seconds());
-  };
-  play.on_completed = [&sim] {
-    std::printf("[%8.1fs] playback finished\n", sim.Now().seconds());
-  };
-  auto handle = (*scheduler)->Submit(std::move(play));
+  auto handle = (*scheduler)->Submit(play);
   STAGGER_CHECK(handle.ok());
+  viewer.shows[*handle] = Show{"playback", "waited"};
 
   // 2. After one minute, the viewer fast-forwards *with scan*: switch
   //    to the replica at the mapped position for ~2 timeline minutes.
@@ -81,15 +95,9 @@ int main() {
     scan.degree = 5;
     scan.start_disk = replica_layout->StripeOf(from).first;
     scan.num_subobjects = scan_len;
-    scan.on_started = [&sim](SimTime latency) {
-      std::printf("[%8.1fs] stream started (switch delay %.2fs)\n",
-                  sim.Now().seconds(), latency.seconds());
-    };
-    scan.on_completed = [&sim] {
-      std::printf("[%8.1fs] stream finished\n", sim.Now().seconds());
-    };
-    auto scan_handle = (*scheduler)->Submit(std::move(scan));
+    auto scan_handle = (*scheduler)->Submit(scan);
     STAGGER_CHECK(scan_handle.ok());
+    viewer.shows[*scan_handle] = Show{"stream", "switch delay"};
     live = *scan_handle;
   }
 
@@ -106,6 +114,7 @@ int main() {
     auto resumed = (*scheduler)->Seek(live, layout->StripeOf(resume_at).first,
                                       movie.num_subobjects - resume_at);
     STAGGER_CHECK(resumed.ok()) << resumed.status();
+    viewer.shows[*resumed] = viewer.shows[live];
   }
 
   sim.RunUntil(SimTime::Minutes(10));

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/logical_scheduler.h"
+#include "display_callbacks.h"
 #include "util/rng.h"
 
 namespace stagger {
@@ -37,12 +38,12 @@ TEST_P(LogicalPropertyTest, RandomLoadConservesUnits) {
   config.logical_per_disk = c.logical_per_disk;
   config.stride = c.stride;
   config.interval = SimTime::Millis(605);
-  auto sched = LogicalDiskScheduler::Create(&sim, config);
+  CallbackListener calls;
+  auto sched = LogicalDiskScheduler::Create(&sim, config, &calls);
   ASSERT_TRUE(sched.ok()) << sched.status();
 
   Rng rng(c.seed);
   constexpr int kRequests = 30;
-  int completed = 0;
   int64_t expected_unit_intervals = 0;
   SimTime at = SimTime::Zero();
   for (int i = 0; i < kRequests; ++i) {
@@ -59,7 +60,6 @@ TEST_P(LogicalPropertyTest, RandomLoadConservesUnits) {
     req.num_subobjects = static_cast<int64_t>(1 + rng.NextBounded(25));
     req.partial_lane_first = rng.NextBool(0.5);
     expected_unit_intervals += req.units * req.num_subobjects;
-    req.on_completed = [&completed] { ++completed; };
     at += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(2000000)));
     sim.ScheduleAt(at, [&sched, req = std::move(req)]() mutable {
       auto id = (*sched)->Submit(std::move(req));
@@ -68,7 +68,9 @@ TEST_P(LogicalPropertyTest, RandomLoadConservesUnits) {
   }
   sim.RunUntil(SimTime::Hours(2));
 
-  EXPECT_EQ(completed, kRequests);
+  EXPECT_EQ(calls.completed(), kRequests);
+  EXPECT_EQ(calls.started(), kRequests);
+  EXPECT_EQ(calls.breach(), "");
   EXPECT_EQ((*sched)->metrics().displays_completed, kRequests);
   EXPECT_EQ((*sched)->active_streams(), 0u);
   EXPECT_EQ((*sched)->pending_requests(), 0u);

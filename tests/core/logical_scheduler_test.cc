@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "display_callbacks.h"
+
 namespace stagger {
 namespace {
 
@@ -17,7 +19,7 @@ class LogicalSchedulerTest : public ::testing::Test {
     config.logical_per_disk = logical_per_disk;
     config.stride = stride;
     config.interval = kInterval;
-    auto sched = LogicalDiskScheduler::Create(&sim_, config);
+    auto sched = LogicalDiskScheduler::Create(&sim_, config, &calls_);
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
   }
@@ -36,17 +38,20 @@ class LogicalSchedulerTest : public ::testing::Test {
     req.start_disk = start_disk;
     req.num_subobjects = subobjects;
     req.partial_lane_first = partial_first;
-    req.on_started = [probe](SimTime latency) {
-      probe->started = true;
-      probe->latency = latency;
-    };
-    req.on_completed = [probe] { probe->completed = true; };
-    auto id = sched_->Submit(std::move(req));
+    auto id = calls_.Submit(
+        sched_.get(), req,
+        {.on_started =
+             [probe](SimTime latency) {
+               probe->started = true;
+               probe->latency = latency;
+             },
+         .on_completed = [probe] { probe->completed = true; }});
     STAGGER_CHECK(id.ok()) << id.status();
     return *id;
   }
 
   Simulator sim_;
+  CallbackListener calls_;
   std::unique_ptr<LogicalDiskScheduler> sched_;
 };
 

@@ -59,7 +59,6 @@ TEST(ScheduleTracerTest, Figure3Rotation) {
     req.degree = 3;
     req.start_disk = 3 * i;
     req.num_subobjects = 6;
-    req.on_completed = [] {};
     ASSERT_TRUE((*sched)->Submit(std::move(req)).ok());
   }
   sim.RunUntil(SimTime::Seconds(10));

@@ -8,6 +8,7 @@
 
 #include "core/interval_scheduler.h"
 #include "disk/disk_array.h"
+#include "display_callbacks.h"
 #include "sim/simulator.h"
 
 namespace stagger {
@@ -23,13 +24,14 @@ class SchedulerEdgeTest : public ::testing::Test {
     disks_ = std::make_unique<DiskArray>(*std::move(disks));
     base.stride = stride;
     base.interval = kInterval;
-    auto sched = IntervalScheduler::Create(&sim_, disks_.get(), base);
+    auto sched = IntervalScheduler::Create(&sim_, disks_.get(), base, &calls_);
     ASSERT_TRUE(sched.ok()) << sched.status();
     sched_ = *std::move(sched);
   }
 
   Simulator sim_;
   std::unique_ptr<DiskArray> disks_;
+  CallbackListener calls_;
   std::unique_ptr<IntervalScheduler> sched_;
 };
 
@@ -43,13 +45,11 @@ TEST_F(SchedulerEdgeTest, SeekOnPendingRequestFails) {
   DisplayRequest blocker;
   blocker.degree = 4;
   blocker.num_subobjects = 50;
-  blocker.on_completed = [] {};
   ASSERT_TRUE(sched_->Submit(std::move(blocker)).ok());
   sim_.RunUntil(kInterval);
   DisplayRequest queued;
   queued.degree = 2;
   queued.num_subobjects = 5;
-  queued.on_completed = [] {};
   auto id = sched_->Submit(std::move(queued));
   ASSERT_TRUE(id.ok());
   sim_.RunUntil(kInterval * 2);
@@ -58,18 +58,16 @@ TEST_F(SchedulerEdgeTest, SeekOnPendingRequestFails) {
 
 TEST_F(SchedulerEdgeTest, DegreeOneStream) {
   Init(3, 1);
-  int completed = 0;
   for (int i = 0; i < 3; ++i) {
     DisplayRequest req;
     req.object = i;
     req.degree = 1;
     req.start_disk = i;
     req.num_subobjects = 10;
-    req.on_completed = [&completed] { ++completed; };
     ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   }
   sim_.RunUntil(kInterval * 12);
-  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(calls_.completed(), 3);
   EXPECT_EQ(sched_->metrics().hiccups, 0);
 }
 
@@ -86,18 +84,16 @@ TEST_F(SchedulerEdgeTest, StrideDPinsDisplaysToFixedDisks) {
     if ((o == 0) != (d < 4)) disjoint = false;
   };
   Init(8, 8, config);
-  int completed = 0;
   for (int i = 0; i < 2; ++i) {
     DisplayRequest req;
     req.object = i;
     req.degree = 4;
     req.start_disk = 4 * i;
     req.num_subobjects = 6;
-    req.on_completed = [&completed] { ++completed; };
     ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   }
   sim_.RunUntil(kInterval * 10);
-  EXPECT_EQ(completed, 2);
+  EXPECT_EQ(calls_.completed(), 2);
   EXPECT_EQ(reads, 2 * 4 * 6);
   EXPECT_TRUE(disjoint);
 }
@@ -111,7 +107,6 @@ TEST_F(SchedulerEdgeTest, ObserverSeesEveryFragmentRead) {
   DisplayRequest req;
   req.degree = 4;
   req.num_subobjects = 25;
-  req.on_completed = [] {};
   ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   sim_.RunUntil(SimTime::Minutes(1));
   EXPECT_EQ(reads, 4 * 25);
@@ -124,7 +119,6 @@ TEST_F(SchedulerEdgeTest, QueueLengthMetricTracksContention) {
     req.object = i;
     req.degree = 4;  // whole array: strictly serialized
     req.num_subobjects = 10;
-    req.on_completed = [] {};
     ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   }
   sim_.RunUntil(kInterval * 15);  // second display mid-flight
@@ -140,7 +134,6 @@ TEST_F(SchedulerEdgeTest, FragmentedPrefersContiguousWhenAvailable) {
   DisplayRequest req;
   req.degree = 5;
   req.num_subobjects = 10;
-  req.on_completed = [] {};
   ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   sim_.RunUntil(SimTime::Minutes(1));
   EXPECT_EQ(sched_->metrics().displays_completed, 1);
@@ -154,8 +147,10 @@ TEST_F(SchedulerEdgeTest, CompletionTimeIsExact) {
   DisplayRequest req;
   req.degree = 2;
   req.num_subobjects = 7;
-  req.on_completed = [&] { completed_at = sim_.Now(); };
-  ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
+  ASSERT_TRUE(calls_
+                  .Submit(sched_.get(), req,
+                          {.on_completed = [&] { completed_at = sim_.Now(); }})
+                  .ok());
   sim_.RunUntil(SimTime::Minutes(1));
   // Admitted at interval 0 with delta 0: last subobject delivered at
   // interval 6's tick.
@@ -167,20 +162,17 @@ TEST_F(SchedulerEdgeTest, DisksReusableImmediatelyAfterCancel) {
   DisplayRequest a;
   a.degree = 4;
   a.num_subobjects = 100;
-  a.on_completed = [] {};
   auto id = sched_->Submit(std::move(a));
   ASSERT_TRUE(id.ok());
   sim_.RunUntil(kInterval * 3);
   ASSERT_TRUE(sched_->Cancel(*id).ok());
 
-  int completed = 0;
   DisplayRequest b;
   b.degree = 4;
   b.num_subobjects = 5;
-  b.on_completed = [&completed] { ++completed; };
   ASSERT_TRUE(sched_->Submit(std::move(b)).ok());
   sim_.RunUntil(kInterval * 12);
-  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(calls_.completed(), 1);  // the cancelled display reports nothing
 }
 
 TEST_F(SchedulerEdgeTest, ZeroLookaheadMatchesContiguousLatency) {
@@ -195,21 +187,21 @@ TEST_F(SchedulerEdgeTest, ZeroLookaheadMatchesContiguousLatency) {
     auto disks = DiskArray::Create(6, DiskParameters::Evaluation());
     config.stride = 1;
     config.interval = kInterval;
-    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    CallbackListener calls;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config, &calls);
     ASSERT_TRUE(sched.ok());
     SimTime latency_a, latency_b;
-    DisplayRequest a;
-    a.degree = 4;
-    a.num_subobjects = 8;
-    a.on_started = [&latency_a](SimTime l) { latency_a = l; };
-    a.on_completed = [] {};
-    ASSERT_TRUE((*sched)->Submit(std::move(a)).ok());
-    DisplayRequest b;
-    b.degree = 4;
-    b.num_subobjects = 8;
-    b.on_started = [&latency_b](SimTime l) { latency_b = l; };
-    b.on_completed = [] {};
-    ASSERT_TRUE((*sched)->Submit(std::move(b)).ok());
+    DisplayRequest req;
+    req.degree = 4;
+    req.num_subobjects = 8;
+    ASSERT_TRUE(calls
+                    .Submit(sched->get(), req,
+                            {.on_started = [&](SimTime l) { latency_a = l; }})
+                    .ok());
+    ASSERT_TRUE(calls
+                    .Submit(sched->get(), req,
+                            {.on_started = [&](SimTime l) { latency_b = l; }})
+                    .ok());
     sim.RunUntil(SimTime::Minutes(1));
     EXPECT_EQ(latency_a, SimTime::Zero());
     EXPECT_GT(latency_b, SimTime::Zero());

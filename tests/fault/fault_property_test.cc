@@ -23,6 +23,7 @@
 
 #include "core/interval_scheduler.h"
 #include "core/invariants.h"
+#include "../core/display_callbacks.h"
 #include "disk/disk_array.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -78,7 +79,8 @@ TEST_P(FaultPropertyTest, RandomFaultsKeepInvariantsEveryInterval) {
   // Bound the pause runway so interrupted displays resolve within the
   // simulated horizon even for never-healing stragglers.
   config.max_pause_intervals = 64;
-  auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+  CallbackListener calls;
+  auto sched = IntervalScheduler::Create(&sim, &*disks, config, &calls);
   ASSERT_TRUE(sched.ok()) << sched.status();
 
   // All faults start inside the first 200 intervals; failures recover
@@ -98,14 +100,12 @@ TEST_P(FaultPropertyTest, RandomFaultsKeepInvariantsEveryInterval) {
   ASSERT_TRUE(injector.ok()) << injector.status();
 
   constexpr int kRequests = 12;
-  int completed = 0;
   for (int i = 0; i < kRequests; ++i) {
     DisplayRequest req;
     req.object = i;
     req.degree = static_cast<int32_t>(1 + rng.NextBounded(4));
     req.start_disk = static_cast<int32_t>(rng.NextBounded(kDisks));
     req.num_subobjects = static_cast<int64_t>(10 + rng.NextBounded(50));
-    req.on_completed = [&completed] { ++completed; };
     const SimTime at = kInterval * static_cast<int64_t>(rng.NextBounded(100));
     sim.ScheduleAt(at, [&sched, req = std::move(req)]() mutable {
       auto id = (*sched)->Submit(std::move(req));
@@ -132,11 +132,13 @@ TEST_P(FaultPropertyTest, RandomFaultsKeepInvariantsEveryInterval) {
   // Every pause resolved, one way or the other.
   EXPECT_EQ(m.streams_paused, m.streams_resumed + m.displays_interrupted);
   // Every request was admitted exactly once and then completed or
-  // cancelled; completions observed through callbacks agree.
+  // cancelled; the events the listener heard agree.
   EXPECT_EQ(m.displays_requested, kRequests);
   EXPECT_EQ(m.displays_admitted, kRequests);
   EXPECT_EQ(m.displays_completed + m.displays_cancelled, kRequests);
-  EXPECT_EQ(m.displays_completed, completed);
+  EXPECT_EQ(m.displays_completed, calls.completed());
+  EXPECT_EQ(m.displays_interrupted, calls.interrupted());
+  EXPECT_EQ(calls.breach(), "");
   EXPECT_EQ(m.displays_cancelled, m.displays_interrupted);
   // Delivery never hiccuped, degraded or not.
   EXPECT_EQ(m.hiccups, 0);

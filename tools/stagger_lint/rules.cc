@@ -389,7 +389,13 @@ void CheckHotPathBody(const FileContext& ctx, const std::vector<Token>& toks,
                           "`dynamic_cast` walks the vtable" + suffix});
         continue;
       }
-      if (i + 1 < end && IsPunct(toks[i + 1], "(") &&
+      // A whitelisted name sanctions calls of it and, when it names an
+      // object (`listener_->OnStarted(...)`), calls of its methods.
+      const bool sanctioned_receiver =
+          member_call && i >= begin + 2 &&
+          toks[i - 2].kind == TokenKind::kIdentifier &&
+          Contains(config.dispatch_whitelist, toks[i - 2].text);
+      if (i + 1 < end && IsPunct(toks[i + 1], "(") && !sanctioned_receiver &&
           !Contains(config.dispatch_whitelist, t.text)) {
         if (Contains(symbols.function_names, t.text)) {
           diags->push_back(
