@@ -77,12 +77,27 @@ int main() {
   STAGGER_CHECK(handle.ok());
   viewer.shows[*handle] = Show{"playback", "waited"};
 
-  // 2. After one minute, the viewer fast-forwards *with scan*: switch
-  //    to the replica at the mapped position for ~2 timeline minutes.
+  // 2. Thirty seconds in, the viewer skips ahead to subobject 99
+  //    (fast-forward without scan = Seek on the live stream): it reads on
+  //    from that row, on the disks the layout puts it.
   RequestId live = *handle;
+  sim.RunUntil(SimTime::Seconds(30));
+  {
+    const int64_t target = 99;
+    std::printf("[%8.1fs] FF without scan to subobject %lld\n",
+                sim.Now().seconds(), static_cast<long long>(target));
+    auto moved = (*scheduler)->Seek(live, target,
+                                    movie.num_subobjects - target);
+    STAGGER_CHECK(moved.ok()) << moved.status();
+    viewer.shows[*moved] = viewer.shows[live];
+    live = *moved;
+  }
+
+  // 3. After one minute, the viewer fast-forwards *with scan*: switch
+  //    to the replica at the mapped position for ~2 timeline minutes.
   sim.RunUntil(SimTime::Minutes(1));
   {
-    const int64_t paused_at = 99;  // subobject reached after ~1 min
+    const int64_t paused_at = 148;  // ~49 subobjects past the skip
     const int64_t from = replica->ToReplica(paused_at);
     const int64_t scan_len = replica->ToReplica(400);  // scan 400 subobjects
     std::printf("[%8.1fs] FF-scan: movie position %lld -> replica "
@@ -101,20 +116,23 @@ int main() {
     live = *scan_handle;
   }
 
-  // 3. Ten seconds into the scan the viewer presses play: resume normal
-  //    playback at the scanned-to position (rewind/FF without scan =
-  //    Seek on the live stream).
+  // 4. Ten seconds into the scan the viewer presses play: the scan
+  //    stream gives way to a new display of the movie from the
+  //    scanned-to position.
   sim.RunUntil(SimTime::Minutes(1) + SimTime::Seconds(10));
   {
     // ~16 replica stripes scanned by now; each covers 16 subobjects.
     const int64_t resume_at =
-        replica->FromReplica(replica->ToReplica(99) + 16);
+        replica->FromReplica(replica->ToReplica(148) + 16);
     std::printf("[%8.1fs] resume normal playback at subobject %lld\n",
                 sim.Now().seconds(), static_cast<long long>(resume_at));
-    auto resumed = (*scheduler)->Seek(live, layout->StripeOf(resume_at).first,
-                                      movie.num_subobjects - resume_at);
+    STAGGER_CHECK((*scheduler)->Cancel(live).ok());
+    DisplayRequest rest = play;
+    rest.start_disk = layout->StripeOf(resume_at).first;
+    rest.num_subobjects = movie.num_subobjects - resume_at;
+    auto resumed = (*scheduler)->Submit(rest);
     STAGGER_CHECK(resumed.ok()) << resumed.status();
-    viewer.shows[*resumed] = viewer.shows[live];
+    viewer.shows[*resumed] = Show{"playback", "switch delay"};
   }
 
   sim.RunUntil(SimTime::Minutes(10));

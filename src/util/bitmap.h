@@ -48,6 +48,14 @@ class Bitmap {
     return words_[static_cast<size_t>(w)];
   }
 
+  /// ORs `bits` into word w; bits at or past size() must be clear.
+  STAGGER_HOT_PATH void OrWord(int32_t w, uint64_t bits) {
+    STAGGER_DCHECK(w >= 0 && w < num_words());
+    STAGGER_DCHECK(w < num_words() - 1 || (size_ & 63) == 0 ||
+                   (bits >> (size_ & 63)) == 0);
+    words_[static_cast<size_t>(w)] |= bits;
+  }
+
   STAGGER_HOT_PATH bool Test(int32_t i) const {
     STAGGER_DCHECK(i >= 0 && i < size_);
     return (words_[static_cast<size_t>(i >> 6)] >>

@@ -43,10 +43,10 @@ class CallbackListener : public DisplayListener {
   /// started, follow it to the new handle; the old handle must hear
   /// nothing more.
   template <typename Scheduler>
-  Result<RequestId> Seek(Scheduler* sched, RequestId id, int32_t start_disk,
+  Result<RequestId> Seek(Scheduler* sched, RequestId id, int64_t target_row,
                          int64_t num_subobjects) {
     calling_ = id;
-    Result<RequestId> moved = sched->Seek(id, start_disk, num_subobjects);
+    Result<RequestId> moved = sched->Seek(id, target_row, num_subobjects);
     calling_ = kNoStream;
     if (moved.ok()) {
       Request& old = requests_[id];

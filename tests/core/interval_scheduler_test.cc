@@ -342,8 +342,7 @@ TEST_F(SchedulerTest, SeekRestartsAtNewPosition) {
   RequestId id = Request(0, 0, 2, 100, &x);
   sim_.RunUntil(kInterval * 10);
   // Fast-forward to subobject 80: first fragment on disk (0 + 80*1).
-  auto new_id = calls_.Seek(sched_.get(), id,
-                            /*start_disk=*/disks_->Wrap(80),
+  auto new_id = calls_.Seek(sched_.get(), id, /*target_row=*/80,
                             /*num_subobjects=*/20);
   ASSERT_TRUE(new_id.ok()) << new_id.status();
   sim_.RunUntil(SimTime::Minutes(2));
@@ -375,7 +374,7 @@ TEST_F(SchedulerTest, SeekOutOfRangeKeepsTheStream) {
   Probe x;
   RequestId id = Request(0, 0, 2, 100, &x);
   sim_.RunUntil(kInterval * 3);
-  EXPECT_TRUE(sched_->Seek(id, /*new_start_disk=*/10, 20).status()
+  EXPECT_TRUE(sched_->Seek(id, /*target_row=*/-1, 20).status()
                   .IsInvalidArgument());
   EXPECT_TRUE(sched_->Seek(id, 0, /*new_num_subobjects=*/0).status()
                   .IsInvalidArgument());

@@ -265,6 +265,50 @@ TEST_F(DegradedSchedulerTest, ResumedDisplayChecksLatentCellsAtLayoutRows) {
   EXPECT_TRUE(audit.ok()) << audit;
 }
 
+// A sought display reads from its target row on: the latent check and
+// the read observer see layout rows, not rows counted from the seek.
+TEST_F(DegradedSchedulerTest, SoughtDisplayChecksLatentCellsAtLayoutRows) {
+  Init(8, 1, DegradedPolicy::kRemapOrPause);
+  FaultPlan plan;
+  plan.LatentAt(4, SimTime::Zero(), 20, 20);
+  Inject(plan);
+
+  Probe probe;
+  const RequestId id = Request(0, 0, 1, 40, &probe);
+  RequestId sought = kNoStream;
+  sim_.ScheduleAt(kInterval * 5 + SimTime::Millis(300), [&] {
+    auto moved = calls_.Seek(sched_.get(), id, /*target_row=*/20,
+                             /*num_subobjects=*/20);
+    ASSERT_TRUE(moved.ok()) << moved.status();
+    sought = *moved;
+  });
+  sim_.RunUntil(SimTime::Minutes(2));
+
+  // Rows 0..5 at intervals 0..5, then rows 20..39 from interval 6 on,
+  // starting on disk 20 mod 8 = 4, whose row-20 cell is corrupt: caught
+  // once and served by a substitute.
+  const SchedulerMetrics& m = sched_->metrics();
+  EXPECT_NE(sought, kNoStream);
+  EXPECT_EQ(m.corrupt_reads_detected, 1);
+  EXPECT_EQ(m.corrupt_frames_delivered, 0);
+  EXPECT_EQ(m.degraded_reads, 1);
+  EXPECT_TRUE(probe.completed);
+  EXPECT_EQ(probe.completed_at, kInterval * 25);
+  EXPECT_EQ(m.hiccups, 0);
+  ASSERT_EQ(reads_.size(), 26u);
+  for (size_t i = 0; i < reads_.size(); ++i) {
+    const auto& [interval, object, row, fragment, disk] = reads_[i];
+    const int64_t want = i < 6 ? static_cast<int64_t>(i)
+                               : static_cast<int64_t>(i) + 14;
+    EXPECT_EQ(interval, static_cast<int64_t>(i)) << "read " << i;
+    EXPECT_EQ(row, want) << "read " << i;
+    if (row != 20) {
+      EXPECT_EQ(disk, static_cast<int32_t>(row % 8)) << "read " << i;
+    }
+  }
+  EXPECT_NE(std::get<4>(reads_[6]), 4);
+}
+
 // A stream paused past max_pause_intervals is cancelled as an
 // interrupted display.
 TEST_F(DegradedSchedulerTest, PausedPastDeadlineIsCancelled) {

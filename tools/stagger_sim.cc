@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -54,6 +56,7 @@ Usage: stagger_sim [flags]
   --chaos-mtbf-hours=X   per-disk failure MTBF           [200]
   --chaos-mttr-hours=X   mean repair/outage duration     [0.5]
   --chaos-domains=N   correlated failure domains        [0]
+  --fault-plan=FILE   replay a fault plan (the text --chaos-seed prints)
   --csv               machine-readable one-line output
   --help              this text
 
@@ -102,6 +105,8 @@ int Run(int argc, char** argv) {
   double chaos_mtbf_hours = 200.0;
   double chaos_mttr_hours = 0.5;
   int32_t chaos_domains = 0;
+  bool replay = false;
+  std::string fault_plan_file;
   for (int i = 1; i < argc; ++i) {
     std::string v;
     bool valid = true;
@@ -193,6 +198,9 @@ int Run(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--chaos-domains", &v)) {
       chaos = true;
       number(&chaos_domains);
+    } else if (ParseFlag(argv[i], "--fault-plan", &v)) {
+      replay = true;
+      fault_plan_file = v;
     } else if (ParseFlag(argv[i], "--csv", &v)) {
       csv = true;
     } else {
@@ -217,10 +225,32 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
     return 1;
   }
+  if (chaos && replay) {
+    std::fprintf(stderr,
+                 "error: --fault-plan replays a plan; it takes no --chaos-* "
+                 "flag\n");
+    return 1;
+  }
+  if (replay) {
+    std::ifstream in(fault_plan_file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    if (!in) {
+      std::fprintf(stderr, "error: cannot read fault plan '%s'\n",
+                   fault_plan_file.c_str());
+      return 1;
+    }
+    auto plan = FaultPlan::Parse(text.str());
+    if (!plan.ok()) {
+      std::fprintf(stderr, "error: %s: %s\n", fault_plan_file.c_str(),
+                   plan.status().ToString().c_str());
+      return 1;
+    }
+    cfg.fault_plan = *std::move(plan);
+  }
   if (chaos) {
     // Seeded chaos plan over the whole run; the serialized form is
-    // printed so any run can be replayed exactly by pasting the plan
-    // back through FaultPlan::Parse.
+    // printed so any run can be replayed exactly with --fault-plan.
     ChaosParams cp;
     cp.horizon = cfg.warmup + cfg.measure;
     cp.mtbf = SimTime::Hours(chaos_mtbf_hours);
