@@ -5,29 +5,21 @@
 // near-uniform).  One sub-table per distribution, like Figure 8's
 // panels (a), (b), (c).
 //
-// Flags:  --quick   fewer station points and a shorter run
-//         --csv     machine-readable output
+// Flags:  --csv     machine-readable output
 //
 // bench/e2e's fig8_matrix and scale_d100k time this matrix and its
-// scale-out; tests/server/model_pins_test.cc pins the 256-station
-// cell's admission latency.
+// scale-out; tests/paper/paper_claims_test.cc checks its claims.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <vector>
 
-#include "server/experiment.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-int Run(bool quick, bool csv) {
-  const std::vector<int32_t> stations =
-      quick ? std::vector<int32_t>{4, 16, 64, 256}
-            : std::vector<int32_t>{1, 2, 4, 8, 16, 32, 64, 128, 256};
-  const double means[] = {10.0, 20.0, 43.5};
+int main(int argc, char** argv) {
+  using namespace stagger;
+  bool csv = false;
+  if (!paper::ParseBenchArgs(argc, argv, &csv)) return 2;
   const char* labels[] = {"(a) mean 10, highly skewed", "(b) mean 20, skewed",
                           "(c) mean 43.5, near-uniform"};
 
@@ -36,36 +28,16 @@ int Run(bool quick, bool csv) {
               "B_Disk=20 mbps, B_Tertiary=40 mbps, 2000 objects x 3000 "
               "subobjects, closed workload)\n\n");
 
-  for (int g = 0; g < 3; ++g) {
+  const std::vector<paper::Fig8Cell> cells = paper::Fig8(paper::kSeed);
+  for (size_t g = 0; g < paper::kFig8Means.size(); ++g) {
     Table table({"stations", "striping_dph", "vdr_dph", "improvement_%",
                  "striping_lat_s", "vdr_lat_s", "vdr_replicas"});
-    for (int32_t n : stations) {
-      ExperimentConfig base;
-      base.geometric_mean = means[g];
-      base.stations = n;
-      if (quick) {
-        base.warmup = SimTime::Hours(1);
-        base.measure = SimTime::Hours(5);
-      }
-
-      base.scheme = Scheme::kSimpleStriping;
-      auto striping = RunExperiment(base);
-      STAGGER_CHECK(striping.ok()) << striping.status();
-
-      base.scheme = Scheme::kVdr;
-      auto vdr = RunExperiment(base);
-      STAGGER_CHECK(vdr.ok()) << vdr.status();
-
-      const double improvement =
-          vdr->displays_per_hour <= 0.0
-              ? 0.0
-              : 100.0 * (striping->displays_per_hour / vdr->displays_per_hour -
-                         1.0);
-      table.AddRowValues(n, striping->displays_per_hour, vdr->displays_per_hour,
-                         improvement, striping->mean_startup_latency_sec,
-                         vdr->mean_startup_latency_sec, vdr->replications);
-      STAGGER_CHECK(striping->hiccups == 0)
-          << "striping produced hiccups — scheduler bug";
+    for (const paper::Fig8Cell& c : cells) {
+      if (c.mean != paper::kFig8Means[g]) continue;
+      table.AddRowValues(c.stations, c.striping.displays_per_hour,
+                         c.vdr.displays_per_hour, c.ImprovementPct(),
+                         c.striping.mean_startup_latency_sec,
+                         c.vdr.mean_startup_latency_sec, c.vdr.replications);
     }
     std::printf("--- %s ---\n", labels[g]);
     if (csv) {
@@ -76,16 +48,4 @@ int Run(bool quick, bool csv) {
     std::printf("\n");
   }
   return 0;
-}
-
-}  // namespace
-}  // namespace stagger
-
-int main(int argc, char** argv) {
-  bool quick = false, csv = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-  }
-  return stagger::Run(quick, csv);
 }

@@ -8,67 +8,27 @@
 // 555.83 ms for 1 / 2 cylinders; 17.2 % / ~10 % wasted bandwidth; ~9 s /
 // ~16 s worst-case initiation delay.
 
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 
-#include "disk/disk_parameters.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-int Run() {
-  const DiskParameters sabre = DiskParameters::Sabre1_2GB();
-
+int main(int argc, char** argv) {
+  using namespace stagger;
+  if (!paper::ParseBenchArgs(argc, argv, nullptr)) return 2;
+  const paper::FragmentSize e = paper::FragmentSizeAnalysis();
   std::printf("Section 3.1 analysis — IMPRIMIS Sabre 1.2 GB "
               "(1635 cyl x 756 kB, tfr = 24.19 mbps)\n");
   std::printf("T_switch = max seek + max latency = %.2f ms, "
               "cylinder read = %.2f ms\n\n",
-              sabre.TSwitch().millis(), sabre.CylinderReadTime().millis());
-
+              e.t_switch_ms, e.cylinder_read_ms);
   Table table({"fragment_cyl", "S(Ci)_ms", "wasted_bw_%", "eff_bw_mbps",
                "min_buffer_kB", "worst_init_delay_s_30cl"});
-  for (int64_t cyl = 1; cyl <= 8; ++cyl) {
-    const SimTime service = sabre.ServiceTime(cyl);
-    const double wasted = 100.0 * sabre.WastedBandwidthFraction(cyl);
-    const Bandwidth effective = sabre.EffectiveBandwidthCylinders(cyl);
-    const DataSize buffer =
-        sabre.MinBufferMemory(sabre.cylinder_capacity * cyl);
-    // 90 disks / 30 clusters: a new request waits at most (R-1)
-    // service times for the cluster holding X_0 (Section 3.1).
-    const double worst_delay = service.seconds() * (30 - 1);
-    table.AddRowValues(cyl, service.millis(), wasted, effective.mbps(),
-                       static_cast<double>(buffer.bytes()) / 1000.0,
-                       worst_delay);
+  for (const paper::FragmentSizeRow& r : e.rows) {
+    table.AddRowValues(r.cylinders, r.service_ms, 100.0 * r.wasted_fraction,
+                       r.effective_mbps, r.min_buffer_kb, r.worst_delay_s);
   }
   table.Print(std::cout);
-
-  int failures = 0;
-  auto expect = [&](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  expect(std::abs(sabre.CylinderReadTime().millis() - 250.0) < 1.0,
-         "one cylinder reads in ~250 ms");
-  expect(std::abs(sabre.ServiceTime(1).millis() - 301.83) < 1.0,
-         "S(Ci) ~ 301.83 ms at 1 cylinder");
-  expect(std::abs(sabre.ServiceTime(2).millis() - 555.83) < 1.0,
-         "S(Ci) ~ 555.83 ms at 2 cylinders");
-  expect(std::abs(100.0 * sabre.WastedBandwidthFraction(1) - 17.2) < 0.5,
-         "~17.2% of bandwidth wasted at 1 cylinder");
-  expect(std::abs(100.0 * sabre.WastedBandwidthFraction(2) - 10.0) < 0.5,
-         "~10% wasted at 2 cylinders");
-  expect(std::abs(sabre.ServiceTime(1).seconds() * 29 - 9.0) < 0.5,
-         "~9 s worst-case initiation delay at 1 cylinder (30 clusters)");
-  expect(std::abs(sabre.ServiceTime(2).seconds() * 29 - 16.0) < 0.5,
-         "~16 s worst-case initiation delay at 2 cylinders");
-  std::printf("\n%s\n", failures == 0 ? "All paper checkpoints matched."
-                                      : "Some checkpoints FAILED.");
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
-
-}  // namespace
-}  // namespace stagger
-
-int main() { return stagger::Run(); }

@@ -10,137 +10,24 @@
 // uses the true degrees.
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
-#include <unordered_map>
 
-#include "core/interval_scheduler.h"
-#include "disk/disk_array.h"
-#include "sim/simulator.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-struct RunResult {
-  int64_t y_displays = 0;
-  int64_t z_displays = 0;
-  double disk_utilization = 0.0;
-  double delivered_mbit_per_disk_sec = 0.0;
-  int64_t hiccups = 0;
-};
-
-/// Closed loop: `y_stations` stations watching Y and `z_stations`
-/// watching Z for two hours on 36 disks.
-RunResult RunScenario(bool naive_clusters, int32_t y_stations,
-                      int32_t z_stations) {
-  constexpr int32_t kDisks = 36;
-  constexpr int64_t kSubobjects = 120;  // ~73 s displays
-  const SimTime interval = SimTime::Millis(605);
-
-  Simulator sim;
-  auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
-  STAGGER_CHECK(disks.ok());
-  SchedulerConfig config;
-  config.stride = naive_clusters ? 6 : 3;  // gcd with degrees stays clean
-  config.interval = interval;
-  RunResult result;
-  // Closed loop: a station asks for its next display when one completes.
-  struct Station {
-    int32_t id;
-    bool is_y;
-  };
-  struct Stations : DisplayListener {
-    std::unordered_map<RequestId, Station> station_of;
-    std::function<void(int32_t, bool)> request_next;
-    RunResult* result = nullptr;
-    void OnCompleted(RequestId id) override {
-      const Station s = station_of.extract(id).mapped();
-      ++(s.is_y ? result->y_displays : result->z_displays);
-      request_next(s.id, s.is_y);
-    }
-  } stations_loop;
-  stations_loop.result = &result;
-  auto sched = IntervalScheduler::Create(&sim, &*disks, config, &stations_loop);
-  STAGGER_CHECK(sched.ok());
-
-  stations_loop.request_next = [&](int32_t station, bool is_y) {
-    DisplayRequest req;
-    req.object = station;
-    // True degrees: Y = 6, Z = 3.  The naive design reserves a whole
-    // 6-disk cluster either way.
-    req.degree = is_y ? 6 : (naive_clusters ? 6 : 3);
-    req.start_disk = (station * config.stride) % kDisks;
-    req.num_subobjects = kSubobjects;
-    auto id = (*sched)->Submit(req);
-    STAGGER_CHECK(id.ok());
-    stations_loop.station_of[*id] = Station{station, is_y};
-  };
-  for (int32_t s = 0; s < y_stations; ++s) {
-    stations_loop.request_next(s, true);
-  }
-  for (int32_t s = 0; s < z_stations; ++s) {
-    stations_loop.request_next(100 + s, false);
-  }
-
-  sim.RunUntil(SimTime::Hours(2));
-  result.disk_utilization = disks->MeanUtilization();
-  result.hiccups = (*sched)->metrics().hiccups;
-  // Useful bandwidth actually delivered to stations, per disk.
-  const double mbits =
-      (static_cast<double>(result.y_displays) * 6 +
-       static_cast<double>(result.z_displays) * 3) *
-      static_cast<double>(kSubobjects) * DataSize::MB(1.512).megabits();
-  result.delivered_mbit_per_disk_sec =
-      mbits / kDisks / SimTime::Hours(2).seconds();
-  return result;
-}
-
-int Run() {
+int main(int argc, char** argv) {
+  using namespace stagger;
+  if (!paper::ParseBenchArgs(argc, argv, nullptr)) return 2;
   std::printf("Mixed media types (Y: 120 mbps M=6, Z: 60 mbps M=3) on 36 "
               "disks,\nnaive max-degree clusters vs staggered striping "
               "(2 h closed loop)\n\n");
-
   Table table({"design", "Y_stations", "Z_stations", "Y_displays",
                "Z_displays", "useful_mbps_per_disk", "hiccups"});
-  int failures = 0;
-  RunResult naive_result{}, staggered_result{};
-  for (const auto& [y, z] : {std::pair<int32_t, int32_t>{3, 8},
-                             std::pair<int32_t, int32_t>{0, 12},
-                             std::pair<int32_t, int32_t>{6, 0}}) {
-    RunResult naive = RunScenario(true, y, z);
-    RunResult staggered = RunScenario(false, y, z);
-    table.AddRowValues("naive-6-disk-clusters", y, z, naive.y_displays,
-                       naive.z_displays, naive.delivered_mbit_per_disk_sec,
-                       naive.hiccups);
-    table.AddRowValues("staggered-striping", y, z, staggered.y_displays,
-                       staggered.z_displays,
-                       staggered.delivered_mbit_per_disk_sec,
-                       staggered.hiccups);
-    if (naive.hiccups || staggered.hiccups) ++failures;
-    if (y == 0) {
-      naive_result = naive;
-      staggered_result = staggered;
-    }
+  for (const paper::MixedMediaRow& r : paper::MixedMedia()) {
+    table.AddRowValues(r.naive ? "naive-6-disk-clusters" : "staggered-striping",
+                       r.y_stations, r.z_stations, r.y_displays, r.z_displays,
+                       r.useful_mbps_per_disk, r.hiccups);
   }
   table.Print(std::cout);
-
-  auto expect = [&](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  // Paper: serving Z from max-degree clusters sacrifices 50% of the
-  // disk bandwidth — an all-Z workload should roughly double its
-  // throughput under staggered striping.
-  expect(static_cast<double>(staggered_result.z_displays) >=
-             1.8 * static_cast<double>(naive_result.z_displays),
-         "all-Z workload: staggered striping ~2x the naive throughput");
-  std::printf("\n%s\n", failures == 0 ? "All mixed-media checks passed."
-                                      : "Some mixed-media checks FAILED.");
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
-
-}  // namespace
-}  // namespace stagger
-
-int main() { return stagger::Run(); }

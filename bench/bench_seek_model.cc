@@ -12,116 +12,36 @@
 #include <cstdio>
 #include <iostream>
 
-#include "disk/disk_sim.h"
-#include "sim/simulator.h"
-#include "util/rng.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-struct Measured {
-  double effective_mbps;
-  double mean_service_ms;
-  double max_service_ms;
-};
-
-/// Runs `reads` 1-cylinder reads with the given placement policy:
-///  "random"   — uniform cylinders (staggered striping's steady state),
-///  "half"     — uniform over half the platter (partitioned layout),
-///  "adjacent" — sequential cylinders (k = D clustering).
-Measured Drive(const DiskParameters& params, const char* policy, int reads,
-               int64_t fragment_cylinders) {
-  Simulator sim;
-  SimulatedDisk disk(&sim, params, /*seed=*/7);
-  Rng rng(13);
-  int64_t next = 0;
-  std::function<void()> submit = [&] {
-    int64_t cylinder = 0;
-    if (std::string(policy) == "random") {
-      cylinder = static_cast<int64_t>(rng.NextBounded(
-          static_cast<uint64_t>(params.num_cylinders - fragment_cylinders)));
-    } else if (std::string(policy) == "half") {
-      cylinder = static_cast<int64_t>(rng.NextBounded(
-          static_cast<uint64_t>(params.num_cylinders / 2)));
-    } else {  // adjacent
-      cylinder = next;
-      next = (next + fragment_cylinders) %
-             (params.num_cylinders - fragment_cylinders);
-    }
-    Status st = disk.SubmitRead(cylinder, fragment_cylinders, nullptr);
-    STAGGER_CHECK(st.ok()) << st;
-  };
-  for (int i = 0; i < reads; ++i) submit();
-  sim.Run();
-  return Measured{disk.MeasuredEffectiveBandwidth().mbps(),
-                  disk.service_stats().mean() * 1e3,
-                  disk.service_stats().max() * 1e3};
-}
-
-int Run() {
-  const DiskParameters sabre = DiskParameters::Sabre1_2GB();
-  constexpr int kReads = 20000;
-
+int main(int argc, char** argv) {
+  using namespace stagger;
+  if (!paper::ParseBenchArgs(argc, argv, nullptr)) return 2;
+  const paper::SeekModel e = paper::SeekBudget();
   std::printf("Section 5 future work: effective bandwidth without "
               "worst-case seek budgeting\n(IMPRIMIS Sabre, %d one-cylinder "
               "reads per policy)\n\n",
-              kReads);
-
-  const double worst_case = sabre.EffectiveBandwidthCylinders(1).mbps();
-  // Average-case analytical model: avg seek + avg latency per read.
-  const double avg_overhead =
-      (sabre.avg_seek + sabre.avg_latency).seconds();
-  const double cyl_sec = sabre.CylinderReadTime().seconds();
-  const double avg_case = sabre.cylinder_capacity.megabits() /
-                          (cyl_sec + avg_overhead);
-
+              e.reads);
   Table table({"placement", "measured_mbps", "gain_vs_worst_case_%",
                "mean_service_ms", "max_service_ms"});
-  int failures = 0;
-  Measured random_m{}, adjacent_m{};
-  for (const char* policy : {"random", "half", "adjacent"}) {
-    Measured m = Drive(sabre, policy, kReads, 1);
-    table.AddRowValues(policy, m.effective_mbps,
-                       100.0 * (m.effective_mbps / worst_case - 1.0),
-                       m.mean_service_ms, m.max_service_ms);
-    if (std::string(policy) == "random") random_m = m;
-    if (std::string(policy) == "adjacent") adjacent_m = m;
+  for (const paper::SeekRow& r : e.rows) {
+    table.AddRowValues(r.placement, r.measured_mbps,
+                       100.0 * (r.measured_mbps / e.worst_case_mbps - 1.0),
+                       r.mean_service_ms, r.max_service_ms);
   }
   table.Print(std::cout);
   std::printf("\nanalytical worst-case (T_switch budget): %.2f mbps\n",
-              worst_case);
+              e.worst_case_mbps);
   std::printf("analytical average-case (avg seek+latency): %.2f mbps\n",
-              avg_case);
-
-  auto expect = [&](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  expect(random_m.effective_mbps > worst_case,
-         "measured random-placement bandwidth beats the worst-case budget");
-  expect(random_m.effective_mbps < sabre.transfer_rate.mbps(),
-         "and stays below the raw transfer rate");
-  expect(adjacent_m.effective_mbps > random_m.effective_mbps,
-         "adjacent placement (k = D clustering) is the fastest — the "
-         "paper's 'saves less than 10%' observation");
-  expect(random_m.max_service_ms <=
-             sabre.ServiceTime(1).millis() + 0.5,
-         "no observed service exceeds the worst-case interval — the "
-         "T_switch budget is safe (zero hiccup risk)");
-  const double gain = 100.0 * (random_m.effective_mbps / worst_case - 1.0);
+              e.average_case_mbps);
+  const double gain = 100.0 * (e.rows[0].measured_mbps / e.worst_case_mbps -
+                               1.0);
   std::printf("\nAnswer to the paper's question: budgeting at measured "
               "random-seek cost instead of\nthe worst case frees ~%.1f%% "
               "additional effective bandwidth, at the price of per-read\n"
               "variance that the Equation-1 buffer (one T_switch of data) "
               "absorbs.\n",
               gain);
-  std::printf("\n%s\n", failures == 0 ? "All seek-model checks passed."
-                                      : "Some seek-model checks FAILED.");
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
-
-}  // namespace
-}  // namespace stagger
-
-int main() { return stagger::Run(); }

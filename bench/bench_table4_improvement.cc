@@ -1,94 +1,34 @@
 // E2 — Table 4: percentage improvement in throughput (displays per
 // hour) of simple striping over virtual data replication, at 16 / 64 /
-// 128 / 256 display stations for the three access distributions.
-// Prints our measured matrix next to the paper's values; absolute
-// percentages depend on unpublished baseline-policy details, but the
-// qualitative claims (striping wins; the margin grows with load under
-// skew; the tertiary bottleneck caps both under near-uniform access)
-// must hold — the harness checks them.
+// 128 / 256 display stations for the three access distributions, read
+// off Figure 8's cells.  Prints our measured matrix next to the
+// paper's values; absolute percentages depend on unpublished
+// baseline-policy details (EXPERIMENTS.md, Deviation 1), but the
+// qualitative claims of Section 4.2 hold — tests/paper/
+// paper_claims_test.cc checks them.
 
 #include <cstdio>
 #include <iostream>
 
-#include "server/experiment.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-struct Cell {
-  double striping = 0.0;
-  double vdr = 0.0;
-  double improvement() const {
-    return vdr <= 0.0 ? 0.0 : 100.0 * (striping / vdr - 1.0);
-  }
-};
-
-int Run() {
-  const int32_t stations[] = {16, 64, 128, 256};
-  const double means[] = {10.0, 20.0, 43.5};
-  // Table 4 of the paper, same layout.
-  const double paper[4][3] = {{5.10, 2.15, 114.75},
-                              {11.06, 131.86, 508.79},
-                              {52.67, 350.73, 469.94},
-                              {126.10, 602.49, 413.10}};
-
-  Cell cells[4][3];
-  for (int s = 0; s < 4; ++s) {
-    for (int g = 0; g < 3; ++g) {
-      ExperimentConfig cfg;
-      cfg.stations = stations[s];
-      cfg.geometric_mean = means[g];
-
-      cfg.scheme = Scheme::kSimpleStriping;
-      auto striping = RunExperiment(cfg);
-      STAGGER_CHECK(striping.ok()) << striping.status();
-      cells[s][g].striping = striping->displays_per_hour;
-
-      cfg.scheme = Scheme::kVdr;
-      auto vdr = RunExperiment(cfg);
-      STAGGER_CHECK(vdr.ok()) << vdr.status();
-      cells[s][g].vdr = vdr->displays_per_hour;
-    }
-  }
+int main(int argc, char** argv) {
+  using namespace stagger;
+  if (!paper::ParseBenchArgs(argc, argv, nullptr)) return 2;
+  const auto measured = paper::Table4(paper::Fig8(paper::kSeed));
 
   std::printf("Table 4: %% improvement in throughput with simple striping "
               "vs virtual data replication\n\n");
   Table table({"stations", "mean10_measured", "mean10_paper",
                "mean20_measured", "mean20_paper", "mean43.5_measured",
                "mean43.5_paper"});
-  for (int s = 0; s < 4; ++s) {
-    table.AddRowValues(static_cast<int64_t>(stations[s]),
-                       cells[s][0].improvement(), paper[s][0],
-                       cells[s][1].improvement(), paper[s][1],
-                       cells[s][2].improvement(), paper[s][2]);
+  for (size_t s = 0; s < paper::kTable4Stations.size(); ++s) {
+    const double* paper_row = paper::kTable4Paper[s];
+    table.AddRowValues(static_cast<int64_t>(paper::kTable4Stations[s]),
+                       measured[s][0], paper_row[0], measured[s][1],
+                       paper_row[1], measured[s][2], paper_row[2]);
   }
   table.Print(std::cout);
-
-  // Qualitative checks from Section 4.2.
-  int failures = 0;
-  auto expect = [&](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  // Striping never loses at moderate-to-high load.
-  for (int s = 1; s < 4; ++s) {
-    for (int g = 0; g < 3; ++g) {
-      expect(cells[s][g].improvement() > 0.0,
-             "striping beats VDR at >= 64 stations");
-    }
-  }
-  // Under skew the margin grows with load.
-  expect(cells[3][0].improvement() > cells[0][0].improvement(),
-         "mean 10: improvement grows from 16 to 256 stations");
-  expect(cells[3][1].improvement() > cells[0][1].improvement(),
-         "mean 20: improvement grows from 16 to 256 stations");
-  std::printf("\n%s\n", failures == 0 ? "All qualitative checks passed."
-                                      : "Some qualitative checks FAILED.");
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
-
-}  // namespace
-}  // namespace stagger
-
-int main() { return stagger::Run(); }

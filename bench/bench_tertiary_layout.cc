@@ -12,68 +12,23 @@
 #include <cstdio>
 #include <iostream>
 
-#include "tertiary/tertiary_device.h"
+#include "paper/experiments.h"
 #include "util/table.h"
 
-namespace stagger {
-namespace {
-
-int Run() {
-  // Paper example: 80 mbps object, 40 mbps tertiary, 20 mbps disks.
-  // Each burst delivers (40/80) of a subobject before the head must
-  // reposition under the sequential layout.
-  const DataSize fragment = DataSize::MB(1.512);
-  const int32_t degree = 4;                       // 80 / 20
-  const int64_t subobjects = 3000;
-  const DataSize subobject = fragment * degree;
-  const DataSize object = subobject * subobjects;
-  const DataSize burst = DataSize::Bytes(subobject.bytes() / 2);  // 40/80
-
+int main(int argc, char** argv) {
+  using namespace stagger;
+  if (!paper::ParseBenchArgs(argc, argv, nullptr)) return 2;
+  const paper::TapeLayout e = paper::TertiaryLayout();
   std::printf("Section 3.2.4: tape layout vs materialization cost\n"
-              "(object: %lld subobjects x %.3f MB, tertiary 40 mbps)\n\n",
-              static_cast<long long>(subobjects), subobject.megabytes());
-
+              "(object: 3000 subobjects x %.3f MB, tertiary 40 mbps)\n\n",
+              e.subobject_mb);
   Table table({"reposition_s", "striped_layout_s", "sequential_layout_s",
                "sequential_efficiency_%", "slowdown_x"});
-  int failures = 0;
-  for (double repo_s : {0.1, 0.5, 1.0, 2.0, 5.0, 10.0}) {
-    TertiaryParameters params;
-    params.bandwidth = Bandwidth::Mbps(40);
-    params.reposition = SimTime::Seconds(repo_s);
-    TertiaryDevice device(params);
-
-    const SimTime striped = device.StripedLayoutTime(object);
-    const SimTime sequential = device.SequentialLayoutTime(object, burst);
-    const double efficiency =
-        100.0 * device.SequentialLayoutEfficiency(object, burst);
-    table.AddRowValues(repo_s, striped.seconds(), sequential.seconds(),
-                       efficiency, sequential.seconds() / striped.seconds());
-    if (sequential < striped) ++failures;
+  for (const paper::TapeLayoutRow& r : e.rows) {
+    table.AddRowValues(r.reposition_s, r.striped_s, r.sequential_s,
+                       100.0 * r.sequential_efficiency,
+                       r.sequential_s / r.striped_s);
   }
   table.Print(std::cout);
-
-  auto expect = [&](bool ok, const char* what) {
-    std::printf("[%s] %s\n", ok ? "OK  " : "FAIL", what);
-    if (!ok) ++failures;
-  };
-  TertiaryParameters params;  // defaults: 40 mbps, 2 s reposition
-  TertiaryDevice device(params);
-  // The striped layout transfers at full device bandwidth: the Table 3
-  // object (100 mbps, M = 5) materializes in size / B_Tertiary.
-  const DataSize table3_object = fragment * (3000 * 5);
-  expect(std::abs(device.StripedLayoutTime(table3_object).seconds() -
-                  (2.0 + table3_object.bits() / 40e6)) < 0.1,
-         "striped layout = reposition + size / B_Tertiary");
-  // With a 2 s reposition per half-subobject burst the sequential
-  // layout spends the majority of its time seeking.
-  expect(device.SequentialLayoutEfficiency(object, burst) < 0.5,
-         "sequential layout wastes most of the device at 2 s repositions");
-  std::printf("\n%s\n", failures == 0 ? "All tertiary-layout checks passed."
-                                      : "Some tertiary-layout checks FAILED.");
-  return failures == 0 ? 0 : 1;
+  return 0;
 }
-
-}  // namespace
-}  // namespace stagger
-
-int main() { return stagger::Run(); }

@@ -1,5 +1,8 @@
 #include "disk/latent_errors.h"
 
+#include <iterator>
+#include <limits>
+
 #include "util/check.h"
 
 namespace stagger {
@@ -10,13 +13,10 @@ int64_t LatentErrorMap::Inject(DiskId disk, int64_t sub_lo, int64_t sub_hi) {
   STAGGER_CHECK(disk >= 0 && disk < corrupt_disks_.size())
       << "latent error on disk " << disk << " outside [0, "
       << corrupt_disks_.size() << ")";
-  std::map<int64_t, Cell>& rows = cells_[disk];
   corrupt_disks_.Set(disk);
   int64_t fresh = 0;
   for (int64_t sub = sub_lo; sub <= sub_hi; ++sub) {
-    const auto [it, inserted] = rows.emplace(sub, Cell{now(), -1});
-    (void)it;
-    if (inserted) ++fresh;
+    if (cells_.emplace(CellKey{disk, sub}, Cell{now(), -1}).second) ++fresh;
   }
   active_cells_ += fresh;
   metrics_.injected += fresh;
@@ -25,50 +25,46 @@ int64_t LatentErrorMap::Inject(DiskId disk, int64_t sub_lo, int64_t sub_hi) {
 }
 
 bool LatentErrorMap::CellCorrupt(DiskId disk, int64_t subobject) const {
-  const auto dit = cells_.find(disk);
-  if (dit == cells_.end()) return false;
-  return dit->second.count(subobject) > 0;
+  return cells_.count(CellKey{disk, subobject}) > 0;
 }
 
 bool LatentErrorMap::MarkDetected(DiskId disk, int64_t subobject) {
-  auto dit = cells_.find(disk);
-  STAGGER_CHECK(dit != cells_.end()) << "no corrupt cell on disk " << disk;
-  auto cit = dit->second.find(subobject);
-  STAGGER_CHECK(cit != dit->second.end())
+  const auto it = cells_.find(CellKey{disk, subobject});
+  STAGGER_CHECK(it != cells_.end())
       << "cell (" << disk << ", " << subobject << ") is not corrupt";
-  if (cit->second.detected_interval >= 0) return false;
-  cit->second.detected_interval = now();
+  if (it->second.detected_interval >= 0) return false;
+  it->second.detected_interval = now();
   ++metrics_.detected;
   return true;
 }
 
 void LatentErrorMap::Repair(DiskId disk, int64_t subobject) {
-  auto dit = cells_.find(disk);
-  STAGGER_CHECK(dit != cells_.end()) << "no corrupt cell on disk " << disk;
-  auto cit = dit->second.find(subobject);
-  STAGGER_CHECK(cit != dit->second.end())
+  const auto it = cells_.find(CellKey{disk, subobject});
+  STAGGER_CHECK(it != cells_.end())
       << "cell (" << disk << ", " << subobject << ") is not corrupt";
   metrics_.time_to_repair_intervals.Add(
-      static_cast<double>(now() - cit->second.injected_interval));
-  dit->second.erase(cit);
-  if (dit->second.empty()) {
-    cells_.erase(dit);
-    corrupt_disks_.Clear(disk);
-  }
+      static_cast<double>(now() - it->second.injected_interval));
+  // The disk keeps its index bit while a neighbouring key is its cell.
+  const auto next = cells_.erase(it);
+  const bool more = (next != cells_.end() && next->first.first == disk) ||
+                    (next != cells_.begin() &&
+                     std::prev(next)->first.first == disk);
+  if (!more) corrupt_disks_.Clear(disk);
   --active_cells_;
   ++metrics_.repaired;
 }
 
 int64_t LatentErrorMap::DropDiskRebuilt(DiskId disk) {
-  auto dit = cells_.find(disk);
-  if (dit == cells_.end()) return 0;
-  const int64_t dropped = static_cast<int64_t>(dit->second.size());
-  for (const auto& [sub, cell] : dit->second) {
-    (void)sub;
+  constexpr int64_t kFirstRow = std::numeric_limits<int64_t>::min();
+  const auto lo = cells_.lower_bound(CellKey{disk, kFirstRow});
+  const auto hi = cells_.lower_bound(CellKey{disk + 1, kFirstRow});
+  int64_t dropped = 0;
+  for (auto it = lo; it != hi; ++it, ++dropped) {
     metrics_.time_to_repair_intervals.Add(
-        static_cast<double>(now() - cell.injected_interval));
+        static_cast<double>(now() - it->second.injected_interval));
   }
-  cells_.erase(dit);
+  if (dropped == 0) return 0;
+  cells_.erase(lo, hi);
   corrupt_disks_.Clear(disk);
   active_cells_ -= dropped;
   metrics_.repaired_by_rebuild += dropped;
@@ -76,21 +72,23 @@ int64_t LatentErrorMap::DropDiskRebuilt(DiskId disk) {
 }
 
 Status LatentErrorMap::AuditIndex() const {
-  int64_t cells = 0;
-  for (const auto& [disk, rows] : cells_) {
+  int32_t disks = 0;
+  DiskId last = -1;
+  for (const auto& [key, cell] : cells_) {
+    (void)cell;
+    const DiskId disk = key.first;
     STAGGER_AUDIT_VERIFY(disk >= 0 && disk < corrupt_disks_.size() &&
                          corrupt_disks_.Test(disk))
         << "; disk " << disk << " carries cells but is not indexed";
-    STAGGER_AUDIT_VERIFY(!rows.empty())
-        << "; disk " << disk << " has an empty cell map";
-    cells += static_cast<int64_t>(rows.size());
+    if (disk != last) ++disks;
+    last = disk;
   }
-  STAGGER_AUDIT_VERIFY(corrupt_disks_.CountSet() ==
-                       static_cast<int32_t>(cells_.size()))
-      << "; " << corrupt_disks_.CountSet() << " disks indexed, "
-      << cells_.size() << " carry cells";
-  STAGGER_AUDIT_VERIFY(cells == active_cells_)
-      << "; " << cells << " cells mapped, " << active_cells_ << " counted";
+  STAGGER_AUDIT_VERIFY(corrupt_disks_.CountSet() == disks)
+      << "; " << corrupt_disks_.CountSet() << " disks indexed, " << disks
+      << " carry cells";
+  STAGGER_AUDIT_VERIFY(static_cast<int64_t>(cells_.size()) == active_cells_)
+      << "; " << cells_.size() << " cells mapped, " << active_cells_
+      << " counted";
   return Status::OK();
 }
 

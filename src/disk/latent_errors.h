@@ -25,7 +25,8 @@
 // Per-disk index: a slot bitmap marks the disks that carry at least one
 // cell, so IsCorrupt on a clean disk is one bit test and the scheduler
 // can ask whether a whole stripe's disks are clean with one window
-// test.  Only the few disks with cells reach the cell map.
+// test.  Only the few disks with cells reach the cell map, one ordered
+// map keyed by (disk, row).
 
 #ifndef STAGGER_DISK_LATENT_ERRORS_H_
 #define STAGGER_DISK_LATENT_ERRORS_H_
@@ -106,11 +107,12 @@ class LatentErrorMap {
   /// of cells dropped (counted as repaired_by_rebuild).
   int64_t DropDiskRebuilt(DiskId disk);
 
+  /// (disk, row) of one cell.
+  using CellKey = std::pair<DiskId, int64_t>;
+
   /// Full cell map, for the scrubber's orphan sweep.  Deterministic
   /// iteration order (ordered by disk, then row).
-  const std::map<DiskId, std::map<int64_t, Cell>>& cells() const {
-    return cells_;
-  }
+  const std::map<CellKey, Cell>& cells() const { return cells_; }
 
   const LatentErrorMetrics& metrics() const { return metrics_; }
 
@@ -124,8 +126,8 @@ class LatentErrorMap {
   bool CellCorrupt(DiskId disk, int64_t subobject) const;
 
   const IntervalClock* clock_ = nullptr;
-  std::map<DiskId, std::map<int64_t, Cell>> cells_;
-  /// Bit d set == cells_ holds a (non-empty) entry for disk d.
+  std::map<CellKey, Cell> cells_;
+  /// Bit d set == cells_ holds at least one cell of disk d.
   Bitmap corrupt_disks_;
   int64_t active_cells_ = 0;
   LatentErrorMetrics metrics_;

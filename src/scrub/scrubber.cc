@@ -151,10 +151,8 @@ int64_t Scrubber::TargetedRepairs(BackgroundGrant* grant, bool* stop) {
   if (!latent.active()) return 0;
   // Snapshot the detected cells: Repair mutates the registry.
   std::vector<std::pair<DiskId, int64_t>> hot;
-  for (const auto& [disk, rows] : latent.cells()) {
-    for (const auto& [sub, cell] : rows) {
-      if (cell.detected_interval >= 0) hot.emplace_back(disk, sub);
-    }
+  for (const auto& [key, cell] : latent.cells()) {
+    if (cell.detected_interval >= 0) hot.push_back(key);
   }
   int64_t ops = 0;
   for (const auto& [disk, sub] : hot) {
@@ -261,11 +259,9 @@ int64_t Scrubber::OrphanSweep(BackgroundGrant* grant) {
   LatentErrorMap& latent = disks_->latent_errors();
   // Collect first: Repair mutates the registry under iteration.
   std::vector<std::pair<DiskId, int64_t>> orphans;
-  for (const auto& [disk, rows] : latent.cells()) {
-    for (const auto& [sub, cell] : rows) {
-      (void)cell;
-      if (FindCover(disk, sub) == nullptr) orphans.emplace_back(disk, sub);
-    }
+  for (const auto& [key, cell] : latent.cells()) {
+    (void)cell;
+    if (FindCover(key.first, key.second) == nullptr) orphans.push_back(key);
   }
   int64_t repaired = 0;
   int64_t skipped = 0;

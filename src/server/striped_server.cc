@@ -186,15 +186,27 @@ Status StripedServer::AuditInvariants() const {
 
 std::vector<LostFragment> StripedServer::LostFragmentsOn(DiskId slot) const {
   std::vector<LostFragment> lost;
+  // Rows r and r + P share a stripe (P = the stride walk's period), so
+  // the rows of `slot` are the residues r < P whose stripe holds it,
+  // repeated every P rows.  `slot` holds at most one fragment per row.
+  std::vector<LostFragment> residues;
   for (ObjectId id = 0; id < catalog_->size(); ++id) {
     if (!objects_->IsResident(id)) continue;
     const StaggeredLayout& layout = objects_->LayoutOf(id);
     const int64_t n = catalog_->Get(id).num_subobjects;
-    // `slot` holds at most one fragment of each row.
-    for (int64_t i = 0; i < n; ++i) {
-      const Stripe stripe = layout.StripeOf(i);
+    const int64_t period = layout.period();
+    residues.clear();
+    for (int64_t r = 0; r < std::min(period, n); ++r) {
+      const Stripe stripe = layout.StripeOf(r);
       const int32_t j = stripe.FragmentOn(slot);
-      if (j >= 0) lost.push_back(LostFragment{id, i, j, stripe});
+      if (j >= 0) residues.push_back(LostFragment{id, r, j, stripe});
+    }
+    for (int64_t base = 0; base < n; base += period) {
+      for (LostFragment f : residues) {
+        f.subobject += base;
+        if (f.subobject >= n) break;
+        lost.push_back(f);
+      }
     }
   }
   return lost;

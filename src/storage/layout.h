@@ -104,6 +104,8 @@ class StaggeredLayout {
   int32_t stride() const { return stride_; }
   int32_t degree() const { return degree_; }
   bool has_parity() const { return parity_; }
+  /// P = D / gcd(D, k): rows i and i + P share a stripe.
+  int32_t period() const { return period_; }
 
   /// Stripe of subobject i: its data slots from (p + i*k) mod D on,
   /// plus parity when the layout carries it.  The stride walk repeats

@@ -585,26 +585,25 @@ TEST(DiskArrayLatentTest, PerDiskIndexMatchesCells) {
       latent.Inject(disk, lo, lo + static_cast<int64_t>(rng.NextBounded(4)));
     } else if (op < 7) {
       // Repair one cell of a random disk that carries any.
-      auto it = latent.cells().lower_bound(disk);
+      auto it = latent.cells().lower_bound({disk, 0});
       if (it == latent.cells().end()) it = latent.cells().begin();
       if (it != latent.cells().end()) {
-        latent.Repair(it->first, it->second.begin()->first);
+        latent.Repair(it->first.first, it->first.second);
       }
     } else {
       latent.DropDiskRebuilt(disk);
     }
-    int64_t cells = 0;
     for (DiskId d = 0; d < kDisks; ++d) {
-      const auto it = latent.cells().find(d);
-      const bool has = it != latent.cells().end();
+      const auto it = latent.cells().lower_bound({d, 0});
+      const bool has = it != latent.cells().end() && it->first.first == d;
       ASSERT_EQ(latent.corrupt_disks().Test(d), has) << "step " << step;
-      if (has) cells += static_cast<int64_t>(it->second.size());
       for (int64_t row = 0; row < 25; ++row) {
-        ASSERT_EQ(latent.IsCorrupt(d, row), has && it->second.count(row) > 0)
+        ASSERT_EQ(latent.IsCorrupt(d, row), latent.cells().count({d, row}) > 0)
             << "step " << step << " disk " << d << " row " << row;
       }
     }
-    ASSERT_EQ(latent.ActiveCells(), cells);
+    ASSERT_EQ(latent.ActiveCells(),
+              static_cast<int64_t>(latent.cells().size()));
     ASSERT_TRUE(latent.AuditIndex().ok()) << latent.AuditIndex();
   }
   // A spare promotion drops the rebuilt slot's cells from the index.

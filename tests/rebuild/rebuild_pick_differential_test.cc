@@ -218,12 +218,8 @@ std::string MetricsString(const RebuildMetrics& m) {
 std::map<std::pair<DiskId, int64_t>, int64_t> DetectedCells(
     const DiskArray& disks) {
   std::map<std::pair<DiskId, int64_t>, int64_t> detected;
-  for (const auto& [disk, rows] : disks.latent_errors().cells()) {
-    for (const auto& [row, cell] : rows) {
-      if (cell.detected_interval >= 0) {
-        detected[{disk, row}] = cell.detected_interval;
-      }
-    }
+  for (const auto& [key, cell] : disks.latent_errors().cells()) {
+    if (cell.detected_interval >= 0) detected[key] = cell.detected_interval;
   }
   return detected;
 }
