@@ -20,33 +20,39 @@ namespace {
 constexpr int64_t kRetryBackoffIntervals = 1;
 constexpr int64_t kMaxRetryBackoffIntervals = 64;
 
-using IdSlots = std::vector<std::pair<StreamId, int32_t>>;
+using IdSlots = std::vector<StreamSlot>;
 
 IdSlots::iterator LowerBound(IdSlots* v, StreamId id) {
   return std::lower_bound(
       v->begin(), v->end(), id,
-      [](const std::pair<StreamId, int32_t>& e, StreamId x) {
-        return e.first < x;
-      });
+      [](const StreamSlot& e, StreamId x) { return e.id < x; });
+}
+
+// Position of the first entry of `v` above `id`.
+size_t UpperBound(const IdSlots& v, StreamId id) {
+  return static_cast<size_t>(
+      std::upper_bound(v.begin(), v.end(), id,
+                       [](StreamId x, const StreamSlot& e) { return x < e.id; }) -
+      v.begin());
 }
 
 // Inserts (id, slot) keeping `v` sorted by id.  Ids are usually
 // monotonic (fresh requests), so push_back is the fast path; a resumed
 // paused stream re-enters with its original smaller id.
 void InsertSorted(IdSlots* v, StreamId id, int32_t slot) {
-  if (v->empty() || v->back().first < id) {
-    v->emplace_back(id, slot);
+  if (v->empty() || v->back().id < id) {
+    v->push_back({id, slot});
     return;
   }
   auto it = LowerBound(v, id);
-  STAGGER_DCHECK(it == v->end() || it->first != id);
+  STAGGER_DCHECK(it == v->end() || it->id != id);
   v->insert(it, {id, slot});
 }
 
 // Erases `id` from `v` when it is listed.
 void EraseSorted(IdSlots* v, StreamId id) {
   auto it = LowerBound(v, id);
-  if (it != v->end() && it->first == id) v->erase(it);
+  if (it != v->end() && it->id == id) v->erase(it);
 }
 
 }  // namespace
@@ -171,11 +177,9 @@ int32_t IntervalScheduler::idle_virtual_disks() const {
 int32_t IntervalScheduler::SlotOf(StreamId id) const {
   auto it = std::lower_bound(
       active_.begin(), active_.end(), id,
-      [](const std::pair<StreamId, int32_t>& e, StreamId v) {
-        return e.first < v;
-      });
-  if (it == active_.end() || it->first != id) return -1;
-  return it->second;
+      [](const StreamSlot& e, StreamId v) { return e.id < v; });
+  if (it == active_.end() || it->id != id) return -1;
+  return it->slot;
 }
 
 Stream* IntervalScheduler::FindStream(StreamId id) {
@@ -401,7 +405,7 @@ void IntervalScheduler::AdmitStream(const Pending& p, AdmitPlan&& plan) {
   s.delivered = 0;
   s.fragmented = fragmented;
   s.steady = !fragmented;
-  s.admission = next_admission_++;
+  s.epoch = next_epoch_++;
   s.parity = p.req.parity;
   s.resumed_mid_display = p.started;
   coalesce_misses_[static_cast<size_t>(slot)] = -1;
@@ -433,19 +437,24 @@ void IntervalScheduler::AdmitStream(const Pending& p, AdmitPlan&& plan) {
 }
 
 void IntervalScheduler::PushEvent(const Stream& s, int32_t slot, int64_t tick) {
-  calendar_.push_back(CalendarEvent{tick, s.id, s.admission, slot});
+  calendar_.push_back(CalendarEvent{tick, s.id, s.epoch, slot});
   std::push_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
-  // Entries of a cancelled, sought or paused admission linger until
-  // their tick.  Once they could outnumber the live ones (at most two
-  // per steady stream), drop them, so the calendar stays proportional
-  // to the active streams rather than to the interruptions of the run.
+  // Entries of a cancelled, sought or paused admission, and of a steady
+  // period a migration or a finished lane ended, linger until their
+  // tick.  Once they could outnumber the live ones (at most two per
+  // steady stream: a first read still ahead, and the earliest lane's
+  // last read), drop them, so the calendar stays proportional to the
+  // active streams rather than to the interruptions of the run.
   const size_t steady = active_.size() - unsteady_.size();
   if (calendar_.size() <= 2 * steady + 64) return;
-  std::erase_if(calendar_, [this](const CalendarEvent& e) {
-    const Stream& holder = slots_[static_cast<size_t>(e.slot)];
-    return holder.id != e.id || holder.admission != e.admission;
-  });
+  std::erase_if(calendar_,
+                [this](const CalendarEvent& e) { return !LiveEvent(e); });
   std::make_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
+}
+
+bool IntervalScheduler::LiveEvent(const CalendarEvent& e) const {
+  const Stream& holder = slots_[static_cast<size_t>(e.slot)];
+  return holder.id == e.id && holder.epoch == e.epoch && holder.steady;
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::MarkReading(const Stream& s) {
@@ -527,29 +536,97 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // after the loop, before the pause / finish fix-ups below read the
   // member.
   int64_t buffered_delta = 0;
-  // scratch_due_ is sorted by id, giving the deterministic ascending-id
-  // processing order directly.  No admissions run inside this loop, so
-  // slots_ is stable and index-based iteration is safe.
-  for (const DueStream& due : scratch_due_) {
+  // The walk takes scratch_due_ merged with coalescing_ (both sorted by
+  // id), each stream once, in ascending id.  A stream of coalescing_
+  // that is not due otherwise is visited only when the walk reaches it
+  // with a virtual disk freed since its last coalescing miss, by a
+  // lower-id stream earlier in this walk included: the visits in which
+  // a walk of every stream would have its search run, and elsewhere
+  // that walk's visit changes nothing.  While no virtual disk has been
+  // freed since a walk that left every miss current, the walk passes
+  // over coalescing_ until its first free.  Under an observer
+  // scratch_due_ holds every stream.  No admissions run inside this
+  // loop, so slots_ is stable and index-based iteration is safe; a
+  // visit changes coalescing_ only at its own stream's entry.
+  const int64_t walk_frees = vdisk_frees_;
+  bool pass_over = observe || vdisk_frees_ == coalescing_current_;
+#ifdef STAGGER_AUDIT
+  if (!observe && pass_over) {
+    for (const auto& [cid, cslot] : coalescing_) {
+      STAGGER_CHECK(coalesce_misses_[static_cast<size_t>(cslot)] ==
+                    vdisk_frees_)
+          << "steady stream " << cid << " passed over with a stale miss";
+      CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
+    }
+  }
+#endif
+  size_t next_due = 0;
+  size_t next_coalescing = pass_over ? coalescing_.size() : 0;
+  size_t coalescing_seen = coalescing_.size();
+  StreamId last_id = kNoStream;
+#ifdef STAGGER_AUDIT
+  // The stream whose visit made the walk's last free, and the count then.
+  StreamId last_freer = kNoStream;
+  int64_t frees_seen = vdisk_frees_;
+#endif
+  for (;;) {
+#ifdef STAGGER_AUDIT
+    if (vdisk_frees_ != frees_seen) {
+      last_freer = last_id;
+      frees_seen = vdisk_frees_;
+    }
+#endif
+    if (coalescing_.size() != coalescing_seen ||
+        (pass_over && vdisk_frees_ != walk_frees)) {
+      // The stream visited last joined or left coalescing_, or freed the
+      // first virtual disk of the walk.
+      coalescing_seen = coalescing_.size();
+      pass_over = observe || (pass_over && vdisk_frees_ == walk_frees);
+      next_coalescing =
+          pass_over ? coalescing_seen : UpperBound(coalescing_, last_id);
+    }
+    const bool more_due = next_due < scratch_due_.size();
+    StreamSlot due;
+    // Set when only the stream's stale coalescing miss makes it due.
+    bool stale_miss = false;
+    if (next_coalescing < coalescing_.size() &&
+        (!more_due ||
+         coalescing_[next_coalescing].id < scratch_due_[next_due].id)) {
+      const auto [cid, cslot] = coalescing_[next_coalescing++];
+      if (coalesce_misses_[static_cast<size_t>(cslot)] == vdisk_frees_) {
+#ifdef STAGGER_AUDIT
+        CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
+#endif
+        continue;
+      }
+      due = StreamSlot{cid, cslot};
+      stale_miss = true;
+    } else if (more_due) {
+      due = scratch_due_[next_due++];
+      if (next_coalescing < coalescing_.size() &&
+          coalescing_[next_coalescing].id == due.id) {
+        ++next_coalescing;
+      }
+    } else {
+      break;
+    }
     const StreamId id = due.id;
+    last_id = id;
     Stream& s = slots_[static_cast<size_t>(due.slot)];
     STAGGER_DCHECK(s.id == id);
     // The masked pass already reserved a steady stream's reads on
     // healthy slots.
     const bool covered = s.steady;
-    if (s.steady) {
-      // Bring the closed-form cursors into the stored fields the body
-      // below advances: the state after the previous interval.
-      const int64_t progress = s.SteadyProgress(interval_index_ - 1);
-      s.delivered = progress;
-      for (FragmentLane& l : s.lanes) {
-        l.reads_done = progress;
-        l.next_read_tau = s.delta_max + progress;
-      }
-    }
+    // Bring the closed-form cursors into the stored fields the body
+    // below advances: the state after the previous interval.
+    if (covered) SyncSteadyCursors(&s);
     const int64_t tau = s.Tau(interval_index_);
 
-    if (config_.coalesce && s.fragmented) TryCoalesce(&s, due.slot);
+    const bool migrated = config_.coalesce && s.fragmented &&
+                          TryCoalesce(&s, due.slot, rot, faulty);
+    // Unless a lane migrates, such a stream reads and delivers at its
+    // offsets, all reserved, with no event due: nothing else changes.
+    if (stale_miss && !migrated) continue;
 
     // Reads: each lane reads its run of fragments when its disks are
     // aligned.  min_reads tracks the least-advanced unreleased lane so
@@ -557,6 +634,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     // (overwhelmingly common) on-schedule path.  Released lanes are
     // excluded: they finished all their reads, so they never hiccup.
     bool pausing = false;
+    bool lane_finished = false;
     int64_t min_reads = std::numeric_limits<int64_t>::max();
     FragmentLane* lane = s.lanes.data();
     FragmentLane* const lanes_end = lane + s.lanes.size();
@@ -591,9 +669,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
           // of the mid-stripe failure; the masked pass's reservations of
           // the reads after it go back.  Fragments read on the stream's
           // last row are done with their disks, which go back now.
-          if (covered) {
-            GiveBackReads(s, lane->reads_done, fragment + f, rot, faulty);
-          }
+          if (covered) GiveBackReads(s, fragment + f, rot, faulty);
           if (f > 0 && lane->reads_done + 1 >= s.num_subobjects) {
             ReleaseLane(s, lane, f);
           }
@@ -608,7 +684,10 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       buffered_delta += width;
       lane->next_read_tau = tau + 1;
       min_reads = std::min(min_reads, lane->reads_done);
-      if (lane->reads_done >= s.num_subobjects) ReleaseLane(s, lane, width);
+      if (lane->reads_done >= s.num_subobjects) {
+        ReleaseLane(s, lane, width);
+        lane_finished = true;
+      }
     }
     if (pausing) {
       // stagger-lint: allow(hot-path-alloc) -- scratch_to_pause_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
@@ -619,12 +698,12 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     // Output: subobject `delivered` is transmitted at tau == delta_max +
     // delivered, synchronized across lanes (Algorithm 1).
     if (tau >= s.delta_max && s.delivered < s.num_subobjects) {
-      const int64_t due = s.delivered;
-      if (min_reads <= due) {
+      const int64_t due_row = s.delivered;
+      if (min_reads <= due_row) {
         // Some lane fell behind the output clock: charge one hiccup per
         // late fragment, exactly as the full scan would.
         for (const FragmentLane& l : s.lanes) {
-          if (l.reads_done <= due) metrics_.hiccups += l.width;
+          if (l.reads_done <= due_row) metrics_.hiccups += l.width;
         }
       }
       ++s.delivered;
@@ -638,19 +717,44 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       if (s.delivered == s.num_subobjects) scratch_finished_.push_back(id);
     }
 
-    // A stream Algorithm 2 has fully drained reads and delivers in
-    // lockstep on every lane: from here on it is steady.
-    if (!s.steady && !s.fragmented && tau >= s.delta_max &&
-        s.delivered < s.num_subobjects &&
-        std::all_of(s.lanes.begin(), s.lanes.end(),
-                    [&](const FragmentLane& l) {
-                      return !l.released() && l.reads_done == s.delivered &&
-                             l.next_read_tau == tau + 1;
-                    })) {
-      MakeSteady(&s, due.slot);
+    if (s.steady) {
+      // A lane that migrated is in its gap, and one that finished ahead
+      // of the others reads no more: the closed form ends there.  A
+      // stream that delivered its last row finishes below instead.
+      if ((migrated || lane_finished) && s.delivered < s.num_subobjects) {
+        LeaveSteady(&s, due.slot);
+      }
+    } else if (tau >= s.delta_max &&
+               (!config_.coalesce || !s.fragmented ||
+                coalesce_misses_[static_cast<size_t>(due.slot)] ==
+                    vdisk_frees_) &&
+               std::all_of(s.lanes.begin(), s.lanes.end(),
+                           [&](const FragmentLane& l) {
+                             return !l.released() &&
+                                    l.next_read_tau == tau + 1;
+                           })) {
+      // Every lane read this interval and none has finished, output
+      // runs, and no coalescing search can succeed before a virtual disk
+      // is freed: each lane reads at its offset from here on.
+      EnterSteady(&s, due.slot);
     }
   }
   buffered_fragments_ += buffered_delta;
+#ifdef STAGGER_AUDIT
+  if (vdisk_frees_ != frees_seen) last_freer = last_id;
+  // The walk visited every stream of coalescing_ above its last free
+  // whose miss was stale, so each of them holds a current one.
+  for (const auto& [cid, cslot] : coalescing_) {
+    STAGGER_CHECK(cid < last_freer ||
+                  coalesce_misses_[static_cast<size_t>(cslot)] == vdisk_frees_)
+        << "steady stream " << cid << " passed over with a stale miss after"
+        << " the free of stream " << last_freer;
+  }
+#endif
+  // With no free in the walk, it left every stream of coalescing_
+  // current: visited with a stale miss (its search missing again, as no
+  // lane could migrate), or passed over with a current one.
+  if (vdisk_frees_ == walk_frees) coalescing_current_ = vdisk_frees_;
 
   for (StreamId id : scratch_to_pause_) PauseStream(id);
   scratch_to_pause_.clear();
@@ -691,22 +795,24 @@ STAGGER_HOT_PATH int32_t IntervalScheduler::ReadLaneByFragment(
 
 STAGGER_HOT_PATH void IntervalScheduler::PopCalendarEvents() {
   // This tick's calendar events pop in ascending id.  An entry whose
-  // slot now holds another admission is stale: the stream was
-  // cancelled, sought or paused (a resumed stream keeps its id).
+  // slot now holds another admission or steady period is stale: the
+  // stream was cancelled, sought or paused (a resumed stream keeps its
+  // id), or it left the steady path, and is visited every tick now or
+  // steady again with events of its own.
   scratch_events_.clear();
   while (!calendar_.empty() && calendar_.front().tick <= interval_index_) {
     const CalendarEvent ev = calendar_.front();
     std::pop_heap(calendar_.begin(), calendar_.end(), CalendarEvent::Later);
     calendar_.pop_back();
     STAGGER_DCHECK(ev.tick == interval_index_);
+    if (!LiveEvent(ev)) continue;
     const Stream& s = slots_[static_cast<size_t>(ev.slot)];
-    if (s.id != ev.id || s.admission != ev.admission) continue;
     // Reads that start after admission join the rotated reservation now.
     if (s.delta_max > 0 && s.Tau(interval_index_) == s.delta_max) {
       MarkReading(s);
     }
     // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
-    scratch_events_.push_back(DueStream{ev.id, ev.slot});
+    scratch_events_.push_back(StreamSlot{ev.id, ev.slot});
   }
 }
 
@@ -723,7 +829,7 @@ STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams(bool observe) {
     }
     if (e < scratch_events_.size() && scratch_events_[e].id == id) ++e;
     // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
-    scratch_due_.push_back(DueStream{id, slot});
+    scratch_due_.push_back(StreamSlot{id, slot});
   }
   // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
   scratch_due_.insert(scratch_due_.end(), scratch_events_.begin() + e,
@@ -742,36 +848,44 @@ STAGGER_HOT_PATH void IntervalScheduler::ReserveSteadyReads(
         const int32_t v = disk >= rot ? disk - rot : disk - rot + d;
         const int32_t slot = vdisk_slot_[static_cast<size_t>(v)];
         const Stream& s = slots_[static_cast<size_t>(slot)];
+        // The row the lane over `v` reads now: every lane's, unless the
+        // stream reads ahead on one-fragment lanes at their own offsets.
+        int64_t row = s.SteadyProgress(interval_index_ - 1);
+        if (s.fragmented) {
+          for (const FragmentLane& lane : s.lanes) {
+            if (lane.vdisk == v) row = s.SteadyReads(lane, interval_index_ - 1);
+          }
+        }
         // A clean cell on a corrupt drive reads as on a healthy array.
         // Every due read is in claimed_, so reserving it ahead of the
         // ladder's picks changes none of them.
-        if (!faulty.NeedsLadder(
-                disk, s.first_row + s.SteadyProgress(interval_index_ - 1))) {
+        if (!faulty.NeedsLadder(disk, s.first_row + row)) {
           disks_->ReserveSlot(disk);
           return;
         }
         // Under an observer every stream is visited anyway.
         if (observe) return;
         // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
-        scratch_events_.push_back(DueStream{s.id, slot});
+        scratch_events_.push_back(StreamSlot{s.id, slot});
       });
   if (scratch_events_.size() == events) return;
   // The streams come in slot order, a stream once per read; the visits
   // take them in ascending id, each once, as every stream's ladder reads
   // would be reached by a walk of all of them.
   std::sort(scratch_events_.begin(), scratch_events_.end(),
-            [](const DueStream& a, const DueStream& b) { return a.id < b.id; });
+            [](const StreamSlot& a, const StreamSlot& b) { return a.id < b.id; });
   scratch_events_.erase(
       std::unique(scratch_events_.begin(), scratch_events_.end(),
-                  [](const DueStream& a, const DueStream& b) {
+                  [](const StreamSlot& a, const StreamSlot& b) {
                     return a.id == b.id;
                   }),
       scratch_events_.end());
 }
 
-void IntervalScheduler::GiveBackReads(const Stream& s, int64_t row,
-                                      int32_t failed, int32_t rot,
-                                      const FaultySlots& faulty) {
+void IntervalScheduler::GiveBackReads(const Stream& s, int32_t failed,
+                                      int32_t rot, const FaultySlots& faulty) {
+  // The lanes from the failed fragment on have not read yet this visit:
+  // each one's reads_done is the row it was due to read.
   const int32_t d = frame_.num_disks();
   int32_t fragment = 0;
   for (const FragmentLane& lane : s.lanes) {
@@ -780,14 +894,18 @@ void IntervalScheduler::GiveBackReads(const Stream& s, int64_t row,
       if (disk >= d) disk -= d;
       for (int32_t f = 0; f < lane.width;
            ++f, disk = disk + 1 == d ? 0 : disk + 1) {
-        if (fragment + f > failed &&
-            !faulty.NeedsLadder(disk, s.first_row + row)) {
-          disks_->UnreserveSlot(disk);
+        if (fragment + f > failed) {
+          GiveBackRead(disk, s.first_row + lane.reads_done, faulty);
         }
       }
     }
     fragment += lane.width;
   }
+}
+
+void IntervalScheduler::GiveBackRead(int32_t disk, int64_t cell,
+                                     const FaultySlots& faulty) {
+  if (!faulty.NeedsLadder(disk, cell)) disks_->UnreserveSlot(disk);
 }
 
 STAGGER_HOT_PATH int32_t IntervalScheduler::DegradedRead(const Stream& s,
@@ -935,11 +1053,68 @@ bool IntervalScheduler::FirstRowUnreadable(const Pending& p) const {
   return false;
 }
 
-STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s,
-                                                     int32_t slot) {
+void IntervalScheduler::SyncSteadyCursors(Stream* s) {
+  const int64_t t = interval_index_ - 1;
+  s->delivered = s->SteadyProgress(t);
+  for (FragmentLane& l : s->lanes) {
+    const int64_t offset = l.offset();
+    l.reads_done = s->SteadyReads(l, t);
+    l.next_read_tau = offset + l.reads_done;
+  }
+}
+
+STAGGER_HOT_PATH std::optional<IntervalScheduler::CoalesceMove>
+IntervalScheduler::FindCoalesceMove(const Stream& s, bool* miss_holds) const {
+  *miss_holds = false;
+  const int64_t tau = s.Tau(interval_index_);
+  // Pick the lane with the largest lead (biggest buffer backlog).  A
+  // fragmented stream's lanes are one fragment wide, so lane j carries
+  // fragment j.
+  int32_t pick = -1;
+  int64_t pick_lead = 0;
+  bool all_reading = true;
+  for (int32_t j = 0; j < s.degree; ++j) {
+    const FragmentLane& lane = s.lanes[static_cast<size_t>(j)];
+    STAGGER_DCHECK(lane.width == 1);
+    if (lane.released() || lane.reads_done >= s.num_subobjects) continue;
+    // Not aligned yet, or mid-gap from a prior migration.
+    if (lane.next_read_tau > tau) {
+      all_reading = false;
+      continue;
+    }
+    const int64_t lead = s.delta_max - lane.offset();
+    if (lead > pick_lead) {
+      pick_lead = lead;
+      pick = j;
+    }
+  }
+  if (pick < 0) return std::nullopt;
+
+  const FragmentLane& lane = s.lanes[static_cast<size_t>(pick)];
+  const int32_t target = RowStripe(s, lane.reads_done).Slot(pick);
+  // Latest safe resume: outputs reach subobject reads_done exactly when
+  // the new disk takes over (backlog fully drained, no hiccup).
+  const int64_t max_resume = lane.reads_done + s.delta_max;
+
+  // The free virtual disk with the largest safe resume: one masked scan
+  // of the orbit-order occupancy in strictly decreasing resume order.
+  const auto found = frame_.FindLatestFreeVdisk(vdisk_occupied_,
+                                                interval_index_, target, tau,
+                                                max_resume);
+  // No free disk, or none that shrinks the buffer.
+  if (!found.has_value() ||
+      found->second - lane.reads_done <= lane.offset()) {
+    *miss_holds = all_reading;
+    return std::nullopt;
+  }
+  return CoalesceMove{pick, found->first, found->second};
+}
+
+STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
+    Stream* s, int32_t slot, int32_t rot, const FaultySlots& faulty) {
   // One migration per stream per interval (Algorithm 2 admits a new
   // coalesce request only after the previous one completes).
-  const int64_t tau = s->Tau(interval_index_);
+  //
   // While every unfinished lane reads each interval, each lane's lead is
   // fixed, so the same lane is picked, and its search asks the same
   // question: the target and its virtual disk both advance by k, and
@@ -950,86 +1125,95 @@ STAGGER_HOT_PATH void IntervalScheduler::TryCoalesce(Stream* s,
   int64_t& miss = coalesce_misses_[static_cast<size_t>(slot)];
   const bool known_to_fail = miss == vdisk_frees_;
 #ifndef STAGGER_AUDIT
-  if (known_to_fail) return;
+  if (known_to_fail) return false;
 #endif
-
-  // Pick the lane with the largest lead (biggest buffer backlog).  A
-  // fragmented stream's lanes are one fragment wide, so lane j carries
-  // fragment j.
-  int32_t pick = -1;
-  int64_t pick_lead = 0;
-  bool all_reading = true;
-  for (int32_t j = 0; j < s->degree; ++j) {
-    const FragmentLane& lane = s->lanes[static_cast<size_t>(j)];
-    STAGGER_DCHECK(lane.width == 1);
-    if (lane.released() || lane.reads_done >= s->num_subobjects) continue;
-    // Not aligned yet, or mid-gap from a prior migration.
-    if (lane.next_read_tau > tau) {
-      all_reading = false;
-      continue;
-    }
-    const int64_t effective_delta = lane.next_read_tau - lane.reads_done;
-    const int64_t lead = s->delta_max - effective_delta;
-    if (lead > pick_lead) {
-      pick_lead = lead;
-      pick = j;
-    }
-  }
-  if (pick < 0) return;
-
-  FragmentLane& lane = s->lanes[static_cast<size_t>(pick)];
-  const int32_t target = RowStripe(*s, lane.reads_done).Slot(pick);
-  const int64_t cur_effective = lane.next_read_tau - lane.reads_done;
-  // Latest safe resume: outputs reach subobject reads_done exactly when
-  // the new disk takes over (backlog fully drained, no hiccup).
-  const int64_t max_resume = lane.reads_done + s->delta_max;
-
-  // The free virtual disk with the largest safe resume: one masked scan
-  // of the orbit-order occupancy in strictly decreasing resume order.
-  const auto found = frame_.FindLatestFreeVdisk(vdisk_occupied_,
-                                                interval_index_, target, tau,
-                                                max_resume);
-  // No free disk, or none that shrinks the buffer.
-  if (!found.has_value() || found->second - lane.reads_done <= cur_effective) {
-    if (all_reading) miss = vdisk_frees_;
-    return;
+  bool miss_holds = false;
+  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss_holds);
+  if (!move.has_value()) {
+    if (miss_holds) miss = vdisk_frees_;
+    return false;
   }
 #ifdef STAGGER_AUDIT
   STAGGER_CHECK(!known_to_fail)
-      << "stream " << s->id << " lane " << pick
+      << "stream " << s->id << " lane " << move->lane
       << ": a coalescing search skipped as failing finds virtual disk "
-      << found->first;
+      << move->vdisk;
 #endif
-  const int32_t best_v = found->first;
-  const int64_t best_resume = found->second;
+  FragmentLane& lane = s->lanes[static_cast<size_t>(move->lane)];
+  if (s->steady) {
+    // The masked pass reserved this interval's read on the old disk,
+    // which the lane, in its gap from now, does not issue.
+    const int32_t d = frame_.num_disks();
+    reading_.Clear(lane.vdisk);
+    int32_t disk = lane.vdisk + rot;
+    if (disk >= d) disk -= d;
+    GiveBackRead(disk, s->first_row + lane.reads_done, faulty);
+  }
 
   // Migrate: release the old disk now; reads resume on the new one.
   ++vdisk_frees_;
   vdisk_slot_[static_cast<size_t>(lane.vdisk)] = kNoSlot;
   vdisk_occupied_.Clear(lane.vdisk);
-  vdisk_slot_[static_cast<size_t>(best_v)] = slot;
-  vdisk_occupied_.Set(best_v);
-  lane.vdisk = best_v;
-  lane.next_read_tau = best_resume;
+  vdisk_slot_[static_cast<size_t>(move->vdisk)] = slot;
+  vdisk_occupied_.Set(move->vdisk);
+  lane.vdisk = move->vdisk;
+  lane.next_read_tau = move->resume;
   ++metrics_.coalesce_migrations;
 
   // The stream stays fragmented while any unfinished lane leads.
   s->fragmented = false;
   for (const FragmentLane& l : s->lanes) {
-    if (l.reads_done < s->num_subobjects &&
-        s->delta_max > l.next_read_tau - l.reads_done) {
+    if (l.reads_done < s->num_subobjects && s->delta_max > l.offset()) {
       s->fragmented = true;
       break;
     }
   }
+  return true;
 }
 
-void IntervalScheduler::MakeSteady(Stream* s, int32_t slot) {
-  // Its first read is past; the last read is its only event ahead.
+void IntervalScheduler::CheckSkippedSearch(Stream* s) {
+  // A steady stream's stored cursors may be set to any interval's closed
+  // form: set them to the state its visit would start from.
+  SyncSteadyCursors(s);
+  bool miss_holds = false;
+  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss_holds);
+  STAGGER_CHECK(!move.has_value())
+      << "steady stream " << s->id << " lane " << move->lane
+      << ": a coalescing search skipped as failing finds virtual disk "
+      << move->vdisk;
+}
+
+void IntervalScheduler::EnterSteady(Stream* s, int32_t slot) {
+  // A new steady period: earlier periods' calendar entries go stale.
   s->steady = true;
+  s->epoch = next_epoch_++;
   EraseSorted(&unsteady_, s->id);
+  if (config_.coalesce && s->fragmented) {
+    InsertSorted(&coalescing_, s->id, slot);
+  }
   MarkReading(*s);
-  PushEvent(*s, slot, s->admit_interval + s->delta_max + s->num_subobjects - 1);
+  // Its reads are under way; the lane with the smallest offset reads
+  // the last row first, and the closed form ends there.
+  int64_t first_offset = s->delta_max;
+  for (const FragmentLane& l : s->lanes) {
+    first_offset = std::min(first_offset, l.offset());
+  }
+  PushEvent(*s, slot, s->admit_interval + first_offset + s->num_subobjects - 1);
+}
+
+void IntervalScheduler::LeaveSteady(Stream* s, int32_t slot) {
+  // Its queued event goes stale with the steady flag.
+  s->steady = false;
+  InsertSorted(&unsteady_, s->id, slot);
+  EraseSorted(&coalescing_, s->id);
+  const int32_t d = frame_.num_disks();
+  for (const FragmentLane& lane : s->lanes) {
+    if (lane.released()) continue;
+    for (int32_t f = 0, v = lane.vdisk; f < lane.width;
+         ++f, v = v + 1 == d ? 0 : v + 1) {
+      reading_.Clear(v);
+    }
+  }
 }
 
 void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
@@ -1072,6 +1256,7 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
   s.lanes.clear();
   EraseSorted(&active_, id);
   EraseSorted(&unsteady_, id);
+  EraseSorted(&coalescing_, id);
   free_slots_.push_back(slot);
   if (completed) {
     ++metrics_.displays_completed;

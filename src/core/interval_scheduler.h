@@ -16,9 +16,19 @@
 //    disks within an alignment lookahead, buffering early reads
 //    (Algorithm 1).  With `coalesce` set, fragmented streams migrate
 //    lanes onto later-aligned free disks as they appear, draining
-//    buffers (Algorithm 2).  A stream whose lanes have all drained reads
-//    in lockstep from then on and joins the steady streams that the
-//    tick reserves in one word pass without visiting them.
+//    buffers (Algorithm 2).
+//
+// Steady streams.  A stream whose lanes all read every interval, each at
+// a fixed offset, has cursors that are a closed form of the interval
+// (Stream::SteadyReads): every contiguous admission, every Algorithm-1
+// admission aligned at delta_max, and every fragmented stream once its
+// lanes all read with output running and, under Algorithm 2, its last
+// coalescing search missed.  The tick reserves all steady reads in one
+// rotated word pass and visits a steady stream only at its calendar
+// events (its first read, and its earliest lane's last read) and, under
+// Algorithm 2, when a virtual disk freed since its search could let a
+// lane migrate — exactly the visits where the walk of every stream in
+// ascending id would change anything.
 //
 // Quiet runs.  While nothing is queued or paused, every stream is steady,
 // no fragment is buffered, the array is healthy, and neither an idle
@@ -160,6 +170,16 @@ struct DisplayRequest {
   bool parity = false;
 };
 
+/// An active stream's id and its slot in the scheduler's stream storage:
+/// the entries of its id-sorted stream lists and of a tick's visits.
+/// Trivially copyable, so erasing from a list is one memmove.
+struct StreamSlot {
+  StreamId id;
+  int32_t slot;
+
+  friend bool operator==(const StreamSlot&, const StreamSlot&) = default;
+};
+
 /// \brief Interval-synchronous scheduler for staggered striping.
 class IntervalScheduler {
  public:
@@ -253,25 +273,20 @@ class IntervalScheduler {
   };
 
   /// A calendar entry: a steady stream's first read (and delivery) or
-  /// last read falls on interval `tick`.  `admission` names the
-  /// admission that scheduled it; once the slot holds another, the entry
-  /// is stale and dropped.
+  /// its earliest lane's last read falls on interval `tick`.  `epoch`
+  /// names the steady period that scheduled it; once the slot holds
+  /// another admission or period, or a stream no longer steady, the
+  /// entry is stale and dropped.
   struct CalendarEvent {
     int64_t tick;
     StreamId id;
-    int64_t admission;
+    int64_t epoch;
     int32_t slot;
 
     /// Heap order: the earliest tick, then the smallest id, on top.
     static bool Later(const CalendarEvent& a, const CalendarEvent& b) {
       return a.tick != b.tick ? a.tick > b.tick : a.id > b.id;
     }
-  };
-
-  /// A stream the tick visits.
-  struct DueStream {
-    StreamId id;
-    int32_t slot;
   };
 
   /// This interval's faulty slots F: the unavailable ones while the
@@ -359,7 +374,9 @@ class IntervalScheduler {
   /// something due, in ascending id.  Steady streams' reads are reserved
   /// in one word pass; on a faulty array that pass leaves out the reads
   /// that need the degraded ladder, and the tick visits their streams,
-  /// whose lane walks send those reads down the ladder.
+  /// whose lane walks send those reads down the ladder.  A steady stream
+  /// in coalescing_ is visited where the walk reaches its id with its
+  /// coalescing miss stale.
   void AdvanceStreams();
   /// Reads lane `lane` of stream `s`, whose first fragment is fragment
   /// `fragment` of the stripe on physical disk `first`, one fragment at
@@ -385,20 +402,54 @@ class IntervalScheduler {
   void ReserveSteadyReads(int32_t rot, const FaultySlots& faulty,
                           bool observe);
   /// Gives back the reservations ReserveSteadyReads made for steady
-  /// stream `s`'s reads of its row `row` after fragment `failed`: the
-  /// stream pauses there and never issues them.
-  void GiveBackReads(const Stream& s, int64_t row, int32_t failed,
-                     int32_t rot, const FaultySlots& faulty);
+  /// stream `s`'s reads after fragment `failed`, each lane's of its own
+  /// row: the stream pauses there and never issues them.
+  void GiveBackReads(const Stream& s, int32_t failed, int32_t rot,
+                     const FaultySlots& faulty);
+  /// Gives back ReserveSteadyReads' reservation of a steady read of
+  /// layout row `cell` from physical disk `disk`, which it made unless
+  /// the read goes down the degraded ladder.
+  void GiveBackRead(int32_t disk, int64_t cell, const FaultySlots& faulty);
   /// Sets the virtual disks of `s`'s unreleased lanes in reading_.
   void MarkReading(const Stream& s);
   /// Queues a calendar event of steady stream `s` (in `slot`) at `tick`.
   void PushEvent(const Stream& s, int32_t slot, int64_t tick);
+  /// True while calendar entry `e` belongs to its slot's current steady
+  /// period.
+  bool LiveEvent(const CalendarEvent& e) const;
+  /// Stores steady stream `s`'s closed-form cursors as of the end of the
+  /// previous interval, the state a visit advances.
+  void SyncSteadyCursors(Stream* s);
+  /// One Algorithm-2 move: lane `lane` resumes on virtual disk `vdisk`
+  /// at stream-local interval `resume`.
+  struct CoalesceMove {
+    int32_t lane;
+    int32_t vdisk;
+    int64_t resume;
+  };
+  /// Algorithm 2's search for stream `s` at this interval, on its stored
+  /// cursors: the lane with the largest lead and the free virtual disk
+  /// with the latest safe resume, when that shrinks the lane's buffer.
+  /// Sets `*miss_holds` when it searched and missed with every
+  /// unfinished lane reading: then it misses again until a virtual disk
+  /// is freed.
+  std::optional<CoalesceMove> FindCoalesceMove(const Stream& s,
+                                               bool* miss_holds) const;
   /// Algorithm 2 for stream `s`, held in `slot`: at most one lane
-  /// migration.
-  void TryCoalesce(Stream* s, int32_t slot);
-  /// Moves non-steady stream `s` (in `slot`), whose lanes now read in
-  /// lockstep with its output, onto the steady path.
-  void MakeSteady(Stream* s, int32_t slot);
+  /// migration.  A steady stream's migrating lane gives back its read
+  /// of this interval (physical disk = virtual + `rot`).  True when a
+  /// lane migrated.
+  bool TryCoalesce(Stream* s, int32_t slot, int32_t rot,
+                   const FaultySlots& faulty);
+  /// Audit builds: the coalescing search of steady stream `s`, skipped
+  /// because no virtual disk was freed since its last miss, misses.
+  void CheckSkippedSearch(Stream* s);
+  /// Moves non-steady stream `s` (in `slot`), whose lanes all read at
+  /// fixed offsets from here on, onto the steady path.
+  void EnterSteady(Stream* s, int32_t slot);
+  /// Takes steady stream `s` (in `slot`), one of whose lanes migrated or
+  /// finished this interval, off the steady path.
+  void LeaveSteady(Stream* s, int32_t slot);
   /// Gives back the first `count` virtual disks of `lane`, a lane of
   /// `s`; the lane keeps the rest of its run, or is released when
   /// `count` covers its whole width.
@@ -461,8 +512,7 @@ class IntervalScheduler {
   /// Stream storage: stable slots plus a free list, so steady-state
   /// admission/retirement never allocates.  active_ maps stream id ->
   /// slot, sorted by id; unsteady_ is the same map restricted to the
-  /// streams admitted non-steady, the ones the tick visits every
-  /// interval.
+  /// streams not steady, the ones the tick visits every interval.
   std::vector<Stream> slots_;
   /// Per slot: vdisk_frees_ at its stream's last coalescing search that
   /// found no better disk while every lane was reading, or -1.  Kept
@@ -470,19 +520,20 @@ class IntervalScheduler {
   /// teardown costs follow.
   std::vector<int64_t> coalesce_misses_;
   std::vector<int32_t> free_slots_;
-  std::vector<std::pair<StreamId, int32_t>> active_;
-  std::vector<std::pair<StreamId, int32_t>> unsteady_;
-  /// Virtual disks of steady streams' lanes, from their first read to
-  /// their release.  Every such lane reads every interval, so each tick
-  /// reserves them all at once: reading_ rotated by the frame rotation,
-  /// one word pass into the busy bitmap, masked by the faulty slots on a
-  /// faulty tick.
+  std::vector<StreamSlot> active_;
+  std::vector<StreamSlot> unsteady_;
+  /// Virtual disks of steady streams' lanes, from their first read until
+  /// the stream leaves the steady path.  Every such lane reads every
+  /// interval, so each tick reserves them all at once: reading_ rotated
+  /// by the frame rotation, one word pass into the busy bitmap, masked by
+  /// the faulty slots on a faulty tick.
   Bitmap reading_;
-  /// Steady streams' first- and last-read events: a binary min-heap on
-  /// (tick, id), at most two live entries per steady stream.  Popping a
-  /// tick's entries yields its events in ascending id.
+  /// Steady streams' first-read and earliest-last-read events: a binary
+  /// min-heap on (tick, id), at most two live entries per steady stream.
+  /// Popping a tick's entries yields its events in ascending id.
   std::vector<CalendarEvent> calendar_;
-  int64_t next_admission_ = 0;
+  /// Next Stream::epoch.
+  int64_t next_epoch_ = 0;
   /// Virtual-disk frees so far (lane releases and migrations): a
   /// coalescing search that failed can succeed only after one.
   int64_t vdisk_frees_ = 0;
@@ -518,8 +569,8 @@ class IntervalScheduler {
   /// The tick's visit list, and its calendar events (with, on a faulty
   /// tick, the steady streams that have a read for the degraded ladder)
   /// before they are merged into it.
-  std::vector<DueStream> scratch_due_;
-  std::vector<DueStream> scratch_events_;
+  std::vector<StreamSlot> scratch_due_;
+  std::vector<StreamSlot> scratch_events_;
   std::vector<StreamId> scratch_finished_;
   std::vector<StreamId> scratch_to_pause_;
 
@@ -529,6 +580,16 @@ class IntervalScheduler {
   /// it needs to sleep.
   bool holds_health_listener_ = false;
   std::unique_ptr<PeriodicTicker> ticker_;
+
+  // Last, so the members above keep their offsets: the tick's timings
+  // move with member offsets alone (docs/performance.md §20).
+  /// active_ restricted to the steady streams still fragmented under
+  /// Algorithm 2, which the tick visits when their coalescing miss goes
+  /// stale.
+  std::vector<StreamSlot> coalescing_;
+  /// vdisk_frees_ at the end of the last walk that left every stream of
+  /// coalescing_ with a current miss, or -1.
+  int64_t coalescing_current_ = -1;
 };
 
 }  // namespace stagger

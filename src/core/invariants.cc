@@ -313,7 +313,7 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       << "; " << s.slots_.size() << " slots but " << s.active_.size()
       << " active + " << s.free_slots_.size() << " free";
   for (size_t i = 1; i < s.active_.size(); ++i) {
-    STAGGER_AUDIT_VERIFY(s.active_[i - 1].first < s.active_[i].first)
+    STAGGER_AUDIT_VERIFY(s.active_[i - 1].id < s.active_[i].id)
         << "; active stream index not strictly sorted at position " << i;
   }
   for (const int32_t slot : s.free_slots_) {
@@ -324,16 +324,25 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   }
 
   // unsteady_ lists exactly the active streams the tick visits every
-  // interval, in the same order as active_.
-  std::vector<std::pair<StreamId, int32_t>> unsteady;
+  // interval, and coalescing_ the steady streams it visits when their
+  // coalescing miss goes stale, in the same order as active_.
+  std::vector<StreamSlot> unsteady;
+  std::vector<StreamSlot> coalescing;
   for (const auto& entry : s.active_) {
-    if (!s.slots_[static_cast<size_t>(entry.second)].steady) {
+    const Stream& stream = s.slots_[static_cast<size_t>(entry.slot)];
+    if (!stream.steady) {
       unsteady.push_back(entry);
+    } else if (s.config_.coalesce && stream.fragmented) {
+      coalescing.push_back(entry);
     }
   }
   STAGGER_AUDIT_VERIFY(unsteady == s.unsteady_)
       << "; " << s.unsteady_.size() << " streams listed non-steady but "
       << unsteady.size() << " active streams are";
+  STAGGER_AUDIT_VERIFY(coalescing == s.coalescing_)
+      << "; " << s.coalescing_.size()
+      << " streams listed steady under Algorithm 2 but " << coalescing.size()
+      << " active streams are";
 
   // Forward ownership: every active lane owns exactly the virtual disks
   // of its run, and the buffered-fragment count balances.  A
@@ -368,10 +377,20 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(delivered == due)
         << "; stream " << id << " delivered " << delivered
         << " subobjects at tau " << tau << ", Algorithm 1 requires " << due;
-    STAGGER_AUDIT_VERIFY(!stream.steady || !stream.fragmented)
-        << "; steady stream " << id << " is marked fragmented";
+    // A steady stream's stored cursors are one interval's closed form:
+    // every lane's next read, and the delivery cursor, at the same tau.
+    const int64_t stored_next =
+        stream.lanes.empty() ? 0 : stream.lanes[0].next_read_tau;
+    STAGGER_AUDIT_VERIFY(
+        !stream.steady ||
+        stream.delivered == std::clamp<int64_t>(stored_next - stream.delta_max,
+                                                0, stream.num_subobjects))
+        << "; steady stream " << id << " stores " << stream.delivered
+        << " delivered beside lanes due at tau " << stored_next;
 
     bool any_lane_leads = false;
+    // Fragments buffered by the cursors checked below.
+    int64_t lane_buffered = 0;
     // Lanes partition the stripe: their widths sum to the degree, and
     // only a single-lane (contiguous) stream has a lane wider than one
     // fragment.
@@ -381,8 +400,15 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
          fragment += stream.lanes[j].width, ++j) {
       FragmentLane lane = stream.lanes[j];
       if (stream.steady) {
-        lane.reads_done = delivered;
-        lane.next_read_tau = stream.delta_max + delivered;
+        // A steady lane reads every interval at its fixed offset until
+        // the stream's next event, so none has finished.
+        STAGGER_AUDIT_VERIFY(!lane.released() &&
+                             lane.next_read_tau == stored_next)
+            << "; steady stream " << id << " lane " << j
+            << (lane.released() ? " released" : " stored at another tau");
+        const int64_t reads = stream.SteadyReads(lane, s.interval_index_);
+        lane.next_read_tau = lane.offset() + reads;
+        lane.reads_done = reads;
       }
       STAGGER_AUDIT_VERIFY(lane.width == 1 ||
                            (lane.width > 1 && stream.lanes.size() == 1))
@@ -398,6 +424,7 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       STAGGER_AUDIT_VERIFY(lane.reads_done >= delivered)
           << "; stream " << id << " lane " << j << " underflow: delivered "
           << delivered << " subobjects but read only " << lane.reads_done;
+      lane_buffered += (lane.reads_done - delivered) * lane.width;
       if (lane.released()) {
         STAGGER_AUDIT_VERIFY(lane.reads_done == stream.num_subobjects)
             << "; stream " << id << " lane " << j
@@ -452,7 +479,13 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
     STAGGER_AUDIT_VERIFY(!any_lane_leads || stream.fragmented)
         << "; stream " << id
         << " reads ahead on some lane but is not marked fragmented";
-    total_buffered += stream.TotalBufferedFragments();
+    // The count the stream reports, a closed form when it is steady,
+    // is the one its cursors buffer.
+    STAGGER_AUDIT_VERIFY(stream.TotalBufferedFragments() == lane_buffered)
+        << "; stream " << id << " reports "
+        << stream.TotalBufferedFragments() << " buffered fragments but its"
+        << " lanes hold " << lane_buffered;
+    total_buffered += lane_buffered;
   }
 
   // Backward ownership: every owned virtual disk belongs to a live
@@ -481,22 +514,30 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   STAGGER_AUDIT_VERIFY(owned_disks == owned_vdisks)
       << "; " << owned_disks << " virtual disks owned but lanes hold "
       << owned_vdisks << " (orphaned ownership)";
-  // A steady stream is visited only on its calendar events, so each
-  // one still ahead of it must be queued: its first read while that is
-  // in the future, and always its last read (the stream finishes there).
+  // A steady stream is visited only on its calendar events (and, under
+  // Algorithm 2, when its coalescing miss goes stale), so each one still
+  // ahead of it must be queued in its current steady period: its first
+  // read while that is in the future, and always its earliest lane's
+  // last read, where the closed form ends.
   std::set<std::tuple<StreamId, int64_t, int64_t>> queued;
-  for (const auto& e : s.calendar_) queued.emplace(e.id, e.admission, e.tick);
+  for (const auto& e : s.calendar_) queued.emplace(e.id, e.epoch, e.tick);
   for (const auto& [id, slot] : s.active_) {
     const Stream& stream = s.slots_[static_cast<size_t>(slot)];
     if (!stream.steady) continue;
     const int64_t first = stream.admit_interval + stream.delta_max;
-    const int64_t last = first + stream.num_subobjects - 1;
+    int64_t first_offset = stream.delta_max;
+    for (const FragmentLane& lane : stream.lanes) {
+      first_offset = std::min(first_offset, lane.offset());
+    }
+    const int64_t last =
+        stream.admit_interval + first_offset + stream.num_subobjects - 1;
     STAGGER_AUDIT_VERIFY(last > s.interval_index_ &&
-                         queued.count({id, stream.admission, last}) == 1)
-        << "; steady stream " << id << " has no queued last read at interval "
+                         queued.count({id, stream.epoch, last}) == 1)
+        << "; steady stream " << id
+        << " has no queued last read of its earliest lane at interval "
         << last;
     STAGGER_AUDIT_VERIFY(first <= s.interval_index_ ||
-                         queued.count({id, stream.admission, first}) == 1)
+                         queued.count({id, stream.epoch, first}) == 1)
         << "; steady stream " << id
         << " has no queued first read at interval " << first;
   }

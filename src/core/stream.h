@@ -48,6 +48,10 @@ struct FragmentLane {
 
   /// True once the lane finished all reads and released its disks.
   bool released() const { return vdisk < 0; }
+  /// The lane's effective alignment delay: the stream-local interval at
+  /// which it read, or would have read, row 0 had it read every interval
+  /// since.  Fixed while the lane reads every interval.
+  int64_t offset() const { return next_read_tau - reads_done; }
 };
 
 /// \brief Lane storage with inline capacity for the common degrees.
@@ -113,15 +117,19 @@ class LaneArray {
 /// \brief One active display.
 struct Stream {
   int32_t degree = 0;          ///< M_X
-  /// True when admitted over non-adjacent disks (buffers in use).
+  /// True while some unfinished lane reads ahead of the output clock
+  /// (buffers in use): set by an Algorithm-1 admission over non-adjacent
+  /// disks, cleared once Algorithm 2 has drained every lane.
   bool fragmented = false;
-  /// True when the stream buffers nothing and cannot migrate — every
-  /// contiguous admission, every Algorithm-1 admission whose lanes all
-  /// align at delta_max, and every stream whose lanes Algorithm 2 has
-  /// fully drained.  All its lanes then read every interval until the
-  /// last row, so its cursors are a closed form of tau (SteadyProgress)
-  /// and the stored ones are current only right after the tick visits
-  /// it.  Cleared when such a stream pauses: it missed a read.
+  /// True when every unreleased lane reads every interval until the
+  /// stream's next calendar event, each at its fixed offset(), so the
+  /// cursors are a closed form of tau (SteadyReads, SteadyProgress) and
+  /// the stored ones are a snapshot, current only right after the tick
+  /// visits the stream.  Set at admission for every stream whose lanes
+  /// all align at delta_max (contiguous ones included), and after a
+  /// visit in which all lanes read, output runs and, for a fragmented
+  /// stream under Algorithm 2, the coalescing search missed.  Cleared
+  /// when a lane migrates or finishes early, and when the stream pauses.
   bool steady = false;
   /// True when the object's layout carries a per-subobject parity
   /// fragment on the disk after the stripe; enables kReconstruct
@@ -137,10 +145,12 @@ struct Stream {
   /// lane reads layout row first_row + reads_done.
   int64_t first_row = 0;
   int64_t admit_interval = 0;  ///< global interval index at admission
-  /// Sequence number of the admission that filled this slot, unique per
-  /// admission: a resumed stream keeps its id but not this, so calendar
-  /// events of an earlier admission are recognized as stale.
-  int64_t admission = 0;
+  /// Sequence number of the stream's current steady period, unique per
+  /// period: drawn at admission and again each time the stream turns
+  /// steady.  A resumed stream keeps its id but not this, so calendar
+  /// events of an earlier admission, or of an earlier steady period, are
+  /// recognized as stale.
+  int64_t epoch = 0;
   /// Stream-local interval at which output (display) begins: the largest
   /// initial alignment delay among lanes (Algorithm 1's w_offset).
   int64_t delta_max = 0;
@@ -158,11 +168,18 @@ struct Stream {
   /// Local time for global interval `t`.
   int64_t Tau(int64_t t) const { return t - admit_interval; }
 
-  /// A steady stream's cursor: subobjects delivered — and read on every
-  /// lane — by the end of global interval `t`.
+  /// A steady stream's delivery cursor: subobjects delivered by the end
+  /// of global interval `t`.
   int64_t SteadyProgress(int64_t t) const {
     STAGGER_DCHECK(steady);
     return std::clamp<int64_t>(Tau(t) - delta_max + 1, 0, num_subobjects);
+  }
+
+  /// A steady stream's lane cursor: rows `lane` has read by the end of
+  /// global interval `t`.
+  int64_t SteadyReads(const FragmentLane& lane, int64_t t) const {
+    STAGGER_DCHECK(steady);
+    return std::clamp<int64_t>(Tau(t) - lane.offset() + 1, 0, num_subobjects);
   }
 
   /// Subobjects delivered by the end of global interval `t`, the one
@@ -173,12 +190,13 @@ struct Stream {
 
   /// Fragments currently held in memory: per lane, reads completed
   /// minus subobjects already delivered, times the lane's width.  A
-  /// steady stream reads and delivers in lockstep, so holds none.
+  /// steady lane leads the output clock by a fixed delta_max - offset(),
+  /// so a steady stream holds a constant count.
   int64_t TotalBufferedFragments() const {
-    if (steady) return 0;
     int64_t total = 0;
     for (const FragmentLane& lane : lanes) {
-      const int64_t lead = lane.reads_done - delivered;
+      const int64_t lead =
+          steady ? delta_max - lane.offset() : lane.reads_done - delivered;
       if (lead > 0) total += lead * lane.width;
     }
     return total;

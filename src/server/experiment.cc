@@ -318,6 +318,8 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     result.evictions = striped->object_manager().evictions();
     result.resident_objects_end = striped->object_manager().ResidentCount();
     const SchedulerMetrics& sm = striped->scheduler_metrics();
+    result.fragmented_admissions = sm.fragmented_admissions;
+    result.coalesce_migrations = sm.coalesce_migrations;
     result.degraded_reads = sm.degraded_reads;
     result.reconstructed_reads = sm.reconstructed_reads;
     result.streams_paused = sm.streams_paused;

@@ -148,6 +148,10 @@ struct ExperimentResult {
   int64_t replications = 0;         ///< VDR only
   int64_t evictions = 0;
   int64_t hiccups = 0;              ///< striping only; must be zero
+  /// Striping only: Algorithm-1 admissions over non-adjacent disks and
+  /// Algorithm-2 lane migrations, over the whole run.
+  int64_t fragmented_admissions = 0;
+  int64_t coalesce_migrations = 0;
   int64_t unique_objects_referenced = 0;
   int32_t resident_objects_end = 0;
   // --- degraded-mode outcomes (zero on all-healthy runs) ---------------

@@ -1030,6 +1030,194 @@ TEST(SchedulerFastPathTest, QueueHeavyCoalescingLoadMatchesPins) {
   }
 }
 
+// A fragmented stream whose unreleased lanes all read every interval,
+// with output running and its last coalescing search a miss that no
+// virtual-disk free has made stale, is steady: each lane's cursor is a
+// closed form of its fixed offset, and the tick visits it only at its
+// calendar event (its earliest lane's last read) and on ticks whose
+// frees make its miss stale — frees by a lower-id stream earlier in the
+// same tick included.  A small hot array under Algorithm 2 runs every
+// transition: streams turning steady, migrating after a mid-tick free
+// (a gap, then steady again), releasing their first lane, cancelled,
+// sought and paused by a failed disk under kReconstruct.  The audit
+// must hold after every interval, a read observer (which makes every
+// stream due, so cannot see which visits are skipped) must not change
+// any outcome, and the outcomes must equal the pins, recorded from the
+// walk of every stream.
+TEST(SchedulerFastPathTest, LaneSteadyTransitionsMatchPins) {
+  constexpr int32_t kDisks = 12;
+  constexpr int32_t kHot[] = {0, 5};
+  const SimTime interval = SimTime::Millis(605);
+  struct Case {
+    int32_t stride;
+    bool parity;
+    uint64_t seed;
+    std::vector<int64_t> pinned;
+  };
+  const Case cases[] = {
+      {1, false, 11, {62, 26, 76, 80, 0, 70, 0, 9, 8, 30, 109534, 24, 26, 0,
+                      288, 286, 275, 241, 232, 281, 296, 299, 278, 274, 265,
+                      249}},
+      {1, true, 12, {60, 30, 59, 69, 0, 60, 19, 6, 6, 33, 144214, 21, 30, 0,
+                     250, 262, 265, 245, 230, 276, 288, 289, 269, 255, 243,
+                     220}},
+      {3, false, 17, {62, 28, 53, 60, 0, 77, 0, 6, 6, 7, 92434, 19, 28, 0,
+                      352, 245, 230, 316, 221, 255, 344, 240, 224, 318, 218,
+                      220}},
+      {3, true, 18, {62, 28, 49, 41, 0, 66, 13, 6, 6, 11, 79871, 20, 28, 0,
+                     340, 210, 227, 308, 193, 262, 334, 207, 230, 308, 193,
+                     230}},
+  };
+  // Returns the pinned fingerprint and, in `outcome`, every outcome as
+  // text.
+  auto run = [&](const Case& c, bool observe, std::string* outcome) {
+    Simulator sim;
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = c.stride;
+    config.interval = interval;
+    config.policy = AdmissionPolicy::kFragmented;
+    config.coalesce = true;
+    config.degraded_policy = DegradedPolicy::kReconstruct;
+    if (observe) {
+      config.read_observer = [](int64_t, ObjectId, int64_t, int32_t,
+                                int32_t) {};
+    }
+    CallbackListener calls;
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config, &calls);
+    IntervalScheduler* s = sched->get();
+    FaultPlan plan;
+    // Two adjacent disks down at once leave a parity stripe two
+    // fragments short, and the hot array has little slack to remap to.
+    for (const auto& [disk, from, to] :
+         {std::tuple{3, 70, 95}, {4, 72, 95}, {8, 160, 175}, {9, 161, 170},
+          {1, 250, 262}, {2, 251, 262}, {6, 120, 126}, {7, 121, 126},
+          {10, 200, 204}, {11, 201, 204}, {0, 300, 306}, {5, 340, 344}}) {
+      plan.FailAt(disk, interval * from + SimTime::Millis(300))
+          .RecoverAt(disk, interval * to + SimTime::Millis(300));
+    }
+    auto injector = FaultInjector::Create(&sim, &*disks, plan);
+    STAGGER_CHECK(injector.ok()) << injector.status();
+    int64_t audit_failures = 0;
+    SlotBusyTally tally(kDisks);
+    s->SetIdleBandwidthHook([s, &audit_failures, &tally,
+                             array = &*disks](int64_t t) {
+      tally.Sample(*array);
+      const Status st = InvariantAuditor::AuditScheduler(*s);
+      if (!st.ok()) {
+        ADD_FAILURE() << "interval " << t << ": " << st;
+        ++audit_failures;
+      }
+    });
+    // Each request's live handle, and whether its display is under way
+    // (started, not yet completed).
+    std::vector<RequestId> handle(90, kNoStream);
+    std::vector<bool> displaying(90, false);
+    // (request index + 1) * interval, summed over every start and
+    // (negated) every completion.
+    int64_t log_sum = 0;
+    Rng rng(c.seed);
+    SimTime at = SimTime::Zero();
+    for (int i = 0; i < 90; ++i) {
+      DisplayRequest req;
+      req.object = i;
+      req.degree = static_cast<int32_t>(1 + rng.NextBounded(3));
+      req.start_disk = kHot[rng.NextBounded(2)];
+      req.num_subobjects = static_cast<int64_t>(6 + rng.NextBounded(30));
+      req.parity = c.parity;
+      CallbackListener::Callbacks logged{
+          .on_started =
+              [&log_sum, &displaying, s, i](SimTime) {
+                log_sum += (i + 1) * s->current_interval();
+                displaying[static_cast<size_t>(i)] = true;
+              },
+          .on_completed =
+              [&log_sum, &displaying, s, i] {
+                log_sum -= (i + 1) * s->current_interval();
+                displaying[static_cast<size_t>(i)] = false;
+              }};
+      at += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(1500000)));
+      sim.ScheduleAt(at, [s, &calls, &handle, req, logged, i] {
+        auto id = calls.Submit(s, req, logged);
+        STAGGER_CHECK(id.ok()) << id.status();
+        handle[static_cast<size_t>(i)] = *id;
+      });
+    }
+    // Seeks and cancels between ticks, on a display under way (a paused
+    // one included), most of them steady.
+    int64_t seeks = 0;
+    int64_t cancels = 0;
+    for (int e = 0; e < 60; ++e) {
+      const int64_t t = 5 + static_cast<int64_t>(rng.NextBounded(300));
+      const uint64_t pick = rng.NextBounded(1u << 20);
+      const bool seek = rng.NextBool(0.5);
+      const auto row = static_cast<int64_t>(rng.NextBounded(kDisks));
+      const auto length = static_cast<int64_t>(4 + rng.NextBounded(24));
+      sim.ScheduleAt(interval * t + SimTime::Millis(300), [&, pick, seek,
+                                                           row, length] {
+        std::vector<size_t> live;
+        for (size_t r = 0; r < handle.size(); ++r) {
+          if (displaying[r] && handle[r] != kNoStream) live.push_back(r);
+        }
+        if (live.empty()) return;
+        const size_t r = live[pick % live.size()];
+        if (seek) {
+          auto moved = calls.Seek(s, handle[r], row, length);
+          if (!moved.ok()) return;
+          handle[r] = *moved;
+          ++seeks;
+        } else if (calls.Cancel(s, handle[r]).ok()) {
+          handle[r] = kNoStream;
+          ++cancels;
+        }
+      });
+    }
+    sim.RunUntil(interval * 400);
+    ExpectListenerContract(calls, *s,
+                           "stride=" + std::to_string(c.stride) +
+                               " parity=" + std::to_string(c.parity));
+    tally.ExpectMeanMatches(*disks);
+    *outcome = SchedulerOutcome(*s, *disks, sim) +
+               " log_sum=" + std::to_string(log_sum);
+    const SchedulerMetrics& m = s->metrics();
+    std::vector<int64_t> fingerprint = {
+        m.displays_completed,  m.displays_cancelled,
+        m.fragmented_admissions, m.coalesce_migrations,
+        m.hiccups,             m.degraded_reads,
+        m.reconstructed_reads, m.streams_paused,
+        m.streams_resumed,     m.peak_buffered_fragments,
+        log_sum,               seeks,
+        cancels,               audit_failures,
+    };
+    fingerprint.insert(fingerprint.end(), tally.per_slot.begin(),
+                       tally.per_slot.end());
+    return fingerprint;
+  };
+  for (const Case& c : cases) {
+    const std::string label = "stride=" + std::to_string(c.stride) +
+                              " parity=" + std::to_string(c.parity);
+    std::string plain_outcome;
+    std::string observed_outcome;
+    const std::vector<int64_t> plain = run(c, false, &plain_outcome);
+    EXPECT_EQ(plain, run(c, true, &observed_outcome)) << label;
+    EXPECT_EQ(plain_outcome, observed_outcome) << label;
+    std::ostringstream printed;
+    for (const int64_t v : plain) printed << v << ", ";
+    EXPECT_EQ(plain, c.pinned) << label << ": {" << printed.str() << "}";
+    // No hiccup, no audit failure; the load migrates lanes, reconstructs
+    // from parity when it carries parity, and pauses.
+    EXPECT_EQ(plain[4], 0) << label;
+    EXPECT_EQ(plain[13], 0) << label;
+    EXPECT_GT(plain[3], 0) << label;
+    EXPECT_GT(plain[7], 0) << label;
+    EXPECT_GT(plain[11], 0) << label;
+    EXPECT_GT(plain[12], 0) << label;
+    if (c.parity) {
+      EXPECT_GT(plain[6], 0) << label;
+    }
+  }
+}
+
 // Faults from outside events land while the scheduler sleeps: two long
 // steady streams leave nothing due between their first and last reads,
 // a disk fails and recovers mid-interval, and corrupt cells appear under

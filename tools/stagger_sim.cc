@@ -368,6 +368,12 @@ int Run(int argc, char** argv) {
   std::printf("resident objects      %d\n", result->resident_objects_end);
   std::printf("hiccups               %lld\n",
               static_cast<long long>(result->hiccups));
+  if (cfg.scheme != Scheme::kVdr &&
+      cfg.policy == AdmissionPolicy::kFragmented) {
+    std::printf("fragmented admissions %lld (%lld coalesce migrations)\n",
+                static_cast<long long>(result->fragmented_admissions),
+                static_cast<long long>(result->coalesce_migrations));
+  }
   if (!cfg.fault_plan.events().empty()) {
     std::printf("degraded reads        %lld (+%lld reconstructed)\n",
                 static_cast<long long>(result->degraded_reads),
