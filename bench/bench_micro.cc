@@ -12,7 +12,9 @@
 #include "disk/disk_array.h"
 #include "rebuild/rebuild_manager.h"
 #include "sim/simulator.h"
+#include "storage/catalog.h"
 #include "storage/layout.h"
+#include "storage/object_manager.h"
 #include "util/rng.h"
 
 namespace stagger {
@@ -53,6 +55,33 @@ void BM_LayoutDiskFor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LayoutDiskFor);
+
+// One 3000-row object of degree 5 made resident and evicted again: the
+// storage charge derived from the layout and its release.  Arguments D
+// and k: k = M = 5 at D = 100 000 (bench/e2e's scale_d100k, where the
+// object touches 15 000 of the disks), and k = 1 at D = 1000, where
+// five windows overlap on every disk.
+void BM_MakeResidentEvict(benchmark::State& state) {
+  const int32_t num_disks = static_cast<int32_t>(state.range(0));
+  const int32_t stride = static_cast<int32_t>(state.range(1));
+  const Catalog catalog = Catalog::Uniform(1, 3000, Bandwidth::Mbps(100));
+  auto disks = DiskArray::Create(num_disks, DiskParameters::Evaluation());
+  ObjectManager manager(&catalog, &*disks, /*fragment_cylinders=*/1);
+  auto layout = StaggeredLayout::Create(num_disks, 10, stride, 5);
+  for (auto _ : state) {
+    Status made = manager.TryMakeResident(0, *layout);
+    Status evicted = manager.Evict(0);
+    if (!made.ok() || !evicted.ok()) {
+      state.SkipWithError("object did not fit");
+      break;
+    }
+  }
+  benchmark::DoNotOptimize(disks->FreeCylinders());
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("objects; D=" + std::to_string(num_disks) +
+                 " k=" + std::to_string(stride));
+}
+BENCHMARK(BM_MakeResidentEvict)->Args({100000, 5})->Args({1000, 1});
 
 void BM_AlignmentDelay(benchmark::State& state) {
   auto frame = VirtualDiskFrame::Create(1000, 5);

@@ -6,22 +6,10 @@
 
 namespace stagger {
 
-Status Disk::AllocateStorage(int64_t cylinders) {
-  STAGGER_CHECK(cylinders >= 0);
-  if (cylinders > free_cylinders_) {
-    return Status::ResourceExhausted(
-        "drive has " + std::to_string(free_cylinders_) +
-        " free cylinders, need " + std::to_string(cylinders));
-  }
-  free_cylinders_ -= cylinders;
-  return Status::OK();
-}
-
-void Disk::FreeStorage(int64_t cylinders) {
-  STAGGER_CHECK(cylinders >= 0);
-  free_cylinders_ += cylinders;
-  STAGGER_CHECK(free_cylinders_ <= total_cylinders_)
-      << "drive freed more storage than allocated";
+Status Disk::StorageShortfall(int64_t cylinders) const {
+  return Status::ResourceExhausted(
+      "drive has " + std::to_string(free_cylinders_) +
+      " free cylinders, need " + std::to_string(cylinders));
 }
 
 void Disk::Fail() {

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "disk/disk_parameters.h"
+#include "util/check.h"
 #include "util/status.h"
 #include "util/units.h"
 
@@ -64,10 +65,21 @@ class Disk {
   int64_t used_cylinders() const { return total_cylinders_ - free_cylinders_; }
 
   /// Reserves `cylinders` of storage; fails with ResourceExhausted when
-  /// the drive is full.
-  Status AllocateStorage(int64_t cylinders);
+  /// the drive is full.  Inline: placing an object charges every disk
+  /// its layout touches.
+  Status AllocateStorage(int64_t cylinders) {
+    STAGGER_CHECK(cylinders >= 0);
+    if (cylinders > free_cylinders_) return StorageShortfall(cylinders);
+    free_cylinders_ -= cylinders;
+    return Status::OK();
+  }
   /// Returns previously allocated storage.
-  void FreeStorage(int64_t cylinders);
+  void FreeStorage(int64_t cylinders) {
+    STAGGER_CHECK(cylinders >= 0);
+    free_cylinders_ += cylinders;
+    STAGGER_CHECK(free_cylinders_ <= total_cylinders_)
+        << "drive freed more storage than allocated";
+  }
 
   // --- health (fault injection) ----------------------------------------
   DiskHealth health() const { return health_; }
@@ -108,6 +120,9 @@ class Disk {
   void Recover();
 
  private:
+  /// AllocateStorage's failure: ResourceExhausted naming both amounts.
+  Status StorageShortfall(int64_t cylinders) const;
+
   int64_t free_cylinders_;
   int64_t total_cylinders_;
   DiskHealth health_ = DiskHealth::kHealthy;

@@ -66,8 +66,12 @@ class DiskArray {
     return drives_[static_cast<size_t>(Wrap(id))];
   }
 
-  /// Maps any integer onto a valid disk id (modulo D).
+  /// Maps any integer onto a valid disk id (modulo D); an id already in
+  /// [0, D) skips the division.
   DiskId Wrap(int64_t id) const {
+    if (static_cast<uint64_t>(id) < static_cast<uint64_t>(num_disks())) {
+      return static_cast<DiskId>(id);
+    }
     return static_cast<DiskId>(PositiveMod(id, num_disks()));
   }
 

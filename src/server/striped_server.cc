@@ -147,6 +147,8 @@ StripedServer::StripedServer(Simulator* sim, const Catalog* catalog,
       config_(config),
       objects_(std::make_unique<ObjectManager>(catalog, disks,
                                                config.fragment_cylinders)),
+      stride_walk_(StaggeredLayout::MakeStrideWalk(disks->num_disks(),
+                                                   config.stride)),
       materializing_(static_cast<size_t>(catalog->size()), 0) {}
 
 Bandwidth StripedServer::EffectiveDiskBandwidth() const {
@@ -274,9 +276,9 @@ StaggeredLayout StripedServer::MakeLayout(ObjectId object) {
   // Parity needs a disk disjoint from the stripe; a full-width object
   // (M = D) falls back to a parity-less layout.
   const bool parity = config_.parity && degree + 1 <= disks_->num_disks();
-  auto layout = StaggeredLayout::Create(disks_->num_disks(),
-                                        NextStartDisk(),
-                                        config_.stride, degree, parity);
+  auto layout =
+      StaggeredLayout::Create(disks_->num_disks(), NextStartDisk(),
+                              config_.stride, degree, parity, stride_walk_);
   STAGGER_CHECK(layout.ok()) << layout.status().ToString();
   return *std::move(layout);
 }

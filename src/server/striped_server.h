@@ -179,6 +179,7 @@ class StripedServer : public MediaService, private DisplayListener {
   void AdmitDisplay(Display display);
   /// Picks the start disk for a newly landing object.
   int32_t NextStartDisk();
+  /// A newly placed object's layout, on the server's shared stride walk.
   StaggeredLayout MakeLayout(ObjectId object);
   /// The layout a materializing object will land with (planned at
   /// enqueue so the write stream matches the final placement).
@@ -210,6 +211,8 @@ class StripedServer : public MediaService, private DisplayListener {
   MaterializationService* tertiary_;
   StripedConfig config_;
   std::unique_ptr<ObjectManager> objects_;
+  /// The (D, k) stride walk every layout MakeLayout creates shares.
+  std::shared_ptr<const StrideWalk> stride_walk_;
   std::unique_ptr<IntervalScheduler> scheduler_;
   std::unique_ptr<RebuildManager> rebuild_;
   std::unique_ptr<Scrubber> scrubber_;

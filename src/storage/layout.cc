@@ -1,13 +1,13 @@
 #include "storage/layout.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace stagger {
 
-Result<StaggeredLayout> StaggeredLayout::Create(int32_t num_disks,
-                                                int32_t start_disk,
-                                                int32_t stride, int32_t degree,
-                                                bool parity) {
+Result<StaggeredLayout> StaggeredLayout::Create(
+    int32_t num_disks, int32_t start_disk, int32_t stride, int32_t degree,
+    bool parity, std::shared_ptr<const StrideWalk> walk) {
   if (num_disks < 1) {
     return Status::InvalidArgument("layout: need at least one disk");
   }
@@ -27,30 +27,53 @@ Result<StaggeredLayout> StaggeredLayout::Create(int32_t num_disks,
         "layout: parity requires degree + 1 <= D so the parity disk is "
         "disjoint from its stripe");
   }
-  return StaggeredLayout(num_disks, start_disk, stride, degree, parity);
+  if (walk == nullptr) {
+    walk = MakeStrideWalk(num_disks, stride);
+  } else if (walk->num_disks_ != num_disks || walk->stride_ != stride) {
+    return Status::InvalidArgument(
+        "layout: the stride walk belongs to another (D, k)");
+  }
+  return StaggeredLayout(num_disks, start_disk, stride, degree, parity,
+                         std::move(walk));
+}
+
+std::shared_ptr<const StrideWalk> StaggeredLayout::MakeStrideWalk(
+    int32_t num_disks, int32_t stride) {
+  STAGGER_CHECK(num_disks >= 1 && stride >= 1 && stride <= num_disks);
+  const int32_t g = std::gcd(num_disks, stride);
+  const int32_t period = num_disks / g;
+  auto walk = std::make_shared<StrideWalk>();
+  walk->num_disks_ = num_disks;
+  walk->stride_ = stride;
+  walk->starts_.resize(2 * static_cast<size_t>(period));
+  walk->row_of_.resize(static_cast<size_t>(period));
+  int32_t disk = 0;
+  for (int32_t r = 0; r < period; ++r) {
+    walk->starts_[static_cast<size_t>(r)] = disk;
+    walk->starts_[static_cast<size_t>(r + period)] = disk;
+    walk->row_of_[static_cast<size_t>(disk / g)] = r;
+    disk += stride;
+    if (disk >= num_disks) disk -= num_disks;
+  }
+  return walk;
 }
 
 StaggeredLayout::StaggeredLayout(int32_t num_disks, int32_t start_disk,
-                                 int32_t stride, int32_t degree, bool parity)
+                                 int32_t stride, int32_t degree, bool parity,
+                                 std::shared_ptr<const StrideWalk> walk)
     : num_disks_(num_disks), start_disk_(start_disk), stride_(stride),
-      degree_(degree), parity_(parity) {
-  const int64_t g = std::gcd(static_cast<int64_t>(num_disks),
-                             static_cast<int64_t>(stride));
-  period_ = static_cast<int32_t>(num_disks / g);
+      degree_(degree), parity_(parity),
+      period_(num_disks / std::gcd(num_disks, stride)),
+      walk_(std::move(walk)) {
   if (period_ > 1) {
     // ceil(2^64 / P) == floor((2^64 - 1) / P) + 1 for every P >= 2.
     period_magic_ =
         ~uint64_t{0} / static_cast<uint64_t>(period_) + uint64_t{1};
-    auto table = std::make_shared<std::vector<int32_t>>(
-        static_cast<size_t>(period_));
-    int32_t disk = start_disk;
-    for (int32_t r = 0; r < period_; ++r) {
-      (*table)[static_cast<size_t>(r)] = disk;
-      disk += stride;
-      if (disk >= num_disks) disk -= num_disks;
-    }
-    row_first_ = std::move(table);
   }
+  const int32_t g = num_disks / period_;
+  start_residue_ = start_disk % g;
+  row_first_ = walk_->starts_.data() +
+               walk_->row_of_[static_cast<size_t>(start_disk / g)];
 }
 
 int32_t StaggeredLayout::UniqueDisksUsed(int64_t num_subobjects) const {

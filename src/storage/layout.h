@@ -21,10 +21,28 @@
 // augmented placement is exactly a staggered layout of window M + 1 —
 // so mod-D contiguity, stride progression, and the gcd skew bounds all
 // carry over unchanged with the wider window.
+//
+// Storage per disk in closed form (Section 3.2.2).  Let g = gcd(D, k),
+// P = D / g and w = M (+1 with parity).  Over one period of P rows the
+// window starts are exactly the disks p + m*g, m in [0, P), so disk d
+// holds c_u = #{j in [0, w) : j = u mod g} fragments per period, where
+// u = (d - p) mod g:
+//
+//   c_u = (w - 1 - u) / g + 1   for u < min(w, g),   0 otherwise,
+//
+// i.e. w / g + 1 for u < w % g and w / g for the rest.  An object of
+// n = full*P + rest rows stores full*c_u fragments on each disk plus one
+// per fragment of its first `rest` rows.  With parity at k = M and M
+// dividing D (w = M+1, g = M), residue u = 0 receives 2 fragments per
+// period and every other residue 1: the parity skew onto the disks
+// d = p (mod M), which therefore fill twice as fast.  ForEachCharge
+// enumerates this form; FragmentsPerDisk counts row by row and stays the
+// reference the audits and tests compare it with.
 
 #ifndef STAGGER_STORAGE_LAYOUT_H_
 #define STAGGER_STORAGE_LAYOUT_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <memory>
@@ -85,6 +103,26 @@ struct Stripe {
   auto operator<=>(const Stripe&) const = default;
 };
 
+/// \brief The start-disk walk of stride k over D disks, which every
+/// layout of one (D, k) can share; StaggeredLayout::MakeStrideWalk makes
+/// it.  With g = gcd(D, k) and P = D / g, the walk from disk 0 visits
+/// exactly the P multiples of g.  A layout whose start disk is
+/// p = q + starts_[s], q = p mod g, starts row r on disk
+/// q + starts_[s + (r mod P)]: no wrap is needed, since every entry is a
+/// multiple of g no larger than D - g.
+class StrideWalk {
+  friend class StaggeredLayout;
+
+  int32_t num_disks_ = 0;
+  int32_t stride_ = 0;
+  /// (r*k) mod D for r in [0, 2P): the walk twice, so P consecutive
+  /// rows read from any offset s < P without wrapping the index.
+  std::vector<int32_t> starts_;
+  /// row_of_[d / g] is the r in [0, P) with starts_[r] == d, for every
+  /// multiple d of g.
+  std::vector<int32_t> row_of_;
+};
+
 /// \brief Placement of one object under staggered striping.
 class StaggeredLayout {
  public:
@@ -95,9 +133,16 @@ class StaggeredLayout {
   ///                    parity disk never co-resides with the stripe.
   /// \param parity      each subobject carries a parity fragment on the
   ///                    disk after its last data fragment.
-  static Result<StaggeredLayout> Create(int32_t num_disks, int32_t start_disk,
-                                        int32_t stride, int32_t degree,
-                                        bool parity = false);
+  /// \param walk        MakeStrideWalk(D, k) to share; null builds the
+  ///                    layout its own.
+  static Result<StaggeredLayout> Create(
+      int32_t num_disks, int32_t start_disk, int32_t stride, int32_t degree,
+      bool parity = false, std::shared_ptr<const StrideWalk> walk = nullptr);
+
+  /// The walk of (D, k) for Create to share.  Requires D >= 1 and k in
+  /// [1, D].
+  static std::shared_ptr<const StrideWalk> MakeStrideWalk(int32_t num_disks,
+                                                          int32_t stride);
 
   int32_t num_disks() const { return num_disks_; }
   int32_t start_disk() const { return start_disk_; }
@@ -110,7 +155,7 @@ class StaggeredLayout {
   /// Stripe of subobject i: its data slots from (p + i*k) mod D on,
   /// plus parity when the layout carries it.  The stride walk repeats
   /// with period P = D/gcd(D, k), so the first slot of every subobject
-  /// comes from a precomputed P-entry table; the residue i mod P is
+  /// is one load from the shared StrideWalk; the residue i mod P is
   /// taken with a Lemire multiply-shift instead of hardware division.
   STAGGER_HOT_PATH Stripe StripeOf(int64_t subobject) const {
     return Stripe::At(num_disks_, RowStart(subobject), degree_, parity_);
@@ -140,6 +185,18 @@ class StaggeredLayout {
   /// accounting charges the parity overhead automatically.
   std::vector<int64_t> FragmentsPerDisk(int64_t num_subobjects) const;
 
+  /// Calls fn(disk, fragments) for the storage an object of
+  /// `num_subobjects` stripes takes, without a per-disk table: the
+  /// calls' sums per disk equal FragmentsPerDisk.  Full periods come
+  /// first by the closed form in the header comment, one call per disk
+  /// they touch, in order from p; then one call per fragment of the
+  /// first `rest` rows, so a disk may recur.  The order is fixed, and
+  /// the enumeration stops at the first call for which fn returns
+  /// false.  Returns the number of calls fn accepted, so a failed
+  /// charge can replay exactly that many to undo itself.
+  template <typename Fn>
+  int64_t ForEachCharge(int64_t num_subobjects, Fn&& fn) const;
+
   /// True when this (D, k) pair guarantees no data skew for objects that
   /// wrap the array: requires the walk {p + i*k mod D} to visit every
   /// residue class, i.e. gcd(D, k) == 1 — or the subobject count to be a
@@ -148,7 +205,8 @@ class StaggeredLayout {
 
  private:
   StaggeredLayout(int32_t num_disks, int32_t start_disk, int32_t stride,
-                  int32_t degree, bool parity);
+                  int32_t degree, bool parity,
+                  std::shared_ptr<const StrideWalk> walk);
 
   /// subobject mod period_, by Lemire's multiply-shift when the value
   /// fits 32 bits (always, in practice).  Requires subobject >= 0.
@@ -163,12 +221,12 @@ class StaggeredLayout {
 #endif
   }
 
-  /// Disk of X_{i.0}: table load on the hot path, closed form for
+  /// Disk of X_{i.0}: walk load on the hot path, closed form for
   /// out-of-range subobject indices (negative or >= 2^32).
   STAGGER_HOT_PATH int32_t RowStart(int64_t subobject) const {
-    if (period_ == 1) return start_disk_;
     if ((static_cast<uint64_t>(subobject) >> 32) == 0) {
-      return (*row_first_)[ResidueOf(static_cast<uint64_t>(subobject))];
+      return start_residue_ +
+             row_first_[ResidueOf(static_cast<uint64_t>(subobject))];
     }
     return static_cast<int32_t>(
         PositiveMod(start_disk_ + subobject * stride_, num_disks_));
@@ -181,13 +239,54 @@ class StaggeredLayout {
   bool parity_;
   /// D / gcd(D, k): distinct start disks of the stride walk.
   int32_t period_ = 1;
-  /// ceil(2^64 / period_), the Lemire fastmod constant (unused when
-  /// period_ == 1).
+  /// ceil(2^64 / period_), the Lemire fastmod constant (0 when
+  /// period_ == 1, which makes every residue 0).
   uint64_t period_magic_ = 0;
-  /// row_first_[r] == (p + r*k) mod D for r in [0, period_).  Shared so
-  /// layout copies (catalog entries, audit tables) stay cheap.
-  std::shared_ptr<const std::vector<int32_t>> row_first_;
+  /// p mod gcd(D, k): row r starts on start_residue_ + row_first_[r mod P].
+  int32_t start_residue_ = 0;
+  /// walk_->starts_ from the row of p - start_residue_ on; walk_ keeps
+  /// it alive.
+  const int32_t* row_first_ = nullptr;
+  /// The (D, k) walk, shared by copies and by the layouts made from one
+  /// MakeStrideWalk.
+  std::shared_ptr<const StrideWalk> walk_;
 };
+
+template <typename Fn>
+int64_t StaggeredLayout::ForEachCharge(int64_t num_subobjects, Fn&& fn) const {
+  const int32_t width = degree_ + (parity_ ? 1 : 0);
+  const int32_t g = num_disks_ / period_;
+  const int64_t full = num_subobjects / period_;
+  const int64_t rest = num_subobjects % period_;
+  int64_t done = 0;
+  if (full > 0) {
+    // Residues u < width % g take `high`, the others `low` (c_u scaled
+    // by full); residues >= width take nothing when width < g.
+    const int32_t residues = std::min(width, g);
+    const int32_t split = width % g;
+    const int64_t low = full * (width / g);
+    const int64_t high = low + full;
+    int32_t base = start_disk_;  // p + m*g, mod D
+    for (int32_t m = 0; m < period_; ++m) {
+      for (int32_t u = 0; u < residues; ++u) {
+        const int32_t disk =
+            base + u >= num_disks_ ? base + u - num_disks_ : base + u;
+        if (!fn(disk, u < split ? high : low)) return done;
+        ++done;
+      }
+      base += g;
+      if (base >= num_disks_) base -= num_disks_;
+    }
+  }
+  for (int64_t i = 0; i < rest; ++i) {
+    const Stripe stripe = StripeOf(i);
+    for (int32_t j = 0; j < stripe.width(); ++j) {
+      if (!fn(stripe.Slot(j), int64_t{1})) return done;
+      ++done;
+    }
+  }
+  return done;
+}
 
 }  // namespace stagger
 

@@ -1,6 +1,7 @@
 #include "storage/object_manager.h"
 
 #include <string>
+#include <vector>
 
 namespace stagger {
 
@@ -13,8 +14,8 @@ ObjectManager::ObjectManager(const Catalog* catalog, DiskArray* disks,
 
 const StaggeredLayout& ObjectManager::LayoutOf(ObjectId id) const {
   const Entry& e = entries_[static_cast<size_t>(id)];
-  STAGGER_CHECK(e.residency.has_value()) << "object " << id << " is not resident";
-  return e.residency->layout;
+  STAGGER_CHECK(e.layout.has_value()) << "object " << id << " is not resident";
+  return *e.layout;
 }
 
 void ObjectManager::RecordAccess(ObjectId id) {
@@ -29,28 +30,32 @@ void ObjectManager::Unpin(ObjectId id) {
   --e.pins;
 }
 
-Status ObjectManager::TryAllocate(const std::vector<int64_t>& fragments_per_disk) {
-  for (int32_t d = 0; d < disks_->num_disks(); ++d) {
-    const int64_t cylinders = fragments_per_disk[static_cast<size_t>(d)] *
-                              fragment_cylinders_;
-    Status st = disks_->disk(d).AllocateStorage(cylinders);
-    if (!st.ok()) {
-      // Roll back the disks already charged.
-      for (int32_t r = 0; r < d; ++r) {
-        disks_->disk(r).FreeStorage(fragments_per_disk[static_cast<size_t>(r)] *
-                                    fragment_cylinders_);
-      }
-      return st;
-    }
-  }
-  return Status::OK();
+Status ObjectManager::TryAllocate(const StaggeredLayout& layout,
+                                  int64_t num_subobjects) {
+  Status failed;
+  const int64_t done = layout.ForEachCharge(
+      num_subobjects, [&](int32_t disk, int64_t fragments) {
+        failed = disks_->disk(disk).AllocateStorage(fragments *
+                                                    fragment_cylinders_);
+        return failed.ok();
+      });
+  if (failed.ok()) return failed;
+  // Roll back the first `done` charges, replayed in the same order.
+  int64_t left = done;
+  layout.ForEachCharge(num_subobjects, [&](int32_t disk, int64_t fragments) {
+    if (left-- == 0) return false;
+    disks_->disk(disk).FreeStorage(fragments * fragment_cylinders_);
+    return true;
+  });
+  return failed;
 }
 
-void ObjectManager::Release(const std::vector<int64_t>& fragments_per_disk) {
-  for (int32_t d = 0; d < disks_->num_disks(); ++d) {
-    disks_->disk(d).FreeStorage(fragments_per_disk[static_cast<size_t>(d)] *
-                                fragment_cylinders_);
-  }
+void ObjectManager::Release(const StaggeredLayout& layout,
+                            int64_t num_subobjects) {
+  layout.ForEachCharge(num_subobjects, [&](int32_t disk, int64_t fragments) {
+    disks_->disk(disk).FreeStorage(fragments * fragment_cylinders_);
+    return true;
+  });
 }
 
 Status ObjectManager::TryMakeResident(ObjectId id,
@@ -59,14 +64,25 @@ Status ObjectManager::TryMakeResident(ObjectId id,
     return Status::NotFound("object " + std::to_string(id) + " not in catalog");
   }
   Entry& e = entries_[static_cast<size_t>(id)];
-  if (e.residency.has_value()) {
+  if (e.layout.has_value()) {
     return Status::AlreadyExists("object " + std::to_string(id) +
                                  " is already resident");
   }
-  const MediaObject& obj = catalog_->Get(id);
-  std::vector<int64_t> per_disk = layout.FragmentsPerDisk(obj.num_subobjects);
-  STAGGER_RETURN_NOT_OK(TryAllocate(per_disk));
-  e.residency = Residency{layout, std::move(per_disk)};
+  const int64_t num_subobjects = catalog_->Get(id).num_subobjects;
+#ifdef STAGGER_AUDIT
+  // The closed-form charge, summed disk by disk, must equal the
+  // row-by-row count.
+  std::vector<int64_t> charge(static_cast<size_t>(layout.num_disks()), 0);
+  layout.ForEachCharge(num_subobjects, [&](int32_t disk, int64_t fragments) {
+    charge[static_cast<size_t>(disk)] += fragments;
+    return true;
+  });
+  STAGGER_AUDIT_VERIFY(charge == layout.FragmentsPerDisk(num_subobjects))
+      << "; object " << id << "'s storage charge disagrees with "
+      << "FragmentsPerDisk";
+#endif
+  STAGGER_RETURN_NOT_OK(TryAllocate(layout, num_subobjects));
+  e.layout = layout;
   ++resident_count_;
   return Status::OK();
 }
@@ -88,7 +104,7 @@ Status ObjectManager::MakeResident(ObjectId id, const StaggeredLayout& layout) {
 
 Status ObjectManager::Evict(ObjectId id) {
   Entry& e = entries_[static_cast<size_t>(id)];
-  if (!e.residency.has_value()) {
+  if (!e.layout.has_value()) {
     return Status::FailedPrecondition("object " + std::to_string(id) +
                                       " is not resident");
   }
@@ -96,8 +112,8 @@ Status ObjectManager::Evict(ObjectId id) {
     return Status::FailedPrecondition("object " + std::to_string(id) +
                                       " is pinned by active users");
   }
-  Release(e.residency->fragments_per_disk);
-  e.residency.reset();
+  Release(*e.layout, catalog_->Get(id).num_subobjects);
+  e.layout.reset();
   --resident_count_;
   ++evictions_;
   return Status::OK();
@@ -108,7 +124,7 @@ Result<ObjectId> ObjectManager::PickVictim() const {
   int64_t best_count = 0;
   for (ObjectId id = 0; id < catalog_->size(); ++id) {
     const Entry& e = entries_[static_cast<size_t>(id)];
-    if (!e.residency.has_value() || e.pins > 0) continue;
+    if (!e.layout.has_value() || e.pins > 0) continue;
     if (best == kInvalidObject || e.access_count < best_count) {
       best = id;
       best_count = e.access_count;

@@ -18,15 +18,11 @@
 
 namespace stagger {
 
-/// \brief Residency entry for one disk-resident object.
-struct Residency {
-  StaggeredLayout layout;
-  /// Exact number of fragments stored per disk (for storage accounting).
-  std::vector<int64_t> fragments_per_disk;
-};
-
 /// \brief Disk-residency tracking and LFU replacement for the striped
-/// schemes (the VDR baseline keeps its own replica bookkeeping).
+/// schemes (the VDR baseline keeps its own replica bookkeeping).  A
+/// resident object keeps only its layout: its storage charge is derived
+/// again from the layout's closed form (StaggeredLayout::ForEachCharge)
+/// whenever it is checked or freed.
 class ObjectManager {
  public:
   /// \param catalog            the database; must outlive the manager.
@@ -36,7 +32,7 @@ class ObjectManager {
                 int64_t fragment_cylinders);
 
   bool IsResident(ObjectId id) const {
-    return entries_[static_cast<size_t>(id)].residency.has_value();
+    return entries_[static_cast<size_t>(id)].layout.has_value();
   }
 
   /// The placement of a resident object.
@@ -79,14 +75,17 @@ class ObjectManager {
 
  private:
   struct Entry {
-    std::optional<Residency> residency;
+    /// Set while the object is disk resident.
+    std::optional<StaggeredLayout> layout;
     int64_t access_count = 0;
     int32_t pins = 0;
   };
 
-  /// Attempts the per-disk allocation; rolls back on failure.
-  Status TryAllocate(const std::vector<int64_t>& fragments_per_disk);
-  void Release(const std::vector<int64_t>& fragments_per_disk);
+  /// Charges the storage of `num_subobjects` rows under `layout`; on
+  /// failure frees the charges already made and leaves every disk as it
+  /// was.
+  Status TryAllocate(const StaggeredLayout& layout, int64_t num_subobjects);
+  void Release(const StaggeredLayout& layout, int64_t num_subobjects);
 
   const Catalog* catalog_;
   DiskArray* disks_;

@@ -124,6 +124,28 @@ TEST(StaggeredLayoutTest, FragmentsPerDiskMatchesBruteForce) {
   EXPECT_EQ(layout->FragmentsPerDisk(n), brute);
 }
 
+// Layouts of one (D, k) read one stride walk; each adds its own start
+// disk, so a shared walk places every fragment where a layout's own
+// walk does.  A walk of another (D, k) is refused.
+TEST(StaggeredLayoutTest, SharedStrideWalkMatchesOwnWalk) {
+  for (int32_t k : {1, 4, 6, 12}) {
+    const auto walk = StaggeredLayout::MakeStrideWalk(12, k);
+    for (int32_t start : {0, 5, 11}) {
+      auto shared = StaggeredLayout::Create(12, start, k, 3, true, walk);
+      auto own = StaggeredLayout::Create(12, start, k, 3, true);
+      ASSERT_TRUE(shared.ok() && own.ok());
+      for (int64_t i = 0; i < 30; ++i) {
+        EXPECT_EQ(shared->StripeOf(i), own->StripeOf(i))
+            << "k=" << k << " p=" << start << " row " << i;
+      }
+    }
+  }
+  const auto walk = StaggeredLayout::MakeStrideWalk(12, 4);
+  EXPECT_FALSE(StaggeredLayout::Create(12, 0, 5, 3, false, walk).ok());
+  EXPECT_FALSE(StaggeredLayout::Create(10, 0, 4, 3, false, walk).ok());
+  EXPECT_FALSE(StaggeredLayout::Create(12, 0, 12, 3, false, walk).ok());
+}
+
 // The paper's GCD rule: gcd(D, k) == 1 guarantees no data skew; with
 // gcd > 1 the subobject count must be a multiple of D/gcd.
 TEST(StaggeredLayoutTest, GcdSkewRule) {
