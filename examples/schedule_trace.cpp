@@ -2,6 +2,9 @@
 // 9 disks organized as three clusters of three (simple striping,
 // k = M = 3), traced interval by interval.  As displays end, idle
 // slots appear exactly as in the figure; a new request then fills them.
+// The tracer is the scheduler's read listener: it hears the reads of
+// intervals the scheduler sleeps through too.  The output is pinned by
+// tests/golden/figure3_schedule_trace.golden.
 //
 //   $ ./schedule_trace
 
@@ -29,10 +32,7 @@ int main() {
   SchedulerConfig config;
   config.stride = 3;  // k = M: simple striping, physical clusters
   config.interval = SimTime::Millis(605);
-  config.read_observer = [&tracer](int64_t t, ObjectId o, int64_t s,
-                                   int32_t f, int32_t d) {
-    tracer.Record(t, o, s, f, d);
-  };
+  config.read_listener = &tracer;
   auto scheduler = IntervalScheduler::Create(&sim, &*disks, config);
   STAGGER_CHECK(scheduler.ok()) << scheduler.status();
 

@@ -22,18 +22,10 @@ constexpr int64_t kMaxRetryBackoffIntervals = 64;
 
 using IdSlots = std::vector<StreamSlot>;
 
-IdSlots::iterator LowerBound(IdSlots* v, StreamId id) {
-  return std::lower_bound(
-      v->begin(), v->end(), id,
-      [](const StreamSlot& e, StreamId x) { return e.id < x; });
-}
-
 // Position of the first entry of `v` above `id`.
 size_t UpperBound(const IdSlots& v, StreamId id) {
   return static_cast<size_t>(
-      std::upper_bound(v.begin(), v.end(), id,
-                       [](StreamId x, const StreamSlot& e) { return x < e.id; }) -
-      v.begin());
+      std::ranges::upper_bound(v, id, {}, &StreamSlot::id) - v.begin());
 }
 
 // Inserts (id, slot) keeping `v` sorted by id.  Ids are usually
@@ -44,14 +36,14 @@ void InsertSorted(IdSlots* v, StreamId id, int32_t slot) {
     v->push_back({id, slot});
     return;
   }
-  auto it = LowerBound(v, id);
+  auto it = std::ranges::lower_bound(*v, id, {}, &StreamSlot::id);
   STAGGER_DCHECK(it == v->end() || it->id != id);
   v->insert(it, {id, slot});
 }
 
 // Erases `id` from `v` when it is listed.
 void EraseSorted(IdSlots* v, StreamId id) {
-  auto it = LowerBound(v, id);
+  auto it = std::ranges::lower_bound(*v, id, {}, &StreamSlot::id);
   if (it != v->end() && it->id == id) v->erase(it);
 }
 
@@ -175,11 +167,8 @@ int32_t IntervalScheduler::idle_virtual_disks() const {
 }
 
 int32_t IntervalScheduler::SlotOf(StreamId id) const {
-  auto it = std::lower_bound(
-      active_.begin(), active_.end(), id,
-      [](const StreamSlot& e, StreamId v) { return e.id < v; });
-  if (it == active_.end() || it->id != id) return -1;
-  return it->slot;
+  auto it = std::ranges::lower_bound(active_, id, {}, &StreamSlot::id);
+  return it == active_.end() || it->id != id ? -1 : it->slot;
 }
 
 Stream* IntervalScheduler::FindStream(StreamId id) {
@@ -230,13 +219,17 @@ bool IntervalScheduler::Quiet() const {
   // ticks reserve exactly reading_ until a calendar event falls due.
   return holds_health_listener_ && queue_.empty() && paused_.empty() &&
          unsteady_.empty() && buffered_fragments_ == 0 && !idle_hook_ &&
-         !config_.read_observer && disks_->Healthy();
+         disks_->Healthy();
 }
 
 void IntervalScheduler::SkipQuietIntervals(int64_t n) {
   // Each skipped tick would have reserved reading_ rotated onto the
   // array and closed the interval.  The queue-length and buffer signals
   // stay at zero, whose time-weighted sums a Set would not move.
+  if (config_.read_listener != nullptr) {
+    scratch_due_.clear();  // a skipped tick visits no stream
+    ReportSteadyReads(interval_index_ + 1, n);
+  }
   interval_index_ += n;
   disks_->SkipIntervals(n, reading_.CountSet());
 #ifdef STAGGER_AUDIT
@@ -458,13 +451,8 @@ bool IntervalScheduler::LiveEvent(const CalendarEvent& e) const {
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::MarkReading(const Stream& s) {
-  const int32_t d = frame_.num_disks();
   for (const FragmentLane& lane : s.lanes) {
-    if (lane.released()) continue;
-    for (int32_t f = 0, v = lane.vdisk; f < lane.width;
-         ++f, v = v + 1 == d ? 0 : v + 1) {
-      reading_.Set(v);
-    }
+    if (!lane.released()) reading_.SetWindow(lane.vdisk, lane.width);
   }
 }
 
@@ -492,9 +480,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   const int32_t rot = frame_.RotationAt(interval_index_);
   const FaultySlots faulty = Faults();
   const bool faulty_tick = faulty.any();
-  // Hoisted out of the lane loop: testing a std::function loads its
-  // target pointer every time.
-  const bool observe = static_cast<bool>(config_.read_observer);
+  ReadListener* const listener = config_.read_listener;
   PopCalendarEvents();
 
   if (!faulty_tick) {
@@ -503,7 +489,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     // onto the physical disks.
     disks_->ReserveRotated(reading_, rot);
   } else {
-    ReserveSteadyReads(rot, faulty, observe);
+    ReserveSteadyReads(rot, faulty);
     // Physical disks some active lane is due to read this interval.  A
     // degraded remap may only borrow a disk no stream is about to use,
     // or a later stream's read would find its disk already reserved.
@@ -528,7 +514,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       }
     }
   }
-  CollectDueStreams(observe);
+  CollectDueStreams();
 
   STAGGER_DCHECK(scratch_finished_.empty() && scratch_to_pause_.empty());
   // The buffered-fragments counter is a member the compiler cannot keep
@@ -544,14 +530,13 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // a walk of every stream would have its search run, and elsewhere
   // that walk's visit changes nothing.  While no virtual disk has been
   // freed since a walk that left every miss current, the walk passes
-  // over coalescing_ until its first free.  Under an observer
-  // scratch_due_ holds every stream.  No admissions run inside this
-  // loop, so slots_ is stable and index-based iteration is safe; a
+  // over coalescing_ until its first free.  No admissions run inside
+  // this loop, so slots_ is stable and index-based iteration is safe; a
   // visit changes coalescing_ only at its own stream's entry.
   const int64_t walk_frees = vdisk_frees_;
-  bool pass_over = observe || vdisk_frees_ == coalescing_current_;
+  bool pass_over = vdisk_frees_ == coalescing_current_;
 #ifdef STAGGER_AUDIT
-  if (!observe && pass_over) {
+  if (pass_over) {
     for (const auto& [cid, cslot] : coalescing_) {
       STAGGER_CHECK(coalesce_misses_[static_cast<size_t>(cslot)] ==
                     vdisk_frees_)
@@ -581,7 +566,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       // The stream visited last joined or left coalescing_, or freed the
       // first virtual disk of the walk.
       coalescing_seen = coalescing_.size();
-      pass_over = observe || (pass_over && vdisk_frees_ == walk_frees);
+      pass_over = pass_over && vdisk_frees_ == walk_frees;
       next_coalescing =
           pass_over ? coalescing_seen : UpperBound(coalescing_, last_id);
     }
@@ -657,11 +642,14 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
       // one masked range-reserve, unless the masked pass made it already.
       // A run touching one sends each faulty slot's fragment through the
       // degraded ladder on its own, in fragment order.
-      const bool clean = !faulty_tick || faulty.WindowClear(first, width);
-      if (!covered && clean) disks_->ReserveRun(first, width);
-      if (!clean || observe) {
-        const int32_t f =
-            ReadLaneByFragment(s, *lane, fragment, first, clean, faulty);
+      if (!faulty_tick || faulty.WindowClear(first, width)) {
+        if (!covered) disks_->ReserveRun(first, width);
+        if (listener != nullptr) {
+          ReportReads(s, interval_index_, lane->reads_done, fragment, first,
+                      width);
+        }
+      } else {
+        const int32_t f = ReadLaneByFragment(s, *lane, fragment, first, faulty);
         if (f < width) {
           // The stream cannot read its due fragment: park it before the
           // output clock would record a hiccup.  Reads already issued
@@ -740,6 +728,8 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
     }
   }
   buffered_fragments_ += buffered_delta;
+  // The steady streams the walk did not visit read at their offsets.
+  if (listener != nullptr) ReportSteadyReads(interval_index_, 1);
 #ifdef STAGGER_AUDIT
   if (vdisk_frees_ != frees_seen) last_freer = last_id;
   // The walk visited every stream of coalescing_ above its last free
@@ -767,30 +757,57 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
 
 STAGGER_HOT_PATH int32_t IntervalScheduler::ReadLaneByFragment(
     const Stream& s, const FragmentLane& lane, int32_t fragment,
-    int32_t first, bool clean, const FaultySlots& faulty) {
+    int32_t first, const FaultySlots& faulty) {
   const int32_t d = frame_.num_disks();
-  const bool covered = s.steady;
   int32_t f = 0;
   for (int32_t disk = first; f < lane.width;
        ++f, disk = disk + 1 == d ? 0 : disk + 1) {
-    // A clean run is reserved already (by ReserveRun, or by
-    // ReserveSteadyReads); so is a steady read the ladder need not serve.
+    // ReserveSteadyReads reserved a steady read the ladder need not serve.
     int32_t read_disk = disk;
-    if (!clean && !covered && !faulty.Test(disk)) {
-      disks_->ReserveSlot(disk);
-    } else if (!clean &&
-               (!covered ||
-                faulty.NeedsLadder(disk, s.first_row + lane.reads_done))) {
+    if (faulty.NeedsLadder(disk, s.first_row + lane.reads_done)) {
       read_disk = DegradedRead(s, lane.reads_done, disk);
       if (read_disk < 0) break;
+    } else if (!s.steady) {
+      disks_->ReserveSlot(disk);
     }
-    if (config_.read_observer) {
-      config_.read_observer(interval_index_, s.object,
-                            s.first_row + lane.reads_done, fragment + f,
-                            read_disk);
+    if (config_.read_listener != nullptr) {
+      ReportReads(s, interval_index_, lane.reads_done, fragment + f,
+                  read_disk, 1);
     }
   }
   return f;
+}
+
+void IntervalScheduler::ReportReads(const Stream& s, int64_t t, int64_t row,
+                                    int32_t fragment, int32_t disk,
+                                    int32_t count) const {
+  const int32_t d = frame_.num_disks();
+  for (int32_t f = 0; f < count; ++f, disk = disk + 1 == d ? 0 : disk + 1) {
+    config_.read_listener->OnRead(t, s.object, s.first_row + row,
+                                  fragment + f, disk);
+  }
+}
+
+void IntervalScheduler::ReportSteadyReads(int64_t t, int64_t n) const {
+  for (const int64_t end = t + n; t < end; ++t) {
+    const int32_t rot = frame_.RotationAt(t);
+    reading_.ForEachSet([&](int32_t v) {
+      const Stream& s =
+          slots_[static_cast<size_t>(vdisk_slot_[static_cast<size_t>(v)])];
+      if (std::ranges::binary_search(scratch_due_, s.id, {}, &StreamSlot::id)) {
+        return;
+      }
+      // Each lane reports its run at its first virtual disk.
+      int32_t fragment = 0;
+      for (const FragmentLane& lane : s.lanes) {
+        if (lane.vdisk == v) {
+          ReportReads(s, t, s.SteadyReads(lane, t - 1), fragment,
+                      (v + rot) % frame_.num_disks(), lane.width);
+        }
+        fragment += lane.width;
+      }
+    });
+  }
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::PopCalendarEvents() {
@@ -816,13 +833,12 @@ STAGGER_HOT_PATH void IntervalScheduler::PopCalendarEvents() {
   }
 }
 
-STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams(bool observe) {
+STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams() {
   scratch_due_.clear();
-  // Merge the calendar's events with the streams due every tick: the
-  // non-steady ones, or all of them while an observer wants every read.
-  const IdSlots& every = observe ? active_ : unsteady_;
+  // Merge the calendar's events with the streams due every tick, the
+  // non-steady ones.
   size_t e = 0;
-  for (const auto& [id, slot] : every) {
+  for (const auto& [id, slot] : unsteady_) {
     while (e < scratch_events_.size() && scratch_events_[e].id < id) {
       // stagger-lint: allow(hot-path-alloc) -- scratch_due_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
       scratch_due_.push_back(scratch_events_[e++]);
@@ -837,7 +853,7 @@ STAGGER_HOT_PATH void IntervalScheduler::CollectDueStreams(bool observe) {
 }
 
 STAGGER_HOT_PATH void IntervalScheduler::ReserveSteadyReads(
-    int32_t rot, const FaultySlots& faulty, bool observe) {
+    int32_t rot, const FaultySlots& faulty) {
   const int32_t d = frame_.num_disks();
   const size_t events = scratch_events_.size();
   claimed_.ClearAll();
@@ -863,8 +879,6 @@ STAGGER_HOT_PATH void IntervalScheduler::ReserveSteadyReads(
           disks_->ReserveSlot(disk);
           return;
         }
-        // Under an observer every stream is visited anyway.
-        if (observe) return;
         // stagger-lint: allow(hot-path-alloc) -- scratch_events_ keeps its capacity across ticks (clear(), never shrink), so this amortizes to zero allocations in steady state
         scratch_events_.push_back(StreamSlot{s.id, slot});
       });
@@ -886,20 +900,13 @@ void IntervalScheduler::GiveBackReads(const Stream& s, int32_t failed,
                                       int32_t rot, const FaultySlots& faulty) {
   // The lanes from the failed fragment on have not read yet this visit:
   // each one's reads_done is the row it was due to read.
-  const int32_t d = frame_.num_disks();
   int32_t fragment = 0;
   for (const FragmentLane& lane : s.lanes) {
-    if (!lane.released() && fragment + lane.width > failed + 1) {
-      int32_t disk = lane.vdisk + rot;
-      if (disk >= d) disk -= d;
-      for (int32_t f = 0; f < lane.width;
-           ++f, disk = disk + 1 == d ? 0 : disk + 1) {
-        if (fragment + f > failed) {
-          GiveBackRead(disk, s.first_row + lane.reads_done, faulty);
-        }
-      }
+    for (int32_t f = 0; f < lane.width; ++f, ++fragment) {
+      if (lane.released() || fragment <= failed) continue;
+      GiveBackRead((lane.vdisk + rot + f) % frame_.num_disks(),
+                   s.first_row + lane.reads_done, faulty);
     }
-    fragment += lane.width;
   }
 }
 
@@ -1143,11 +1150,9 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
   if (s->steady) {
     // The masked pass reserved this interval's read on the old disk,
     // which the lane, in its gap from now, does not issue.
-    const int32_t d = frame_.num_disks();
     reading_.Clear(lane.vdisk);
-    int32_t disk = lane.vdisk + rot;
-    if (disk >= d) disk -= d;
-    GiveBackRead(disk, s->first_row + lane.reads_done, faulty);
+    GiveBackRead((lane.vdisk + rot) % frame_.num_disks(),
+                 s->first_row + lane.reads_done, faulty);
   }
 
   // Migrate: release the old disk now; reads resume on the new one.

@@ -31,13 +31,14 @@
 // ascending id would change anything.
 //
 // Quiet runs.  While nothing is queued or paused, every stream is steady,
-// no fragment is buffered, the array is healthy, and neither an idle
-// hook nor a read observer is installed, a tick only advances the
-// interval count and the array's busy count, both closed forms until
-// the calendar's next event.  The scheduler then lets its ticker sleep
-// until that event (see PeriodicTicker::SleepUntil); Submit, Cancel,
-// Seek, SetIdleBandwidthHook and every health change of the array wake
-// it at the next interval.
+// no fragment is buffered, the array is healthy, and no idle hook is
+// installed, a tick only advances the interval count and the array's
+// busy count, both closed forms until the calendar's next event.  The
+// scheduler then lets its ticker sleep until that event (see
+// PeriodicTicker::SleepUntil); Submit, Cancel, Seek,
+// SetIdleBandwidthHook and every health change of the array wake it at
+// the next interval.  A read listener hears the reads slept through in
+// closed form, from reading_ (ReportSteadyReads).
 
 #ifndef STAGGER_CORE_INTERVAL_SCHEDULER_H_
 #define STAGGER_CORE_INTERVAL_SCHEDULER_H_
@@ -150,11 +151,9 @@ struct SchedulerConfig {
   /// A stream paused longer than this is cancelled as an interrupted
   /// display; <= 0 means never (retry forever).
   int64_t max_pause_intervals = 4096;
-  /// Optional observer invoked for every fragment read:
-  /// (interval, object, subobject, fragment, physical disk).  Used by
-  /// ScheduleTracer to render Figure 3-style schedules.
-  std::function<void(int64_t, ObjectId, int64_t, int32_t, int32_t)>
-      read_observer;
+  /// Hears every fragment read (ScheduleTracer renders Figure 3-style
+  /// schedules from them); may be null.  Must outlive the scheduler.
+  ReadListener* read_listener = nullptr;
 };
 
 /// \brief One display request handed to the scheduler.
@@ -304,10 +303,6 @@ class IntervalScheduler {
       return (unavailable != nullptr ? unavailable->word(w) : 0) |
              (latent != nullptr ? latent->corrupt_disks().word(w) : 0);
     }
-    bool Test(int32_t slot) const {
-      return (unavailable != nullptr && unavailable->Test(slot)) ||
-             (latent != nullptr && latent->corrupt_disks().Test(slot));
-    }
     /// True when no slot of the window [first, first + width) is faulty.
     bool WindowClear(int32_t first, int32_t width) const {
       return (unavailable == nullptr ||
@@ -380,27 +375,33 @@ class IntervalScheduler {
   void AdvanceStreams();
   /// Reads lane `lane` of stream `s`, whose first fragment is fragment
   /// `fragment` of the stripe on physical disk `first`, one fragment at
-  /// a time: the path of a run touching a slot of `faulty`, and of every
-  /// run under a read observer.  The run is reserved already when
-  /// `clean`, and so are a steady stream's reads the ladder need not
-  /// serve.  Returns the fragments read: fewer than the lane's width
+  /// a time: the path of a run touching a slot of `faulty`.  A steady
+  /// stream's reads the ladder need not serve are reserved already.
+  /// Reports each read, at the disk actually read, to the read
+  /// listener.  Returns the fragments read: fewer than the lane's width
   /// when the stream must pause.
   int32_t ReadLaneByFragment(const Stream& s, const FragmentLane& lane,
-                             int32_t fragment, int32_t first, bool clean,
+                             int32_t fragment, int32_t first,
                              const FaultySlots& faulty);
+  /// Tells the read listener that `s` read `count` fragments of its row
+  /// `row` in interval `t`, from fragment `fragment` on disk `disk` on.
+  void ReportReads(const Stream& s, int64_t t, int64_t row, int32_t fragment,
+                   int32_t disk, int32_t count) const;
+  /// Tells the read listener the reads of intervals [t, t + n) by the
+  /// steady lanes in reading_, at their closed-form rows, except those
+  /// of the streams in scratch_due_, whose visits reported their own.
+  void ReportSteadyReads(int64_t t, int64_t n) const;
   /// Pops this tick's calendar events into scratch_events_, in ascending
   /// id.  Steady streams whose reads start now join reading_.
   void PopCalendarEvents();
   /// Fills scratch_due_, in ascending id, with scratch_events_ and every
-  /// non-steady stream (every stream when `observe`).
-  void CollectDueStreams(bool observe);
+  /// non-steady stream.
+  void CollectDueStreams();
   /// Reserves reading_ rotated by `rot` except its reads that need the
   /// degraded ladder (their slots are in `faulty`), and adds the steady
-  /// streams of those reads to scratch_events_, so the tick visits them
-  /// (none when `observe`: every stream is then visited).  Leaves the
-  /// rotated reading_ in claimed_.
-  void ReserveSteadyReads(int32_t rot, const FaultySlots& faulty,
-                          bool observe);
+  /// streams of those reads to scratch_events_, so the tick visits them.
+  /// Leaves the rotated reading_ in claimed_.
+  void ReserveSteadyReads(int32_t rot, const FaultySlots& faulty);
   /// Gives back the reservations ReserveSteadyReads made for steady
   /// stream `s`'s reads after fragment `failed`, each lane's of its own
   /// row: the stream pauses there and never issues them.

@@ -1,17 +1,49 @@
 #include "core/schedule_trace.h"
 
-#include <sstream>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace stagger {
+namespace {
+
+// One row per interval of `trace`, one column per `columns`: column c,
+// headed `label` c, shows `format` of the read of disk c * `step`, or
+// `idle`.
+template <typename Format>
+Table Render(const ScheduleTracer& trace, const std::string& label,
+             int32_t columns, int32_t step, const std::string& idle,
+             const Format& format) {
+  std::vector<std::string> header = {"interval"};
+  for (int32_t c = 0; c < columns; ++c) {
+    header.push_back(label + std::to_string(c));
+  }
+  Table table(std::move(header));
+  const std::map<int32_t, ScheduleTracer::Event> none;
+  for (int64_t t = 0; t <= trace.last_interval(); ++t) {
+    const auto it = trace.events().find(t);
+    const auto& reads = it != trace.events().end() ? it->second : none;
+    std::vector<std::string> row = {std::to_string(t)};
+    for (int32_t c = 0; c < columns; ++c) {
+      const auto read = reads.find(c * step);
+      row.push_back(read != reads.end() ? format(read->second) : idle);
+    }
+    table.AddRow(std::move(row));
+  }
+  return table;
+}
+
+}  // namespace
 
 ScheduleTracer::ScheduleTracer(int32_t num_disks, int64_t max_intervals)
     : num_disks_(num_disks), max_intervals_(max_intervals) {
   STAGGER_CHECK(num_disks_ >= 1);
 }
 
-void ScheduleTracer::Record(int64_t interval, ObjectId object,
+void ScheduleTracer::OnRead(int64_t interval, ObjectId object,
                             int64_t subobject, int32_t fragment,
                             int32_t disk) {
   if (max_intervals_ > 0 && interval >= max_intervals_) {
@@ -33,76 +65,25 @@ void ScheduleTracer::Name(ObjectId object, std::string name) {
 std::string ScheduleTracer::NameOf(ObjectId object) const {
   auto it = names_.find(object);
   if (it != names_.end()) return it->second;
-  std::ostringstream os;
-  os << "#" << object;
-  return os.str();
+  return std::string("#").append(std::to_string(object));
 }
 
 Table ScheduleTracer::RenderClusters(int32_t cluster_size) const {
   STAGGER_CHECK(cluster_size >= 1 && cluster_size <= num_disks_);
-  const int32_t clusters = num_disks_ / cluster_size;
-  std::vector<std::string> header;
-  header.push_back("interval");
-  for (int32_t c = 0; c < clusters; ++c) {
-    std::ostringstream os;
-    os << "cluster " << c;
-    header.push_back(os.str());
-  }
-  Table table(std::move(header));
-
-  for (int64_t t = 0; t <= last_interval_; ++t) {
-    std::vector<std::string> row;
-    row.push_back(std::to_string(t));
-    auto it = events_.find(t);
-    for (int32_t c = 0; c < clusters; ++c) {
-      std::string cell = "idle";
-      if (it != events_.end()) {
-        // The cluster's first disk carries fragment 0 of the subobject
-        // read this interval (cluster-aligned displays).
-        auto disk_it = it->second.find(c * cluster_size);
-        if (disk_it != it->second.end()) {
-          const Event& e = disk_it->second;
-          std::ostringstream os;
-          os << "read " << NameOf(e.object) << "(" << e.subobject << ")";
-          cell = os.str();
-        }
-      }
-      row.push_back(std::move(cell));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
+  // The cluster's first disk carries fragment 0 of the subobject read
+  // this interval (cluster-aligned displays).
+  return Render(*this, "cluster ", num_disks_ / cluster_size, cluster_size,
+                "idle", [this](const Event& e) {
+                  return "read " + NameOf(e.object) + "(" +
+                         std::to_string(e.subobject) + ")";
+                });
 }
 
 Table ScheduleTracer::RenderDisks() const {
-  std::vector<std::string> header;
-  header.push_back("interval");
-  for (int32_t d = 0; d < num_disks_; ++d) {
-    std::ostringstream os;
-    os << "d" << d;
-    header.push_back(os.str());
-  }
-  Table table(std::move(header));
-  for (int64_t t = 0; t <= last_interval_; ++t) {
-    std::vector<std::string> row;
-    row.push_back(std::to_string(t));
-    auto it = events_.find(t);
-    for (int32_t d = 0; d < num_disks_; ++d) {
-      std::string cell = ".";
-      if (it != events_.end()) {
-        auto disk_it = it->second.find(d);
-        if (disk_it != it->second.end()) {
-          const Event& e = disk_it->second;
-          std::ostringstream os;
-          os << NameOf(e.object) << e.subobject << "." << e.fragment;
-          cell = os.str();
-        }
-      }
-      row.push_back(std::move(cell));
-    }
-    table.AddRow(std::move(row));
-  }
-  return table;
+  return Render(*this, "d", num_disks_, 1, ".", [this](const Event& e) {
+    return NameOf(e.object) + std::to_string(e.subobject) + "." +
+           std::to_string(e.fragment);
+  });
 }
 
 }  // namespace stagger

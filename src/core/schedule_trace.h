@@ -1,7 +1,7 @@
 // Records the per-interval read schedule and renders it as the paper's
 // Figure 3 ("read Z(k+1) / read X(i+1) / idle" per cluster per
 // interval) or as a raw disk-by-interval grid.  Attach via
-// SchedulerConfig::read_observer.
+// SchedulerConfig::read_listener (or StripedConfig::read_listener).
 
 #ifndef STAGGER_CORE_SCHEDULE_TRACE_H_
 #define STAGGER_CORE_SCHEDULE_TRACE_H_
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/display_listener.h"
 #include "storage/media_object.h"
 #include "util/table.h"
 
@@ -17,7 +18,7 @@ namespace stagger {
 
 /// \brief Accumulates (interval, object, subobject, fragment, disk)
 /// read events.
-class ScheduleTracer {
+class ScheduleTracer : public ReadListener {
  public:
   /// \brief One recorded fragment read.
   struct Event {
@@ -31,10 +32,8 @@ class ScheduleTracer {
   ///                       (keeps traces bounded); <= 0 records forever.
   explicit ScheduleTracer(int32_t num_disks, int64_t max_intervals = 64);
 
-  /// The observer to install in SchedulerConfig::read_observer — bind
-  /// with a lambda: `[&tracer](auto... a) { tracer.Record(a...); }`.
-  void Record(int64_t interval, ObjectId object, int64_t subobject,
-              int32_t fragment, int32_t disk);
+  void OnRead(int64_t interval, ObjectId object, int64_t subobject,
+              int32_t fragment, int32_t disk) override;
 
   /// Assigns a display name to an object id (defaults to "#<id>").
   void Name(ObjectId object, std::string name);

@@ -85,7 +85,7 @@ Result<std::unique_ptr<StripedServer>> StripedServer::Create(
   sched.fragmented_lookahead = config.fragmented_lookahead;
   sched.degraded_policy = config.degraded_policy;
   sched.max_pause_intervals = config.max_pause_intervals;
-  sched.read_observer = config.read_observer;
+  sched.read_listener = config.read_listener;
   STAGGER_ASSIGN_OR_RETURN(
       server->scheduler_,
       IntervalScheduler::Create(sim, disks, sched, server.get()));

@@ -17,7 +17,6 @@
 #define STAGGER_SERVER_STRIPED_SERVER_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -96,9 +95,8 @@ struct StripedConfig {
   SimTime batch_window = SimTime::Zero();
   /// Stations per physical stream (0 = unlimited).
   int32_t max_batch_fanout = 0;
-  /// Forwarded to SchedulerConfig::read_observer (schedule tracing).
-  std::function<void(int64_t, ObjectId, int64_t, int32_t, int32_t)>
-      read_observer;
+  /// Forwarded to SchedulerConfig::read_listener (schedule tracing).
+  ReadListener* read_listener = nullptr;
 
   Status Validate() const;
 };

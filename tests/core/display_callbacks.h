@@ -4,6 +4,7 @@
 // closures under the id the scheduler returns.  It also counts every
 // event it hears (ids without closures included) and checks the
 // listener contract of core/display_listener.h as the events arrive.
+// ReadLog keeps the fragment reads a scheduler reports.
 
 #ifndef STAGGER_TESTS_CORE_DISPLAY_CALLBACKS_H_
 #define STAGGER_TESTS_CORE_DISPLAY_CALLBACKS_H_
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/display_listener.h"
 #include "util/result.h"
@@ -131,6 +134,20 @@ class CallbackListener : public DisplayListener {
   int64_t completed_ = 0;
   int64_t interrupted_ = 0;
   std::string breach_;
+};
+
+/// Every read a scheduler reports, in the order heard.
+class ReadLog : public ReadListener {
+ public:
+  /// (interval, object, layout row, fragment, physical disk)
+  using Read = std::tuple<int64_t, ObjectId, int64_t, int32_t, int32_t>;
+
+  void OnRead(int64_t interval, ObjectId object, int64_t row,
+              int32_t fragment, int32_t disk) override {
+    reads.emplace_back(interval, object, row, fragment, disk);
+  }
+
+  std::vector<Read> reads;
 };
 
 }  // namespace stagger

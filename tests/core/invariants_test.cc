@@ -122,7 +122,7 @@ class TraceAuditTest : public ::testing::Test {
   void RecordValidRun(ScheduleTracer* trace, int64_t num_subobjects) {
     for (int64_t i = 0; i < num_subobjects; ++i) {
       for (int32_t j = 0; j < layout_.degree(); ++j) {
-        trace->Record(i, kObject, i, j, layout_.DiskFor(i, j));
+        trace->OnRead(i, kObject, i, j, layout_.DiskFor(i, j));
       }
     }
   }
@@ -143,7 +143,7 @@ TEST_F(TraceAuditTest, RejectsOverCommittedDisk) {
   RecordValidRun(&trace, 3);
   // A second fragment lands on subobject 0's first disk in interval 0:
   // that disk is asked for two transfers in one time interval.
-  trace.Record(0, kObject, 1, 0, layout_.DiskFor(0, 0));
+  trace.OnRead(0, kObject, 1, 0, layout_.DiskFor(0, 0));
   EXPECT_EQ(trace.num_collisions(), 1);
   const Status status = InvariantAuditor::AuditTrace(trace, layouts_);
   EXPECT_TRUE(status.IsInternal()) << status;
@@ -152,17 +152,17 @@ TEST_F(TraceAuditTest, RejectsOverCommittedDisk) {
 TEST_F(TraceAuditTest, RejectsPlacementMismatch) {
   ScheduleTracer trace(10);
   // Fragment 0.1 read from the wrong disk (one past its layout slot).
-  trace.Record(0, kObject, 0, 0, layout_.DiskFor(0, 0));
-  trace.Record(0, kObject, 0, 1, (layout_.DiskFor(0, 1) + 1) % 10);
+  trace.OnRead(0, kObject, 0, 0, layout_.DiskFor(0, 0));
+  trace.OnRead(0, kObject, 0, 1, (layout_.DiskFor(0, 1) + 1) % 10);
   const Status status = InvariantAuditor::AuditTrace(trace, layouts_);
   EXPECT_TRUE(status.IsInternal()) << status;
 }
 
 TEST_F(TraceAuditTest, RejectsDuplicateFragmentRead) {
   ScheduleTracer trace(10);
-  trace.Record(0, kObject, 0, 0, layout_.DiskFor(0, 0));
-  trace.Record(0, kObject, 0, 1, layout_.DiskFor(0, 1));
-  trace.Record(1, kObject, 0, 0, layout_.DiskFor(0, 0));  // read again
+  trace.OnRead(0, kObject, 0, 0, layout_.DiskFor(0, 0));
+  trace.OnRead(0, kObject, 0, 1, layout_.DiskFor(0, 1));
+  trace.OnRead(1, kObject, 0, 0, layout_.DiskFor(0, 0));  // read again
   const Status status =
       InvariantAuditor::AuditTrace(trace, layouts_, {.allow_time_fragmentation = true});
   EXPECT_TRUE(status.IsInternal()) << status;
@@ -172,8 +172,8 @@ TEST_F(TraceAuditTest, TimeSplitRequiresAlgorithmOneBuffering) {
   ScheduleTracer trace(10);
   // Subobject 0's two fragments arrive one interval apart — legal only
   // when Algorithm-1 buffering absorbs the stagger.
-  trace.Record(0, kObject, 0, 0, layout_.DiskFor(0, 0));
-  trace.Record(1, kObject, 0, 1, layout_.DiskFor(0, 1));
+  trace.OnRead(0, kObject, 0, 0, layout_.DiskFor(0, 0));
+  trace.OnRead(1, kObject, 0, 1, layout_.DiskFor(0, 1));
   EXPECT_TRUE(InvariantAuditor::AuditTrace(trace, layouts_).IsInternal());
   EXPECT_TRUE(InvariantAuditor::AuditTrace(trace, layouts_,
                                            {.allow_time_fragmentation = true})
@@ -182,7 +182,7 @@ TEST_F(TraceAuditTest, TimeSplitRequiresAlgorithmOneBuffering) {
 
 TEST_F(TraceAuditTest, RejectsIncompleteSubobjectOnUntruncatedTrace) {
   ScheduleTracer trace(10);
-  trace.Record(0, kObject, 0, 0, layout_.DiskFor(0, 0));  // fragment 1 missing
+  trace.OnRead(0, kObject, 0, 0, layout_.DiskFor(0, 0));  // fragment 1 missing
   const Status status = InvariantAuditor::AuditTrace(trace, layouts_);
   EXPECT_TRUE(status.IsInternal()) << status;
 }

@@ -14,9 +14,9 @@ namespace {
 TEST(ScheduleTracerTest, RecordsAndRenders) {
   ScheduleTracer tracer(4);
   tracer.Name(7, "X");
-  tracer.Record(0, 7, 0, 0, 1);
-  tracer.Record(0, 7, 0, 1, 2);
-  tracer.Record(1, 9, 3, 0, 0);
+  tracer.OnRead(0, 7, 0, 0, 1);
+  tracer.OnRead(0, 7, 0, 1, 2);
+  tracer.OnRead(1, 9, 3, 0, 0);
   EXPECT_EQ(tracer.num_events(), 3);
   EXPECT_EQ(tracer.last_interval(), 1);
 
@@ -30,7 +30,7 @@ TEST(ScheduleTracerTest, RecordsAndRenders) {
 
 TEST(ScheduleTracerTest, MaxIntervalsBoundsRecording) {
   ScheduleTracer tracer(2, /*max_intervals=*/3);
-  for (int64_t t = 0; t < 10; ++t) tracer.Record(t, 0, t, 0, 0);
+  for (int64_t t = 0; t < 10; ++t) tracer.OnRead(t, 0, t, 0, 0);
   EXPECT_EQ(tracer.num_events(), 3);
   EXPECT_EQ(tracer.last_interval(), 2);
 }
@@ -46,10 +46,7 @@ TEST(ScheduleTracerTest, Figure3Rotation) {
   SchedulerConfig config;
   config.stride = 3;
   config.interval = SimTime::Millis(605);
-  config.read_observer = [&tracer](int64_t t, ObjectId o, int64_t s,
-                                   int32_t f, int32_t d) {
-    tracer.Record(t, o, s, f, d);
-  };
+  config.read_listener = &tracer;
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   ASSERT_TRUE(sched.ok());
 
@@ -77,8 +74,8 @@ TEST(ScheduleTracerTest, Figure3Rotation) {
 
 TEST(ScheduleTracerTest, IdleCellsRendered) {
   ScheduleTracer tracer(6, 4);
-  tracer.Record(0, 0, 0, 0, 0);
-  tracer.Record(1, 0, 1, 0, 3);  // cluster 0 idle at interval 1
+  tracer.OnRead(0, 0, 0, 0, 0);
+  tracer.OnRead(1, 0, 1, 0, 3);  // cluster 0 idle at interval 1
   std::ostringstream os;
   tracer.RenderClusters(3).Print(os);
   EXPECT_NE(os.str().find("idle"), std::string::npos);

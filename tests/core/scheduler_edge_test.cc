@@ -1,15 +1,19 @@
 // Edge cases of the interval scheduler beyond the main suite: extreme
-// strides, degree-1 streams, observer accounting, pending-request
+// strides, degree-1 streams, read-listener accounting, pending-request
 // control operations, and exact completion timing.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "core/interval_scheduler.h"
+#include "core/invariants.h"
+#include "core/schedule_trace.h"
 #include "disk/disk_array.h"
 #include "display_callbacks.h"
 #include "sim/simulator.h"
+#include "storage/layout.h"
 
 namespace stagger {
 namespace {
@@ -73,16 +77,12 @@ TEST_F(SchedulerEdgeTest, DegreeOneStream) {
 
 TEST_F(SchedulerEdgeTest, StrideDPinsDisplaysToFixedDisks) {
   // k = D: virtual disks never move; two displays on disjoint disk sets
-  // coexist, and their reads always hit the same physical disks.
-  int64_t reads = 0;
-  bool disjoint = true;
+  // coexist, and their reads always hit the same physical disks.  The
+  // scheduler sleeps between their first and last reads; the listener
+  // hears the reads it slept through.
+  ReadLog log;
   SchedulerConfig config;
-  config.read_observer = [&](int64_t, ObjectId o, int64_t, int32_t,
-                             int32_t d) {
-    ++reads;
-    // Object 0 must only read disks 0..3; object 1 only 4..7.
-    if ((o == 0) != (d < 4)) disjoint = false;
-  };
+  config.read_listener = &log;
   Init(8, 8, config);
   for (int i = 0; i < 2; ++i) {
     DisplayRequest req;
@@ -94,22 +94,90 @@ TEST_F(SchedulerEdgeTest, StrideDPinsDisplaysToFixedDisks) {
   }
   sim_.RunUntil(kInterval * 10);
   EXPECT_EQ(calls_.completed(), 2);
-  EXPECT_EQ(reads, 2 * 4 * 6);
-  EXPECT_TRUE(disjoint);
+  EXPECT_EQ(log.reads.size(), 2u * 4 * 6);
+  for (const auto& [t, o, row, f, d] : log.reads) {
+    // Object 0 must only read disks 0..3; object 1 only 4..7.
+    EXPECT_EQ(o == 0, d < 4) << "object " << o << " read disk " << d;
+  }
+  EXPECT_GT(sim_.ticks_skipped(), 0u);
 }
 
 TEST_F(SchedulerEdgeTest, ObserverSeesEveryFragmentRead) {
-  int64_t reads = 0;
+  ReadLog log;
   SchedulerConfig config;
-  config.read_observer = [&reads](int64_t, ObjectId, int64_t, int32_t,
-                                  int32_t) { ++reads; };
+  config.read_listener = &log;
   Init(10, 1, config);
   DisplayRequest req;
   req.degree = 4;
   req.num_subobjects = 25;
   ASSERT_TRUE(sched_->Submit(std::move(req)).ok());
   sim_.RunUntil(SimTime::Minutes(1));
-  EXPECT_EQ(reads, 4 * 25);
+  EXPECT_EQ(log.reads.size(), 4u * 25);
+  EXPECT_GT(sim_.ticks_skipped(), 0u);
+}
+
+// Algorithm 1 admits A over the two free virtual disks between B's and
+// C's, one reaching A's first disk an interval later, the other five:
+// lanes at offsets 1 and 5.  With no free disk to migrate to, A turns
+// steady at its first delivery and is visited again only at its first
+// lane's last read; the ticks in between report its reads from each
+// lane's closed-form row.  Once A ends, the scheduler sleeps; C is
+// cancelled mid-sleep, and B sought mid-sleep to row 30.  The listener
+// hears every read exactly once, where the layouts put it.
+TEST_F(SchedulerEdgeTest, ListenerHearsSteadyLanesAtTheirOwnRows) {
+  ScheduleTracer trace(6, /*max_intervals=*/-1);
+  SchedulerConfig config;
+  config.policy = AdmissionPolicy::kFragmented;
+  config.coalesce = true;
+  config.read_listener = &trace;
+  Init(6, 1, config);
+  const auto submit = [this](ObjectId object, int32_t start, int64_t rows) {
+    DisplayRequest req;
+    req.object = object;
+    req.start_disk = start;
+    req.degree = 2;
+    req.num_subobjects = rows;
+    auto id = calls_.Submit(sched_.get(), req);
+    EXPECT_TRUE(id.ok()) << id.status();
+    return *id;
+  };
+  const RequestId b = submit(0, 0, 40);
+  const RequestId c = submit(1, 3, 40);
+  submit(2, 0, 12);  // A
+  const SimTime mid = SimTime::Millis(300);
+  sim_.RunUntil(kInterval * 20 + mid);
+  const uint64_t slept = sim_.ticks_skipped();
+  EXPECT_GT(slept, 0u);
+  ASSERT_TRUE(calls_.Cancel(sched_.get(), c).ok());
+  sim_.RunUntil(kInterval * 25 + mid);
+  EXPECT_GT(sim_.ticks_skipped(), slept);  // asleep again
+  EXPECT_TRUE(calls_.Seek(sched_.get(), b, /*target_row=*/30,
+                          /*num_subobjects=*/5)
+                  .ok());
+  sim_.RunUntil(kInterval * 80);
+
+  EXPECT_EQ(sched_->metrics().fragmented_admissions, 1);
+  EXPECT_EQ(calls_.completed(), 2);
+  EXPECT_EQ(calls_.breach(), "");
+  // In interval 8, A's lanes read rows 7 and 3.
+  const auto& row8 = trace.events().at(8);
+  EXPECT_EQ(row8.at(1).object, 2);
+  EXPECT_EQ(row8.at(1).subobject, 7);
+  EXPECT_EQ(row8.at(4).subobject, 3);
+  EXPECT_EQ(row8.at(4).fragment, 1);
+  // A's 12 rows, C's rows 0-20, B's rows 0-25 and 30-34, two fragments
+  // each.
+  EXPECT_EQ(trace.num_events(), 2 * (12 + 21 + 26 + 5));
+  EXPECT_EQ(trace.num_collisions(), 0);
+  std::map<ObjectId, StaggeredLayout> layouts;
+  for (const auto& [object, start] : {std::pair{0, 0}, {1, 3}, {2, 0}}) {
+    auto layout = StaggeredLayout::Create(6, start, 1, 2);
+    ASSERT_TRUE(layout.ok()) << layout.status();
+    layouts.emplace(object, *std::move(layout));
+  }
+  const Status audit = InvariantAuditor::AuditTrace(
+      trace, layouts, {.allow_time_fragmentation = true});
+  EXPECT_TRUE(audit.ok()) << audit;
 }
 
 TEST_F(SchedulerEdgeTest, QueueLengthMetricTracksContention) {

@@ -36,11 +36,7 @@ class DegradedSchedulerTest : public ::testing::Test {
     config.interval = kInterval;
     config.degraded_policy = policy;
     config.max_pause_intervals = max_pause_intervals;
-    config.read_observer = [this](int64_t interval, ObjectId object,
-                                  int64_t subobject, int32_t fragment,
-                                  int32_t disk) {
-      reads_.emplace_back(interval, object, subobject, fragment, disk);
-    };
+    config.read_listener = &log_;
     auto sched =
         IntervalScheduler::Create(&sim_, disks_.get(), config, &calls_);
     ASSERT_TRUE(sched.ok()) << sched.status();
@@ -84,15 +80,14 @@ class DegradedSchedulerTest : public ::testing::Test {
     return *id;
   }
 
-  // (interval, object, subobject, fragment, physical disk)
-  using Read = std::tuple<int64_t, ObjectId, int64_t, int32_t, int32_t>;
+  using Read = ReadLog::Read;
 
   Simulator sim_;
   std::unique_ptr<DiskArray> disks_;
   CallbackListener calls_;
   std::unique_ptr<IntervalScheduler> sched_;
   std::unique_ptr<FaultInjector> injector_;
-  std::vector<Read> reads_;
+  ReadLog log_;
 };
 
 // A single failed disk with idle disks around it: the lost fragment's
@@ -118,7 +113,7 @@ TEST_F(DegradedSchedulerTest, RemapKeepsDisplayOnSchedule) {
   // claimed by its own lanes, so the lost read lands on the lowest idle
   // disk, 0.
   bool found = false;
-  for (const Read& r : reads_) {
+  for (const Read& r : log_.reads) {
     if (std::get<0>(r) == 5 && std::get<3>(r) == 0) {
       EXPECT_EQ(std::get<4>(r), 0) << "remapped read on wrong disk";
       found = true;
@@ -146,7 +141,8 @@ TEST_F(DegradedSchedulerTest, ClaimedSetIsRebuiltEveryInterval) {
   EXPECT_TRUE(early.completed);
   EXPECT_EQ(sched_->metrics().degraded_reads, 1);
   const Read want{1, 0, 1, 0, 0};
-  EXPECT_NE(std::find(reads_.begin(), reads_.end(), want), reads_.end())
+  EXPECT_NE(std::find(log_.reads.begin(), log_.reads.end(), want),
+            log_.reads.end())
       << "stream 0's interval-1 read was not remapped onto disk 0";
 }
 
@@ -213,7 +209,7 @@ TEST_F(DegradedSchedulerTest, PauseAndResumeAfterRecovery) {
 // its read of row 12 on disk 4 hits the corrupt cell, which must be
 // caught (once: under kPause the display then waits, and retries that
 // would re-read the cell fail, until a repair lets it finish).  Every
-// read the observer reports lies where the layout puts it.
+// read the listener hears lies where the layout puts it.
 TEST_F(DegradedSchedulerTest, ResumedDisplayChecksLatentCellsAtLayoutRows) {
   Init(8, 1, DegradedPolicy::kPause);
   const SimTime mid = SimTime::Millis(300);
@@ -249,13 +245,13 @@ TEST_F(DegradedSchedulerTest, ResumedDisplayChecksLatentCellsAtLayoutRows) {
   EXPECT_EQ(calls_.breach(), "");
 
   // Rows 0..39 each read once, in order, from disk row mod 8.
-  ASSERT_EQ(reads_.size(), 40u);
+  ASSERT_EQ(log_.reads.size(), 40u);
   ScheduleTracer trace(8, 64);
-  for (size_t i = 0; i < reads_.size(); ++i) {
-    const auto& [interval, object, row, fragment, disk] = reads_[i];
+  for (size_t i = 0; i < log_.reads.size(); ++i) {
+    const auto& [interval, object, row, fragment, disk] = log_.reads[i];
     EXPECT_EQ(row, static_cast<int64_t>(i));
     EXPECT_EQ(disk, static_cast<int32_t>(i % 8));
-    trace.Record(interval, object, row, fragment, disk);
+    trace.OnRead(interval, object, row, fragment, disk);
   }
   auto layout = StaggeredLayout::Create(8, /*start_disk=*/0, /*stride=*/1,
                                         /*degree=*/1);
@@ -266,7 +262,7 @@ TEST_F(DegradedSchedulerTest, ResumedDisplayChecksLatentCellsAtLayoutRows) {
 }
 
 // A sought display reads from its target row on: the latent check and
-// the read observer see layout rows, not rows counted from the seek.
+// the read listener see layout rows, not rows counted from the seek.
 TEST_F(DegradedSchedulerTest, SoughtDisplayChecksLatentCellsAtLayoutRows) {
   Init(8, 1, DegradedPolicy::kRemapOrPause);
   FaultPlan plan;
@@ -295,9 +291,9 @@ TEST_F(DegradedSchedulerTest, SoughtDisplayChecksLatentCellsAtLayoutRows) {
   EXPECT_TRUE(probe.completed);
   EXPECT_EQ(probe.completed_at, kInterval * 25);
   EXPECT_EQ(m.hiccups, 0);
-  ASSERT_EQ(reads_.size(), 26u);
-  for (size_t i = 0; i < reads_.size(); ++i) {
-    const auto& [interval, object, row, fragment, disk] = reads_[i];
+  ASSERT_EQ(log_.reads.size(), 26u);
+  for (size_t i = 0; i < log_.reads.size(); ++i) {
+    const auto& [interval, object, row, fragment, disk] = log_.reads[i];
     const int64_t want = i < 6 ? static_cast<int64_t>(i)
                                : static_cast<int64_t>(i) + 14;
     EXPECT_EQ(interval, static_cast<int64_t>(i)) << "read " << i;
@@ -306,7 +302,7 @@ TEST_F(DegradedSchedulerTest, SoughtDisplayChecksLatentCellsAtLayoutRows) {
       EXPECT_EQ(disk, static_cast<int32_t>(row % 8)) << "read " << i;
     }
   }
-  EXPECT_NE(std::get<4>(reads_[6]), 4);
+  EXPECT_NE(std::get<4>(log_.reads[6]), 4);
 }
 
 // A stream paused past max_pause_intervals is cancelled as an
@@ -401,7 +397,7 @@ TEST_F(DegradedSchedulerTest, ReconstructReadsParityDisk) {
   EXPECT_EQ(sched_->metrics().hiccups, 0);
 
   bool found = false;
-  for (const Read& r : reads_) {
+  for (const Read& r : log_.reads) {
     if (std::get<0>(r) == 5 && std::get<4>(r) == 8) found = true;
   }
   EXPECT_TRUE(found) << "no read landed on the parity disk at interval 5";

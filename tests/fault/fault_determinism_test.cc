@@ -7,9 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "../core/display_callbacks.h"
 #include "core/interval_scheduler.h"
 #include "disk/disk_array.h"
 #include "fault/fault_injector.h"
@@ -22,11 +23,8 @@ namespace {
 
 constexpr SimTime kInterval = SimTime::Millis(605);
 
-// (interval, object, subobject, fragment, disk)
-using Read = std::tuple<int64_t, ObjectId, int64_t, int32_t, int32_t>;
-
 struct SchedulerRun {
-  std::vector<Read> reads;
+  std::vector<ReadLog::Read> reads;
   int64_t displays_completed = 0;
   int64_t degraded_reads = 0;
   int64_t streams_paused = 0;
@@ -42,11 +40,8 @@ SchedulerRun RunSchedulerOnce(const FaultPlan& plan, bool with_injector) {
   SchedulerConfig config;
   config.stride = 2;
   config.interval = kInterval;
-  config.read_observer = [&out](int64_t interval, ObjectId object,
-                                int64_t subobject, int32_t fragment,
-                                int32_t disk) {
-    out.reads.emplace_back(interval, object, subobject, fragment, disk);
-  };
+  ReadLog log;
+  config.read_listener = &log;
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   STAGGER_CHECK(sched.ok());
 
@@ -70,6 +65,7 @@ SchedulerRun RunSchedulerOnce(const FaultPlan& plan, bool with_injector) {
   sim.RunUntil(kInterval * 400);
 
   const SchedulerMetrics& m = (*sched)->metrics();
+  out.reads = std::move(log.reads);
   out.displays_completed = m.displays_completed;
   out.degraded_reads = m.degraded_reads;
   out.streams_paused = m.streams_paused;

@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/vdr_server.h"
 #include "core/interval_scheduler.h"
@@ -27,6 +30,7 @@
 #include "fault/fault_plan.h"
 #include "server/striped_server.h"
 #include "sim/simulator.h"
+#include "storage/layout.h"
 #include "tertiary/tertiary_manager.h"
 #include "util/rng.h"
 
@@ -75,11 +79,32 @@ struct StripedScenario {
   int64_t run_intervals = 48;
 };
 
-// With `observe` false no read observer is installed, so the scheduler
-// sleeps through quiet runs (and the rendered schedule is empty).
-// `outcome`, when given, receives every scheduler outcome.
-std::string TraceStriped(const StripedScenario& sc, bool observe = true,
-                         BareRun* outcome = nullptr) {
+// A scenario's fixed-seed randomized load: the seed pins every
+// request, so the recorded schedule is a pure function of the
+// scheduler's decisions.
+std::vector<std::pair<SimTime, DisplayRequest>> StripedRequests(
+    const StripedScenario& sc) {
+  Rng rng(sc.seed);
+  std::vector<std::pair<SimTime, DisplayRequest>> requests;
+  for (int i = 0; i < 5; ++i) {
+    DisplayRequest req;
+    req.object = i;
+    req.degree = static_cast<int32_t>(1 + rng.NextBounded(3));
+    req.start_disk =
+        static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(sc.num_disks)));
+    req.num_subobjects = static_cast<int64_t>(8 + rng.NextBounded(16));
+    const SimTime at = kInterval * static_cast<int64_t>(rng.NextBounded(8));
+    requests.emplace_back(at, std::move(req));
+  }
+  return requests;
+}
+
+// With `listen` false no read listener is installed (and the rendered
+// schedule is empty).  `outcome`, when given, receives every scheduler
+// outcome, and `trace` the recorded schedule.
+std::string TraceStriped(const StripedScenario& sc, bool listen = true,
+                         BareRun* outcome = nullptr,
+                         ScheduleTracer* trace = nullptr) {
   Simulator sim;
   auto disks = DiskArray::Create(sc.num_disks, DiskParameters::Evaluation());
   STAGGER_CHECK(disks.ok());
@@ -90,13 +115,7 @@ std::string TraceStriped(const StripedScenario& sc, bool observe = true,
   config.interval = kInterval;
   config.policy = sc.policy;
   config.coalesce = sc.coalesce;
-  if (observe) {
-    config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                     int64_t subobject, int32_t fragment,
-                                     int32_t disk) {
-      tracer.Record(interval, object, subobject, fragment, disk);
-    };
-  }
+  if (listen) config.read_listener = &tracer;
   auto sched = IntervalScheduler::Create(&sim, &*disks, config);
   STAGGER_CHECK(sched.ok());
 
@@ -107,17 +126,7 @@ std::string TraceStriped(const StripedScenario& sc, bool observe = true,
     injector = *std::move(created);
   }
 
-  // A fixed-seed randomized load: the seed pins every request, so the
-  // recorded schedule is a pure function of the scheduler's decisions.
-  Rng rng(sc.seed);
-  for (int i = 0; i < 5; ++i) {
-    DisplayRequest req;
-    req.object = i;
-    req.degree = static_cast<int32_t>(1 + rng.NextBounded(3));
-    req.start_disk =
-        static_cast<int32_t>(rng.NextBounded(static_cast<uint64_t>(sc.num_disks)));
-    req.num_subobjects = static_cast<int64_t>(8 + rng.NextBounded(16));
-    const SimTime at = kInterval * static_cast<int64_t>(rng.NextBounded(8));
+  for (auto& [at, req] : StripedRequests(sc)) {
     sim.ScheduleAt(at, [&sched, req = std::move(req)]() mutable {
       STAGGER_CHECK((*sched)->Submit(std::move(req)).ok());
     });
@@ -127,6 +136,7 @@ std::string TraceStriped(const StripedScenario& sc, bool observe = true,
     *outcome = BareRun{SchedulerOutcome(**sched, *disks, sim),
                        sim.ticks_skipped()};
   }
+  if (trace != nullptr) *trace = tracer;
 
   std::ostringstream os;
   os << "# D=" << sc.num_disks << " k=" << sc.stride << " policy="
@@ -177,9 +187,9 @@ TEST(GoldenTraceTest, StripedSingleDiskFailure) {
   CompareOrUpdate("striped_single_disk_failure", TraceStriped(sc));
 }
 
-// The loads above, run without the read observer: the scheduler then
-// sleeps through their quiet stretches, and every outcome must equal
-// the traced run's.
+// The loads above, run without the read listener: every outcome, and
+// the ticks slept through, must equal the traced run's, which sleeps
+// as production does.
 TEST(GoldenTraceTest, StripedLoadsMatchWithoutObserver) {
   StripedScenario coalesce;
   coalesce.stride = 2;
@@ -192,12 +202,38 @@ TEST(GoldenTraceTest, StripedLoadsMatchWithoutObserver) {
   failure.run_intervals = 64;
   for (const StripedScenario& sc : {StripedScenario{}, coalesce, failure}) {
     BareRun traced;
-    BareRun slept;
-    TraceStriped(sc, /*observe=*/true, &traced);
-    TraceStriped(sc, /*observe=*/false, &slept);
-    EXPECT_EQ(slept.outcome, traced.outcome) << "k=" << sc.stride;
-    EXPECT_GT(slept.ticks_skipped, 0u) << "k=" << sc.stride;
-    EXPECT_EQ(traced.ticks_skipped, 0u) << "k=" << sc.stride;
+    BareRun bare;
+    TraceStriped(sc, /*listen=*/true, &traced);
+    TraceStriped(sc, /*listen=*/false, &bare);
+    EXPECT_EQ(traced.outcome, bare.outcome) << "k=" << sc.stride;
+    EXPECT_EQ(traced.ticks_skipped, bare.ticks_skipped) << "k=" << sc.stride;
+    EXPECT_GT(traced.ticks_skipped, 0u) << "k=" << sc.stride;
+  }
+}
+
+// The fault-free schedules above obey the paper's invariants: every
+// read lands where its object's layout puts it, no disk reads two
+// fragments in one interval, and every subobject touched is read whole.
+TEST(GoldenTraceTest, StripedTracesPassTheAudit) {
+  StripedScenario coalesce;
+  coalesce.stride = 2;
+  coalesce.policy = AdmissionPolicy::kFragmented;
+  coalesce.coalesce = true;
+  for (const StripedScenario& sc : {StripedScenario{}, coalesce}) {
+    ScheduleTracer trace(sc.num_disks);
+    TraceStriped(sc, /*listen=*/true, /*outcome=*/nullptr, &trace);
+    std::map<ObjectId, StaggeredLayout> layouts;
+    for (const auto& [at, req] : StripedRequests(sc)) {
+      auto layout = StaggeredLayout::Create(sc.num_disks, req.start_disk,
+                                            sc.stride, req.degree);
+      ASSERT_TRUE(layout.ok()) << layout.status();
+      layouts.emplace(req.object, *std::move(layout));
+    }
+    const Status audit = InvariantAuditor::AuditTrace(
+        trace, layouts,
+        {.allow_time_fragmentation =
+             sc.policy == AdmissionPolicy::kFragmented});
+    EXPECT_TRUE(audit.ok()) << audit << " k=" << sc.stride;
   }
 }
 
@@ -260,11 +296,7 @@ TEST(GoldenTraceTest, StripedReconstructRebuild) {
   config.preload_objects = kObjects;
   config.parity = true;
   config.degraded_policy = DegradedPolicy::kReconstruct;
-  config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                   int64_t subobject, int32_t fragment,
-                                   int32_t disk) {
-    tracer.Record(interval, object, subobject, fragment, disk);
-  };
+  config.read_listener = &tracer;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   ASSERT_TRUE(server.ok()) << server.status();
@@ -387,11 +419,7 @@ TEST(GoldenTraceTest, StripedScrubRepairsLatentError) {
   config.parity = true;
   config.degraded_policy = DegradedPolicy::kReconstruct;
   config.scrub = true;
-  config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                   int64_t subobject, int32_t fragment,
-                                   int32_t disk) {
-    tracer.Record(interval, object, subobject, fragment, disk);
-  };
+  config.read_listener = &tracer;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   ASSERT_TRUE(server.ok()) << server.status();
@@ -493,10 +521,10 @@ TEST(GoldenTraceTest, StripedScrubRepairsLatentError) {
 // fifth joins piggyback — while an unrelated object streams alongside.
 // The trace records every request/start/complete with its latency plus
 // the per-disk schedule, so any change to a merge decision (who joins
-// which stream, and when) shows up as a readable diff.  With `observe`
-// false no read observer is installed, so the scheduler sleeps through
-// quiet runs; `outcome`, when given, receives every scheduler outcome.
-std::string TraceFlashCrowd(bool observe, BareRun* outcome) {
+// which stream, and when) shows up as a readable diff.  With `listen`
+// false no read listener is installed; `outcome`, when given, receives
+// every scheduler outcome.
+std::string TraceFlashCrowd(bool listen, BareRun* outcome) {
   constexpr int32_t kDisks = 10;
   constexpr int32_t kObjects = 3;
   constexpr int64_t kSubobjects = 24;
@@ -521,13 +549,7 @@ std::string TraceFlashCrowd(bool observe, BareRun* outcome) {
   config.preload_objects = kObjects;
   config.batch = true;
   config.batch_window = window;
-  if (observe) {
-    config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                     int64_t subobject, int32_t fragment,
-                                     int32_t disk) {
-      tracer.Record(interval, object, subobject, fragment, disk);
-    };
-  }
+  if (listen) config.read_listener = &tracer;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   STAGGER_CHECK(server.ok()) << server.status();
@@ -609,20 +631,20 @@ std::string TraceFlashCrowd(bool observe, BareRun* outcome) {
 
 TEST(GoldenTraceTest, StripedFlashCrowdBatching) {
   CompareOrUpdate("striped_flash_crowd_batching",
-                  TraceFlashCrowd(/*observe=*/true, /*outcome=*/nullptr));
+                  TraceFlashCrowd(/*listen=*/true, /*outcome=*/nullptr));
 }
 
-// The flash crowd again without the read observer: every scheduler
-// outcome, and the request/start/complete log, must equal the traced
-// run's.
+// The flash crowd again without the read listener: every scheduler
+// outcome, the request/start/complete log, and the ticks slept through
+// must equal the traced run's.
 TEST(GoldenTraceTest, FlashCrowdMatchesWithoutObserver) {
   BareRun traced;
-  BareRun slept;
-  TraceFlashCrowd(/*observe=*/true, &traced);
-  TraceFlashCrowd(/*observe=*/false, &slept);
-  EXPECT_EQ(slept.outcome, traced.outcome);
-  EXPECT_GT(slept.ticks_skipped, 0u);
-  EXPECT_EQ(traced.ticks_skipped, 0u);
+  BareRun bare;
+  TraceFlashCrowd(/*listen=*/true, &traced);
+  TraceFlashCrowd(/*listen=*/false, &bare);
+  EXPECT_EQ(traced.outcome, bare.outcome);
+  EXPECT_EQ(traced.ticks_skipped, bare.ticks_skipped);
+  EXPECT_GT(traced.ticks_skipped, 0u);
 }
 
 // --- VDR event log ----------------------------------------------------

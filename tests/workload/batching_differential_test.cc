@@ -21,8 +21,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "../core/display_callbacks.h"
 #include "core/fast_forward.h"
 #include "disk/disk_array.h"
 #include "server/striped_server.h"
@@ -50,7 +52,7 @@ std::vector<uint64_t> MakeSeeds() {
 
 /// Everything observable about one run, rendered comparably.
 struct Fingerprint {
-  std::string schedule;  ///< every (interval, object, subobject, fragment, disk)
+  std::vector<ReadLog::Read> schedule;  ///< every fragment read
   int64_t requests = 0;
   int64_t completed = 0;
   int64_t interrupted = 0;
@@ -81,19 +83,14 @@ Fingerprint RunOnce(uint64_t seed, bool with_batcher) {
   EXPECT_TRUE(disks.ok());
   TertiaryManager tertiary(&sim, TertiaryDevice(TertiaryParameters{}));
 
-  std::ostringstream schedule;
+  ReadLog schedule;
   StripedConfig config;
   config.stride = 5;
   config.interval = kInterval;
   config.preload_objects = catalog.size();
   config.batch = with_batcher;
   config.batch_window = SimTime::Zero();  // the pass-through under test
-  config.read_observer = [&schedule](int64_t interval, ObjectId object,
-                                     int64_t subobject, int32_t fragment,
-                                     int32_t disk) {
-    schedule << interval << ':' << object << '.' << subobject << '/'
-             << fragment << '@' << disk << '\n';
-  };
+  config.read_listener = &schedule;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   EXPECT_TRUE(server.ok()) << server.status();
@@ -124,7 +121,7 @@ Fingerprint RunOnce(uint64_t seed, bool with_batcher) {
   arrivals.Stop();
   sim.RunUntil(SimTime::Minutes(120));  // drain in-flight displays
 
-  fp.schedule = schedule.str();
+  fp.schedule = std::move(schedule.reads);
   fp.requests = arrivals.requests_issued();
   fp.completed = arrivals.displays_completed();
   fp.interrupted = arrivals.displays_interrupted();

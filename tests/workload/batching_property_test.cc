@@ -74,11 +74,7 @@ TEST_P(BatchingPropertyTest, FlashCrowdKeepsEveryInvariant) {
   config.batch = true;
   config.batch_window = window;
   config.max_batch_fanout = max_fanout;
-  config.read_observer = [&tracer](int64_t interval, ObjectId object,
-                                   int64_t subobject, int32_t fragment,
-                                   int32_t disk) {
-    tracer.Record(interval, object, subobject, fragment, disk);
-  };
+  config.read_listener = &tracer;
   auto server =
       StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
   ASSERT_TRUE(server.ok()) << server.status();
