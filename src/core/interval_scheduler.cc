@@ -14,12 +14,6 @@ namespace stagger {
 
 namespace {
 
-// A paused stream's first re-admission attempt comes this many
-// intervals after the pause; each failed attempt doubles the wait, up
-// to the cap.
-constexpr int64_t kRetryBackoffIntervals = 1;
-constexpr int64_t kMaxRetryBackoffIntervals = 64;
-
 using IdSlots = std::vector<StreamSlot>;
 
 // Position of the first entry of `v` above `id`.
@@ -75,8 +69,9 @@ IntervalScheduler::IntervalScheduler(Simulator* sim, DiskArray* disks,
       epoch_(sim->Now()),
       vdisk_slot_(static_cast<size_t>(disks->num_disks()), kNoSlot),
       vdisk_occupied_(frame),
-      failed_admissions_(kFailedAdmissionSlots) {
-  scratch_taken_.Resize(disks->num_disks());
+      admission_(frame, vdisk_occupied_, *disks, config.policy,
+                 config.fragmented_lookahead, config.degraded_policy,
+                 config.max_pause_intervals) {
   claimed_.Resize(disks->num_disks());
   reading_.Resize(disks->num_disks());
   ticker_ = std::make_unique<PeriodicTicker>(
@@ -105,7 +100,7 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
     return Status::InvalidArgument("parity needs degree + 1 <= D");
   }
   const RequestId id = next_request_id_++;
-  queue_.push_back(Pending{id, std::move(request), sim_->Now()});
+  admission_.Push({.id = id, .req = request, .arrival = sim_->Now()});
   ++metrics_.displays_requested;
   Wake();
   return id;
@@ -113,17 +108,10 @@ Result<RequestId> IntervalScheduler::Submit(DisplayRequest request) {
 
 Status IntervalScheduler::Cancel(RequestId id) {
   // A live handle is its stream's id and sits in exactly one of the
-  // active set, the queue, or the streams parked by the degraded policy.
-  const auto has_id = [id](const Pending& entry) { return entry.id == id; };
+  // active set and the admission queue.
   if (SlotOf(id) >= 0) {
     FinishStream(id, /*completed=*/false);
-  } else if (auto q = std::find_if(queue_.begin(), queue_.end(), has_id);
-             q != queue_.end()) {
-    queue_.erase(q);
-  } else if (auto p = std::find_if(paused_.begin(), paused_.end(), has_id);
-             p != paused_.end()) {
-    paused_.erase(p);
-  } else {
+  } else if (!admission_.Erase(id)) {
     return Status::NotFound("unknown request " + std::to_string(id));
   }
   ++metrics_.displays_cancelled;
@@ -140,26 +128,28 @@ Result<RequestId> IntervalScheduler::Seek(RequestId id, int64_t target_row,
   if (target_row < 0 || new_num_subobjects < 1) {
     return Status::InvalidArgument("seek target out of range");
   }
-  // The remainder re-enters the queue as the same display, the way
-  // RetryPaused re-admits a paused stream, and reads from the target
-  // row on, on the disks the object's layout puts it.
-  queue_.push_back(Remainder(*s, next_request_id_++,
-                             RowStripe(*s, target_row - s->first_row).first,
-                             target_row, new_num_subobjects));
+  // The remainder re-enters the queue as the same display, the way a
+  // paused stream's does.
+  const RequestId moved = next_request_id_++;
+  admission_.Push(Remainder(*s, moved, target_row, new_num_subobjects));
   FinishStream(id, /*completed=*/false);
   Wake();
-  return queue_.back().id;
+  return moved;
 }
 
-IntervalScheduler::Pending IntervalScheduler::Remainder(
-    const Stream& s, RequestId id, int32_t start_disk, int64_t first_row,
+AdmissionQueue::Entry IntervalScheduler::Remainder(
+    const Stream& s, RequestId id, int64_t first_row,
     int64_t num_subobjects) const {
   // It was requested and admitted once, and its startup sample fired if
-  // it had started.
+  // it had started.  Its first stripe lies where the stream's own stride
+  // walk puts the row.
+  const int32_t start_disk = RowStripe(s, first_row - s.first_row).first;
   const bool started =
       s.DeliveredBy(interval_index_) > 0 || s.resumed_mid_display;
-  return Pending{id, {s.object, start_disk, s.degree, num_subobjects, s.parity},
-                 s.arrival_time, first_row, /*resumed=*/true, started};
+  return {.id = id,
+          .req = {s.object, start_disk, s.degree, num_subobjects, s.parity},
+          .arrival = s.arrival_time, .first_row = first_row,
+          .resumed = true, .started = started};
 }
 
 int32_t IntervalScheduler::idle_virtual_disks() const {
@@ -189,8 +179,7 @@ int32_t IntervalScheduler::AllocSlot() {
 
 STAGGER_HOT_PATH void IntervalScheduler::Tick(int64_t tick_index) {
   interval_index_ = tick_index;
-  RetryPaused();
-  TryAdmissions();
+  Admit();
   AdvanceStreams();
   UpdateIntervalStats();
 #ifdef STAGGER_AUDIT
@@ -217,9 +206,8 @@ bool IntervalScheduler::Quiet() const {
   // Nothing to admit or resume, no stream the tick visits, and nothing
   // between ticks that a health check or a hook would see: the coming
   // ticks reserve exactly reading_ until a calendar event falls due.
-  return holds_health_listener_ && queue_.empty() && paused_.empty() &&
-         unsteady_.empty() && buffered_fragments_ == 0 && !idle_hook_ &&
-         disks_->Healthy();
+  return holds_health_listener_ && admission_.empty() && unsteady_.empty() &&
+         buffered_fragments_ == 0 && !idle_hook_ && disks_->Healthy();
 }
 
 void IntervalScheduler::SkipQuietIntervals(int64_t n) {
@@ -241,146 +229,31 @@ void IntervalScheduler::Wake() {
   if (ticker_->sleeping()) ticker_->Wake();
 }
 
-STAGGER_HOT_PATH void IntervalScheduler::TryAdmissions() {
-  // Scan FIFO; requests behind a blocked head may be admitted (the
-  // paper's Figure 3: "idle time intervals would be used to service the
-  // new request").
-  //
-  // Within a tick a plan depends on the request only through its (start
-  // disk, degree, parity), and on scheduler state only a successful
-  // admission changes: disk health changes between ticks, and the
-  // fragmented plan's scratch is clear after every attempt.  So a key
-  // that failed fails again until the next admission, which starts a
-  // new pass; queued requests sharing a failed key are skipped.
-  ++admission_pass_;
-  for (Pending& p : queue_) {
-    const DisplayRequest& req = p.req;
-    const int32_t shape = req.degree * 2 + (req.parity ? 1 : 0);
-    const uint32_t hash =
-        static_cast<uint32_t>(req.start_disk) * 0x9E3779B1u ^
-        static_cast<uint32_t>(shape) * 0x85EBCA77u;
-    static_assert(kFailedAdmissionSlots == 256);
-    FailedAdmission& failed = failed_admissions_[hash >> 24];
-    if (failed.pass == admission_pass_ &&
-        failed.start_disk == req.start_disk && failed.shape == shape) {
-#ifdef STAGGER_AUDIT
-      STAGGER_CHECK(!PlanAdmission(req).has_value())
-          << "request " << p.id << " skipped as a failed key would start";
-#endif
-    } else if (TryAdmit(p)) {
-      ++admission_pass_;
-      p.admitted = true;
+STAGGER_HOT_PATH void IntervalScheduler::Admit() {
+  if (admission_.empty()) return;
+  admission_.BeginPass(interval_index_);
+  std::optional<AdmitPlan> plan;
+  while (const AdmissionQueue::Entry* p = admission_.Next(&plan)) {
+    if (!plan.has_value()) {
+      // Given up.  The owner is told so it can release per-display state
+      // (pins) and a closed-loop station is not left waiting forever.
+      ++metrics_.displays_interrupted;
+      ++metrics_.displays_cancelled;
+      if (listener_) listener_->OnInterrupted(p->id);
     } else {
-      failed = FailedAdmission{admission_pass_, req.start_disk, shape};
+      if (p->paused()) {
+        ++metrics_.streams_resumed;
+        metrics_.resume_latency_sec.Add(
+            (config_.interval * (interval_index_ - p->paused_at_interval))
+                .seconds());
+      }
+      AdmitStream(*p, std::move(*plan));
     }
   }
-  std::erase_if(queue_, [](const Pending& p) { return p.admitted; });
 }
 
-STAGGER_HOT_PATH bool IntervalScheduler::TryAdmit(const Pending& p) {
-  std::optional<AdmitPlan> plan = PlanAdmission(p.req);
-  if (!plan.has_value()) return false;
-  AdmitStream(p, std::move(*plan));
-  return true;
-}
-
-STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
-IntervalScheduler::PlanAdmission(const DisplayRequest& req) {
-  std::optional<AdmitPlan> plan = PlanContiguous(req);
-  if (!plan.has_value() && config_.policy == AdmissionPolicy::kFragmented) {
-    plan = PlanFragmented(req);
-  }
-  return plan;
-}
-
-STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
-IntervalScheduler::PlanContiguous(const DisplayRequest& req) const {
-  // The request starts only when the virtual disks *currently over* its
-  // first fragments are all idle (alignment delay zero): one modular
-  // window test over the occupancy bitmap.
-  const int32_t v0 = frame_.VirtualOf(req.start_disk, interval_index_);
-  const int32_t m = req.degree;
-  if (!vdisk_occupied_.WindowClear(v0, m)) return std::nullopt;
-  if (config_.degraded_policy != DegradedPolicy::kNone &&
-      disks_->UnavailableCount() > 0) {
-    // The stream reads its first stripe immediately — refuse to start a
-    // display whose first reads land on unavailable disks (it would
-    // pause on its very first interval).  Under kReconstruct a single
-    // lost fragment is tolerable when the stripe's parity disk can
-    // stand in for it.
-    const Stripe stripe =
-        Stripe::At(frame_.num_disks(), req.start_disk, m, req.parity);
-    int32_t down = 0;
-    for (int32_t j = 0; j < m; ++j) {
-      if (!disks_->IsAvailable(stripe.Slot(j))) ++down;
-    }
-    if (down > 0) {
-      const bool reconstructable =
-          config_.degraded_policy == DegradedPolicy::kReconstruct &&
-          req.parity && down == 1 && disks_->IsAvailable(stripe.parity);
-      if (!reconstructable) return std::nullopt;
-    }
-  }
-  // One lane: the M fragments read together from M adjacent disks.
-  std::optional<AdmitPlan> plan(std::in_place);
-  plan->lanes.Assign(1);
-  plan->lanes[0].vdisk = v0;
-  plan->lanes[0].width = m;
-  return plan;
-}
-
-STAGGER_HOT_PATH std::optional<IntervalScheduler::AdmitPlan>
-IntervalScheduler::PlanFragmented(const DisplayRequest& req) {
-  const int32_t m = req.degree;
-  const bool check_health = config_.degraded_policy != DegradedPolicy::kNone &&
-                            disks_->UnavailableCount() > 0;
-  const Stripe stripe =
-      Stripe::At(frame_.num_disks(), req.start_disk, m, req.parity);
-  std::optional<AdmitPlan> plan(std::in_place);
-  LaneArray& lanes = plan->lanes;
-  lanes.Assign(m);
-  int64_t delta_max = 0;
-
-  // scratch_taken_ carries the virtual disks tentatively picked for
-  // earlier lanes of this attempt, in orbit order (the search's view);
-  // set bits are recorded so teardown is O(m), not O(D).
-  STAGGER_DCHECK(scratch_taken_bits_.empty());
-  bool ok = true;
-  for (int32_t j = 0; j < m; ++j) {
-    const int32_t target = stripe.Slot(j);
-    // A lane with alignment delay zero reads `target` this interval;
-    // skip such candidates while the disk is down (later-aligned lanes
-    // are still fine — health at their read time is unknowable).
-    const bool target_down = check_health && !disks_->IsAvailable(target);
-    const auto found = frame_.FindEarliestFreeVdisk(
-        vdisk_occupied_, scratch_taken_, interval_index_, target,
-        config_.fragmented_lookahead, target_down);
-    if (!found.has_value()) {
-      ok = false;
-      break;
-    }
-    const int32_t taken_pos = frame_.OrbitPos(found->first);
-    scratch_taken_.Set(taken_pos);
-    // stagger-lint: allow(hot-path-alloc) -- scratch_taken_bits_ keeps its capacity across admissions (clear(), never shrink), so this amortizes to zero allocations in steady state
-    scratch_taken_bits_.push_back(taken_pos);
-    lanes[static_cast<size_t>(j)].vdisk = found->first;
-    lanes[static_cast<size_t>(j)].next_read_tau = found->second;
-    delta_max = std::max(delta_max, found->second);
-  }
-  for (int32_t pos : scratch_taken_bits_) scratch_taken_.Clear(pos);
-  scratch_taken_bits_.clear();
-  if (!ok) return std::nullopt;
-
-  // A lane aligned before delta_max reads ahead into buffer, which
-  // makes the stream fragmented (Algorithm 1).
-  plan->delta_max = delta_max;
-  for (int32_t j = 0; j < m; ++j) {
-    plan->fragmented |= lanes[static_cast<size_t>(j)].next_read_tau < delta_max;
-  }
-  return plan;
-}
-
-void IntervalScheduler::AdmitStream(const Pending& p, AdmitPlan&& plan) {
+void IntervalScheduler::AdmitStream(const AdmissionQueue::Entry& p,
+                                    AdmitPlan&& plan) {
   const bool fragmented = plan.fragmented;
   const int64_t delta_max = plan.delta_max;
   const int32_t slot = AllocSlot();
@@ -1002,62 +875,14 @@ void IntervalScheduler::PauseStream(StreamId id) {
 
   // Resume from the first undelivered subobject; buffered read-ahead is
   // dropped (those fragments will be re-read after recovery).
-  PausedStream p{Remainder(s, s.id, RowStripe(s, delivered).first,
-                           s.first_row + delivered,
-                           s.num_subobjects - delivered),
-                 sim_->Now(), interval_index_,
-                 interval_index_ + kRetryBackoffIntervals,
-                 kRetryBackoffIntervals};
-
+  AdmissionQueue::Entry p = Remainder(s, s.id, s.first_row + delivered,
+                                      s.num_subobjects - delivered);
+  // Pauses and retries both run inside a tick, whose time is its
+  // interval's start, so the resume latency is exact in intervals.
+  STAGGER_DCHECK(sim_->Now() == IntervalStart(interval_index_));
   ++metrics_.streams_paused;
   FinishStream(id, /*completed=*/false);
-  paused_.push_back(std::move(p));
-}
-
-void IntervalScheduler::RetryPaused() {
-  for (auto it = paused_.begin(); it != paused_.end();) {
-    PausedStream& p = *it;
-    if (interval_index_ < p.retry_at_interval) {
-      ++it;
-      continue;
-    }
-    if (config_.max_pause_intervals > 0 &&
-        interval_index_ - p.paused_at_interval > config_.max_pause_intervals) {
-      // Give up: the viewer's display is interrupted for good.  The
-      // owner is told so it can release per-display state (pins) and a
-      // closed-loop station is not left waiting forever.
-      ++metrics_.displays_interrupted;
-      ++metrics_.displays_cancelled;
-      const RequestId id = p.id;
-      it = paused_.erase(it);
-      if (listener_) listener_->OnInterrupted(id);
-      continue;
-    }
-    // A failed attempt grows the backoff, so max_pause_intervals can give
-    // up a remainder that only a repair would let through.
-    if (!FirstRowUnreadable(p) && TryAdmit(p)) {
-      ++metrics_.streams_resumed;
-      metrics_.resume_latency_sec.Add((sim_->Now() - p.paused_at).seconds());
-      it = paused_.erase(it);
-    } else {
-      p.backoff = std::min(p.backoff * 2, kMaxRetryBackoffIntervals);
-      p.retry_at_interval = interval_index_ + p.backoff;
-      ++it;
-    }
-  }
-}
-
-bool IntervalScheduler::FirstRowUnreadable(const Pending& p) const {
-  const LatentErrorMap& latent = disks_->latent_errors();
-  if (config_.degraded_policy != DegradedPolicy::kPause || !latent.active()) {
-    return false;
-  }
-  const Stripe stripe = Stripe::At(frame_.num_disks(), p.req.start_disk,
-                                   p.req.degree, p.req.parity);
-  for (int32_t j = 0; j < p.req.degree; ++j) {
-    if (latent.IsCorrupt(stripe.Slot(j), p.first_row)) return true;
-  }
-  return false;
+  admission_.PushPaused(p, interval_index_);
 }
 
 void IntervalScheduler::SyncSteadyCursors(Stream* s) {
@@ -1271,7 +1096,8 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
 
 void IntervalScheduler::UpdateIntervalStats() {
   const SimTime now = sim_->Now();
-  metrics_.queue_length.Set(now, static_cast<double>(queue_.size()));
+  metrics_.queue_length.Set(now,
+                            static_cast<double>(admission_.queued()));
   metrics_.buffered_fragments.Set(now,
                                   static_cast<double>(buffered_fragments_));
   metrics_.peak_buffered_fragments =

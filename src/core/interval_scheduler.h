@@ -6,17 +6,8 @@
 // subobject from each of M_X disks; the whole disk set shifts k to the
 // right every interval.  Because every stream shifts by the same k, we
 // track occupancy in *virtual-disk* space (see virtual_disk.h), where
-// stream ownership is time-invariant.
-//
-// Admission policies:
-//  * kContiguous — a request starts when the M adjacent virtual disks
-//    currently over its first subobject's disks are all idle (the simple
-//    striping rule; worst-case latency (R-1) * S(C_i)).
-//  * kFragmented — additionally admits over non-adjacent idle virtual
-//    disks within an alignment lookahead, buffering early reads
-//    (Algorithm 1).  With `coalesce` set, fragmented streams migrate
-//    lanes onto later-aligned free disks as they appear, draining
-//    buffers (Algorithm 2).
+// stream ownership is time-invariant.  Which waiting display starts
+// when is core/admission.h's; the scheduler carries out its decisions.
 //
 // Steady streams.  A stream whose lanes all read every interval, each at
 // a fixed offset, has cursors that are a closed form of the interval
@@ -43,13 +34,13 @@
 #ifndef STAGGER_CORE_INTERVAL_SCHEDULER_H_
 #define STAGGER_CORE_INTERVAL_SCHEDULER_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/admission.h"
 #include "core/display_listener.h"
 #include "core/stream.h"
 #include "core/virtual_disk.h"
@@ -62,37 +53,6 @@
 #include "util/stats.h"
 
 namespace stagger {
-
-/// Admission policy (Section 3.2.1).
-enum class AdmissionPolicy {
-  kContiguous,   ///< adjacent, aligned virtual disks only
-  kFragmented,   ///< + Algorithm 1 (buffered, non-adjacent admission)
-};
-
-/// \brief How the scheduler reacts when a lane's read lands on a failed
-/// or stalled disk (fault subsystem, src/fault/).
-enum class DegradedPolicy {
-  /// Ignore disk health entirely (the paper's all-healthy assumption);
-  /// a read on an unavailable disk is a fatal contract violation.
-  kNone,
-  /// Pause the affected stream and re-admit it with bounded exponential
-  /// backoff (first retry after 1 interval, doubling to 64); a stream
-  /// paused longer than `max_pause_intervals` is cancelled as an
-  /// interrupted display.
-  kPause,
-  /// First try to remap the lost fragment's bandwidth onto a surviving
-  /// disk with slack this interval — the subobject's own stripe disks
-  /// first, then any idle disk (modeling reconstruction from a
-  /// stripe-level replica) — and fall back to pause-and-retry when no
-  /// slack exists.
-  kRemapOrPause,
-  /// For parity-carrying streams, read the stripe's parity fragment in
-  /// the same interval and reconstruct the lost fragment in buffer —
-  /// one extra read charged against the parity disk's slack.  Streams
-  /// without parity, or intervals where the parity disk has no slack,
-  /// fall through the kRemapOrPause ladder.
-  kReconstruct,
-};
 
 /// \brief Counters and distributions reported by the scheduler.
 struct SchedulerMetrics {
@@ -115,8 +75,8 @@ struct SchedulerMetrics {
   int64_t streams_paused = 0;
   /// Paused streams successfully re-admitted.
   int64_t streams_resumed = 0;
-  /// Paused streams cancelled after exceeding `max_pause_intervals`
-  /// (also counted in displays_cancelled).
+  /// Paused streams given up at a retry more than `max_pause_intervals`
+  /// after the pause (also counted in displays_cancelled).
   int64_t displays_interrupted = 0;
   /// Reads that hit a latent-error cell and were caught by the display
   /// path's checksum (any policy except kNone); the fragment was then
@@ -148,25 +108,14 @@ struct SchedulerConfig {
   int64_t fragmented_lookahead = 16;
   /// Reaction to reads landing on failed/stalled disks (src/fault/).
   DegradedPolicy degraded_policy = DegradedPolicy::kRemapOrPause;
-  /// A stream paused longer than this is cancelled as an interrupted
-  /// display; <= 0 means never (retry forever).
+  /// A paused stream is given up as an interrupted display at its first
+  /// retry more than this many intervals after the pause (retries come
+  /// 1, 3, 7, ... intervals after it, then every 64); <= 0 means never
+  /// (retry forever).
   int64_t max_pause_intervals = 4096;
   /// Hears every fragment read (ScheduleTracer renders Figure 3-style
   /// schedules from them); may be null.  Must outlive the scheduler.
   ReadListener* read_listener = nullptr;
-};
-
-/// \brief One display request handed to the scheduler.
-struct DisplayRequest {
-  ObjectId object = kInvalidObject;
-  /// Physical disk of the first fragment to read (layout of X_{s.0} when
-  /// starting from subobject s).
-  int32_t start_disk = 0;
-  int32_t degree = 0;
-  int64_t num_subobjects = 0;
-  /// True when the object's layout stores a per-subobject parity
-  /// fragment on the disk after the stripe (kReconstruct eligibility).
-  bool parity = false;
 };
 
 /// An active stream's id and its slot in the scheduler's stream storage:
@@ -219,10 +168,10 @@ class IntervalScheduler {
   const VirtualDiskFrame& frame() const { return frame_; }
   const SchedulerConfig& config() const { return config_; }
   int64_t current_interval() const { return interval_index_; }
-  size_t pending_requests() const { return queue_.size(); }
+  size_t pending_requests() const { return admission_.queued(); }
   size_t active_streams() const { return active_.size(); }
   /// Streams parked by the degraded-mode policy, awaiting re-admission.
-  size_t paused_streams() const { return paused_.size(); }
+  size_t paused_streams() const { return admission_.paused(); }
   int32_t idle_virtual_disks() const;
 
   /// Interval-start wall time of interval index `t`.
@@ -241,35 +190,6 @@ class IntervalScheduler {
 
  private:
   friend class InvariantAuditor;
-
-  /// A display awaiting admission: a fresh request, or the undelivered
-  /// remainder of a paused or sought stream.
-  struct Pending {
-    RequestId id;
-    DisplayRequest req;
-    SimTime arrival;  ///< the original request's arrival
-    /// Layout row of the first read (Stream::first_row).
-    int64_t first_row = 0;
-    /// True when this entry continues a display admitted before (a
-    /// paused or sought stream's remainder); suppresses the
-    /// displays_admitted increment.
-    bool resumed = false;
-    /// True when the display had delivered subobjects before; suppresses
-    /// the duplicate OnStarted / startup-latency sample.
-    bool started = false;
-    /// Set by TryAdmissions on the entries it admits, which it erases
-    /// after its pass.
-    bool admitted = false;
-  };
-
-  /// A stream parked by the degraded-mode policy: its lanes are torn
-  /// down and the undelivered remainder waits for re-admission.
-  struct PausedStream : Pending {
-    SimTime paused_at;
-    int64_t paused_at_interval = 0;
-    int64_t retry_at_interval = 0;  ///< next re-admission attempt
-    int64_t backoff = 1;            ///< current backoff (intervals)
-  };
 
   /// A calendar entry: a steady stream's first read (and delivery) or
   /// its earliest lane's last read falls on interval `tick`.  `epoch`
@@ -321,24 +241,6 @@ class IntervalScheduler {
   IntervalScheduler(Simulator* sim, DiskArray* disks, SchedulerConfig config,
                     VirtualDiskFrame frame, DisplayListener* listener);
 
-  /// The lanes a request would take if admitted now.
-  struct AdmitPlan {
-    LaneArray lanes;
-    int64_t delta_max = 0;
-    bool fragmented = false;
-  };
-
-  /// A request key whose admission failed in pass `pass` of
-  /// TryAdmissions (a pass ends at each successful admission).
-  struct FailedAdmission {
-    int64_t pass = 0;
-    int32_t start_disk = 0;
-    int32_t shape = 0;  ///< degree * 2 + parity
-  };
-  /// Direct-mapped: a collision only evicts a key, which is then
-  /// planned again.
-  static constexpr size_t kFailedAdmissionSlots = 256;
-
   void Tick(int64_t tick_index);
   /// True when the coming ticks, until the calendar's next event, would
   /// change nothing but the interval count and the array's busy count.
@@ -347,22 +249,17 @@ class IntervalScheduler {
   void SkipQuietIntervals(int64_t n);
   /// Ends the ticker's sleep, if any, at the next interval.
   void Wake();
-  void TryAdmissions();
-  /// Attempts to admit `p` at the current interval; true on success.
-  bool TryAdmit(const Pending& p);
-  /// Plans `req` for the current interval under the configured policy
-  /// without changing the scheduler's state; nullopt when it cannot
-  /// start now.  The outcome depends only on the request's start disk,
-  /// degree and parity, the occupancy, the interval and disk health.
-  std::optional<AdmitPlan> PlanAdmission(const DisplayRequest& req);
-  std::optional<AdmitPlan> PlanContiguous(const DisplayRequest& req) const;
-  std::optional<AdmitPlan> PlanFragmented(const DisplayRequest& req);
-  void AdmitStream(const Pending& p, AdmitPlan&& plan);
+  /// Carries out this interval's admission pass: starts the streams it
+  /// admits, paused remainders first, and gives up the paused displays
+  /// past `max_pause_intervals`.
+  void Admit();
+  void AdmitStream(const AdmissionQueue::Entry& p, AdmitPlan&& plan);
   /// The undelivered tail of active stream `s` as queue entry `id`:
-  /// `num_subobjects` rows from layout row `first_row` on `start_disk`,
-  /// continuing the same display.
-  Pending Remainder(const Stream& s, RequestId id, int32_t start_disk,
-                    int64_t first_row, int64_t num_subobjects) const;
+  /// `num_subobjects` rows from layout row `first_row`, continuing the
+  /// same display.
+  AdmissionQueue::Entry Remainder(const Stream& s, RequestId id,
+                                  int64_t first_row,
+                                  int64_t num_subobjects) const;
   /// This interval's faulty slots.
   FaultySlots Faults() const;
   /// Reserves this interval's reads and advances the streams that have
@@ -466,16 +363,8 @@ class IntervalScheduler {
   /// Pops a free slot, growing slots_ when the free list is empty.
   int32_t AllocSlot();
   // --- degraded mode ---------------------------------------------------
-  /// Re-admits paused streams whose backoff expired; cancels those past
-  /// `max_pause_intervals`.  Runs before fresh admissions so resumed
-  /// displays have priority.
-  void RetryPaused();
   /// Tears down an active stream and parks its undelivered remainder.
   void PauseStream(StreamId id);
-  /// True under kPause when a disk of remainder `p`'s first stripe holds
-  /// a corrupt cell at its first row: re-admitted now, it would pause
-  /// again on that read, so the attempt fails like a refused admission.
-  bool FirstRowUnreadable(const Pending& p) const;
   /// Reads stream `s`'s fragment of its row `row` (layout row
   /// s.first_row + row) due on physical disk `physical` on a faulty
   /// array: the disk itself when it is up and the cell clean, else the
@@ -538,14 +427,11 @@ class IntervalScheduler {
   /// Virtual-disk frees so far (lane releases and migrations): a
   /// coalescing search that failed can succeed only after one.
   int64_t vdisk_frees_ = 0;
-  /// TryAdmissions' pass number and the keys that failed in it.
-  int64_t admission_pass_ = 0;
-  std::vector<FailedAdmission> failed_admissions_;
-  std::deque<Pending> queue_;
-  std::deque<PausedStream> paused_;
+  /// The displays awaiting admission.
+  AdmissionQueue admission_;
   /// Next request handle.  An admitted request's stream takes the
-  /// handle as its id, so a live handle is found in active_, queue_ or
-  /// paused_ without a table of its own.
+  /// handle as its id, so a live handle is found in active_ or
+  /// admission_ without a table of its own.
   RequestId next_request_id_ = 1;
 
   /// Sum over active streams of TotalBufferedFragments(), maintained
@@ -554,11 +440,6 @@ class IntervalScheduler {
   int64_t buffered_fragments_ = 0;
 
   // Scratch reused across ticks (no per-tick allocation).
-  /// Virtual disks tentatively taken by earlier lanes of one fragmented
-  /// admission, in orbit order; the orbit positions listed in
-  /// scratch_taken_bits_ are cleared after each attempt.
-  Bitmap scratch_taken_;
-  std::vector<int32_t> scratch_taken_bits_;
   /// Claimed-disk set, slot-indexed: bit set == some active lane is due
   /// to read the disk this interval, or a degraded read took it.
   /// Rebuilt only on ticks with a down disk or a corrupt cell — the only

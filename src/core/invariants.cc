@@ -546,11 +546,12 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
       << "; the steady reading set holds " << s.reading_.CountSet()
       << " virtual disks but steady lanes read " << reading_vdisks;
   // Fragmented admission's tentative picks live only within one attempt.
-  STAGGER_AUDIT_VERIFY(s.scratch_taken_bits_.empty() &&
-                       s.scratch_taken_.CountSet() == 0)
-      << "; orbit-order taken set holds " << s.scratch_taken_.CountSet()
-      << " bits (" << s.scratch_taken_bits_.size()
-      << " listed) between admissions";
+  const AdmissionQueue& admission = s.admission_;
+  STAGGER_AUDIT_VERIFY(admission.scratch_taken_bits_.empty() &&
+                       admission.scratch_taken_.CountSet() == 0)
+      << "; orbit-order taken set holds "
+      << admission.scratch_taken_.CountSet() << " bits ("
+      << admission.scratch_taken_bits_.size() << " listed) between admissions";
 
   // The incremental buffered-fragments counter must equal a full
   // recomputation over the active streams.
@@ -586,21 +587,24 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   STAGGER_RETURN_NOT_OK(s.disks_->latent_errors().AuditIndex());
 
   // No double-scheduling: each live request handle is in exactly one of
-  // the pending queue, the paused set, or the active stream table.
+  // the admission queue and the active stream table.  The paused
+  // remainders lead the queue, and no pass is under way.
   std::set<RequestId> scheduled;
-  for (const auto& pending : s.queue_) {
-    STAGGER_AUDIT_VERIFY(scheduled.insert(pending.id).second)
-        << "; request " << pending.id << " queued twice";
-  }
-  for (const auto& paused : s.paused_) {
-    STAGGER_AUDIT_VERIFY(scheduled.insert(paused.id).second)
-        << "; paused request " << paused.id
-        << " is also queued or paused twice";
-    STAGGER_AUDIT_VERIFY(paused.req.num_subobjects >= 1)
-        << "; paused request " << paused.id << " has an empty remainder";
-    STAGGER_AUDIT_VERIFY(paused.backoff >= 1 &&
-                         paused.retry_at_interval > paused.paused_at_interval)
-        << "; paused request " << paused.id << " has a degenerate backoff";
+  for (size_t i = 0; i < admission.entries_.size(); ++i) {
+    const AdmissionQueue::Entry& entry = admission.entries_[i];
+    STAGGER_AUDIT_VERIFY(scheduled.insert(entry.id).second)
+        << "; request " << entry.id << " queued twice";
+    STAGGER_AUDIT_VERIFY(entry.req.num_subobjects >= 1 && !entry.done)
+        << "; request " << entry.id
+        << " has an empty remainder or outlived its pass";
+    STAGGER_AUDIT_VERIFY(entry.paused() == (i < admission.paused_))
+        << "; request " << entry.id << " at queue position " << i
+        << (entry.paused() ? " is" : " is not") << " paused, with "
+        << admission.paused_ << " paused remainders leading";
+    STAGGER_AUDIT_VERIFY(!entry.paused() ||
+                         (entry.backoff >= 1 &&
+                          entry.retry_at_interval > entry.paused_at_interval))
+        << "; paused request " << entry.id << " has a degenerate backoff";
   }
   for (const auto& [id, slot] : s.active_) {
     STAGGER_AUDIT_VERIFY(scheduled.insert(id).second)

@@ -25,7 +25,7 @@ class MediaService {
   /// Invoked when the display's last subobject is delivered.
   using CompletedFn = std::function<void()>;
   /// Invoked when the service abandons the display mid-stream (a
-  /// striped stream paused longer than its pause cap).
+  /// striped stream still paused at a retry past its pause cap).
   /// Exactly one of on_completed / on_interrupted eventually fires for
   /// an accepted request; a service that never abandons displays simply
   /// never invokes it.

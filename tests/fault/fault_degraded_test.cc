@@ -466,6 +466,140 @@ TEST_F(DegradedSchedulerTest, DoubleFailureExceedsParityAndPauses) {
 }
 
 // ---------------------------------------------------------------------
+// Admission order: paused remainders are planned before the fresh
+// requests of the same tick, so resumed displays have priority.
+// ---------------------------------------------------------------------
+
+// The first three cases run D = 4, k = 1 under kPause.  Display A (start
+// disk 0, degree 2) reads row r from disks {r, r + 1} (mod 4); disk 2 fails
+// at interval 2, so A pauses there with rows 0-1 delivered.  Its
+// remainder starts on disk 2 (stripe {2, 3}) and retries at intervals
+// 3, 5, 9, ... (backoff 1, 2, 4, ...).
+class AdmissionOrderTest : public DegradedSchedulerTest {
+ protected:
+  void PauseDisplayA(SimTime recover_at, int64_t max_pause_intervals) {
+    Init(4, 1, DegradedPolicy::kPause, max_pause_intervals);
+    FaultPlan plan;
+    plan.FailAt(2, kInterval * 2);
+    if (recover_at > SimTime::Zero()) plan.RecoverAt(2, recover_at);
+    Inject(plan);
+  }
+};
+
+// B, queued at interval 1 (before A pauses) on A's remainder's disks,
+// waits for disk 2 with it.  Disk 2 recovers at interval 5, a retry
+// interval of A: both want virtual disks {1, 2}, and A takes them
+// although B is the older entry.  B starts at interval 7, the first
+// interval its window {v, v + 1} clears A's.
+TEST_F(AdmissionOrderTest, DuePausedRemainderTakesContestedDisksFirst) {
+  PauseDisplayA(kInterval * 5, /*max_pause_intervals=*/4096);
+  Probe a, b;
+  Request(0, 0, 2, 20, &a);
+  sim_.RunUntil(kInterval * 1 + SimTime::Millis(1));
+  Request(1, 2, 2, 4, &b);
+
+  sim_.RunUntil(kInterval * 5 + SimTime::Millis(1));
+  EXPECT_EQ(sched_->metrics().streams_paused, 1);
+  EXPECT_EQ(sched_->metrics().streams_resumed, 1);
+  EXPECT_EQ(sched_->paused_streams(), 0u);
+  EXPECT_EQ(sched_->pending_requests(), 1u);
+  EXPECT_FALSE(b.started);
+
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_TRUE(b.started);
+  EXPECT_EQ(b.latency, kInterval * 6 - SimTime::Millis(1));
+  // A's 18 remaining rows run from interval 5 through 22.
+  EXPECT_TRUE(a.completed);
+  EXPECT_EQ(a.completed_at, kInterval * 22);
+  EXPECT_NEAR(sched_->metrics().resume_latency_sec.mean(),
+              (kInterval * 3).seconds(), 1e-9);
+  EXPECT_EQ(sched_->metrics().hiccups, 0);
+  EXPECT_EQ(calls_.breach(), "");
+}
+
+// B, queued behind A's remainder at interval 3, starts at interval 4
+// while the remainder waits out its backoff (next retry at 5): an entry
+// that is not due blocks nothing behind it.
+TEST_F(AdmissionOrderTest, RemainderInBackoffDoesNotBlockFreshRequest) {
+  PauseDisplayA(SimTime::Zero(), /*max_pause_intervals=*/4096);
+  Probe a, b;
+  Request(0, 0, 2, 20, &a);
+  sim_.RunUntil(kInterval * 3 + SimTime::Millis(1));
+  ASSERT_EQ(sched_->paused_streams(), 1u);
+  Request(1, 0, 2, 4, &b);
+
+  sim_.RunUntil(kInterval * 4 + SimTime::Millis(1));
+  EXPECT_TRUE(b.started);
+  EXPECT_EQ(b.latency, kInterval - SimTime::Millis(1));
+  EXPECT_EQ(sched_->paused_streams(), 1u);
+  EXPECT_EQ(sched_->pending_requests(), 0u);
+  EXPECT_EQ(sched_->metrics().streams_resumed, 0);
+  EXPECT_EQ(calls_.breach(), "");
+}
+
+// With max_pause_intervals = 3 the give-up comes at the first retry
+// more than 3 intervals after the pause: retries at +1 and +3 fail, the
+// one at +7 (interval 9) gives up.  A's station re-requests one row
+// from OnInterrupted, and that request is planned in the same tick: it
+// starts and completes at interval 9, with zero startup latency.
+TEST_F(AdmissionOrderTest, ReRequestFromGiveUpIsPlannedInTheSameTick) {
+  PauseDisplayA(SimTime::Zero(), /*max_pause_intervals=*/3);
+  Probe again;
+  SimTime gave_up_at = SimTime::Zero();
+  auto id = calls_.Submit(
+      sched_.get(),
+      DisplayRequest{.object = 0, .start_disk = 0, .degree = 2,
+                     .num_subobjects = 20},
+      {.on_interrupted = [&] {
+        gave_up_at = sim_.Now();
+        Request(0, 0, 2, 1, &again);
+      }});
+  ASSERT_TRUE(id.ok()) << id.status();
+
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_EQ(gave_up_at, kInterval * 9);
+  EXPECT_EQ(sched_->metrics().displays_interrupted, 1);
+  EXPECT_TRUE(again.started);
+  EXPECT_EQ(again.latency, SimTime::Zero());
+  EXPECT_TRUE(again.completed);
+  EXPECT_EQ(again.completed_at, kInterval * 9);
+  EXPECT_EQ(sched_->paused_streams(), 0u);
+  EXPECT_EQ(sched_->pending_requests(), 0u);
+  EXPECT_EQ(calls_.breach(), "");
+}
+
+// A give-up's listener may cancel another waiting display: here the
+// paused remainder right behind the given-up one in the queue (D = 8:
+// A pauses at interval 2 and is given up at 9; A2, from start disk 6,
+// reads disk 2 at interval 3, pauses there and waits out its backoff
+// until 10).  The pass goes on, and A2 hears nothing more.
+TEST_F(AdmissionOrderTest, GiveUpListenerMayCancelTheNextPausedDisplay) {
+  Init(8, 1, DegradedPolicy::kPause, /*max_pause_intervals=*/3);
+  FaultPlan plan;
+  plan.FailAt(2, kInterval * 2);
+  Inject(plan);
+  RequestId a2 = kNoStream;
+  auto a = calls_.Submit(
+      sched_.get(),
+      DisplayRequest{.object = 0, .start_disk = 0, .degree = 2,
+                     .num_subobjects = 20},
+      {.on_interrupted =
+           [&] { EXPECT_TRUE(calls_.Cancel(sched_.get(), a2).ok()); }});
+  ASSERT_TRUE(a.ok()) << a.status();
+  Probe probe;
+  a2 = Request(1, 6, 2, 20, &probe);
+
+  sim_.RunUntil(kInterval * 9 + SimTime::Millis(1));
+  EXPECT_EQ(sched_->metrics().streams_paused, 2);
+  EXPECT_EQ(sched_->metrics().displays_interrupted, 1);
+  EXPECT_EQ(sched_->metrics().displays_cancelled, 2);
+  EXPECT_EQ(sched_->paused_streams(), 0u);
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_EQ(calls_.interrupted(), 1);
+  EXPECT_EQ(calls_.breach(), "");
+}
+
+// ---------------------------------------------------------------------
 // VDR cluster failover.
 // ---------------------------------------------------------------------
 
