@@ -1,6 +1,8 @@
 #include "core/admission.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <utility>
 
 #include "util/check.h"
@@ -16,7 +18,82 @@ namespace {
 constexpr int32_t kRetryBackoffIntervals = 1;
 constexpr int32_t kMaxRetryBackoffIntervals = 64;
 
+// The low `n` bits, n in [0, 64].
+uint64_t LowBits(int64_t n) {
+  return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+}
+
+// Bit i of the result: `op` over bits i, i + step, ..., i + step*(w-1)
+// of `x`, in O(log w) shifts; step * (w - 1) < 64.
+template <typename Op>
+uint64_t FoldDown(uint64_t x, int64_t step, int64_t w, Op op) {
+  for (int64_t covered = 1; covered < w;) {
+    const int64_t more = std::min(covered, w - covered);
+    x = op(x, x >> (step * more));
+    covered += more;
+  }
+  return x;
+}
+
 }  // namespace
+
+PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
+                         int32_t degree, int64_t lookahead) {
+  const int32_t d = occupied.frame().num_disks();
+  const int64_t k = occupied.frame().stride();
+  const int64_t m = degree;
+  const int64_t word = std::min(64, d);
+  // The plans of steps [0, s_last] read the lanes' candidates
+  // v0 + j - k*e, j in [0, M), e in [0, s_last + L]: the window that
+  // ends at v0 + M - 1.
+  const auto window = [&](int64_t s_last) {
+    const int64_t len = k * (s_last + lookahead) + m;
+    int64_t first = v0 + m - len;
+    if (first < 0) first += d;
+    return PlanWait{t + s_last + 1, static_cast<int32_t>(first),
+                    static_cast<int32_t>(len)};
+  };
+  const int64_t h = (word - m) / k - lookahead;
+  const int64_t n = k * (h + lookahead) + m;
+  // Bit i of `free` is virtual disk lo + i; lane j's candidate at step
+  // s, delay delta is bit k*(h - s - delta + L) + j with L = lookahead.
+  int32_t lo = v0 - static_cast<int32_t>(n - m);
+  if (lo < 0) lo += d;
+  const uint64_t free =
+      ~occupied.by_vdisk().WindowBits(lo, static_cast<int32_t>(n)) &
+      LowBits(n);
+  // Bit i of `any`: a free candidate among bits i, i + k, ..., i + kL;
+  // bit k*(h - s) of `all`: every lane has one at step s.
+  const uint64_t any = FoldDown(free, k, lookahead + 1, std::bit_or<>());
+  const uint64_t all = FoldDown(any, 1, m, std::bit_and<>());
+  // Steps [1, h] are bits k*(h - 1), ..., k, 0: the highest is the first.
+  uint64_t every_kth = 1;
+  for (int64_t span = k; span < 64; span *= 2) every_kth |= every_kth << span;
+  uint64_t steps = all & every_kth & LowBits(k * (h - 1) + 1);
+  // Lanes r, r + k, r + 2k, ... (one orbit block's neighbours, `lanes`
+  // of them) pick distinct disks: at the step of bit b their candidates
+  // are bits b + r + k*u, u in [0, L + lanes - 1], of which `lanes` must
+  // be free (Hall's condition).  That holds where b lies in [p' - r -
+  // k*(L + lanes - 1), p - r] for `lanes` consecutive free bits p < ...
+  // < p' of the run's bits.  A run of one lane is `all`'s test.
+  for (int64_t r = 0; r < std::min(k, m) && steps != 0; ++r) {
+    const int64_t lanes = (m - r + k - 1) / k;
+    if (lanes == 1) break;
+    // The run's free bits from p on, and from p' on.
+    uint64_t from_p = free & (every_kth << r);
+    uint64_t from_last = from_p;
+    for (int64_t i = 1; i < lanes; ++i) from_last &= from_last - 1;
+    uint64_t distinct = 0;
+    for (; from_last != 0; from_p &= from_p - 1, from_last &= from_last - 1) {
+      const int64_t lo = std::max<int64_t>(
+          0, std::countr_zero(from_last) - r - k * (lookahead + lanes - 1));
+      distinct |= LowBits(std::countr_zero(from_p) - r + 1) & ~LowBits(lo);
+    }
+    steps &= distinct;
+  }
+  if (steps != 0) return window(h - (63 - std::countl_zero(steps)) / k - 1);
+  return window(h);
+}
 
 AdmissionQueue::AdmissionQueue(const VirtualDiskFrame& frame,
                                const VdiskOccupancy& occupied,
@@ -28,7 +105,7 @@ AdmissionQueue::AdmissionQueue(const VirtualDiskFrame& frame,
       fragmented_lookahead_(fragmented_lookahead),
       degraded_policy_(degraded_policy),
       max_pause_intervals_(max_pause_intervals),
-      failed_(kFailedAdmissionSlots) {
+      waiters_(kWaiterSlots) {
   scratch_taken_.Resize(frame.num_disks());
 }
 
@@ -53,15 +130,13 @@ bool AdmissionQueue::Erase(RequestId id) {
 
 STAGGER_HOT_PATH const AdmissionQueue::Entry* AdmissionQueue::Next(
     std::optional<AdmitPlan>* plan) {
-  // Within a tick a plan depends on the entry only through its (start
-  // disk, degree, parity), and on scheduler state only an admission or
-  // a give-up changes: disk health changes between ticks, and the
-  // fragmented plan's scratch is clear after every attempt.  So a key
-  // that failed fails again until the next admission or give-up, which
-  // starts a new pass_; entries sharing a failed key are skipped,
-  // paused remainders included.  No entry from the cursor on is done: the
-  // pass steps past each one it admits, and erases them all before it
-  // goes back to the head.  The entries do not move within one call.
+  // A plan depends on the entry only through its (start disk, degree,
+  // parity), and a failed one leaves its key's waiter, which skips the
+  // key's entries, paused remainders included, while its wait holds.
+  // No entry from the cursor on is done: the pass steps past each one it
+  // admits, and erases them all before it goes back to the head.  The
+  // entries do not move within one call, and no virtual disk is freed.
+  const int64_t frees = occupied_.frees();
   for (auto it = entries_.begin() + static_cast<std::ptrdiff_t>(cursor_);
        it != entries_.end(); ++it) {
     Entry& e = *it;
@@ -78,7 +153,6 @@ STAGGER_HOT_PATH const AdmissionQueue::Entry* AdmissionQueue::Next(
         --paused_;
         std::erase_if(entries_, [](const Entry& x) { return x.done; });
         cursor_ = 0;
-        ++pass_;
         plan->reset();
         return &given_up_;
       }
@@ -87,11 +161,11 @@ STAGGER_HOT_PATH const AdmissionQueue::Entry* AdmissionQueue::Next(
     const int32_t shape = req.degree * 2 + (req.parity ? 1 : 0);
     const uint32_t hash = static_cast<uint32_t>(req.start_disk) * 0x9E3779B1u ^
                           static_cast<uint32_t>(shape) * 0x85EBCA77u;
-    static_assert(kFailedAdmissionSlots == 256);
-    FailedAdmission& failed = failed_[hash >> 24];
-    const bool known_to_fail = failed.pass == pass_ &&
-                               failed.start_disk == req.start_disk &&
-                               failed.shape == shape;
+    static_assert(kWaiterSlots == 256);
+    Waiter& waiter = waiters_[hash >> 24];
+    const bool known_to_fail = waiter.start_disk == req.start_disk &&
+                               waiter.shape == shape &&
+                               StillFails(&waiter, frees);
 #ifndef STAGGER_AUDIT
     if (known_to_fail && !e.paused()) continue;
 #endif
@@ -100,22 +174,27 @@ STAGGER_HOT_PATH const AdmissionQueue::Entry* AdmissionQueue::Next(
     if (known_to_fail) {
 #ifdef STAGGER_AUDIT
       STAGGER_CHECK(!PlanAdmission(stripe).has_value())
-          << "request " << e.id << " skipped as a failed key would start";
+          << "request " << e.id << " skipped by its key's waiter would start"
+          << " at interval " << t_;
 #endif
     } else if (!e.paused() || !FirstRowUnreadable(stripe, e.first_row)) {
       // (An unreadable first row fails the attempt without a plan, and
-      // the key stays unrecorded.)
+      // leaves no waiter.)
       std::optional<AdmitPlan> planned = PlanAdmission(stripe);
       if (planned.has_value()) {
         *plan = std::move(planned);
-        // The admission changes the occupancy: a new pass.
-        ++pass_;
         if (e.paused()) --paused_;
         e.done = true;
         cursor_ = static_cast<size_t>(it - entries_.begin()) + 1;
         return &e;
       }
-      failed = FailedAdmission{pass_, req.start_disk, shape};
+      int32_t v0 = stripe.first - rotation_;
+      if (v0 < 0) v0 += frame_.num_disks();
+      const PlanWait wait = WaitAfterFailedPlan(
+          occupied_, t_, v0, req.degree,
+          policy_ == AdmissionPolicy::kFragmented ? fragmented_lookahead_ : 0);
+      waiter = Waiter{wait.wake, frees, req.start_disk, shape, wait.first,
+                      wait.len};
     }
     // A failed attempt grows the backoff, so max_pause_intervals can
     // give up a remainder that only a repair would let through.

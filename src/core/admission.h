@@ -18,10 +18,21 @@
 // requests (resumed displays have priority), and an entry that cannot
 // start blocks none behind it (the paper's Figure 3: "idle time
 // intervals would be used to service the new request").
+//
+// Nearly every plan fails, and a failed plan fails again until the
+// frame's rotation brings free virtual disks under the stripe or a disk
+// it looked at is freed.  So a failed plan leaves a waiter for its key
+// (start disk, degree, parity): the interval at which it can next
+// succeed on the occupancy it saw (WaitAfterFailedPlan) and the window
+// of virtual disks it reads until then.  Entries with the key are
+// skipped until that interval, or until a disk of the window is freed
+// (VdiskOccupancy::FreedSince).  Audit builds plan every skipped entry
+// and check that it fails.
 
 #ifndef STAGGER_CORE_ADMISSION_H_
 #define STAGGER_CORE_ADMISSION_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -82,6 +93,49 @@ struct DisplayRequest {
   /// fragment on the disk after the stripe (kReconstruct eligibility).
   bool parity = false;
 };
+
+/// \brief How long a failed plan must keep failing.  On the occupancy it
+/// saw, no plan for the key succeeds before interval `wake`, and until
+/// then the plans read only the virtual disks of the window [first,
+/// first + len) (mod D, vdisk order; len = D is every disk).  Taking a
+/// disk only removes candidates, so the wait holds until `wake` or until
+/// a disk of the window is freed.
+struct PlanWait {
+  int64_t wake = 0;
+  int32_t first = 0;
+  int32_t len = 0;
+};
+
+/// WaitAfterFailedPlan when one step's window fits the word (H >= 1).
+PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
+                         int32_t degree, int64_t lookahead);
+
+/// The wait of a plan, for a stripe of `degree` fragments whose first
+/// fragment lies under virtual disk `v0` at interval `t`, that failed at
+/// `t` against `occupied`.  `lookahead` is the largest alignment delay a
+/// lane may take: the configured one under kFragmented, 0 under
+/// kContiguous.
+///
+/// Each interval moves every candidate virtual disk by -k, so the
+/// candidates of the next H intervals lie in one window of k(H + L) + M
+/// virtual disks, L the lookahead; H is the largest horizon that fits
+/// the window in one 64-bit word of the occupancy.  The wake is the
+/// first step s in [1, H] at which every lane has a free candidate and
+/// each run of lanes k apart (one orbit block's neighbours) has as many
+/// free candidates as lanes, or t + H + 1 when none does; these are
+/// necessary conditions of a plan, whatever the disks' health.  When not
+/// even H = 1 fits, the wait covers interval t alone, and any free ends
+/// it.
+inline PlanWait WaitAfterFailedPlan(const VdiskOccupancy& occupied, int64_t t,
+                                    int32_t v0, int32_t degree,
+                                    int64_t lookahead) {
+  const int32_t d = occupied.frame().num_disks();
+  if (lookahead >= 64 || occupied.frame().stride() * (lookahead + 1) + degree >
+                             std::min(64, d)) {
+    return PlanWait{t + 1, 0, d};
+  }
+  return WaitOverHorizon(occupied, t, v0, degree, lookahead);
+}
 
 /// The lanes a request would take if admitted now.
 struct AdmitPlan {
@@ -147,7 +201,6 @@ class AdmissionQueue {
     t_ = t;
     rotation_ = frame_.RotationAt(t);
     cursor_ = 0;
-    ++pass_;
   }
   /// Runs the pass to its next decision: the entry to admit with
   /// `*plan` (valid until the queue next changes), or, with `*plan`
@@ -159,16 +212,30 @@ class AdmissionQueue {
  private:
   friend class InvariantAuditor;
 
-  /// A request key whose plan failed while pass_ was `pass` (pass_
-  /// grows at each tick, admission and give-up).
-  struct FailedAdmission {
-    int64_t pass = 0;
-    int32_t start_disk = 0;
+  /// A request key whose plan failed, and its PlanWait.
+  struct Waiter {
+    int64_t wake = 0;
+    int64_t frees = 0;  ///< occupied_.frees() when last known to fail
+    int32_t start_disk = -1;
     int32_t shape = 0;  ///< degree * 2 + parity
+    int32_t first = 0;  ///< the PlanWait window
+    int32_t len = 0;
   };
   /// Direct-mapped: a collision only evicts a key, which is then
   /// planned again.
-  static constexpr size_t kFailedAdmissionSlots = 256;
+  static constexpr size_t kWaiterSlots = 256;
+
+  /// True while `w`'s wait holds at interval t_ with `frees` frees so
+  /// far; refreshes its free count, so the next entry with its key checks
+  /// no older free.
+  bool StillFails(Waiter* w, int64_t frees) {
+    if (t_ >= w->wake) return false;
+    if (w->frees != frees) {
+      if (occupied_.FreedSince(w->frees, w->first, w->len)) return false;
+      w->frees = frees;
+    }
+    return true;
+  }
 
   /// Plans `stripe` under the configured policy without changing any
   /// state; nullopt when it cannot start now.  The outcome depends only
@@ -206,9 +273,8 @@ class AdmissionQueue {
   int64_t t_ = 0;
   int32_t rotation_ = 0;
   size_t cursor_ = 0;
-  /// The failed-key table's epoch, and the keys that failed in it.
-  int64_t pass_ = 0;
-  std::vector<FailedAdmission> failed_;
+  /// The waiters of the keys whose plans failed.
+  std::vector<Waiter> waiters_;
   /// Virtual disks tentatively taken by earlier lanes of one fragmented
   /// plan, in orbit order; the orbit positions listed in
   /// scratch_taken_bits_ are cleared after each attempt.

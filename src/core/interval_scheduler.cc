@@ -173,7 +173,7 @@ int32_t IntervalScheduler::AllocSlot() {
     return slot;
   }
   slots_.emplace_back();
-  coalesce_misses_.push_back(-1);
+  coalesce_misses_.emplace_back();
   return static_cast<int32_t>(slots_.size()) - 1;
 }
 
@@ -274,7 +274,7 @@ void IntervalScheduler::AdmitStream(const AdmissionQueue::Entry& p,
   s.epoch = next_epoch_++;
   s.parity = p.req.parity;
   s.resumed_mid_display = p.started;
-  coalesce_misses_[static_cast<size_t>(slot)] = -1;
+  coalesce_misses_[static_cast<size_t>(slot)] = CoalesceMiss{};
 
   for (const FragmentLane& lane : s.lanes) {
     for (int32_t f = 0, v = lane.vdisk; f < lane.width;
@@ -398,21 +398,21 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // The walk takes scratch_due_ merged with coalescing_ (both sorted by
   // id), each stream once, in ascending id.  A stream of coalescing_
   // that is not due otherwise is visited only when the walk reaches it
-  // with a virtual disk freed since its last coalescing miss, by a
-  // lower-id stream earlier in this walk included: the visits in which
-  // a walk of every stream would have its search run, and elsewhere
-  // that walk's visit changes nothing.  While no virtual disk has been
-  // freed since a walk that left every miss current, the walk passes
-  // over coalescing_ until its first free.  No admissions run inside
-  // this loop, so slots_ is stable and index-based iteration is safe; a
-  // visit changes coalescing_ only at its own stream's entry.
-  const int64_t walk_frees = vdisk_frees_;
-  bool pass_over = vdisk_frees_ == coalescing_current_;
+  // with a virtual disk of its last coalescing miss's window freed since
+  // that miss, by a lower-id stream earlier in this walk included: the
+  // visits in which a walk of every stream would have its search find a
+  // disk, and elsewhere that walk's visit changes nothing.  While no
+  // virtual disk has been freed since a walk that left every miss
+  // current, the walk passes over coalescing_ until its first free.  No
+  // admissions run inside this loop, so slots_ is stable and index-based
+  // iteration is safe; a visit changes coalescing_ only at its own
+  // stream's entry.
+  const int64_t walk_frees = vdisk_occupied_.frees();
+  bool pass_over = walk_frees == coalescing_current_;
 #ifdef STAGGER_AUDIT
   if (pass_over) {
     for (const auto& [cid, cslot] : coalescing_) {
-      STAGGER_CHECK(coalesce_misses_[static_cast<size_t>(cslot)] ==
-                    vdisk_frees_)
+      STAGGER_CHECK(MissCurrent(cslot))
           << "steady stream " << cid << " passed over with a stale miss";
       CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
     }
@@ -425,21 +425,21 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
 #ifdef STAGGER_AUDIT
   // The stream whose visit made the walk's last free, and the count then.
   StreamId last_freer = kNoStream;
-  int64_t frees_seen = vdisk_frees_;
+  int64_t frees_seen = walk_frees;
 #endif
   for (;;) {
 #ifdef STAGGER_AUDIT
-    if (vdisk_frees_ != frees_seen) {
+    if (vdisk_occupied_.frees() != frees_seen) {
       last_freer = last_id;
-      frees_seen = vdisk_frees_;
+      frees_seen = vdisk_occupied_.frees();
     }
 #endif
     if (coalescing_.size() != coalescing_seen ||
-        (pass_over && vdisk_frees_ != walk_frees)) {
+        (pass_over && vdisk_occupied_.frees() != walk_frees)) {
       // The stream visited last joined or left coalescing_, or freed the
       // first virtual disk of the walk.
       coalescing_seen = coalescing_.size();
-      pass_over = pass_over && vdisk_frees_ == walk_frees;
+      pass_over = pass_over && vdisk_occupied_.frees() == walk_frees;
       next_coalescing =
           pass_over ? coalescing_seen : UpperBound(coalescing_, last_id);
     }
@@ -451,7 +451,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         (!more_due ||
          coalescing_[next_coalescing].id < scratch_due_[next_due].id)) {
       const auto [cid, cslot] = coalescing_[next_coalescing++];
-      if (coalesce_misses_[static_cast<size_t>(cslot)] == vdisk_frees_) {
+      if (MissHolds(cslot)) {
 #ifdef STAGGER_AUDIT
         CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
 #endif
@@ -586,9 +586,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         LeaveSteady(&s, due.slot);
       }
     } else if (tau >= s.delta_max &&
-               (!config_.coalesce || !s.fragmented ||
-                coalesce_misses_[static_cast<size_t>(due.slot)] ==
-                    vdisk_frees_) &&
+               (!config_.coalesce || !s.fragmented || MissHolds(due.slot)) &&
                std::all_of(s.lanes.begin(), s.lanes.end(),
                            [&](const FragmentLane& l) {
                              return !l.released() &&
@@ -596,7 +594,8 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
                            })) {
       // Every lane read this interval and none has finished, output
       // runs, and no coalescing search can succeed before a virtual disk
-      // is freed: each lane reads at its offset from here on.
+      // of its window is freed: each lane reads at its offset from here
+      // on.
       EnterSteady(&s, due.slot);
     }
   }
@@ -604,12 +603,15 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // The steady streams the walk did not visit read at their offsets.
   if (listener != nullptr) ReportSteadyReads(interval_index_, 1);
 #ifdef STAGGER_AUDIT
-  if (vdisk_frees_ != frees_seen) last_freer = last_id;
+  if (vdisk_occupied_.frees() != frees_seen) last_freer = last_id;
   // The walk visited every stream of coalescing_ above its last free
-  // whose miss was stale, so each of them holds a current one.
+  // whose miss was stale, so each of them holds a current one.  (A
+  // stream that pauses, no longer steady, leaves coalescing_ below; a
+  // lane it finished before its failed read may have freed a disk.)
   for (const auto& [cid, cslot] : coalescing_) {
     STAGGER_CHECK(cid < last_freer ||
-                  coalesce_misses_[static_cast<size_t>(cslot)] == vdisk_frees_)
+                  !slots_[static_cast<size_t>(cslot)].steady ||
+                  MissCurrent(cslot))
         << "steady stream " << cid << " passed over with a stale miss after"
         << " the free of stream " << last_freer;
   }
@@ -617,7 +619,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // With no free in the walk, it left every stream of coalescing_
   // current: visited with a stale miss (its search missing again, as no
   // lane could migrate), or passed over with a current one.
-  if (vdisk_frees_ == walk_frees) coalescing_current_ = vdisk_frees_;
+  if (vdisk_occupied_.frees() == walk_frees) coalescing_current_ = walk_frees;
 
   for (StreamId id : scratch_to_pause_) PauseStream(id);
   scratch_to_pause_.clear();
@@ -896,8 +898,8 @@ void IntervalScheduler::SyncSteadyCursors(Stream* s) {
 }
 
 STAGGER_HOT_PATH std::optional<IntervalScheduler::CoalesceMove>
-IntervalScheduler::FindCoalesceMove(const Stream& s, bool* miss_holds) const {
-  *miss_holds = false;
+IntervalScheduler::FindCoalesceMove(const Stream& s,
+                                    CoalesceMiss* miss) const {
   const int64_t tau = s.Tau(interval_index_);
   // Pick the lane with the largest lead (biggest buffer backlog).  A
   // fragmented stream's lanes are one fragment wide, so lane j carries
@@ -936,7 +938,22 @@ IntervalScheduler::FindCoalesceMove(const Stream& s, bool* miss_holds) const {
   // No free disk, or none that shrinks the buffer.
   if (!found.has_value() ||
       found->second - lane.reads_done <= lane.offset()) {
-    *miss_holds = all_reading;
+    if (all_reading) {
+      // The scan's c-th candidate, virtual disk VirtualOf(target, t +
+      // max_resume - tau) + c*k, resumes at max_resume - c, which shrinks
+      // the buffer only for c < pick_lead; the scan stops at c = P or
+      // past max_resume - tau.  The window runs from the first of those
+      // candidates to the last, and holds no other disk for k = 1.
+      const int64_t slack = max_resume - tau;
+      const int64_t width = std::min<int64_t>(
+          {pick_lead, slack + 1, frame_.period()});
+      const int32_t d = frame_.num_disks();
+      *miss = CoalesceMiss{
+          vdisk_occupied_.frees(),
+          frame_.VirtualOf(target, interval_index_ + slack),
+          static_cast<int32_t>(std::min<int64_t>(
+              width <= 0 ? 0 : (width - 1) * config_.stride + 1, d))};
+    }
     return std::nullopt;
   }
   return CoalesceMove{pick, found->first, found->second};
@@ -951,18 +968,18 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
   // fixed, so the same lane is picked, and its search asks the same
   // question: the target and its virtual disk both advance by k, and
   // the resume window and the delay to beat stay put.  A lane stops
-  // reading only by finishing or migrating, both of which free a disk,
-  // and taking a disk only removes candidates.  So a search that failed
-  // with every lane reading fails again until a virtual disk is freed.
-  int64_t& miss = coalesce_misses_[static_cast<size_t>(slot)];
-  const bool known_to_fail = miss == vdisk_frees_;
+  // reading only by finishing or migrating, both of which drop the
+  // stream's record, and taking a disk only removes candidates.  So a
+  // search that failed with every lane reading fails again until a
+  // virtual disk of the window it scanned is freed.
+  const bool known_to_fail = MissHolds(slot);
 #ifndef STAGGER_AUDIT
   if (known_to_fail) return false;
 #endif
-  bool miss_holds = false;
-  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss_holds);
+  CoalesceMiss miss;
+  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss);
   if (!move.has_value()) {
-    if (miss_holds) miss = vdisk_frees_;
+    if (!known_to_fail) coalesce_misses_[static_cast<size_t>(slot)] = miss;
     return false;
   }
 #ifdef STAGGER_AUDIT
@@ -980,8 +997,8 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
                  s->first_row + lane.reads_done, faulty);
   }
 
-  // Migrate: release the old disk now; reads resume on the new one.
-  ++vdisk_frees_;
+  // Migrate: release the old disk now; reads resume on the new one.  (The
+  // search ran, so the stream holds no recorded miss.)
   vdisk_slot_[static_cast<size_t>(lane.vdisk)] = kNoSlot;
   vdisk_occupied_.Clear(lane.vdisk);
   vdisk_slot_[static_cast<size_t>(move->vdisk)] = slot;
@@ -1001,12 +1018,24 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
   return true;
 }
 
+bool IntervalScheduler::MissHolds(int32_t slot) {
+  CoalesceMiss& miss = coalesce_misses_[static_cast<size_t>(slot)];
+  miss.frees = MissCurrent(slot) ? vdisk_occupied_.frees() : -1;
+  return miss.frees >= 0;
+}
+
+bool IntervalScheduler::MissCurrent(int32_t slot) const {
+  const CoalesceMiss& miss = coalesce_misses_[static_cast<size_t>(slot)];
+  return miss.frees >= 0 &&
+         !vdisk_occupied_.FreedSince(miss.frees, miss.first, miss.len);
+}
+
 void IntervalScheduler::CheckSkippedSearch(Stream* s) {
   // A steady stream's stored cursors may be set to any interval's closed
   // form: set them to the state its visit would start from.
   SyncSteadyCursors(s);
-  bool miss_holds = false;
-  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss_holds);
+  CoalesceMiss miss;
+  const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss);
   STAGGER_CHECK(!move.has_value())
       << "steady stream " << s->id << " lane " << move->lane
       << ": a coalescing search skipped as failing finds virtual disk "
@@ -1053,9 +1082,11 @@ void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
   // nothing between intervals, so shrinking it keeps the buffer count.
   STAGGER_DCHECK(count > 0 && count <= lane->width &&
                  (count == lane->width || lane->reads_done == s.delivered));
-  ++vdisk_frees_;
   const int32_t d = frame_.num_disks();
   int32_t v = lane->vdisk;
+  // The stream's search picks among its other lanes from here on.
+  coalesce_misses_[static_cast<size_t>(vdisk_slot_[static_cast<size_t>(v)])] =
+      CoalesceMiss{};
   for (int32_t f = 0; f < count; ++f, v = v + 1 == d ? 0 : v + 1) {
     STAGGER_DCHECK(vdisk_slot_[static_cast<size_t>(v)] != kNoSlot &&
                    slots_[static_cast<size_t>(

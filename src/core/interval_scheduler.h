@@ -17,9 +17,9 @@
 // coalescing search missed.  The tick reserves all steady reads in one
 // rotated word pass and visits a steady stream only at its calendar
 // events (its first read, and its earliest lane's last read) and, under
-// Algorithm 2, when a virtual disk freed since its search could let a
-// lane migrate — exactly the visits where the walk of every stream in
-// ascending id would change anything.
+// Algorithm 2, when a virtual disk freed since its search lies in the
+// window that search read, so a lane could migrate — exactly the visits
+// where the walk of every stream in ascending id would change anything.
 //
 // Quiet runs.  While nothing is queued or paused, every stream is steady,
 // no fragment is buffered, the array is healthy, and no idle hook is
@@ -325,14 +325,30 @@ class IntervalScheduler {
     int32_t vdisk;
     int64_t resume;
   };
+  /// A coalescing search that missed with every unfinished lane reading.
+  /// While the lanes keep reading it asks the same question each
+  /// interval, so it misses again until a virtual disk of its window
+  /// [first, first + len) (mod D, vdisk order) is freed, or the stream
+  /// releases a lane, which drops the record.
+  struct CoalesceMiss {
+    /// vdisk_occupied_.frees() when last known to miss; -1 when no miss
+    /// is recorded.
+    int64_t frees = -1;
+    int32_t first = 0;
+    int32_t len = 0;
+  };
   /// Algorithm 2's search for stream `s` at this interval, on its stored
   /// cursors: the lane with the largest lead and the free virtual disk
   /// with the latest safe resume, when that shrinks the lane's buffer.
-  /// Sets `*miss_holds` when it searched and missed with every
-  /// unfinished lane reading: then it misses again until a virtual disk
-  /// is freed.
+  /// Fills `*miss` when it searched and missed with every unfinished lane
+  /// reading.
   std::optional<CoalesceMove> FindCoalesceMove(const Stream& s,
-                                               bool* miss_holds) const;
+                                               CoalesceMiss* miss) const;
+  /// True while the coalescing miss recorded for `slot` holds; moves its
+  /// free count up to now, so its next check reads only later frees.
+  bool MissHolds(int32_t slot);
+  /// The same test, leaving the record as it is.
+  bool MissCurrent(int32_t slot) const;
   /// Algorithm 2 for stream `s`, held in `slot`: at most one lane
   /// migration.  A steady stream's migrating lane gives back its read
   /// of this interval (physical disk = virtual + `rot`).  True when a
@@ -340,7 +356,8 @@ class IntervalScheduler {
   bool TryCoalesce(Stream* s, int32_t slot, int32_t rot,
                    const FaultySlots& faulty);
   /// Audit builds: the coalescing search of steady stream `s`, skipped
-  /// because no virtual disk was freed since its last miss, misses.
+  /// because no virtual disk of its window was freed since its last
+  /// miss, misses.
   void CheckSkippedSearch(Stream* s);
   /// Moves non-steady stream `s` (in `slot`), whose lanes all read at
   /// fixed offsets from here on, onto the steady path.
@@ -404,11 +421,10 @@ class IntervalScheduler {
   /// slot, sorted by id; unsteady_ is the same map restricted to the
   /// streams not steady, the ones the tick visits every interval.
   std::vector<Stream> slots_;
-  /// Per slot: vdisk_frees_ at its stream's last coalescing search that
-  /// found no better disk while every lane was reading, or -1.  Kept
-  /// beside slots_ rather than in Stream, whose size the admission and
-  /// teardown costs follow.
-  std::vector<int64_t> coalesce_misses_;
+  /// Per slot: its stream's recorded coalescing miss.  Kept beside
+  /// slots_ rather than in Stream, whose size the admission and teardown
+  /// costs follow.
+  std::vector<CoalesceMiss> coalesce_misses_;
   std::vector<int32_t> free_slots_;
   std::vector<StreamSlot> active_;
   std::vector<StreamSlot> unsteady_;
@@ -424,9 +440,6 @@ class IntervalScheduler {
   std::vector<CalendarEvent> calendar_;
   /// Next Stream::epoch.
   int64_t next_epoch_ = 0;
-  /// Virtual-disk frees so far (lane releases and migrations): a
-  /// coalescing search that failed can succeed only after one.
-  int64_t vdisk_frees_ = 0;
   /// The displays awaiting admission.
   AdmissionQueue admission_;
   /// Next request handle.  An admitted request's stream takes the
@@ -466,11 +479,11 @@ class IntervalScheduler {
   // Last, so the members above keep their offsets: the tick's timings
   // move with member offsets alone (docs/performance.md §20).
   /// active_ restricted to the steady streams still fragmented under
-  /// Algorithm 2, which the tick visits when their coalescing miss goes
-  /// stale.
+  /// Algorithm 2, which the tick visits when a virtual disk of their
+  /// coalescing miss's window is freed.
   std::vector<StreamSlot> coalescing_;
-  /// vdisk_frees_ at the end of the last walk that left every stream of
-  /// coalescing_ with a current miss, or -1.
+  /// vdisk_occupied_.frees() at the end of the last walk that left every
+  /// stream of coalescing_ with a current miss, or -1.
   int64_t coalescing_current_ = -1;
 };
 

@@ -15,6 +15,7 @@
 #ifndef STAGGER_CORE_VIRTUAL_DISK_H_
 #define STAGGER_CORE_VIRTUAL_DISK_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -158,8 +159,17 @@ class VirtualDiskFrame {
 /// views that always agree bit for bit: vdisk order, for contiguous
 /// admission's window test, and orbit order (VirtualDiskFrame::OrbitPos),
 /// for the Algorithm 1-2 searches.
+///
+/// It also logs the frees.  A search that failed can succeed later only
+/// once a virtual disk it looked at is freed (taking a disk only removes
+/// candidates), so a failed search records the free count and the
+/// window of virtual disks it depends on, and asks FreedSince before it
+/// runs again.
 class VdiskOccupancy {
  public:
+  /// Frees remembered by the log; an older one reads as "freed".
+  static constexpr int32_t kFreeLog = 64;
+
   explicit VdiskOccupancy(const VirtualDiskFrame& frame)
       : frame_(frame), by_vdisk_(frame.num_disks()),
         by_orbit_(frame.num_disks()) {}
@@ -172,6 +182,8 @@ class VdiskOccupancy {
   void Clear(int32_t v) {
     by_vdisk_.Clear(v);
     by_orbit_.Clear(frame_.OrbitPos(v));
+    freed_[static_cast<uint64_t>(frees_) % kFreeLog] = v;
+    ++frees_;
   }
 
   /// True when no virtual disk in [start, start + len) (mod D) is
@@ -181,12 +193,34 @@ class VdiskOccupancy {
   }
   int32_t CountSet() const { return by_vdisk_.CountSet(); }
 
+  const VirtualDiskFrame& frame() const { return frame_; }
+  const Bitmap& by_vdisk() const { return by_vdisk_; }
   const Bitmap& by_orbit() const { return by_orbit_; }
+
+  /// Virtual disks freed so far.
+  int64_t frees() const { return frees_; }
+  /// True when a virtual disk of the window [first, first + len)
+  /// (mod D, vdisk order; len >= D is every disk) was freed after the
+  /// free count read `since`, or when more than kFreeLog frees followed
+  /// it and the log no longer tells.
+  bool FreedSince(int64_t since, int32_t first, int32_t len) const {
+    if (frees_ - since > kFreeLog) return true;
+    const int32_t d = frame_.num_disks();
+    for (int64_t i = since; i < frees_; ++i) {
+      int32_t offset = freed_[static_cast<uint64_t>(i) % kFreeLog] - first;
+      if (offset < 0) offset += d;
+      if (offset < len) return true;
+    }
+    return false;
+  }
 
  private:
   VirtualDiskFrame frame_;
   Bitmap by_vdisk_;
   Bitmap by_orbit_;
+  int64_t frees_ = 0;
+  /// The last kFreeLog frees: free i is freed_[i % kFreeLog].
+  std::array<int32_t, kFreeLog> freed_{};
 };
 
 }  // namespace stagger

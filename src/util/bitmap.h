@@ -168,6 +168,18 @@ class Bitmap {
     return RangeClear(start, size_) && RangeClear(0, len - tail);
   }
 
+  /// The bits of the modular window [start, start + len) (mod size) as
+  /// one word: bit i is bit start + i.  len in [0, min(64, size)].
+  STAGGER_HOT_PATH uint64_t WindowBits(int32_t start, int32_t len) const {
+    STAGGER_DCHECK(start >= 0 && start < size_);
+    STAGGER_DCHECK(len >= 0 && len <= std::min(64, size_));
+    if (len == 0) return 0;
+    const int32_t tail = size_ - start;
+    uint64_t bits = BitsFrom(start);
+    if (len > tail) bits |= BitsFrom(0) << tail;
+    return len == 64 ? bits : bits & ((uint64_t{1} << len) - 1);
+  }
+
   // --- masked ring scans ------------------------------------------------
   //
   // The ring is the block of `n` bits [base, base + n) read cyclically;

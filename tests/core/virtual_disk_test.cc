@@ -123,5 +123,73 @@ TEST(VirtualDiskFrameTest, FrameIsBijectiveAtEveryInterval) {
   }
 }
 
+// The free log answers "was a virtual disk of this window freed since
+// count c?" exactly while it holds every free since c.
+TEST(VdiskOccupancyFreeLogTest, ExactWindowHitOrMiss) {
+  auto frame = VirtualDiskFrame::Create(100, 1);
+  ASSERT_TRUE(frame.ok());
+  VdiskOccupancy occupied(*frame);
+  for (int32_t v = 30; v < 50; ++v) occupied.Set(v);
+  const int64_t before = occupied.frees();
+  occupied.Clear(40);
+  EXPECT_EQ(occupied.frees(), before + 1);
+  EXPECT_TRUE(occupied.FreedSince(before, 40, 1));
+  EXPECT_TRUE(occupied.FreedSince(before, 36, 5));   // 36..40
+  EXPECT_FALSE(occupied.FreedSince(before, 35, 5));  // 35..39
+  EXPECT_FALSE(occupied.FreedSince(before, 41, 5));
+  EXPECT_FALSE(occupied.FreedSince(before, 0, 0));
+  EXPECT_TRUE(occupied.FreedSince(before, 0, 100));
+  // Nothing was freed after the free itself.
+  EXPECT_FALSE(occupied.FreedSince(occupied.frees(), 0, 100));
+  // A disk taken again after its free still counts as freed.
+  occupied.Set(40);
+  EXPECT_TRUE(occupied.FreedSince(before, 40, 1));
+}
+
+// A window that wraps past the last virtual disk, asked of a log whose
+// slots have wrapped past their 64th free.  With k = 2 the frame has two
+// orbit blocks; the window is in vdisk order whatever the block.
+TEST(VdiskOccupancyFreeLogTest, WindowWrapsTheDisksAndTheLog) {
+  auto frame = VirtualDiskFrame::Create(64, 2);
+  ASSERT_TRUE(frame.ok());
+  VdiskOccupancy occupied(*frame);
+  for (int32_t v = 0; v < 64; ++v) occupied.Set(v);
+  // 70 frees of disk 20 fill the log and wrap it.
+  for (int32_t i = 0; i < 70; ++i) {
+    occupied.Clear(20);
+    occupied.Set(20);
+  }
+  const int64_t since = occupied.frees();
+  occupied.Clear(63);
+  occupied.Clear(1);
+  EXPECT_TRUE(occupied.FreedSince(since, 62, 4));   // 62, 63, 0, 1
+  EXPECT_TRUE(occupied.FreedSince(since, 63, 1));
+  EXPECT_TRUE(occupied.FreedSince(since, 60, 6));   // 60..63, 0, 1
+  EXPECT_FALSE(occupied.FreedSince(since, 2, 60));  // 2..61
+  EXPECT_FALSE(occupied.FreedSince(since, 60, 3));  // 60..62
+  EXPECT_FALSE(occupied.FreedSince(since, 0, 1));
+  // The frees of disk 20 before `since` are in the log, but not asked.
+  EXPECT_FALSE(occupied.FreedSince(since, 20, 1));
+  EXPECT_TRUE(occupied.FreedSince(since - 1, 20, 1));
+}
+
+// Once more than kFreeLog frees follow the count, the log cannot tell
+// and reports the window freed.
+TEST(VdiskOccupancyFreeLogTest, OverflowReportsFreed) {
+  auto frame = VirtualDiskFrame::Create(1000, 1);
+  ASSERT_TRUE(frame.ok());
+  VdiskOccupancy occupied(*frame);
+  occupied.Set(900);
+  const int64_t since = occupied.frees();
+  for (int32_t i = 0; i < VdiskOccupancy::kFreeLog; ++i) {
+    occupied.Clear(900);
+    occupied.Set(900);
+  }
+  EXPECT_FALSE(occupied.FreedSince(since, 0, 100));
+  occupied.Clear(900);
+  EXPECT_TRUE(occupied.FreedSince(since, 0, 100));
+  EXPECT_FALSE(occupied.FreedSince(since + 1, 0, 100));
+}
+
 }  // namespace
 }  // namespace stagger

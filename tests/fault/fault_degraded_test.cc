@@ -371,6 +371,37 @@ TEST_F(DegradedSchedulerTest, AdmissionWaitsForDownStripeDisk) {
   EXPECT_EQ(sched_->metrics().streams_paused, 0);
 }
 
+// A degraded drive flips its availability at each interval close with no
+// health notification.  A queued request whose first stripe holds it is
+// refused while it is off duty and starts on its next on-duty interval.
+// Disk 2 at 25% serves from interval 4 on, every fourth interval.  A
+// and B share the key (start disk 1, degree 2): A starts at interval 4
+// and finishes there; B, refused at 4 by A's disks, starts at 8.
+TEST_F(DegradedSchedulerTest, AdmissionStartsOnDegradedDiskDutyInterval) {
+  Init(8, 1, DegradedPolicy::kRemapOrPause);
+  FaultPlan plan;
+  plan.DegradeAt(2, SimTime::Zero(), SimTime::Hours(1), 25);
+  Inject(plan);
+
+  Probe a;
+  Probe b;
+  Request(0, 1, 2, 1, &a);
+  Request(1, 1, 2, 1, &b);
+
+  sim_.RunUntil(kInterval * 3 + SimTime::Millis(1));
+  EXPECT_FALSE(a.started);
+  EXPECT_EQ(sched_->pending_requests(), 2u);
+
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_TRUE(a.started);
+  EXPECT_EQ(a.latency, kInterval * 4);
+  EXPECT_TRUE(b.started);
+  EXPECT_EQ(b.latency, kInterval * 8);
+  EXPECT_TRUE(a.completed && b.completed);
+  EXPECT_EQ(sched_->metrics().degraded_reads, 0);
+  EXPECT_EQ(sched_->metrics().streams_paused, 0);
+}
+
 // ---------------------------------------------------------------------
 // kReconstruct: the lost fragment is re-derived from the stripe's
 // parity fragment, read in the same interval.
