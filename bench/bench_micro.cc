@@ -141,6 +141,45 @@ void BM_SchedulerIntervalTickQuiet(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerIntervalTickQuiet)->Arg(200);
 
+// A queue that cannot start: 200 endless contiguous displays (k = M = 5)
+// hold all of D = 1000 virtual disks, and `queued` more requests for 16
+// titles (16 start disks) wait behind them.  Every failed plan's key
+// waits out its window (no free comes) and wakes at its horizon, 12
+// intervals on, when the pass plans its first entry and the rest of
+// the key waits on unvisited: the tick costs the same whatever the
+// queue's length.  (Each distinct key still plans once per wake, so a
+// queue of N distinct keys plans about N/12 times per tick.)  The
+// admission tick runs before the timed region.
+void BM_SchedulerIntervalTickQueued(benchmark::State& state) {
+  const int32_t queued = static_cast<int32_t>(state.range(0));
+  size_t pending = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    auto disks = DiskArray::Create(1000, DiskParameters::Evaluation());
+    SchedulerConfig config;
+    config.stride = 5;
+    config.interval = SimTime::Millis(605);
+    auto sched = IntervalScheduler::Create(&sim, &*disks, config);
+    for (int32_t i = 0; i < 200 + queued; ++i) {
+      DisplayRequest req;
+      req.object = i;
+      req.degree = 5;
+      req.start_disk = i < 200 ? i * 5 : (i % 16) * 61 + 3;
+      req.num_subobjects = 1 << 20;  // effectively endless
+      (void)(*sched)->Submit(std::move(req));
+    }
+    sim.RunUntil(SimTime::Zero());  // the admission tick
+    state.ResumeTiming();
+    sim.RunUntil(SimTime::Millis(605) * 256);  // 256 intervals
+    pending = (*sched)->pending_requests();
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetLabel("intervals; D=1000 k=5 streams=200 queued=" +
+                 std::to_string(pending));
+}
+BENCHMARK(BM_SchedulerIntervalTickQueued)->Arg(16)->Arg(256);
+
 // The same load on a faulty array: four failed slots and three disks
 // carrying latent cells over every row the run reads, under
 // kReconstruct with parity.  Lanes over clean disks keep their

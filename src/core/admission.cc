@@ -37,12 +37,15 @@ uint64_t FoldDown(uint64_t x, int64_t step, int64_t w, Op op) {
 
 }  // namespace
 
-PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
-                         int32_t degree, int64_t lookahead) {
+PlanWait WaitAfterFailedPlan(const VdiskOccupancy& occupied, int64_t t,
+                             int32_t v0, int32_t degree, int64_t lookahead) {
   const int32_t d = occupied.frame().num_disks();
   const int64_t k = occupied.frame().stride();
   const int64_t m = degree;
   const int64_t word = std::min(64, d);
+  if (lookahead >= 64 || k * (lookahead + 1) + m > word) {
+    return PlanWait{t + 1, 0, d};  // not even H = 1 fits
+  }
   // The plans of steps [0, s_last] read the lanes' candidates
   // v0 + j - k*e, j in [0, M), e in [0, s_last + L]: the window that
   // ends at v0 + M - 1.
@@ -96,7 +99,7 @@ PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
 }
 
 AdmissionQueue::AdmissionQueue(const VirtualDiskFrame& frame,
-                               const VdiskOccupancy& occupied,
+                               VdiskOccupancy& occupied,
                                const DiskArray& disks, AdmissionPolicy policy,
                                int64_t fragmented_lookahead,
                                DegradedPolicy degraded_policy,
@@ -104,106 +107,213 @@ AdmissionQueue::AdmissionQueue(const VirtualDiskFrame& frame,
     : frame_(frame), occupied_(occupied), disks_(disks), policy_(policy),
       fragmented_lookahead_(fragmented_lookahead),
       degraded_policy_(degraded_policy),
-      max_pause_intervals_(max_pause_intervals),
-      waiters_(kWaiterSlots) {
+      max_pause_intervals_(max_pause_intervals) {
+  chains_.fill(-1);
+  wheel_.fill(-1);
   scratch_taken_.Resize(frame.num_disks());
+}
+
+AdmissionQueue::~AdmissionQueue() {
+  for (int32_t w = 0; w < static_cast<int32_t>(waits_.size()); ++w) Unwatch(w);
+}
+
+void AdmissionQueue::Push(Entry entry) {
+  // A new key's entry joins the next pass; one of a waiting key waits
+  // with it, since its plan must fail too.
+  entry.order = next_order_++;
+  const DisplayRequest& r = entry.req;
+  const int64_t key = int64_t{r.start_disk} << 32 | r.degree * 2 | r.parity;
+  int32_t w = *Chain(key);
+  while (w >= 0 && W(w).key != key) w = W(w).next;
+  if (w < 0) w = NewWait(key);
+  if (Append(w, entry) == W(w).head) End(w);
 }
 
 void AdmissionQueue::PushPaused(Entry entry, int64_t t) {
   entry.paused_at_interval = t;
   entry.retry_at_interval = t + kRetryBackoffIntervals;
   entry.backoff = kRetryBackoffIntervals;
-  entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(paused_),
-                  entry);
+  entry.order = next_order_++ - (int64_t{1} << 62);  // ahead of the rest
+  const int32_t w = NewWait(-1);
+  Append(w, entry);
+  OnWheel(w, entry.retry_at_interval);
   ++paused_;
 }
 
 bool AdmissionQueue::Erase(RequestId id) {
-  // Called between passes, or from a give-up's listener, after the pass
-  // erased its done entries and went back to the head.
-  auto it = std::ranges::find(entries_, id, &Entry::id);
-  if (it == entries_.end()) return false;
-  if (it->paused()) --paused_;
-  entries_.erase(it);
-  return true;
+  // Called between passes, or from a give-up's listener.
+  for (int32_t e = 0; e < static_cast<int32_t>(pool_.size()); ++e) {
+    if (E(e).wait < 0 || E(e).id != id) continue;
+    Take(e);
+    return true;
+  }
+  return false;
+}
+
+int32_t AdmissionQueue::Append(int32_t w, const Entry& entry) {
+  if (free_entry_ < 0) {
+    free_entry_ = static_cast<int32_t>(pool_.size());
+    pool_.emplace_back();
+  }
+  const int32_t e = std::exchange(free_entry_, E(free_entry_).next);
+  E(e) = entry;
+  E(e).wait = w;
+  E(e).next = -1;
+  (W(w).tail >= 0 ? E(W(w).tail).next : W(w).head) = e;
+  W(w).tail = e;
+  ++size_;
+  return e;
+}
+
+int32_t AdmissionQueue::NewWait(int64_t key) {
+  if (free_ < 0) {
+    free_ = static_cast<int32_t>(waits_.size());
+    waits_.emplace_back();
+  }
+  const int32_t w = std::exchange(free_, W(free_).next);
+  W(w).key = key;
+  W(w).next = std::exchange(*Chain(key), w);
+  return w;
+}
+
+void AdmissionQueue::Unwatch(int32_t w) {
+  if (W(w).watch.len >= 0) occupied_.Remove(W(w).watch);
+  W(w).watch.len = -1;
+}
+
+void AdmissionQueue::Arm(int32_t w, const Stripe& stripe) {
+  int32_t v0 = stripe.first - rotation_;
+  if (v0 < 0) v0 += frame_.num_disks();
+  const PlanWait wait = WaitAfterFailedPlan(
+      occupied_, t_, v0, stripe.degree,
+      policy_ == AdmissionPolicy::kFragmented ? fragmented_lookahead_ : 0);
+  // A wait that ends with this pass needs no watch (the frees a pass
+  // sees, a give-up listener's, come before its first fresh plan), nor
+  // the wheel: the pass fails keys in queue order, so next_pass_ stays
+  // sorted.
+  if (wait.wake == t_ + 1) {
+    next_pass_.emplace_back(E(W(w).head).order, w);
+    return;
+  }
+  OnWheel(w, wait.wake);
+  occupied_.Add(W(w).watch = {this, w, wait.first, wait.len});
+}
+
+void AdmissionQueue::OnWheel(int32_t w, int64_t at) {
+  Unwheel(w);
+  Wait& wait = W(w);
+  wait.wheel_at = at;
+  wait.wheel_prev = -1;
+  wait.wheel_next = std::exchange(Slot(at), w);
+  if (wait.wheel_next >= 0) W(wait.wheel_next).wheel_prev = w;
+}
+
+void AdmissionQueue::Unwheel(int32_t w) {
+  Wait& wait = W(w);
+  if (wait.wheel_at < 0) return;
+  (wait.wheel_prev >= 0 ? W(wait.wheel_prev).wheel_next
+                        : Slot(wait.wheel_at)) = wait.wheel_next;
+  if (wait.wheel_next >= 0) W(wait.wheel_next).wheel_prev = wait.wheel_prev;
+  wait.wheel_at = -1;
+}
+
+void AdmissionQueue::End(int32_t w) {
+  Unwatch(w);
+  Unwheel(w);
+  const std::pair<int64_t, int32_t> turn{E(W(w).head).order, w};
+  woken_.insert(std::upper_bound(woken_.begin() + next_woken_, woken_.end(),
+                                 turn),
+                turn);
+}
+
+void AdmissionQueue::Take(int32_t e) {
+  const int32_t w = E(e).wait;
+  Wait& wait = W(w);
+  if (E(e).paused()) --paused_;
+  --size_;
+  int32_t prev = -1;
+  for (int32_t i = wait.head; i != e; i = E(i).next) prev = i;
+  (prev >= 0 ? E(prev).next : wait.head) = E(e).next;
+  if (wait.tail == e) wait.tail = prev;
+  E(e).wait = -1;
+  E(e).next = std::exchange(free_entry_, e);
+  if (wait.head >= 0) {
+    if (prev < 0 && wait.wheel_at < 0) End(w);  // the next takes its turn
+    return;
+  }
+  // The record goes off its key's chain to the free list.
+  Unwatch(w);
+  Unwheel(w);
+  int32_t* link = Chain(wait.key);
+  while (*link != w) link = &W(*link).next;
+  *link = wait.next;
+  wait.next = std::exchange(free_, w);
+}
+
+void AdmissionQueue::BeginPass(int64_t t) {
+  t_ = t;
+  rotation_ = frame_.RotationAt(t);
+  // The keys the last pass failed for one interval join this one.
+  woken_.insert(woken_.end(), next_pass_.begin(), next_pass_.end());
+  std::inplace_merge(woken_.begin(), woken_.end() - std::ssize(next_pass_),
+                     woken_.end());
+  next_pass_.clear();
+  // Every queued entry has a Wait, and a pass runs at every interval
+  // while one does, so each slot is emptied at its interval.
+  while (Slot(t) >= 0) End(Slot(t));
 }
 
 STAGGER_HOT_PATH const AdmissionQueue::Entry* AdmissionQueue::Next(
     std::optional<AdmitPlan>* plan) {
-  // A plan depends on the entry only through its (start disk, degree,
-  // parity), and a failed one leaves its key's waiter, which skips the
-  // key's entries, paused remainders included, while its wait holds.
-  // No entry from the cursor on is done: the pass steps past each one it
-  // admits, and erases them all before it goes back to the head.  The
-  // entries do not move within one call, and no virtual disk is freed.
-  const int64_t frees = occupied_.frees();
-  for (auto it = entries_.begin() + static_cast<std::ptrdiff_t>(cursor_);
-       it != entries_.end(); ++it) {
-    Entry& e = *it;
-    if (e.paused()) {
-      if (t_ < e.retry_at_interval) continue;
-      if (max_pause_intervals_ > 0 &&
-          t_ - e.paused_at_interval > max_pause_intervals_) {
-        // Give up: the viewer's display is interrupted for good.  The
-        // scheduler tells the owner, who may submit or cancel entries,
-        // so the pass goes on from the head, where every entry left
-        // before this one waits out its backoff.
-        given_up_ = e;
-        e.done = true;
-        --paused_;
-        std::erase_if(entries_, [](const Entry& x) { return x.done; });
-        cursor_ = 0;
-        plan->reset();
-        return &given_up_;
-      }
+  // A plan depends on the entry only through its key, so the pass takes
+  // the first entry of each ended Wait in queue order: a paused
+  // remainder, or a key's first entry, after which the key's next entry
+  // takes its turn if it started, and the key waits with all its
+  // entries if it failed.  (A paused remainder plans on its own.)  No
+  // virtual disk is freed within one call.
+  while (next_woken_ < static_cast<std::ptrdiff_t>(woken_.size())) {
+    const auto [order, w] = woken_[static_cast<size_t>(next_woken_++)];
+    Wait& wait = W(w);
+    if (wait.wheel_at >= 0 || wait.head < 0 || E(wait.head).order != order) {
+      continue;  // stale
     }
-    const DisplayRequest& req = e.req;
-    const int32_t shape = req.degree * 2 + (req.parity ? 1 : 0);
-    const uint32_t hash = static_cast<uint32_t>(req.start_disk) * 0x9E3779B1u ^
-                          static_cast<uint32_t>(shape) * 0x85EBCA77u;
-    static_assert(kWaiterSlots == 256);
-    Waiter& waiter = waiters_[hash >> 24];
-    const bool known_to_fail = waiter.start_disk == req.start_disk &&
-                               waiter.shape == shape &&
-                               StillFails(&waiter, frees);
-#ifndef STAGGER_AUDIT
-    if (known_to_fail && !e.paused()) continue;
-#endif
-    const Stripe stripe = Stripe::At(frame_.num_disks(), req.start_disk,
-                                     req.degree, req.parity);
-    if (known_to_fail) {
-#ifdef STAGGER_AUDIT
-      STAGGER_CHECK(!PlanAdmission(stripe).has_value())
-          << "request " << e.id << " skipped by its key's waiter would start"
-          << " at interval " << t_;
-#endif
-    } else if (!e.paused() || !FirstRowUnreadable(stripe, e.first_row)) {
-      // (An unreadable first row fails the attempt without a plan, and
-      // leaves no waiter.)
-      std::optional<AdmitPlan> planned = PlanAdmission(stripe);
-      if (planned.has_value()) {
-        *plan = std::move(planned);
-        if (e.paused()) --paused_;
-        e.done = true;
-        cursor_ = static_cast<size_t>(it - entries_.begin()) + 1;
-        return &e;
-      }
-      int32_t v0 = stripe.first - rotation_;
-      if (v0 < 0) v0 += frame_.num_disks();
-      const PlanWait wait = WaitAfterFailedPlan(
-          occupied_, t_, v0, req.degree,
-          policy_ == AdmissionPolicy::kFragmented ? fragmented_lookahead_ : 0);
-      waiter = Waiter{wait.wake, frees, req.start_disk, shape, wait.first,
-                      wait.len};
+    Entry& e = E(wait.head);
+    const Stripe stripe = StripeOf(e.req);
+    // Give up on a remainder paused too long: the viewer's display is
+    // interrupted for good.  The scheduler tells the owner, who may
+    // submit or cancel entries; the pass goes on with those and with the
+    // keys their frees woke, ahead of this one's position included.
+    const bool give_up = e.paused() && max_pause_intervals_ > 0 &&
+                         t_ - e.paused_at_interval > max_pause_intervals_;
+    plan->reset();
+    // (An unreadable first row fails the attempt without a plan.)
+    if (!give_up && (!e.paused() || !FirstRowUnreadable(stripe, e.first_row))) {
+      *plan = PlanAdmission(stripe);
+      if (!plan->has_value() && !e.paused()) Arm(w, stripe);
+    }
+    if (give_up || plan->has_value()) {
+      decided_ = e;
+      Take(wait.head);
+      return &decided_;
     }
     // A failed attempt grows the backoff, so max_pause_intervals can
     // give up a remainder that only a repair would let through.
     if (e.paused()) {
       e.backoff = std::min(e.backoff * 2, kMaxRetryBackoffIntervals);
       e.retry_at_interval = t_ + e.backoff;
+      OnWheel(w, e.retry_at_interval);
     }
   }
-  std::erase_if(entries_, [](const Entry& x) { return x.done; });
+  woken_.clear();
+  next_woken_ = 0;
+#ifdef STAGGER_AUDIT
+  for (const Entry& e : pool_) {
+    STAGGER_CHECK(e.wait < 0 || e.paused() ||
+                  !PlanAdmission(StripeOf(e.req)).has_value())
+        << "request " << e.id << " left waiting would start at interval "
+        << t_;
+  }
+#endif
   return nullptr;
 }
 

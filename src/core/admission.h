@@ -21,18 +21,23 @@
 //
 // Nearly every plan fails, and a failed plan fails again until the
 // frame's rotation brings free virtual disks under the stripe or a disk
-// it looked at is freed.  So a failed plan leaves a waiter for its key
-// (start disk, degree, parity): the interval at which it can next
-// succeed on the occupancy it saw (WaitAfterFailedPlan) and the window
-// of virtual disks it reads until then.  Entries with the key are
-// skipped until that interval, or until a disk of the window is freed
-// (VdiskOccupancy::FreedSince).  Audit builds plan every skipped entry
-// and check that it fails.
+// it looked at is freed.  So a failed plan makes its key (start disk,
+// degree, parity) wait with all its entries, on a wheel of 128 slots
+// until the interval at which it can next succeed (WaitAfterFailedPlan),
+// or until a disk of the window it reads until then is freed
+// (VdiskOccupancy::Watch; a wait that ends at the next pass needs
+// neither, and joins that pass directly); paused remainders wait out
+// their backoff on the same wheel.
+// A pass visits, in queue order, only the first entries of the new keys
+// and of those whose wait ended, and the due paused remainders:
+// O(woken + fresh + due) per tick, not O(queue).  Audit builds plan
+// every entry left waiting.
 
 #ifndef STAGGER_CORE_ADMISSION_H_
 #define STAGGER_CORE_ADMISSION_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -106,10 +111,6 @@ struct PlanWait {
   int32_t len = 0;
 };
 
-/// WaitAfterFailedPlan when one step's window fits the word (H >= 1).
-PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
-                         int32_t degree, int64_t lookahead);
-
 /// The wait of a plan, for a stripe of `degree` fragments whose first
 /// fragment lies under virtual disk `v0` at interval `t`, that failed at
 /// `t` against `occupied`.  `lookahead` is the largest alignment delay a
@@ -126,16 +127,8 @@ PlanWait WaitOverHorizon(const VdiskOccupancy& occupied, int64_t t, int32_t v0,
 /// necessary conditions of a plan, whatever the disks' health.  When not
 /// even H = 1 fits, the wait covers interval t alone, and any free ends
 /// it.
-inline PlanWait WaitAfterFailedPlan(const VdiskOccupancy& occupied, int64_t t,
-                                    int32_t v0, int32_t degree,
-                                    int64_t lookahead) {
-  const int32_t d = occupied.frame().num_disks();
-  if (lookahead >= 64 || occupied.frame().stride() * (lookahead + 1) + degree >
-                             std::min(64, d)) {
-    return PlanWait{t + 1, 0, d};
-  }
-  return WaitOverHorizon(occupied, t, v0, degree, lookahead);
-}
+PlanWait WaitAfterFailedPlan(const VdiskOccupancy& occupied, int64_t t,
+                             int32_t v0, int32_t degree, int64_t lookahead);
 
 /// The lanes a request would take if admitted now.
 struct AdmitPlan {
@@ -145,9 +138,9 @@ struct AdmitPlan {
 };
 
 /// \brief The displays awaiting admission and Algorithm 1's planning.
-/// It reads the scheduler's occupancy and the array's health and changes
-/// neither: the scheduler carries out each decision of Next.
-class AdmissionQueue {
+/// It reads the scheduler's occupancy (watching it for frees) and the
+/// array's health: the scheduler carries out each decision of Next.
+class AdmissionQueue : private FreeWatcher {
  public:
   /// A display awaiting admission: a fresh request, or the undelivered
   /// remainder of a sought or paused stream.
@@ -169,72 +162,62 @@ class AdmissionQueue {
     /// True when the display had delivered subobjects before; suppresses
     /// the duplicate OnStarted / startup-latency sample.
     bool started = false;
-    /// Set when the pass admits or gives up the entry, which it erases
-    /// at its end or before it reports the give-up.
-    bool done = false;
+    int64_t order = 0;  ///< queue position; paused remainders' are < 0
+    int32_t wait = -1;  ///< its key's Wait; -1 while off the queue
+    int32_t next = -1;  ///< the Wait's next entry, or the next free one
 
     bool paused() const { return paused_at_interval >= 0; }
   };
 
   /// `occupied` (the scheduler's) and `disks` must outlive the queue;
   /// the other parameters are the SchedulerConfig fields of their names.
-  AdmissionQueue(const VirtualDiskFrame& frame, const VdiskOccupancy& occupied,
+  AdmissionQueue(const VirtualDiskFrame& frame, VdiskOccupancy& occupied,
                  const DiskArray& disks, AdmissionPolicy policy,
                  int64_t fragmented_lookahead, DegradedPolicy degraded_policy,
                  int64_t max_pause_intervals);
+  ~AdmissionQueue();
 
   /// Queues a fresh request or a sought remainder at the tail.
-  void Push(const Entry& entry) { entries_.push_back(entry); }
+  void Push(Entry entry);
   /// Queues the remainder of a stream paused in interval `t` behind the
   /// remainders paused before it; its first retry comes at t + 1.
   void PushPaused(Entry entry, int64_t t);
   /// Removes waiting entry `id`; false when no entry has it.
   bool Erase(RequestId id);
 
-  bool empty() const { return entries_.empty(); }
+  bool empty() const { return size_ == 0; }
   /// Entries that are not paused remainders.
-  size_t queued() const { return entries_.size() - paused_; }
+  size_t queued() const { return size_ - paused_; }
   size_t paused() const { return paused_; }
 
-  /// Starts interval `t`'s pass.
-  void BeginPass(int64_t t) {
-    t_ = t;
-    rotation_ = frame_.RotationAt(t);
-    cursor_ = 0;
-  }
+  /// Starts interval `t`'s pass: the waits due then end.
+  void BeginPass(int64_t t);
   /// Runs the pass to its next decision: the entry to admit with
-  /// `*plan` (valid until the queue next changes), or, with `*plan`
-  /// empty, a copy of a paused display given up for good and already
-  /// off the queue.  Null when the pass ended; entries queued meanwhile
-  /// are reached in it.
+  /// `*plan`, or, with `*plan` empty, a paused display given up for
+  /// good; a copy, valid until the next call, of an entry already off
+  /// the queue.  Null when the pass ended; entries queued meanwhile, and
+  /// those a free woke meanwhile, are reached in it.
   const Entry* Next(std::optional<AdmitPlan>* plan);
 
  private:
   friend class InvariantAuditor;
 
-  /// A request key whose plan failed, and its PlanWait.
-  struct Waiter {
-    int64_t wake = 0;
-    int64_t frees = 0;  ///< occupied_.frees() when last known to fail
-    int32_t start_disk = -1;
-    int32_t shape = 0;  ///< degree * 2 + parity
-    int32_t first = 0;  ///< the PlanWait window
-    int32_t len = 0;
-  };
-  /// Direct-mapped: a collision only evicts a key, which is then
-  /// planned again.
-  static constexpr size_t kWaiterSlots = 256;
+  static constexpr int64_t kWheel = 128;  ///< every wake is within 64
 
-  /// True while `w`'s wait holds at interval t_ with `frees` frees so
-  /// far; refreshes its free count, so the next entry with its key checks
-  /// no older free.
-  bool StillFails(Waiter* w, int64_t frees) {
-    if (t_ >= w->wake) return false;
-    if (w->frees != frees) {
-      if (occupied_.FreedSince(w->frees, w->first, w->len)) return false;
-      w->frees = frees;
-    }
-    return true;
+  /// One key's entries in queue order, or one paused remainder; while
+  /// it waits, no plan of the key succeeds before its wake.
+  struct Wait {
+    int32_t head = -1;  ///< its entries in queue order, linked by next
+    int32_t tail = -1;
+    int64_t wheel_at = -1;  ///< its wake while it waits, else -1
+    int32_t wheel_prev = -1;  ///< its neighbours on the wheel's slot
+    int32_t wheel_next = -1;
+    int64_t key = -1;  ///< (start disk, degree, parity); -1: paused
+    int32_t next = -1;  ///< the next Wait on its chain or the free list
+    VdiskOccupancy::Watch watch{nullptr, 0, 0, -1};  ///< on while len >= 0
+  };
+  Stripe StripeOf(const DisplayRequest& r) const {
+    return Stripe::At(frame_.num_disks(), r.start_disk, r.degree, r.parity);
   }
 
   /// Plans `stripe` under the configured policy without changing any
@@ -256,25 +239,60 @@ class AdmissionQueue {
   /// refused admission.
   bool FirstRowUnreadable(const Stripe& stripe, int64_t row) const;
 
+  int32_t NewWait(int64_t key);  ///< a free record, now `key`'s
+  int32_t* Chain(int64_t key) {  // the chain's head: 128 chains
+    return &chains_[static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15u >> 57];
+  }
+  void Unwatch(int32_t w);
+  /// Makes key `w`, whose plan of `stripe` failed, wait.
+  void Arm(int32_t w, const Stripe& stripe);
+  Wait& W(int32_t w) { return waits_[static_cast<size_t>(w)]; }
+  Entry& E(int32_t e) { return pool_[static_cast<size_t>(e)]; }
+  /// Queues `entry` behind Wait `w`'s; returns its pool index.
+  int32_t Append(int32_t w, const Entry& entry);
+  int32_t& Slot(int64_t at) {
+    return wheel_[static_cast<size_t>(at % kWheel)];
+  }
+  void OnWheel(int32_t w, int64_t at);  ///< until interval `at`
+  void Unwheel(int32_t w);  ///< off the wheel, if on it
+  /// Ends Wait `w` (at its wake, by a free, or new): its first entry
+  /// joins the pass in its turn.
+  void End(int32_t w);
+  void Woken(int32_t w) override { End(w); }
+  /// Takes entry `e` off the queue; its Wait is free once it holds none.
+  void Take(int32_t e);
+
   VirtualDiskFrame frame_;
-  const VdiskOccupancy& occupied_;
+  VdiskOccupancy& occupied_;
   const DiskArray& disks_;
   AdmissionPolicy policy_;
   int64_t fragmented_lookahead_;
   DegradedPolicy degraded_policy_;
   int64_t max_pause_intervals_;
 
-  /// The paused remainders (the first paused_ entries), then the rest.
-  std::vector<Entry> entries_;
+  /// Every waiting entry, and free ones, chained from free_entry_.
+  std::vector<Entry> pool_;
+  int32_t free_entry_ = -1;
+  std::vector<Wait> waits_;
+  /// The keys' Waits, chained by the key's hash, and the free Waits.
+  std::array<int32_t, 128> chains_;
+  int32_t free_ = -1;
+  size_t size_ = 0;
   size_t paused_ = 0;
-  /// The display Next gave up last.
-  Entry given_up_;
-  /// The pass's interval, the frame's rotation then, and its next entry.
+  int64_t next_order_ = 0;
+  /// Slot at % kWheel: the first of the Waits that end at `at`, linked
+  /// through wheel_next.
+  std::array<int32_t, kWheel> wheel_;
+  /// The ended Waits by their first entry's position (or one since
+  /// left), sorted from next_woken_, the pass's next, on.
+  std::vector<std::pair<int64_t, int32_t>> woken_;
+  std::ptrdiff_t next_woken_ = 0;
+  /// The keys failed in this pass that plan again in the next.
+  std::vector<std::pair<int64_t, int32_t>> next_pass_;
+  Entry decided_;
+  /// The pass's interval and the frame's rotation then.
   int64_t t_ = 0;
   int32_t rotation_ = 0;
-  size_t cursor_ = 0;
-  /// The waiters of the keys whose plans failed.
-  std::vector<Waiter> waiters_;
   /// Virtual disks tentatively taken by earlier lanes of one fragmented
   /// plan, in orbit order; the orbit positions listed in
   /// scratch_taken_bits_ are cleared after each attempt.

@@ -395,78 +395,39 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   // after the loop, before the pause / finish fix-ups below read the
   // member.
   int64_t buffered_delta = 0;
-  // The walk takes scratch_due_ merged with coalescing_ (both sorted by
-  // id), each stream once, in ascending id.  A stream of coalescing_
-  // that is not due otherwise is visited only when the walk reaches it
-  // with a virtual disk of its last coalescing miss's window freed since
-  // that miss, by a lower-id stream earlier in this walk included: the
-  // visits in which a walk of every stream would have its search find a
-  // disk, and elsewhere that walk's visit changes nothing.  While no
-  // virtual disk has been freed since a walk that left every miss
-  // current, the walk passes over coalescing_ until its first free.  No
-  // admissions run inside this loop, so slots_ is stable and index-based
-  // iteration is safe; a visit changes coalescing_ only at its own
-  // stream's entry.
-  const int64_t walk_frees = vdisk_occupied_.frees();
-  bool pass_over = walk_frees == coalescing_current_;
+  // The walk takes scratch_due_ merged with stale_ (both sorted by id),
+  // each stream once, in ascending id.  A stream of stale_ not due
+  // otherwise is visited only because a free, by a lower-id stream
+  // earlier in this walk included, ended its coalescing miss: the visits
+  // in which a walk of every stream would have its search find a disk.
+  // No admissions run inside this loop, so slots_ is stable.
 #ifdef STAGGER_AUDIT
-  if (pass_over) {
-    for (const auto& [cid, cslot] : coalescing_) {
-      STAGGER_CHECK(MissCurrent(cslot))
-          << "steady stream " << cid << " passed over with a stale miss";
-      CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
-    }
+  // The searches of the streams the walk passes over miss.
+  for (const auto& [cid, cslot] : active_) {
+    Stream& c = slots_[static_cast<size_t>(cslot)];
+    if (c.steady && MissWatched(cslot)) CheckSkippedSearch(&c);
   }
 #endif
   size_t next_due = 0;
-  size_t next_coalescing = pass_over ? coalescing_.size() : 0;
-  size_t coalescing_seen = coalescing_.size();
   StreamId last_id = kNoStream;
-#ifdef STAGGER_AUDIT
-  // The stream whose visit made the walk's last free, and the count then.
-  StreamId last_freer = kNoStream;
-  int64_t frees_seen = walk_frees;
-#endif
   for (;;) {
-#ifdef STAGGER_AUDIT
-    if (vdisk_occupied_.frees() != frees_seen) {
-      last_freer = last_id;
-      frees_seen = vdisk_occupied_.frees();
-    }
-#endif
-    if (coalescing_.size() != coalescing_seen ||
-        (pass_over && vdisk_occupied_.frees() != walk_frees)) {
-      // The stream visited last joined or left coalescing_, or freed the
-      // first virtual disk of the walk.
-      coalescing_seen = coalescing_.size();
-      pass_over = pass_over && vdisk_occupied_.frees() == walk_frees;
-      next_coalescing =
-          pass_over ? coalescing_seen : UpperBound(coalescing_, last_id);
-    }
+    const size_t next_stale = UpperBound(stale_, last_id);
     const bool more_due = next_due < scratch_due_.size();
+    const bool more_stale = next_stale < stale_.size();
     StreamSlot due;
     // Set when only the stream's stale coalescing miss makes it due.
     bool stale_miss = false;
-    if (next_coalescing < coalescing_.size() &&
-        (!more_due ||
-         coalescing_[next_coalescing].id < scratch_due_[next_due].id)) {
-      const auto [cid, cslot] = coalescing_[next_coalescing++];
-      if (MissHolds(cslot)) {
-#ifdef STAGGER_AUDIT
-        CheckSkippedSearch(&slots_[static_cast<size_t>(cslot)]);
-#endif
-        continue;
-      }
-      due = StreamSlot{cid, cslot};
+    if (more_stale &&
+        (!more_due || stale_[next_stale].id < scratch_due_[next_due].id)) {
+      due = stale_[next_stale];
       stale_miss = true;
     } else if (more_due) {
       due = scratch_due_[next_due++];
-      if (next_coalescing < coalescing_.size() &&
-          coalescing_[next_coalescing].id == due.id) {
-        ++next_coalescing;
-      }
     } else {
       break;
+    }
+    if (more_stale && stale_[next_stale].id == due.id) {
+      stale_.erase(stale_.begin() + static_cast<std::ptrdiff_t>(next_stale));
     }
     const StreamId id = due.id;
     last_id = id;
@@ -586,7 +547,7 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
         LeaveSteady(&s, due.slot);
       }
     } else if (tau >= s.delta_max &&
-               (!config_.coalesce || !s.fragmented || MissHolds(due.slot)) &&
+               (!config_.coalesce || !s.fragmented || MissWatched(due.slot)) &&
                std::all_of(s.lanes.begin(), s.lanes.end(),
                            [&](const FragmentLane& l) {
                              return !l.released() &&
@@ -602,24 +563,6 @@ STAGGER_HOT_PATH void IntervalScheduler::AdvanceStreams() {
   buffered_fragments_ += buffered_delta;
   // The steady streams the walk did not visit read at their offsets.
   if (listener != nullptr) ReportSteadyReads(interval_index_, 1);
-#ifdef STAGGER_AUDIT
-  if (vdisk_occupied_.frees() != frees_seen) last_freer = last_id;
-  // The walk visited every stream of coalescing_ above its last free
-  // whose miss was stale, so each of them holds a current one.  (A
-  // stream that pauses, no longer steady, leaves coalescing_ below; a
-  // lane it finished before its failed read may have freed a disk.)
-  for (const auto& [cid, cslot] : coalescing_) {
-    STAGGER_CHECK(cid < last_freer ||
-                  !slots_[static_cast<size_t>(cslot)].steady ||
-                  MissCurrent(cslot))
-        << "steady stream " << cid << " passed over with a stale miss after"
-        << " the free of stream " << last_freer;
-  }
-#endif
-  // With no free in the walk, it left every stream of coalescing_
-  // current: visited with a stale miss (its search missing again, as no
-  // lane could migrate), or passed over with a current one.
-  if (vdisk_occupied_.frees() == walk_frees) coalescing_current_ = walk_frees;
 
   for (StreamId id : scratch_to_pause_) PauseStream(id);
   scratch_to_pause_.clear();
@@ -949,7 +892,6 @@ IntervalScheduler::FindCoalesceMove(const Stream& s,
           {pick_lead, slack + 1, frame_.period()});
       const int32_t d = frame_.num_disks();
       *miss = CoalesceMiss{
-          vdisk_occupied_.frees(),
           frame_.VirtualOf(target, interval_index_ + slack),
           static_cast<int32_t>(std::min<int64_t>(
               width <= 0 ? 0 : (width - 1) * config_.stride + 1, d))};
@@ -972,14 +914,17 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
   // stream's record, and taking a disk only removes candidates.  So a
   // search that failed with every lane reading fails again until a
   // virtual disk of the window it scanned is freed.
-  const bool known_to_fail = MissHolds(slot);
+  const bool known_to_fail = MissWatched(slot);
 #ifndef STAGGER_AUDIT
   if (known_to_fail) return false;
 #endif
   CoalesceMiss miss;
   const std::optional<CoalesceMove> move = FindCoalesceMove(*s, &miss);
   if (!move.has_value()) {
-    if (!known_to_fail) coalesce_misses_[static_cast<size_t>(slot)] = miss;
+    if (!known_to_fail && miss.len >= 0) {
+      coalesce_misses_[static_cast<size_t>(slot)] = miss;
+      vdisk_occupied_.Add({this, slot, miss.first, miss.len});
+    }
     return false;
   }
 #ifdef STAGGER_AUDIT
@@ -1018,16 +963,10 @@ STAGGER_HOT_PATH bool IntervalScheduler::TryCoalesce(
   return true;
 }
 
-bool IntervalScheduler::MissHolds(int32_t slot) {
-  CoalesceMiss& miss = coalesce_misses_[static_cast<size_t>(slot)];
-  miss.frees = MissCurrent(slot) ? vdisk_occupied_.frees() : -1;
-  return miss.frees >= 0;
-}
-
-bool IntervalScheduler::MissCurrent(int32_t slot) const {
-  const CoalesceMiss& miss = coalesce_misses_[static_cast<size_t>(slot)];
-  return miss.frees >= 0 &&
-         !vdisk_occupied_.FreedSince(miss.frees, miss.first, miss.len);
+void IntervalScheduler::Woken(int32_t slot) {
+  coalesce_misses_[static_cast<size_t>(slot)] = CoalesceMiss{};
+  const Stream& s = slots_[static_cast<size_t>(slot)];
+  if (s.steady) InsertSorted(&stale_, s.id, slot);
 }
 
 void IntervalScheduler::CheckSkippedSearch(Stream* s) {
@@ -1047,9 +986,6 @@ void IntervalScheduler::EnterSteady(Stream* s, int32_t slot) {
   s->steady = true;
   s->epoch = next_epoch_++;
   EraseSorted(&unsteady_, s->id);
-  if (config_.coalesce && s->fragmented) {
-    InsertSorted(&coalescing_, s->id, slot);
-  }
   MarkReading(*s);
   // Its reads are under way; the lane with the smallest offset reads
   // the last row first, and the closed form ends there.
@@ -1064,7 +1000,7 @@ void IntervalScheduler::LeaveSteady(Stream* s, int32_t slot) {
   // Its queued event goes stale with the steady flag.
   s->steady = false;
   InsertSorted(&unsteady_, s->id, slot);
-  EraseSorted(&coalescing_, s->id);
+  EraseSorted(&stale_, s->id);
   const int32_t d = frame_.num_disks();
   for (const FragmentLane& lane : s->lanes) {
     if (lane.released()) continue;
@@ -1085,8 +1021,10 @@ void IntervalScheduler::ReleaseLane(const Stream& s, FragmentLane* lane,
   const int32_t d = frame_.num_disks();
   int32_t v = lane->vdisk;
   // The stream's search picks among its other lanes from here on.
-  coalesce_misses_[static_cast<size_t>(vdisk_slot_[static_cast<size_t>(v)])] =
-      CoalesceMiss{};
+  const int32_t slot = vdisk_slot_[static_cast<size_t>(v)];
+  CoalesceMiss& miss = coalesce_misses_[static_cast<size_t>(slot)];
+  if (miss.len >= 0) vdisk_occupied_.Remove({this, slot, miss.first, miss.len});
+  miss = CoalesceMiss{};
   for (int32_t f = 0; f < count; ++f, v = v + 1 == d ? 0 : v + 1) {
     STAGGER_DCHECK(vdisk_slot_[static_cast<size_t>(v)] != kNoSlot &&
                    slots_[static_cast<size_t>(
@@ -1117,7 +1055,7 @@ void IntervalScheduler::FinishStream(StreamId id, bool completed) {
   s.lanes.clear();
   EraseSorted(&active_, id);
   EraseSorted(&unsteady_, id);
-  EraseSorted(&coalescing_, id);
+  EraseSorted(&stale_, id);
   free_slots_.push_back(slot);
   if (completed) {
     ++metrics_.displays_completed;

@@ -129,7 +129,7 @@ struct StreamSlot {
 };
 
 /// \brief Interval-synchronous scheduler for staggered striping.
-class IntervalScheduler {
+class IntervalScheduler : private FreeWatcher {
  public:
   /// \param sim    simulation kernel; must outlive the scheduler.
   /// \param disks  disk farm (utilization stats); must outlive it.
@@ -267,8 +267,7 @@ class IntervalScheduler {
   /// in one word pass; on a faulty array that pass leaves out the reads
   /// that need the degraded ladder, and the tick visits their streams,
   /// whose lane walks send those reads down the ladder.  A steady stream
-  /// in coalescing_ is visited where the walk reaches its id with its
-  /// coalescing miss stale.
+  /// in stale_ is visited where the walk reaches its id.
   void AdvanceStreams();
   /// Reads lane `lane` of stream `s`, whose first fragment is fragment
   /// `fragment` of the stripe on physical disk `first`, one fragment at
@@ -329,13 +328,10 @@ class IntervalScheduler {
   /// While the lanes keep reading it asks the same question each
   /// interval, so it misses again until a virtual disk of its window
   /// [first, first + len) (mod D, vdisk order) is freed, or the stream
-  /// releases a lane, which drops the record.
+  /// releases a lane, which ends the stream's watch of the window.
   struct CoalesceMiss {
-    /// vdisk_occupied_.frees() when last known to miss; -1 when no miss
-    /// is recorded.
-    int64_t frees = -1;
     int32_t first = 0;
-    int32_t len = 0;
+    int32_t len = -1;  ///< -1: no miss to watch
   };
   /// Algorithm 2's search for stream `s` at this interval, on its stored
   /// cursors: the lane with the largest lead and the free virtual disk
@@ -344,11 +340,14 @@ class IntervalScheduler {
   /// reading.
   std::optional<CoalesceMove> FindCoalesceMove(const Stream& s,
                                                CoalesceMiss* miss) const;
-  /// True while the coalescing miss recorded for `slot` holds; moves its
-  /// free count up to now, so its next check reads only later frees.
-  bool MissHolds(int32_t slot);
-  /// The same test, leaving the record as it is.
-  bool MissCurrent(int32_t slot) const;
+  /// True while the coalescing miss of the stream in `slot` holds: no
+  /// disk of its watched window was freed since.
+  bool MissWatched(int32_t slot) const {
+    return coalesce_misses_[static_cast<size_t>(slot)].len >= 0;
+  }
+  /// A free ended the watch of the stream in `slot`: a steady one waits
+  /// in stale_ for its search.
+  void Woken(int32_t slot) override;
   /// Algorithm 2 for stream `s`, held in `slot`: at most one lane
   /// migration.  A steady stream's migrating lane gives back its read
   /// of this interval (physical disk = virtual + `rot`).  True when a
@@ -421,7 +420,7 @@ class IntervalScheduler {
   /// slot, sorted by id; unsteady_ is the same map restricted to the
   /// streams not steady, the ones the tick visits every interval.
   std::vector<Stream> slots_;
-  /// Per slot: its stream's recorded coalescing miss.  Kept beside
+  /// Per slot: its stream's watched coalescing miss.  Kept beside
   /// slots_ rather than in Stream, whose size the admission and teardown
   /// costs follow.
   std::vector<CoalesceMiss> coalesce_misses_;
@@ -478,13 +477,10 @@ class IntervalScheduler {
 
   // Last, so the members above keep their offsets: the tick's timings
   // move with member offsets alone (docs/performance.md §20).
-  /// active_ restricted to the steady streams still fragmented under
-  /// Algorithm 2, which the tick visits when a virtual disk of their
-  /// coalescing miss's window is freed.
-  std::vector<StreamSlot> coalescing_;
-  /// vdisk_occupied_.frees() at the end of the last walk that left every
-  /// stream of coalescing_ with a current miss, or -1.
-  int64_t coalescing_current_ = -1;
+  /// The steady streams under Algorithm 2 whose coalescing miss a free
+  /// ended, sorted by id: the walk visits those above its position, the
+  /// others the next tick.
+  std::vector<StreamSlot> stale_;
 };
 
 }  // namespace stagger

@@ -324,25 +324,26 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
   }
 
   // unsteady_ lists exactly the active streams the tick visits every
-  // interval, and coalescing_ the steady streams it visits when their
-  // coalescing miss goes stale, in the same order as active_.
+  // interval, in the same order as active_.  A steady stream under
+  // Algorithm 2 waits on its coalescing miss's window, or for its visit
+  // in stale_, which lists only such streams, sorted by id.
   std::vector<StreamSlot> unsteady;
-  std::vector<StreamSlot> coalescing;
+  std::vector<StreamSlot> stale;
   for (const auto& entry : s.active_) {
     const Stream& stream = s.slots_[static_cast<size_t>(entry.slot)];
     if (!stream.steady) {
       unsteady.push_back(entry);
-    } else if (s.config_.coalesce && stream.fragmented) {
-      coalescing.push_back(entry);
+    } else if (s.config_.coalesce && stream.fragmented &&
+               !s.MissWatched(entry.slot)) {
+      stale.push_back(entry);
     }
   }
   STAGGER_AUDIT_VERIFY(unsteady == s.unsteady_)
       << "; " << s.unsteady_.size() << " streams listed non-steady but "
       << unsteady.size() << " active streams are";
-  STAGGER_AUDIT_VERIFY(coalescing == s.coalescing_)
-      << "; " << s.coalescing_.size()
-      << " streams listed steady under Algorithm 2 but " << coalescing.size()
-      << " active streams are";
+  STAGGER_AUDIT_VERIFY(stale == s.stale_)
+      << "; " << s.stale_.size() << " streams listed with a stale miss but "
+      << stale.size() << " steady streams under Algorithm 2 hold none";
 
   // Forward ownership: every active lane owns exactly the virtual disks
   // of its run, and the buffered-fragment count balances.  A
@@ -588,24 +589,33 @@ Status InvariantAuditor::AuditScheduler(const IntervalScheduler& s) {
 
   // No double-scheduling: each live request handle is in exactly one of
   // the admission queue and the active stream table.  The paused
-  // remainders lead the queue, and no pass is under way.
+  // remainders lead the queue, each alone on the wheel for its retry;
+  // every other entry waits with its key, or a free woke the key.
   std::set<RequestId> scheduled;
-  for (size_t i = 0; i < admission.entries_.size(); ++i) {
-    const AdmissionQueue::Entry& entry = admission.entries_[i];
+  size_t paused = 0;
+  for (const AdmissionQueue::Entry& entry : admission.pool_) {
+    if (entry.wait < 0) continue;
+    const AdmissionQueue::Wait& w =
+        admission.waits_[static_cast<size_t>(entry.wait)];
     STAGGER_AUDIT_VERIFY(scheduled.insert(entry.id).second)
         << "; request " << entry.id << " queued twice";
-    STAGGER_AUDIT_VERIFY(entry.req.num_subobjects >= 1 && !entry.done)
-        << "; request " << entry.id
-        << " has an empty remainder or outlived its pass";
-    STAGGER_AUDIT_VERIFY(entry.paused() == (i < admission.paused_))
-        << "; request " << entry.id << " at queue position " << i
-        << (entry.paused() ? " is" : " is not") << " paused, with "
-        << admission.paused_ << " paused remainders leading";
-    STAGGER_AUDIT_VERIFY(!entry.paused() ||
-                         (entry.backoff >= 1 &&
-                          entry.retry_at_interval > entry.paused_at_interval))
-        << "; paused request " << entry.id << " has a degenerate backoff";
+    const bool p = entry.paused();
+    STAGGER_AUDIT_VERIFY(
+        entry.req.num_subobjects >= 1 && p == (entry.order < 0) &&
+        p == (w.key < 0) &&
+        (w.wheel_at < 0 || (w.wheel_at > s.interval_index_ &&
+                            w.wheel_at <= s.interval_index_ + 64)) &&
+        (!p || (entry.backoff >= 1 && w.wheel_at == entry.retry_at_interval)))
+        << "; request " << entry.id << " at queue position " << entry.order
+        << " has an empty remainder, is out of place, or its wait or"
+        << " backoff is stale";
+    paused += p ? 1 : 0;
   }
+  STAGGER_AUDIT_VERIFY(paused == admission.paused_ &&
+                       scheduled.size() == admission.size_)
+      << "; the queue counts " << admission.size_ << " requests, "
+      << admission.paused_ << " paused, but holds " << scheduled.size()
+      << ", " << paused << " paused";
   for (const auto& [id, slot] : s.active_) {
     STAGGER_AUDIT_VERIFY(scheduled.insert(id).second)
         << "; active stream " << id << " is also queued or paused";

@@ -56,6 +56,56 @@ std::optional<int64_t> VirtualDiskFrame::AlignmentDelay(int32_t v, int32_t p,
   return PositiveMod((c / gcd_) * stride_inverse_, m);
 }
 
+template <typename Fn>
+void VdiskOccupancy::ForEachWord(const Watch& w, Fn fn) {
+  // Each word once, from the first's: the words up to the window's end,
+  // counted on past D (where a wrapped window may end in its first word).
+  const int32_t d = frame_.num_disks();
+  const int32_t words = by_vdisk_.num_words();
+  if (by_word_.empty()) by_word_.resize(static_cast<size_t>(words));
+  const int32_t end = w.first + w.len - 1;
+  const int32_t span = (end < d ? end >> 6 : words + ((end - d) >> 6)) -
+                       (w.first >> 6) + 1;
+  for (int32_t n = w.len > 0 ? std::min(span, words) : 0, i = w.first >> 6;
+       n > 0; --n, i = i + 1 == words ? 0 : i + 1) {
+    fn(i, by_word_[static_cast<size_t>(i)]);
+  }
+}
+
+void VdiskOccupancy::Add(const Watch& w) {
+  if (w.len >= frame_.num_disks()) return any_free_.push_back(w);
+  ForEachWord(w, [&](int32_t i, std::vector<Watch>& list) {
+    list.push_back(w);
+    watched_.Set(i);
+  });
+}
+
+void VdiskOccupancy::Remove(const Watch& w) {
+  if (w.len >= frame_.num_disks()) return (void)std::erase(any_free_, w);
+  ForEachWord(w, [&](int32_t i, std::vector<Watch>& list) {
+    std::erase(list, w);
+    if (list.empty()) watched_.Clear(i);
+  });
+}
+
+void VdiskOccupancy::Wake(int32_t v) {
+  // Every all-disk watch ends, and those on v's word whose window holds
+  // v; each goes off its lists before its client hears.
+  const int32_t d = frame_.num_disks();
+  ended_.swap(any_free_);
+  if (watched_.Test(v >> 6)) {
+    for (const Watch& w : by_word_[static_cast<size_t>(v >> 6)]) {
+      const int32_t offset = v >= w.first ? v - w.first : v - w.first + d;
+      if (offset < w.len) ended_.push_back(w);
+    }
+  }
+  for (const Watch& w : ended_) {
+    if (w.len < d) Remove(w);
+    w.client->Woken(w.owner);
+  }
+  ended_.clear();
+}
+
 STAGGER_HOT_PATH std::optional<std::pair<int32_t, int64_t>>
 VirtualDiskFrame::FindEarliestFreeVdisk(const VdiskOccupancy& occupied,
                                         const Bitmap& taken, int64_t t,

@@ -15,10 +15,10 @@
 #ifndef STAGGER_CORE_VIRTUAL_DISK_H_
 #define STAGGER_CORE_VIRTUAL_DISK_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "util/bitmap.h"
 #include "util/result.h"
@@ -155,24 +155,32 @@ class VirtualDiskFrame {
   int64_t stride_inverse_;
 };
 
+/// Hears the watches that frees end (VdiskOccupancy::Watch), each off
+/// every list by then; must not add one meanwhile.
+class FreeWatcher {
+ public:
+  virtual void Woken(int32_t owner) = 0;
+
+ protected:
+  ~FreeWatcher() = default;
+};
+
 /// \brief The scheduler's set of occupied virtual disks, held in two
 /// views that always agree bit for bit: vdisk order, for contiguous
 /// admission's window test, and orbit order (VirtualDiskFrame::OrbitPos),
 /// for the Algorithm 1-2 searches.
 ///
-/// It also logs the frees.  A search that failed can succeed later only
-/// once a virtual disk it looked at is freed (taking a disk only removes
-/// candidates), so a failed search records the free count and the
-/// window of virtual disks it depends on, and asks FreedSince before it
-/// runs again.
+/// It also indexes the waits on frees.  A failed search can succeed only
+/// once a virtual disk it read is freed (taking a disk only removes
+/// candidates), so it watches that window, listed under each 64-disk word
+/// the window covers (all D disks: on a list every free ends), and the
+/// first free inside it ends the watch and tells the watch's client.  A
+/// free on a word no window covers costs one bit test.
 class VdiskOccupancy {
  public:
-  /// Frees remembered by the log; an older one reads as "freed".
-  static constexpr int32_t kFreeLog = 64;
-
   explicit VdiskOccupancy(const VirtualDiskFrame& frame)
       : frame_(frame), by_vdisk_(frame.num_disks()),
-        by_orbit_(frame.num_disks()) {}
+        by_orbit_(frame.num_disks()), watched_(by_vdisk_.num_words()) {}
 
   bool Test(int32_t v) const { return by_vdisk_.Test(v); }
   void Set(int32_t v) {
@@ -182,8 +190,7 @@ class VdiskOccupancy {
   void Clear(int32_t v) {
     by_vdisk_.Clear(v);
     by_orbit_.Clear(frame_.OrbitPos(v));
-    freed_[static_cast<uint64_t>(frees_) % kFreeLog] = v;
-    ++frees_;
+    if (!any_free_.empty() || watched_.Test(v >> 6)) Wake(v);
   }
 
   /// True when no virtual disk in [start, start + len) (mod D) is
@@ -197,30 +204,37 @@ class VdiskOccupancy {
   const Bitmap& by_vdisk() const { return by_vdisk_; }
   const Bitmap& by_orbit() const { return by_orbit_; }
 
-  /// Virtual disks freed so far.
-  int64_t frees() const { return frees_; }
-  /// True when a virtual disk of the window [first, first + len)
-  /// (mod D, vdisk order; len >= D is every disk) was freed after the
-  /// free count read `since`, or when more than kFreeLog frees followed
-  /// it and the log no longer tells.
-  bool FreedSince(int64_t since, int32_t first, int32_t len) const {
-    if (frees_ - since > kFreeLog) return true;
-    const int32_t d = frame_.num_disks();
-    for (int64_t i = since; i < frees_; ++i) {
-      int32_t offset = freed_[static_cast<uint64_t>(i) % kFreeLog] - first;
-      if (offset < 0) offset += d;
-      if (offset < len) return true;
-    }
-    return false;
-  }
+  /// A watch of `client`'s `owner` (one at a time) on the window [first,
+  /// first + len) (mod D, vdisk order; len >= D every disk, < 0 none).
+  struct Watch {
+    FreeWatcher* client;
+    int32_t owner;
+    int32_t first;
+    int32_t len;
+
+    friend bool operator==(const Watch&, const Watch&) = default;
+  };
+  /// Lists `w` until the first free in its window ends it.
+  void Add(const Watch& w);
+  /// Ends `w` before a free does.
+  void Remove(const Watch& w);
 
  private:
+  /// Calls `fn(i, by_word_[i])` on each word i of `w`'s window (len < D).
+  template <typename Fn>
+  void ForEachWord(const Watch& w, Fn fn);
+  /// Ends the watches whose window holds virtual disk `v`, just freed.
+  void Wake(int32_t v);
+
   VirtualDiskFrame frame_;
   Bitmap by_vdisk_;
   Bitmap by_orbit_;
-  int64_t frees_ = 0;
-  /// The last kFreeLog frees: free i is freed_[i % kFreeLog].
-  std::array<int32_t, kFreeLog> freed_{};
+  /// The watches listed under each 64-disk word (sized at the first
+  /// one), the words with any, and the watches of all-disk windows.
+  std::vector<std::vector<Watch>> by_word_;
+  Bitmap watched_;
+  std::vector<Watch> any_free_;
+  std::vector<Watch> ended_;  ///< Wake's, kept for its capacity
 };
 
 }  // namespace stagger

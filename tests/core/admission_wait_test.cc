@@ -40,7 +40,7 @@ class PlanWaitTest : public ::testing::TestWithParam<Case> {
 
   // True when the planner starts a request of `degree` fragments from
   // `start_disk` at interval `t` on `occupied`.
-  bool Starts(const VdiskOccupancy& occupied, int32_t start_disk,
+  bool Starts(VdiskOccupancy& occupied, int32_t start_disk,
               int32_t degree, int64_t t) const {
     AdmissionQueue queue(*frame_, occupied, *disks_, GetParam().policy,
                          GetParam().lookahead, DegradedPolicy::kRemapOrPause,

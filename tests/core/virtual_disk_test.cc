@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <vector>
+
+#include "core/admission.h"
+#include "disk/disk_array.h"
 
 namespace stagger {
 namespace {
@@ -123,72 +128,140 @@ TEST(VirtualDiskFrameTest, FrameIsBijectiveAtEveryInterval) {
   }
 }
 
-// The free log answers "was a virtual disk of this window freed since
-// count c?" exactly while it holds every free since c.
-TEST(VdiskOccupancyFreeLogTest, ExactWindowHitOrMiss) {
+// The watches a free ends, as their client hears them.
+struct WokenLog : FreeWatcher {
+  void Woken(int32_t owner) override { woken.push_back(owner); }
+  std::vector<int32_t> woken;
+};
+
+// A free ends exactly the watches whose window holds the disk, once: a
+// disk taken and freed again wakes nothing more.
+TEST(VdiskOccupancyWatchTest, ExactWindowHitOrMiss) {
   auto frame = VirtualDiskFrame::Create(100, 1);
   ASSERT_TRUE(frame.ok());
   VdiskOccupancy occupied(*frame);
-  for (int32_t v = 30; v < 50; ++v) occupied.Set(v);
-  const int64_t before = occupied.frees();
+  WokenLog log;
+  for (int32_t v = 0; v < 100; ++v) occupied.Set(v);
+  occupied.Add({&log, 7, 36, 5});   // 36..40
+  occupied.Add({&log, 8, 35, 5});   // 35..39
+  occupied.Add({&log, 9, 41, 5});   // 41..45
+  occupied.Add({&log, 10, 40, 0});  // no disk
   occupied.Clear(40);
-  EXPECT_EQ(occupied.frees(), before + 1);
-  EXPECT_TRUE(occupied.FreedSince(before, 40, 1));
-  EXPECT_TRUE(occupied.FreedSince(before, 36, 5));   // 36..40
-  EXPECT_FALSE(occupied.FreedSince(before, 35, 5));  // 35..39
-  EXPECT_FALSE(occupied.FreedSince(before, 41, 5));
-  EXPECT_FALSE(occupied.FreedSince(before, 0, 0));
-  EXPECT_TRUE(occupied.FreedSince(before, 0, 100));
-  // Nothing was freed after the free itself.
-  EXPECT_FALSE(occupied.FreedSince(occupied.frees(), 0, 100));
-  // A disk taken again after its free still counts as freed.
+  EXPECT_EQ(log.woken, std::vector<int32_t>{7});
   occupied.Set(40);
-  EXPECT_TRUE(occupied.FreedSince(before, 40, 1));
+  occupied.Clear(40);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{7});
+  // A removed watch wakes nothing; its owner may watch anew.
+  occupied.Remove({&log, 8, 35, 5});
+  occupied.Add({&log, 8, 50, 1});
+  occupied.Clear(39);
+  occupied.Remove({&log, 9, 41, 5});
+  occupied.Clear(41);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{7});
+  occupied.Clear(50);
+  EXPECT_EQ(log.woken, (std::vector<int32_t>{7, 8}));
 }
 
-// A window that wraps past the last virtual disk, asked of a log whose
-// slots have wrapped past their 64th free.  With k = 2 the frame has two
-// orbit blocks; the window is in vdisk order whatever the block.
-TEST(VdiskOccupancyFreeLogTest, WindowWrapsTheDisksAndTheLog) {
-  auto frame = VirtualDiskFrame::Create(64, 2);
+// A window that wraps past the last virtual disk and covers two 64-disk
+// words on each side of the wrap: a free in any piece ends it, one just
+// outside does not.  With k = 2 the frame has two orbit blocks; the
+// window is in vdisk order whatever the block.
+TEST(VdiskOccupancyWatchTest, WindowWrapsTheDisksAndCrossesWords) {
+  auto frame = VirtualDiskFrame::Create(200, 2);
   ASSERT_TRUE(frame.ok());
   VdiskOccupancy occupied(*frame);
+  WokenLog log;
+  for (int32_t v = 0; v < 200; ++v) occupied.Set(v);
+  const VdiskOccupancy::Watch w{&log, 3, 190, 80};  // 190..199, 0..69
+  occupied.Add(w);
+  for (const int32_t v : {189, 70, 100, 127, 128}) occupied.Clear(v);
+  EXPECT_TRUE(log.woken.empty());
+  occupied.Clear(65);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{3});
+  occupied.Add(w);
+  occupied.Clear(195);
+  EXPECT_EQ(log.woken, (std::vector<int32_t>{3, 3}));
+  occupied.Add(w);
+  occupied.Clear(0);
+  EXPECT_EQ(log.woken, (std::vector<int32_t>{3, 3, 3}));
+  // Ended by one free, it is off every word's list.
+  occupied.Clear(191);
+  occupied.Clear(66);
+  EXPECT_EQ(log.woken.size(), 3u);
+}
+
+// At D = 64 a wrapping window starts and ends in the one word: listed
+// there once, it ends once, and its client hears it once.
+TEST(VdiskOccupancyWatchTest, WindowWrapsWithinOneWord) {
+  auto frame = VirtualDiskFrame::Create(64, 1);
+  ASSERT_TRUE(frame.ok());
+  VdiskOccupancy occupied(*frame);
+  WokenLog log;
   for (int32_t v = 0; v < 64; ++v) occupied.Set(v);
-  // 70 frees of disk 20 fill the log and wrap it.
-  for (int32_t i = 0; i < 70; ++i) {
-    occupied.Clear(20);
-    occupied.Set(20);
-  }
-  const int64_t since = occupied.frees();
-  occupied.Clear(63);
-  occupied.Clear(1);
-  EXPECT_TRUE(occupied.FreedSince(since, 62, 4));   // 62, 63, 0, 1
-  EXPECT_TRUE(occupied.FreedSince(since, 63, 1));
-  EXPECT_TRUE(occupied.FreedSince(since, 60, 6));   // 60..63, 0, 1
-  EXPECT_FALSE(occupied.FreedSince(since, 2, 60));  // 2..61
-  EXPECT_FALSE(occupied.FreedSince(since, 60, 3));  // 60..62
-  EXPECT_FALSE(occupied.FreedSince(since, 0, 1));
-  // The frees of disk 20 before `since` are in the log, but not asked.
-  EXPECT_FALSE(occupied.FreedSince(since, 20, 1));
-  EXPECT_TRUE(occupied.FreedSince(since - 1, 20, 1));
+  occupied.Add({&log, 4, 60, 10});  // 60..63, 0..5
+  occupied.Clear(6);
+  occupied.Clear(59);
+  EXPECT_TRUE(log.woken.empty());
+  occupied.Clear(2);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{4});
+  occupied.Clear(61);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{4});
 }
 
-// Once more than kFreeLog frees follow the count, the log cannot tell
-// and reports the window freed.
-TEST(VdiskOccupancyFreeLogTest, OverflowReportsFreed) {
-  auto frame = VirtualDiskFrame::Create(1000, 1);
+// A window of all D disks ("no horizon fits") ends at the next free,
+// wherever it lands.
+TEST(VdiskOccupancyWatchTest, AllDiskWindowEndsAtAnyFree) {
+  auto frame = VirtualDiskFrame::Create(1000, 5);
   ASSERT_TRUE(frame.ok());
   VdiskOccupancy occupied(*frame);
-  occupied.Set(900);
-  const int64_t since = occupied.frees();
-  for (int32_t i = 0; i < VdiskOccupancy::kFreeLog; ++i) {
-    occupied.Clear(900);
-    occupied.Set(900);
+  WokenLog log;
+  for (int32_t v = 0; v < 1000; ++v) occupied.Set(v);
+  occupied.Add({&log, 1, 0, 1000});
+  occupied.Add({&log, 2, 10, 3});
+  occupied.Clear(977);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{1});
+  occupied.Clear(976);
+  occupied.Clear(13);
+  EXPECT_EQ(log.woken, std::vector<int32_t>{1});
+  occupied.Clear(12);
+  EXPECT_EQ(log.woken, (std::vector<int32_t>{1, 2}));
+}
+
+// A failed plan's key waits on its window, and goes when its key's last
+// entry leaves the queue: a free in the window then wakes nothing, not
+// even the paused remainder that takes over its record, which stays in
+// its backoff until its retry.
+TEST(VdiskOccupancyWatchTest, WaiterDroppedWithItsKeysLastEntry) {
+  auto frame = VirtualDiskFrame::Create(100, 1);
+  ASSERT_TRUE(frame.ok());
+  auto disks = DiskArray::Create(100, DiskParameters::Evaluation());
+  ASSERT_TRUE(disks.ok());
+  VdiskOccupancy occupied(*frame);
+  for (int32_t v = 0; v < 100; ++v) occupied.Set(v);
+  AdmissionQueue queue(*frame, occupied, *disks, AdmissionPolicy::kContiguous,
+                       /*fragmented_lookahead=*/0,
+                       DegradedPolicy::kRemapOrPause,
+                       /*max_pause_intervals=*/4096);
+  const DisplayRequest req{.object = 0, .start_disk = 10, .degree = 3,
+                           .num_subobjects = 5};
+  for (const RequestId id : {1, 2}) {
+    queue.Push({.id = id, .req = req, .arrival = SimTime::Zero()});
   }
-  EXPECT_FALSE(occupied.FreedSince(since, 0, 100));
-  occupied.Clear(900);
-  EXPECT_TRUE(occupied.FreedSince(since, 0, 100));
-  EXPECT_FALSE(occupied.FreedSince(since + 1, 0, 100));
+  std::optional<AdmitPlan> plan;
+  queue.BeginPass(0);
+  EXPECT_EQ(queue.Next(&plan), nullptr);
+  EXPECT_TRUE(queue.Erase(1));
+  EXPECT_TRUE(queue.Erase(2));
+  EXPECT_TRUE(queue.empty());
+  queue.PushPaused({.id = 3, .req = req, .arrival = SimTime::Zero()}, 0);
+  for (int32_t v = 0; v < 100; ++v) occupied.Clear(v);
+  queue.BeginPass(0);
+  EXPECT_EQ(queue.Next(&plan), nullptr);
+  queue.BeginPass(1);  // its retry
+  const AdmissionQueue::Entry* resumed = queue.Next(&plan);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->id, 3);
+  EXPECT_TRUE(plan.has_value());
 }
 
 }  // namespace

@@ -24,9 +24,15 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/invariants.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "server/experiment.h"
+#include "server/striped_server.h"
+#include "storage/catalog.h"
+#include "tertiary/tertiary_manager.h"
 #include "util/rng.h"
+#include "workload/open_arrivals.h"
 
 namespace stagger {
 namespace {
@@ -170,6 +176,97 @@ TEST(ChaosDeterminismTest, IdenticalSeedsReplayBitIdentically) {
   EXPECT_EQ(a->degraded_disk_intervals, b->degraded_disk_intervals);
   EXPECT_EQ(a->background_reads_granted, b->background_reads_granted);
   EXPECT_EQ(a->rebuilds_completed, b->rebuilds_completed);
+}
+
+// Batching, a generated chaos plan, kPause with a short pause cap and
+// fragmented admission with Algorithm 2 together, at D = 64: paused
+// remainders wait on the wake wheel beside the queued requests, frees
+// wake the waiting keys and the coalescing misses, and pauses past the
+// cap are given up.  Every interval each physical request is completed,
+// cancelled or still in flight (queued, paused or active) and the
+// scheduler audit passes (debug-audit builds also plan every waiting
+// entry and every skipped coalescing search each tick); once arrivals
+// stop and the load drains, every logical request completed or was
+// interrupted, without a hiccup.
+TEST(ChaosBatchingTest, PauseGiveUpsKeepEveryRequestAccounted) {
+  constexpr int32_t kDisks = 64;
+  const SimTime interval = SimTime::Micros(604800);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Simulator sim;
+    Catalog catalog = Catalog::Uniform(16, 60, Bandwidth::Mbps(100));
+    auto disks = DiskArray::Create(kDisks, DiskParameters::Evaluation());
+    ASSERT_TRUE(disks.ok());
+    TertiaryManager tertiary(&sim, TertiaryDevice(TertiaryParameters{}));
+    StripedConfig config;
+    config.stride = 1;
+    config.interval = interval;
+    config.policy = AdmissionPolicy::kFragmented;
+    config.coalesce = true;
+    config.preload_objects = catalog.size();
+    config.degraded_policy = DegradedPolicy::kPause;
+    config.max_pause_intervals = 6;
+    config.batch = true;
+    config.batch_window = SimTime::Seconds(20);
+    config.max_batch_fanout = 6;
+    auto server =
+        StripedServer::Create(&sim, &catalog, &*disks, &tertiary, config);
+    ASSERT_TRUE(server.ok()) << server.status();
+
+    ChaosParams params;
+    params.horizon = SimTime::Minutes(30);
+    params.mtbf = SimTime::Hours(4);
+    params.mttr = SimTime::Minutes(2);
+    params.stall_mtbf = SimTime::Hours(4);
+    params.mean_stall = SimTime::Seconds(20);
+    params.degrade_mtbf = SimTime::Hours(6);
+    params.mean_degrade = SimTime::Minutes(2);
+    params.latent_mtbf = SimTime::Hours(4);
+    params.subobject_space = 60;
+    params.max_latent_run = 2;
+    params.num_domains = 4;
+    Rng rng(seed);
+    const FaultPlan plan = FaultPlan::Generate(&rng, kDisks, params);
+    auto injector = FaultInjector::Create(&sim, &*disks, plan);
+    ASSERT_TRUE(injector.ok()) << injector.status();
+
+    auto popularity = TruncatedGeometric::FromMean(16, 4);
+    ASSERT_TRUE(popularity.ok());
+    OpenArrivalsConfig oc;
+    oc.mean_interarrival = SimTime::Seconds(2);
+    oc.seed = seed;
+    OpenArrivals arrivals(&sim, server->get(), &*popularity, std::move(oc));
+    arrivals.Start();
+
+    const IntervalScheduler& sched = *(*server)->scheduler();
+    for (SimTime t = interval; t <= params.horizon; t = t + interval) {
+      sim.RunUntil(t);
+      ASSERT_TRUE(InvariantAuditor::AuditScheduler(sched).ok());
+      const SchedulerMetrics& m = sched.metrics();
+      ASSERT_EQ(m.displays_requested,
+                m.displays_completed + m.displays_cancelled +
+                    static_cast<int64_t>(sched.pending_requests() +
+                                         sched.paused_streams() +
+                                         sched.active_streams()))
+          << "seed " << seed << " at " << t.seconds() << " s";
+    }
+    arrivals.Stop();
+    sim.RunUntil(params.horizon + SimTime::Hours(1));  // drain
+
+    const StreamBatcher* batcher = (*server)->batcher();
+    ASSERT_NE(batcher, nullptr);
+    const BatcherMetrics& bm = batcher->metrics();
+    const SchedulerMetrics& m = sched.metrics();
+    EXPECT_GT(bm.window_joins + bm.piggyback_joins, 0) << "seed " << seed;
+    EXPECT_GT(m.streams_paused, 0) << "seed " << seed;
+    EXPECT_GT(m.displays_interrupted, 0) << "seed " << seed;
+    EXPECT_GT(m.fragmented_admissions, 0) << "seed " << seed;
+    EXPECT_EQ(m.hiccups, 0) << "seed " << seed;
+    EXPECT_EQ(arrivals.in_flight(), 0) << "seed " << seed;
+    EXPECT_EQ(bm.requests, bm.completed + bm.interrupted) << "seed " << seed;
+    EXPECT_EQ(m.displays_requested,
+              m.displays_completed + m.displays_cancelled)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -630,6 +630,51 @@ TEST_F(AdmissionOrderTest, GiveUpListenerMayCancelTheNextPausedDisplay) {
   EXPECT_EQ(calls_.breach(), "");
 }
 
+// A give-up's listener may free the disks a waiting request needs, and
+// that request starts in the same tick, not at its next wake.  D = 8:
+// A (virtual disks {0, 1}) and S (degree 6, {2..7}) fill the array at
+// interval 0, so F (degree 3), submitted then, fails and waits.  Disk 2
+// is down during interval 2 only, which pauses A (S reads disks
+// {4..7, 0, 1} then); A's remainder then fails on occupancy at its
+// retries 3, 5 and 9, and is given up at 17, when F's wait still holds.
+// Its listener cancels S, whose free ends F's wait, and F starts at 17.
+TEST_F(AdmissionOrderTest, GiveUpListenerFreeStartsAWaitingRequest) {
+  Init(8, 1, DegradedPolicy::kPause, /*max_pause_intervals=*/7);
+  FaultPlan plan;
+  plan.FailAt(2, kInterval * 2).RecoverAt(2, kInterval * 3);
+  Inject(plan);
+  RequestId s = kNoStream;
+  SimTime gave_up_at = SimTime::Zero();
+  auto a = calls_.Submit(
+      sched_.get(),
+      DisplayRequest{.object = 0, .start_disk = 0, .degree = 2,
+                     .num_subobjects = 20},
+      {.on_interrupted = [&] {
+        gave_up_at = sim_.Now();
+        EXPECT_TRUE(calls_.Cancel(sched_.get(), s).ok());
+      }});
+  ASSERT_TRUE(a.ok()) << a.status();
+  Probe held, f;
+  s = Request(1, 2, 6, 100, &held);
+  Request(2, 4, 3, 4, &f);
+
+  sim_.RunUntil(kInterval * 16 + SimTime::Millis(1));
+  EXPECT_EQ(sched_->metrics().streams_paused, 1);
+  EXPECT_EQ(sched_->metrics().streams_resumed, 0);
+  EXPECT_EQ(sched_->pending_requests(), 1u);
+  EXPECT_FALSE(f.started);
+
+  sim_.RunUntil(SimTime::Minutes(1));
+  EXPECT_EQ(gave_up_at, kInterval * 17);
+  EXPECT_EQ(sched_->metrics().displays_interrupted, 1);
+  EXPECT_TRUE(f.started);
+  EXPECT_EQ(f.latency, kInterval * 17);
+  EXPECT_TRUE(f.completed);
+  EXPECT_FALSE(held.completed);
+  EXPECT_EQ(sched_->metrics().hiccups, 0);
+  EXPECT_EQ(calls_.breach(), "");
+}
+
 // ---------------------------------------------------------------------
 // VDR cluster failover.
 // ---------------------------------------------------------------------
